@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint trace-smoke chaos chaos-net chaos-integrity chaos-overload chaos-recovery chaos-tree chaos-serving verify bench bench-smoke bench-integrity bench-overload bench-recovery bench-collectives bench-serving bench-serving-smoke
+.PHONY: build test race vet lint trace-smoke chaos chaos-net chaos-integrity chaos-overload chaos-recovery chaos-tree chaos-serving verify bench bench-smoke bench-integrity bench-overload bench-recovery bench-collectives bench-serving bench-serving-smoke benchmark benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -93,9 +93,12 @@ chaos-tree:
 # detector (the SPMD runtime is all goroutines — races are correctness bugs
 # here, not style). The -race pass includes the integrity differentials in
 # internal/chaos: divergence detection panics cross every rank's goroutine,
-# so they are exactly where races would hide.
+# so they are exactly where races would hide. The storage B-tree then takes
+# a bounded fuzz pass: random Insert/Delete/UpsertPrefix/Reset/Build/scan
+# sequences at arities 1-4 against a sorted-slice reference.
 verify: vet
 	$(GO) test -race ./...
+	$(GO) test -run '^$$' -fuzz FuzzAgainstSortedSlice -fuzztime 15s -fuzzminimizetime 10x ./internal/btree
 
 # bench runs the hot-path benchmark suite (end-to-end SSSP/CC fixpoints at
 # 1/4/8 ranks plus the accumulator microbenchmarks) with allocation
@@ -163,3 +166,13 @@ bench-collectives:
 	$(GO) test -run 'ConvergenceAllreduceRootBytes' -count 1 .
 	$(GO) test -run '^$$' -bench 'Collectives' -benchmem -benchtime 20x . \
 		| $(GO) run ./cmd/benchjson -out BENCH_collectives.json
+
+# benchmark runs the repository's one committed benchmark (BENCHMARK.json's
+# command): four workloads, a timed and a traced pass each, then the layer
+# probes — about two and a half minutes. benchmark-smoke is the CI variant:
+# tiny inputs, seconds; a shape check, not a measurement.
+benchmark:
+	bash benchmark/run.sh
+
+benchmark-smoke:
+	bash benchmark/run.sh -smoke

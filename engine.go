@@ -66,12 +66,15 @@ type Engine struct {
 	qmu  sync.RWMutex
 	stmu sync.Mutex
 
-	// journal holds the global base-fact set per relation, maintained by
-	// the Rank load hook and by Apply's insert/delete bookkeeping. The
-	// deletion path re-derives from it; the from-scratch fallback replays
-	// it entirely.
-	jmu     sync.Mutex
-	journal map[string]*journalRel
+	// journal holds the global base-fact set per relation. The deletion
+	// path re-derives from it; the from-scratch fallback replays it
+	// entirely. Facts arrive as flat buffers — what the ranks loaded (kept
+	// on each Rank) and what Apply inserted (inserted) — and are folded into
+	// the ordered sets only when something reads or deletes from them, see
+	// foldLoadsLocked.
+	jmu      sync.Mutex
+	journal  map[string]*journalRel
+	inserted map[string][]*tuple.Buffer
 
 	loaded bool
 	closed bool
@@ -209,7 +212,8 @@ func Open(cfg Config, prog *Program) (*Engine, error) {
 		cmds:  make([]chan engineCmd, slots),
 		done:  make(chan error, 1),
 
-		journal: map[string]*journalRel{},
+		journal:  map[string]*journalRel{},
+		inserted: map[string][]*tuple.Buffer{},
 	}
 	for i := range e.cmds {
 		e.cmds[i] = make(chan engineCmd)
@@ -238,7 +242,7 @@ func Open(cfg Config, prog *Program) (*Engine, error) {
 			slot = c.Rank()
 		}
 		e.insts[slot] = inst
-		e.ranks[slot] = &Rank{comm: c, inst: inst, record: e.recordFact}
+		e.ranks[slot] = &Rank{comm: c, inst: inst}
 		e.rcfgs[slot] = rcfg
 		e.accts[slot] = acct
 		for cmd := range e.cmds[slot] {
@@ -568,16 +572,23 @@ func (e *Engine) validateMutation(m Mutation) error {
 	return nil
 }
 
-// journalMutation folds one batch into the base-fact journal.
+// journalMutation records one batch in the base-fact journal: inserts join
+// the unfolded buffers, deletions fold everything recorded so far and then
+// remove their facts from the ordered sets.
 func (e *Engine) journalMutation(m Mutation) {
 	e.jmu.Lock()
 	defer e.jmu.Unlock()
 	for name, facts := range m.Insert {
-		jr := e.journalRelLocked(name, e.prog.Decl(name).Arity)
+		buf := tuple.NewBuffer(e.prog.Decl(name).Arity, len(facts))
 		for _, f := range facts {
-			jr.facts.Insert(tuple.Tuple(f))
+			buf.Append(tuple.Tuple(f))
 		}
+		e.inserted[name] = append(e.inserted[name], buf)
 	}
+	if len(m.Delete) == 0 {
+		return
+	}
+	e.foldLoadsLocked()
 	for name, facts := range m.Delete {
 		jr := e.journal[name]
 		if jr == nil {
@@ -589,26 +600,37 @@ func (e *Engine) journalMutation(m Mutation) {
 	}
 }
 
-// recordFact is the Rank load hook: every base fact loaded through
-// Rank.Load/LoadShare lands in the journal (t == nil just registers the
-// relation, so the reload set stays uniform even for ranks with an empty
-// share).
-func (e *Engine) recordFact(rel string, arity int, t tuple.Tuple) {
-	e.jmu.Lock()
-	defer e.jmu.Unlock()
-	jr := e.journalRelLocked(rel, arity)
-	if t != nil {
-		jr.facts.Insert(t)
+// foldLoadsLocked moves the base facts recorded since the last fold — what
+// the ranks loaded and what Apply inserted — into the journal: per relation,
+// one sort of the new facts together with those already journaled, and one
+// bottom-up build of the ordered, deduplicated set. Only a deletion or a
+// journal replay needs that set, so an engine that never does either never
+// builds it, and a one-shot Exec never pays for a journal at all. The caller
+// holds jmu and is ordered after every rank's loads: either the ranks are
+// parked between commands, or (the initial batch's replay) a collective
+// that every rank entered after loading has completed.
+func (e *Engine) foldLoadsLocked() {
+	unfolded := e.inserted
+	for _, rk := range e.ranks {
+		for name, bufs := range rk.loads {
+			unfolded[name] = append(unfolded[name], bufs...)
+		}
+		rk.loads = nil
 	}
-}
-
-func (e *Engine) journalRelLocked(rel string, arity int) *journalRel {
-	jr := e.journal[rel]
-	if jr == nil {
-		jr = &journalRel{arity: arity, facts: btree.New()}
-		e.journal[rel] = jr
+	for name, bufs := range unfolded {
+		jr := e.journal[name]
+		if jr == nil {
+			jr = &journalRel{arity: bufs[0].Arity, facts: btree.New()}
+			e.journal[name] = jr
+		}
+		words := jr.facts.Serialize(jr.arity)
+		for _, b := range bufs {
+			words = append(words, b.Words...)
+		}
+		jr.facts.Reset()
+		jr.facts.Build(jr.arity, tuple.SortedRun(jr.arity, words, nil))
+		delete(unfolded, name)
 	}
-	return jr
 }
 
 // stripeMut deterministically splits a global mutation map into this rank's
@@ -644,6 +666,7 @@ func (e *Engine) reloadFor(rk *Rank) func(string) *tuple.Buffer {
 	id, size := rk.ID(), rk.Size()
 	return func(name string) *tuple.Buffer {
 		e.jmu.Lock()
+		e.foldLoadsLocked()
 		jr := e.journal[name]
 		e.jmu.Unlock()
 		if jr == nil {

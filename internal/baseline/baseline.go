@@ -128,14 +128,15 @@ func RunSSSP(sys System, g *graph.Graph, sources []uint64, ranks int) (*Result, 
 			Left: spMid, LeftRel: sp,
 			Right: edge.Canonical(), RightRel: edge,
 			Head: sp, JK: 1,
-			Emit: func(l, r tuple.Tuple, out func(tuple.Tuple)) {
+			Emit: func(l, r, out tuple.Tuple) bool {
 				f, t, d := l[1], r[1], l[2]+r[2]
 				k := [2]uint64{f, t}
 				if best, ok := mapperBest[k]; ok && best <= d {
-					return
+					return false
 				}
 				mapperBest[k] = d
-				out(tuple.Tuple{f, t, d})
+				out[0], out[1], out[2] = f, t, d
+				return true
 			},
 		}
 		fx := ra.NewFixpoint(c, mc, join)
@@ -202,13 +203,14 @@ func RunCC(sys System, g *graph.Graph, ranks int) (*Result, error) {
 			Left: ccByNode, LeftRel: cc,
 			Right: edge.Canonical(), RightRel: edge,
 			Head: cc, JK: 1,
-			Emit: func(l, r tuple.Tuple, out func(tuple.Tuple)) {
+			Emit: func(l, r, out tuple.Tuple) bool {
 				y, z := r[1], l[1]
 				if best, ok := mapperBest[y]; ok && best <= z {
-					return
+					return false
 				}
 				mapperBest[y] = z
-				out(tuple.Tuple{y, z})
+				out[0], out[1] = y, z
+				return true
 			},
 		}
 		fx := ra.NewFixpoint(c, mc, join)

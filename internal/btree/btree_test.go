@@ -319,3 +319,139 @@ func TestQuickDeleteAgainstMap(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestResetRefillAllocFree pins node reuse: a tree emptied and refilled —
+// what every Δ version goes through each iteration — takes its nodes back
+// from the free list, leaves and interior nodes alike, and copies tuple
+// words into them; nothing reaches the allocator.
+func TestResetRefillAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ts := make([]tuple.Tuple, 5000)
+	for i := range ts {
+		ts[i] = tuple.Tuple{uint64(rng.Intn(400)), uint64(rng.Intn(400)), uint64(i)}
+	}
+	tr := New()
+	refill := func() {
+		tr.Reset()
+		for _, k := range ts {
+			tr.Insert(k)
+		}
+	}
+	refill()
+	if allocs := testing.AllocsPerRun(20, refill); allocs != 0 {
+		t.Errorf("Reset + refill of %d tuples: %v allocs, want 0", len(ts), allocs)
+	}
+	if tr.Len() != len(ts) {
+		t.Fatalf("Len = %d after refill, want %d", tr.Len(), len(ts))
+	}
+}
+
+// TestBuildMatchesInserts checks the bottom-up build against per-tuple
+// inserts at every size around the node and level boundaries.
+func TestBuildMatchesInserts(t *testing.T) {
+	sizes := []int{0, 1, 2, minItems, maxItems, maxItems + 1, 2*maxItems + 1, 1023, 1024, 1025, 5000, 32767, 32768, 40000}
+	for _, n := range sizes {
+		var run []tuple.Value
+		want := New()
+		for i := 0; i < n; i++ {
+			k := tuple.Tuple{uint64(i / 7), uint64(i % 7)}
+			run = append(run, k...)
+			want.Insert(k)
+		}
+		got := New()
+		got.Build(2, run)
+		if got.Len() != n {
+			t.Fatalf("Build of %d tuples: Len = %d", n, got.Len())
+		}
+		checkShape(t, got)
+		a, b := got.Serialize(2), want.Serialize(2)
+		if len(a) != len(b) {
+			t.Fatalf("Build of %d tuples serializes %d words, inserts %d", n, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("Build of %d tuples differs from inserts at word %d", n, i)
+			}
+		}
+		// A built tree must keep working as a tree.
+		if n > 0 {
+			if !got.Has(tuple.Tuple{uint64((n - 1) / 7), uint64((n - 1) % 7)}) || got.Insert(tuple.Tuple{0, 0}) {
+				t.Fatalf("Build of %d tuples: lookups disagree with contents", n)
+			}
+			if !got.Delete(tuple.Tuple{0, 0}) || got.Len() != n-1 {
+				t.Fatalf("Build of %d tuples: delete failed", n)
+			}
+			checkShape(t, got)
+		}
+	}
+}
+
+func TestBuildRejectsUnsortedRun(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Build accepted a run that is not strictly ascending")
+		}
+	}()
+	New().Build(1, []tuple.Value{1, 3, 3})
+}
+
+// TestUpsertPrefixReplacesInPlace covers the aggregated-index discipline at
+// the hand-written level: one tuple per prefix, the dependent words
+// overwritten where they stand.
+func TestUpsertPrefixReplacesInPlace(t *testing.T) {
+	tr := New()
+	for i := 0; i < 2000; i++ {
+		if tr.UpsertPrefix(2, tuple.Tuple{uint64(i % 50), uint64(i / 50), 1000}) {
+			t.Fatalf("first upsert of key %d reported a replacement", i)
+		}
+	}
+	for i := 0; i < 2000; i += 3 {
+		if !tr.UpsertPrefix(2, tuple.Tuple{uint64(i % 50), uint64(i / 50), uint64(i)}) {
+			t.Fatalf("second upsert of key %d reported an insertion", i)
+		}
+	}
+	if tr.Len() != 2000 {
+		t.Fatalf("Len = %d, want 2000", tr.Len())
+	}
+	tr.Ascend(func(tt tuple.Tuple) bool {
+		i := tt[1]*50 + tt[0]
+		want := uint64(1000)
+		if i%3 == 0 {
+			want = i
+		}
+		if tt[2] != want {
+			t.Fatalf("key (%d,%d) holds %d, want %d", tt[0], tt[1], tt[2], want)
+		}
+		return true
+	})
+}
+
+func TestArityMismatchPanics(t *testing.T) {
+	tr := New()
+	tr.Insert(tuple.Tuple{1, 2})
+	if tr.Has(tuple.Tuple{1}) || tr.Delete(tuple.Tuple{1, 2, 3}) {
+		t.Fatal("lookups of another arity matched")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Insert of another arity did not panic")
+		}
+	}()
+	tr.Insert(tuple.Tuple{1, 2, 3})
+}
+
+func BenchmarkHas(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	tr := New()
+	ks := make([]tuple.Tuple, 100000)
+	for i := range ks {
+		ks[i] = tuple.Tuple{uint64(rng.Intn(5000)), uint64(rng.Intn(5000)), uint64(rng.Intn(100))}
+		tr.Insert(ks[i])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !tr.Has(ks[i%len(ks)]) {
+			b.Fatal("missing")
+		}
+	}
+}

@@ -3,26 +3,23 @@ package btree
 import "paralagg/internal/tuple"
 
 // Delete removes the exact tuple k from the tree, reporting whether it was
-// present. Aggregated relations use it to purge a stale dependent value when
-// a key's accumulator improves — the paper's "collapsing" of transient
-// tuples.
+// present. k must not be a view into this tree. Set relations use it to
+// retract invalidated tuples; emptied nodes return to the free list.
 func (t *Tree) Delete(k tuple.Tuple) bool {
-	if t.root == nil {
+	if t.root == nil || len(k) != t.arity {
 		return false
 	}
-	deleted := t.root.delete(k)
+	deleted := t.delete(t.root, k)
 	if deleted {
 		t.size--
-		t.words -= int64(len(k))
 	}
-	if len(t.root.items) == 0 {
-		if t.root.leaf() {
-			if t.size == 0 {
-				t.root = nil
-			}
+	if r := t.root; r.n == 0 {
+		if r.leaf() {
+			t.root = nil
 		} else {
-			t.root = t.root.children[0]
+			t.root = r.children[0]
 		}
+		t.release(r)
 	}
 	return deleted
 }
@@ -30,113 +27,113 @@ func (t *Tree) Delete(k tuple.Tuple) bool {
 // delete removes k from the subtree rooted at n. n is guaranteed by the
 // caller to have more than minItems items (or to be the root), so removal
 // cannot underflow it.
-func (n *node) delete(k tuple.Tuple) bool {
-	i, found := n.find(k)
+func (t *Tree) delete(n *node, k tuple.Tuple) bool {
+	a := t.arity
+	i, found := n.search(k, a)
 	if n.leaf() {
-		if !found {
-			return false
+		if found {
+			n.removeAt(i, a)
 		}
-		n.items = append(n.items[:i], n.items[i+1:]...)
-		return true
+		return found
 	}
 	if found {
-		// Replace with the predecessor (the maximum of the left child's
-		// subtree) and delete that predecessor instead.
-		if len(n.children[i].items) > minItems {
-			pred := n.children[i].max()
-			n.items[i] = pred.Clone()
-			return n.children[i].delete(pred)
+		// Overwrite with a neighbour in the order (the left subtree's
+		// maximum or the right subtree's minimum) and delete that tuple
+		// below instead. The copy in n is the key for the descent: it stays
+		// put while the subtree's nodes shift under it.
+		if left := n.children[i]; left.n > minItems {
+			copy(n.item(i, a), left.max(a))
+			return t.delete(left, n.item(i, a))
 		}
-		if len(n.children[i+1].items) > minItems {
-			succ := n.children[i+1].min()
-			n.items[i] = succ.Clone()
-			return n.children[i+1].delete(succ)
+		if right := n.children[i+1]; right.n > minItems {
+			copy(n.item(i, a), right.min(a))
+			return t.delete(right, n.item(i, a))
 		}
-		// Both neighbors minimal: merge them around items[i], then recurse.
-		n.mergeChildren(i)
-		return n.children[i].delete(k)
+		// Both neighbours minimal: merge them around tuple i, then recurse.
+		t.mergeChildren(n, i)
+		return t.delete(n.children[i], k)
 	}
 	// Not in this node: descend into children[i], topping it up first.
-	child := n.children[i]
-	if len(child.items) == minItems {
-		i = n.fill(i)
-		child = n.children[i]
+	if n.children[i].n == minItems {
+		i = t.fill(n, i)
 	}
-	return child.delete(k)
+	return t.delete(n.children[i], k)
 }
 
 // max returns the largest tuple in the subtree.
-func (n *node) max() tuple.Tuple {
+func (n *node) max(arity int) tuple.Tuple {
 	for !n.leaf() {
-		n = n.children[len(n.children)-1]
+		n = n.children[n.n]
 	}
-	return n.items[len(n.items)-1]
+	return n.item(n.n-1, arity)
 }
 
 // min returns the smallest tuple in the subtree.
-func (n *node) min() tuple.Tuple {
+func (n *node) min(arity int) tuple.Tuple {
 	for !n.leaf() {
 		n = n.children[0]
 	}
-	return n.items[0]
+	return n.item(0, arity)
 }
 
 // fill ensures children[i] has more than minItems items by borrowing from a
 // sibling or merging. It returns the index of the child that now covers the
 // original key range (merging with the left sibling shifts it left by one).
-func (n *node) fill(i int) int {
-	if i > 0 && len(n.children[i-1].items) > minItems {
-		n.borrowLeft(i)
-		return i
+func (t *Tree) fill(n *node, i int) int {
+	switch {
+	case i > 0 && n.children[i-1].n > minItems:
+		t.borrowLeft(n, i)
+	case i < n.n && n.children[i+1].n > minItems:
+		t.borrowRight(n, i)
+	case i > 0:
+		i--
+		t.mergeChildren(n, i)
+	default:
+		t.mergeChildren(n, i)
 	}
-	if i < len(n.children)-1 && len(n.children[i+1].items) > minItems {
-		n.borrowRight(i)
-		return i
-	}
-	if i > 0 {
-		n.mergeChildren(i - 1)
-		return i - 1
-	}
-	n.mergeChildren(i)
 	return i
 }
 
-// borrowLeft rotates one item from children[i-1] through items[i-1] into
-// children[i].
-func (n *node) borrowLeft(i int) {
+// borrowLeft rotates one tuple from children[i-1] through slot i-1 of n
+// into children[i].
+func (t *Tree) borrowLeft(n *node, i int) {
+	a := t.arity
 	child, left := n.children[i], n.children[i-1]
-	child.items = append(child.items, nil)
-	copy(child.items[1:], child.items)
-	child.items[0] = n.items[i-1]
-	n.items[i-1] = left.items[len(left.items)-1]
-	left.items = left.items[:len(left.items)-1]
+	child.insertAt(0, n.item(i-1, a), a)
+	left.n--
+	copy(n.item(i-1, a), left.item(left.n, a))
 	if !child.leaf() {
+		last := len(left.children) - 1
 		child.children = append(child.children, nil)
 		copy(child.children[1:], child.children)
-		child.children[0] = left.children[len(left.children)-1]
-		left.children = left.children[:len(left.children)-1]
+		child.children[0] = left.children[last]
+		left.children = left.children[:last]
 	}
 }
 
-// borrowRight rotates one item from children[i+1] through items[i] into
-// children[i].
-func (n *node) borrowRight(i int) {
+// borrowRight rotates one tuple from children[i+1] through slot i of n
+// into children[i].
+func (t *Tree) borrowRight(n *node, i int) {
+	a := t.arity
 	child, right := n.children[i], n.children[i+1]
-	child.items = append(child.items, n.items[i])
-	n.items[i] = right.items[0]
-	right.items = append(right.items[:0], right.items[1:]...)
+	child.insertAt(child.n, n.item(i, a), a)
+	copy(n.item(i, a), right.item(0, a))
+	right.removeAt(0, a)
 	if !child.leaf() {
 		child.children = append(child.children, right.children[0])
 		right.children = append(right.children[:0], right.children[1:]...)
 	}
 }
 
-// mergeChildren folds items[i] and children[i+1] into children[i].
-func (n *node) mergeChildren(i int) {
+// mergeChildren folds tuple i of n and children[i+1] into children[i].
+func (t *Tree) mergeChildren(n *node, i int) {
+	a := t.arity
 	child, right := n.children[i], n.children[i+1]
-	child.items = append(child.items, n.items[i])
-	child.items = append(child.items, right.items...)
+	child.insertAt(child.n, n.item(i, a), a)
+	copy(child.words[child.n*a:], right.words[:right.n*a])
+	child.n += right.n
 	child.children = append(child.children, right.children...)
-	n.items = append(n.items[:i], n.items[i+1:]...)
+	n.removeAt(i, a)
 	n.children = append(n.children[:i+1], n.children[i+2:]...)
+	t.release(right)
 }

@@ -79,13 +79,18 @@ func (o *overloadObserver) OnEvent(e *paralagg.Event) {
 
 // TCPSlowConsumer runs sc in-process (the reference answer), then over a
 // TCP gang whose endpoints carry a deliberately small send window while the
-// last rank consumes slowly and advertises even less credit. The run must
-// complete bit-identical — flow control rate-matches the slow receiver
-// instead of losing data or buffering without bound — with every sender's
-// outbox peak inside the window and at least one throttle stall recorded
-// (otherwise the fault never bit). The gang runs under the adaptive
-// watchdog, so a clean finish doubles as the proof that a
-// throttled-but-live peer is not declared dead.
+// last rank takes half a millisecond to consume each frame and advertises a
+// single credit. Its peers run one collective ahead of it — they can send
+// the next exchange's frame as soon as they hold its previous one, long
+// before it has consumed theirs — so that second frame finds the credit
+// spent and must wait for the ack of the first: the consumer really is
+// slower than its senders, whatever the ack cadence. The run must complete
+// bit-identical — flow control rate-matches the slow receiver instead of
+// losing data or buffering without bound — with every sender's outbox peak
+// inside the window and at least one throttle stall recorded (otherwise the
+// fault never bit). The gang runs under the adaptive watchdog, so a clean
+// finish doubles as the proof that a throttled-but-live peer is not
+// declared dead.
 func TCPSlowConsumer(sc Scenario, ranks, window int) (*OverloadReport, error) {
 	rep := &OverloadReport{}
 	if _, err := exec(sc.Prog(), paralagg.Config{Ranks: ranks, Subs: sc.Subs},
@@ -96,7 +101,7 @@ func TCPSlowConsumer(sc Scenario, ranks, window int) (*OverloadReport, error) {
 		SlowConsumers: []tcp.SlowConsumer{{
 			Rank:   ranks - 1,
 			Delay:  500 * time.Microsecond,
-			Window: window / 2,
+			Window: 1,
 		}},
 	}
 	trs, err := gang(ranks, faults, func(cfg *tcp.Config) {

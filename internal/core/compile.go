@@ -81,8 +81,11 @@ func resolveTerm(t Term, bound map[Var]binding, stored func(binding) binding) (a
 			evals[i] = e
 		}
 		fn := tt.Fn
+		// The argument scratch belongs to this compiled term: rules are
+		// compiled per rank and a rank evaluates one match at a time, so
+		// nothing else can be using it.
+		args := make([]tuple.Value, len(evals))
 		return func(l, r tuple.Tuple) tuple.Value {
-			args := make([]tuple.Value, len(evals))
 			for i, e := range evals {
 				args[i] = e(l, r)
 			}
@@ -134,26 +137,16 @@ func compileCopy(r *Rule, rels map[string]*relation.Relation) (ra.Rule, error) {
 	checks := atomBindings(r.Body[0], 0, bound)
 	ident := func(b binding) binding { return b }
 
-	headEvals, condEvals, err := compileEmit(r, bound, ident)
+	em, err := compileEmit(r, checks, bound, ident)
 	if err != nil {
 		return nil, err
 	}
-	arity := head.Arity
 	return &ra.Copy{
 		Name:   r.String(),
 		Src:    src.Canonical(),
 		SrcRel: src,
 		Head:   head,
-		Emit: func(s tuple.Tuple, out func(tuple.Tuple)) {
-			if !passChecks(checks, s, nil) || !passConds(condEvals, s, nil) {
-				return
-			}
-			t := make(tuple.Tuple, arity)
-			for i, e := range headEvals {
-				t[i] = e(s, nil)
-			}
-			out(t)
-		},
+		Emit:   func(s, out tuple.Tuple) bool { return em.emit(s, nil, out) },
 	}, nil
 }
 
@@ -250,59 +243,73 @@ func compileJoin(r *Rule, decls map[string]*Decl, rels map[string]*relation.Rela
 		checks = append(checks, storedCheck(c, stored))
 	}
 
-	headEvals, condEvals, err := compileEmit(r, merged, stored)
+	em, err := compileEmit(r, checks, merged, stored)
 	if err != nil {
 		return nil, err
 	}
-	head := rels[r.Head.Rel]
-	arity := head.Arity
 	return &ra.Join{
 		Name:     r.String(),
 		Left:     lix,
 		Right:    rix,
 		LeftRel:  lrel,
 		RightRel: rrel,
-		Head:     head,
+		Head:     rels[r.Head.Rel],
 		JK:       len(joins),
-		Emit: func(l, rr tuple.Tuple, out func(tuple.Tuple)) {
-			if !passChecks(checks, l, rr) || !passConds(condEvals, l, rr) {
-				return
-			}
-			t := make(tuple.Tuple, arity)
-			for i, e := range headEvals {
-				t[i] = e(l, rr)
-			}
-			out(t)
-		},
+		Emit:     em.emit,
 	}, nil
 }
 
+// emitter is a rule's compiled per-match work: the equality checks and
+// conditions that filter a matched pair, and the evaluators of the head's
+// columns.
+type emitter struct {
+	checks []check
+	conds  []condEval
+	heads  []argEval
+}
+
+// emit implements ra.Emitter (and, with r nil, ra.CopyEmitter): it fills the
+// kernel's slot in place, so a derived tuple costs no allocation.
+func (em *emitter) emit(l, r, out tuple.Tuple) bool {
+	if !passChecks(em.checks, l, r) || !passConds(em.conds, l, r) {
+		return false
+	}
+	for i, e := range em.heads {
+		out[i] = e(l, r)
+	}
+	return true
+}
+
 // compileEmit resolves the head terms and conditions of a rule.
-func compileEmit(r *Rule, bound map[Var]binding, stored func(binding) binding) (heads []argEval, conds []condEval, err error) {
+func compileEmit(r *Rule, checks []check, bound map[Var]binding, stored func(binding) binding) (*emitter, error) {
+	em := &emitter{checks: checks}
 	for _, t := range r.Head.Terms {
 		e, err := resolveTerm(t, bound, stored)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: rule %s: %v", r, err)
+			return nil, fmt.Errorf("core: rule %s: %v", r, err)
 		}
-		heads = append(heads, e)
+		em.heads = append(em.heads, e)
 	}
 	for _, c := range r.Conds {
 		evals := make([]argEval, len(c.Args))
 		for i, arg := range c.Args {
 			e, err := resolveTerm(arg, bound, stored)
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: rule %s: condition %s: %v", r, c.Name, err)
+				return nil, fmt.Errorf("core: rule %s: condition %s: %v", r, c.Name, err)
 			}
 			evals[i] = e
 		}
-		conds = append(conds, condEval{pred: c.Pred, args: evals})
+		em.conds = append(em.conds, condEval{pred: c.Pred, args: evals, scratch: make([]tuple.Value, len(evals))})
 	}
-	return heads, conds, nil
+	return em, nil
 }
 
+// condEval is one compiled condition; scratch holds its evaluated arguments
+// and is private to the rule like an Apply term's.
 type condEval struct {
-	pred func([]tuple.Value) bool
-	args []argEval
+	pred    func([]tuple.Value) bool
+	args    []argEval
+	scratch []tuple.Value
 }
 
 func storedCheck(c check, stored func(binding) binding) check {
@@ -336,11 +343,10 @@ func passChecks(checks []check, l, r tuple.Tuple) bool {
 
 func passConds(conds []condEval, l, r tuple.Tuple) bool {
 	for _, c := range conds {
-		args := make([]tuple.Value, len(c.args))
 		for i, e := range c.args {
-			args[i] = e(l, r)
+			c.scratch[i] = e(l, r)
 		}
-		if !c.pred(args) {
+		if !c.pred(c.scratch) {
 			return false
 		}
 	}

@@ -34,7 +34,8 @@ func (Const) term() {}
 type Apply struct {
 	// Name appears in diagnostics and plan dumps.
 	Name string
-	// Fn receives the evaluated Args in order.
+	// Fn receives the evaluated Args in order. The slice is the compiled
+	// term's own scratch, overwritten by the next match: Fn must not keep it.
 	Fn func(args []tuple.Value) tuple.Value
 	// Args are the inputs; each must be a Var bound in the body or a Const.
 	Args []Term
@@ -94,6 +95,8 @@ func A(rel string, terms ...Term) Atom { return Atom{Rel: rel, Terms: terms} }
 type Cond struct {
 	Name string
 	Args []Term
+	// Pred receives the evaluated Args under Apply.Fn's rule: the slice is
+	// reused between matches.
 	Pred func(args []tuple.Value) bool
 }
 

@@ -59,8 +59,9 @@ func steadyStateAllocFree(t *testing.T, integrity bool) {
 			Left: spMid, LeftRel: sp,
 			Right: edgeRel.Canonical(), RightRel: edgeRel,
 			Head: sp, JK: 1,
-			Emit: func(l, r tuple.Tuple, out func(tuple.Tuple)) {
-				out(tuple.Tuple{l[1], r[1], l[2] + r[2]})
+			Emit: func(l, r, out tuple.Tuple) bool {
+				out[0], out[1], out[2] = l[1], r[1], l[2]+r[2]
+				return true
 			},
 		}
 		fx := NewFixpoint(c, mc, join)
@@ -74,6 +75,32 @@ func steadyStateAllocFree(t *testing.T, integrity bool) {
 		})
 		if allocs != 0 {
 			t.Errorf("steady-state fixpoint iteration: %v allocs/op, want 0", allocs)
+		}
+
+		// The kernel itself, on a Δ that is not empty: re-seed Δ with every
+		// path found and run the Δ⋈FULL variant. Run only reads Δ, so each
+		// call derives the same head tuples again — scan, replicate, probe,
+		// emit into the pending buffer — and once the buffer and the exchange
+		// lanes have their capacity, none of it may allocate, whether a call
+		// matches thousands of pairs or (empty Δ) none.
+		pending := tuple.NewBuffer(3, 0)
+		variant := func() {
+			pending.Reset()
+			join.Run(1, VDelta, VFull, PlanDynamic, mc, pending)
+		}
+		for _, seeded := range []bool{true, false} {
+			if seeded {
+				ResetDelta(sp)
+			} else {
+				sp.ClearDelta()
+			}
+			variant()
+			if got := pending.Len() > 0; got != seeded {
+				t.Errorf("Δ seeded = %v but the variant derived %d tuples", seeded, pending.Len())
+			}
+			if allocs := testing.AllocsPerRun(20, variant); allocs != 0 {
+				t.Errorf("Join.Run deriving %d tuples: %v allocs/op, want 0", pending.Len(), allocs)
+			}
 		}
 		return nil
 	})

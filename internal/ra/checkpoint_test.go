@@ -25,10 +25,10 @@ func chainTC(c *mpi.Comm, mc *metrics.Collector) (*Fixpoint, *relation.Relation)
 	})
 	fx := NewFixpoint(c, mc,
 		&Copy{Src: edgeRel.Canonical(), SrcRel: edgeRel, Head: pathRel,
-			Emit: func(s tuple.Tuple, out func(tuple.Tuple)) { out(s.Clone()) }},
+			Emit: func(s, out tuple.Tuple) bool { return copy(out, s) > 0 }},
 		&Join{Left: pathRev, LeftRel: pathRel, Right: edgeRel.Canonical(), RightRel: edgeRel,
 			Head: pathRel, JK: 1,
-			Emit: func(l, r tuple.Tuple, out func(tuple.Tuple)) { out(tuple.Tuple{l[1], r[1]}) }},
+			Emit: func(l, r, out tuple.Tuple) bool { return copy(out, tuple.Tuple{l[1], r[1]}) > 0 }},
 	)
 	return fx, pathRel
 }
@@ -79,10 +79,10 @@ func TestZeroValueOptionsBehaveAsDocumentedDefaults(t *testing.T) {
 			})
 			fx := NewFixpoint(c, mc,
 				&Copy{Src: edgeRel.Canonical(), SrcRel: edgeRel, Head: pathRel,
-					Emit: func(s tuple.Tuple, out func(tuple.Tuple)) { out(s.Clone()) }},
+					Emit: func(s, out tuple.Tuple) bool { return copy(out, s) > 0 }},
 				&Join{Left: pathRev, LeftRel: pathRel, Right: edgeRel.Canonical(), RightRel: edgeRel,
 					Head: pathRel, JK: 1,
-					Emit: func(l, r tuple.Tuple, out func(tuple.Tuple)) { out(tuple.Tuple{l[1], r[1]}) }},
+					Emit: func(l, r, out tuple.Tuple) bool { return copy(out, tuple.Tuple{l[1], r[1]}) > 0 }},
 			)
 			fx.Run(opts)
 			if c.Rank() == 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"paralagg/internal/btree"
 	"paralagg/internal/metrics"
 	"paralagg/internal/mpi"
 	"paralagg/internal/obs"
@@ -797,12 +796,8 @@ func (f *Fixpoint) rebalance(iter int, rels []*relation.Relation, opts Options) 
 // computed tuples as fresh. Collective.
 func ResetDelta(r *relation.Relation) {
 	for _, ix := range r.Indexes() {
-		fresh := btree.New()
-		ix.Full.Ascend(func(t tuple.Tuple) bool {
-			fresh.Insert(t)
-			return true
-		})
-		ix.Delta = fresh
+		ix.Delta.Reset()
+		ix.Delta.Build(r.Arity, ix.Full.Serialize(r.Arity))
 	}
 	r.SetChangedLast(r.GlobalFullCount())
 }

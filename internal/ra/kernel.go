@@ -91,10 +91,13 @@ const (
 	PlanAntiDynamic
 )
 
-// Emitter produces head tuples (canonical column order of the head
-// relation) from a matched pair of stored-order body tuples. Returning
-// without calling out filters the pair (σ).
-type Emitter func(left, right tuple.Tuple, out func(tuple.Tuple))
+// Emitter derives the head tuple of a matched pair of stored-order body
+// tuples. The kernel supplies out — the next slot of its pending buffer, at
+// the head relation's arity, contents unspecified — and the emitter writes
+// every column of it in the head's canonical order and reports true, or
+// reports false to filter the pair (σ). All three tuples are views that
+// die with the call.
+type Emitter func(left, right, out tuple.Tuple) bool
 
 // Join is a compiled binary-join kernel: Left ⋈ Right on their shared JK
 // leading columns, writing into Head.
@@ -240,17 +243,18 @@ func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collecto
 	var work int64
 	arity := len(outerIx.Perm)
 	innerLen := versionLen(innerIx, innerV)
-	emitTo := func(t tuple.Tuple) { pending.Append(t) }
 	for _, words := range recv {
 		for off := 0; off+arity <= len(words); off += arity {
 			t := tuple.Tuple(words[off : off+arity])
 			work += int64(bits.Len64(uint64(innerLen)) + 1)
 			probeVersion(innerIx, innerV, t[:j.JK], func(match tuple.Tuple) bool {
 				work++
-				if outerIsLeft {
-					j.Emit(t, match, emitTo)
-				} else {
-					j.Emit(match, t, emitTo)
+				l, r := t, match
+				if !outerIsLeft {
+					l, r = match, t
+				}
+				if !j.Emit(l, r, pending.Extend()) {
+					pending.DropLast()
 				}
 				return true
 			})
@@ -259,8 +263,8 @@ func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collecto
 	mc.Record(rank, iter, metrics.PhaseLocalJoin, timer.Done(work, 0, 0))
 }
 
-// CopyEmitter produces head tuples from a single stored-order source tuple.
-type CopyEmitter func(src tuple.Tuple, out func(tuple.Tuple))
+// CopyEmitter is Emitter for a single stored-order source tuple.
+type CopyEmitter func(src, out tuple.Tuple) bool
 
 // Copy is a compiled single-atom rule (projection/selection/arithmetic): it
 // scans the source index's Δ and emits head tuples. It is rank-local — the
@@ -278,10 +282,11 @@ func (cp *Copy) Run(iter int, mc *metrics.Collector, pending *tuple.Buffer) {
 	comm := cp.SrcRel.Comm()
 	timer := metrics.StartTimer()
 	var work int64
-	emitTo := func(t tuple.Tuple) { pending.Append(t) }
 	cp.Src.Delta.Ascend(func(t tuple.Tuple) bool {
 		work++
-		cp.Emit(t, emitTo)
+		if !cp.Emit(t, pending.Extend()) {
+			pending.DropLast()
+		}
 		return true
 	})
 	mc.Record(comm.Rank(), iter, metrics.PhaseLocalJoin, timer.Done(work, 0, 0))

@@ -163,8 +163,8 @@ func runTC(t *testing.T, ranks, nodes int, es []edge, subs int, mode PlanMode) {
 
 		copyRule := &Copy{
 			Name: "path(x,y) <- edge(x,y)", Src: edgeRel.Canonical(), SrcRel: edgeRel, Head: pathRel,
-			Emit: func(src tuple.Tuple, out func(tuple.Tuple)) {
-				out(tuple.Tuple{src[0], src[1]})
+			Emit: func(src, out tuple.Tuple) bool {
+				return copy(out, tuple.Tuple{src[0], src[1]}) > 0
 			},
 		}
 		joinRule := &Join{
@@ -173,8 +173,8 @@ func runTC(t *testing.T, ranks, nodes int, es []edge, subs int, mode PlanMode) {
 			Right: edgeRel.Canonical(), RightRel: edgeRel,
 			Head: pathRel, JK: 1,
 			// left stored as (y,x), right as (y,z) -> head (x,z).
-			Emit: func(l, r tuple.Tuple, out func(tuple.Tuple)) {
-				out(tuple.Tuple{l[1], r[1]})
+			Emit: func(l, r, out tuple.Tuple) bool {
+				return copy(out, tuple.Tuple{l[1], r[1]}) > 0
 			},
 		}
 		fx := NewFixpoint(c, mc, copyRule, joinRule)
@@ -264,8 +264,8 @@ func runSSSP(t *testing.T, ranks, nodes int, es []edge, src uint64, subs int, mo
 			Right: edgeRel.Canonical(), RightRel: edgeRel,
 			Head: sp, JK: 1,
 			// left stored (m,f,l), right (m,t,w) -> head (f,t,l+w).
-			Emit: func(l, r tuple.Tuple, out func(tuple.Tuple)) {
-				out(tuple.Tuple{l[1], r[1], l[2] + r[2]})
+			Emit: func(l, r, out tuple.Tuple) bool {
+				return copy(out, tuple.Tuple{l[1], r[1], l[2] + r[2]}) > 0
 			},
 		}
 		fx := NewFixpoint(c, mc, join)
@@ -367,8 +367,8 @@ func runCC(t *testing.T, ranks, nodes int, es []edge, subs int, mode PlanMode) {
 			Right: edgeRel.Canonical(), RightRel: edgeRel,
 			Head: cc, JK: 1,
 			// left (x,z), right (x,y) -> head (y,z).
-			Emit: func(l, r tuple.Tuple, out func(tuple.Tuple)) {
-				out(tuple.Tuple{r[1], l[1]})
+			Emit: func(l, r, out tuple.Tuple) bool {
+				return copy(out, tuple.Tuple{r[1], l[1]}) > 0
 			},
 		}
 		fx := NewFixpoint(c, mc, join)
@@ -429,10 +429,10 @@ func TestFixpointMaxIters(t *testing.T) {
 		})
 		fx := NewFixpoint(c, mc,
 			&Copy{Src: edgeRel.Canonical(), SrcRel: edgeRel, Head: pathRel,
-				Emit: func(s tuple.Tuple, out func(tuple.Tuple)) { out(s.Clone()) }},
+				Emit: func(s, out tuple.Tuple) bool { return copy(out, s) > 0 }},
 			&Join{Left: pathRev, LeftRel: pathRel, Right: edgeRel.Canonical(), RightRel: edgeRel,
 				Head: pathRel, JK: 1,
-				Emit: func(l, r tuple.Tuple, out func(tuple.Tuple)) { out(tuple.Tuple{l[1], r[1]}) }},
+				Emit: func(l, r, out tuple.Tuple) bool { return copy(out, tuple.Tuple{l[1], r[1]}) > 0 }},
 		)
 		n := fx.Run(Options{Plan: PlanDynamic, MaxIters: 5})
 		if n != 5 {
@@ -466,8 +466,8 @@ func TestResetDeltaEnablesNextStratum(t *testing.T) {
 		fx := NewFixpoint(c, mc, &Join{
 			Left: spMid, LeftRel: sp, Right: edgeRel.Canonical(), RightRel: edgeRel,
 			Head: sp, JK: 1,
-			Emit: func(l, r tuple.Tuple, out func(tuple.Tuple)) {
-				out(tuple.Tuple{l[1], r[1], l[2] + r[2]})
+			Emit: func(l, r, out tuple.Tuple) bool {
+				return copy(out, tuple.Tuple{l[1], r[1], l[2] + r[2]}) > 0
 			}})
 		fx.Run(Options{Plan: PlanDynamic})
 
@@ -479,8 +479,8 @@ func TestResetDeltaEnablesNextStratum(t *testing.T) {
 		}
 		fx2 := NewFixpoint(c, mc, &Copy{
 			Src: sp.Canonical(), SrcRel: sp, Head: lsp,
-			Emit: func(s tuple.Tuple, out func(tuple.Tuple)) {
-				out(tuple.Tuple{0, s[2]})
+			Emit: func(s, out tuple.Tuple) bool {
+				return copy(out, tuple.Tuple{0, s[2]}) > 0
 			}})
 		fx2.Run(Options{Plan: PlanDynamic})
 
@@ -553,8 +553,8 @@ func TestAdaptiveBalanceCorrectAndBalancing(t *testing.T) {
 		fx := NewFixpoint(c, mc, &Join{
 			Left: spMid, LeftRel: sp, Right: edgeRel.Canonical(), RightRel: edgeRel,
 			Head: sp, JK: 1,
-			Emit: func(l, r tuple.Tuple, out func(tuple.Tuple)) {
-				out(tuple.Tuple{l[1], r[1], l[2] + r[2]})
+			Emit: func(l, r, out tuple.Tuple) bool {
+				return copy(out, tuple.Tuple{l[1], r[1], l[2] + r[2]}) > 0
 			}})
 		fx.Run(Options{Plan: PlanDynamic, AdaptiveBalance: true, BalanceThreshold: 1.5, MaxSubs: 8})
 
@@ -599,10 +599,10 @@ func TestAfterIterationHook(t *testing.T) {
 		hookCalls := 0
 		fx := NewFixpoint(c, mc,
 			&Copy{Src: edgeRel.Canonical(), SrcRel: edgeRel, Head: pathRel,
-				Emit: func(s tuple.Tuple, out func(tuple.Tuple)) { out(s.Clone()) }},
+				Emit: func(s, out tuple.Tuple) bool { return copy(out, s) > 0 }},
 			&Join{Left: pathRev, LeftRel: pathRel, Right: edgeRel.Canonical(), RightRel: edgeRel,
 				Head: pathRel, JK: 1,
-				Emit: func(l, r tuple.Tuple, out func(tuple.Tuple)) { out(tuple.Tuple{l[1], r[1]}) }},
+				Emit: func(l, r, out tuple.Tuple) bool { return copy(out, tuple.Tuple{l[1], r[1]}) > 0 }},
 		)
 		n := fx.Run(Options{Plan: PlanDynamic, AfterIteration: func(iter int, changed uint64) {
 			if iter != hookCalls {

@@ -47,6 +47,57 @@ func TestAccInsertExistingAllocFree(t *testing.T) {
 	}
 }
 
+// TestAggImprovingTwoIndexesAllocFree is the changed-tuple twin: every key
+// of the batch strictly improves, so every tuple of it goes the whole way —
+// accumulator merge, fresh buffer, routing to both index replicas, the
+// one-descent replace in each FULL tree and an insert into each Δ tree that
+// was emptied at the top of the pass. Inline node storage, the Δ trees'
+// node free lists and the in-place overwrite make that path allocate
+// nothing per changed tuple.
+func TestAggImprovingTwoIndexesAllocFree(t *testing.T) {
+	w := mpi.NewWorld(1)
+	err := w.Run(func(c *mpi.Comm) error {
+		mc := metrics.NewCollector(1)
+		r, err := New(Schema{Name: "sp", Arity: 3, Indep: 2, Key: 1, Agg: lattice.Min{}},
+			c, mc, Config{Subs: 1})
+		if err != nil {
+			return err
+		}
+		byDst, err := r.AddIndex([]int{1, 0, 2}, 1)
+		if err != nil {
+			return err
+		}
+		best := tuple.Value(1 << 20)
+		buf := accBenchBuffer(false)
+		improve := func() {
+			best--
+			for k := 0; k < accBenchKeys; k++ {
+				buf.At(k)[2] = best
+			}
+			if changed := r.Materialize(1, buf, true); changed != accBenchKeys {
+				t.Fatalf("improving batch changed %d keys, want %d", changed, accBenchKeys)
+			}
+		}
+		// Two passes warm the scratch and stock the Δ trees' free lists.
+		improve()
+		improve()
+		if allocs := testing.AllocsPerRun(100, improve); allocs != 0 {
+			t.Errorf("improving materialization over two indexes: %v allocs per %d changed tuples, want 0",
+				allocs, accBenchKeys)
+		}
+		for _, ix := range []*Index{r.Canonical(), byDst} {
+			if ix.Full.Len() != accBenchKeys || ix.Delta.Len() != accBenchKeys {
+				t.Errorf("index %v holds %d FULL / %d Δ tuples, want %d each",
+					ix.Perm, ix.Full.Len(), ix.Delta.Len(), accBenchKeys)
+			}
+		}
+		return r.CheckInvariants()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSetDedupExistingAllocFree is the set-semantics twin: re-materializing
 // already-stored tuples is pure dedup probing and must not allocate.
 func TestSetDedupExistingAllocFree(t *testing.T) {

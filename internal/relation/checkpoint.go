@@ -117,19 +117,15 @@ func (r *Relation) RestoreWords(words []mpi.Word) error {
 			if !ok {
 				return fail("truncated tree count")
 			}
-			tree := btree.New()
-			for i := 0; i < int(cnt[0]); i++ {
-				tw, ok := next(r.Arity)
-				if !ok {
-					return fail("truncated tree tuple")
-				}
-				tree.Insert(tuple.Tuple(tw).Clone())
+			if cnt[0] > mpi.Word(len(words)/r.Arity) {
+				return fail("truncated tree tuple")
 			}
-			if which == 0 {
-				ix.Full = tree
-			} else {
-				ix.Delta = tree
+			run, _ := next(int(cnt[0]) * r.Arity)
+			tree := ix.Full
+			if which == 1 {
+				tree = ix.Delta
 			}
+			r.rebuild(tree, run)
 		}
 	}
 	cnt, ok := next(1)
@@ -362,21 +358,17 @@ func (r *Relation) RestoreRemapped(snaps []*Snapshot) error {
 	// this rank. Placement depends only on join-key/independent columns, so
 	// FULL and Δ membership re-partition without loss or duplication.
 	for i, ix := range r.indexes {
-		full, delta := btree.New(), btree.New()
-		for _, s := range snaps {
-			for _, t := range s.Trees[i][0] {
-				if ix.ownedHere(t) {
-					full.Insert(t)
+		for which, tree := range [2]*btree.Tree{ix.Full, ix.Delta} {
+			var words []tuple.Value
+			for _, s := range snaps {
+				for _, t := range s.Trees[i][which] {
+					if ix.ownedHere(t) {
+						words = append(words, t...)
+					}
 				}
 			}
-			for _, t := range s.Trees[i][1] {
-				if ix.ownedHere(t) {
-					delta.Insert(t)
-				}
-			}
+			r.rebuild(tree, words)
 		}
-		ix.Full = full
-		ix.Delta = delta
 	}
 
 	// Accumulator: entries re-place by independent key; ⊔-merge defends

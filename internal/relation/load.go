@@ -159,32 +159,29 @@ func (ix *Index) redistribute() int {
 			tree = ix.Delta
 		}
 		send := r.sendBuf(size)
-		var keep []tuple.Tuple
+		var words []tuple.Value
 		tree.Ascend(func(t tuple.Tuple) bool {
 			dest := r.rankOf(ix.bucketOf(t), ix.subOf(t))
 			if dest == r.comm.Rank() {
-				keep = append(keep, t.Clone())
+				words = append(words, t...)
 			} else {
 				send[dest] = append(send[dest], t...)
 				shipped += len(t) * mpi.WordBytes
 			}
 			return true
 		})
-		recv := r.comm.Alltoallv(send)
-		fresh := btree.New()
-		for _, t := range keep {
-			fresh.Insert(t)
+		for _, lane := range r.comm.Alltoallv(send) {
+			words = append(words, lane...)
 		}
-		for _, words := range recv {
-			for off := 0; off+r.Arity <= len(words); off += r.Arity {
-				fresh.Insert(tuple.Tuple(words[off : off+r.Arity]))
-			}
-		}
-		if which == 0 {
-			ix.Full = fresh
-		} else {
-			ix.Delta = fresh
-		}
+		r.rebuild(tree, words)
 	}
 	return shipped
+}
+
+// rebuild replaces a tree's contents with the distinct tuples of words: one
+// sort (skipped when the words already ascend, as a snapshot's do) and one
+// bottom-up build, reusing the tree's nodes.
+func (r *Relation) rebuild(tree *btree.Tree, words []tuple.Value) {
+	tree.Reset()
+	tree.Build(r.Arity, tuple.SortedRun(r.Arity, words, nil))
 }

@@ -23,15 +23,6 @@ func (r *Relation) freshTuples() *tuple.Buffer {
 	return r.freshBuf
 }
 
-// staleTuples returns the relation's reusable stale-entry buffer, emptied.
-func (r *Relation) staleTuples() *tuple.Buffer {
-	if r.staleBuf == nil {
-		r.staleBuf = tuple.NewBuffer(r.Arity, 8)
-	}
-	r.staleBuf.Reset()
-	return r.staleBuf
-}
-
 // tupleScratch returns a reusable canonical-order tuple.
 func (r *Relation) tupleScratch() tuple.Tuple {
 	if r.tupScratch == nil {
@@ -135,18 +126,22 @@ func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) uint
 	canon := r.indexes[0]
 	var work int64
 	fresh := r.freshTuples()
-	for _, words := range recv {
-		for off := 0; off+r.Arity <= len(words); off += r.Arity {
-			t := tuple.Tuple(words[off : off+r.Arity])
-			if r.leaky != nil && !r.leakyImproves(t) {
-				work++
-				continue
-			}
-			work += treeWork(canon.Full.Len())
-			if canon.Full.Insert(t) {
-				canon.Delta.Insert(t)
-				r.assignID(t)
-				fresh.Append(t)
+	if canon.Full.Len() == 0 {
+		work = r.loadSet(recv, fresh)
+	} else {
+		for _, words := range recv {
+			for off := 0; off+r.Arity <= len(words); off += r.Arity {
+				t := tuple.Tuple(words[off : off+r.Arity])
+				if r.leaky != nil && !r.leakyImproves(t) {
+					work++
+					continue
+				}
+				work += treeWork(canon.Full.Len())
+				if canon.Full.Insert(t) {
+					canon.Delta.Insert(t)
+					r.assignID(t)
+					fresh.Append(t)
+				}
 			}
 		}
 	}
@@ -155,6 +150,54 @@ func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) uint
 	}
 	r.maintainIndexes(iter, fresh, record)
 	return uint64(fresh.Len())
+}
+
+// loadSet is materializeSet's deduplication for an empty canonical index —
+// an initial load, or a journal replay after Clear: the batch is sorted once
+// and FULL and Δ are both built bottom-up from that run instead of taking
+// one descent per tuple each. Ids, fresh and the work units come out as the
+// per-tuple path would have produced them: survivors are the first arrival
+// of each distinct tuple, taken in arrival order, and every arrival is
+// charged a descent of the tree as large as it would have been by then.
+func (r *Relation) loadSet(recv [][]mpi.Word, fresh *tuple.Buffer) (work int64) {
+	var cands []tuple.Value
+	for _, words := range recv {
+		for off := 0; off+r.Arity <= len(words); off += r.Arity {
+			t := words[off : off+r.Arity]
+			if r.leaky != nil && !r.leakyImproves(t) {
+				work++
+				continue
+			}
+			cands = append(cands, t...)
+		}
+	}
+	if len(cands) == 0 {
+		return work
+	}
+	first := make([]bool, len(cands)/r.Arity)
+	r.indexes[0].load(cands, first)
+	size := 0
+	for i, keep := range first {
+		work += treeWork(size)
+		if keep {
+			size++
+			t := tuple.Tuple(cands[i*r.Arity : (i+1)*r.Arity])
+			r.assignID(t)
+			fresh.Append(t)
+		}
+	}
+	return work
+}
+
+// load fills an index whose FULL and Δ are both empty from one batch of
+// stored-order tuples: one sort, and both trees built bottom-up from the
+// same run. first, when non-nil, receives tuple.SortedRun's first-arrival
+// flags.
+func (ix *Index) load(words []tuple.Value, first []bool) {
+	arity := len(ix.Perm)
+	run := tuple.SortedRun(arity, words, first)
+	ix.Full.Build(arity, run)
+	ix.Delta.Build(arity, run)
 }
 
 // materializeAgg merges arrived tuples into the canonical accumulator. With
@@ -292,30 +335,43 @@ func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, record bool) {
 	recv := r.comm.Alltoallv(send)
 	commDelta := r.comm.Stats().Snapshot().Sub(pre)
 
+	// An index whose FULL is still empty (an initial load) collects its
+	// whole batch and is built bottom-up below; fresh tuples are distinct,
+	// so every one of them grows the tree it lands in.
 	var work int64
 	rec := 1 + r.Arity
-	stale := r.staleTuples()
+	var loads [][]tuple.Value
 	for _, words := range recv {
 		for off := 0; off+rec <= len(words); off += rec {
 			id := int(words[off])
 			arrived := tuple.Tuple(words[off+1 : off+rec])
 			ix := r.indexes[id]
-			if r.Agg != nil {
-				// Purge the stale entry for this key: the independent
-				// prefix uniquely identifies it.
-				stale.Reset()
-				ix.Full.AscendPrefix(arrived[:ix.indepLen], func(old tuple.Tuple) bool {
-					stale.Append(old)
-					return true
-				})
-				for j, ns := 0, stale.Len(); j < ns; j++ {
-					ix.Full.Delete(stale.At(j))
-					work += treeWork(ix.Full.Len())
+			n := ix.Full.Len()
+			switch {
+			case n == 0:
+				if loads == nil {
+					loads = make([][]tuple.Value, len(r.indexes))
 				}
+				work += treeWork(len(loads[id]) / r.Arity)
+				loads[id] = append(loads[id], arrived...)
+				continue
+			case r.Agg == nil:
+				work += treeWork(n)
+				ix.Full.Insert(arrived)
+			case ix.Full.UpsertPrefix(ix.indepLen, arrived):
+				// The independent prefix locates the key's one entry, so the
+				// improved value overwrote the stale one where it stood. The
+				// model still charges what purging and re-inserting it cost.
+				work += 2 * treeWork(n-1)
+			default:
+				work += treeWork(n)
 			}
-			work += treeWork(ix.Full.Len())
-			ix.Full.Insert(arrived)
 			ix.Delta.Insert(arrived)
+		}
+	}
+	for id, words := range loads {
+		if len(words) > 0 {
+			r.indexes[id].load(words, nil)
 		}
 	}
 	if record {

@@ -147,7 +147,6 @@ type Relation struct {
 	partial     *wordmap.Map  // pre-aggregation table (materializeAgg)
 	sendScratch [][]mpi.Word  // per-peer exchange build buffers
 	freshBuf    *tuple.Buffer // changed canonical tuples of the pass
-	staleBuf    *tuple.Buffer // superseded index entries pending deletion
 	tupScratch  tuple.Tuple   // one canonical-order tuple
 	permScratch tuple.Tuple   // one stored-order (permuted) tuple
 
@@ -507,18 +506,15 @@ func (r *Relation) Lookup(indepKey tuple.Tuple) ([]tuple.Value, bool) {
 }
 
 // EachAcc iterates this rank's accumulator entries as canonical tuples in
-// insertion order. Each tuple is freshly allocated; callers may retain it.
+// insertion order. Each tuple is a view into the accumulator arena, valid
+// only until fn returns; a caller that keeps one clones it.
 func (r *Relation) EachAcc(fn func(tuple.Tuple)) {
 	if r.Agg == nil {
 		return
 	}
-	r.acc.Each(func(indep, dep []tuple.Value) bool {
-		t := make(tuple.Tuple, 0, r.Arity)
-		t = append(t, indep...)
-		t = append(t, dep...)
-		fn(t)
-		return true
-	})
+	for e, n := 0, r.acc.Len(); e < n; e++ {
+		fn(r.acc.Row(e))
+	}
 }
 
 // SetChangedLast overrides the cached global changed count. The fixpoint
@@ -545,10 +541,8 @@ func (r *Relation) MemWords() int64 {
 	for _, lane := range r.sendScratch {
 		w += int64(cap(lane))
 	}
-	for _, b := range []*tuple.Buffer{r.freshBuf, r.staleBuf} {
-		if b != nil {
-			w += int64(cap(b.Words))
-		}
+	if r.freshBuf != nil {
+		w += int64(cap(r.freshBuf.Words))
 	}
 	return w
 }
@@ -563,5 +557,4 @@ func (r *Relation) ReleaseScratch() {
 	r.partial = nil
 	r.sendScratch = nil
 	r.freshBuf = nil
-	r.staleBuf = nil
 }

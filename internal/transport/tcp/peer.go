@@ -39,6 +39,12 @@ type peer struct {
 	// in-order seq received from the peer — the cumulative ack we advertise
 	// in hellos and heartbeats, and the dedup horizon for retransmits.
 	seq, lastRecv uint64
+	// ackSent is the cumulative ack last put on the wire for this peer.
+	// Once lastRecv runs a quarter of the advertised window ahead of it the
+	// reader sets ackDue and the writer sends a beacon at once instead of
+	// leaving the sender to wait out the heartbeat interval.
+	ackSent uint64
+	ackDue  bool
 	// acked is the highest cumulative ack the peer ever sent us: the flow
 	// control horizon. Distinct from the prune position once history is
 	// held back for replacement replay.
@@ -378,7 +384,9 @@ func (p *peer) readLoop(conn net.Conn, gen int) {
 			continue
 		}
 		p.lastAlive = time.Now()
-		deliver := false
+		// Acks and credit updates wake senders blocked on the window; an ack
+		// falling due wakes the writer.
+		deliver, wake := false, f.typ != ftData
 		switch f.typ {
 		case ftData:
 			if f.seq <= p.lastRecv {
@@ -386,6 +394,9 @@ func (p *peer) readLoop(conn net.Conn, gen int) {
 			} else {
 				p.lastRecv = f.seq
 				deliver = true
+				if p.lastRecv-p.ackSent >= uint64(max(1, t.advertWindow()/4)) {
+					p.ackDue, wake = true, true
+				}
 			}
 		case ftHeartbeat:
 			p.ackLocked(f.seq)
@@ -399,8 +410,7 @@ func (p *peer) readLoop(conn net.Conn, gen int) {
 			t.peerRecv[f.src].Add(int64(len(f.words)) * mpi.WordBytes)
 			t.handler.Deliver(int(f.src), int(f.tag), f.words)
 		}
-		if f.typ == ftBye || f.typ == ftHeartbeat {
-			// Acks and credit updates wake senders blocked on the window.
+		if wake {
 			p.cond.Broadcast()
 		}
 	}
@@ -408,12 +418,14 @@ func (p *peer) readLoop(conn net.Conn, gen int) {
 
 // writeLoop drains the outbox onto one connection incarnation, in seq
 // order, starting from the rewound cursor (which makes reconnects
-// retransmit the unacknowledged tail).
+// retransmit the unacknowledged tail). It also sends the early acks the
+// reader asks for: the reader itself never writes, so two endpoints
+// streaming at each other cannot both block in a write with nobody reading.
 func (p *peer) writeLoop(conn net.Conn, gen int) {
 	t := p.t
 	for {
 		p.mu.Lock()
-		for p.gen == gen && p.next >= len(p.out) {
+		for p.gen == gen && p.next >= len(p.out) && !p.ackDue {
 			if t.isStopped() {
 				// Close sets stopped before its flush wait: drain what is
 				// queued, exit only once idle (teardown retires gen).
@@ -425,6 +437,14 @@ func (p *peer) writeLoop(conn net.Conn, gen int) {
 		if p.gen != gen {
 			p.mu.Unlock()
 			return
+		}
+		if p.ackDue {
+			p.mu.Unlock()
+			if err := p.beacon(conn); err != nil {
+				p.connLost(gen, err)
+				return
+			}
+			continue
 		}
 		f := p.out[p.next]
 		p.next++
@@ -441,6 +461,21 @@ func (p *peer) writeLoop(conn net.Conn, gen int) {
 			return
 		}
 	}
+}
+
+// beacon writes one heartbeat frame: the cumulative ack in seq, the
+// advertised receive window in tag (0 would mean "no credit protocol" to
+// old peers; advertWindow never returns 0), and the membership epoch as its
+// payload word so stale-epoch beacons from a dead incarnation are
+// rejectable. The periodic heartbeat and the early ack are this same frame.
+func (p *peer) beacon(conn net.Conn) error {
+	t := p.t
+	p.mu.Lock()
+	ack := p.lastRecv
+	p.ackSent, p.ackDue = ack, false
+	p.mu.Unlock()
+	return p.write(conn, frame{typ: ftHeartbeat, src: uint32(t.self), tag: t.advertWindow(), seq: ack,
+		words: []mpi.Word{t.cfg.Epoch}})
 }
 
 // write puts one frame on the wire, applying the fault plan's verdict for

@@ -13,9 +13,10 @@ import (
 )
 
 // DefaultSendWindow bounds the per-peer outbox of unacknowledged frames
-// when Config.SendWindow is unset. Acks ride heartbeats, so a sender can
-// have at most a window of frames buffered per heartbeat interval — bounded
-// memory however slow (or silent) the receiver is.
+// when Config.SendWindow is unset: bounded memory however slow (or silent)
+// the receiver is. A receiver acks every quarter window it delivers, and on
+// every heartbeat, so a link is paced by how fast its receiver consumes,
+// not by the heartbeat interval.
 const DefaultSendWindow = 1024
 
 // frameOverheadWords approximates the per-frame bookkeeping beyond payload
@@ -538,20 +539,13 @@ func (t *Transport) heartbeatLoop() {
 				continue
 			}
 			p.mu.Lock()
-			conn, gen, ack := p.conn, p.gen, p.lastRecv
+			conn, gen := p.conn, p.gen
 			skip := p.departed || p.failed
 			p.mu.Unlock()
 			if conn == nil || skip {
 				continue
 			}
-			// The heartbeat carries the cumulative ack in seq, the
-			// advertised receive window in tag (0 would mean "no credit
-			// protocol" to old peers; advertWindow never returns 0), and the
-			// membership epoch as its payload word so stale-epoch beacons
-			// from a dead incarnation are rejectable.
-			hb := frame{typ: ftHeartbeat, src: uint32(t.self), tag: t.advertWindow(), seq: ack,
-				words: []mpi.Word{t.cfg.Epoch}}
-			if err := p.write(conn, hb); err != nil {
+			if err := p.beacon(conn); err != nil {
 				p.connLost(gen, err)
 			}
 		}

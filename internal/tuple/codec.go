@@ -1,6 +1,9 @@
 package tuple
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Buffer is the flat wire representation of a batch of same-arity tuples.
 // The message-passing layer only moves word slices, mirroring MPI's
@@ -25,6 +28,18 @@ func (b *Buffer) Append(t Tuple) {
 	}
 	b.Words = append(b.Words, t...)
 }
+
+// Extend appends one tuple's worth of words, contents unspecified, and
+// returns them as a view for the caller to fill in place — an Append
+// without a tuple to copy from.
+func (b *Buffer) Extend() Tuple {
+	n := len(b.Words)
+	b.Words = slices.Grow(b.Words, b.Arity)[:n+b.Arity]
+	return Tuple(b.Words[n : n+b.Arity : n+b.Arity])
+}
+
+// DropLast removes the most recently appended tuple.
+func (b *Buffer) DropLast() { b.Words = b.Words[:len(b.Words)-b.Arity] }
 
 // Len returns the number of tuples currently in the buffer.
 func (b *Buffer) Len() int {

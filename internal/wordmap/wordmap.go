@@ -222,6 +222,13 @@ func (m *Map) At(e int) (key, val []tuple.Value) {
 		m.arena[off+m.keyW : off+m.stride : off+m.stride]
 }
 
+// Row returns entry e whole — key words, then value words — as one view
+// under At's rules.
+func (m *Map) Row(e int) []tuple.Value {
+	off := e * m.stride
+	return m.arena[off : off+m.stride : off+m.stride]
+}
+
 // TamperValueWord XORs mask into one value word of a middle entry — the
 // chaos harness's deterministic in-memory bit flip. It never touches key
 // words, so the table's probing invariants stay intact while the stored

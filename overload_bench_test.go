@@ -34,9 +34,10 @@ import (
 
 const (
 	overloadRanks = 4
-	// overloadWindow is small enough that the SSSP exchange exhausts it
-	// (stalls/op > 0 proves flow control is on the measured path), large
-	// enough that refills — acks ride heartbeats — do not dominate.
+	// overloadWindow is small enough that flow control, not the kernel's
+	// socket buffers, paces the exchange. The receivers keep up, so with an
+	// ack every quarter window stalls/op reads near zero here; the
+	// slow-consumer chaos differential is where stalls are required.
 	overloadWindow = 4
 	// overloadPressureIter matches the chaos suite: every scenario's
 	// fixpoint runs clearly past it.
@@ -83,9 +84,10 @@ func runOverloadGang(b *testing.B, g *graph.Graph, budget, phantom int64, obs pa
 	for i := range trs {
 		tr, err := tcp.New(tcp.Config{
 			Rank: i, Peers: addrs, Listener: lns[i],
-			// Acks (and with them flow-control credit) ride heartbeats: a
-			// fast beacon keeps window refills off the critical path while
-			// the miss count keeps the liveness window scheduler-safe.
+			// A fast beacon keeps failure detection prompt on these
+			// millisecond runs while the miss count keeps the liveness
+			// window scheduler-safe; credit refills do not wait for it
+			// (receivers ack every quarter window).
 			HeartbeatEvery:   5 * time.Millisecond,
 			HeartbeatMisses:  400,
 			ConnectTimeout:   10 * time.Second,

@@ -282,11 +282,23 @@ func (c Config) cost() metrics.CostModel {
 type Rank struct {
 	comm *mpi.Comm
 	inst *core.Instance
-	// record, when set (serving engine), journals every base fact loaded
-	// through this rank so deletions can re-derive from the survivors. A nil
-	// tuple registers the relation without a fact, keeping the journal's
-	// relation set uniform even for ranks with an empty share.
-	record func(rel string, arity int, t tuple.Tuple)
+	// loads keeps every base-fact buffer loaded through this rank, by
+	// relation. The buffers are handed over, not copied: the engine builds
+	// its base-fact journal from them the first time a batch deletes or
+	// replays, and a run that never does pays nothing. A relation loaded with
+	// no facts still gets an entry, so the journal's relation set does not
+	// depend on how the facts were striped.
+	loads map[string][]*tuple.Buffer
+}
+
+// load feeds one buffer of this rank's base facts into a relation and keeps
+// it for the engine's journal.
+func (r *Rank) load(rel string, buf *tuple.Buffer) error {
+	if r.loads == nil {
+		r.loads = map[string][]*tuple.Buffer{}
+	}
+	r.loads[rel] = append(r.loads[rel], buf)
+	return r.inst.Load(rel, buf)
 }
 
 // ID returns this rank's index in [0, Size).
@@ -314,44 +326,28 @@ func (r *Rank) Load(rel string, facts []Tuple) error {
 	if err != nil {
 		return err
 	}
-	if r.record != nil {
-		r.record(rel, rl.Arity, nil)
-	}
 	buf := tuple.NewBuffer(rl.Arity, len(facts))
 	for _, f := range facts {
 		buf.Append(tuple.Tuple(f))
-		if r.record != nil {
-			r.record(rel, rl.Arity, tuple.Tuple(f))
-		}
 	}
-	return r.inst.Load(rel, buf)
+	return r.load(rel, buf)
 }
 
 // LoadShare splits n generated facts deterministically across ranks and
 // loads them. gen must behave identically on every rank; it is called with
 // the fact indices owned by this rank.
 func (r *Rank) LoadShare(rel string, n int, gen func(i int, emit func(Tuple))) error {
-	if r.record == nil {
-		return r.inst.LoadShare(rel, n, func(i int, emit func(tuple.Tuple)) {
-			gen(i, func(t Tuple) { emit(tuple.Tuple(t)) })
-		})
-	}
-	// Serving path: build the same deterministic stripe Instance.LoadShare
-	// uses, journaling each fact as it is emitted.
 	rl, err := r.relation(rel)
 	if err != nil {
 		return err
 	}
-	r.record(rel, rl.Arity, nil)
 	rank, size := r.comm.Rank(), r.comm.Size()
 	buf := tuple.NewBuffer(rl.Arity, n/size+1)
+	emit := func(t Tuple) { buf.Append(tuple.Tuple(t)) }
 	for i := rank; i < n; i += size {
-		gen(i, func(t Tuple) {
-			buf.Append(tuple.Tuple(t))
-			r.record(rel, rl.Arity, tuple.Tuple(t))
-		})
+		gen(i, emit)
 	}
-	return r.inst.Load(rel, buf)
+	return r.load(rel, buf)
 }
 
 // Count returns the global tuple count of a relation, or an error for an
@@ -369,7 +365,8 @@ func (r *Rank) Count(rel string) (uint64, error) {
 // Each iterates this rank's locally stored result tuples of a relation in
 // canonical column order (the accumulator for aggregated relations, the
 // canonical index for set relations), or errors for an unknown relation
-// name. Rank-local.
+// name. The tuple passed to fn is a view into the relation's storage, valid
+// only until fn returns: copy what you keep. Rank-local.
 //
 // Deprecated: use Query (collective, materializes local matches) or
 // Engine.Query for serving reads.

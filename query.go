@@ -131,16 +131,13 @@ func (e *Engine) Query(ctx context.Context, spec QuerySpec) (QueryResult, error)
 	}
 
 	// Prefix scan across shards.
+	m := matches{spec: spec}
 	for _, rl := range rels {
-		eachLocal(rl, tuple.Tuple(spec.Key), func(t tuple.Tuple) {
-			qr.Count++
-			if !spec.CountOnly {
-				qr.Tuples = append(qr.Tuples, append(Tuple(nil), t...))
-			}
-		})
+		eachLocal(rl, tuple.Tuple(spec.Key), m.add)
 	}
+	qr.Count = m.count
 	qr.Found = qr.Count > 0
-	finishTuples(&qr, spec)
+	qr.Tuples = m.finish()
 	return qr, nil
 }
 
@@ -167,16 +164,11 @@ func (r *Rank) Query(spec QuerySpec) (QueryResult, error) {
 		qr.Found = qr.Count > 0
 		return qr, nil
 	}
-	local := uint64(0)
-	eachLocal(rl, tuple.Tuple(spec.Key), func(t tuple.Tuple) {
-		local++
-		if !spec.CountOnly {
-			qr.Tuples = append(qr.Tuples, append(Tuple(nil), t...))
-		}
-	})
-	qr.Count = r.Reduce(local, OpSum)
+	m := matches{spec: spec}
+	eachLocal(rl, tuple.Tuple(spec.Key), m.add)
+	qr.Count = r.Reduce(m.count, OpSum)
 	qr.Found = qr.Count > 0
-	finishTuples(&qr, spec)
+	qr.Tuples = m.finish()
 	return qr, nil
 }
 
@@ -194,31 +186,55 @@ func validateSpec(spec QuerySpec, arity int) error {
 	return nil
 }
 
-// finishTuples orders and truncates the collected matches: top-k under
-// OrderBy/Desc when Limit is set, else canonical lexicographic order so the
-// answer is deterministic across runs.
-func finishTuples(qr *QueryResult, spec QuerySpec) {
-	if spec.CountOnly || len(qr.Tuples) == 0 {
-		return
+// matches collects a scan's answer as the scan goes: every match when the
+// spec has no Limit, otherwise only the best Limit so far, kept in order.
+// Tuples arrive as views into relation storage, so a match is cloned only
+// when it is kept, and a displaced tuple's storage takes its successor: a
+// top-k read allocates at most Limit tuples however many it walks.
+type matches struct {
+	spec   QuerySpec
+	count  uint64
+	tuples []Tuple
+}
+
+// before is the top-k order: the OrderBy column (reversed under Desc), ties
+// broken lexicographically. Stored tuples are distinct, so it is total.
+func (m *matches) before(a, b tuple.Tuple) bool {
+	if x, y := a[m.spec.OrderBy], b[m.spec.OrderBy]; x != y {
+		return (x < y) != m.spec.Desc
 	}
-	if spec.Limit > 0 {
-		col := spec.OrderBy
-		sort.Slice(qr.Tuples, func(i, j int) bool {
-			a, b := qr.Tuples[i][col], qr.Tuples[j][col]
-			if a != b {
-				if spec.Desc {
-					return a > b
-				}
-				return a < b
-			}
-			return lexLess(qr.Tuples[i], qr.Tuples[j])
-		})
-		if len(qr.Tuples) > spec.Limit {
-			qr.Tuples = qr.Tuples[:spec.Limit]
+	return lexLess(Tuple(a), Tuple(b))
+}
+
+func (m *matches) add(t tuple.Tuple) {
+	m.count++
+	switch k := m.spec.Limit; {
+	case m.spec.CountOnly:
+	case k == 0:
+		m.tuples = append(m.tuples, append(Tuple(nil), t...))
+	case len(m.tuples) < k || m.before(t, tuple.Tuple(m.tuples[k-1])):
+		var slot Tuple
+		if len(m.tuples) < k {
+			slot = make(Tuple, len(t))
+			m.tuples = append(m.tuples, nil)
+		} else {
+			slot = m.tuples[k-1]
 		}
-		return
+		copy(slot, t)
+		at := sort.Search(len(m.tuples)-1, func(i int) bool { return m.before(t, tuple.Tuple(m.tuples[i])) })
+		copy(m.tuples[at+1:], m.tuples[at:len(m.tuples)-1])
+		m.tuples[at] = slot
 	}
-	sort.Slice(qr.Tuples, func(i, j int) bool { return lexLess(qr.Tuples[i], qr.Tuples[j]) })
+}
+
+// finish returns the collected tuples: the top Limit in their order, or all
+// matches in canonical lexicographic order so the answer is deterministic
+// across runs.
+func (m *matches) finish() []Tuple {
+	if m.spec.Limit == 0 {
+		sort.Slice(m.tuples, func(i, j int) bool { return lexLess(m.tuples[i], m.tuples[j]) })
+	}
+	return m.tuples
 }
 
 func lexLess(a, b Tuple) bool {
@@ -232,8 +248,8 @@ func lexLess(a, b Tuple) bool {
 
 // eachLocal walks this shard's stored result tuples matching a canonical
 // prefix: the accumulator for aggregated relations, the canonical index for
-// sets. Tuples passed to fn may alias internal storage — clone before
-// retaining.
+// sets. Tuples passed to fn are views into that storage, valid only until fn
+// returns — clone before retaining.
 func eachLocal(rl *relation.Relation, prefix tuple.Tuple, fn func(tuple.Tuple)) {
 	if rl.Agg != nil {
 		rl.EachAcc(func(t tuple.Tuple) {
