@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint trace-smoke chaos chaos-net chaos-integrity chaos-overload chaos-recovery chaos-tree chaos-serving verify bench bench-smoke bench-integrity bench-overload bench-recovery bench-collectives bench-serving bench-serving-smoke benchmark benchmark-smoke
+.PHONY: build test race vet lint trace-smoke chaos chaos-net chaos-integrity chaos-overload chaos-recovery chaos-tree chaos-serving verify bench-integrity bench-overload bench-recovery bench-collectives benchmark benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -100,19 +100,6 @@ verify: vet
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -fuzz FuzzAgainstSortedSlice -fuzztime 15s -fuzzminimizetime 10x ./internal/btree
 
-# bench runs the hot-path benchmark suite (end-to-end SSSP/CC fixpoints at
-# 1/4/8 ranks plus the accumulator microbenchmarks) with allocation
-# accounting and records the trajectory in BENCH_hotpath.json.
-bench:
-	$(GO) test -run '^$$' -bench 'Hotpath|AccInsert|SetDedup' -benchmem -benchtime 50x ./... \
-		| $(GO) run ./cmd/benchjson -out BENCH_hotpath.json
-
-# bench-smoke is the CI variant: one iteration per benchmark, just to prove
-# the suite still runs and reports.
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'Hotpath|AccInsert|SetDedup' -benchmem -benchtime 1x ./... \
-		| $(GO) run ./cmd/benchjson
-
 # bench-integrity measures the online divergence-detection overhead:
 # identical SSSP fixpoints with fingerprinting off and on, recorded in
 # BENCH_integrity.json. The on/off ns_per_op ratio is the integrity tax —
@@ -140,23 +127,9 @@ bench-recovery:
 	$(GO) test -run '^$$' -bench 'RecoveryHotReplace|RecoveryFullRestart' -benchmem -benchtime 10x . \
 		| $(GO) run ./cmd/benchjson -out BENCH_recovery.json
 
-# bench-serving measures sustained serving load against a long-lived
-# engine: alternating insert/delete batches with interleaved point-lookup
-# bursts at 2 and 4 ranks, plus the isolated read path. Records
-# BENCH_serving.json with ns/op plus the custom qps, p99-ns, and
-# reconv-iters/op series (benchjson's `extra` map).
-bench-serving:
-	$(GO) test -run '^$$' -bench 'Serving' -benchmem -benchtime 200x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_serving.json
-
-# bench-serving-smoke is the CI variant: a handful of iterations, just to
-# prove the serving benchmarks still run and parse into JSON.
-bench-serving-smoke:
-	$(GO) test -run '^$$' -bench 'Serving' -benchmem -benchtime 5x . \
-		| $(GO) run ./cmd/benchjson
-
 # bench-collectives compares the flat, tree, and ring schedules at 4/8/16
-# ranks over the identical p2p substrate, recording BENCH_collectives.json:
+# in-process ranks (one substrate, the mailboxes every in-process collective
+# crosses; only the routing shape varies), recording BENCH_collectives.json:
 # ns/allreduce and ns/exchange wall latency, root-bytes/op (traffic through
 # the flat star's serialization point — 2(P-1) words flat vs 2·log2(P)
 # under the tree), and modeled-ns/op (the EXPERIMENTS.md critical-path cost

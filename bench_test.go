@@ -153,12 +153,12 @@ func BenchmarkFig3Distribution(b *testing.B) {
 				})
 			},
 			func(rk *paralagg.Rank) error {
-				per, err := rk.PerRankCounts("edge")
+				qr, err := rk.Query(paralagg.QuerySpec{Relation: "edge", CountOnly: true, PerRank: true})
 				if err != nil {
 					return err
 				}
 				if rk.ID() == 0 {
-					counts = per
+					counts = qr.PerRank
 				}
 				return nil
 			})

@@ -2,8 +2,7 @@ package paralagg_test
 
 // Collective-schedule benchmarks: the flat-vs-tree-vs-ring comparison
 // BENCH_collectives.json tracks (`make bench-collectives`). Every world is
-// in-process with the collectives forced through the point-to-point
-// composition, so all three schedules run over the identical substrate (the
+// in-process, so all three schedules run over the identical substrate (the
 // memTransport mailboxes, with per-peer byte metering) and the only variable
 // is the routing shape:
 //
@@ -37,13 +36,12 @@ const collIters = 64
 
 var benchSchedules = []mpi.ScheduleKind{mpi.ScheduleFlat, mpi.ScheduleTree, mpi.ScheduleRing}
 
-// runColl builds one in-process world with every collective routed through
-// the p2p composition, runs body SPMD, and returns the per-rank meters.
+// runColl builds one in-process world on the given schedule, runs body
+// SPMD, and returns the per-rank meters.
 func runColl(tb testing.TB, ranks int, sched mpi.ScheduleKind, body func(c *mpi.Comm) error) []mpi.RankStats {
 	tb.Helper()
 	w := mpi.NewWorld(ranks)
 	w.SetSchedule(sched)
-	w.ForceP2PCollectives()
 	if err := w.Run(body); err != nil {
 		tb.Fatal(err)
 	}

@@ -10,9 +10,9 @@ package paralagg_test
 //   - Wiki16/Twitter32 are the paper-scale SSSP bench configurations
 //     (bench_test.go); iterations are join-dominated and the digest scan
 //     disappears into the noise. These carry the <= 5% acceptance budget.
-//   - Grid1/Grid4 is the hot-path micro grid (hotpath_bench_test.go): ~300µs
-//     iterations over a tiny graph, the adversarial ratio of state scanned
-//     to work done. It bounds the constant factor, not the budget.
+//   - Grid1/Grid4 is a 24×24 micro grid: ~300µs iterations over a tiny
+//     graph, the adversarial ratio of state scanned to work done. It bounds
+//     the constant factor, not the budget.
 //
 // allocs/op must match within each pair modulo one-time digest scratch: the
 // steady-state digest path allocates nothing (pinned by
@@ -23,11 +23,12 @@ import (
 	"testing"
 
 	"paralagg"
+	"paralagg/internal/graph"
 	"paralagg/internal/queries"
 )
 
 func benchIntegrityGrid(b *testing.B, ranks int, integrity bool) {
-	g := hotpathGraph()
+	g := graph.Grid("hotpath-grid", 24, 24, 8, 11)
 	sources := []uint64{0, 5}
 	cfg := paralagg.Config{Ranks: ranks, Subs: 2, Plan: paralagg.Dynamic, Integrity: integrity}
 	b.ReportAllocs()

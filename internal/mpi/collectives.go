@@ -1,85 +1,18 @@
 package mpi
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "fmt"
 
-// collSlot synchronizes one collective operation at a time across all ranks
-// of a world. Collectives are matched by arrival order, exactly as in MPI:
-// every rank must call the same collective in the same sequence. The slot is
-// generation-counted so consecutive collectives reuse it safely. The
-// per-arrival bookkeeping (lastArrival, contrib occupancy) doubles as the
-// watchdog's view of which ranks are absent from a stuck collective.
-type collSlot struct {
-	mu          sync.Mutex
-	cond        *sync.Cond
-	gen         uint64
-	arrived     int
-	kind        string
-	lastArrival time.Time
-	contrib     []interface{}
-	result      interface{}
-}
-
-func (s *collSlot) init(size int) {
-	s.cond = sync.NewCond(&s.mu)
-	s.contrib = make([]interface{}, size)
-}
-
-// run deposits rank's contribution and blocks until all ranks of the world
-// have arrived; the last arrival computes the shared result with complete
-// and wakes everyone. The same result value is returned to every rank. A
-// waiting rank unwinds with the failure if the world aborts — peers of a
-// crashed rank never deadlock here.
-func (s *collSlot) run(w *World, rank int, kind string, contribution interface{}, complete func(contribs []interface{}) interface{}) interface{} {
-	size := w.size
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.arrived == 0 {
-		s.kind = kind
-	} else if s.kind != kind {
-		panic(fmt.Sprintf("mpi: collective mismatch: rank %d called %s while %s in progress", rank, kind, s.kind))
-	}
-	if s.contrib[rank] != nil {
-		panic(fmt.Sprintf("mpi: rank %d called %s twice in one collective generation", rank, kind))
-	}
-	s.contrib[rank] = contribution
-	s.arrived++
-	s.lastArrival = time.Now()
-	if s.arrived == size {
-		s.result = complete(s.contrib)
-		for i := range s.contrib {
-			s.contrib[i] = nil
-		}
-		s.arrived = 0
-		s.gen++
-		s.cond.Broadcast()
-		return s.result
-	}
-	myGen := s.gen
-	for s.gen == myGen {
-		w.checkAbort()
-		s.cond.Wait()
-	}
-	return s.result
-}
-
-// nonNil wraps a contribution so the double-arrival check works even for
-// nil payloads (e.g. Barrier).
-type unit struct{}
-
-// p2pColl reports whether this collective call routes through the
-// point-to-point composition in p2pcoll.go: always on distributed worlds
-// (no shared slot exists), and on in-process worlds running a non-flat
-// schedule — the memTransport mailboxes carry the same hops, so every
-// schedule is exercised without sockets. In-process flat worlds keep the
-// shared-memory slot, preserving the original (and allocation-lean)
-// default path byte for byte.
-func (c *Comm) p2pColl() bool {
-	return c.world.dist != nil || (c.world.forceP2P || c.sched != ScheduleFlat) && c.world.size > 1
-}
+// Collectives. On every world a collective is the same three steps: pass the
+// fault gate (enter), meter the operation's logical payload once, then
+// exchange point-to-point messages in the shape the rank's ScheduleKind
+// selects (schedule.go) — the flat star through rank 0, a topology-aware
+// binomial tree, or a ring for large AllreduceVec payloads — over whatever
+// Transport the world runs on: mailboxes between goroutines, sockets between
+// processes. The exchange primitives and the tag discipline are in
+// p2pcoll.go. Collectives are matched by arrival order, exactly as in MPI:
+// every rank must call the same collective in the same sequence. A one-rank
+// world has nobody to exchange with and returns right after metering (the
+// hot-path allocation pins rely on that).
 
 // Barrier blocks until every rank in the world has called it.
 func (c *Comm) Barrier() { c.barrierVia(c.sched) }
@@ -90,14 +23,9 @@ func (c *Comm) Barrier() { c.barrierVia(c.sched) }
 func (c *Comm) barrierVia(kind ScheduleKind) {
 	c.enter("barrier")
 	c.world.stats.addCollective(c.rank, "barrier", 0)
-	if c.world.dist != nil || (c.world.forceP2P || kind != ScheduleFlat) && c.world.size > 1 {
-		c.distBarrier(kind)
-		return
-	}
-	if c.world.size == 1 {
-		return
-	}
-	c.world.coll.run(c.world, c.rank, "barrier", unit{}, func([]interface{}) interface{} { return unit{} })
+	// A barrier is a reduction of nothing: the way up establishes that every
+	// rank arrived, the way down releases them.
+	c.reduceAndFan(kind, "barrier", tagBarrier, nil, OpSum)
 }
 
 // ReduceOp is a binary reduction used by Allreduce.
@@ -135,22 +63,11 @@ func (op ReduceOp) apply(a, b uint64) uint64 {
 func (c *Comm) Allreduce(v uint64, op ReduceOp) uint64 {
 	c.enter("allreduce")
 	c.world.stats.addCollective(c.rank, "allreduce", WordBytes)
-	if c.p2pColl() {
-		return c.distAllreduce(v, op, c.sched)
-	}
-	if c.world.size == 1 {
-		// Single-rank worlds skip the slot (and the interface boxing it
-		// costs): the reduction of one contribution is the contribution.
-		return v
-	}
-	res := c.world.coll.run(c.world, c.rank, "allreduce", v, func(contribs []interface{}) interface{} {
-		acc := contribs[0].(uint64)
-		for _, x := range contribs[1:] {
-			acc = op.apply(acc, x.(uint64))
-		}
-		return acc
-	})
-	return res.(uint64)
+	// The ring's bandwidth advantage is meaningless for one word, so
+	// ScheduleRing reduces scalars over the tree like everything else.
+	c.word[0] = v
+	c.reduceAndFan(c.sched, "allreduce", tagAllreduce, c.word[:], op)
+	return c.word[0]
 }
 
 // AllreduceVec combines equal-length word vectors from every rank
@@ -169,37 +86,53 @@ func (c *Comm) AllreduceVec(send, recv []Word, op ReduceOp) []Word {
 	}
 	c.world.stats.addCollective(c.rank, "allreducevec", len(send)*WordBytes)
 	// The observed payload length is the auto schedule's ring signal (see
-	// ScheduleVote); recorded on every path, a plain field write.
+	// ScheduleVote).
 	c.lastVecWords = len(send)
-	if c.p2pColl() {
-		return c.distAllreduceVec(send, recv, op, c.sched)
+	copy(recv, send)
+	if c.sched == ScheduleRing {
+		return c.ringAllreduceVec(recv, op)
 	}
+	c.reduceAndFan(c.sched, "allreducevec", tagAllreduceVec, recv, op)
+	return recv
+}
+
+// reduceAndFan reduces buf elementwise across every rank, in place: up the
+// flat star or the tree to rank 0, folding contributions in as they arrive,
+// then back down. The tree's combine order differs from the star's, but
+// every ReduceOp is associative and commutative over uint64, so the result
+// is bit-identical.
+func (c *Comm) reduceAndFan(kind ScheduleKind, name string, tag int, buf []Word, op ReduceOp) {
 	if c.world.size == 1 {
-		// Single-rank worlds skip the slot (and the boxing it costs): the
-		// hot-path alloc guarantees rely on this, exactly as in Allreduce.
-		copy(recv, send)
-		return recv
+		return
 	}
-	res := c.world.coll.run(c.world, c.rank, "allreducevec", send, func(contribs []interface{}) interface{} {
-		first := contribs[0].([]Word)
-		acc := make([]Word, len(first))
-		copy(acc, first)
-		for _, x := range contribs[1:] {
-			v := x.([]Word)
-			if len(v) != len(acc) {
-				panic(fmt.Sprintf("mpi: allreducevec length mismatch: %d vs %d words", len(v), len(acc)))
-			}
-			for i := range acc {
-				acc[i] = op.apply(acc[i], v[i])
+	if kind == ScheduleFlat {
+		if c.rank != 0 {
+			c.collSend(name, 0, tag, buf)
+		} else {
+			for r := 1; r < c.world.size; r++ {
+				reduceInto(buf, c.collRecv(name, r, tag), op)
 			}
 		}
-		return acc
-	})
-	// Every rank copies the shared result into its private buffer before the
-	// next collective can reuse the slot; senders regain ownership of their
-	// send slices here, as everywhere else in the runtime.
-	copy(recv, res.([]Word))
-	return recv
+	} else {
+		t := c.treeFor(0)
+		for _, ch := range t.children {
+			reduceInto(buf, c.collRecv(name, ch, tag), op)
+		}
+		if t.parent >= 0 {
+			c.collSend(name, t.parent, tag, buf)
+		}
+	}
+	copy(buf, c.fanFrom0(kind, name, tag, buf))
+}
+
+// reduceInto folds one received contribution into acc elementwise.
+func reduceInto(acc, w []Word, op ReduceOp) {
+	if len(w) != len(acc) {
+		panic(fmt.Sprintf("mpi: %d-word contribution to a %d-word reduction", len(w), len(acc)))
+	}
+	for i := range acc {
+		acc[i] = op.apply(acc[i], w[i])
+	}
 }
 
 // Allgather collects one word from each rank and returns the full vector,
@@ -207,59 +140,47 @@ func (c *Comm) AllreduceVec(send, recv []Word, op ReduceOp) []Word {
 func (c *Comm) Allgather(v uint64) []uint64 {
 	c.enter("allgather")
 	c.world.stats.addCollective(c.rank, "allgather", WordBytes)
-	if c.p2pColl() {
-		return c.distAllgather(v, c.sched)
-	}
 	if c.world.size == 1 {
 		return []uint64{v}
 	}
-	res := c.world.coll.run(c.world, c.rank, "allgather", v, func(contribs []interface{}) interface{} {
-		out := make([]uint64, len(contribs))
-		for i, x := range contribs {
-			out[i] = x.(uint64)
+	contribs := c.gatherTo0(c.sched, "allgather", tagAllgather, []Word{v})
+	var vec []Word
+	if contribs != nil {
+		vec = make([]Word, c.world.size)
+		for r, w := range contribs {
+			vec[r] = w[0]
 		}
-		return out
-	})
-	return res.([]uint64)
+	}
+	// Every non-root rank's copy is private (it crossed the wire); rank 0
+	// built vec itself.
+	return c.fanFrom0(c.sched, "allgather", tagAllgather, vec)
 }
 
 // Bcast distributes root's words to every rank. Non-root ranks pass nil.
 // Every rank receives a private copy.
 func (c *Comm) Bcast(root int, words []Word) []Word {
-	kind := "bcast"
-	c.enter(kind)
-	c.validRank(kind, root)
-	var contribution interface{} = unit{}
+	c.enter("bcast")
+	c.validRank("bcast", root)
+	bytes := 0
 	if c.rank == root {
-		contribution = words
-		c.world.stats.addCollective(c.rank, kind, len(words)*WordBytes*(c.world.size-1))
-	} else {
-		c.world.stats.addCollective(c.rank, kind, 0)
+		bytes = len(words) * WordBytes * (c.world.size - 1)
 	}
-	if c.p2pColl() {
-		return c.distBcast(root, words, c.sched)
-	}
+	c.world.stats.addCollective(c.rank, "bcast", bytes)
 	if c.world.size == 1 {
 		return words
 	}
-	res := c.world.coll.run(c.world, c.rank, kind, contribution, func(contribs []interface{}) interface{} {
-		w, ok := contribs[root].([]Word)
-		if !ok {
-			panic("mpi: Bcast root passed no data")
-		}
-		// Snapshot the payload: the root regains ownership of its slice as
-		// soon as it returns, so the slot must hold the "on the wire" copy.
-		cp := make([]Word, len(w))
-		copy(cp, w)
-		return cp
-	})
-	shared := res.([]Word)
-	if c.rank == root {
-		return words
+	if c.sched != ScheduleFlat {
+		return c.treeFanDown("bcast", tagBcast, c.treeFor(root), words)
 	}
-	cp := make([]Word, len(shared))
-	copy(cp, shared)
-	return cp
+	if c.rank != root {
+		return c.collRecv("bcast", root, tagBcast)
+	}
+	for r := 0; r < c.world.size; r++ {
+		if r != root {
+			c.collSend("bcast", r, tagBcast, words)
+		}
+	}
+	return words
 }
 
 // Alltoallv performs the personalized all-to-all exchange at the heart of
@@ -273,9 +194,10 @@ func (c *Comm) Bcast(root int, words []Word) []Word {
 // before calling again, as a real MPI receive buffer would require.
 func (c *Comm) Alltoallv(send [][]Word) [][]Word {
 	c.enter("alltoallv")
-	if len(send) != c.world.size {
+	size := c.world.size
+	if len(send) != size {
 		panic(fmt.Sprintf("mpi: alltoallv on rank %d: %d destination slots in world of %d",
-			c.rank, len(send), c.world.size))
+			c.rank, len(send), size))
 	}
 	bytes := 0
 	for j, s := range send {
@@ -284,44 +206,38 @@ func (c *Comm) Alltoallv(send [][]Word) [][]Word {
 		}
 	}
 	c.world.stats.addCollective(c.rank, "alltoallv", bytes)
-	if c.p2pColl() {
-		return c.distAlltoallv(send, c.sched)
+	recv := c.recvHeader(size)
+	if &recv[0] == &send[0] {
+		// The caller fed the previous result straight back in. The exchange
+		// reads send while it fills recv, so they must not share a header.
+		recv = make([][]Word, size)
+		c.recvRows = recv
 	}
-	if c.world.size == 1 {
-		recv := c.recvHeader(1)
-		recv[0] = send[0] // local hand-off, as on the multi-rank diagonal
+	recv[c.rank] = send[c.rank] // local hand-off, owner on both ends
+	if c.sched == ScheduleFlat {
+		for j, s := range send {
+			if j != c.rank {
+				c.collSend("alltoallv", j, tagAlltoallv, s)
+			}
+		}
+		for i := range recv {
+			if i != c.rank {
+				recv[i] = c.collRecv("alltoallv", i, tagAlltoallv)
+			}
+		}
 		return recv
 	}
-	res := c.world.coll.run(c.world, c.rank, "alltoallv", send, func(contribs []interface{}) interface{} {
-		// Snapshot every off-diagonal payload at the synchronization point:
-		// senders regain ownership of their buffers as soon as they return,
-		// so the slot must hold "on the wire" copies. Each off-diagonal
-		// entry is read by exactly one receiver, so these copies can be
-		// handed out without further copying.
-		matrix := make([][][]Word, len(contribs))
-		for i, x := range contribs {
-			row := x.([][]Word)
-			cp := make([][]Word, len(row))
-			for j, s := range row {
-				if i == j {
-					cp[j] = row[j] // local hand-off, owner on both ends
-					continue
-				}
-				c := make([]Word, len(s))
-				copy(c, s)
-				cp[j] = c
-			}
-			matrix[i] = cp
-		}
-		return matrix
-	})
-	matrix := res.([][][]Word)
-	// The last arriver has fully read every contribution (including this
-	// rank's recycled header, when the caller fed a previous result back in)
-	// before any rank resumes, so reusing the header here is race-free.
-	recv := c.recvHeader(c.world.size)
-	for i := 0; i < c.world.size; i++ {
-		recv[i] = matrix[i][c.rank]
+	// Stepped pairwise exchange: step s pairs each rank with (rank+s) out
+	// and (rank-s) in, so at most one message per rank is outstanding per
+	// step instead of P-1 — the personalized payloads cannot be combined,
+	// so a tree would only add forwarding bytes. Per-pair payloads are
+	// identical to the flat schedule's, which is what keeps replay-based
+	// hot replacement content-deterministic per (src, dst) stream.
+	for s := 1; s < size; s++ {
+		dst := (c.rank + s) % size
+		src := (c.rank - s + size) % size
+		c.collSend("alltoallv", dst, tagAlltoallv, send[dst])
+		recv[src] = c.collRecv("alltoallv", src, tagAlltoallv)
 	}
 	return recv
 }
@@ -333,34 +249,39 @@ func (c *Comm) Alltoallv(send [][]Word) [][]Word {
 func (c *Comm) AllgatherV(words []Word) [][]Word {
 	c.enter("allgatherv")
 	c.world.stats.addCollective(c.rank, "allgatherv", len(words)*WordBytes*(c.world.size-1))
-	if c.p2pColl() {
-		return c.distAllgatherV(words, c.sched)
-	}
-	if c.world.size == 1 {
+	n := c.world.size
+	if n == 1 {
 		return [][]Word{words}
 	}
-	res := c.world.coll.run(c.world, c.rank, "allgatherv", words, func(contribs []interface{}) interface{} {
-		// Snapshot each contribution (see Alltoallv): the owner may reuse
-		// its buffer immediately after returning.
-		out := make([][]Word, len(contribs))
-		for i, x := range contribs {
-			s := x.([]Word)
-			cp := make([]Word, len(s))
-			copy(cp, s)
-			out[i] = cp
+	contribs := c.gatherTo0(c.sched, "allgatherv", tagAllgatherv, words)
+	var flat []Word
+	if contribs != nil {
+		// Self-describing concatenation: per-rank lengths, then payloads.
+		total := 1 + n
+		for _, s := range contribs {
+			total += len(s)
 		}
-		return out
-	})
-	shared := res.([][]Word)
-	out := make([][]Word, len(shared))
-	for i, s := range shared {
-		if i == c.rank {
-			out[i] = words
-			continue
+		flat = make([]Word, 0, total)
+		flat = append(flat, Word(n))
+		for _, s := range contribs {
+			flat = append(flat, Word(len(s)))
 		}
-		cp := make([]Word, len(s))
-		copy(cp, s)
-		out[i] = cp
+		for _, s := range contribs {
+			flat = append(flat, s...)
+		}
+	}
+	shared := c.fanFrom0(c.sched, "allgatherv", tagAllgatherv, flat)
+	out := make([][]Word, n)
+	off := 1 + n
+	for r := 0; r < n; r++ {
+		l := int(shared[1+r])
+		if r == c.rank {
+			out[r] = words
+		} else {
+			out[r] = make([]Word, l)
+			copy(out[r], shared[off:off+l])
+		}
+		off += l
 	}
 	return out
 }
@@ -371,21 +292,30 @@ func (c *Comm) Gather(root int, v uint64) []uint64 {
 	c.enter("gather")
 	c.validRank("gather", root)
 	c.world.stats.addCollective(c.rank, "gather", WordBytes)
-	if c.p2pColl() {
-		return c.distGatherWord(root, v, c.sched)
-	}
 	if c.world.size == 1 {
 		return []uint64{v}
 	}
-	res := c.world.coll.run(c.world, c.rank, "gather", v, func(contribs []interface{}) interface{} {
-		out := make([]uint64, len(contribs))
-		for i, x := range contribs {
-			out[i] = x.(uint64)
+	if c.sched != ScheduleFlat {
+		contribs := c.treeGather("gather", tagGather, c.treeFor(root), []Word{v})
+		if contribs == nil {
+			return nil
+		}
+		out := make([]uint64, c.world.size)
+		for r, w := range contribs {
+			out[r] = w[0]
 		}
 		return out
-	})
+	}
 	if c.rank != root {
+		c.collSend("gather", root, tagGather, []Word{v})
 		return nil
 	}
-	return res.([]uint64)
+	out := make([]uint64, c.world.size)
+	out[root] = v
+	for r := range out {
+		if r != root {
+			out[r] = c.collRecv("gather", r, tagGather)[0]
+		}
+	}
+	return out
 }

@@ -132,6 +132,16 @@ func TestCollectiveSuiteUnderDelays(t *testing.T) {
 				if err := w.Run(func(c *Comm) error { return collectiveSuite(t, c) }); err != nil {
 					t.Fatal(err)
 				}
+				// Every schedule, flat included, moves its collectives as
+				// messages: rank 0 must have received more than the suite's
+				// one 8-byte p2p ring word.
+				var recvd int64
+				for _, b := range w.Stats().PerRank()[0].PeerBytesRecv {
+					recvd += b
+				}
+				if recvd <= WordBytes {
+					t.Errorf("rank 0 received %d bytes; the collectives did not cross the message path", recvd)
+				}
 			})
 		}
 	}

@@ -9,11 +9,10 @@ import (
 
 // Distributed execution: one OS process per rank, a real Transport between
 // them. The same World/Comm surface the in-process runtime exposes runs
-// unchanged — point-to-point transfers cross the transport, collectives are
-// composed from point-to-point messages (p2pcoll.go), and a peer the
-// transport's failure detector declares dead surfaces as the same
-// structured ErrRankFailed the simulated runtime produces, so checkpoint
-// recovery and supervision work identically over real sockets.
+// unchanged — the only difference is the wire the rank's messages cross —
+// and a peer the transport's failure detector declares dead surfaces as the
+// same structured ErrRankFailed the in-process runtime produces, so
+// checkpoint recovery and supervision work identically over real sockets.
 
 // distState is the distributed half of a World: the process-local rank and
 // the wire it speaks through.
@@ -25,9 +24,10 @@ type distState struct {
 // NewDistributedWorld builds a world that runs over t: this process hosts
 // rank t.Self() of a t.Size()-rank world. The world is single-shot, exactly
 // like the in-process one — recovery means a fresh transport and a fresh
-// world. SetFaultPlan and SetWatchdog apply as usual; the watchdog timeout
-// doubles as the per-receive deadline (there is no shared collective slot
-// to poll across processes).
+// world. SetFaultPlan and SetWatchdog apply as usual; a receive that hits
+// the watchdog deadline fails the receiver with ErrRecvTimeout (processes
+// share no view of who is blocked on whom; the transport's heartbeats name
+// dead peers).
 func NewDistributedWorld(t Transport) *World {
 	w := NewWorld(t.Size())
 	w.dist = &distState{tr: t, self: t.Self()}
@@ -121,7 +121,7 @@ func (w *World) RunLocal(body func(c *Comm) error) error {
 	rank := w.dist.self
 	go w.runRank(rank, body)
 	w.exitMu.Lock()
-	for !w.exited[rank] {
+	for !w.exited[rank].Load() {
 		w.exitCond.Wait()
 	}
 	err := w.errs[rank]

@@ -147,6 +147,59 @@ func TestWatchdogCatchesEarlyExit(t *testing.T) {
 	}
 }
 
+// Under the tree schedule the rank that times out is usually not next to
+// the hung one: rank 1 waits on its parent 0, which waits on child 2. The
+// wait chain must be followed to rank 2 — not the parent that timed out
+// waiting for it, and not the receiver.
+func TestWatchdogBlamesAbsentRankUnderTree(t *testing.T) {
+	w := NewWorld(4)
+	w.SetSchedule(ScheduleTree)
+	w.SetFaultPlan(&FaultPlan{
+		Seed:  1,
+		Hangs: []Hang{{Rank: 2, Iter: 1, Op: "allreduce"}},
+	})
+	w.SetWatchdog(100 * time.Millisecond)
+	err := w.Run(func(c *Comm) error {
+		for i := 0; i < 3; i++ {
+			c.SetEpoch(i)
+			c.Allreduce(1, OpSum)
+		}
+		return nil
+	})
+	rf, ok := AsRankFailure(err)
+	if !ok {
+		t.Fatalf("err = %v, want ErrRankFailed", err)
+	}
+	if rf.Rank != 2 || rf.Op != "allreduce" || rf.Iter != 1 || !errors.Is(rf, ErrWatchdogTimeout) {
+		t.Errorf("failure = %+v, want watchdog death of rank 2 in allreduce at iter 1", rf)
+	}
+	if parts := joinedErrors(t, err); len(parts) != 4 {
+		t.Errorf("got %d rank errors, want 4 (every rank must observe the failure)", len(parts))
+	}
+}
+
+// A rank whose body returned is blamed the moment a hop waits on it, with
+// no deadline configured at all; under the tree the hop is rank 2's parent,
+// and the other ranks unwind behind it.
+func TestEarlyExitUnderTreeBlamedAtOnce(t *testing.T) {
+	w := NewWorld(3)
+	w.SetSchedule(ScheduleTree)
+	err := w.Run(func(c *Comm) error {
+		if c.Rank() == 2 {
+			return nil // skips the barrier
+		}
+		c.Barrier()
+		return nil
+	})
+	rf, ok := AsRankFailure(err)
+	if !ok {
+		t.Fatalf("err = %v, want ErrRankFailed", err)
+	}
+	if rf.Rank != 2 || rf.Op != "barrier" || !errors.Is(rf, ErrWatchdogTimeout) {
+		t.Errorf("failure = %+v, want rank 2 absent from barrier", rf)
+	}
+}
+
 func TestDropIsDeterministicAndPartial(t *testing.T) {
 	const msgs = 100
 	run := func() int {

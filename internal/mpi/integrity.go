@@ -1,9 +1,9 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"unsafe"
 )
 
 // End-to-end message integrity. Every point-to-point payload is covered by a
@@ -24,17 +24,39 @@ func CRC32C(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 // UpdateCRC32C extends an in-progress CRC32C with more bytes.
 func UpdateCRC32C(crc uint32, data []byte) uint32 { return crc32.Update(crc, castagnoli, data) }
 
+// hostLittleEndian reports whether a Word's bytes already sit in memory in
+// wire order, so a payload can be checksummed in place.
+var hostLittleEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
 // ChecksumWords returns the CRC32C of a word payload in its little-endian
-// wire representation. It is the integrity check both the simulated
-// (in-process) transport and the TCP frame format apply to message bodies.
+// wire representation. It is the integrity check both the in-process
+// transport and the TCP frame format apply to message bodies — several
+// times per message, so it must not allocate: staging the bytes in a local
+// array would (the array escapes through hash/crc32's function-pointer
+// dispatch). Little-endian hosts checksum the words' own bytes in one
+// hardware-accelerated pass; others fold byte by byte through the table.
 func ChecksumWords(words []Word) uint32 {
-	var buf [WordBytes]byte
-	crc := uint32(0)
-	for _, w := range words {
-		binary.LittleEndian.PutUint64(buf[:], w)
-		crc = crc32.Update(crc, castagnoli, buf[:])
+	if len(words) == 0 {
+		return 0
 	}
-	return crc
+	if hostLittleEndian {
+		return crc32.Update(0, castagnoli, unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*WordBytes))
+	}
+	return checksumWordsPortable(words)
+}
+
+// checksumWordsPortable is ChecksumWords without the in-place byte view.
+func checksumWordsPortable(words []Word) uint32 {
+	crc := ^uint32(0)
+	for _, w := range words {
+		for i := 0; i < WordBytes; i++ {
+			crc = castagnoli[byte(crc)^byte(w>>(8*i))] ^ crc>>8
+		}
+	}
+	return ^crc
 }
 
 // ErrCorruptMessage marks a received payload whose CRC32C does not match

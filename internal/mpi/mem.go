@@ -1,9 +1,12 @@
 package mpi
 
 // memTransport is the in-process wire: one rank goroutine's view of the
-// mailbox fabric the simulated runtime has always used. Send copies the
-// payload, stamps it with a CRC32C checksum, applies the fault plan's wire
-// faults (corruption — drops and delays are injected above the transport,
+// mailbox fabric. Every message of an in-process world crosses it — user
+// sends and the hops collectives are composed of alike — exactly as a
+// distributed world's cross its sockets. Send copies the payload (the wire
+// copy: the sender keeps its buffer, the receiver owns what arrives), stamps
+// it with a CRC32C checksum, applies the fault plan's wire faults
+// (corruption — drops and delays are injected above the transport,
 // identically for every transport), and appends to the destination's
 // mailbox. There is no real network underneath, so Start and Close are
 // no-ops and the robustness counters stay zero.

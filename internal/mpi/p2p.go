@@ -20,14 +20,22 @@ type message struct {
 // mailbox is a rank's unbounded incoming message queue. Sends append and
 // never block (matching buffered MPI_Isend); receives scan for the first
 // message matching (src, tag) and block until one arrives — or until the
-// world aborts or the receive deadline passes, in which case the blocked
-// receiver unwinds with an error instead of wedging on a dead or silent
-// sender.
+// receive deadline passes, the source can no longer send, or the world
+// aborts, in which case the blocked receiver unwinds with an error instead
+// of wedging on a dead or silent sender.
 type mailbox struct {
 	world *World
 	mu    sync.Mutex
 	cond  *sync.Cond
 	q     []message
+
+	// One timer serves every bounded receive on this mailbox: it is armed to
+	// the earliest pending deadline and only ever broadcasts. waiters counts
+	// the bounded receives currently relying on it (normally just the owner
+	// rank's; Irecv goroutines add more), so the last one out stops it.
+	timer   *time.Timer
+	armed   time.Time // when timer fires; zero when it is not pending
+	waiters int
 }
 
 func newMailbox(w *World) *mailbox {
@@ -43,64 +51,115 @@ func (m *mailbox) put(msg message) {
 	m.cond.Broadcast()
 }
 
+// wake re-runs every blocked take's exit conditions. Lock/unlock first so
+// the broadcast cannot slip between a waiter's checks and its cond.Wait
+// registration.
+func (m *mailbox) wake() {
+	m.mu.Lock()
+	//lint:ignore SA2001 empty critical section orders the broadcast after the waiter sleeps
+	m.mu.Unlock()
+	m.cond.Broadcast()
+}
+
+// arm makes the mailbox timer fire no later than deadline. Callers hold mu.
+func (m *mailbox) arm(deadline time.Time) {
+	switch {
+	case m.timer == nil:
+		m.timer = time.AfterFunc(time.Until(deadline), func() {
+			m.mu.Lock()
+			m.armed = time.Time{}
+			m.mu.Unlock()
+			m.cond.Broadcast()
+		})
+	case m.armed.IsZero() || deadline.Before(m.armed):
+		m.timer.Reset(time.Until(deadline))
+	default:
+		return
+	}
+	m.armed = deadline
+}
+
 // recvError is why a take unblocked without a message.
 type recvError struct {
 	timeout bool
+	gone    bool           // the source's body returned: nothing more can arrive
 	abort   *ErrRankFailed // set when the world aborted under us
-}
-
-func (e *recvError) Error() string {
-	if e.timeout {
-		return "receive timed out"
-	}
-	return fmt.Sprintf("world aborted: %v", e.abort)
 }
 
 // take removes and returns the first queued message from src with tag.
 // src may be AnySource. A positive timeout bounds the wait: when it expires
-// with no matching message the take fails with a timeout recvError — the
-// p2p arm of the watchdog, so a Recv waiting on a dropped message errors
-// out instead of blocking its rank forever.
-func (m *mailbox) take(src, tag int, timeout time.Duration) (message, error) {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-		// The timer only needs to wake the waiter; lock/unlock first so the
-		// broadcast cannot slip between the waiter's deadline check and its
-		// cond.Wait registration.
-		t := time.AfterFunc(timeout, func() {
-			m.mu.Lock()
-			//lint:ignore SA2001 empty critical section orders the broadcast after the waiter sleeps
-			m.mu.Unlock()
-			m.cond.Broadcast()
-		})
-		defer t.Stop()
-	}
+// with no matching message the take fails with a timeout recvError, so a
+// receive waiting on a dropped message or a hung sender errors out instead
+// of blocking its rank forever. A receive from a specific in-process source
+// also fails as soon as that source's body has returned.
+//
+// Abort delivery: a poisoned world unblocks the take, but when the wait is
+// on a specific in-process source, only once that source can no longer send
+// (it exited or was abandoned). A live sender may be one statement away
+// from delivering — rank 0 fanning an agreed result out to ranks 1, 2, 3 in
+// turn while rank 1 already raised on it — and a real network would deliver
+// that message before the news of a peer's death; giving up early would
+// make survivors report "aborted" where they should report what the message
+// said. Failure unwinding therefore cascades in dependency order. AnySource
+// receives and distributed worlds (whose transport orders death after
+// delivery itself) give up at once.
+func (m *mailbox) take(src, tag int, timeout time.Duration) (msg message, re *recvError) {
+	var deadline time.Time // set once the take has blocked with a timeout
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
-		for i, msg := range m.q {
-			if (src == AnySource || msg.src == src) && msg.tag == tag {
-				m.q = append(m.q[:i], m.q[i+1:]...)
-				return msg, nil
+		var done bool
+		if msg, re, done = m.poll(src, tag); done {
+			break
+		}
+		if timeout > 0 {
+			now := time.Now()
+			if deadline.IsZero() {
+				deadline = now.Add(timeout)
+				m.waiters++
+			} else if !now.Before(deadline) {
+				re = &recvError{timeout: true}
+				break
 			}
-		}
-		if rf := m.world.abort.Load(); rf != nil {
-			return message{}, &recvError{abort: rf}
-		}
-		if timeout > 0 && !time.Now().Before(deadline) {
-			return message{}, &recvError{timeout: true}
+			m.arm(deadline)
 		}
 		m.cond.Wait()
 	}
+	if !deadline.IsZero() {
+		if m.waiters--; m.waiters == 0 {
+			m.timer.Stop()
+			m.armed = time.Time{}
+		}
+	}
+	return msg, re
+}
+
+// poll is one pass over take's exit conditions other than the deadline.
+// Callers hold mu.
+func (m *mailbox) poll(src, tag int) (message, *recvError, bool) {
+	for i, msg := range m.q {
+		if (src == AnySource || msg.src == src) && msg.tag == tag {
+			m.q = append(m.q[:i], m.q[i+1:]...)
+			return msg, nil, true
+		}
+	}
+	w := m.world
+	srcGone := src != AnySource && w.gone(src)
+	if rf := w.abort.Load(); rf != nil && (srcGone || src == AnySource || w.dist != nil) {
+		return message{}, &recvError{abort: rf}, true
+	}
+	if srcGone {
+		return message{}, &recvError{gone: true}, true
+	}
+	return message{}, nil, false
 }
 
 // AnySource matches a receive against any sender, like MPI_ANY_SOURCE.
 const AnySource = -1
 
 // collTagBase is the floor of the tag space reserved for the runtime's own
-// traffic (the point-to-point messages distributed collectives are built
-// from). User tags must stay below it.
+// traffic (the point-to-point messages collectives are built from). User
+// tags must stay below it.
 const collTagBase = 1 << 30
 
 // validTag panics when a user-level operation uses a tag inside the
@@ -112,26 +171,17 @@ func (c *Comm) validTag(op string, tag int) {
 	}
 }
 
-// transport returns the wire this rank sends through: the shared networked
-// transport in distributed mode, the in-process mailbox fabric otherwise.
-func (c *Comm) transport() Transport {
-	if d := c.world.dist; d != nil {
-		return d.tr
-	}
-	return memTransport{world: c.world, rank: c.rank}
-}
-
-// sendVia pushes words to dest through the transport, injecting the fault
-// plan's drop/delay wire faults first. It is the shared tail of user Sends
-// and the internal sends distributed collectives are made of (which skip
-// the user-level fault gate and metering).
+// sendVia pushes words to dest through the rank's transport. It is the
+// shared tail of user Sends (which apply the fault gate, the drop/delay
+// injectors and the P2P meters first) and of the internal sends collectives
+// are made of (which skip all three).
 func (c *Comm) sendVia(op string, dest, tag int, words []Word) {
 	if dest == c.rank && c.world.dist != nil {
 		// Local hand-off never touches the networked wire.
 		memTransport{world: c.world, rank: c.rank}.Send(dest, tag, words)
 		return
 	}
-	if err := c.transport().Send(dest, tag, words); err != nil {
+	if err := c.tr.Send(dest, tag, words); err != nil {
 		c.world.checkAbort()
 		rf := &ErrRankFailed{Rank: c.rank, Op: op, Iter: c.Epoch(),
 			Cause: fmt.Errorf("send to rank %d failed: %w", dest, err)}
@@ -141,31 +191,21 @@ func (c *Comm) sendVia(op string, dest, tag int, words []Word) {
 	c.world.stats.addPeerSent(c.rank, dest, len(words)*WordBytes)
 }
 
-// recvVia blocks for a matching message, bounded by the watchdog timeout
-// when one is configured, and verifies its integrity. On timeout the
-// receiving rank fails with ErrRecvTimeout — unless a peer is parked in the
-// hot-replacement window (Recovering), in which case the wait is re-armed:
-// the replacement's re-admission or the transport's ReplaceTimeout decides
-// whether the message eventually arrives or the world aborts. On checksum
-// mismatch the world fails with ErrCorruptMessage attributed to the sender.
+// recvVia blocks for a matching message, bounded by timeout when it is
+// positive, and verifies its integrity. A timeout while a peer is parked in
+// the hot-replacement window (Recovering) re-arms the wait: the
+// replacement's re-admission or the transport's ReplaceTimeout decides
+// whether the message eventually arrives or the world aborts. Any other
+// failed wait unwinds the rank through recvFailed. On checksum mismatch the
+// world fails with ErrCorruptMessage attributed to the sender.
 func (c *Comm) recvVia(op string, src, tag int, timeout time.Duration) message {
-	msg, err := c.world.boxes[c.rank].take(src, tag, timeout)
-	for {
-		re, _ := err.(*recvError)
-		if re == nil || !re.timeout || !c.world.Recovering() {
-			break
-		}
-		msg, err = c.world.boxes[c.rank].take(src, tag, timeout)
+	box := c.world.boxes[c.rank]
+	msg, re := box.take(src, tag, timeout)
+	for re != nil && re.timeout && c.world.Recovering() {
+		msg, re = box.take(src, tag, timeout)
 	}
-	if err != nil {
-		re := err.(*recvError)
-		if re.abort != nil {
-			panic(abortPanic{re.abort})
-		}
-		rf := &ErrRankFailed{Rank: c.rank, Op: op, Iter: c.Epoch(),
-			Cause: fmt.Errorf("recv from rank %d tag %d waited %v: %w", src, tag, timeout, ErrRecvTimeout)}
-		c.world.fail(rf)
-		panic(rf)
+	if re != nil {
+		c.recvFailed(op, src, tag, timeout, re)
 	}
 	if ChecksumWords(msg.words) != msg.crc {
 		rf := &ErrRankFailed{Rank: msg.src, Op: op, Iter: c.Epoch(), Cause: ErrCorruptMessage}
@@ -174,6 +214,45 @@ func (c *Comm) recvVia(op string, src, tag int, timeout time.Duration) message {
 	}
 	c.world.stats.addPeerRecv(c.rank, msg.src, len(msg.words)*WordBytes)
 	return msg
+}
+
+// recvFailed unwinds the calling rank out of a receive that ended without a
+// message. An abort propagates as is. Otherwise the question is who to
+// blame. Inside an in-process collective the receiver is only the
+// messenger: every rank publishes who it is blocked on (collRecv), so the
+// chain src → whoever src waits for → … is followed to the first rank that
+// is not itself waiting — the one absent from the collective (hung, still
+// computing, or already returned) — and that rank is declared dead with
+// ErrWatchdogTimeout under the collective's name and its own epoch. User
+// receives, distributed worlds (no shared view; the transport's heartbeats
+// name dead peers) and wait cycles fail the receiver with ErrRecvTimeout.
+func (c *Comm) recvFailed(op string, src, tag int, timeout time.Duration, re *recvError) {
+	w := c.world
+	if re.abort != nil {
+		panic(abortPanic{re.abort})
+	}
+	if w.dist == nil && w.blockedOn[c.rank].Load() != 0 {
+		absent := src
+		for hops := 0; hops < w.size && absent != c.rank; hops++ {
+			next := w.blockedOn[absent].Load()
+			if next == 0 {
+				break
+			}
+			absent = int(next) - 1
+		}
+		if absent != c.rank {
+			w.abandon(absent)
+			w.fail(&ErrRankFailed{Rank: absent, Op: op, Iter: int(w.epochs[absent].Load()), Cause: ErrWatchdogTimeout})
+			panic(abortPanic{w.abort.Load()})
+		}
+	}
+	cause := fmt.Errorf("recv from rank %d tag %d waited %v: %w", src, tag, timeout, ErrRecvTimeout)
+	if re.gone {
+		cause = fmt.Errorf("recv from rank %d tag %d: sender exited: %w", src, tag, ErrRecvTimeout)
+	}
+	rf := &ErrRankFailed{Rank: c.rank, Op: op, Iter: c.Epoch(), Cause: cause}
+	w.fail(rf)
+	panic(rf)
 }
 
 // Send transmits words to dest with the given tag. It does not block: the
@@ -204,8 +283,9 @@ func (c *Comm) Send(dest, tag int, words []Word) {
 // returns its payload. Pass AnySource to match any sender; the actual
 // sender is returned alongside the payload. With a watchdog configured the
 // wait is bounded: a receive that stays unmatched past the timeout (the
-// sender's message was dropped, or the sender is gone) fails the rank with
-// a structured ErrRankFailed instead of wedging it forever.
+// sender's message was dropped, or the sender hangs) fails the rank with a
+// structured ErrRankFailed instead of wedging it forever; a receive from an
+// in-process sender whose body already returned fails the same way at once.
 func (c *Comm) Recv(src, tag int) (words []Word, from int) {
 	c.enter("recv")
 	if src != AnySource {

@@ -2,18 +2,14 @@ package mpi
 
 import "fmt"
 
-// Distributed collectives: when a world runs one rank per process over a
-// real transport there is no shared collective slot, so every collective is
-// composed from point-to-point messages in the reserved tag space above
-// collTagBase. Which point-to-point shape a collective takes is decided by
-// the world's ScheduleKind (see schedule.go): the flat star
+// The exchange primitives collectives are composed from: point-to-point
+// messages in the reserved tag space above collTagBase, sent through the
+// rank's Transport like any other message. Which shape a collective takes is
+// decided by the rank's ScheduleKind (see schedule.go): the flat star
 // (gather-to-root + broadcast, rank 0 an O(P) serialization point), a
 // topology-aware binomial tree (O(log P) critical path, root traffic cut to
 // its tree degree), or — for large AllreduceVec payloads — a ring
-// reduce-scatter/allgather with no root at all. In-process worlds normally
-// use the shared-memory collective slot, but route through these same
-// functions when a non-flat schedule is configured, so every schedule is
-// testable at any rank count without sockets.
+// reduce-scatter/allgather with no root at all.
 //
 // Tag discipline under multi-hop schedules: one reserved tag per collective
 // kind is still sufficient. The matching argument is MPI's — every rank
@@ -32,7 +28,7 @@ import "fmt"
 // drop/delay injectors, and the P2P meters: faults target the collective
 // operation as a whole (crash/hang at entry, wire faults at the transport),
 // and the collective's logical byte count was already metered at entry, so
-// in-process and distributed runs report comparable stats. Every hop is
+// the collective meters do not depend on the schedule. Every hop is
 // individually bounded by the receive watchdog (collRecv), so a depth-d
 // schedule turns a dead interior rank into a structured failure within d
 // deadlines rather than a wedged tree.
@@ -62,18 +58,22 @@ func (c *Comm) collSend(op string, dest, tag int, words []Word) {
 
 // collRecv blocks for an internal collective message, bounded by the
 // watchdog deadline (fixed or adaptive) when one is in force — the per-hop
-// deadline every schedule edge inherits.
+// deadline every schedule edge inherits. While it waits the rank publishes
+// who it is blocked on, which is how a hop that hits the deadline finds the
+// rank actually absent from the collective (recvFailed).
 func (c *Comm) collRecv(op string, src, tag int) []Word {
-	return c.recvVia(op, src, tag, c.world.curWatchdog()).words
+	w := c.world
+	w.blockedOn[c.rank].Store(int32(src) + 1)
+	msg := c.recvVia(op, src, tag, w.curWatchdog())
+	w.blockedOn[c.rank].Store(0)
+	return msg.words
 }
 
-// --- Flat primitives: the original star patterns, byte-identical to the
-// --- pre-schedule runtime. The flat schedule (the default) composes every
-// --- collective from these two.
+// --- Flat primitives: the star patterns through rank 0.
 
-// distGather collects every rank's words at rank 0. Rank 0 gets the full
+// starGather collects every rank's words at rank 0. Rank 0 gets the full
 // vector (its own entry aliased, the rest private); other ranks get nil.
-func (c *Comm) distGather(op string, tag int, words []Word) [][]Word {
+func (c *Comm) starGather(op string, tag int, words []Word) [][]Word {
 	if c.rank != 0 {
 		c.collSend(op, 0, tag, words)
 		return nil
@@ -86,9 +86,9 @@ func (c *Comm) distGather(op string, tag int, words []Word) [][]Word {
 	return out
 }
 
-// distFan broadcasts words from rank 0 to everyone. Rank 0 passes the
+// starFan broadcasts words from rank 0 to everyone. Rank 0 passes the
 // payload and gets it back; other ranks receive a private copy.
-func (c *Comm) distFan(op string, tag int, words []Word) []Word {
+func (c *Comm) starFan(op string, tag int, words []Word) []Word {
 	if c.rank == 0 {
 		for r := 1; r < c.world.size; r++ {
 			c.collSend(op, r, tag, words)
@@ -139,93 +139,23 @@ func (c *Comm) treeGather(op string, tag int, t *rankTree, words []Word) [][]Wor
 	return out
 }
 
-// --- Schedule-dispatched collectives.
+// --- Schedule dispatch for the gather-then-fan collectives.
 
-func (c *Comm) distBarrier(kind ScheduleKind) {
+// gatherTo0 collects every rank's words at rank 0 over the star or the
+// tree: rank 0 gets the per-rank vector, everyone else nil.
+func (c *Comm) gatherTo0(kind ScheduleKind, op string, tag int, words []Word) [][]Word {
 	if kind == ScheduleFlat {
-		c.distGather("barrier", tagBarrier, nil)
-		c.distFan("barrier", tagBarrier, nil)
-		return
+		return c.starGather(op, tag, words)
 	}
-	// Tree barrier (the ring has no latency advantage for empty payloads):
-	// reduce-up establishes that every rank arrived, fan-down releases.
-	t := c.treeFor(0)
-	for _, ch := range t.children {
-		c.collRecv("barrier", ch, tagBarrier)
-	}
-	if t.parent >= 0 {
-		c.collSend("barrier", t.parent, tagBarrier, nil)
-	}
-	c.treeFanDown("barrier", tagBarrier, t, nil)
+	return c.treeGather(op, tag, c.treeFor(0), words)
 }
 
-func (c *Comm) distAllreduce(v uint64, op ReduceOp, kind ScheduleKind) uint64 {
+// fanFrom0 hands rank 0's words to every rank over the star or the tree.
+func (c *Comm) fanFrom0(kind ScheduleKind, op string, tag int, words []Word) []Word {
 	if kind == ScheduleFlat {
-		contribs := c.distGather("allreduce", tagAllreduce, []Word{v})
-		var res []Word
-		if c.rank == 0 {
-			acc := contribs[0][0]
-			for _, w := range contribs[1:] {
-				acc = op.apply(acc, w[0])
-			}
-			res = []Word{acc}
-		}
-		return c.distFan("allreduce", tagAllreduce, res)[0]
+		return c.starFan(op, tag, words)
 	}
-	// Tree reduction; the ring's bandwidth advantage is meaningless for one
-	// word, so ScheduleRing reduces scalars over the tree too. The combine
-	// order differs from flat, but every ReduceOp is associative and
-	// commutative over uint64, so the result is bit-identical.
-	t := c.treeFor(0)
-	acc := v
-	for _, ch := range t.children {
-		acc = op.apply(acc, c.collRecv("allreduce", ch, tagAllreduce)[0])
-	}
-	if t.parent >= 0 {
-		c.collSend("allreduce", t.parent, tagAllreduce, []Word{acc})
-	}
-	return c.treeFanDown("allreduce", tagAllreduce, t, []Word{acc})[0]
-}
-
-func (c *Comm) distAllreduceVec(send, recv []Word, op ReduceOp, kind ScheduleKind) []Word {
-	switch kind {
-	case ScheduleFlat:
-		contribs := c.distGather("allreducevec", tagAllreduceVec, send)
-		var res []Word
-		if c.rank == 0 {
-			res = make([]Word, len(send))
-			copy(res, send)
-			for _, w := range contribs[1:] {
-				if len(w) != len(res) {
-					panic(fmt.Sprintf("mpi: allreducevec length mismatch: %d vs %d words", len(w), len(res)))
-				}
-				for i := range res {
-					res[i] = op.apply(res[i], w[i])
-				}
-			}
-		}
-		copy(recv, c.distFan("allreducevec", tagAllreduceVec, res))
-		return recv
-	case ScheduleRing:
-		return c.ringAllreduceVec(send, recv, op)
-	}
-	t := c.treeFor(0)
-	acc := make([]Word, len(send))
-	copy(acc, send)
-	for _, ch := range t.children {
-		w := c.collRecv("allreducevec", ch, tagAllreduceVec)
-		if len(w) != len(acc) {
-			panic(fmt.Sprintf("mpi: allreducevec length mismatch: %d vs %d words", len(w), len(acc)))
-		}
-		for i := range acc {
-			acc[i] = op.apply(acc[i], w[i])
-		}
-	}
-	if t.parent >= 0 {
-		c.collSend("allreducevec", t.parent, tagAllreduceVec, acc)
-	}
-	copy(recv, c.treeFanDown("allreducevec", tagAllreduceVec, t, acc))
-	return recv
+	return c.treeFanDown(op, tag, c.treeFor(0), words)
 }
 
 // ringAllreduceVec is the bandwidth-optimal ring: P-1 reduce-scatter steps
@@ -235,14 +165,11 @@ func (c *Comm) distAllreduceVec(send, recv []Word, op ReduceOp, kind ScheduleKin
 // vector per link. Block b is recv[b·n/P : (b+1)·n/P) (possibly empty when
 // len < P); all arithmetic runs in ring-position space so a topology-aware
 // ring order keeps most hops inside a host.
-func (c *Comm) ringAllreduceVec(send, recv []Word, op ReduceOp) []Word {
+func (c *Comm) ringAllreduceVec(recv []Word, op ReduceOp) []Word {
 	size := c.world.size
-	n := len(send)
+	n := len(recv)
 	pos, succ, pred := c.ringNeighbors()
 	block := func(b int) (lo, hi int) { return b * n / size, (b + 1) * n / size }
-	if n > 0 && &recv[0] != &send[0] {
-		copy(recv, send)
-	}
 	for s := 0; s < size-1; s++ {
 		olo, ohi := block((pos - s + size) % size)
 		c.collSend("allreducevec", succ, tagAllreduceVec, recv[olo:ohi])
@@ -263,156 +190,4 @@ func (c *Comm) ringAllreduceVec(send, recv []Word, op ReduceOp) []Word {
 		copy(recv[lo:], c.collRecv("allreducevec", pred, tagAllreduceVec))
 	}
 	return recv
-}
-
-func (c *Comm) distAllgather(v uint64, kind ScheduleKind) []uint64 {
-	var contribs [][]Word
-	var t *rankTree
-	if kind == ScheduleFlat {
-		contribs = c.distGather("allgather", tagAllgather, []Word{v})
-	} else {
-		t = c.treeFor(0)
-		contribs = c.treeGather("allgather", tagAllgather, t, []Word{v})
-	}
-	var vec []Word
-	if contribs != nil {
-		vec = make([]Word, c.world.size)
-		for r, w := range contribs {
-			vec[r] = w[0]
-		}
-	}
-	var shared []Word
-	if kind == ScheduleFlat {
-		shared = c.distFan("allgather", tagAllgather, vec)
-	} else {
-		shared = c.treeFanDown("allgather", tagAllgather, t, vec)
-	}
-	out := make([]uint64, len(shared))
-	copy(out, shared)
-	return out
-}
-
-func (c *Comm) distBcast(root int, words []Word, kind ScheduleKind) []Word {
-	if kind == ScheduleFlat {
-		if c.rank == root {
-			for r := 0; r < c.world.size; r++ {
-				if r != root {
-					c.collSend("bcast", r, tagBcast, words)
-				}
-			}
-			return words
-		}
-		return c.collRecv("bcast", root, tagBcast)
-	}
-	return c.treeFanDown("bcast", tagBcast, c.treeFor(root), words)
-}
-
-func (c *Comm) distAlltoallv(send [][]Word, kind ScheduleKind) [][]Word {
-	if kind == ScheduleFlat {
-		for j, s := range send {
-			if j != c.rank {
-				c.collSend("alltoallv", j, tagAlltoallv, s)
-			}
-		}
-		recv := make([][]Word, c.world.size)
-		for i := 0; i < c.world.size; i++ {
-			if i == c.rank {
-				recv[i] = send[i] // local hand-off, owner on both ends
-				continue
-			}
-			recv[i] = c.collRecv("alltoallv", i, tagAlltoallv)
-		}
-		return recv
-	}
-	// Stepped pairwise exchange: step s pairs each rank with (rank+s) out
-	// and (rank-s) in, so at most one message per rank is outstanding per
-	// step instead of P-1 — the personalized payloads cannot be combined,
-	// so a tree would only add forwarding bytes. Per-pair payloads are
-	// identical to the flat schedule's, which is what keeps replay-based
-	// hot replacement content-deterministic per (src, dst) stream.
-	size := c.world.size
-	recv := make([][]Word, size)
-	recv[c.rank] = send[c.rank] // local hand-off, owner on both ends
-	for s := 1; s < size; s++ {
-		dst := (c.rank + s) % size
-		src := (c.rank - s + size) % size
-		c.collSend("alltoallv", dst, tagAlltoallv, send[dst])
-		recv[src] = c.collRecv("alltoallv", src, tagAlltoallv)
-	}
-	return recv
-}
-
-func (c *Comm) distAllgatherV(words []Word, kind ScheduleKind) [][]Word {
-	var contribs [][]Word
-	var t *rankTree
-	if kind == ScheduleFlat {
-		contribs = c.distGather("allgatherv", tagAllgatherv, words)
-	} else {
-		t = c.treeFor(0)
-		contribs = c.treeGather("allgatherv", tagAllgatherv, t, words)
-	}
-	var flat []Word
-	if contribs != nil {
-		// Self-describing concatenation: per-rank lengths, then payloads.
-		n := c.world.size
-		total := 1 + n
-		for _, s := range contribs {
-			total += len(s)
-		}
-		flat = make([]Word, 0, total)
-		flat = append(flat, Word(n))
-		for _, s := range contribs {
-			flat = append(flat, Word(len(s)))
-		}
-		for _, s := range contribs {
-			flat = append(flat, s...)
-		}
-	}
-	var shared []Word
-	if kind == ScheduleFlat {
-		shared = c.distFan("allgatherv", tagAllgatherv, flat)
-	} else {
-		shared = c.treeFanDown("allgatherv", tagAllgatherv, t, flat)
-	}
-	n := int(shared[0])
-	out := make([][]Word, n)
-	off := 1 + n
-	for r := 0; r < n; r++ {
-		l := int(shared[1+r])
-		if r == c.rank {
-			out[r] = words
-		} else {
-			cp := make([]Word, l)
-			copy(cp, shared[off:off+l])
-			out[r] = cp
-		}
-		off += l
-	}
-	return out
-}
-
-func (c *Comm) distGatherWord(root int, v uint64, kind ScheduleKind) []uint64 {
-	if kind == ScheduleFlat {
-		if c.rank != root {
-			c.collSend("gather", root, tagGather, []Word{v})
-			return nil
-		}
-		out := make([]uint64, c.world.size)
-		out[root] = v
-		for r := 0; r < c.world.size; r++ {
-			if r != root {
-				out[r] = c.collRecv("gather", r, tagGather)[0]
-			}
-		}
-		return out
-	}
-	contribs := c.treeGather("gather", tagGather, c.treeFor(root), []Word{v})
-	if contribs == nil {
-		return nil
-	}
-	out := make([]uint64, c.world.size)
-	for r, w := range contribs {
-		out[r] = w[0]
-	}
-	return out
 }

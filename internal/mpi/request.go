@@ -9,7 +9,7 @@ type Request struct {
 	op    string
 	words []Word
 	from  int
-	err   error // recvError when the wait ended without a message
+	err   *recvError // why the wait ended without a message
 	crcOK bool
 }
 
@@ -21,9 +21,8 @@ type Request struct {
 func (r *Request) Wait() (words []Word, from int) {
 	<-r.done
 	if r.err != nil {
-		re := r.err.(*recvError)
-		if re.abort != nil {
-			panic(abortPanic{re.abort})
+		if r.err.abort != nil {
+			panic(abortPanic{r.err.abort})
 		}
 		rf := &ErrRankFailed{Rank: r.owner.rank, Op: r.op, Iter: r.owner.Epoch(), Cause: ErrRecvTimeout}
 		r.owner.world.fail(rf)

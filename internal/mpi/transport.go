@@ -2,12 +2,11 @@ package mpi
 
 // Transport is the wire a world runs over. Two implementations exist: the
 // in-process memTransport (rank goroutines exchanging buffers through
-// mailboxes — the original simulated runtime) and the TCP transport in
-// internal/transport/tcp (one OS process per rank, length-prefixed CRC32C
-// frames over real sockets). The mpi layer above is transport-agnostic:
-// point-to-point sends route through Send, incoming messages and peer
-// failures come back through the Handler, and collectives are either
-// shared-memory (mem) or composed from point-to-point messages (distributed).
+// mailboxes) and the TCP transport in internal/transport/tcp (one OS process
+// per rank, length-prefixed CRC32C frames over real sockets). The mpi layer
+// above is transport-agnostic: every message — user point-to-point traffic
+// and the hops collectives are composed of — routes through Send, and
+// incoming messages and peer failures come back through the Handler.
 type Transport interface {
 	// Self is the rank this transport endpoint speaks for.
 	Self() int

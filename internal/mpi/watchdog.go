@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Adaptive watchdog: instead of one fixed deadline for "a rank is absent
-// from a collective" / "a receive stays unmatched", the world tracks an
+// Adaptive watchdog: instead of one fixed deadline for "a receive stays
+// unmatched" (a collective hop or a user Recv), the world tracks an
 // exponentially weighted moving average of the observed iteration time and
 // derives the deadline from it, clamped to a configurable [Floor, Ceil]
 // band. A workload whose iterations take milliseconds converts a genuinely
@@ -52,8 +52,8 @@ func (cfg AdaptiveWatchdog) withDefaults() AdaptiveWatchdog {
 }
 
 // adaptiveWatchdog is the world's live deadline state. The deadline is read
-// lock-free on every receive and watchdog tick; it is written only by the
-// timekeeper rank's SetEpoch transitions.
+// lock-free on every receive; it is written only by the timekeeper rank's
+// SetEpoch transitions.
 type adaptiveWatchdog struct {
 	cfg      AdaptiveWatchdog
 	deadline atomic.Int64 // current deadline, nanoseconds
@@ -106,8 +106,8 @@ func (w *World) SetAdaptiveWatchdog(cfg AdaptiveWatchdog) {
 
 // curWatchdog returns the deadline currently in force: the adaptive one
 // when SetAdaptiveWatchdog was called, the fixed SetWatchdog value (0 = no
-// watchdog) otherwise. Both the collective watchdog and the p2p receive
-// timeout read it, so one knob governs every "is that rank dead?" decision.
+// watchdog) otherwise. Collective hops and user receives both read it, so
+// one knob governs every "is that rank dead?" decision.
 func (w *World) curWatchdog() time.Duration {
 	if w.wd != nil {
 		return time.Duration(w.wd.deadline.Load())
@@ -118,18 +118,6 @@ func (w *World) curWatchdog() time.Duration {
 // WatchdogDeadline exposes the deadline currently in force (0 = disabled) —
 // observability and tests.
 func (w *World) WatchdogDeadline() time.Duration { return w.curWatchdog() }
-
-// watchdogEnabled reports whether Run should start the poller.
-func (w *World) watchdogEnabled() bool { return w.watchdog > 0 || w.wd != nil }
-
-// watchdogFloor is the smallest deadline the current configuration can
-// produce; the poller derives its tick from it.
-func (w *World) watchdogFloor() time.Duration {
-	if w.wd != nil {
-		return w.wd.cfg.Floor
-	}
-	return w.watchdog
-}
 
 // timekeeper is the rank whose epoch transitions feed the EWMA: rank 0
 // in-process (all ranks advance in lockstep anyway), the locally hosted

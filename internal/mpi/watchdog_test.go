@@ -144,8 +144,8 @@ func TestAdaptiveWatchdogEWMATracksGradualSlowdown(t *testing.T) {
 }
 
 // AllreduceVec agrees elementwise across ranks in one round — the carrier
-// the integrity digests ride on. Covers the in-process slot path (size > 1),
-// the single-rank copy fast path, and aliasing send/recv.
+// the integrity digests ride on. Covers a multi-rank world, the single-rank
+// copy fast path, and aliasing send/recv.
 func TestAllreduceVecSum(t *testing.T) {
 	w := NewWorld(4)
 	err := w.Run(func(c *Comm) error {

@@ -13,8 +13,8 @@
 // Unlike raw MPI, the runtime has a fault story: a panicking rank becomes a
 // structured ErrRankFailed delivered to every surviving rank (instead of a
 // Go-runtime deadlock in whatever collective the survivors were blocked in),
-// an optional watchdog declares ranks that stay absent from an in-progress
-// collective dead after a timeout, and a seeded FaultPlan injects crashes,
+// an optional watchdog deadline on every receive declares the rank a stuck
+// collective is waiting for dead, and a seeded FaultPlan injects crashes,
 // hangs, drops, delays, and corruption deterministically for chaos testing.
 package mpi
 
@@ -43,7 +43,6 @@ const WordBytes = 8
 type World struct {
 	size  int
 	boxes []*mailbox
-	coll  collSlot
 	stats *Stats
 
 	// dist is set on distributed worlds (NewDistributedWorld): this process
@@ -55,10 +54,9 @@ type World struct {
 	// optional rank placement shaping tree and ring construction
 	// (SetTopology); traffic the optional observed per-peer byte matrix the
 	// similarity tree is built from (SetTraffic). All fixed before Run.
-	sched    ScheduleKind
-	topo     *Topology
-	traffic  [][]int64
-	forceP2P bool
+	sched   ScheduleKind
+	topo    *Topology
+	traffic [][]int64
 
 	// Fault tolerance state. watchdog is the fixed deadline (SetWatchdog);
 	// wd, when non-nil, supersedes it with the EWMA-derived adaptive one.
@@ -67,6 +65,11 @@ type World struct {
 	watchdog time.Duration
 	wd       *adaptiveWatchdog
 	epochs   []atomic.Int64
+
+	// blockedOn[r] is the rank r is waiting for inside a collective receive,
+	// plus one (zero: not waiting). A receive that hits its deadline follows
+	// it to the rank actually absent from the collective (recvFailed).
+	blockedOn []atomic.Int32
 
 	// observer, when set, receives a live obs.KindRankFailed event the
 	// moment the world is poisoned — failures become visible before the
@@ -90,11 +93,12 @@ type World struct {
 
 	// exitMu guards rank exit bookkeeping and the error slots. A rank the
 	// watchdog abandoned may exit late (after Run returned); its error write
-	// still happens under exitMu and is simply never read.
+	// still happens under exitMu and is simply never read. The two flags are
+	// written under exitMu (Run waits on them) and read lock-free by gone.
 	exitMu    sync.Mutex
 	exitCond  *sync.Cond
-	exited    []bool
-	abandoned []bool
+	exited    []atomic.Bool
+	abandoned []atomic.Bool
 	errs      []error
 }
 
@@ -109,16 +113,16 @@ func NewWorld(size int) *World {
 		boxes:     make([]*mailbox, size),
 		stats:     newStats(size),
 		epochs:    make([]atomic.Int64, size),
+		blockedOn: make([]atomic.Int32, size),
 		abortCh:   make(chan struct{}),
-		exited:    make([]bool, size),
-		abandoned: make([]bool, size),
+		exited:    make([]atomic.Bool, size),
+		abandoned: make([]atomic.Bool, size),
 		errs:      make([]error, size),
 	}
 	w.exitCond = sync.NewCond(&w.exitMu)
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox(w)
 	}
-	w.coll.init(size)
 	return w
 }
 
@@ -136,11 +140,12 @@ func (w *World) SetFaultPlan(plan *FaultPlan) {
 	w.fstate = newFaultState(plan)
 }
 
-// SetWatchdog enables stuck-collective detection: a rank absent from an
-// in-progress collective for longer than timeout is declared failed with
-// ErrRankFailed{Cause: ErrWatchdogTimeout}, and every blocked peer receives
-// the failure instead of deadlocking. Zero disables the watchdog (the
-// default). It must be called before Run.
+// SetWatchdog bounds every receive by timeout. A collective hop that waits
+// longer declares the rank absent from the collective failed with
+// ErrRankFailed{Cause: ErrWatchdogTimeout} (in-process; a distributed
+// receiver fails itself with ErrRecvTimeout), and every blocked peer
+// receives the failure instead of deadlocking. Zero disables the watchdog
+// (the default). It must be called before Run.
 func (w *World) SetWatchdog(timeout time.Duration) { w.watchdog = timeout }
 
 // SetObserver attaches a live event stream for world-level events (rank
@@ -157,13 +162,6 @@ func (w *World) SetSchedule(k ScheduleKind) { w.sched = k }
 // means a uniform single-host topology.
 func (w *World) SetTopology(t *Topology) { w.topo = t }
 
-// ForceP2PCollectives routes every collective through the point-to-point
-// composition even on in-process flat worlds, which normally keep the
-// shared-memory slot. Benchmarks use it to compare schedule shapes over the
-// identical substrate (the memTransport mailboxes, with per-peer byte
-// metering); production worlds never need it. It must be called before Run.
-func (w *World) ForceP2PCollectives() { w.forceP2P = true }
-
 // SetTraffic installs an observed per-peer byte matrix (entry [i][j] is
 // bytes i sent j, as exposed by the per-peer NetStats/RankStats counters of
 // a previous run or iteration window): tree schedules then use the
@@ -178,6 +176,11 @@ func (w *World) SetTraffic(m [][]int64) { w.traffic = m }
 // tree and lets the planner's schedule vote move it).
 func (w *World) newComm(rank int) *Comm {
 	c := &Comm{world: w, rank: rank, sendSeq: make([]int, w.size), sched: w.sched}
+	if w.dist != nil {
+		c.tr = w.dist.tr
+	} else {
+		c.tr = memTransport{world: w, rank: rank}
+	}
 	if c.sched == ScheduleAuto {
 		c.sched, c.schedAuto = ScheduleTree, true
 	}
@@ -192,9 +195,8 @@ func (w *World) newComm(rank int) *Comm {
 func (w *World) Recovering() bool { return w.recovering.Load() > 0 }
 
 // fail records the first rank failure, poisons the world, and wakes every
-// blocked wait (collective slot, mailboxes, injected hangs) so each blocked
-// rank can unwind with the failure. Later failures are ignored: the run is
-// already aborting.
+// blocked wait (mailboxes, injected hangs) so each blocked rank can unwind
+// with the failure. Later failures are ignored: the run is already aborting.
 func (w *World) fail(rf *ErrRankFailed) {
 	if !w.abort.CompareAndSwap(nil, rf) {
 		return
@@ -216,13 +218,13 @@ func (w *World) fail(rf *ErrRankFailed) {
 		obs.Emit(w.observer, e)
 	}
 	w.abortOnce.Do(func() { close(w.abortCh) })
-	w.coll.mu.Lock()
-	w.coll.cond.Broadcast()
-	w.coll.mu.Unlock()
+	w.wakeReceivers()
+}
+
+// wakeReceivers makes every blocked receive re-check its exit conditions.
+func (w *World) wakeReceivers() {
 	for _, box := range w.boxes {
-		box.mu.Lock()
-		box.cond.Broadcast()
-		box.mu.Unlock()
+		box.wake()
 	}
 }
 
@@ -238,13 +240,16 @@ func (w *World) checkAbort() {
 	}
 }
 
-// rankExited records a rank's final error and wakes Run's waiter.
+// rankExited records a rank's final error and wakes Run's waiter and every
+// receive blocked on the rank: it will never send again.
 func (w *World) rankExited(rank int, err error) {
+	w.blockedOn[rank].Store(0)
 	w.exitMu.Lock()
 	w.errs[rank] = err
-	w.exited[rank] = true
+	w.exited[rank].Store(true)
 	w.exitMu.Unlock()
 	w.exitCond.Broadcast()
+	w.wakeReceivers()
 }
 
 // abandon marks a rank the watchdog declared dead so Run stops waiting for
@@ -252,16 +257,17 @@ func (w *World) rankExited(rank int, err error) {
 // killed); if it later unblocks its exit is recorded but no longer observed.
 func (w *World) abandon(rank int) {
 	w.exitMu.Lock()
-	w.abandoned[rank] = true
+	w.abandoned[rank].Store(true)
 	w.exitMu.Unlock()
 	w.exitCond.Broadcast()
+	w.wakeReceivers()
 }
 
-// hasExited reports whether a rank's body returned (watchdog helper).
-func (w *World) hasExited(rank int) bool {
-	w.exitMu.Lock()
-	defer w.exitMu.Unlock()
-	return w.exited[rank]
+// gone reports whether an in-process rank can no longer send: its body
+// returned or the watchdog abandoned it. (A distributed world only ever
+// records its own rank here; remote deaths arrive through the transport.)
+func (w *World) gone(rank int) bool {
+	return w.exited[rank].Load() || w.abandoned[rank].Load()
 }
 
 // Run executes body once per rank, each on its own goroutine, and waits for
@@ -282,16 +288,11 @@ func (w *World) Run(body func(c *Comm) error) error {
 		go w.runRank(r, body)
 	}
 
-	stopWatchdog := make(chan struct{})
-	if w.watchdogEnabled() {
-		go w.runWatchdog(stopWatchdog)
-	}
-
 	w.exitMu.Lock()
 	for {
 		done := true
 		for r := 0; r < w.size; r++ {
-			if !w.exited[r] && !w.abandoned[r] {
+			if !w.gone(r) {
 				done = false
 				break
 			}
@@ -303,9 +304,9 @@ func (w *World) Run(body func(c *Comm) error) error {
 	}
 	errs := make([]error, w.size)
 	for r := 0; r < w.size; r++ {
-		if w.exited[r] {
+		if w.exited[r].Load() {
 			errs[r] = w.errs[r]
-		} else if w.abandoned[r] {
+		} else if w.abandoned[r].Load() {
 			if rf := w.abort.Load(); rf != nil && rf.Rank == r {
 				errs[r] = rf
 			} else {
@@ -314,9 +315,6 @@ func (w *World) Run(body func(c *Comm) error) error {
 		}
 	}
 	w.exitMu.Unlock()
-	if w.watchdogEnabled() {
-		close(stopWatchdog)
-	}
 	return errors.Join(errs...)
 }
 
@@ -350,71 +348,17 @@ func (w *World) runRank(rank int, body func(c *Comm) error) {
 	err = body(w.newComm(rank))
 }
 
-// runWatchdog polls the collective slot for ranks that stay absent from an
-// in-progress collective. Two conditions declare a missing rank dead: its
-// body already returned (it can never arrive), or no rank has arrived for
-// longer than the timeout (it is wedged or hung). The declared failure
-// aborts the world, converting what would be a permanent deadlock of every
-// arrived rank into ErrRankFailed on all of them.
-func (w *World) runWatchdog(stop chan struct{}) {
-	tick := w.watchdogFloor() / 8
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-w.abortCh:
-			return
-		case <-ticker.C:
-		}
-		s := &w.coll
-		s.mu.Lock()
-		arrived, kind, gen, last := s.arrived, s.kind, s.gen, s.lastArrival
-		var missing []int
-		if arrived > 0 && arrived < w.size {
-			for r := 0; r < w.size; r++ {
-				if s.contrib[r] == nil {
-					missing = append(missing, r)
-				}
-			}
-		}
-		s.mu.Unlock()
-		if len(missing) == 0 {
-			continue
-		}
-		stuck := time.Since(last) > w.curWatchdog()
-		for _, r := range missing {
-			if !stuck && !w.hasExited(r) {
-				continue
-			}
-			// Re-confirm under the lock that the same collective is still in
-			// progress and the rank is still absent: it may have arrived (and
-			// the collective completed) since the sample above.
-			s.mu.Lock()
-			still := s.gen == gen && s.arrived > 0 && s.contrib[r] == nil
-			s.mu.Unlock()
-			if !still {
-				break
-			}
-			rf := &ErrRankFailed{Rank: r, Op: kind, Iter: int(w.epochs[r].Load()), Cause: ErrWatchdogTimeout}
-			w.abandon(r)
-			w.fail(rf)
-			return
-		}
-	}
-}
-
 // Comm is one rank's handle on the world: the receiver for all
 // communication operations. A Comm is only valid on the goroutine Run
 // created it for.
 type Comm struct {
 	world   *World
 	rank    int
-	sendSeq []int // per-destination p2p sequence numbers (fault determinism)
+	tr      Transport // the wire this rank sends through
+	sendSeq []int     // per-destination p2p sequence numbers (fault determinism)
+
+	// word stages Allreduce's one-word payload (every send copies it out).
+	word [1]Word
 
 	// recvRows is the reusable per-rank header for Alltoallv results: the
 	// outer slice is recycled across calls (the payload rows it points at

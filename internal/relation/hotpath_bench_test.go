@@ -1,11 +1,11 @@
 package relation
 
-// Hot-path microbenchmarks for the fused dedup/aggregation store. The
-// accumulator-insert benchmarks are the allocation trajectory the bench
-// target tracks (BENCH_hotpath.json): per the paper's §III-A the local
-// aggregation pass is what must be cheap for communication avoidance to pay
-// off, so the existing-key probe — the overwhelmingly common case once a
-// fixpoint is past its first iterations — must not touch the allocator.
+// Hot-path microbenchmarks for the fused dedup/aggregation store. Per the
+// paper's §III-A the local aggregation pass is what must be cheap for
+// communication avoidance to pay off, so the existing-key probe — the
+// overwhelmingly common case once a fixpoint is past its first iterations —
+// must not touch the allocator (pinned by the AllocsPerRun tests beside
+// this file; the committed benchmark's relation.materialize_* probes time it).
 // Run with: go test ./internal/relation -bench BenchmarkAcc -benchmem
 
 import (

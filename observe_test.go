@@ -233,19 +233,16 @@ func TestObserverSeesCheckpointAndRecovery(t *testing.T) {
 // unknown names report errors instead of panicking.
 func TestRankAccessorsRejectUnknownRelations(t *testing.T) {
 	_, err := Exec(ccProgram(t), Config{Ranks: 2}, loadPathGraph(4), func(rk *Rank) error {
-		if _, err := rk.Count("nope"); err == nil || !strings.Contains(err.Error(), `unknown relation "nope"`) {
-			return errorf(t, "Count: %v", err)
+		if _, err := rk.Query(QuerySpec{Relation: "nope", CountOnly: true}); err == nil || !strings.Contains(err.Error(), `unknown relation "nope"`) {
+			return errorf(t, "Query: %v", err)
 		}
 		if err := rk.Each("nope", func(Tuple) {}); err == nil || !strings.Contains(err.Error(), `unknown relation "nope"`) {
 			return errorf(t, "Each: %v", err)
 		}
-		if _, err := rk.PerRankCounts("nope"); err == nil || !strings.Contains(err.Error(), `unknown relation "nope"`) {
-			return errorf(t, "PerRankCounts: %v", err)
-		}
 		// Known relations still answer.
-		n, err := rk.Count("cc")
-		if err != nil || n == 0 {
-			return errorf(t, "Count(cc) = %d, %v", n, err)
+		qr, err := rk.Query(QuerySpec{Relation: "cc", CountOnly: true})
+		if err != nil || qr.Count == 0 {
+			return errorf(t, "Query(cc) count = %d, %v", qr.Count, err)
 		}
 		return nil
 	})

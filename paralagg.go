@@ -350,18 +350,6 @@ func (r *Rank) LoadShare(rel string, n int, gen func(i int, emit func(Tuple))) e
 	return r.load(rel, buf)
 }
 
-// Count returns the global tuple count of a relation, or an error for an
-// unknown relation name (consistent with Load). Collective.
-//
-// Deprecated: use Query with QuerySpec{Relation: rel, CountOnly: true}.
-func (r *Rank) Count(rel string) (uint64, error) {
-	qr, err := r.Query(QuerySpec{Relation: rel, CountOnly: true})
-	if err != nil {
-		return 0, err
-	}
-	return qr.Count, nil
-}
-
 // Each iterates this rank's locally stored result tuples of a relation in
 // canonical column order (the accumulator for aggregated relations, the
 // canonical index for set relations), or errors for an unknown relation
@@ -386,20 +374,6 @@ func (r *Rank) Reduce(v uint64, op ReduceOp) uint64 {
 
 // GatherAll collects one word from every rank, indexed by rank. Collective.
 func (r *Rank) GatherAll(v uint64) []uint64 { return r.comm.Allgather(v) }
-
-// PerRankCounts returns every rank's local tuple count for a relation
-// (Figure 3's distribution data), or an error for an unknown relation name.
-// Collective.
-//
-// Deprecated: use Query with QuerySpec{Relation: rel, CountOnly: true,
-// PerRank: true}.
-func (r *Rank) PerRankCounts(rel string) ([]int, error) {
-	qr, err := r.Query(QuerySpec{Relation: rel, CountOnly: true, PerRank: true})
-	if err != nil {
-		return nil, err
-	}
-	return qr.PerRank, nil
-}
 
 // ReduceOp mirrors the runtime's reduction operators.
 type ReduceOp int

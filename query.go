@@ -144,8 +144,7 @@ func (e *Engine) Query(ctx context.Context, spec QuerySpec) (QueryResult, error)
 // Query answers a point query from this rank's view of the program. Unlike
 // Engine.Query it is collective — Count and PerRank aggregate over the world
 // (every rank must issue identical Query calls in the same order) — while
-// Tuples holds only this rank's local matches. It is the typed surface the
-// deprecated Count/Each/PerRankCounts accessors delegate to.
+// Tuples holds only this rank's local matches.
 func (r *Rank) Query(spec QuerySpec) (QueryResult, error) {
 	var qr QueryResult
 	rl, err := r.relation(spec.Relation)

@@ -143,49 +143,6 @@ func TestEngineInsertCheaperThanScratch(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAccessorsMatchQuery pins the migration contract: the
-// deprecated Rank.Count and Rank.PerRankCounts shims must keep returning
-// exactly what the typed Rank.Query surface they delegate to returns.
-func TestDeprecatedAccessorsMatchQuery(t *testing.T) {
-	g := chainGraph()
-	_, err := paralagg.Exec(queries.SSSPProgram(), paralagg.Config{Ranks: 2, Subs: 2},
-		func(rk *paralagg.Rank) error { return queries.LoadSSSP(rk, g, []uint64{0}) },
-		func(rk *paralagg.Rank) error {
-			n, err := rk.Count("spath")
-			if err != nil {
-				return err
-			}
-			qr, err := rk.Query(paralagg.QuerySpec{Relation: "spath", CountOnly: true})
-			if err != nil {
-				return err
-			}
-			if n != qr.Count {
-				t.Errorf("rank %d: Count=%d, Query count=%d", rk.ID(), n, qr.Count)
-			}
-			per, err := rk.PerRankCounts("spath")
-			if err != nil {
-				return err
-			}
-			qp, err := rk.Query(paralagg.QuerySpec{Relation: "spath", CountOnly: true, PerRank: true})
-			if err != nil {
-				return err
-			}
-			if len(per) != len(qp.PerRank) {
-				t.Errorf("rank %d: PerRankCounts len %d vs Query %d", rk.ID(), len(per), len(qp.PerRank))
-				return nil
-			}
-			for i := range per {
-				if per[i] != qp.PerRank[i] {
-					t.Errorf("rank %d slot %d: PerRankCounts=%d Query=%d", rk.ID(), i, per[i], qp.PerRank[i])
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestTopKScanAllocsBoundedByLimit pins the streaming scan: a prefix top-k
 // read walks views of the accumulator arena, filters on the prefix before
 // anything is copied, and clones only the tuples that make it into the best
