@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint trace-smoke chaos chaos-net chaos-integrity chaos-overload chaos-recovery chaos-tree chaos-serving verify bench-integrity bench-overload bench-recovery bench-collectives benchmark benchmark-smoke
+.PHONY: build test race vet lint trace-smoke chaos chaos-net chaos-integrity chaos-overload chaos-recovery chaos-tree chaos-serving verify benchmark benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -95,50 +95,14 @@ chaos-tree:
 # internal/chaos: divergence detection panics cross every rank's goroutine,
 # so they are exactly where races would hide. The storage B-tree then takes
 # a bounded fuzz pass: random Insert/Delete/UpsertPrefix/Reset/Build/scan
-# sequences at arities 1-4 against a sorted-slice reference.
+# sequences at arities 1-4 against a sorted-slice reference. So does the
+# checkpoint reader: pairs of file images through the envelope decoder and
+# the one restore, which must reject what is malformed without panicking or
+# allocating beyond the input's size.
 verify: vet
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -fuzz FuzzAgainstSortedSlice -fuzztime 15s -fuzzminimizetime 10x ./internal/btree
-
-# bench-integrity measures the online divergence-detection overhead:
-# identical SSSP fixpoints with fingerprinting off and on, recorded in
-# BENCH_integrity.json. The on/off ns_per_op ratio is the integrity tax —
-# budgeted <= 5% on the paper-scale pairs (Wiki16/Twitter32); the Grid
-# micro pairs bound the adversarial constant factor.
-bench-integrity:
-	$(GO) test -run '^$$' -bench 'IntegrityO(n|ff)' -benchmem -benchtime 20x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_integrity.json
-
-# bench-overload prices the overload machinery on the 4-rank SSSP TCP gang
-# smoke at three budget levels (unlimited / ample / pinned-soft), recording
-# ns/op plus the custom peak-B/op, stalls/op, and shed/op series in
-# BENCH_overload.json (benchjson's `extra` map).
-bench-overload:
-	$(GO) test -run '^$$' -bench 'OverloadSSSPGang4' -benchmem -benchtime 10x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_overload.json
-
-# bench-recovery times the repair-strategy differential on the 4- and
-# 8-rank SSSP TCP gangs: the same mid-exchange crash repaired by a hot
-# replacement (survivors parked, one rank respawned) versus the whole-world
-# restart, recording mttr-ms/op — death to completed answer — in
-# BENCH_recovery.json. The pattern is deliberately exact: a bare 'Recovery'
-# would also match the slow simulated-recovery benchmarks.
-bench-recovery:
-	$(GO) test -run '^$$' -bench 'RecoveryHotReplace|RecoveryFullRestart' -benchmem -benchtime 10x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_recovery.json
-
-# bench-collectives compares the flat, tree, and ring schedules at 4/8/16
-# in-process ranks (one substrate, the mailboxes every in-process collective
-# crosses; only the routing shape varies), recording BENCH_collectives.json:
-# ns/allreduce and ns/exchange wall latency, root-bytes/op (traffic through
-# the flat star's serialization point — 2(P-1) words flat vs 2·log2(P)
-# under the tree), and modeled-ns/op (the EXPERIMENTS.md critical-path cost
-# of the worst rank). Runs the root-bytes pin test first so the headline
-# flat-112B/tree-48B numbers are asserted, not just recorded.
-bench-collectives:
-	$(GO) test -run 'ConvergenceAllreduceRootBytes' -count 1 .
-	$(GO) test -run '^$$' -bench 'Collectives' -benchmem -benchtime 20x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_collectives.json
+	$(GO) test -run '^$$' -fuzz FuzzRestoreCheckpointFiles -fuzztime 10s -fuzzminimizetime 10x ./internal/ra
 
 # benchmark runs the repository's one committed benchmark (BENCHMARK.json's
 # command): four workloads, a timed and a traced pass each, then the layer

@@ -1,10 +1,15 @@
 package paralagg_test
 
 // Collective-schedule benchmarks: the flat-vs-tree-vs-ring comparison
-// BENCH_collectives.json tracks (`make bench-collectives`). Every world is
-// in-process, so all three schedules run over the identical substrate (the
-// memTransport mailboxes, with per-peer byte metering) and the only variable
-// is the routing shape:
+// (the committed benchmark, benchmark/, runs the flat schedule only):
+//
+//	go test -run '^$' -bench 'Collectives' -benchmem -benchtime 20x .
+//
+// TestConvergenceAllreduceRootBytes pins the headline flat-112 B/tree-48 B
+// root traffic rather than recording it. Every world is in-process, so all
+// three schedules run over the identical substrate (the memTransport
+// mailboxes, with per-peer byte metering) and the only variable is the
+// routing shape:
 //
 //   - CollectivesAllreduce:    the scalar convergence Allreduce every
 //     fixpoint iteration ends on — the latency the schedule refactor is

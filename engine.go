@@ -724,25 +724,8 @@ func (e *Engine) Snapshot(sink CheckpointSink) error {
 	e.stmu.Unlock()
 	return e.dispatch(func(slot int, rk *Rank) error {
 		inst := e.insts[slot]
-		sendMarks, recvMarks, marked := rk.comm.CheckpointMarks()
-		var words []mpi.Word
-		var sums []uint64
-		for _, rel := range inst.SnapshotRelations() {
-			sub := rel.SnapshotWords()
-			sums = append(sums, ra.SectionSum(sub))
-			words = append(words, mpi.Word(len(sub)))
-			words = append(words, sub...)
-		}
-		cp := ra.Checkpoint{
-			Ranks: rk.Size(), Stratum: inst.Strata() - 1, Iter: iter,
-			Words: words, SectionSums: sums,
-			SendSeqs: sendMarks, RecvSeqs: recvMarks,
-		}
-		err := sink.Save(rk.ID(), cp)
-		if marked {
-			rk.comm.CheckpointBarrier()
-			rk.comm.WireMarkCheckpoint()
-		}
+		_, err := ra.Capture(rk.comm, inst.SnapshotRelations(), inst.Strata()-1, iter,
+			func(cp ra.Checkpoint) error { return sink.Save(rk.ID(), cp) })
 		return err
 	})
 }

@@ -16,8 +16,11 @@ package paralagg_test
 //
 // allocs/op must match within each pair modulo one-time digest scratch: the
 // steady-state digest path allocates nothing (pinned by
-// TestSteadyStateIterationAllocFreeIntegrity). BENCH_integrity.json tracks
-// the trajectory (`make bench-integrity`).
+// TestSteadyStateIterationAllocFreeIntegrity). The committed benchmark
+// (benchmark/) runs no workload with integrity on, so the tax is measured
+// here:
+//
+//	go test -run '^$' -bench 'IntegrityO(n|ff)' -benchmem -benchtime 20x .
 
 import (
 	"testing"

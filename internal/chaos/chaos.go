@@ -316,9 +316,9 @@ func elastic(sc Scenario, ranks, minIters int, cfg paralagg.SuperviseConfig) (*E
 // Elastic runs sc fault-free at ranks, then once under supervision with
 // rank (ranks-1) crashing as it enters iteration crashIter's tuple
 // exchange; the supervisor rebuilds the world at restartRanks (same size,
-// degraded, halved — the caller picks) and restores through the remap path
-// when the size changed. The recovered relations must be bit-identical to
-// the fault-free ones.
+// degraded, halved — the caller picks) and restores the checkpoint into it,
+// re-hashed when the size changed. The recovered relations must be
+// bit-identical to the fault-free ones.
 func Elastic(sc Scenario, ranks, every, crashIter, restartRanks int) (*ElasticReport, error) {
 	cfg := paralagg.SuperviseConfig{
 		Config: paralagg.Config{

@@ -21,7 +21,7 @@ import (
 // histories until the gang is in lockstep again. The recovered answer must
 // be bit-identical to the in-process fault-free run — the same differential
 // bar the full-restart path clears — and the repair must be cheaper, which
-// is what BENCH_recovery.json records.
+// is what the root RecoveryHotReplace/RecoveryFullRestart benchmarks report.
 
 // recoveryHeartbeat / recoveryPeerTimeout tune the failure detector for the
 // suite: detection must land well inside the runtime's receive watchdog so

@@ -232,7 +232,7 @@ func TestDeclarativeTransitiveClosure(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		in.LoadShare("edge", len(es), func(i int, emit func(tuple.Tuple)) {
+		in.Relation("edge").LoadShare(len(es), func(i int, emit func(tuple.Tuple)) {
 			emit(tuple.Tuple{es[i].u, es[i].v})
 		})
 		stats := in.Run(cfg)
@@ -296,7 +296,7 @@ func TestDeclarativeSSSPWithArithmetic(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		in.LoadShare("edge", len(es), func(i int, emit func(tuple.Tuple)) {
+		in.Relation("edge").LoadShare(len(es), func(i int, emit func(tuple.Tuple)) {
 			emit(tuple.Tuple{es[i].u, es[i].v, es[i].w})
 		})
 		seed := tuple.NewBuffer(3, 1)
@@ -340,7 +340,7 @@ func TestConstantsAndDuplicateVarsInBody(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		in.LoadShare("e", 6, func(i int, emit func(tuple.Tuple)) {
+		in.Relation("e").LoadShare(6, func(i int, emit func(tuple.Tuple)) {
 			facts := [][2]uint64{{1, 1}, {2, 3}, {7, 9}, {7, 7}, {5, 5}, {7, 2}}
 			emit(tuple.Tuple{facts[i][0], facts[i][1]})
 		})
@@ -367,7 +367,7 @@ func TestConditionsFilter(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		in.LoadShare("e", 100, func(i int, emit func(tuple.Tuple)) {
+		in.Relation("e").LoadShare(100, func(i int, emit func(tuple.Tuple)) {
 			emit(tuple.Tuple{uint64(i % 10), uint64(i / 10)})
 		})
 		in.Run(cfg)
@@ -405,7 +405,7 @@ func TestThreeAtomBodyChaining(t *testing.T) {
 			return err
 		}
 		// A ring of 10 nodes: hop3 from x reaches exactly x+3.
-		in.LoadShare("e", 10, func(i int, emit func(tuple.Tuple)) {
+		in.Relation("e").LoadShare(10, func(i int, emit func(tuple.Tuple)) {
 			emit(tuple.Tuple{uint64(i), uint64((i + 1) % 10)})
 		})
 		in.Run(cfg)
@@ -451,7 +451,7 @@ func TestTwoStratumLongestShortestPath(t *testing.T) {
 		if in.Strata() != 2 {
 			return fmt.Errorf("strata = %d, want 2", in.Strata())
 		}
-		in.LoadShare("edge", len(es), func(i int, emit func(tuple.Tuple)) {
+		in.Relation("edge").LoadShare(len(es), func(i int, emit func(tuple.Tuple)) {
 			emit(tuple.Tuple{es[i].u, es[i].v, es[i].w})
 		})
 		seed := tuple.NewBuffer(3, 1)
@@ -522,7 +522,7 @@ func TestPageRankMassConservation(t *testing.T) {
 			return err
 		}
 		// Ring: each node has outdegree 1.
-		in.LoadShare("edgeInv", n, func(i int, emit func(tuple.Tuple)) {
+		in.Relation("edgeInv").LoadShare(n, func(i int, emit func(tuple.Tuple)) {
 			emit(tuple.Tuple{uint64(i), uint64((i + 1) % n), math.Float64bits(1.0)})
 		})
 		seed := tuple.NewBuffer(3, n)

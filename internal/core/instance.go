@@ -149,17 +149,6 @@ func (in *Instance) Load(name string, facts *tuple.Buffer) error {
 	return nil
 }
 
-// LoadShare deterministically splits n generated facts across ranks and
-// loads them; gen must be identical on every rank.
-func (in *Instance) LoadShare(name string, n int, gen func(i int, emit func(tuple.Tuple))) error {
-	rel := in.rels[name]
-	if rel == nil {
-		return fmt.Errorf("core: load into undeclared relation %s", name)
-	}
-	rel.LoadShare(n, gen)
-	return nil
-}
-
 // RunStats summarizes a program run.
 type RunStats struct {
 	// StratumIters is the iteration count of each stratum's fixpoint.
@@ -204,16 +193,7 @@ func (in *Instance) snapshotRels() []*relation.Relation {
 // stratum's input relations so rules see previously computed tuples as
 // fresh. It is collective.
 func (in *Instance) Run(cfg Config) RunStats {
-	var stats RunStats
-	for i, st := range in.strata {
-		in.enterStratum(i)
-		for _, input := range st.inputs {
-			ra.ResetDelta(input)
-		}
-		n := st.fix.Run(in.options(cfg, i))
-		stats.StratumIters = append(stats.StratumIters, n)
-		stats.TotalIters += n
-	}
+	stats, _ := in.runFrom(cfg, 0, nil) // only a restore can fail
 	return stats
 }
 
@@ -223,82 +203,69 @@ func (in *Instance) Run(cfg Config) RunStats {
 // restoring every relation wholesale, so base facts may be reloaded (or
 // not) before calling Resume — and later strata run normally. Skipped
 // strata report 0 iterations in the returned stats. The restore is
-// world-size independent: a checkpoint written by a different rank count is
-// remapped through the current layout (see ra.Fixpoint.Resume). It is
-// collective and returns ra.ErrNoCheckpoint when the sink is empty.
+// world-size independent (see ra.Fixpoint.Resume). It is collective and
+// returns ra.ErrNoCheckpoint when the sink is empty.
 func (in *Instance) Resume(cfg Config) (RunStats, error) {
-	var stats RunStats
 	if cfg.Checkpoints == nil {
-		return stats, fmt.Errorf("core: Resume needs Config.Checkpoints")
+		return RunStats{}, fmt.Errorf("core: Resume needs Config.Checkpoints")
 	}
 	pos, ok, err := ra.AgreedPosition(in.comm, cfg.Checkpoints)
 	if err != nil {
-		return stats, err
+		return RunStats{}, err
 	}
 	if !ok {
-		return stats, ra.ErrNoCheckpoint
+		return RunStats{}, ra.ErrNoCheckpoint
 	}
-	if pos.Stratum < 0 || pos.Stratum >= len(in.strata) {
-		return stats, fmt.Errorf("core: checkpoint names stratum %d, program has %d strata", pos.Stratum, len(in.strata))
-	}
-	for s := 0; s < pos.Stratum; s++ {
-		stats.StratumIters = append(stats.StratumIters, 0)
-	}
-	// The restored snapshot carries the correct Δ state for every relation,
-	// so the resumed stratum must not ResetDelta its inputs.
-	in.enterStratum(pos.Stratum)
-	n, err := in.strata[pos.Stratum].fix.Resume(in.options(cfg, pos.Stratum))
-	if err != nil {
-		return stats, err
-	}
-	stats.StratumIters = append(stats.StratumIters, n)
-	stats.TotalIters += n
-	for s := pos.Stratum + 1; s < len(in.strata); s++ {
-		st := in.strata[s]
-		in.enterStratum(s)
-		for _, input := range st.inputs {
-			ra.ResetDelta(input)
-		}
-		n := st.fix.Run(in.options(cfg, s))
-		stats.StratumIters = append(stats.StratumIters, n)
-		stats.TotalIters += n
-	}
-	return stats, nil
+	return in.runFrom(cfg, pos.Stratum, func(fix *ra.Fixpoint, opts ra.Options) (int, error) {
+		return fix.Resume(opts, pos)
+	})
 }
 
 // Rejoin re-enters a crashed-and-replaced rank into a still-running gang
 // (hot replacement). cp is this rank's own checkpoint, read rank-locally
 // with ra.PeekRejoin before the transport was built so its wire marks could
 // seed the frame counters. No collective agreement runs — the survivors
-// never tore down, so the only valid position is the one this rank saved —
-// and the restored stratum must not ResetDelta its inputs (the snapshot
-// carries the correct Δ). Strata before the checkpoint's report 0
-// iterations; the replayed stratum and any later ones run as usual.
+// never tore down, so the only valid position is the one this rank saved.
+// Strata before the checkpoint's report 0 iterations; the replayed stratum
+// and any later ones run as usual.
 func (in *Instance) Rejoin(cfg Config, cp ra.Checkpoint) (RunStats, error) {
-	var stats RunStats
 	if cfg.Checkpoints == nil {
-		return stats, fmt.Errorf("core: Rejoin needs Config.Checkpoints")
+		return RunStats{}, fmt.Errorf("core: Rejoin needs Config.Checkpoints")
 	}
-	if cp.Stratum < 0 || cp.Stratum >= len(in.strata) {
-		return stats, fmt.Errorf("core: checkpoint names stratum %d, program has %d strata", cp.Stratum, len(in.strata))
+	return in.runFrom(cfg, cp.Stratum, func(fix *ra.Fixpoint, opts ra.Options) (int, error) {
+		return fix.Rejoin(opts, cp)
+	})
+}
+
+// runFrom is the stratum loop. With restore nil every stratum from first on
+// runs fresh: Δ of its inputs re-seeded, then the fixpoint. With restore set,
+// strata before first are skipped and report 0 iterations and stratum first
+// is entered through restore instead — the restored snapshot carries the
+// correct Δ state for every relation, so that stratum must not ResetDelta
+// its inputs.
+func (in *Instance) runFrom(cfg Config, first int, restore func(*ra.Fixpoint, ra.Options) (int, error)) (RunStats, error) {
+	var stats RunStats
+	if restore != nil && (first < 0 || first >= len(in.strata)) {
+		return stats, fmt.Errorf("core: checkpoint names stratum %d, program has %d strata", first, len(in.strata))
 	}
-	for s := 0; s < cp.Stratum; s++ {
+	for s := 0; s < first; s++ {
 		stats.StratumIters = append(stats.StratumIters, 0)
 	}
-	in.enterStratum(cp.Stratum)
-	n, err := in.strata[cp.Stratum].fix.Rejoin(in.options(cfg, cp.Stratum), cp)
-	if err != nil {
-		return stats, err
-	}
-	stats.StratumIters = append(stats.StratumIters, n)
-	stats.TotalIters += n
-	for s := cp.Stratum + 1; s < len(in.strata); s++ {
+	for s := first; s < len(in.strata); s++ {
 		st := in.strata[s]
 		in.enterStratum(s)
-		for _, input := range st.inputs {
-			ra.ResetDelta(input)
+		var n int
+		if s == first && restore != nil {
+			var err error
+			if n, err = restore(st.fix, in.options(cfg, s)); err != nil {
+				return stats, err
+			}
+		} else {
+			for _, input := range st.inputs {
+				ra.ResetDelta(input)
+			}
+			n = st.fix.Run(in.options(cfg, s))
 		}
-		n := st.fix.Run(in.options(cfg, s))
 		stats.StratumIters = append(stats.StratumIters, n)
 		stats.TotalIters += n
 	}

@@ -144,7 +144,7 @@ spath(F, T, add(L, W)) :- spath(F, M, L), edge(M, T, W).
 		}
 		// 0 -2-> 1 -3-> 2 and a worse direct edge 0 -9-> 2.
 		edges := [][3]uint64{{0, 1, 2}, {1, 2, 3}, {0, 2, 9}}
-		in.LoadShare("edge", len(edges), func(i int, emit func(tuple.Tuple)) {
+		in.Relation("edge").LoadShare(len(edges), func(i int, emit func(tuple.Tuple)) {
 			emit(tuple.Tuple{edges[i][0], edges[i][1], edges[i][2]})
 		})
 		seed := tuple.NewBuffer(3, 1)

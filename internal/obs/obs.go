@@ -49,8 +49,9 @@ const (
 	KindRelation
 	// KindCheckpoint marks a completed periodic snapshot (Bytes = payload).
 	KindCheckpoint
-	// KindRecovery marks a checkpoint restore; Name is "recovery" for the
-	// same-size path and "remap" for the elastic path.
+	// KindRecovery marks a checkpoint restore; Name is "recovery" when the
+	// checkpoint was written at this world size, "remap" when it was
+	// re-hashed into another, "rejoin" for a hot replacement.
 	KindRecovery
 	// KindRankFailed reports a structured rank failure: Rank is the failed
 	// rank, Name the operation, Err the cause.

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 
 	"paralagg/internal/mpi"
+	"paralagg/internal/relation"
 )
 
 // Checkpoint/restart for the fixpoint. Every K iterations each rank
@@ -34,7 +35,7 @@ import (
 // Checkpoint is one rank's saved fixpoint position: the stratum and the
 // number of completed iterations, plus the serialized relation shards.
 type Checkpoint struct {
-	Ranks   int // world size at save time; a resume must match it
+	Ranks   int // world size at save time; a resume into another size re-hashes the whole set
 	Stratum int
 	Iter    int // completed iterations; resume re-enters the loop here
 	Words   []mpi.Word
@@ -159,11 +160,19 @@ func ckptSum(words []mpi.Word) uint64 {
 	return h
 }
 
-// SectionSum digests one relation's snapshot section for a Checkpoint
-// manifest. Exported for engine-level snapshots (the serving engine builds
-// checkpoints outside the fixpoint loop); the digest must match what
-// verifySections re-derives at load time, i.e. ckptSum.
-func SectionSum(words []mpi.Word) uint64 { return ckptSum(words) }
+// cutSection splits the length-prefixed section at the front of a payload
+// from what follows it. The length word comes from storage, so it is bounded
+// by the words present before anything is sliced from it.
+func cutSection(words []mpi.Word) (section, rest []mpi.Word, err error) {
+	if len(words) == 0 {
+		return nil, nil, errors.New("payload ends before the section's length word")
+	}
+	n := words[0]
+	if n > mpi.Word(len(words)-1) {
+		return nil, nil, fmt.Errorf("section truncated (%d words declared, %d present)", n, len(words)-1)
+	}
+	return words[1 : 1+n], words[1+n:], nil
+}
 
 // verifySections re-derives each length-prefixed section's digest from the
 // payload and compares against the manifest. A nil manifest skips the walk.
@@ -173,17 +182,14 @@ func verifySections(words []mpi.Word, sums []uint64) error {
 	}
 	rest := words
 	for i, want := range sums {
-		if len(rest) < 1 {
-			return fmt.Errorf("payload ends before section %d of %d", i, len(sums))
+		sec, tail, err := cutSection(rest)
+		if err != nil {
+			return fmt.Errorf("section %d of %d: %v", i, len(sums), err)
 		}
-		n := int(rest[0])
-		if n < 0 || len(rest) < 1+n {
-			return fmt.Errorf("section %d of %d truncated (%d words declared, %d present)", i, len(sums), n, len(rest)-1)
-		}
-		if got := ckptSum(rest[1 : 1+n]); got != want {
+		if got := ckptSum(sec); got != want {
 			return fmt.Errorf("section %d of %d corrupt: digest %#x, manifest says %#x", i, len(sums), got, want)
 		}
-		rest = rest[1+n:]
+		rest = tail
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("%d trailing payload words beyond the %d manifest sections", len(rest), len(sums))
@@ -459,7 +465,7 @@ func encodeCkpt(cp Checkpoint) []byte {
 // decodeCkpt parses and fully validates a checkpoint file of either
 // format. Every error return means the file is corrupt or foreign.
 func decodeCkpt(path string, buf []byte) (Checkpoint, error) {
-	if len(buf) < 8 {
+	if len(buf) < 8 || len(buf)%8 != 0 {
 		return Checkpoint{}, fmt.Errorf("ra: %s is not a checkpoint file", path)
 	}
 	wantVersion := ckptVersion
@@ -485,13 +491,16 @@ func decodeCkpt(path string, buf []byte) (Checkpoint, error) {
 	}
 	ns := int(binary.LittleEndian.Uint64(buf[40:]))
 	off := 8 * ckptV2HeaderWords
+	// Every declared count is compared, in words, with what is left of the
+	// file: multiplying an unchecked count up to bytes could wrap around.
+	left := func() int { return (len(buf) - off) / 8 }
 	if wantVersion == ckptVersionV3 {
-		if len(buf) < off+8*2 {
+		if left() < 2 {
 			return Checkpoint{}, fmt.Errorf("ra: %s truncated inside the marks block", path)
 		}
 		nm := int(binary.LittleEndian.Uint64(buf[off:]))
 		off += 8
-		if nm <= 0 || len(buf) < off+8*(2*nm+1) {
+		if nm <= 0 || nm > (left()-1)/2 {
 			return Checkpoint{}, fmt.Errorf("ra: %s truncated inside the marks block (%d marks declared)", path, nm)
 		}
 		cp.SendSeqs = make([]uint64, nm)
@@ -505,7 +514,7 @@ func decodeCkpt(path string, buf []byte) (Checkpoint, error) {
 			off += 8
 		}
 	}
-	if ns < 0 || len(buf) < off+8*(ns+1) {
+	if ns < 0 || ns > left()-1 {
 		return Checkpoint{}, fmt.Errorf("ra: %s truncated inside the manifest (%d sections declared)", path, ns)
 	}
 	if ns > 0 {
@@ -517,7 +526,7 @@ func decodeCkpt(path string, buf []byte) (Checkpoint, error) {
 	}
 	n := int(binary.LittleEndian.Uint64(buf[off:]))
 	off += 8
-	if n < 0 || len(buf) != off+8*(n+1) {
+	if n < 0 || n != left()-1 {
 		return Checkpoint{}, fmt.Errorf("ra: %s truncated: %d payload words declared, %d bytes present", path, n, len(buf))
 	}
 	cp.Words = make([]mpi.Word, n)
@@ -547,7 +556,7 @@ func decodeLegacyCkpt(path string, buf []byte) (Checkpoint, error) {
 	}
 	sum := binary.LittleEndian.Uint64(buf[32:])
 	n := int(binary.LittleEndian.Uint64(buf[40:]))
-	if len(buf) != 8*(ckptHeaderWords+n) {
+	if n != len(buf)/8-ckptHeaderWords {
 		return Checkpoint{}, fmt.Errorf("ra: %s truncated: %d words declared, %d bytes present", path, n, len(buf))
 	}
 	cp.Words = make([]mpi.Word, n)
@@ -933,8 +942,9 @@ func agreeOutcome(comm *mpi.Comm, local error) error {
 
 // AgreedPosition scans the sink for the newest valid complete checkpoint
 // set and collectively verifies every rank of the current world observes
-// the same position. ok=false with a nil error means no valid checkpoint
-// exists anywhere. Collective.
+// the same position — one agreement per resume: the caller picks the stratum
+// from the position and hands it to Fixpoint.Resume. ok=false with a nil
+// error means no valid checkpoint exists anywhere. Collective.
 func AgreedPosition(comm *mpi.Comm, sink CheckpointSink) (Position, bool, error) {
 	p, ok, err := sink.LatestValid()
 	pos := posNone
@@ -957,35 +967,6 @@ func AgreedPosition(comm *mpi.Comm, sink CheckpointSink) (Position, bool, error)
 	return p, true, nil
 }
 
-// LatestAgreed resolves the newest valid complete checkpoint set,
-// collectively verifies every rank observes the same position written by a
-// world of this size, and loads this rank's own shard. It is the same-size
-// fast path: each rank's restore touches only its own generation files.
-// Use AgreedPosition + CollectRemap when the world size may have changed.
-// ok=false (with a nil error) means no valid checkpoint set exists.
-func LatestAgreed(comm *mpi.Comm, sink CheckpointSink) (Checkpoint, bool, error) {
-	pos, ok, err := AgreedPosition(comm, sink)
-	if err != nil {
-		return Checkpoint{}, false, err
-	}
-	if !ok {
-		return Checkpoint{}, false, nil
-	}
-	if pos.Ranks != comm.Size() {
-		return Checkpoint{}, false, fmt.Errorf(
-			"ra: checkpoint was written by a %d-rank world, cannot same-size resume with %d ranks (use the remap path)",
-			pos.Ranks, comm.Size())
-	}
-	cp, ok, lerr := sink.Load(comm.Rank(), pos)
-	if lerr == nil && !ok {
-		lerr = fmt.Errorf("ra: rank %d's checkpoint at the agreed position vanished mid-resume", comm.Rank())
-	}
-	if err := agreeOutcome(comm, lerr); err != nil {
-		return Checkpoint{}, false, err
-	}
-	return cp, true, nil
-}
-
 // PeekRejoin reads rank's newest valid checkpoint without any collective
 // agreement: the hot-replacement entry point. A replacement process must
 // seed its transport's frame counters from the checkpoint's wire marks
@@ -1005,24 +986,25 @@ func PeekRejoin(sink CheckpointSink, rank int) (Checkpoint, bool, error) {
 	return cp, true, nil
 }
 
-// CollectRemap loads the complete checkpoint set of an agreed position —
-// one checkpoint per original rank — validating each against the position.
-// It is rank-local (every rank reads the whole set; a remap restore needs
-// the union anyway) and reports errors locally; callers must funnel the
-// outcome through a collective agreement before the next collective op.
-func CollectRemap(sink CheckpointSink, pos Position) ([]Checkpoint, error) {
-	cps := make([]Checkpoint, pos.Ranks)
-	for r := 0; r < pos.Ranks; r++ {
+// loadShards reads, for each listed rank of the world that wrote the
+// checkpoint set at pos, that rank's validated payload. It is rank-local and
+// reports errors locally — a rank missing from the set is a torn set, whether
+// it was never written or vanished after the agreement — so callers must
+// funnel the outcome through a collective agreement before the next
+// collective op.
+func loadShards(sink CheckpointSink, pos Position, origins []int) ([]relation.Shard, error) {
+	shards := make([]relation.Shard, len(origins))
+	for i, r := range origins {
 		cp, ok, err := sink.Load(r, pos)
 		if err != nil {
-			return nil, fmt.Errorf("ra: reading original rank %d's checkpoint for remap: %w", r, err)
+			return nil, fmt.Errorf("ra: reading original rank %d's checkpoint: %w", r, err)
 		}
 		if !ok {
 			return nil, fmt.Errorf(
 				"ra: original rank %d holds no valid checkpoint at (ranks %d, stratum %d, iter %d): torn checkpoint set",
 				r, pos.Ranks, pos.Stratum, pos.Iter)
 		}
-		cps[r] = cp
+		shards[i] = relation.Shard{Origin: r, Words: cp.Words}
 	}
-	return cps, nil
+	return shards, nil
 }

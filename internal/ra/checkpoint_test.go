@@ -35,6 +35,23 @@ func chainTC(c *mpi.Comm, mc *metrics.Collector) (*Fixpoint, *relation.Relation)
 
 const chainTCPaths = 50 * 51 / 2
 
+// resumeLatest resumes fx the way core.Instance.Resume does: one collective
+// agreement on the newest complete checkpoint set, then Fixpoint.Resume at
+// the agreed position.
+func resumeLatest(fx *Fixpoint, opts Options) (int, error) {
+	if opts.Sink == nil {
+		return fx.Resume(opts, Position{})
+	}
+	pos, ok, err := AgreedPosition(fx.Comm, opts.Sink)
+	if err != nil {
+		return 0, err
+	}
+	if !ok {
+		return 0, ErrNoCheckpoint
+	}
+	return fx.Resume(opts, pos)
+}
+
 func TestEffectiveOptionDefaults(t *testing.T) {
 	zero := Options{}
 	if got := zero.effectiveBalanceThreshold(); got != DefaultBalanceThreshold {
@@ -155,7 +172,7 @@ func TestFixpointCheckpointResume(t *testing.T) {
 		fx.Run(truncated)
 		dirty := pathRel.GlobalFullCount()
 
-		total, err := fx.Resume(opts)
+		total, err := resumeLatest(fx, opts)
 		if err != nil {
 			return err
 		}
@@ -194,7 +211,7 @@ func TestFixpointCheckpointResume(t *testing.T) {
 	if err := w3.Run(func(c *mpi.Comm) error {
 		mc := metrics.NewCollector(ranks)
 		fx, pathRel := chainTC(c, mc)
-		total, err := fx.Resume(Options{Plan: PlanDynamic, CheckpointEvery: 2, Sink: sink})
+		total, err := resumeLatest(fx, Options{Plan: PlanDynamic, CheckpointEvery: 2, Sink: sink})
 		if err != nil {
 			return err
 		}
@@ -233,7 +250,7 @@ func TestElasticResumeAcrossWorldSizes(t *testing.T) {
 			w2 := mpi.NewWorld(newRanks)
 			if err := w2.Run(func(c *mpi.Comm) error {
 				fx, pathRel := chainTC(c, mc)
-				total, err := fx.Resume(Options{Plan: PlanDynamic, CheckpointEvery: 2, Sink: sink})
+				total, err := resumeLatest(fx, Options{Plan: PlanDynamic, CheckpointEvery: 2, Sink: sink})
 				if err != nil {
 					return err
 				}
@@ -295,12 +312,14 @@ func TestAgreedPositionEmptyAndElastic(t *testing.T) {
 		if pos != (Position{Ranks: 3, Stratum: 1, Iter: 4}) {
 			return fmt.Errorf("pos = %+v, want {3 1 4}", pos)
 		}
-		cps, err := CollectRemap(sink, pos)
+		shards, err := loadShards(sink, pos, []int{0, 1, 2})
 		if err != nil {
 			return err
 		}
-		if len(cps) != 3 {
-			return fmt.Errorf("collected %d checkpoints, want 3", len(cps))
+		for r, sh := range shards {
+			if sh.Origin != r || len(sh.Words) != 1 || sh.Words[0] != uint64(r) {
+				return fmt.Errorf("shard %d loaded as %+v", r, sh)
+			}
 		}
 		return nil
 	}); err != nil {
@@ -308,22 +327,27 @@ func TestAgreedPositionEmptyAndElastic(t *testing.T) {
 	}
 }
 
-// TestCollectRemapRejectsTornSets pins the torn-set failure modes: a
-// missing shard and a position mismatch must both error.
-func TestCollectRemapRejectsTornSets(t *testing.T) {
+// TestLoadShardsRejectsTornSets pins the torn-set failure modes: a missing
+// shard and a position mismatch must both error, whether the rank reads the
+// whole set or only the shard that went missing.
+func TestLoadShardsRejectsTornSets(t *testing.T) {
 	pos := Position{Ranks: 3, Stratum: 0, Iter: 4}
 	sink := NewMemoryCheckpointSink()
 	sink.Save(0, Checkpoint{Ranks: 3, Iter: 4})
 	sink.Save(1, Checkpoint{Ranks: 3, Iter: 4})
-	if _, err := CollectRemap(sink, pos); err == nil {
-		t.Error("missing rank-2 checkpoint not rejected")
+	for _, origins := range [][]int{{0, 1, 2}, {2}} {
+		if _, err := loadShards(sink, pos, origins); err == nil {
+			t.Errorf("origins %v: missing rank-2 checkpoint not rejected", origins)
+		}
 	}
 	sink.Save(2, Checkpoint{Ranks: 3, Iter: 2}) // stale iteration
-	if _, err := CollectRemap(sink, pos); err == nil {
-		t.Error("stale rank-2 checkpoint not rejected")
+	for _, origins := range [][]int{{0, 1, 2}, {2}} {
+		if _, err := loadShards(sink, pos, origins); err == nil {
+			t.Errorf("origins %v: stale rank-2 checkpoint not rejected", origins)
+		}
 	}
 	sink.Save(2, Checkpoint{Ranks: 3, Iter: 4})
-	if _, err := CollectRemap(sink, pos); err != nil {
+	if _, err := loadShards(sink, pos, []int{0, 1, 2}); err != nil {
 		t.Errorf("complete set rejected: %v", err)
 	}
 }
@@ -565,10 +589,9 @@ func TestFileSinkReadsLegacyFormat(t *testing.T) {
 	}
 }
 
-// writeLegacyCkpt encodes cp in the pre-versioning single-generation
+// legacyCkptBytes encodes cp in the pre-versioning single-generation
 // format (magic "paLCkpt2", 6-word header, payload checksum).
-func writeLegacyCkpt(t *testing.T, path string, cp Checkpoint) {
-	t.Helper()
+func legacyCkptBytes(cp Checkpoint) []byte {
 	buf := make([]byte, 8*(ckptHeaderWords+len(cp.Words)))
 	binary.LittleEndian.PutUint64(buf[0:], ckptMagic)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(cp.Ranks))
@@ -579,7 +602,12 @@ func writeLegacyCkpt(t *testing.T, path string, cp Checkpoint) {
 	for i, w := range cp.Words {
 		binary.LittleEndian.PutUint64(buf[8*(ckptHeaderWords+i):], uint64(w))
 	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	return buf
+}
+
+func writeLegacyCkpt(t *testing.T, path string, cp Checkpoint) {
+	t.Helper()
+	if err := os.WriteFile(path, legacyCkptBytes(cp), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -618,7 +646,7 @@ func TestResumeFallsBackPastCorruptGeneration(t *testing.T) {
 			if err := w2.Run(func(c *mpi.Comm) error {
 				mc := metrics.NewCollector(ranks)
 				fx, pathRel := chainTC(c, mc)
-				total, err := fx.Resume(Options{Plan: PlanDynamic, CheckpointEvery: 2, Sink: sink})
+				total, err := resumeLatest(fx, Options{Plan: PlanDynamic, CheckpointEvery: 2, Sink: sink})
 				if err != nil {
 					return err
 				}
@@ -668,7 +696,7 @@ func TestResumeWithEveryGenerationCorruptReportsNoCheckpoint(t *testing.T) {
 			if err := w2.Run(func(c *mpi.Comm) error {
 				mc := metrics.NewCollector(ranks)
 				fx, _ := chainTC(c, mc)
-				if _, err := fx.Resume(Options{Plan: PlanDynamic, CheckpointEvery: 2, Sink: sink}); err != ErrNoCheckpoint {
+				if _, err := resumeLatest(fx, Options{Plan: PlanDynamic, CheckpointEvery: 2, Sink: sink}); err != ErrNoCheckpoint {
 					return fmt.Errorf("Resume with every generation corrupt returned %v, want ErrNoCheckpoint", err)
 				}
 				return nil
@@ -686,10 +714,10 @@ func TestResumeErrorsWithoutSinkOrCheckpoint(t *testing.T) {
 	err := w.Run(func(c *mpi.Comm) error {
 		mc := metrics.NewCollector(ranks)
 		fx, _ := chainTC(c, mc)
-		if _, err := fx.Resume(Options{Plan: PlanDynamic}); err == nil {
+		if _, err := resumeLatest(fx, Options{Plan: PlanDynamic}); err == nil {
 			return fmt.Errorf("Resume without a sink did not error")
 		}
-		if _, err := fx.Resume(Options{Plan: PlanDynamic, Sink: NewMemoryCheckpointSink()}); err != ErrNoCheckpoint {
+		if _, err := resumeLatest(fx, Options{Plan: PlanDynamic, Sink: NewMemoryCheckpointSink()}); err != ErrNoCheckpoint {
 			return fmt.Errorf("Resume from an empty sink returned %v, want ErrNoCheckpoint", err)
 		}
 		return nil

@@ -235,67 +235,44 @@ func (f *Fixpoint) Run(opts Options) int {
 	return f.run(opts, 0)
 }
 
-// Resume restores the latest checkpoint (which must agree across ranks)
-// and continues the fixpoint from the iteration it captured, returning the
-// total number of iterations the stratum has executed including the
-// pre-crash ones. The restore is world-size independent: a checkpoint
-// written by a world of the same size reloads each rank's own shard
-// directly (metered as metrics.PhaseRecovery); one written by a different
-// world size is remapped — every rank reads the complete old shard set,
-// re-hashes each tuple through the current bucket/sub-bucket layout, and
-// ⊔-merges dependent values, metered as metrics.PhaseRemap. It is
-// collective.
-func (f *Fixpoint) Resume(opts Options) (int, error) {
+// Resume restores the checkpoint set at pos — the position the ranks agreed
+// on (AgreedPosition; the caller runs the agreement once and picks the
+// stratum from it) — and continues the fixpoint from the iteration it
+// captured, returning the total number of iterations the stratum has
+// executed including the pre-crash ones. There is one restore for every
+// world size: each rank loads the shards it can own tuples from and keeps
+// what the current placement assigns to it (relation.Restore). On a world of
+// the writing size that is the rank's own shard, every tuple of which it
+// keeps (metered as metrics.PhaseRecovery); on any other size it is the
+// complete old shard set, re-hashed through the current bucket/sub-bucket
+// layout (metrics.PhaseRemap). Loading and restoring are rank-local — like
+// checkpointing itself, a restore moves no bytes between ranks — so only
+// the outcome agreement is collective.
+func (f *Fixpoint) Resume(opts Options, pos Position) (int, error) {
 	if opts.Sink == nil {
 		return 0, fmt.Errorf("ra: Resume needs Options.Sink")
-	}
-	pos, ok, err := AgreedPosition(f.Comm, opts.Sink)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, ErrNoCheckpoint
 	}
 	if pos.Stratum != opts.Stratum {
 		return 0, fmt.Errorf("ra: checkpoint belongs to stratum %d, resuming stratum %d", pos.Stratum, opts.Stratum)
 	}
 	f.emitCkptScan(opts, pos.Iter)
-	if pos.Ranks == f.Comm.Size() {
-		cp, ok, err := LatestAgreed(f.Comm, opts.Sink)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			return 0, ErrNoCheckpoint
-		}
-		timer := metrics.StartTimer()
-		restoreErr := f.restoreSnapshot(opts, cp.Words)
-		if err := agreeOutcome(f.Comm, restoreErr); err != nil {
-			return 0, err
-		}
-		f.MC.Record(f.Comm.Rank(), cp.Iter, metrics.PhaseRecovery,
-			timer.Done(int64(len(cp.Words)), int64(len(cp.Words)*mpi.WordBytes), 0))
-		f.emitRecovery(opts, "recovery", cp.Iter, len(cp.Words)*mpi.WordBytes)
-		return f.run(opts, cp.Iter), nil
-	}
-
-	// Elastic path: the snapshot was taken at pos.Ranks ≠ Size ranks. Each
-	// rank loads the union of old shards and keeps what the new layout
-	// assigns to it. The collection is rank-local — like checkpointing
-	// itself, the remap moves no bytes between ranks — so only the outcome
-	// agreement is collective.
 	timer := metrics.StartTimer()
-	words := 0
-	cps, remapErr := CollectRemap(opts.Sink, pos)
-	if remapErr == nil {
-		words, remapErr = f.remapSnapshots(opts, cps)
+	label, origins := "recovery", []int{f.Comm.Rank()}
+	if pos.Ranks != f.Comm.Size() {
+		label, origins = "remap", make([]int, pos.Ranks)
+		for r := range origins {
+			origins[r] = r
+		}
 	}
-	if err := agreeOutcome(f.Comm, remapErr); err != nil {
+	words := 0
+	shards, err := loadShards(opts.Sink, pos, origins)
+	if err == nil {
+		words, err = f.restore(opts, shards)
+	}
+	if err := agreeOutcome(f.Comm, err); err != nil {
 		return 0, err
 	}
-	f.MC.Record(f.Comm.Rank(), pos.Iter, metrics.PhaseRemap,
-		timer.Done(int64(words), int64(words*mpi.WordBytes), 0))
-	f.emitRecovery(opts, "remap", pos.Iter, words*mpi.WordBytes)
+	f.meterRestore(opts, label, pos.Iter, timer, words)
 	return f.run(opts, pos.Iter), nil
 }
 
@@ -303,14 +280,14 @@ func (f *Fixpoint) Resume(opts Options) (int, error) {
 // rank's own checkpoint (PeekRejoin), already used to seed the transport's
 // frame counters before the world existed. Unlike Resume there is no
 // collective agreement — the survivors never left, so the position is
-// whatever this rank saved last — and the restore is strictly rank-local.
-// After restoring the shard, the rank replays the original run's
-// post-capture checkpoint sequence (marks fanout, barrier, history mark) so
-// its frame stream re-aligns with the dead incarnation's, then re-executes
-// iterations from cp.Iter: frames the survivors already consumed are
-// dropped as duplicates on their side, frames this rank needs are
-// retransmitted from their held-back history, and the frames the crash
-// lost are regenerated. Deterministic re-execution makes the splice exact.
+// whatever this rank saved last — and the restore reads that one shard.
+// After restoring it, the rank replays the original run's post-capture
+// checkpoint sequence (marks fanout, barrier, history mark) so its frame
+// stream re-aligns with the dead incarnation's, then re-executes iterations
+// from cp.Iter: frames the survivors already consumed are dropped as
+// duplicates on their side, frames this rank needs are retransmitted from
+// their held-back history, and the frames the crash lost are regenerated.
+// Deterministic re-execution makes the splice exact.
 func (f *Fixpoint) Rejoin(opts Options, cp Checkpoint) (int, error) {
 	if cp.Stratum != opts.Stratum {
 		return 0, fmt.Errorf("ra: checkpoint belongs to stratum %d, rejoining stratum %d", cp.Stratum, opts.Stratum)
@@ -319,16 +296,49 @@ func (f *Fixpoint) Rejoin(opts Options, cp Checkpoint) (int, error) {
 		return 0, fmt.Errorf("ra: checkpoint was written by a %d-rank world, cannot rejoin a %d-rank world", cp.Ranks, f.Comm.Size())
 	}
 	timer := metrics.StartTimer()
-	if err := f.restoreSnapshot(opts, cp.Words); err != nil {
+	words, err := f.restore(opts, []relation.Shard{{Origin: f.Comm.Rank(), Words: cp.Words}})
+	if err != nil {
 		return 0, err
 	}
-	f.MC.Record(f.Comm.Rank(), cp.Iter, metrics.PhaseRecovery,
-		timer.Done(int64(len(cp.Words)), int64(len(cp.Words)*mpi.WordBytes), 0))
-	f.emitRecovery(opts, "rejoin", cp.Iter, len(cp.Words)*mpi.WordBytes)
+	f.meterRestore(opts, "rejoin", cp.Iter, timer, words)
 	f.Comm.RejoinMarks()
-	f.Comm.CheckpointBarrier()
-	f.Comm.WireMarkCheckpoint()
+	sealCut(f.Comm)
 	return f.run(opts, cp.Iter), nil
+}
+
+// restore replaces every relation of the snapshot set with what this rank's
+// placement keeps of the given checkpoint payloads, one per origin rank
+// loaded, and returns the number of payload words read (the restore's work
+// measure). A payload is the relations' snapshots in snapshot-set order,
+// each behind a length word. Rank-local.
+func (f *Fixpoint) restore(opts Options, shards []relation.Shard) (int, error) {
+	words := 0
+	rest := make([][]mpi.Word, len(shards))
+	for i, sh := range shards {
+		rest[i] = sh.Words
+		words += len(sh.Words)
+	}
+	section := make([]relation.Shard, len(shards))
+	for _, rel := range f.snapshotSet(opts) {
+		for i, sh := range shards {
+			sec, tail, err := cutSection(rest[i])
+			if err != nil {
+				return 0, fmt.Errorf("ra: rank %d's checkpoint, relation %s: %v (at word %d of %d)",
+					sh.Origin, rel.Name, err, len(sh.Words)-len(rest[i]), len(sh.Words))
+			}
+			section[i], rest[i] = relation.Shard{Origin: sh.Origin, Words: sec}, tail
+		}
+		if err := rel.Restore(section); err != nil {
+			return 0, err
+		}
+	}
+	for i, sh := range shards {
+		if len(rest[i]) != 0 {
+			return 0, fmt.Errorf("ra: rank %d's checkpoint has %d trailing words: relation set mismatch",
+				sh.Origin, len(rest[i]))
+		}
+	}
+	return words, nil
 }
 
 // emitCkptScan streams the recovery scan's integrity outcome: the
@@ -349,9 +359,17 @@ func (f *Fixpoint) emitCkptScan(opts Options, iter int) {
 	obs.Emit(o, e)
 }
 
-// emitRecovery streams a checkpoint-restore event: path is "recovery" for a
-// same-size reload, "remap" for the elastic re-hash.
-func (f *Fixpoint) emitRecovery(opts Options, path string, iter, bytes int) {
+// meterRestore records a completed restore and streams its event. The label
+// is what an operator sees: "recovery" when the writing world had this
+// world's size, "remap" when every tuple was re-hashed into a world of
+// another size, "rejoin" for a hot replacement.
+func (f *Fixpoint) meterRestore(opts Options, label string, iter int, timer metrics.Timer, words int) {
+	phase := metrics.PhaseRecovery
+	if label == "remap" {
+		phase = metrics.PhaseRemap
+	}
+	f.MC.Record(f.Comm.Rank(), iter, phase,
+		timer.Done(int64(words), int64(words*mpi.WordBytes), 0))
 	o := f.MC.Observer()
 	if o == nil {
 		return
@@ -359,52 +377,46 @@ func (f *Fixpoint) emitRecovery(opts Options, path string, iter, bytes int) {
 	e := obs.Get()
 	e.Kind = obs.KindRecovery
 	e.Rank, e.Stratum, e.Iter = f.Comm.Rank(), opts.Stratum, iter
-	e.Name = path
-	e.Bytes = int64(bytes)
+	e.Name = label
+	e.Bytes = int64(words * mpi.WordBytes)
 	e.End = time.Now().UnixNano()
 	obs.Emit(o, e)
 }
 
-// remapSnapshots decodes every old rank's checkpoint payload and restores
-// each relation of the snapshot set from the union, re-hashed through the
-// current world's layout. It returns the total number of payload words
-// processed (the remap's work measure).
-func (f *Fixpoint) remapSnapshots(opts Options, cps []Checkpoint) (int, error) {
-	rels := f.snapshotSet(opts)
-	payloads := make([][]mpi.Word, len(cps))
-	for i := range cps {
-		payloads[i] = cps[i].Words
-	}
-	total := 0
+// Capture serialises rels — this rank's shard of each, in order, every
+// snapshot behind a length word and digested into the manifest — as the
+// checkpoint of (stratum, iter) and hands it to save. On a hot-replace
+// world the capture sits inside a consistent cut of the wire's frame
+// counters (a no-op rendezvous otherwise), so the saved state and the saved
+// wire position describe the same instant, and sealCut then holds every
+// rank until all have saved. It returns the payload length in words and
+// save's error. Collective.
+func Capture(comm *mpi.Comm, rels []*relation.Relation, stratum, iter int, save func(Checkpoint) error) (int, error) {
+	sendMarks, recvMarks, marked := comm.CheckpointMarks()
+	var words []mpi.Word
+	var sums []uint64
 	for _, rel := range rels {
-		snaps := make([]*relation.Snapshot, len(cps))
-		for i := range payloads {
-			if len(payloads[i]) < 1 {
-				return total, fmt.Errorf("ra: original rank %d's snapshot truncated before relation %s", i, rel.Name)
-			}
-			n := int(payloads[i][0])
-			if len(payloads[i]) < 1+n {
-				return total, fmt.Errorf("ra: original rank %d's snapshot truncated inside relation %s", i, rel.Name)
-			}
-			s, err := rel.DecodeSnapshotWords(payloads[i][1 : 1+n])
-			if err != nil {
-				return total, err
-			}
-			snaps[i] = s
-			payloads[i] = payloads[i][1+n:]
-			total += n
-		}
-		if err := rel.RestoreRemapped(snaps); err != nil {
-			return total, err
-		}
+		sub := rel.SnapshotWords()
+		sums = append(sums, ckptSum(sub))
+		words = append(words, mpi.Word(len(sub)))
+		words = append(words, sub...)
 	}
-	for i := range payloads {
-		if len(payloads[i]) != 0 {
-			return total, fmt.Errorf("ra: original rank %d's snapshot has %d trailing words: relation set mismatch",
-				i, len(payloads[i]))
-		}
+	err := save(Checkpoint{Ranks: comm.Size(), Stratum: stratum, Iter: iter, Words: words, SectionSums: sums,
+		SendSeqs: sendMarks, RecvSeqs: recvMarks})
+	if marked {
+		sealCut(comm)
 	}
-	return total, nil
+	return len(words), err
+}
+
+// sealCut closes a checkpoint cut on a hot-replace world: no rank may start
+// next-iteration sends before every rank captured and saved; only then may
+// retained send history roll forward. The star-shaped CheckpointBarrier
+// keeps the cut consistent under tree and ring schedules (see
+// mpi.CheckpointBarrier).
+func sealCut(comm *mpi.Comm) {
+	comm.CheckpointBarrier()
+	comm.WireMarkCheckpoint()
 }
 
 // checkpoint snapshots the stratum's relations after `iter` completed
@@ -416,22 +428,27 @@ func (f *Fixpoint) remapSnapshots(opts Options, cps []Checkpoint) (int, error) {
 // silently void the fault-tolerance contract.
 func (f *Fixpoint) checkpoint(opts Options, iter int) {
 	timer := metrics.StartTimer()
-	// Hot replacement: agree on a consistent cut of the wire's frame
-	// counters first (a no-op rendezvous otherwise), so the saved state and
-	// the saved wire position describe the same instant. The trailing
-	// Barrier below keeps history release ordered after every rank's save.
-	sendMarks, recvMarks, marked := f.Comm.CheckpointMarks()
-	var words []mpi.Word
-	var sums []uint64
-	for _, rel := range f.snapshotSet(opts) {
-		sub := rel.SnapshotWords()
-		sums = append(sums, ckptSum(sub))
-		words = append(words, mpi.Word(len(sub)))
-		words = append(words, sub...)
-	}
 	rank := f.Comm.Rank()
-	cp := Checkpoint{Ranks: f.Comm.Size(), Stratum: opts.Stratum, Iter: iter, Words: words, SectionSums: sums,
-		SendSeqs: sendMarks, RecvSeqs: recvMarks}
+	words, _ := Capture(f.Comm, f.snapshotSet(opts), opts.Stratum, iter, func(cp Checkpoint) error {
+		f.save(opts, iter, cp)
+		return nil
+	})
+	f.MC.Record(rank, iter-1, metrics.PhaseCheckpoint,
+		timer.Done(int64(words), int64(words*mpi.WordBytes), 0))
+	if o := f.MC.Observer(); o != nil {
+		e := obs.Get()
+		e.Kind = obs.KindCheckpoint
+		e.Rank, e.Stratum, e.Iter = rank, opts.Stratum, iter
+		e.Bytes = int64(words * mpi.WordBytes)
+		e.End = time.Now().UnixNano()
+		obs.Emit(o, e)
+	}
+}
+
+// save stores this rank's captured checkpoint, applying the storage faults
+// the chaos plan injects and the degradation described on checkpoint.
+func (f *Fixpoint) save(opts Options, iter int, cp Checkpoint) {
+	rank := f.Comm.Rank()
 	sink := opts.Sink
 	if f.fallbackSink != nil {
 		sink = f.fallbackSink
@@ -472,24 +489,6 @@ func (f *Fixpoint) checkpoint(opts Options, iter int) {
 		if tp, ok := target.(Tamperer); ok {
 			tp.TamperNewest(rank)
 		}
-	}
-	if marked {
-		// No rank may start next-iteration sends before every rank captured
-		// and saved; only then may retained send history roll forward. The
-		// star-shaped CheckpointBarrier keeps the cut consistent under tree
-		// and ring schedules (see mpi.CheckpointBarrier).
-		f.Comm.CheckpointBarrier()
-		f.Comm.WireMarkCheckpoint()
-	}
-	f.MC.Record(rank, iter-1, metrics.PhaseCheckpoint,
-		timer.Done(int64(len(words)), int64(len(words)*mpi.WordBytes), 0))
-	if o := f.MC.Observer(); o != nil {
-		e := obs.Get()
-		e.Kind = obs.KindCheckpoint
-		e.Rank, e.Stratum, e.Iter = rank, opts.Stratum, iter
-		e.Bytes = int64(len(words) * mpi.WordBytes)
-		e.End = time.Now().UnixNano()
-		obs.Emit(o, e)
 	}
 }
 
@@ -587,28 +586,6 @@ func (f *Fixpoint) emitCkptDegraded(opts Options, iter int, cause error) {
 	e.Err = cause.Error()
 	e.End = time.Now().UnixNano()
 	obs.Emit(o, e)
-}
-
-// restoreSnapshot decodes a checkpoint payload into the snapshot set.
-func (f *Fixpoint) restoreSnapshot(opts Options, words []mpi.Word) error {
-	rels := f.snapshotSet(opts)
-	for _, rel := range rels {
-		if len(words) < 1 {
-			return fmt.Errorf("ra: snapshot truncated before relation %d of %d", 0, len(rels))
-		}
-		n := int(words[0])
-		if len(words) < 1+n {
-			return fmt.Errorf("ra: snapshot truncated inside a relation payload (%d of %d words)", len(words)-1, n)
-		}
-		if err := rel.RestoreWords(words[1 : 1+n]); err != nil {
-			return err
-		}
-		words = words[1+n:]
-	}
-	if len(words) != 0 {
-		return fmt.Errorf("ra: snapshot has %d trailing words: relation set mismatch", len(words))
-	}
-	return nil
 }
 
 // prepare builds the loop-invariant iteration scratch once per Fixpoint.

@@ -3,11 +3,11 @@ package ra
 // Checkpoint cross-version compatibility. The files under
 // testdata/golden-2rank were written by the string-keyed-map snapshot
 // encoder that predates the wordmap storage refactor (PR 4); the tests here
-// restore them through the current decode paths — same-size and elastic
-// remap — and require the restored relations to match a live twin loaded
-// through the normal materialization path. Any change to the snapshot
-// word layout breaks these tests, which is the point: checkpoints written
-// by released binaries must keep resuming.
+// restore them through Fixpoint.Resume — into a world of the writing size
+// and into a larger one — and require the restored relations to match a
+// live twin loaded through the normal materialization path. Any change to
+// the snapshot word layout breaks these tests, which is the point:
+// checkpoints written by released binaries must keep resuming.
 //
 // To regenerate the fixture after an INTENTIONAL format change (requires a
 // matching format-version bump and migration story):
@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"paralagg/internal/lattice"
@@ -176,56 +177,17 @@ func TestGoldenCheckpointWrite(t *testing.T) {
 	}
 }
 
-// TestGoldenCheckpointSameSizeRestore restores the pre-refactor fixture on a
-// world of the size that wrote it and requires the result to match a live
-// twin loaded through the normal materialization path.
-func TestGoldenCheckpointSameSizeRestore(t *testing.T) {
+// resumeGolden restores the untouched fixture into a world of the given size
+// the way a resume does — one agreement, then Fixpoint.Resume at the agreed
+// position, which with no rules to run ends after one empty iteration —
+// checks every restored relation's invariants, hands each rank's restored
+// set to check, and returns the relations' global fingerprints.
+func resumeGolden(t *testing.T, ranks int, check func(c *mpi.Comm, pos Position, restored []*relation.Relation) error) []relFingerprint {
+	t.Helper()
 	sink := FileCheckpointSink{Dir: goldenDir}
-	w := mpi.NewWorld(goldenRanks)
-	mc := metrics.NewCollector(goldenRanks)
-	err := w.Run(func(c *mpi.Comm) error {
-		restored := buildGoldenRels(t, c, mc)
-		f := &Fixpoint{Comm: c, MC: mc}
-		cp, ok, err := LatestAgreed(c, sink)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			t.Fatal("golden checkpoint missing")
-		}
-		if cp.Ranks != goldenRanks || cp.Stratum != goldenStratum || cp.Iter != goldenIter {
-			t.Fatalf("golden position = (%d,%d,%d)", cp.Ranks, cp.Stratum, cp.Iter)
-		}
-		if err := f.restoreSnapshot(Options{SnapshotRels: restored}, cp.Words); err != nil {
-			return err
-		}
-
-		live := buildGoldenRels(t, c, mc)
-		loadGoldenRels(c, live)
-		for i, r := range restored {
-			got, want := fingerprint(c, r), fingerprint(c, live[i])
-			if got != want {
-				t.Errorf("relation %s: restored fingerprint %+v, live %+v", r.Name, got, want)
-			}
-			if err := r.CheckInvariants(); err != nil {
-				t.Errorf("relation %s after golden restore: %v", r.Name, err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestGoldenCheckpointElasticRestore remaps the 2-rank fixture into a 3-rank
-// world: every tuple re-hashes through the new layout and the union must
-// still match a live twin loaded at 3 ranks.
-func TestGoldenCheckpointElasticRestore(t *testing.T) {
-	sink := FileCheckpointSink{Dir: goldenDir}
-	const newRanks = 3
-	w := mpi.NewWorld(newRanks)
-	mc := metrics.NewCollector(newRanks)
+	w := mpi.NewWorld(ranks)
+	mc := metrics.NewCollector(ranks)
+	fps := make([]relFingerprint, 3)
 	err := w.Run(func(c *mpi.Comm) error {
 		restored := buildGoldenRels(t, c, mc)
 		f := &Fixpoint{Comm: c, MC: mc}
@@ -236,72 +198,86 @@ func TestGoldenCheckpointElasticRestore(t *testing.T) {
 		if !ok {
 			t.Fatal("golden checkpoint missing")
 		}
-		cps, err := CollectRemap(sink, pos)
+		if want := (Position{Ranks: goldenRanks, Stratum: goldenStratum, Iter: goldenIter}); pos != want {
+			t.Fatalf("golden position = %+v, want %+v", pos, want)
+		}
+		iters, err := f.Resume(Options{Sink: sink, Stratum: goldenStratum, SnapshotRels: restored}, pos)
 		if err != nil {
 			return err
 		}
-		// Decode a second copy of the set to compute the snapshot union each
-		// relation must come back with (remapSnapshots consumes its inputs).
-		unions := make([]relFingerprint, len(restored))
-		payloads := make([][]mpi.Word, len(cps))
-		for i := range cps {
-			payloads[i] = cps[i].Words
+		if iters != goldenIter+1 {
+			t.Errorf("resume ended at iteration %d, want %d", iters, goldenIter+1)
 		}
-		for ri, r := range restored {
-			for i := range payloads {
-				n := int(payloads[i][0])
-				s, err := r.DecodeSnapshotWords(payloads[i][1 : 1+n])
-				if err != nil {
-					return err
-				}
-				payloads[i] = payloads[i][1+n:]
-				for _, tt := range s.Trees[0][0] {
-					unions[ri].Full += fpHash(tt)
-					unions[ri].Count++
-				}
-				for _, tt := range s.Trees[0][1] {
-					unions[ri].Delta += fpHash(tt)
-				}
-				for _, tr := range s.Trees[1:] {
-					for _, tt := range tr[0] {
-						unions[ri].Sec += fpHash(tt)
-					}
-				}
-				for _, tt := range s.Acc {
-					unions[ri].Acc += fpHash(tt)
-				}
-				unions[ri].IDs += uint64(len(s.IDs))
-			}
-		}
-		if _, err := f.remapSnapshots(Options{SnapshotRels: restored}, cps); err != nil {
-			return err
-		}
-
-		// Every relation must come back with exactly the snapshot union (the
-		// remap may not lose or duplicate a single tuple)...
 		for i, r := range restored {
-			got := fingerprint(c, r)
-			if got != unions[i] {
-				t.Errorf("relation %s: remapped fingerprint %+v, snapshot union %+v", r.Name, got, unions[i])
-			}
 			if err := r.CheckInvariants(); err != nil {
-				t.Errorf("relation %s after golden remap: %v", r.Name, err)
+				t.Errorf("relation %s after golden restore at %d ranks: %v", r.Name, ranks, err)
+			}
+			if fp := fingerprint(c, r); c.Rank() == 0 {
+				fps[i] = fp
 			}
 		}
-		// ...and the placement-canonical relations (not leaky: its per-rank
-		// pruning caches are world-size dependent by design) must also match a
-		// live twin loaded directly at the new size.
-		live := buildGoldenRels(t, c, mc)
-		loadGoldenRels(c, live)
-		for i, r := range restored[:2] {
-			got, want := fingerprint(c, r), fingerprint(c, live[i])
-			if got != want {
-				t.Errorf("relation %s: remapped fingerprint %+v, live %+v", r.Name, got, want)
-			}
-		}
-		return nil
+		return check(c, pos, restored)
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return fps
+}
+
+// matchLiveTwin requires each restored relation to fingerprint like a twin
+// loaded at this world size through the normal materialization path.
+func matchLiveTwin(t *testing.T, c *mpi.Comm, restored []*relation.Relation) {
+	live := buildGoldenRels(t, c, metrics.NewCollector(c.Size()))
+	loadGoldenRels(c, live)
+	for i, r := range restored {
+		if got, want := fingerprint(c, r), fingerprint(c, live[i]); got != want {
+			t.Errorf("relation %s: restored fingerprint %+v, live %+v", r.Name, got, want)
+		}
+	}
+}
+
+// TestGoldenCheckpointSameSizeRestore restores the pre-refactor fixture on a
+// world of the size that wrote it. Each rank reads only its own file and
+// must keep every word of it: the restored set re-serializes to the file's
+// payload exactly, and matches a live twin.
+func TestGoldenCheckpointSameSizeRestore(t *testing.T) {
+	resumeGolden(t, goldenRanks, func(c *mpi.Comm, pos Position, restored []*relation.Relation) error {
+		cp, ok, err := FileCheckpointSink{Dir: goldenDir}.Load(c.Rank(), pos)
+		if err != nil || !ok {
+			return fmt.Errorf("rank %d: golden file unreadable: ok=%v err=%v", c.Rank(), ok, err)
+		}
+		var again []mpi.Word
+		for _, r := range restored {
+			sub := r.SnapshotWords()
+			again = append(again, mpi.Word(len(sub)))
+			again = append(again, sub...)
+		}
+		if !slices.Equal(again, cp.Words) {
+			t.Errorf("rank %d: restored set re-serializes to %d words that differ from the file's %d", c.Rank(), len(again), len(cp.Words))
+		}
+		matchLiveTwin(t, c, restored)
+		return nil
+	})
+}
+
+// TestGoldenCheckpointElasticRestore remaps the 2-rank fixture into a 3-rank
+// world: every tuple re-hashes through the new layout, and every relation
+// must come back with exactly the snapshot union — the remap may not lose or
+// duplicate a single tuple. The union is what the same-size restore holds,
+// which the test above shows to be the files' words, all of them.
+func TestGoldenCheckpointElasticRestore(t *testing.T) {
+	none := func(*mpi.Comm, Position, []*relation.Relation) error { return nil }
+	union := resumeGolden(t, goldenRanks, none)
+	got := resumeGolden(t, 3, func(c *mpi.Comm, _ Position, restored []*relation.Relation) error {
+		// The placement-canonical relations (not leaky: its per-rank pruning
+		// caches are world-size dependent by design) must also match a live
+		// twin loaded directly at the new size.
+		matchLiveTwin(t, c, restored[:2])
+		return nil
+	})
+	for i, fp := range got {
+		if fp != union[i] {
+			t.Errorf("relation %d: remapped fingerprint %+v, snapshot union %+v", i, fp, union[i])
+		}
 	}
 }

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 
 	"paralagg/internal/btree"
 	"paralagg/internal/mpi"
@@ -18,9 +19,10 @@ import (
 // driver resume mid-run after a rank failure and still reach the identical
 // fixpoint.
 //
-// Snapshots are rank-local: each rank saves and restores its own shard, and
-// the fixpoint layer coordinates that all ranks act on the same iteration's
-// snapshots.
+// Snapshots are written rank-locally: each rank saves its own shard, and the
+// fixpoint layer coordinates that all ranks act on the same iteration's
+// snapshots. A restore reads whichever shards this rank can own tuples from
+// — its own on a world of the writing size, all of them otherwise.
 
 // SnapshotWords serializes this rank's shard. The layout is
 //
@@ -86,345 +88,189 @@ func (r *Relation) idKeyWords() int {
 	return r.Arity
 }
 
-// RestoreWords replaces this rank's shard with a snapshot produced by
-// SnapshotWords on a relation of the identical schema and index registry.
-// Existing contents are discarded wholesale, so restoring over a partially
-// mutated relation (e.g. after reloading base facts) is safe.
-func (r *Relation) RestoreWords(words []mpi.Word) error {
-	fail := func(what string) error {
-		return fmt.Errorf("relation %s: corrupt snapshot: %s (at %d of %d words)", r.Name, what, 0, len(words))
+// Shard is one rank's SnapshotWords payload together with the rank that
+// wrote it.
+type Shard struct {
+	Origin int
+	Words  []mpi.Word
+}
+
+// Restore replaces this rank's shard with what the current placement assigns
+// to it out of a set of snapshot shards, each produced by SnapshotWords on a
+// relation of the identical schema and index registry — on a world of any
+// size. Placement is a pure function of a tuple's key columns, the
+// sub-bucket count and the world size, so ranks that each read a complete
+// shard set keep disjoint shares whose union is the union that was saved;
+// on a world of the writing size a rank's own shard passes every filter
+// below, so restoring from it alone reproduces the saved state word for
+// word. Existing contents are discarded wholesale (restoring over reloaded
+// base facts is safe); a shard set that fails validation leaves the relation
+// untouched.
+//
+//   - index tuples re-bucket by their join-key/independent columns — each
+//     tuple has exactly one home, so the per-rank shards stay disjoint;
+//   - accumulator entries re-place by independent key and merge through the
+//     lattice ⊔ in shard-then-stored order (order-independence makes the
+//     merge sound even if a key somehow arrives from several old shards);
+//   - tuple-identity entries follow their key's canonical home, keeping
+//     their original ids. The bump counter resumes from this rank's own old
+//     shard when that is among those read, and in any case clears every id
+//     whose owner bits name this rank — those ids exist somewhere in the new
+//     world regardless of which rank now stores them, and a fresh allocation
+//     colliding with one would break global uniqueness;
+//   - leaky partial-best entries (baseline engines only) go to rank
+//     origin mod size and ⊔-merge: they only gate pruning, so any complete
+//     deterministic placement preserves correctness.
+//
+// The sub-bucket count and cached global changed count are collectively
+// agreed scalars, so every shard holds the same values (a mismatch means a
+// torn checkpoint set and is an error).
+func (r *Relation) Restore(shards []Shard) error {
+	if len(shards) == 0 {
+		return fmt.Errorf("relation %s: restore from an empty shard set", r.Name)
 	}
-	next := func(n int) ([]mpi.Word, bool) {
-		if len(words) < n {
-			return nil, false
+	rank, size := r.comm.Rank(), r.comm.Size()
+	kw := r.idKeyWords()
+
+	// Split every shard into its count-prefixed runs first. The words come
+	// from storage: each count is bounded by the words that remain before
+	// anything is sliced or sized from it, and nothing of the relation
+	// changes until every shard has parsed to its last word.
+	type runs struct {
+		idCounter       mpi.Word
+		trees           [][]mpi.Word // FULL then Δ, per index
+		acc, ids, leaky []mpi.Word
+	}
+	split := make([]runs, len(shards))
+	var accWords, idWords, leakyWords int
+	for i, sh := range shards {
+		w, off := sh.Words, 0
+		fail := func(format string, args ...any) error {
+			return fmt.Errorf("relation %s: corrupt snapshot from rank %d: %s (at word %d of %d)",
+				r.Name, sh.Origin, fmt.Sprintf(format, args...), off, len(w))
 		}
-		chunk := words[:n]
-		words = words[n:]
-		return chunk, true
-	}
-	head, ok := next(4)
-	if !ok {
-		return fail("truncated header")
-	}
-	subs, changed, idCounter, nIdx := int(head[0]), head[1], head[2], int(head[3])
-	if subs < 1 || nIdx != len(r.indexes) {
-		return fmt.Errorf("relation %s: snapshot has %d indexes / %d subs, relation has %d indexes",
-			r.Name, nIdx, subs, len(r.indexes))
-	}
-	for _, ix := range r.indexes {
-		for which := 0; which < 2; which++ {
-			cnt, ok := next(1)
-			if !ok {
-				return fail("truncated tree count")
+		var err error
+		run := func(what string, width int) []mpi.Word {
+			if err != nil {
+				return nil
 			}
-			if cnt[0] > mpi.Word(len(words)/r.Arity) {
-				return fail("truncated tree tuple")
+			if off == len(w) {
+				err = fail("truncated before the %s count", what)
+				return nil
 			}
-			run, _ := next(int(cnt[0]) * r.Arity)
-			tree := ix.Full
-			if which == 1 {
-				tree = ix.Delta
+			n, left := w[off], len(w)-off-1
+			if n > mpi.Word(left/width) {
+				err = fail("%d %s of %d words declared, %d words left", n, what, width, left)
+				return nil
 			}
-			r.rebuild(tree, run)
+			start := off + 1
+			off = start + int(n)*width
+			return w[start:off]
 		}
-	}
-	cnt, ok := next(1)
-	if !ok {
-		return fail("truncated accumulator count")
-	}
-	nAcc := int(cnt[0])
-	if nAcc > 0 && r.Agg == nil {
-		return fail("accumulator entries in a set-relation snapshot")
-	}
-	if r.Agg != nil {
-		r.acc = wordmap.NewWithCapacity(r.Indep, r.Dep(), nAcc)
-	}
-	for i := 0; i < nAcc; i++ {
-		e, ok := next(r.Arity)
-		if !ok {
-			return fail("truncated accumulator entry")
+		if len(w) < 4 {
+			return fail("truncated header")
 		}
-		v, _ := r.acc.Upsert(e[:r.Indep])
-		copy(v, e[r.Indep:])
-	}
-	cnt, ok = next(1)
-	if !ok {
-		return fail("truncated id count")
-	}
-	nIds, kw := int(cnt[0]), r.idKeyWords()
-	r.ids = nil
-	if nIds > 0 {
-		r.ids = wordmap.NewWithCapacity(kw, 1, nIds)
-	}
-	for i := 0; i < nIds; i++ {
-		e, ok := next(kw + 1)
-		if !ok {
-			return fail("truncated id entry")
+		// The upper bound keeps rankOf's bucket*subs+sub inside an int.
+		if w[0] < 1 || w[0] > mpi.Word(math.MaxInt/size) {
+			return fail("sub-bucket count %d out of range", w[0])
 		}
-		v, _ := r.ids.Upsert(e[:kw])
-		v[0] = e[kw]
-	}
-	cnt, ok = next(1)
-	if !ok {
-		return fail("truncated leaky count")
-	}
-	nLeaky := int(cnt[0])
-	if nLeaky > 0 && r.leaky == nil {
-		return fail("leaky entries in a non-leaky relation snapshot")
-	}
-	if r.leaky != nil {
-		r.leakyBest = wordmap.NewWithCapacity(r.leaky.Indep, r.Arity-r.leaky.Indep, nLeaky)
-	}
-	for i := 0; i < nLeaky; i++ {
-		e, ok := next(r.Arity)
-		if !ok {
-			return fail("truncated leaky entry")
+		if w[3] != mpi.Word(len(r.indexes)) {
+			return fail("%d indexes, relation has %d", w[3], len(r.indexes))
 		}
-		v, _ := r.leakyBest.Upsert(e[:r.leaky.Indep])
-		copy(v, e[r.leaky.Indep:])
+		if first := shards[0].Words; w[0] != first[0] || w[1] != first[1] {
+			return fail("subs/changed %d/%d, rank %d's shard has %d/%d: torn checkpoint set",
+				w[0], w[1], shards[0].Origin, first[0], first[1])
+		}
+		sp := &split[i]
+		sp.idCounter, off = w[2], 4
+		for range 2 * len(r.indexes) {
+			sp.trees = append(sp.trees, run("tree tuples", r.Arity))
+		}
+		sp.acc = run("accumulator entries", r.Arity)
+		sp.ids = run("id entries", kw+1)
+		sp.leaky = run("leaky entries", r.Arity)
+		switch {
+		case err != nil:
+			return err
+		case len(sp.acc) > 0 && r.Agg == nil:
+			return fail("accumulator entries in a set-relation snapshot")
+		case len(sp.leaky) > 0 && r.leaky == nil:
+			return fail("leaky entries in a non-leaky relation snapshot")
+		case off != len(w):
+			return fail("%d trailing words", len(w)-off)
+		}
+		accWords += len(sp.acc)
+		idWords += len(sp.ids)
+		leakyWords += len(sp.leaky)
 	}
-	if len(words) != 0 {
-		return fail(fmt.Sprintf("%d trailing words", len(words)))
-	}
-	r.subs = subs
-	r.changedLast = changed
-	r.idCounter = idCounter
+
+	r.subs = int(shards[0].Words[0])
+	r.changedLast = shards[0].Words[1]
 	r.rebuildHomeCaches()
 	// The restored state belongs to an earlier iteration; the history
 	// baseline the integrity digests were tracking no longer applies.
 	r.invalidateDigestBaseline()
-	return nil
-}
 
-// Snapshot is one rank's shard decoded into neutral form: the tuples and
-// map entries without any placement assumptions. It is the unit of
-// world-size-independent restore — a set of Snapshots taken on an N-rank
-// world can be re-hashed into any M-rank world because every tuple carries
-// enough information to recompute its home under the new layout.
-type Snapshot struct {
-	Subs        int
-	ChangedLast mpi.Word
-	IDCounter   mpi.Word
-	// Trees holds, per index, the FULL and Δ tuple lists in stored
-	// (permuted) order.
-	Trees [][2][]tuple.Tuple
-	// Acc lists accumulator entries as canonical tuples (indep ++ dep).
-	Acc []tuple.Tuple
-	// IDs lists tuple-identity entries: the key columns plus the id.
-	IDs []IDEntry
-	// Leaky lists leaky partial-best entries as canonical-width tuples.
-	Leaky []tuple.Tuple
-}
-
-// IDEntry is one tuple-identity record: the canonical key (independent
-// columns for aggregated relations, the whole tuple for set relations) and
-// the globally unique id allocated for it.
-type IDEntry struct {
-	Key []tuple.Value
-	ID  uint64
-}
-
-// DecodeSnapshotWords parses a SnapshotWords payload produced by a relation
-// of the identical schema — on any world size — into a neutral Snapshot.
-// It shares RestoreWords' layout but binds nothing to this rank.
-func (r *Relation) DecodeSnapshotWords(words []mpi.Word) (*Snapshot, error) {
-	fail := func(what string) error {
-		return fmt.Errorf("relation %s: corrupt snapshot: %s (%d words left)", r.Name, what, len(words))
-	}
-	next := func(n int) ([]mpi.Word, bool) {
-		if len(words) < n {
-			return nil, false
-		}
-		chunk := words[:n]
-		words = words[n:]
-		return chunk, true
-	}
-	head, ok := next(4)
-	if !ok {
-		return nil, fail("truncated header")
-	}
-	s := &Snapshot{Subs: int(head[0]), ChangedLast: head[1], IDCounter: head[2]}
-	nIdx := int(head[3])
-	if s.Subs < 1 || nIdx != len(r.indexes) {
-		return nil, fmt.Errorf("relation %s: snapshot has %d indexes / %d subs, relation has %d indexes",
-			r.Name, nIdx, s.Subs, len(r.indexes))
-	}
-	s.Trees = make([][2][]tuple.Tuple, nIdx)
-	for i := 0; i < nIdx; i++ {
-		for which := 0; which < 2; which++ {
-			cnt, ok := next(1)
-			if !ok {
-				return nil, fail("truncated tree count")
-			}
-			for j := 0; j < int(cnt[0]); j++ {
-				tw, ok := next(r.Arity)
-				if !ok {
-					return nil, fail("truncated tree tuple")
-				}
-				s.Trees[i][which] = append(s.Trees[i][which], tuple.Tuple(tw).Clone())
-			}
-		}
-	}
-	cnt, ok := next(1)
-	if !ok {
-		return nil, fail("truncated accumulator count")
-	}
-	nAcc := int(cnt[0])
-	if nAcc > 0 && r.Agg == nil {
-		return nil, fail("accumulator entries in a set-relation snapshot")
-	}
-	for i := 0; i < nAcc; i++ {
-		e, ok := next(r.Arity)
-		if !ok {
-			return nil, fail("truncated accumulator entry")
-		}
-		s.Acc = append(s.Acc, tuple.Tuple(e).Clone())
-	}
-	cnt, ok = next(1)
-	if !ok {
-		return nil, fail("truncated id count")
-	}
-	nIds, kw := int(cnt[0]), r.idKeyWords()
-	for i := 0; i < nIds; i++ {
-		e, ok := next(kw + 1)
-		if !ok {
-			return nil, fail("truncated id entry")
-		}
-		s.IDs = append(s.IDs, IDEntry{Key: append([]tuple.Value(nil), e[:kw]...), ID: e[kw]})
-	}
-	cnt, ok = next(1)
-	if !ok {
-		return nil, fail("truncated leaky count")
-	}
-	nLeaky := int(cnt[0])
-	if nLeaky > 0 && r.leaky == nil {
-		return nil, fail("leaky entries in a non-leaky relation snapshot")
-	}
-	for i := 0; i < nLeaky; i++ {
-		e, ok := next(r.Arity)
-		if !ok {
-			return nil, fail("truncated leaky entry")
-		}
-		s.Leaky = append(s.Leaky, tuple.Tuple(e).Clone())
-	}
-	if len(words) != 0 {
-		return nil, fail(fmt.Sprintf("%d trailing words", len(words)))
-	}
-	return s, nil
-}
-
-// RestoreRemapped replaces this rank's shard with the union of snapshots
-// taken on a world of a different size, re-hashed through this world's
-// bucket/sub-bucket layout. Every rank passes the complete snapshot set (one
-// per original rank, in original rank order); each keeps exactly the tuples
-// the new placement assigns to it, so the union across the new world equals
-// the union across the old one:
-//
-//   - index tuples re-bucket by their join-key/independent columns — each
-//     tuple has exactly one home, so the per-rank shards stay disjoint;
-//   - accumulator entries re-place by independent key and re-merge through
-//     the lattice ⊔ (order-independence makes the merge sound even if a key
-//     somehow arrives from several old shards);
-//   - tuple-identity entries follow their key's canonical home, keeping
-//     their original ids; the bump counter advances past every id whose
-//     owner bits name this rank, so future allocations stay globally unique;
-//   - leaky partial-best entries (baseline engines only) re-place by key
-//     hash and ⊔-merge — any placement preserves correctness because they
-//     only gate pruning.
-//
-// The sub-bucket count and cached global changed count carry over unchanged:
-// both are collectively agreed scalars, so every snapshot holds the same
-// values (a mismatch means a torn checkpoint set and is an error).
-func (r *Relation) RestoreRemapped(snaps []*Snapshot) error {
-	if len(snaps) == 0 {
-		return fmt.Errorf("relation %s: remap restore with no snapshots", r.Name)
-	}
-	for i, s := range snaps {
-		if s.Subs != snaps[0].Subs || s.ChangedLast != snaps[0].ChangedLast {
-			return fmt.Errorf("relation %s: snapshot %d disagrees on subs/changed (%d/%d vs %d/%d): torn checkpoint set",
-				r.Name, i, s.Subs, s.ChangedLast, snaps[0].Subs, snaps[0].ChangedLast)
-		}
-		if len(s.Trees) != len(r.indexes) {
-			return fmt.Errorf("relation %s: snapshot %d has %d indexes, relation has %d",
-				r.Name, i, len(s.Trees), len(r.indexes))
-		}
-	}
-	r.subs = snaps[0].Subs
-	r.changedLast = snaps[0].ChangedLast
-	r.rebuildHomeCaches()
-	r.invalidateDigestBaseline()
-
-	// Index trees: keep every stored tuple whose new (bucket, sub) home is
-	// this rank. Placement depends only on join-key/independent columns, so
-	// FULL and Δ membership re-partition without loss or duplication.
-	for i, ix := range r.indexes {
+	// Entries are walked as views into the shards, in shard-then-stored
+	// order; only what this rank keeps is copied. Each table is sized for the
+	// mean shard read: the writing world was hash balanced, and at its size
+	// the one shard read is exactly what is kept.
+	var keep []mpi.Word
+	for x, ix := range r.indexes {
 		for which, tree := range [2]*btree.Tree{ix.Full, ix.Delta} {
-			var words []tuple.Value
-			for _, s := range snaps {
-				for _, t := range s.Trees[i][which] {
-					if ix.ownedHere(t) {
-						words = append(words, t...)
+			keep = keep[:0]
+			for i := range split {
+				for run := split[i].trees[2*x+which]; len(run) > 0; run = run[r.Arity:] {
+					if t := tuple.Tuple(run[:r.Arity]); ix.ownedHere(t) {
+						keep = append(keep, t...)
 					}
 				}
 			}
-			r.rebuild(tree, words)
+			r.rebuild(tree, keep)
 		}
 	}
 
-	// Accumulator: entries re-place by independent key; ⊔-merge defends
-	// against duplicate keys across shards.
 	if r.Agg != nil {
-		r.acc = wordmap.New(r.Indep, r.Dep())
-		for _, s := range snaps {
-			for _, t := range s.Acc {
-				if r.accPlacement(t[:r.Indep]) != r.comm.Rank() {
-					continue
+		r.acc = wordmap.NewWithCapacity(r.Indep, r.Dep(), accWords/r.Arity/len(shards))
+		for i := range split {
+			for run := split[i].acc; len(run) > 0; run = run[r.Arity:] {
+				if key := run[:r.Indep]; r.accPlacement(key) == rank {
+					r.mergeDep(r.Agg, r.acc, key, run[r.Indep:r.Arity])
 				}
-				r.mergeDep(r.Agg, r.acc, t[:r.Indep], t[r.Indep:])
 			}
 		}
 	}
 
-	// Tuple identities: an entry follows its key's canonical home. The
-	// bump counter must clear every id whose owner bits name this rank —
-	// those ids exist somewhere in the new world regardless of which rank
-	// now stores them, and a fresh allocation colliding with one would
-	// break global uniqueness.
-	r.ids = nil
-	var nextCounter uint64
-	for _, s := range snaps {
-		for _, e := range s.IDs {
-			if IDOwner(e.ID) == r.comm.Rank() {
-				if c := (e.ID & (1<<idRankShift - 1)) + 1; c > nextCounter {
-					nextCounter = c
-				}
+	r.ids, r.idCounter = nil, 0
+	for i := range split {
+		if shards[i].Origin == rank {
+			r.idCounter = max(r.idCounter, split[i].idCounter)
+		}
+		for run := split[i].ids; len(run) > 0; run = run[kw+1:] {
+			key, id := run[:kw], run[kw]
+			if IDOwner(id) == rank {
+				r.idCounter = max(r.idCounter, (id&(1<<idRankShift-1))+1)
 			}
-			if !r.ownsIDKey(e.Key) {
+			if !r.ownsIDKey(key) {
 				continue
 			}
 			if r.ids == nil {
-				r.ids = wordmap.New(r.idKeyWords(), 1)
+				r.ids = wordmap.NewWithCapacity(kw, 1, idWords/(kw+1)/len(shards))
 			}
-			v, _ := r.ids.Upsert(e.Key)
-			v[0] = e.ID
+			v, _ := r.ids.Upsert(key)
+			v[0] = id
 		}
 	}
-	if r.comm.Rank() < len(snaps) && snaps[r.comm.Rank()].IDCounter > nextCounter {
-		nextCounter = snaps[r.comm.Rank()].IDCounter
-	}
-	r.idCounter = nextCounter
 
-	// Leaky partial bests: rank-local pruning caches with no canonical
-	// placement; distribute deterministically by key hash and ⊔-merge.
 	if r.leaky != nil {
-		r.leakyBest = wordmap.New(r.leaky.Indep, r.Arity-r.leaky.Indep)
-		for _, s := range snaps {
-			for _, t := range s.Leaky {
-				key := t[:r.leaky.Indep]
-				if int(tuple.Tuple(key).Hash()%uint64(r.comm.Size())) != r.comm.Rank() {
-					continue
-				}
-				r.mergeDep(r.leaky.Agg, r.leakyBest, key, t[r.leaky.Indep:])
+		li := r.leaky.Indep
+		r.leakyBest = wordmap.NewWithCapacity(li, r.Arity-li, leakyWords/r.Arity/len(shards))
+		for i := range split {
+			if shards[i].Origin%size != rank {
+				continue
+			}
+			for run := split[i].leaky; len(run) > 0; run = run[r.Arity:] {
+				r.mergeDep(r.leaky.Agg, r.leakyBest, run[:li], run[li:r.Arity])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"paralagg/internal/lattice"
@@ -34,6 +35,27 @@ func sameTuples(a, b []tuple.Tuple) bool {
 	return true
 }
 
+// ownShard wraps a rank's own snapshot as the one-shard set a restore on a
+// world of the writing size reads.
+func ownShard(c *mpi.Comm, words []mpi.Word) []Shard {
+	return []Shard{{Origin: c.Rank(), Words: words}}
+}
+
+// sameWords reports whether a restored relation re-serializes to exactly
+// the snapshot it was restored from.
+func sameWords(r *Relation, snap []mpi.Word) error {
+	got := r.SnapshotWords()
+	if len(got) != len(snap) {
+		return fmt.Errorf("relation %s re-serializes to %d words, snapshot had %d", r.Name, len(got), len(snap))
+	}
+	for i := range got {
+		if got[i] != snap[i] {
+			return fmt.Errorf("relation %s re-serializes differently at word %d: %d, snapshot had %d", r.Name, i, got[i], snap[i])
+		}
+	}
+	return nil
+}
+
 func TestSnapshotRestoreSetRelation(t *testing.T) {
 	const ranks = 3
 	runWorld(t, ranks, func(c *mpi.Comm) error {
@@ -59,7 +81,10 @@ func TestSnapshotRestoreSetRelation(t *testing.T) {
 			buf.Append(tuple.Tuple{tuple.Value(1000 + i), tuple.Value(i)})
 		}
 		r.Materialize(1, buf, false)
-		if err := r.RestoreWords(snap); err != nil {
+		if err := r.Restore(ownShard(c, snap)); err != nil {
+			return err
+		}
+		if err := sameWords(r, snap); err != nil {
 			return err
 		}
 		if got := dumpFull(r); !sameTuples(got, want) {
@@ -105,7 +130,10 @@ func TestSnapshotRestoreAggRelation(t *testing.T) {
 			buf.Append(tuple.Tuple{tuple.Value(i % 8), tuple.Value(i%8 + 1), 1})
 		}
 		r.Materialize(2, buf, false)
-		if err := r.RestoreWords(snap); err != nil {
+		if err := r.Restore(ownShard(c, snap)); err != nil {
+			return err
+		}
+		if err := sameWords(r, snap); err != nil {
 			return err
 		}
 		if got := dumpFull(r); !sameTuples(got, want) {
@@ -135,16 +163,79 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 			emit(tuple.Tuple{tuple.Value(i), tuple.Value(i)})
 		})
 		snap := r.SnapshotWords()
-		if err := r.RestoreWords(snap[:2]); err == nil {
-			return fmt.Errorf("accepted truncated header")
+		// A rejected snapshot must say which relation, whose shard and where:
+		// the word offset the reader stopped at, out of the shard's length.
+		reject := func(what string, words []mpi.Word, origin, at int) error {
+			err := r.Restore([]Shard{{Origin: origin, Words: words}})
+			if err == nil {
+				return fmt.Errorf("accepted %s", what)
+			}
+			for _, want := range []string{
+				"relation edge", fmt.Sprintf("from rank %d", origin),
+				fmt.Sprintf("(at word %d of %d)", at, len(words)),
+			} {
+				if !strings.Contains(err.Error(), want) {
+					return fmt.Errorf("%s: error %q does not say %q", what, err, want)
+				}
+			}
+			// A rejected shard set leaves the relation as it was.
+			return sameWords(r, snap)
 		}
-		if err := r.RestoreWords(snap[:len(snap)-1]); err == nil {
-			return fmt.Errorf("accepted truncated payload")
+		if err := reject("truncated header", snap[:2], 0, 0); err != nil {
+			return err
 		}
-		if err := r.RestoreWords(append(append([]mpi.Word(nil), snap...), 0)); err == nil {
-			return fmt.Errorf("accepted trailing words")
+		// The FULL tree's 20 tuples no longer fit once the last word is gone.
+		if err := reject("truncated payload", snap[:len(snap)-1], 3, len(snap)-1); err != nil {
+			return err
+		}
+		if err := reject("trailing words", append(append([]mpi.Word(nil), snap...), 0), 0, len(snap)); err != nil {
+			return err
+		}
+		// Counts come from storage: one that the remaining words cannot hold
+		// is refused before anything is sized from it.
+		empty := []mpi.Word{1, 0, 0, 1, 0, 0, 0, 0, 0}
+		for at, what := range map[int]string{4: "FULL tree", 5: "Δ tree", 6: "accumulator", 7: "id", 8: "leaky"} {
+			for _, n := range []mpi.Word{1 << 36, 1 << 61, 1<<64 - 1} {
+				words := append([]mpi.Word(nil), empty...)
+				words[at] = n
+				if err := reject(fmt.Sprintf("%s count %d over no entries", what, n), words, 0, at); err != nil {
+					return err
+				}
+			}
+		}
+		for _, subs := range []mpi.Word{0, 1 << 63, 1<<64 - 1} {
+			words := append([]mpi.Word(nil), empty...)
+			words[0] = subs
+			if err := reject(fmt.Sprintf("sub-bucket count %d", subs), words, 0, 0); err != nil {
+				return err
+			}
+		}
+		if err := r.Restore(nil); err == nil {
+			return fmt.Errorf("accepted an empty shard set")
 		}
 		// The intact snapshot must still restore after the failed attempts.
-		return r.RestoreWords(snap)
+		return r.Restore(ownShard(c, snap))
+	})
+}
+
+// TestRestoreRejectsTornShardSets pins the torn-set check: the sub-bucket
+// count and the cached changed count are collectively agreed, so shards that
+// disagree on either cannot belong to one checkpoint.
+func TestRestoreRejectsTornShardSets(t *testing.T) {
+	runWorld(t, 1, func(c *mpi.Comm) error {
+		r, err := New(setSchema("edge", 2, 1), c, metrics.NewCollector(1), Config{})
+		if err != nil {
+			return err
+		}
+		for at, what := range []string{"subs", "changed count"} {
+			a := []mpi.Word{1, 7, 0, 1, 0, 0, 0, 0, 0}
+			b := append([]mpi.Word(nil), a...)
+			b[at]++
+			err := r.Restore([]Shard{{Origin: 0, Words: a}, {Origin: 1, Words: b}})
+			if err == nil || !strings.Contains(err.Error(), "torn checkpoint set") || !strings.Contains(err.Error(), "from rank 1") {
+				return fmt.Errorf("shards disagreeing on %s: err = %v", what, err)
+			}
+		}
+		return nil
 	})
 }

@@ -389,20 +389,12 @@ func (ix *Index) buildHomes() {
 			homes[b] = flat[b : b+1 : b+1]
 		}
 	} else {
+		// Sub-buckets s and s+size of a bucket share a rank, so the first
+		// min(subs, size) name every home once, in first-appearance order.
 		for b := 0; b < size; b++ {
-			out := make([]int, 0, r.subs)
-			for s := 0; s < r.subs; s++ {
-				rk := r.rankOf(b, s)
-				dup := false
-				for _, have := range out {
-					if have == rk {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					out = append(out, rk)
-				}
+			out := make([]int, min(r.subs, size))
+			for s := range out {
+				out[s] = r.rankOf(b, s)
 			}
 			homes[b] = out
 		}

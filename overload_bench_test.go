@@ -1,9 +1,12 @@
 package paralagg_test
 
 // Overload benchmarks: the 4-rank SSSP smoke over a real loopback TCP gang
-// at three budget levels, the series BENCH_overload.json tracks
-// (`make bench-overload`). Each level reports ns/op plus the overload
-// counters as custom metrics (benchjson lands them in `extra`):
+// at three budget levels — a gang under a memory budget is not among the
+// committed benchmark's workloads (benchmark/):
+//
+//	go test -run '^$' -bench 'OverloadSSSPGang4' -benchmem -benchtime 10x .
+//
+// Each level reports ns/op plus the overload counters as custom metrics:
 //
 //   - peak-B/op:  the world's accounted memory high-water mark (compute
 //     structures + transport outbox + injected phantom charge),

@@ -354,10 +354,9 @@ func (r *Rank) LoadShare(rel string, n int, gen func(i int, emit func(Tuple))) e
 // canonical column order (the accumulator for aggregated relations, the
 // canonical index for set relations), or errors for an unknown relation
 // name. The tuple passed to fn is a view into the relation's storage, valid
-// only until fn returns: copy what you keep. Rank-local.
-//
-// Deprecated: use Query (collective, materializes local matches) or
-// Engine.Query for serving reads.
+// only until fn returns: copy what you keep. Rank-local: it is the zero-copy
+// visitor of an inspect callback; Query (collective) and Engine.Query
+// materialize matches across ranks instead.
 func (r *Rank) Each(rel string, fn func(Tuple)) error {
 	rl, err := r.relation(rel)
 	if err != nil {

@@ -1,9 +1,14 @@
 package paralagg_test
 
-// Recovery benchmarks: the MTTR differential BENCH_recovery.json tracks
-// (`make bench-recovery`). Both arms run the same incident — the SSSP chaos
-// scenario over a real loopback TCP gang, highest rank crashed entering
-// iteration 5's tuple exchange — and repair it two ways:
+// Recovery benchmarks: the MTTR differential, which the committed
+// benchmark (benchmark/) cannot express — none of its workloads crashes.
+//
+//	go test -run '^$' -bench 'RecoveryHotReplace|RecoveryFullRestart' -benchmem -benchtime 10x .
+//
+// (the pattern is deliberately exact: a bare 'Recovery' would also match the
+// slow simulated-recovery benchmarks). Both arms run the same incident — the
+// SSSP chaos scenario over a real loopback TCP gang, highest rank crashed
+// entering iteration 5's tuple exchange — and repair it two ways:
 //
 //   - RecoveryHotReplace{4,8}:  survivors park in place, one replacement
 //     process restores its own shard and splices into the retained send

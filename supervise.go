@@ -69,7 +69,7 @@ type SuperviseReport struct {
 // Supervise runs prog under elastic supervision: Exec is retried across rank
 // failures, each retry tearing down the poisoned world, rebuilding a fresh
 // one (same size, or degraded/pinned per config), restoring the latest
-// agreed checkpoint through the world-size-independent remap path, and
+// agreed checkpoint — the restore is world-size independent — and
 // re-entering the fixpoint. Non-fault errors and exhausted restart budgets
 // are terminal. The returned Result is the successful attempt's; the report
 // is never nil.
