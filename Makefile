@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint trace-smoke chaos chaos-net chaos-integrity chaos-overload chaos-recovery chaos-tree chaos-serving verify benchmark benchmark-smoke
+.PHONY: build test race vet lint trace-smoke chaos verify benchmark benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -34,60 +34,16 @@ trace-smoke:
 	/tmp/paralagg-trace -query sssp -graph wiki-sim -subs 2 -transport=tcp -spawn 3 -quiet -trace /tmp/paralagg-gang.json
 	$(GO) run ./cmd/tracecheck -ranks 3 /tmp/paralagg-gang.rank0.json /tmp/paralagg-gang.rank1.json /tmp/paralagg-gang.rank2.json
 
-# chaos runs the crash/restart differential suite end to end.
+# chaos drives internal/chaos's one table of differential checks through
+# the binary's driver: every suite (crash, net, integrity, overload,
+# recovery, serving — README "Chaos suites" says what each proves) under the
+# flat schedule, then the two that cut checkpoints and splice replacements
+# again with every collective routed through the binomial tree. Any suite
+# replays under any schedule: -chaos=<suite[,suite]> -collective-schedule=<s>.
+# `make verify` runs the same table under -race as internal/chaos's tests.
 chaos:
-	$(GO) run ./cmd/paralagg -chaos
-
-# chaos-net runs the network chaos suite over real loopback TCP gangs:
-# repairable wire faults (slow links, resets, corrupted frames) must be
-# bit-identical to in-process runs, partitions must fail structurally on
-# every rank, and a killed endpoint must be recovered by the supervisor.
-chaos-net:
-	$(GO) run ./cmd/paralagg -chaos-net
-
-# chaos-integrity runs the state-integrity suite: silent in-memory bit
-# flips must be detected within one iteration and healed by supervised
-# rollback, rotten checkpoint generations must be quarantined with recovery
-# falling back exactly one generation, and TCP gangs must agree on the
-# divergence — every recovered answer bit-identical to the fault-free one.
-chaos-integrity:
-	$(GO) run ./cmd/paralagg -chaos-integrity
-
-# chaos-overload runs the resource-exhaustion suite: slow consumers must be
-# rate-matched by credit-based flow control inside a bounded outbox, phantom
-# memory pressure against a budget must shed (soft) or fail structurally and
-# recover under supervision (hard), and a full checkpoint device must
-# degrade to an in-memory sink — every completed run bit-identical to the
-# fault-free answer, nothing OOM-killed.
-chaos-overload:
-	$(GO) run ./cmd/paralagg -chaos-overload
-
-# chaos-recovery runs the hot-replacement suite: a TCP gang loses a rank
-# mid-exchange, survivors park in place with their in-memory state intact,
-# and a replacement process rejoins at the next membership epoch, restores
-# only its own shard, and splices into the retained send histories — the
-# repaired answer bit-identical to the fault-free run at 4 and 8 ranks, and
-# strictly cheaper than the whole-world restart control arm.
-chaos-recovery:
-	$(GO) run ./cmd/paralagg -chaos-recovery
-
-# chaos-serving runs the serving differential suite: every scenario's
-# insert/delete batches stream into a long-lived engine at 1, 2, and 4
-# ranks, and after the initial load and every batch the resident relations
-# must be bit-identical to a from-scratch recomputation over the same base
-# facts. Incremental insert-only batches must also re-converge in strictly
-# fewer iterations than the from-scratch control.
-chaos-serving:
-	$(GO) run ./cmd/paralagg -chaos-serving
-
-# chaos-tree replays the crash/restart and hot-replacement suites with every
-# collective routed through the binomial tree schedule: the same
-# bit-identical differentials must hold when reductions take multi-hop
-# routes, checkpoint cuts cross a tree barrier, and a replacement splices
-# into tree-shaped retained send histories.
-chaos-tree:
-	$(GO) run ./cmd/paralagg -chaos -collective-schedule=tree
-	$(GO) run ./cmd/paralagg -chaos-recovery -collective-schedule=tree
+	$(GO) run ./cmd/paralagg -chaos=all
+	$(GO) run ./cmd/paralagg -chaos=crash,recovery -collective-schedule=tree
 
 # verify is the CI gate: static checks plus the full suite under the race
 # detector (the SPMD runtime is all goroutines — races are correctness bugs
@@ -98,11 +54,16 @@ chaos-tree:
 # sequences at arities 1-4 against a sorted-slice reference. So does the
 # checkpoint reader: pairs of file images through the envelope decoder and
 # the one restore, which must reject what is malformed without panicking or
-# allocating beyond the input's size.
+# allocating beyond the input's size. The two remaining decoders of outside
+# bytes take the same pass: the topology file parser (a parse that succeeds
+# yields finite link costs) and the TCP frame reader (no buffer sized past
+# the connection's limit, a parsed frame re-encodes to its bytes).
 verify: vet
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -fuzz FuzzAgainstSortedSlice -fuzztime 15s -fuzzminimizetime 10x ./internal/btree
 	$(GO) test -run '^$$' -fuzz FuzzRestoreCheckpointFiles -fuzztime 10s -fuzzminimizetime 10x ./internal/ra
+	$(GO) test -run '^$$' -fuzz FuzzParseTopology -fuzztime 10s -fuzzminimizetime 10x ./internal/mpi
+	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s -fuzzminimizetime 10x ./internal/transport/tcp
 
 # benchmark runs the repository's one committed benchmark (BENCHMARK.json's
 # command): four workloads, a timed and a traced pass each, then the layer

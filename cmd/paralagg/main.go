@@ -48,7 +48,7 @@ func main() {
 	planName := flag.String("plan", "dynamic", "join layout: dynamic, static-left, static-right, anti")
 	nsources := flag.Int("sources", 5, "SSSP sources")
 	iters := flag.Int("iters", 15, "PageRank iterations")
-	runChaos := flag.Bool("chaos", false, "run the crash/restart differential suite instead of a query")
+	chaosSuites := flag.String("chaos", "", "run differential chaos suites instead of a query: all, or a comma-separated subset of "+strings.Join(chaos.Suites, ", ")+" (each replays under -collective-schedule; exit 1 if any check fails)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "snapshot relations every N fixpoint iterations (0 = off)")
 	ckptDir := flag.String("checkpoint-dir", ".paralagg-ckpt", "directory for per-rank checkpoint files")
 	ckptKeep := flag.Int("checkpoint-keep", paralagg.DefaultCheckpointKeep, "verified checkpoint generations to retain per rank; recovery falls back past corrupt ones")
@@ -64,15 +64,10 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated host:port of every rank, indexed by rank (with -transport=tcp)")
 	spawn := flag.Int("spawn", 0, "single-machine launcher: spawn N -transport=tcp rank processes on loopback, wait, respawn with -resume under -supervise")
 	quiet := flag.Bool("quiet", false, "suppress result output (the -spawn launcher sets it on ranks > 0)")
-	runNetChaos := flag.Bool("chaos-net", false, "run the network chaos suite (wire faults and kill-recovery over the TCP transport)")
-	runIntegrityChaos := flag.Bool("chaos-integrity", false, "run the state-integrity chaos suite (silent memory and checkpoint corruption, divergence rollback)")
-	runOverloadChaos := flag.Bool("chaos-overload", false, "run the overload chaos suite (slow consumers, memory budgets, full checkpoint devices)")
 	memBudget := flag.Int64("mem-budget", 0, "per-rank accounted-memory budget in bytes: soft pressure at 85% sheds scratch, reaching the budget fails structurally instead of OOM-killing (0 = off)")
 	sendWindow := flag.Int("send-window", 0, "per-peer TCP flow-control window in unacknowledged frames (0 = default 1024; with -transport=tcp)")
 	heartbeatInterval := flag.Duration("heartbeat-interval", 0, "TCP liveness beacon interval between peers (0 = default 100ms; with -transport=tcp)")
 	peerTimeout := flag.Duration("peer-timeout", 0, "declare a silent TCP peer dead after this long (0 = 5 heartbeat intervals; must be at least 2x the heartbeat interval; with -transport=tcp)")
-	runRecoveryChaos := flag.Bool("chaos-recovery", false, "run the hot-replacement recovery suite (partial restart with epoch'd membership over real TCP gangs)")
-	runServingChaos := flag.Bool("chaos-serving", false, "run the serving differential suite (streamed insert/delete batches vs from-scratch recomputation, bit-identical after every batch)")
 	serveAddr := flag.String("serve", "", "serving mode: converge once, keep the state resident, and answer /query, /topk and /apply on this host:port until interrupted")
 	tracePath := flag.String("trace", "", "write a Chrome-trace JSON file of the run (open in chrome://tracing or Perfetto); TCP children write <path>.rankN")
 	metricsAddr := flag.String("metrics-addr", "", "serve live /metrics, /vars and /debug/pprof on this host:port while the run is in flight; TCP children offset the port by their rank")
@@ -82,34 +77,18 @@ func main() {
 	flag.Parse()
 
 	// The schedule steers every suite and run below; validate it before the
-	// chaos dispatch so -chaos -collective-schedule=star fails fast.
+	// chaos dispatch so -chaos=all -collective-schedule=star fails fast.
 	if _, err := mpi.ParseScheduleKind(*collSched); err != nil {
 		log.Fatalf("-collective-schedule: %v", err)
 	}
-	chaos.Schedule = *collSched
-
-	if *runChaos {
-		runChaosSuite()
-		return
-	}
-	if *runNetChaos {
-		runNetChaosSuite()
-		return
-	}
-	if *runIntegrityChaos {
-		runIntegrityChaosSuite()
-		return
-	}
-	if *runOverloadChaos {
-		runOverloadChaosSuite()
-		return
-	}
-	if *runRecoveryChaos {
-		runRecoveryChaosSuite()
-		return
-	}
-	if *runServingChaos {
-		runServingChaosSuite()
+	if *chaosSuites != "" {
+		failed, err := chaos.Run(os.Stdout, chaos.Table(), *chaosSuites, *collSched)
+		if err != nil {
+			log.Fatalf("-chaos: %v", err)
+		}
+		if failed > 0 {
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -121,11 +100,12 @@ func main() {
 	if *ckptKeep < 1 {
 		log.Fatalf("-checkpoint-keep must be >= 1, got %d (recovery needs at least one retained generation)", *ckptKeep)
 	}
-	var watchdog time.Duration
-	adaptiveWatchdog := false
+	// One deadline mechanism: 'auto' lets it track the run's pace under a
+	// 10s ceiling; a duration pins floor = ceiling, which is a fixed deadline.
+	var watchdog, watchdogFloor time.Duration
 	switch *watchdogSpec {
 	case "auto":
-		adaptiveWatchdog = true
+		watchdog = 10 * time.Second
 	case "", "0", "off":
 	default:
 		d, err := time.ParseDuration(*watchdogSpec)
@@ -135,7 +115,7 @@ func main() {
 		if d < 0 {
 			log.Fatalf("-watchdog must be >= 0, got %v", d)
 		}
-		watchdog = d
+		watchdog, watchdogFloor = d, d
 	}
 	if *resume {
 		if st, err := os.Stat(*ckptDir); err != nil || !st.IsDir() {
@@ -245,7 +225,7 @@ func main() {
 	}
 	cfg := paralagg.Config{
 		Ranks: *ranks, Subs: *subs, Plan: plan,
-		Watchdog: watchdog, AdaptiveWatchdog: adaptiveWatchdog,
+		Watchdog: watchdog, WatchdogFloor: watchdogFloor,
 		Integrity: *integrity, MemBudget: *memBudget,
 		CollectiveSchedule: *collSched,
 	}
@@ -524,361 +504,4 @@ func runServe(prog *paralagg.Program, cfg paralagg.Config, load func(*paralagg.R
 		es := eng.Stats()
 		fmt.Fprintf(os.Stderr, "shutting down: %d mutation batches applied, %d queries answered\n", es.Applies, es.Queries)
 	}
-}
-
-// runServingChaosSuite executes the serving differentials: every scenario's
-// mutation batches stream into a long-lived engine at 1, 2, and 4 ranks, and
-// after the initial load and every batch the resident relations must be
-// bit-identical to a from-scratch recomputation over the same base facts.
-// Incremental insert-only batches must also re-converge strictly cheaper
-// than the from-scratch control — the engine's reason to exist.
-func runServingChaosSuite() {
-	failed := 0
-	for _, sc := range chaos.ServingScenarios() {
-		for _, ranks := range []int{1, 2, 4} {
-			rep, err := chaos.ServingDifferential(sc, ranks)
-			switch {
-			case err != nil:
-				fmt.Printf("FAIL %-11s ranks=%d: %v\n", sc.Name, ranks, err)
-				failed++
-				continue
-			case !rep.Identical():
-				fmt.Printf("FAIL %-11s ranks=%d: resident state diverged from recomputation\n", sc.Name, ranks)
-				failed++
-				continue
-			case !rep.InsertsStrictlyCheaper():
-				fmt.Printf("FAIL %-11s ranks=%d: an incremental insert batch was not cheaper than from-scratch\n", sc.Name, ranks)
-				failed++
-				continue
-			}
-			rounds, dropped := 0, uint64(0)
-			for i := range rep.Batches {
-				rounds += rep.Batches[i].InvalidationRounds
-				dropped += rep.Batches[i].Dropped
-			}
-			fmt.Printf("ok   %-11s ranks=%d: %d batches bit-identical (invalidation rounds=%d dropped=%d)\n",
-				sc.Name, ranks, len(rep.Batches), rounds, dropped)
-		}
-	}
-	if failed > 0 {
-		fmt.Printf("\n%d serving chaos checks failed\n", failed)
-		os.Exit(1)
-	}
-	fmt.Println("\nall serving chaos checks passed")
-}
-
-// runChaosSuite executes the chaos harness's differential scenarios: each
-// query runs fault-free, then with an injected mid-fixpoint crash —
-// manually resumed, supervised at the same and smaller world sizes, and
-// crashed repeatedly across recoveries; every recovered answer must match
-// the fault-free one bit for bit.
-func runChaosSuite() {
-	failed := 0
-	for _, sc := range chaos.Scenarios() {
-		for _, ranks := range []int{2, 4} {
-			rep, err := chaos.Differential(sc, ranks, 2, 3)
-			switch {
-			case err != nil:
-				fmt.Printf("FAIL %-9s ranks=%d: %v\n", sc.Name, ranks, err)
-				failed++
-			case !rep.Identical():
-				fmt.Printf("FAIL %-9s ranks=%d: recovered relations diverge from the fault-free run\n", sc.Name, ranks)
-				failed++
-			default:
-				fmt.Printf("ok   %-9s ranks=%d: crash at iter 3, resumed, %d relations bit-identical (recovery %.3fms)\n",
-					sc.Name, ranks, len(rep.Clean), rep.RecoverySeconds*1e3)
-			}
-		}
-		// Supervised elastic recovery: same size, one rank down, half size.
-		for _, restart := range []int{4, 3, 2} {
-			rep, err := chaos.Elastic(sc, 4, 2, 3, restart)
-			switch {
-			case err != nil:
-				fmt.Printf("FAIL %-9s 4->%d: %v\n", sc.Name, restart, err)
-				failed++
-			case !rep.Identical():
-				fmt.Printf("FAIL %-9s 4->%d: recovered relations diverge from the fault-free run\n", sc.Name, restart)
-				failed++
-			default:
-				fmt.Printf("ok   %-9s 4->%d: auto-recovered (%d attempt, remap %.3fms, recovery %.3fms)\n",
-					sc.Name, restart, rep.RecoveryAttempts, rep.RemapSeconds*1e3, rep.RecoverySeconds*1e3)
-			}
-		}
-		rep, err := chaos.Repeated(sc, 4, 2)
-		switch {
-		case err != nil:
-			fmt.Printf("FAIL %-9s repeated: %v\n", sc.Name, err)
-			failed++
-		case !rep.Identical():
-			fmt.Printf("FAIL %-9s repeated: recovered relations diverge from the fault-free run\n", sc.Name)
-			failed++
-		default:
-			fmt.Printf("ok   %-9s repeated: two crashes across recoveries, %d recoveries, ranks lost %v\n",
-				sc.Name, rep.RecoveryAttempts, rep.RanksLost)
-		}
-		if err := chaos.StuckCollective(sc, 4, 500*time.Millisecond); err == nil {
-			fmt.Printf("FAIL %-9s: hung collective produced no error\n", sc.Name)
-			failed++
-		} else if _, ok := paralagg.AsRankFailure(err); !ok {
-			fmt.Printf("FAIL %-9s: hung collective error is unstructured: %v\n", sc.Name, err)
-			failed++
-		} else {
-			fmt.Printf("ok   %-9s: stuck collective surfaced as structured rank failure\n", sc.Name)
-		}
-	}
-	if failed > 0 {
-		fmt.Printf("\n%d chaos checks failed\n", failed)
-		os.Exit(1)
-	}
-	fmt.Println("\nall chaos checks passed")
-}
-
-// runNetChaosSuite executes the network chaos scenarios over the real TCP
-// transport: wire faults the transport must repair transparently (slow
-// links, connection resets, corrupted frames — results bit-identical to the
-// in-process run), a network partition that must surface as a structured
-// failure on every rank, and a killed rank process recovered by the
-// supervisor from shared checkpoints.
-func runNetChaosSuite() {
-	failed := 0
-	for _, sc := range chaos.Scenarios() {
-		for _, ranks := range []int{2, 4} {
-			rep, err := chaos.TCPDifferential(sc, ranks, chaos.RepairableFaults(ranks))
-			switch {
-			case err != nil:
-				fmt.Printf("FAIL %-9s tcp ranks=%d: %v\n", sc.Name, ranks, err)
-				failed++
-			case !rep.Identical():
-				fmt.Printf("FAIL %-9s tcp ranks=%d: wire faults changed the answer\n", sc.Name, ranks)
-				failed++
-			default:
-				if err := chaos.VerifyNetStats(rep.Net); err != nil {
-					fmt.Printf("FAIL %-9s tcp ranks=%d: %v\n", sc.Name, ranks, err)
-					failed++
-					continue
-				}
-				fmt.Printf("ok   %-9s tcp ranks=%d: reset+corruption+slowlink repaired, bit-identical (reconnects=%d retransmits=%d crcErrors=%d)\n",
-					sc.Name, ranks, rep.Net.Reconnects, rep.Net.Retransmits, rep.Net.CRCErrors)
-			}
-		}
-		if err := chaos.TCPPartition(sc, 3); err != nil {
-			fmt.Printf("FAIL %-9s tcp partition: %v\n", sc.Name, err)
-			failed++
-		} else {
-			fmt.Printf("ok   %-9s tcp partition: every rank surfaced a structured unreachable-peer failure\n", sc.Name)
-		}
-		rep, err := chaos.TCPKillRecovery(sc, 3, 2, 3)
-		switch {
-		case err != nil:
-			fmt.Printf("FAIL %-9s tcp kill: %v\n", sc.Name, err)
-			failed++
-		case !rep.Identical():
-			fmt.Printf("FAIL %-9s tcp kill: supervised recovery diverged from the fault-free answer\n", sc.Name)
-			failed++
-		default:
-			fmt.Printf("ok   %-9s tcp kill: process killed mid-fixpoint, %d supervised recovery, bit-identical\n",
-				sc.Name, rep.RecoveryAttempts)
-		}
-	}
-	if failed > 0 {
-		fmt.Printf("\n%d network chaos checks failed\n", failed)
-		os.Exit(1)
-	}
-	fmt.Println("\nall network chaos checks passed")
-}
-
-// runIntegrityChaosSuite executes the state-integrity scenarios: silent
-// in-memory bit flips every rank must detect within one iteration and the
-// supervisor must heal by rollback, checkpoint bit rot recovery must
-// quarantine and fall back exactly one generation, and a TCP gang must
-// agree on the divergence. Every recovered answer must match the
-// fault-free one bit for bit.
-func runIntegrityChaosSuite() {
-	failed := 0
-	for _, sc := range chaos.Scenarios() {
-		for _, ranks := range []int{2, 4} {
-			rep, err := chaos.CorruptionDifferential(sc, ranks, 2, 3)
-			switch {
-			case err != nil:
-				fmt.Printf("FAIL %-9s state ranks=%d: %v\n", sc.Name, ranks, err)
-				failed++
-			case !rep.Identical():
-				fmt.Printf("FAIL %-9s state ranks=%d: rollback recovery diverged from the fault-free run\n", sc.Name, ranks)
-				failed++
-			default:
-				fmt.Printf("ok   %-9s state ranks=%d: flip detected at iter %d (%s check), %d rollback(s), bit-identical\n",
-					sc.Name, ranks, rep.Divergence.Iter, rep.Divergence.Check, rep.DivergenceRollbacks)
-			}
-		}
-		rep, err := chaos.CheckpointCorruptionDifferential(sc, 2, 2, 5)
-		switch {
-		case err != nil:
-			fmt.Printf("FAIL %-9s ckpt-rot: %v\n", sc.Name, err)
-			failed++
-		case !rep.Identical():
-			fmt.Printf("FAIL %-9s ckpt-rot: fallback recovery diverged from the fault-free run\n", sc.Name)
-			failed++
-		default:
-			fmt.Printf("ok   %-9s ckpt-rot: rotten generation quarantined (%d), fell back to iter %d, bit-identical\n",
-				sc.Name, rep.QuarantinedDelta, rep.FallbackIter)
-		}
-		if err := chaos.TCPCorruptionDetection(sc, 2, 3); err != nil {
-			fmt.Printf("FAIL %-9s tcp state: %v\n", sc.Name, err)
-			failed++
-		} else {
-			fmt.Printf("ok   %-9s tcp state: every rank agreed on the divergence over real sockets\n", sc.Name)
-		}
-	}
-	if failed > 0 {
-		fmt.Printf("\n%d integrity chaos checks failed\n", failed)
-		os.Exit(1)
-	}
-	fmt.Println("\nall integrity chaos checks passed")
-}
-
-// runOverloadChaosSuite executes the overload scenarios: a TCP receiver
-// that cannot keep up (flow control must throttle senders inside the window
-// without changing the answer or tripping the watchdog), phantom memory
-// pressure into the soft band (scratch shed, run completes inside the
-// budget) and past the budget (structured ErrMemoryBudget on every rank,
-// supervised recovery bit-identical), and a full checkpoint device (the
-// rank degrades to in-memory checkpointing instead of aborting).
-func runOverloadChaosSuite() {
-	failed := 0
-	for _, sc := range chaos.Scenarios() {
-		const window = 8
-		rep, err := chaos.TCPSlowConsumer(sc, 3, window)
-		switch {
-		case err != nil:
-			fmt.Printf("FAIL %-9s tcp slow-consumer: %v\n", sc.Name, err)
-			failed++
-		case !rep.Identical():
-			fmt.Printf("FAIL %-9s tcp slow-consumer: throttled run diverged from the in-process answer\n", sc.Name)
-			failed++
-		default:
-			fmt.Printf("ok   %-9s tcp slow-consumer: throttled inside the window, bit-identical (stalls=%d outboxPeak=%d/%d)\n",
-				sc.Name, rep.Net.ThrottleStalls, rep.Net.OutboxPeakFrames, window)
-		}
-		for _, ranks := range []int{2, 4} {
-			rep, err := chaos.MemPressureSoft(sc, ranks)
-			switch {
-			case err != nil:
-				fmt.Printf("FAIL %-9s mem-soft ranks=%d: %v\n", sc.Name, ranks, err)
-				failed++
-			case !rep.Identical():
-				fmt.Printf("FAIL %-9s mem-soft ranks=%d: soft pressure changed the answer\n", sc.Name, ranks)
-				failed++
-			default:
-				fmt.Printf("ok   %-9s mem-soft ranks=%d: %d shed responses, peak %d of %d budgeted bytes, bit-identical\n",
-					sc.Name, ranks, rep.SoftEvents, rep.MemPeakBytes, rep.Budget)
-			}
-		}
-		rep2, err := chaos.MemPressureHard(sc, 4, 2)
-		switch {
-		case err != nil:
-			fmt.Printf("FAIL %-9s mem-hard: %v\n", sc.Name, err)
-			failed++
-		case !rep2.Identical():
-			fmt.Printf("FAIL %-9s mem-hard: supervised recovery diverged from the fault-free answer\n", sc.Name)
-			failed++
-		default:
-			fmt.Printf("ok   %-9s mem-hard: structured budget failure at iter %d, %d supervised recovery, bit-identical\n",
-				sc.Name, rep2.BudgetErr.Iter, rep2.RecoveryAttempts)
-		}
-		rep3, err := chaos.DiskFullDegradation(sc, 4, 2)
-		switch {
-		case err != nil:
-			fmt.Printf("FAIL %-9s disk-full: %v\n", sc.Name, err)
-			failed++
-		case !rep3.Identical():
-			fmt.Printf("FAIL %-9s disk-full: degraded checkpointing changed the answer\n", sc.Name)
-			failed++
-		default:
-			fmt.Printf("ok   %-9s disk-full: degraded to in-memory checkpointing (%d), run completed bit-identical\n",
-				sc.Name, rep3.DegradationsDelta)
-		}
-	}
-	if failed > 0 {
-		fmt.Printf("\n%d overload chaos checks failed\n", failed)
-		os.Exit(1)
-	}
-	fmt.Println("\nall overload chaos checks passed")
-}
-
-// runRecoveryChaosSuite executes the hot-replacement recovery differentials:
-// a TCP gang loses its highest rank mid-exchange, the survivors park in
-// place with their in-memory state intact, and a replacement process rejoins
-// at the next membership epoch, restores only its own shard, and splices
-// into the survivors' retained send histories. The repaired answer must be
-// bit-identical to the fault-free in-process run at 4 and 8 ranks (plus the
-// skewed sub-bucket scenario), and the timed control arm — the same crash
-// repaired by a whole-world restart — must cost strictly more, which is the
-// point of keeping the survivors alive.
-func runRecoveryChaosSuite() {
-	failed := 0
-	mttrMS := func(rep *chaos.RecoveryReport) float64 {
-		return float64(rep.MTTR.Microseconds()) / 1e3
-	}
-	scs := chaos.Scenarios()
-	sssp, skew := scs[0], scs[3]
-
-	var hot4 *chaos.RecoveryReport
-	for _, ranks := range []int{4, 8} {
-		rep, err := chaos.TCPHotReplace(sssp, ranks, 2, 5)
-		switch {
-		case err != nil:
-			fmt.Printf("FAIL %-9s hot-replace ranks=%d: %v\n", sssp.Name, ranks, err)
-			failed++
-		case !rep.Identical():
-			fmt.Printf("FAIL %-9s hot-replace ranks=%d: replaced gang diverged from the fault-free answer\n", sssp.Name, ranks)
-			failed++
-		default:
-			fmt.Printf("ok   %-9s hot-replace ranks=%d: rank %d killed mid-exchange, 1 replacement, bit-identical (MTTR %.1fms)\n",
-				sssp.Name, ranks, ranks-1, mttrMS(rep))
-			if ranks == 4 {
-				hot4 = rep
-			}
-		}
-	}
-	rep, err := chaos.TCPHotReplace(skew, 4, 2, 5)
-	switch {
-	case err != nil:
-		fmt.Printf("FAIL %-9s hot-replace ranks=4: %v\n", skew.Name, err)
-		failed++
-	case !rep.Identical():
-		fmt.Printf("FAIL %-9s hot-replace ranks=4: replaced gang diverged from the fault-free answer\n", skew.Name)
-		failed++
-	default:
-		fmt.Printf("ok   %-9s hot-replace ranks=4: skewed sub-buckets survived the replacement, bit-identical (MTTR %.1fms)\n",
-			skew.Name, mttrMS(rep))
-	}
-
-	// Control arm: the same crash repaired the old way. Hot replacement only
-	// earns its complexity if it is strictly cheaper.
-	full, err := chaos.TCPFullRestart(sssp, 4, 2, 5)
-	switch {
-	case err != nil:
-		fmt.Printf("FAIL %-9s full-restart ranks=4: %v\n", sssp.Name, err)
-		failed++
-	case !full.Identical():
-		fmt.Printf("FAIL %-9s full-restart ranks=4: restarted gang diverged from the fault-free answer\n", sssp.Name)
-		failed++
-	default:
-		fmt.Printf("ok   %-9s full-restart ranks=4: whole-world restart control arm, bit-identical (MTTR %.1fms)\n",
-			sssp.Name, mttrMS(full))
-		if hot4 != nil && hot4.MTTR >= full.MTTR {
-			fmt.Printf("FAIL %-9s mttr: hot replacement (%.1fms) did not beat the full restart (%.1fms)\n",
-				sssp.Name, mttrMS(hot4), mttrMS(full))
-			failed++
-		} else if hot4 != nil {
-			fmt.Printf("ok   %-9s mttr: hot replacement %.1fms vs full restart %.1fms (%.0fx cheaper)\n",
-				sssp.Name, mttrMS(hot4), mttrMS(full), float64(full.MTTR)/float64(hot4.MTTR))
-		}
-	}
-
-	if failed > 0 {
-		fmt.Printf("\n%d recovery chaos checks failed\n", failed)
-		os.Exit(1)
-	}
-	fmt.Println("\nall recovery chaos checks passed")
 }

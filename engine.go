@@ -169,18 +169,8 @@ func Open(cfg Config, prog *Program) (*Engine, error) {
 	if cfg.Topology != nil {
 		world.SetTopology(cfg.Topology)
 	}
-	if cfg.AdaptiveWatchdog {
-		ceil := cfg.WatchdogCeil
-		if ceil == 0 {
-			if cfg.Watchdog > 0 {
-				ceil = cfg.Watchdog
-			} else {
-				ceil = 10 * time.Second
-			}
-		}
-		world.SetAdaptiveWatchdog(mpi.AdaptiveWatchdog{Floor: cfg.WatchdogFloor, Ceil: ceil})
-	} else if cfg.Watchdog > 0 {
-		world.SetWatchdog(cfg.Watchdog)
+	if cfg.Watchdog > 0 {
+		world.SetAdaptiveWatchdog(mpi.AdaptiveWatchdog{Floor: cfg.WatchdogFloor, Ceil: cfg.Watchdog})
 	}
 	if cfg.Observer != nil {
 		world.SetObserver(cfg.Observer)

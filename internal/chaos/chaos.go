@@ -5,7 +5,10 @@
 // resume must reproduce the fault-free answer bit for bit. Because all
 // aggregation is over lattice joins, the final relation contents are
 // independent of the iteration a crash interrupts, which is what makes the
-// bit-identical comparison sound.
+// bit-identical comparison sound. The same shape — run clean, run faulted,
+// compare fingerprints, demand evidence the fault bit — covers wire faults,
+// silent corruption, overload, hot replacement and serving; table.go binds
+// every differential to its grid as the one table both drivers loop over.
 package chaos
 
 import (
@@ -85,24 +88,20 @@ func Scenarios() []Scenario {
 	}
 }
 
-// Schedule is the collective schedule every world the harness builds runs
-// under ("" = flat). The -chaos* suites thread -collective-schedule through
-// here so the whole battery — crash/resume, wire faults, integrity,
-// overload, hot replacement — can be replayed under tree or ring routing;
-// the differentials' bit-identical bars then prove recovery does not depend
-// on the reduction shape the collectives route through.
-var Schedule string
-
-// exec and supervise wrap the runtime entry points, stamping the suite-wide
-// schedule onto every world the harness builds (gang members included:
-// their configs are copied from bases that pass through here too).
-func exec(prog *paralagg.Program, cfg paralagg.Config, load, inspect func(*paralagg.Rank) error) (*paralagg.Result, error) {
-	cfg.CollectiveSchedule = Schedule
+// exec and supervise wrap the runtime entry points, stamping the collective
+// schedule a check runs under ("" = flat) onto every world the harness
+// builds (gang members included: their configs are copied from bases that
+// pass through here too). Every check takes the schedule as an argument so
+// the whole battery — crash/resume, wire faults, integrity, overload, hot
+// replacement — can be replayed under tree or ring routing; the bit-identical
+// bar then proves recovery does not depend on the reduction shape.
+func exec(schedule string, prog *paralagg.Program, cfg paralagg.Config, load, inspect func(*paralagg.Rank) error) (*paralagg.Result, error) {
+	cfg.CollectiveSchedule = schedule
 	return paralagg.Exec(prog, cfg, load, inspect)
 }
 
-func supervise(prog *paralagg.Program, cfg paralagg.SuperviseConfig, load, inspect func(*paralagg.Rank) error) (*paralagg.Result, *paralagg.SuperviseReport, error) {
-	cfg.Config.CollectiveSchedule = Schedule
+func supervise(schedule string, prog *paralagg.Program, cfg paralagg.SuperviseConfig, load, inspect func(*paralagg.Rank) error) (*paralagg.Result, *paralagg.SuperviseReport, error) {
+	cfg.Config.CollectiveSchedule = schedule
 	return paralagg.Supervise(prog, cfg, load, inspect)
 }
 
@@ -156,69 +155,86 @@ func collect(rels []string, dst *map[string]Fingerprint) func(*paralagg.Rank) er
 	}
 }
 
-// Report is the outcome of one Differential run.
-type Report struct {
-	// Clean holds the fault-free fingerprints, Recovered the
-	// crash-checkpoint-resume ones; Identical compares them.
+// Outcome is what every differential returns. One that returns without
+// error has already made every assertion it owns — the recovered
+// fingerprints equal the fault-free ones, the fault demonstrably bit, the
+// repair took the route it should — so callers read an Outcome for evidence,
+// not for a verdict.
+type Outcome struct {
+	// Clean holds the fault-free fingerprints, Recovered the ones the
+	// faulted-and-repaired run produced.
 	Clean     map[string]Fingerprint
 	Recovered map[string]Fingerprint
-	// CrashErr is the structured error the faulted run surfaced.
-	CrashErr error
-	// CleanIters and ResumeIters are total fixpoint iterations of the two
-	// successful runs. The resumed count includes the restored (skipped)
-	// prefix, so the two must agree when the fixpoint replays the same
-	// trajectory.
-	CleanIters  int
-	ResumeIters int
-	// RecoverySeconds is the simulated time the resumed run spent restoring
-	// the snapshot; positive iff a checkpoint was actually reloaded.
-	RecoverySeconds float64
+	// Evidence is one line saying how the fault bit and how it was repaired.
+	Evidence string
+	// MTTR is the wall clock from the victim's death to the whole
+	// computation completing (timed recovery differentials only).
+	MTTR time.Duration
 }
 
-// Identical reports whether the recovered run reproduced the fault-free
-// relation contents exactly.
-func (r *Report) Identical() bool {
-	if len(r.Clean) != len(r.Recovered) {
-		return false
+// identical is the harness's one fingerprint comparison: got must hold
+// exactly want's relations with exactly want's digests.
+func identical(what string, want, got map[string]Fingerprint) error {
+	same := len(want) == len(got)
+	for rel, fp := range want {
+		same = same && got[rel] == fp
 	}
-	for rel, fp := range r.Clean {
-		if r.Recovered[rel] != fp {
-			return false
-		}
+	if !same {
+		return fmt.Errorf("chaos %s: relations diverge from the fault-free run:\nclean:     %v\nrecovered: %v", what, want, got)
 	}
-	return true
+	return nil
+}
+
+// verdict closes a differential: the recovered relations must be
+// bit-identical to the fault-free ones, and the evidence line is recorded.
+func (o *Outcome) verdict(what, format string, args ...any) (*Outcome, error) {
+	if err := identical(what, o.Clean, o.Recovered); err != nil {
+		return nil, err
+	}
+	o.Evidence = fmt.Sprintf(format, args...)
+	return o, nil
+}
+
+// reference runs sc fault-free in-process under cfg — the answer every
+// differential compares against — and requires the fixpoint to run past
+// faultIter, or the fault a differential injects there would never fire.
+func reference(sc Scenario, schedule string, cfg paralagg.Config, faultIter int) (*Outcome, *paralagg.Result, error) {
+	o := &Outcome{}
+	cfg.Subs = sc.Subs
+	res, err := exec(schedule, sc.Prog(), cfg, sc.Load, collect(sc.Rels, &o.Clean))
+	if err != nil {
+		return nil, nil, fmt.Errorf("chaos %s: fault-free reference run failed: %w", sc.Name, err)
+	}
+	if res.Iterations <= faultIter {
+		return nil, nil, fmt.Errorf("chaos %s: fixpoint ran only %d iterations, a fault at iteration %d would never fire",
+			sc.Name, res.Iterations, faultIter)
+	}
+	return o, res, nil
 }
 
 // Differential runs sc three times on a world of the given rank count:
 // fault-free; with checkpointing every `every` iterations and rank
 // (ranks-1) crashing as it enters the tuple exchange of iteration
-// crashIter; and resumed from the surviving checkpoint. It errors unless
-// the crash surfaces as a structured ErrRankFailed and the resume
-// completes; the caller compares fingerprints with Report.Identical.
-func Differential(sc Scenario, ranks, every, crashIter int) (*Report, error) {
-	rep := &Report{}
-	clean, err := exec(sc.Prog(), paralagg.Config{Ranks: ranks, Subs: sc.Subs},
-		sc.Load, collect(sc.Rels, &rep.Clean))
+// crashIter; and resumed from the surviving checkpoint. The crash must
+// surface as a structured ErrRankFailed naming the victim, and the resume
+// must restore a checkpoint, replay the clean run's trajectory to the same
+// iteration count, and land bit-identical.
+func Differential(sc Scenario, schedule string, ranks, every, crashIter int) (*Outcome, error) {
+	o, clean, err := reference(sc, schedule, paralagg.Config{Ranks: ranks}, crashIter)
 	if err != nil {
-		return nil, fmt.Errorf("chaos %s: fault-free run failed: %w", sc.Name, err)
-	}
-	rep.CleanIters = clean.Iterations
-	if clean.Iterations <= crashIter {
-		return nil, fmt.Errorf("chaos %s: fixpoint ran only %d iterations, crash at %d would never fire",
-			sc.Name, clean.Iterations, crashIter)
+		return nil, err
 	}
 
 	sink := paralagg.NewMemoryCheckpointSink()
 	victim := ranks - 1
-	_, err = exec(sc.Prog(), paralagg.Config{
+	_, err = exec(schedule, sc.Prog(), paralagg.Config{
 		Ranks:           ranks,
 		Subs:            sc.Subs,
 		CheckpointEvery: every,
 		Checkpoints:     sink,
-		// Adaptive deadline with the old fixed value as ceiling: the suite
-		// doubles as the no-false-positives check for the EWMA watchdog.
-		AdaptiveWatchdog: true,
-		WatchdogCeil:     5 * time.Second,
+		// Every faulted run doubles as the no-false-positives check for the
+		// EWMA deadline.
+		Watchdog: 5 * time.Second,
 		Faults: &paralagg.FaultPlan{
 			Seed:    1,
 			Crashes: []paralagg.Crash{{Rank: victim, Iter: crashIter, Op: "alltoallv"}},
@@ -227,7 +243,6 @@ func Differential(sc Scenario, ranks, every, crashIter int) (*Report, error) {
 	if err == nil {
 		return nil, fmt.Errorf("chaos %s: injected crash of rank %d produced no error", sc.Name, victim)
 	}
-	rep.CrashErr = err
 	rf, ok := paralagg.AsRankFailure(err)
 	if !ok {
 		return nil, fmt.Errorf("chaos %s: crash error carries no ErrRankFailed: %w", sc.Name, err)
@@ -237,97 +252,59 @@ func Differential(sc Scenario, ranks, every, crashIter int) (*Report, error) {
 			sc.Name, rf, victim, crashIter)
 	}
 
-	resumed, err := exec(sc.Prog(), paralagg.Config{
+	resumed, err := exec(schedule, sc.Prog(), paralagg.Config{
 		Ranks:           ranks,
 		Subs:            sc.Subs,
 		CheckpointEvery: every,
 		Checkpoints:     sink,
 		Resume:          true,
-	}, sc.Load, collect(sc.Rels, &rep.Recovered))
+	}, sc.Load, collect(sc.Rels, &o.Recovered))
 	if err != nil {
 		return nil, fmt.Errorf("chaos %s: resume after crash failed: %w", sc.Name, err)
 	}
-	rep.ResumeIters = resumed.Iterations
-	rep.RecoverySeconds = resumed.PhaseSeconds["recovery"]
-	return rep, nil
-}
-
-// ElasticReport is the outcome of one supervised differential: a fault-free
-// run fixes the answer, then a single supervised run crashes mid-fixpoint
-// and recovers automatically — possibly more than once, possibly into a
-// different world size — and must land on the identical relation contents.
-type ElasticReport struct {
-	Clean     map[string]Fingerprint
-	Recovered map[string]Fingerprint
-	// RecoveryAttempts and RanksLost come from the supervisor's report.
-	RecoveryAttempts int
-	RanksLost        []int
-	// FinalRanks is the world size the run finished on.
-	FinalRanks int
-	// RemapSeconds and RecoverySeconds are the simulated time the final
-	// world spent in the elastic remap / same-size restore phases.
-	RemapSeconds    float64
-	RecoverySeconds float64
-}
-
-// Identical reports whether the supervised run reproduced the fault-free
-// relation contents exactly.
-func (r *ElasticReport) Identical() bool {
-	if len(r.Clean) != len(r.Recovered) {
-		return false
+	// The resumed count includes the restored (skipped) prefix, so the two
+	// agree when the fixpoint replays the same trajectory.
+	if resumed.Iterations != clean.Iterations {
+		return nil, fmt.Errorf("chaos %s: resume ended at iteration %d, clean run at %d: the trajectories diverged",
+			sc.Name, resumed.Iterations, clean.Iterations)
 	}
-	for rel, fp := range r.Clean {
-		if r.Recovered[rel] != fp {
-			return false
-		}
+	recovery := resumed.PhaseSeconds["recovery"]
+	if recovery <= 0 {
+		return nil, fmt.Errorf("chaos %s: resumed run metered no recovery phase: no checkpoint was restored", sc.Name)
 	}
-	return true
+	return o.verdict(sc.Name, "crash at iter %d, resumed, %d relations bit-identical (recovery %.3fms)",
+		crashIter, len(o.Clean), recovery*1e3)
 }
 
 // elastic is the shared body of Elastic and Repeated: run sc fault-free at
 // ranks, then once under supervision with the given config, and compare.
-func elastic(sc Scenario, ranks, minIters int, cfg paralagg.SuperviseConfig) (*ElasticReport, error) {
-	rep := &ElasticReport{}
-	clean, err := exec(sc.Prog(), paralagg.Config{Ranks: ranks, Subs: sc.Subs},
-		sc.Load, collect(sc.Rels, &rep.Clean))
+func elastic(sc Scenario, schedule string, ranks, minIters int, cfg paralagg.SuperviseConfig) (*Outcome, *paralagg.Result, *paralagg.SuperviseReport, error) {
+	o, _, err := reference(sc, schedule, paralagg.Config{Ranks: ranks}, minIters)
 	if err != nil {
-		return nil, fmt.Errorf("chaos %s: fault-free run failed: %w", sc.Name, err)
+		return nil, nil, nil, err
 	}
-	if clean.Iterations <= minIters {
-		return nil, fmt.Errorf("chaos %s: fixpoint ran only %d iterations, crash at %d would never fire",
-			sc.Name, clean.Iterations, minIters)
-	}
-
-	res, srep, err := supervise(sc.Prog(), cfg, sc.Load, collect(sc.Rels, &rep.Recovered))
+	res, srep, err := supervise(schedule, sc.Prog(), cfg, sc.Load, collect(sc.Rels, &o.Recovered))
 	if err != nil {
-		return nil, fmt.Errorf("chaos %s: supervised run failed: %w", sc.Name, err)
+		return nil, nil, nil, fmt.Errorf("chaos %s: supervised run failed: %w", sc.Name, err)
 	}
-	if srep.RecoveryAttempts == 0 {
-		return nil, fmt.Errorf("chaos %s: injected crash never fired — nothing was recovered", sc.Name)
-	}
-	rep.RecoveryAttempts = srep.RecoveryAttempts
-	rep.RanksLost = srep.RanksLost
-	rep.FinalRanks = srep.FinalRanks
-	rep.RemapSeconds = res.PhaseSeconds["remap"]
-	rep.RecoverySeconds = res.PhaseSeconds["recovery"]
-	return rep, nil
+	return o, res, srep, nil
 }
 
 // Elastic runs sc fault-free at ranks, then once under supervision with
 // rank (ranks-1) crashing as it enters iteration crashIter's tuple
 // exchange; the supervisor rebuilds the world at restartRanks (same size,
 // degraded, halved — the caller picks) and restores the checkpoint into it,
-// re-hashed when the size changed. The recovered relations must be
-// bit-identical to the fault-free ones.
-func Elastic(sc Scenario, ranks, every, crashIter, restartRanks int) (*ElasticReport, error) {
+// re-hashed when the size changed. Exactly one recovery, of exactly that
+// rank, must happen; the restore must be metered under the phase its route
+// names; and the recovered relations must be bit-identical.
+func Elastic(sc Scenario, schedule string, ranks, every, crashIter, restartRanks int) (*Outcome, error) {
 	cfg := paralagg.SuperviseConfig{
 		Config: paralagg.Config{
-			Ranks:            ranks,
-			Subs:             sc.Subs,
-			CheckpointEvery:  every,
-			Checkpoints:      paralagg.NewMemoryCheckpointSink(),
-			AdaptiveWatchdog: true,
-			WatchdogCeil:     5 * time.Second,
+			Ranks:           ranks,
+			Subs:            sc.Subs,
+			CheckpointEvery: every,
+			Checkpoints:     paralagg.NewMemoryCheckpointSink(),
+			Watchdog:        5 * time.Second,
 			Faults: &paralagg.FaultPlan{
 				Seed:    1,
 				Crashes: []paralagg.Crash{{Rank: ranks - 1, Iter: crashIter, Op: "alltoallv"}},
@@ -338,14 +315,28 @@ func Elastic(sc Scenario, ranks, every, crashIter, restartRanks int) (*ElasticRe
 	if restartRanks != ranks {
 		cfg.RanksFor = func(restart, prev int, lost []int) int { return restartRanks }
 	}
-	rep, err := elastic(sc, ranks, crashIter, cfg)
+	o, res, srep, err := elastic(sc, schedule, ranks, crashIter, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if rep.FinalRanks != restartRanks {
-		return nil, fmt.Errorf("chaos %s: recovered world has %d ranks, want %d", sc.Name, rep.FinalRanks, restartRanks)
+	if srep.RecoveryAttempts != 1 {
+		return nil, fmt.Errorf("chaos %s: RecoveryAttempts = %d, want 1", sc.Name, srep.RecoveryAttempts)
 	}
-	return rep, nil
+	if len(srep.RanksLost) != 1 || srep.RanksLost[0] != ranks-1 {
+		return nil, fmt.Errorf("chaos %s: RanksLost = %v, want [%d]", sc.Name, srep.RanksLost, ranks-1)
+	}
+	if srep.FinalRanks != restartRanks {
+		return nil, fmt.Errorf("chaos %s: recovered world has %d ranks, want %d", sc.Name, srep.FinalRanks, restartRanks)
+	}
+	remap, recovery := res.PhaseSeconds["remap"], res.PhaseSeconds["recovery"]
+	if restartRanks == ranks && recovery <= 0 {
+		return nil, fmt.Errorf("chaos %s: same-size recovery metered no recovery phase", sc.Name)
+	}
+	if restartRanks != ranks && remap <= 0 {
+		return nil, fmt.Errorf("chaos %s: elastic recovery metered no remap phase", sc.Name)
+	}
+	return o.verdict(sc.Name, "auto-recovered (%d attempt, remap %.3fms, recovery %.3fms)",
+		srep.RecoveryAttempts, remap*1e3, recovery*1e3)
 }
 
 // Repeated runs sc fault-free, then under supervision with TWO crashes
@@ -353,7 +344,7 @@ func Elastic(sc Scenario, ranks, every, crashIter, restartRanks int) (*ElasticRe
 // initial world, and after that recovery rank 0 dies at iteration 5 of the
 // restarted world. The second recovery must still reproduce the fault-free
 // answer bit for bit.
-func Repeated(sc Scenario, ranks, every int) (*ElasticReport, error) {
+func Repeated(sc Scenario, schedule string, ranks, every int) (*Outcome, error) {
 	const firstCrash, secondCrash = 3, 5
 	plans := []*paralagg.FaultPlan{
 		{Seed: 1, Crashes: []paralagg.Crash{{Rank: ranks - 1, Iter: firstCrash, Op: "alltoallv"}}},
@@ -361,12 +352,11 @@ func Repeated(sc Scenario, ranks, every int) (*ElasticReport, error) {
 	}
 	cfg := paralagg.SuperviseConfig{
 		Config: paralagg.Config{
-			Ranks:            ranks,
-			Subs:             sc.Subs,
-			CheckpointEvery:  every,
-			Checkpoints:      paralagg.NewMemoryCheckpointSink(),
-			AdaptiveWatchdog: true,
-			WatchdogCeil:     5 * time.Second,
+			Ranks:           ranks,
+			Subs:            sc.Subs,
+			CheckpointEvery: every,
+			Checkpoints:     paralagg.NewMemoryCheckpointSink(),
+			Watchdog:        5 * time.Second,
 		},
 		RecoveryBackoff: time.Millisecond,
 		FaultsFor: func(attempt int) *paralagg.FaultPlan {
@@ -376,34 +366,57 @@ func Repeated(sc Scenario, ranks, every int) (*ElasticReport, error) {
 			return nil
 		},
 	}
-	rep, err := elastic(sc, ranks, secondCrash, cfg)
+	o, _, srep, err := elastic(sc, schedule, ranks, secondCrash, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if rep.RecoveryAttempts != 2 {
-		return nil, fmt.Errorf("chaos %s: expected 2 recoveries (two injected crashes), got %d",
-			sc.Name, rep.RecoveryAttempts)
+	if srep.RecoveryAttempts != 2 || len(srep.RanksLost) != 2 {
+		return nil, fmt.Errorf("chaos %s: %d recoveries of ranks %v, want one per injected crash (2)",
+			sc.Name, srep.RecoveryAttempts, srep.RanksLost)
 	}
-	return rep, nil
+	return o.verdict(sc.Name, "two crashes across recoveries, %d recoveries, ranks lost %v",
+		srep.RecoveryAttempts, srep.RanksLost)
 }
 
 // StuckCollective runs sc with rank (1 mod ranks) hanging forever inside
-// iteration 2's tuple exchange and the ADAPTIVE watchdog armed with timeout
-// as its ceiling, returning the run's error: without a watchdog this
-// schedule deadlocks the world; with it every rank must observe a
-// structured ErrRankFailed — and because two healthy iterations have
-// already fed the EWMA, the conversion happens near the deadline floor,
-// well inside the ceiling.
-func StuckCollective(sc Scenario, ranks int, timeout time.Duration) error {
-	_, err := exec(sc.Prog(), paralagg.Config{
-		Ranks:            ranks,
-		Subs:             sc.Subs,
-		AdaptiveWatchdog: true,
-		WatchdogCeil:     timeout,
+// iteration 2's tuple exchange and the watchdog armed with timeout as its
+// ceiling, returning the run's error: without a watchdog this schedule
+// deadlocks the world; with it every rank must observe a structured
+// ErrRankFailed — and because two healthy iterations have already fed the
+// EWMA, the conversion happens near the deadline floor, well inside the
+// ceiling.
+func StuckCollective(sc Scenario, schedule string, ranks int, timeout time.Duration) error {
+	_, err := exec(schedule, sc.Prog(), paralagg.Config{
+		Ranks:    ranks,
+		Subs:     sc.Subs,
+		Watchdog: timeout,
 		Faults: &paralagg.FaultPlan{
 			Seed:  1,
 			Hangs: []paralagg.Hang{{Rank: 1 % ranks, Iter: 2, Op: "alltoallv"}},
 		},
 	}, sc.Load, nil)
 	return err
+}
+
+// stuck asserts what StuckCollective's error must be: the watchdog converts
+// the hung collective into ErrRankFailed on every rank instead of a
+// deadlock, and blames the rank that hung.
+func stuck(sc Scenario, schedule string, ranks int) (*Outcome, error) {
+	err := StuckCollective(sc, schedule, ranks, 500*time.Millisecond)
+	if err == nil {
+		return nil, fmt.Errorf("chaos %s: hung collective produced no error", sc.Name)
+	}
+	rf, ok := paralagg.AsRankFailure(err)
+	if !ok {
+		return nil, fmt.Errorf("chaos %s: hung collective error is unstructured: %w", sc.Name, err)
+	}
+	if rf.Rank != 1%ranks || !errors.Is(rf, paralagg.ErrWatchdogTimeout) {
+		return nil, fmt.Errorf("chaos %s: failure = %v, want watchdog death of rank %d", sc.Name, rf, 1%ranks)
+	}
+	// World.Run joins one error per rank that died of the failure.
+	u, ok := err.(interface{ Unwrap() []error })
+	if !ok || len(u.Unwrap()) != ranks {
+		return nil, fmt.Errorf("chaos %s: every one of %d ranks must observe the failure, got %w", sc.Name, ranks, err)
+	}
+	return &Outcome{Evidence: fmt.Sprintf("stuck collective surfaced on all %d ranks as the watchdog death of rank %d", ranks, rf.Rank)}, nil
 }

@@ -2,9 +2,7 @@ package chaos
 
 import (
 	"errors"
-	"fmt"
 	"testing"
-	"time"
 
 	"paralagg"
 )
@@ -13,113 +11,22 @@ import (
 // work: for every scenario and rank count, a run that crashes mid-fixpoint
 // and resumes from its checkpoint must reproduce the fault-free relation
 // contents bit for bit.
-func TestDifferentialCrashRestart(t *testing.T) {
-	for _, sc := range Scenarios() {
-		for _, ranks := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%s/ranks=%d", sc.Name, ranks), func(t *testing.T) {
-				rep, err := Differential(sc, ranks, 2, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rep.Identical() {
-					t.Errorf("recovered relations diverge from the fault-free run:\nclean:     %v\nrecovered: %v",
-						rep.Clean, rep.Recovered)
-				}
-				if rep.ResumeIters != rep.CleanIters {
-					t.Errorf("resume ended at iteration %d, clean run at %d: the trajectories diverged",
-						rep.ResumeIters, rep.CleanIters)
-				}
-				if rep.RecoverySeconds <= 0 {
-					t.Error("resumed run metered no recovery phase: no checkpoint was restored")
-				}
-			})
-		}
-	}
-}
+func TestDifferentialCrashRestart(t *testing.T) { rows(t, "", "crash", "resume/") }
 
 // TestElasticCrashAutoRecover is the acceptance gate of the elastic-recovery
 // work: for every scenario, a supervised run that crashes mid-fixpoint and
 // auto-recovers — at the same size, degraded by one, and halved — must
 // reproduce the fault-free relation contents bit for bit.
-func TestElasticCrashAutoRecover(t *testing.T) {
-	const ranks = 4
-	for _, sc := range Scenarios() {
-		for _, restart := range []int{ranks, ranks - 1, ranks / 2} {
-			t.Run(fmt.Sprintf("%s/%d-to-%d", sc.Name, ranks, restart), func(t *testing.T) {
-				rep, err := Elastic(sc, ranks, 2, 3, restart)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rep.Identical() {
-					t.Errorf("recovered relations diverge from the fault-free run:\nclean:     %v\nrecovered: %v",
-						rep.Clean, rep.Recovered)
-				}
-				if rep.RecoveryAttempts != 1 {
-					t.Errorf("RecoveryAttempts = %d, want 1", rep.RecoveryAttempts)
-				}
-				if len(rep.RanksLost) != 1 || rep.RanksLost[0] != ranks-1 {
-					t.Errorf("RanksLost = %v, want [%d]", rep.RanksLost, ranks-1)
-				}
-				if restart == ranks {
-					if rep.RecoverySeconds <= 0 {
-						t.Error("same-size recovery metered no recovery phase")
-					}
-				} else if rep.RemapSeconds <= 0 {
-					t.Error("elastic recovery metered no remap phase")
-				}
-			})
-		}
-	}
-}
+func TestElasticCrashAutoRecover(t *testing.T) { rows(t, "", "crash", "elastic/") }
 
 // TestRepeatedCrashesAcrossRecoveries injects a second crash into the world
 // built by the first recovery: the supervisor must survive both and still
 // land on the fault-free answer.
-func TestRepeatedCrashesAcrossRecoveries(t *testing.T) {
-	for _, sc := range Scenarios() {
-		t.Run(sc.Name, func(t *testing.T) {
-			rep, err := Repeated(sc, 4, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.Identical() {
-				t.Errorf("recovered relations diverge from the fault-free run:\nclean:     %v\nrecovered: %v",
-					rep.Clean, rep.Recovered)
-			}
-			if len(rep.RanksLost) != 2 {
-				t.Errorf("RanksLost = %v, want two incidents", rep.RanksLost)
-			}
-		})
-	}
-}
+func TestRepeatedCrashesAcrossRecoveries(t *testing.T) { rows(t, "", "crash", "repeated/") }
 
 // TestStuckCollectiveSurfacesStructuredError asserts the watchdog converts
 // a hung collective into ErrRankFailed on every rank instead of a deadlock.
-func TestStuckCollectiveSurfacesStructuredError(t *testing.T) {
-	sc := Scenarios()[0]
-	for _, ranks := range []int{2, 4} {
-		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
-			err := StuckCollective(sc, ranks, 200*time.Millisecond)
-			if err == nil {
-				t.Fatal("hung collective produced no error")
-			}
-			rf, ok := paralagg.AsRankFailure(err)
-			if !ok {
-				t.Fatalf("err = %v, want ErrRankFailed", err)
-			}
-			if rf.Rank != 1%ranks || !errors.Is(rf, paralagg.ErrWatchdogTimeout) {
-				t.Errorf("failure = %v, want watchdog death of rank %d", rf, 1%ranks)
-			}
-			u, ok := err.(interface{ Unwrap() []error })
-			if !ok {
-				t.Fatalf("err %T is not a joined per-rank error", err)
-			}
-			if parts := u.Unwrap(); len(parts) != ranks {
-				t.Errorf("got %d rank errors, want %d (every rank must observe the failure)", len(parts), ranks)
-			}
-		})
-	}
-}
+func TestStuckCollectiveSurfacesStructuredError(t *testing.T) { rows(t, "", "crash", "stuck/") }
 
 // TestResumeWithoutCheckpointErrs pins the empty-sink behaviour.
 func TestResumeWithoutCheckpointErrs(t *testing.T) {

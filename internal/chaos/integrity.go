@@ -17,49 +17,6 @@ import (
 // (3) a corrupted checkpoint generation is quarantined and recovery falls
 // back exactly one generation.
 
-// IntegrityReport is the outcome of one integrity differential.
-type IntegrityReport struct {
-	// Clean holds the fault-free fingerprints (run with integrity checking
-	// ON, so it doubles as the no-false-positives check); Recovered the
-	// post-corruption recovered ones.
-	Clean     map[string]Fingerprint
-	Recovered map[string]Fingerprint
-	// Divergence is the structured report extracted from the corrupted
-	// run's error (state-corruption differential only).
-	Divergence *paralagg.ErrStateDiverged
-	// DivergenceRollbacks and RestartsFromScratch come from the
-	// supervisor's report (state-corruption differential only).
-	DivergenceRollbacks int
-	RestartsFromScratch int
-	// QuarantinedDelta is the growth of the process-wide quarantine counter
-	// across the recovery (checkpoint-corruption differential only).
-	QuarantinedDelta int64
-	// FallbackIter is the iteration of the checkpoint generation recovery
-	// actually restored (checkpoint-corruption differential only).
-	FallbackIter int
-}
-
-// Identical reports whether the recovered run reproduced the fault-free
-// relation contents exactly.
-func (r *IntegrityReport) Identical() bool {
-	if len(r.Clean) != len(r.Recovered) {
-		return false
-	}
-	for rel, fp := range r.Clean {
-		if r.Recovered[rel] != fp {
-			return false
-		}
-	}
-	return true
-}
-
-// adaptive is the watchdog config the integrity suite runs under: adaptive
-// deadline with the old fixed 5s value as the ceiling.
-func adaptive(cfg *paralagg.Config) {
-	cfg.AdaptiveWatchdog = true
-	cfg.WatchdogCeil = 5 * time.Second
-}
-
 // CorruptionDifferential proves end-to-end divergence self-healing on sc:
 // a fault-free run with integrity checking on fixes the answer (and proves
 // the checker raises no false positives); a run where one stored tuple of
@@ -72,20 +29,16 @@ func adaptive(cfg *paralagg.Config) {
 // fault must roll back to the last verified checkpoint (corruptIter must
 // not be the first checkpoint iteration, so one exists) and reproduce the
 // fault-free relations bit for bit.
-func CorruptionDifferential(sc Scenario, ranks, every, corruptIter int) (*IntegrityReport, error) {
+func CorruptionDifferential(sc Scenario, schedule string, ranks, every, corruptIter int) (*Outcome, error) {
 	if corruptIter <= every {
 		return nil, fmt.Errorf("chaos %s: corruptIter %d must exceed CheckpointEvery %d so a rollback target exists",
 			sc.Name, corruptIter, every)
 	}
-	rep := &IntegrityReport{}
-	cleanCfg := paralagg.Config{Ranks: ranks, Subs: sc.Subs, Integrity: true}
-	clean, err := exec(sc.Prog(), cleanCfg, sc.Load, collect(sc.Rels, &rep.Clean))
+	// The reference runs with integrity checking ON, so it doubles as the
+	// no-false-positives check.
+	o, _, err := reference(sc, schedule, paralagg.Config{Ranks: ranks, Integrity: true}, corruptIter)
 	if err != nil {
-		return nil, fmt.Errorf("chaos %s: fault-free integrity run failed (false positive?): %w", sc.Name, err)
-	}
-	if clean.Iterations <= corruptIter {
-		return nil, fmt.Errorf("chaos %s: fixpoint ran only %d iterations, corruption at %d would never fire",
-			sc.Name, clean.Iterations, corruptIter)
+		return nil, err
 	}
 
 	// The scenario's computed relation (Rels lists inputs first).
@@ -98,9 +51,9 @@ func CorruptionDifferential(sc Scenario, ranks, every, corruptIter int) (*Integr
 
 	// Unsupervised corrupted run: must abort, on every rank, within the
 	// corrupted iteration.
-	dirtyCfg := paralagg.Config{Ranks: ranks, Subs: sc.Subs, Integrity: true, Faults: plan}
-	adaptive(&dirtyCfg)
-	_, err = exec(sc.Prog(), dirtyCfg, sc.Load, nil)
+	_, err = exec(schedule, sc.Prog(), paralagg.Config{
+		Ranks: ranks, Subs: sc.Subs, Integrity: true, Faults: plan, Watchdog: 5 * time.Second,
+	}, sc.Load, nil)
 	if err == nil {
 		return nil, fmt.Errorf("chaos %s: injected state corruption on rank %d went undetected", sc.Name, victim)
 	}
@@ -109,8 +62,10 @@ func CorruptionDifferential(sc Scenario, ranks, every, corruptIter int) (*Integr
 		return nil, fmt.Errorf("chaos %s: divergence surfaced on %d of %d ranks: %w",
 			sc.Name, len(failures), ranks, err)
 	}
+	var div *paralagg.ErrStateDiverged
 	for _, f := range failures {
-		div, ok := paralagg.AsStateDivergence(f)
+		var ok bool
+		div, ok = paralagg.AsStateDivergence(f)
 		if !ok {
 			return nil, fmt.Errorf("chaos %s: rank %d failure carries no ErrStateDiverged: %w", sc.Name, f.Rank, f)
 		}
@@ -121,7 +76,6 @@ func CorruptionDifferential(sc Scenario, ranks, every, corruptIter int) (*Integr
 			return nil, fmt.Errorf("chaos %s: rank %d detected divergence at iter %d, before the corruption at %d",
 				sc.Name, f.Rank, div.Iter, corruptIter)
 		}
-		rep.Divergence = div
 	}
 
 	// Supervised corrupted run: the rollback policy must recover to the
@@ -134,11 +88,11 @@ func CorruptionDifferential(sc Scenario, ranks, every, corruptIter int) (*Integr
 			CheckpointEvery: every,
 			Checkpoints:     paralagg.NewMemoryCheckpointSink(),
 			Faults:          plan,
+			Watchdog:        5 * time.Second,
 		},
 		RecoveryBackoff: time.Millisecond,
 	}
-	adaptive(&scfg.Config)
-	_, srep, err := supervise(sc.Prog(), scfg, sc.Load, collect(sc.Rels, &rep.Recovered))
+	_, srep, err := supervise(schedule, sc.Prog(), scfg, sc.Load, collect(sc.Rels, &o.Recovered))
 	if err != nil {
 		return nil, fmt.Errorf("chaos %s: supervised recovery from divergence failed: %w", sc.Name, err)
 	}
@@ -149,9 +103,8 @@ func CorruptionDifferential(sc Scenario, ranks, every, corruptIter int) (*Integr
 		return nil, fmt.Errorf("chaos %s: recovery restarted from scratch %d times — the pre-corruption checkpoint should have been valid",
 			sc.Name, srep.RestartsFromScratch)
 	}
-	rep.DivergenceRollbacks = srep.DivergenceRollbacks
-	rep.RestartsFromScratch = srep.RestartsFromScratch
-	return rep, nil
+	return o.verdict(sc.Name, "flip detected at iter %d (%s check), %d rollback(s), bit-identical",
+		div.Iter, div.Check, srep.DivergenceRollbacks)
 }
 
 // CheckpointCorruptionDifferential proves checkpoint self-healing on sc:
@@ -163,39 +116,32 @@ func CorruptionDifferential(sc Scenario, ranks, every, corruptIter int) (*Integr
 // fault-free relations bit for bit. crashIter must satisfy
 // 2*every < crashIter <= 3*every so the rotten generation is the newest
 // one at crash time.
-func CheckpointCorruptionDifferential(sc Scenario, ranks, every, crashIter int) (*IntegrityReport, error) {
+func CheckpointCorruptionDifferential(sc Scenario, schedule string, ranks, every, crashIter int) (*Outcome, error) {
 	corruptAt := 2 * every
 	if crashIter <= corruptAt || crashIter > 3*every {
 		return nil, fmt.Errorf("chaos %s: crashIter %d must be in (%d, %d] so the corrupted generation is newest at crash time",
 			sc.Name, crashIter, corruptAt, 3*every)
 	}
-	rep := &IntegrityReport{}
-	clean, err := exec(sc.Prog(), paralagg.Config{Ranks: ranks, Subs: sc.Subs, Integrity: true},
-		sc.Load, collect(sc.Rels, &rep.Clean))
+	o, _, err := reference(sc, schedule, paralagg.Config{Ranks: ranks, Integrity: true}, crashIter)
 	if err != nil {
-		return nil, fmt.Errorf("chaos %s: fault-free run failed: %w", sc.Name, err)
-	}
-	if clean.Iterations <= crashIter {
-		return nil, fmt.Errorf("chaos %s: fixpoint ran only %d iterations, crash at %d would never fire",
-			sc.Name, clean.Iterations, crashIter)
+		return nil, err
 	}
 
 	victim := ranks - 1
 	sink := paralagg.NewMemoryCheckpointSink()
-	dirtyCfg := paralagg.Config{
+	_, err = exec(schedule, sc.Prog(), paralagg.Config{
 		Ranks:           ranks,
 		Subs:            sc.Subs,
 		Integrity:       true,
 		CheckpointEvery: every,
 		Checkpoints:     sink,
+		Watchdog:        5 * time.Second,
 		Faults: &paralagg.FaultPlan{
 			Seed:         1,
 			CkptCorrupts: []paralagg.CkptCorrupt{{Rank: victim, Iter: corruptAt}},
 			Crashes:      []paralagg.Crash{{Rank: victim, Iter: crashIter, Op: "alltoallv"}},
 		},
-	}
-	adaptive(&dirtyCfg)
-	_, err = exec(sc.Prog(), dirtyCfg, sc.Load, nil)
+	}, sc.Load, nil)
 	if err == nil {
 		return nil, fmt.Errorf("chaos %s: injected crash of rank %d produced no error", sc.Name, victim)
 	}
@@ -218,23 +164,22 @@ func CheckpointCorruptionDifferential(sc Scenario, ranks, every, crashIter int) 
 			sc.Name, pos.Iter, every)
 	}
 	_, quarantined1 := paralagg.CheckpointIntegrityStats()
-	rep.QuarantinedDelta = quarantined1 - quarantined0
-	if rep.QuarantinedDelta < 1 {
+	quarantined := quarantined1 - quarantined0
+	if quarantined < 1 {
 		return nil, fmt.Errorf("chaos %s: rotten generation was skipped but never quarantined", sc.Name)
 	}
-	rep.FallbackIter = pos.Iter
 
-	resumeCfg := paralagg.Config{
+	if _, err := exec(schedule, sc.Prog(), paralagg.Config{
 		Ranks:           ranks,
 		Subs:            sc.Subs,
 		Integrity:       true,
 		CheckpointEvery: every,
 		Checkpoints:     sink,
 		Resume:          true,
-	}
-	adaptive(&resumeCfg)
-	if _, err := exec(sc.Prog(), resumeCfg, sc.Load, collect(sc.Rels, &rep.Recovered)); err != nil {
+		Watchdog:        5 * time.Second,
+	}, sc.Load, collect(sc.Rels, &o.Recovered)); err != nil {
 		return nil, fmt.Errorf("chaos %s: resume past the rotten generation failed: %w", sc.Name, err)
 	}
-	return rep, nil
+	return o.verdict(sc.Name, "rotten generation quarantined (%d), fell back to iter %d, bit-identical",
+		quarantined, pos.Iter)
 }

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -11,71 +10,17 @@ import (
 // be detected within the corrupted iteration on every rank, and a supervised
 // run must roll back to the last verified checkpoint and reproduce the
 // fault-free relation contents bit for bit.
-func TestCorruptionDifferential(t *testing.T) {
-	for _, sc := range Scenarios() {
-		for _, ranks := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%s/ranks=%d", sc.Name, ranks), func(t *testing.T) {
-				rep, err := CorruptionDifferential(sc, ranks, 2, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rep.Identical() {
-					t.Errorf("recovered relations diverge from the fault-free run:\nclean:     %v\nrecovered: %v",
-						rep.Clean, rep.Recovered)
-				}
-				if rep.DivergenceRollbacks < 1 {
-					t.Errorf("DivergenceRollbacks = %d, want >= 1", rep.DivergenceRollbacks)
-				}
-				if rep.RestartsFromScratch != 0 {
-					t.Errorf("RestartsFromScratch = %d, want 0 (a pre-corruption checkpoint existed)",
-						rep.RestartsFromScratch)
-				}
-				if rep.Divergence == nil {
-					t.Fatal("no structured divergence report was extracted")
-				}
-			})
-		}
-	}
-}
+func TestCorruptionDifferential(t *testing.T) { rows(t, "", "integrity", "state/") }
 
 // TestCheckpointCorruptionDifferential proves recovery degrades by exactly
 // one generation under checkpoint bit rot: the rotten newest generation is
 // quarantined, the previous one restores, and the answer stays bit-identical.
-func TestCheckpointCorruptionDifferential(t *testing.T) {
-	for _, sc := range Scenarios() {
-		for _, ranks := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%s/ranks=%d", sc.Name, ranks), func(t *testing.T) {
-				rep, err := CheckpointCorruptionDifferential(sc, ranks, 2, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rep.Identical() {
-					t.Errorf("recovered relations diverge from the fault-free run:\nclean:     %v\nrecovered: %v",
-						rep.Clean, rep.Recovered)
-				}
-				if rep.QuarantinedDelta < 1 {
-					t.Errorf("QuarantinedDelta = %d, want >= 1", rep.QuarantinedDelta)
-				}
-				if rep.FallbackIter != 2 {
-					t.Errorf("FallbackIter = %d, want 2 (one generation back)", rep.FallbackIter)
-				}
-			})
-		}
-	}
-}
+func TestCheckpointCorruptionDifferential(t *testing.T) { rows(t, "", "integrity", "ckpt-rot/") }
 
 // TestTCPCorruptionDetection proves the divergence digests work over the
 // real transport: every gang member must abort with a structured
 // ErrStateDiverged naming the corrupted iteration.
-func TestTCPCorruptionDetection(t *testing.T) {
-	for _, sc := range Scenarios() {
-		t.Run(sc.Name, func(t *testing.T) {
-			if err := TCPCorruptionDetection(sc, 2, 3); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
+func TestTCPCorruptionDetection(t *testing.T) { rows(t, "", "integrity", "tcp-state/") }
 
 // TestAdaptiveWatchdogConvertsHangWithinCeiling pins the latency claim: with
 // healthy iterations feeding the EWMA before the hang, the adaptive deadline
@@ -85,7 +30,7 @@ func TestAdaptiveWatchdogConvertsHangWithinCeiling(t *testing.T) {
 	sc := Scenarios()[0]
 	const ceiling = 30 * time.Second
 	start := time.Now()
-	err := StuckCollective(sc, 2, ceiling)
+	err := StuckCollective(sc, "", 2, ceiling)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("stuck collective produced no error")

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"paralagg"
-	"paralagg/internal/supervisor"
 	"paralagg/internal/transport/tcp"
 )
 
@@ -65,7 +64,7 @@ func gang(n int, faults *tcp.NetFaultPlan, customize ...func(*tcp.Config)) ([]*t
 // distributed world) and returns the per-rank errors. The member hosting
 // rank 0 records fingerprints through fps; base configures everything
 // except the transport.
-func runGang(sc Scenario, trs []*tcp.Transport, base paralagg.Config, fps *map[string]Fingerprint) []error {
+func runGang(sc Scenario, schedule string, trs []*tcp.Transport, base paralagg.Config, fps *map[string]Fingerprint) []error {
 	errs := make([]error, len(trs))
 	var wg sync.WaitGroup
 	for i, tr := range trs {
@@ -74,56 +73,30 @@ func runGang(sc Scenario, trs []*tcp.Transport, base paralagg.Config, fps *map[s
 			defer wg.Done()
 			cfg := base
 			cfg.Transport = tr
-			_, errs[i] = exec(sc.Prog(), cfg, sc.Load, collect(sc.Rels, fps))
+			_, errs[i] = exec(schedule, sc.Prog(), cfg, sc.Load, collect(sc.Rels, fps))
 		}(i, tr)
 	}
 	wg.Wait()
 	return errs
 }
 
-// NetReport is the outcome of one TCP differential.
-type NetReport struct {
-	Clean     map[string]Fingerprint
-	Recovered map[string]Fingerprint
-	// Net aggregates every endpoint's robustness counters: the proof the
-	// injected faults actually bit (reconnects, retransmits, CRC errors)
-	// and were repaired below the runtime's waterline.
-	Net paralagg.NetStats
-	// RecoveryAttempts counts supervised restarts (kill-recovery runs only).
-	RecoveryAttempts int
-}
-
-// Identical reports whether the TCP run reproduced the in-process answer
-// exactly.
-func (r *NetReport) Identical() bool {
-	if len(r.Clean) != len(r.Recovered) {
-		return false
-	}
-	for rel, fp := range r.Clean {
-		if r.Recovered[rel] != fp {
-			return false
-		}
-	}
-	return true
-}
-
 // TCPDifferential runs sc in-process (the reference answer), then over a
 // TCP gang with the given wire faults. The faults must be of the kinds the
-// transport repairs transparently: the gang run must succeed and produce
-// bit-identical relations.
-func TCPDifferential(sc Scenario, ranks int, faults *tcp.NetFaultPlan) (*NetReport, error) {
-	rep := &NetReport{}
-	if _, err := exec(sc.Prog(), paralagg.Config{Ranks: ranks, Subs: sc.Subs},
-		sc.Load, collect(sc.Rels, &rep.Clean)); err != nil {
-		return nil, fmt.Errorf("chaos %s: in-process reference run failed: %w", sc.Name, err)
+// transport repairs transparently: the gang run must succeed, produce
+// bit-identical relations, and show in its counters that the faults bit.
+func TCPDifferential(sc Scenario, schedule string, ranks int, faults *tcp.NetFaultPlan) (*Outcome, error) {
+	o, _, err := reference(sc, schedule, paralagg.Config{Ranks: ranks}, 0)
+	if err != nil {
+		return nil, err
 	}
 	trs, err := gang(ranks, faults)
 	if err != nil {
 		return nil, fmt.Errorf("chaos %s: building TCP gang: %w", sc.Name, err)
 	}
-	errs := runGang(sc, trs, paralagg.Config{Subs: sc.Subs}, &rep.Recovered)
+	errs := runGang(sc, schedule, trs, paralagg.Config{Subs: sc.Subs}, &o.Recovered)
+	var stats paralagg.NetStats
 	for _, tr := range trs {
-		rep.Net = rep.Net.Add(tr.Net())
+		stats = stats.Add(tr.Net())
 		tr.Close()
 	}
 	for rank, err := range errs {
@@ -131,14 +104,18 @@ func TCPDifferential(sc Scenario, ranks int, faults *tcp.NetFaultPlan) (*NetRepo
 			return nil, fmt.Errorf("chaos %s: TCP rank %d failed under repairable faults: %w", sc.Name, rank, err)
 		}
 	}
-	return rep, nil
+	if err := VerifyNetStats(stats); err != nil {
+		return nil, fmt.Errorf("chaos %s: fault plan did not exercise recovery: %w (stats %+v)", sc.Name, err, stats)
+	}
+	return o.verdict(sc.Name, "reset+corruption+slowlink repaired, bit-identical (reconnects=%d retransmits=%d crcErrors=%d)",
+		stats.Reconnects, stats.Retransmits, stats.CRCErrors)
 }
 
 // TCPPartition runs sc over a TCP gang that partitions rank 0 away from
 // everyone after the gang has exchanged some traffic. The partition is not
 // repairable: every rank must surface a structured ErrRankFailed wrapping
 // ErrPeerUnreachable instead of wedging.
-func TCPPartition(sc Scenario, ranks int) error {
+func TCPPartition(sc Scenario, schedule string, ranks int) (*Outcome, error) {
 	others := make([]int, 0, ranks-1)
 	for r := 1; r < ranks; r++ {
 		others = append(others, r)
@@ -148,114 +125,26 @@ func TCPPartition(sc Scenario, ranks int) error {
 	}
 	trs, err := gang(ranks, faults)
 	if err != nil {
-		return fmt.Errorf("chaos %s: building TCP gang: %w", sc.Name, err)
+		return nil, fmt.Errorf("chaos %s: building TCP gang: %w", sc.Name, err)
 	}
 	var fps map[string]Fingerprint
-	errs := runGang(sc, trs, paralagg.Config{Subs: sc.Subs, AdaptiveWatchdog: true, WatchdogCeil: 10 * time.Second}, &fps)
+	errs := runGang(sc, schedule, trs, paralagg.Config{Subs: sc.Subs, Watchdog: 10 * time.Second}, &fps)
 	for _, tr := range trs {
 		tr.Kill() // flushing into a partition would only wait out the timeout
 	}
 	for rank, err := range errs {
 		if err == nil {
-			return fmt.Errorf("chaos %s: rank %d finished across a network partition", sc.Name, rank)
+			return nil, fmt.Errorf("chaos %s: rank %d finished across a network partition", sc.Name, rank)
 		}
 		rf, ok := paralagg.AsRankFailure(err)
 		if !ok {
-			return fmt.Errorf("chaos %s: rank %d partition error is unstructured: %w", sc.Name, rank, err)
+			return nil, fmt.Errorf("chaos %s: rank %d partition error is unstructured: %w", sc.Name, rank, err)
 		}
 		if !errors.Is(rf, paralagg.ErrPeerUnreachable) && !errors.Is(rf, paralagg.ErrRecvTimeout) {
-			return fmt.Errorf("chaos %s: rank %d failure %v does not name the partition", sc.Name, rank, rf)
+			return nil, fmt.Errorf("chaos %s: rank %d failure %v does not name the partition", sc.Name, rank, rf)
 		}
 	}
-	return nil
-}
-
-// TCPKillRecovery is the full robustness loop over real sockets: sc runs on
-// a TCP gang with checkpointing on; rank (ranks-1)'s process is killed
-// mid-fixpoint (its transport torn down exactly as a crash would); every
-// survivor observes a structured failure; and the existing supervisor
-// rebuilds the gang — fresh sockets, fresh worlds — resuming from the
-// shared checkpoints. The recovered answer must be bit-identical to the
-// in-process fault-free run.
-func TCPKillRecovery(sc Scenario, ranks, every, crashIter int) (*NetReport, error) {
-	rep := &NetReport{}
-	clean, err := exec(sc.Prog(), paralagg.Config{Ranks: ranks, Subs: sc.Subs},
-		sc.Load, collect(sc.Rels, &rep.Clean))
-	if err != nil {
-		return nil, fmt.Errorf("chaos %s: in-process reference run failed: %w", sc.Name, err)
-	}
-	if clean.Iterations <= crashIter {
-		return nil, fmt.Errorf("chaos %s: fixpoint ran only %d iterations, crash at %d would never fire",
-			sc.Name, clean.Iterations, crashIter)
-	}
-
-	victim := ranks - 1
-	sink := paralagg.NewMemoryCheckpointSink()
-	srep, err := supervisor.Run(ranks, supervisor.Config{
-		MaxRestarts: 2,
-		Backoff:     time.Millisecond,
-	}, func(attempt, _ int, resume bool) error {
-		trs, err := gang(ranks, nil)
-		if err != nil {
-			return err
-		}
-		base := paralagg.Config{
-			Subs:             sc.Subs,
-			CheckpointEvery:  every,
-			Checkpoints:      sink,
-			AdaptiveWatchdog: true,
-			WatchdogCeil:     10 * time.Second,
-		}
-		if resume {
-			if _, ok, err := sink.LatestValid(); ok && err == nil {
-				base.Resume = true
-			}
-		}
-		if attempt == 0 {
-			// The victim's process crashes as it enters iteration crashIter's
-			// tuple exchange: its rank dies AND its wire goes silent, so the
-			// survivors' failure detectors must do the declaring.
-			base.Faults = &paralagg.FaultPlan{
-				Seed:    1,
-				Crashes: []paralagg.Crash{{Rank: victim, Iter: crashIter, Op: "alltoallv"}},
-			}
-		}
-		var fps map[string]Fingerprint
-		errs := make([]error, ranks)
-		var wg sync.WaitGroup
-		for i, tr := range trs {
-			wg.Add(1)
-			go func(i int, tr *tcp.Transport) {
-				defer wg.Done()
-				cfg := base
-				cfg.Transport = tr
-				_, errs[i] = exec(sc.Prog(), cfg, sc.Load, collect(sc.Rels, &fps))
-				if i == victim && errs[i] != nil && attempt == 0 {
-					tr.Kill() // the process is gone; so is its endpoint
-				}
-			}(i, tr)
-		}
-		wg.Wait()
-		for i, tr := range trs {
-			rep.Net = rep.Net.Add(tr.Net())
-			if !(i == victim && attempt == 0) {
-				tr.Close()
-			}
-		}
-		if err := errors.Join(errs...); err != nil {
-			return err
-		}
-		rep.Recovered = fps
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("chaos %s: supervised TCP recovery failed: %w", sc.Name, err)
-	}
-	if srep.RecoveryAttempts == 0 {
-		return nil, fmt.Errorf("chaos %s: injected kill never fired — nothing was recovered", sc.Name)
-	}
-	rep.RecoveryAttempts = srep.RecoveryAttempts
-	return rep, nil
+	return &Outcome{Evidence: "every rank surfaced a structured unreachable-peer failure"}, nil
 }
 
 // TCPCorruptionDetection runs sc over a TCP gang with integrity checking on
@@ -264,41 +153,40 @@ func TCPKillRecovery(sc Scenario, ranks, every, crashIter int) (*NetReport, erro
 // ride the convergence Allreduce over the real wire, so every member — not
 // just the corrupted one — must abort with a structured ErrStateDiverged
 // naming that same iteration.
-func TCPCorruptionDetection(sc Scenario, ranks, corruptIter int) error {
+func TCPCorruptionDetection(sc Scenario, schedule string, ranks, corruptIter int) (*Outcome, error) {
 	trs, err := gang(ranks, nil)
 	if err != nil {
-		return fmt.Errorf("chaos %s: building TCP gang: %w", sc.Name, err)
+		return nil, fmt.Errorf("chaos %s: building TCP gang: %w", sc.Name, err)
 	}
 	rel := sc.Rels[len(sc.Rels)-1]
 	base := paralagg.Config{
-		Subs:             sc.Subs,
-		Integrity:        true,
-		AdaptiveWatchdog: true,
-		WatchdogCeil:     10 * time.Second,
+		Subs:      sc.Subs,
+		Integrity: true,
+		Watchdog:  10 * time.Second,
 		Faults: &paralagg.FaultPlan{
 			Seed:          1,
 			StateCorrupts: []paralagg.StateCorrupt{{Rank: 0, Iter: corruptIter, Rel: rel}},
 		},
 	}
 	var fps map[string]Fingerprint
-	errs := runGang(sc, trs, base, &fps)
+	errs := runGang(sc, schedule, trs, base, &fps)
 	for _, tr := range trs {
 		tr.Kill() // every member aborted; flushing would only wait out timeouts
 	}
 	for rank, err := range errs {
 		if err == nil {
-			return fmt.Errorf("chaos %s: TCP rank %d finished despite injected state corruption", sc.Name, rank)
+			return nil, fmt.Errorf("chaos %s: TCP rank %d finished despite injected state corruption", sc.Name, rank)
 		}
 		div, ok := paralagg.AsStateDivergence(err)
 		if !ok {
-			return fmt.Errorf("chaos %s: TCP rank %d failure carries no ErrStateDiverged: %w", sc.Name, rank, err)
+			return nil, fmt.Errorf("chaos %s: TCP rank %d failure carries no ErrStateDiverged: %w", sc.Name, rank, err)
 		}
 		if div.Iter < corruptIter {
-			return fmt.Errorf("chaos %s: TCP rank %d detected divergence at iter %d, before the corruption at %d",
+			return nil, fmt.Errorf("chaos %s: TCP rank %d detected divergence at iter %d, before the corruption at %d",
 				sc.Name, rank, div.Iter, corruptIter)
 		}
 	}
-	return nil
+	return &Outcome{Evidence: "every rank agreed on the divergence over real sockets"}, nil
 }
 
 // RepairableFaults is the standard wire-fault plan of the network chaos

@@ -1,50 +1,11 @@
 package chaos
 
-import (
-	"testing"
-)
+import "testing"
 
-func TestTCPDifferentialRepairableFaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("network chaos differential is not short")
-	}
-	sc := Scenarios()[0] // sssp
-	rep, err := TCPDifferential(sc, 3, RepairableFaults(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Identical() {
-		t.Fatalf("TCP run under repairable wire faults diverged from the in-process answer:\n got %v\nwant %v",
-			rep.Recovered, rep.Clean)
-	}
-	if err := VerifyNetStats(rep.Net); err != nil {
-		t.Errorf("fault plan did not exercise recovery: %v (stats %+v)", err, rep.Net)
-	}
-}
-
-func TestTCPPartitionSurfacesStructuredFailure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("network chaos partition is not short")
-	}
-	if err := TCPPartition(Scenarios()[1], 3); err != nil { // cc
-		t.Fatal(err)
-	}
-}
-
-func TestTCPKillRecoveryBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("network chaos kill-recovery is not short")
-	}
-	sc := Scenarios()[0] // sssp
-	rep, err := TCPKillRecovery(sc, 3, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RecoveryAttempts != 1 {
-		t.Errorf("recoveries = %d, want exactly 1", rep.RecoveryAttempts)
-	}
-	if !rep.Identical() {
-		t.Fatalf("supervised TCP recovery diverged from the fault-free answer:\n got %v\nwant %v",
-			rep.Recovered, rep.Clean)
-	}
-}
+// The network suite's three kinds: wire faults the transport repairs below
+// the runtime's waterline (bit-identical, counters prove they bit), a
+// partition it cannot repair (structured failure on every rank), and a
+// killed process recovered by the supervisor from shared checkpoints.
+func TestTCPDifferentialRepairableFaults(t *testing.T)       { rows(t, "", "net", "repairable/") }
+func TestTCPPartitionSurfacesStructuredFailure(t *testing.T) { rows(t, "", "net", "partition/") }
+func TestTCPKillRecoveryBitIdentical(t *testing.T)           { rows(t, "", "net", "kill/") }

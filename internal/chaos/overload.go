@@ -20,44 +20,6 @@ import (
 // structurally and recover under supervision to the identical answer
 // (hard budget). Nothing may deadlock, buffer without bound, or OOM.
 
-// OverloadReport is the outcome of one overload differential.
-type OverloadReport struct {
-	Clean     map[string]Fingerprint
-	Recovered map[string]Fingerprint
-	// Net aggregates the gang's transport counters (TCP slow-consumer
-	// differential only): ThrottleStalls proves flow control engaged,
-	// OutboxPeakFrames that no sender buffered past the window.
-	Net paralagg.NetStats
-	// Budget and MemPeakBytes describe the budgeted run (memory
-	// differentials only).
-	Budget       int64
-	MemPeakBytes int64
-	// SoftEvents / HardEvents count the pressure-ladder responses the
-	// observer saw across all ranks.
-	SoftEvents, HardEvents int64
-	// BudgetErr is the structured violation the hard-budget run surfaced.
-	BudgetErr *paralagg.ErrMemoryBudget
-	// RecoveryAttempts counts supervised restarts (hard-budget run only).
-	RecoveryAttempts int
-	// DegradationsDelta is the growth of the process-wide checkpoint
-	// degradation counter (disk-full differential only).
-	DegradationsDelta int64
-}
-
-// Identical reports whether the overloaded run reproduced the fault-free
-// relation contents exactly.
-func (r *OverloadReport) Identical() bool {
-	if len(r.Clean) != len(r.Recovered) {
-		return false
-	}
-	for rel, fp := range r.Clean {
-		if r.Recovered[rel] != fp {
-			return false
-		}
-	}
-	return true
-}
-
 // overloadObserver counts pressure-ladder and degradation events across all
 // rank goroutines.
 type overloadObserver struct {
@@ -91,11 +53,10 @@ func (o *overloadObserver) OnEvent(e *paralagg.Event) {
 // fault never bit). The gang runs under the adaptive watchdog, so a clean
 // finish doubles as the proof that a throttled-but-live peer is not
 // declared dead.
-func TCPSlowConsumer(sc Scenario, ranks, window int) (*OverloadReport, error) {
-	rep := &OverloadReport{}
-	if _, err := exec(sc.Prog(), paralagg.Config{Ranks: ranks, Subs: sc.Subs},
-		sc.Load, collect(sc.Rels, &rep.Clean)); err != nil {
-		return nil, fmt.Errorf("chaos %s: in-process reference run failed: %w", sc.Name, err)
+func TCPSlowConsumer(sc Scenario, schedule string, ranks, window int) (*Outcome, error) {
+	o, _, err := reference(sc, schedule, paralagg.Config{Ranks: ranks}, 0)
+	if err != nil {
+		return nil, err
 	}
 	faults := &tcp.NetFaultPlan{
 		SlowConsumers: []tcp.SlowConsumer{{
@@ -111,10 +72,11 @@ func TCPSlowConsumer(sc Scenario, ranks, window int) (*OverloadReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos %s: building TCP gang: %w", sc.Name, err)
 	}
-	base := paralagg.Config{Subs: sc.Subs, AdaptiveWatchdog: true, WatchdogCeil: 10 * time.Second}
-	errs := runGang(sc, trs, base, &rep.Recovered)
+	base := paralagg.Config{Subs: sc.Subs, Watchdog: 10 * time.Second}
+	errs := runGang(sc, schedule, trs, base, &o.Recovered)
+	var stats paralagg.NetStats
 	for _, tr := range trs {
-		rep.Net = rep.Net.Add(tr.Net())
+		stats = stats.Add(tr.Net())
 		tr.Close()
 	}
 	for rank, err := range errs {
@@ -122,14 +84,15 @@ func TCPSlowConsumer(sc Scenario, ranks, window int) (*OverloadReport, error) {
 			return nil, fmt.Errorf("chaos %s: TCP rank %d failed under a slow consumer: %w", sc.Name, rank, err)
 		}
 	}
-	if rep.Net.ThrottleStalls == 0 {
+	if stats.ThrottleStalls == 0 {
 		return nil, fmt.Errorf("chaos %s: no throttle stalls recorded — the slow consumer never exhausted the window", sc.Name)
 	}
-	if rep.Net.OutboxPeakFrames > int64(window) {
+	if stats.OutboxPeakFrames > int64(window) {
 		return nil, fmt.Errorf("chaos %s: sender outbox peaked at %d frames, past the %d-frame window",
-			sc.Name, rep.Net.OutboxPeakFrames, window)
+			sc.Name, stats.OutboxPeakFrames, window)
 	}
-	return rep, nil
+	return o.verdict(sc.Name, "throttled inside the window, bit-identical (stalls=%d outboxPeak=%d/%d)",
+		stats.ThrottleStalls, stats.OutboxPeakFrames, window)
 }
 
 // pressureIter is the iteration the memory differentials inject their
@@ -139,20 +102,15 @@ const pressureIter = 3
 // probeBudget runs sc with an effectively unlimited budget to measure the
 // workload's real accounted peak (the scale every budget below derives
 // from) and to fix the reference fingerprints.
-func probeBudget(sc Scenario, ranks int, clean *map[string]Fingerprint) (int64, error) {
-	res, err := exec(sc.Prog(), paralagg.Config{Ranks: ranks, Subs: sc.Subs, MemBudget: 1 << 40},
-		sc.Load, collect(sc.Rels, clean))
+func probeBudget(sc Scenario, schedule string, ranks int) (*Outcome, int64, error) {
+	o, res, err := reference(sc, schedule, paralagg.Config{Ranks: ranks, MemBudget: 1 << 40}, pressureIter)
 	if err != nil {
-		return 0, fmt.Errorf("chaos %s: budget probe run failed: %w", sc.Name, err)
+		return nil, 0, err
 	}
 	if res.MemPeakBytes <= 0 {
-		return 0, fmt.Errorf("chaos %s: budget probe recorded no accounted memory", sc.Name)
+		return nil, 0, fmt.Errorf("chaos %s: budget probe recorded no accounted memory", sc.Name)
 	}
-	if res.Iterations <= pressureIter {
-		return 0, fmt.Errorf("chaos %s: fixpoint ran only %d iterations, pressure at %d would never fire",
-			sc.Name, res.Iterations, pressureIter)
-	}
-	return res.MemPeakBytes, nil
+	return o, res.MemPeakBytes, nil
 }
 
 // MemPressureSoft proves the soft rung of the pressure ladder: a probe run
@@ -163,40 +121,43 @@ func probeBudget(sc Scenario, ranks int, clean *map[string]Fingerprint) (int64, 
 // scratch world-wide (the response is collective) — and the run must still
 // complete with bit-identical relations and an accounted peak inside the
 // budget. The hard rung must never fire.
-func MemPressureSoft(sc Scenario, ranks int) (*OverloadReport, error) {
-	rep := &OverloadReport{}
-	peak, err := probeBudget(sc, ranks, &rep.Clean)
+func MemPressureSoft(sc Scenario, schedule string, ranks int) (*Outcome, error) {
+	o, peak, err := probeBudget(sc, schedule, ranks)
 	if err != nil {
 		return nil, err
 	}
-	rep.Budget = 16 * peak
-	phantom := rep.Budget / 10 * 9 // soft band on its own; real usage adds < budget/16
+	budget := 16 * peak
+	phantom := budget / 10 * 9 // soft band on its own; real usage adds < budget/16
 	obs := &overloadObserver{}
-	res, err := exec(sc.Prog(), paralagg.Config{
+	res, err := exec(schedule, sc.Prog(), paralagg.Config{
 		Ranks:     ranks,
 		Subs:      sc.Subs,
-		MemBudget: rep.Budget,
+		MemBudget: budget,
 		Observer:  obs,
 		Faults: &paralagg.FaultPlan{
 			Seed:         1,
 			MemPressures: []paralagg.MemPressure{{Rank: ranks - 1, Iter: pressureIter, Bytes: phantom}},
 		},
-	}, sc.Load, collect(sc.Rels, &rep.Recovered))
+	}, sc.Load, collect(sc.Rels, &o.Recovered))
 	if err != nil {
 		return nil, fmt.Errorf("chaos %s: run under soft memory pressure failed: %w", sc.Name, err)
 	}
-	rep.MemPeakBytes = res.MemPeakBytes
-	rep.SoftEvents, rep.HardEvents = obs.soft.Load(), obs.hard.Load()
-	if rep.SoftEvents == 0 {
+	soft, hard := obs.soft.Load(), obs.hard.Load()
+	if soft == 0 {
 		return nil, fmt.Errorf("chaos %s: injected phantom pressure raised no soft response", sc.Name)
 	}
-	if rep.HardEvents != 0 {
-		return nil, fmt.Errorf("chaos %s: soft-band pressure escalated to %d hard responses", sc.Name, rep.HardEvents)
+	if hard != 0 {
+		return nil, fmt.Errorf("chaos %s: soft-band pressure escalated to %d hard responses", sc.Name, hard)
 	}
-	if rep.MemPeakBytes > rep.Budget {
-		return nil, fmt.Errorf("chaos %s: accounted peak %d exceeds the %d budget", sc.Name, rep.MemPeakBytes, rep.Budget)
+	if res.MemPeakBytes > budget {
+		return nil, fmt.Errorf("chaos %s: accounted peak %d exceeds the %d budget", sc.Name, res.MemPeakBytes, budget)
 	}
-	return rep, nil
+	if res.MemPeakBytes < budget*85/100 {
+		return nil, fmt.Errorf("chaos %s: accounted peak %d never reached the soft band of budget %d — the phantom never bit",
+			sc.Name, res.MemPeakBytes, budget)
+	}
+	return o.verdict(sc.Name, "%d shed responses, peak %d of %d budgeted bytes, bit-identical",
+		soft, res.MemPeakBytes, budget)
 }
 
 // MemPressureHard proves the hard rung never becomes an OOM kill: with a
@@ -204,22 +165,21 @@ func MemPressureSoft(sc Scenario, ranks int) (*OverloadReport, error) {
 // fail in the same iteration with a structured ErrMemoryBudget (inside the
 // usual ErrRankFailed), and a supervised run with checkpointing on must
 // recover past the (attempt-0-only) fault to the bit-identical answer.
-func MemPressureHard(sc Scenario, ranks, every int) (*OverloadReport, error) {
-	rep := &OverloadReport{}
-	peak, err := probeBudget(sc, ranks, &rep.Clean)
+func MemPressureHard(sc Scenario, schedule string, ranks, every int) (*Outcome, error) {
+	o, peak, err := probeBudget(sc, schedule, ranks)
 	if err != nil {
 		return nil, err
 	}
-	rep.Budget = 16 * peak
+	budget := 16 * peak
 	plan := &paralagg.FaultPlan{
 		Seed:         1,
-		MemPressures: []paralagg.MemPressure{{Rank: ranks - 1, Iter: pressureIter, Bytes: rep.Budget}},
+		MemPressures: []paralagg.MemPressure{{Rank: ranks - 1, Iter: pressureIter, Bytes: budget}},
 	}
 
 	// Unsupervised: the violation must surface structurally on every rank
 	// (the ladder's response is collective) and name the budget.
-	_, err = exec(sc.Prog(), paralagg.Config{
-		Ranks: ranks, Subs: sc.Subs, MemBudget: rep.Budget, Faults: plan,
+	_, err = exec(schedule, sc.Prog(), paralagg.Config{
+		Ranks: ranks, Subs: sc.Subs, MemBudget: budget, Faults: plan,
 	}, sc.Load, nil)
 	if err == nil {
 		return nil, fmt.Errorf("chaos %s: a full-budget phantom charge produced no error", sc.Name)
@@ -232,10 +192,9 @@ func MemPressureHard(sc Scenario, ranks, every int) (*OverloadReport, error) {
 	if !ok {
 		return nil, fmt.Errorf("chaos %s: hard-budget failure carries no ErrMemoryBudget: %w", sc.Name, err)
 	}
-	if mb.Budget != rep.Budget || mb.Used < mb.Budget {
-		return nil, fmt.Errorf("chaos %s: budget violation %v does not match the configured budget %d", sc.Name, mb, rep.Budget)
+	if mb.Budget != budget || mb.Used < mb.Budget {
+		return nil, fmt.Errorf("chaos %s: budget violation %v does not match the configured budget %d", sc.Name, mb, budget)
 	}
-	rep.BudgetErr = mb
 
 	// Supervised: the default attempt-0-only fault policy drops the phantom
 	// on restart, so recovery resumes from the pre-violation checkpoint and
@@ -244,23 +203,22 @@ func MemPressureHard(sc Scenario, ranks, every int) (*OverloadReport, error) {
 		Config: paralagg.Config{
 			Ranks:           ranks,
 			Subs:            sc.Subs,
-			MemBudget:       rep.Budget,
+			MemBudget:       budget,
 			CheckpointEvery: every,
 			Checkpoints:     paralagg.NewMemoryCheckpointSink(),
 			Faults:          plan,
 		},
 		RecoveryBackoff: time.Millisecond,
 	}
-	res, srep, err := supervise(sc.Prog(), scfg, sc.Load, collect(sc.Rels, &rep.Recovered))
+	_, srep, err := supervise(schedule, sc.Prog(), scfg, sc.Load, collect(sc.Rels, &o.Recovered))
 	if err != nil {
 		return nil, fmt.Errorf("chaos %s: supervised recovery from a hard budget failed: %w", sc.Name, err)
 	}
-	if srep.RecoveryAttempts == 0 {
-		return nil, fmt.Errorf("chaos %s: injected hard pressure never fired — nothing was recovered", sc.Name)
+	if srep.RecoveryAttempts != 1 {
+		return nil, fmt.Errorf("chaos %s: %d supervised recoveries, want exactly 1 (the injected hard pressure)", sc.Name, srep.RecoveryAttempts)
 	}
-	rep.RecoveryAttempts = srep.RecoveryAttempts
-	rep.MemPeakBytes = res.MemPeakBytes
-	return rep, nil
+	return o.verdict(sc.Name, "structured budget failure at iter %d, %d supervised recovery, bit-identical",
+		mb.Iter, srep.RecoveryAttempts)
 }
 
 // DiskFullDegradation proves checkpointing degrades instead of aborting:
@@ -269,16 +227,10 @@ func MemPressureHard(sc Scenario, ranks, every int) (*OverloadReport, error) {
 // with bit-identical relations, the degradation must be counted and
 // observed (the rank carries on against an in-memory fallback sink), and
 // the generations written before the failure must survive on disk.
-func DiskFullDegradation(sc Scenario, ranks, every int) (*OverloadReport, error) {
-	rep := &OverloadReport{}
-	clean, err := exec(sc.Prog(), paralagg.Config{Ranks: ranks, Subs: sc.Subs},
-		sc.Load, collect(sc.Rels, &rep.Clean))
+func DiskFullDegradation(sc Scenario, schedule string, ranks, every int) (*Outcome, error) {
+	o, _, err := reference(sc, schedule, paralagg.Config{Ranks: ranks}, 2*every)
 	if err != nil {
-		return nil, fmt.Errorf("chaos %s: fault-free run failed: %w", sc.Name, err)
-	}
-	if clean.Iterations <= 2*every {
-		return nil, fmt.Errorf("chaos %s: fixpoint ran only %d iterations, disk-full at checkpoint %d would never fire",
-			sc.Name, clean.Iterations, 2*every)
+		return nil, err
 	}
 	dir, err := os.MkdirTemp("", "paralagg-chaos-diskfull-")
 	if err != nil {
@@ -288,7 +240,7 @@ func DiskFullDegradation(sc Scenario, ranks, every int) (*OverloadReport, error)
 
 	obs := &overloadObserver{}
 	before := paralagg.CheckpointDegradations()
-	_, err = exec(sc.Prog(), paralagg.Config{
+	_, err = exec(schedule, sc.Prog(), paralagg.Config{
 		Ranks:           ranks,
 		Subs:            sc.Subs,
 		CheckpointEvery: every,
@@ -298,12 +250,12 @@ func DiskFullDegradation(sc Scenario, ranks, every int) (*OverloadReport, error)
 			Seed:      1,
 			DiskFulls: []paralagg.DiskFull{{Rank: 0, Iter: 2 * every}},
 		},
-	}, sc.Load, collect(sc.Rels, &rep.Recovered))
+	}, sc.Load, collect(sc.Rels, &o.Recovered))
 	if err != nil {
 		return nil, fmt.Errorf("chaos %s: run with a full checkpoint device aborted instead of degrading: %w", sc.Name, err)
 	}
-	rep.DegradationsDelta = paralagg.CheckpointDegradations() - before
-	if rep.DegradationsDelta < 1 {
+	degradations := paralagg.CheckpointDegradations() - before
+	if degradations < 1 {
 		return nil, fmt.Errorf("chaos %s: injected disk-full never degraded a sink", sc.Name)
 	}
 	if got := obs.degraded.Load(); got < 1 {
@@ -327,5 +279,5 @@ func DiskFullDegradation(sc Scenario, ranks, every int) (*OverloadReport, error)
 	if rank0Gens == 0 {
 		return nil, fmt.Errorf("chaos %s: the degraded rank's pre-failure generation vanished from disk", sc.Name)
 	}
-	return rep, nil
+	return o.verdict(sc.Name, "degraded to in-memory checkpointing (%d), run completed bit-identical", degradations)
 }

@@ -1,100 +1,30 @@
 package chaos
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // TestTCPSlowConsumerBoundedAndIdentical is the flow-control acceptance
 // gate: a receiver that consumes slowly and advertises little credit must
 // throttle its senders (stalls recorded, outboxes inside the window) while
 // the answer stays bit-identical to the in-process run — and the adaptive
 // watchdog must not mistake the throttled-but-live peer for a dead one.
-func TestTCPSlowConsumerBoundedAndIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("network overload differential is not short")
-	}
-	sc := Scenarios()[0] // sssp
-	const window = 8
-	rep, err := TCPSlowConsumer(sc, 3, window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Identical() {
-		t.Fatalf("TCP run under a slow consumer diverged from the in-process answer:\n got %v\nwant %v",
-			rep.Recovered, rep.Clean)
-	}
-	t.Logf("stalls=%d outboxPeak=%d/%d", rep.Net.ThrottleStalls, rep.Net.OutboxPeakFrames, window)
-}
+func TestTCPSlowConsumerBoundedAndIdentical(t *testing.T) { rows(t, "", "overload", "slow-consumer/") }
 
 // TestMemPressureSoftShedsAndCompletes is the soft-rung acceptance gate:
 // phantom pressure into the soft band must raise collective shed responses,
 // never escalate to the hard rung, and leave the answer bit-identical with
 // the accounted peak inside the budget.
-func TestMemPressureSoftShedsAndCompletes(t *testing.T) {
-	for _, sc := range Scenarios() {
-		for _, ranks := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%s/ranks=%d", sc.Name, ranks), func(t *testing.T) {
-				rep, err := MemPressureSoft(sc, ranks)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rep.Identical() {
-					t.Errorf("run under soft pressure diverged from the fault-free answer:\nclean:     %v\nrecovered: %v",
-						rep.Clean, rep.Recovered)
-				}
-				if rep.MemPeakBytes < rep.Budget*85/100 {
-					t.Errorf("accounted peak %d never reached the soft band of budget %d — the phantom never bit",
-						rep.MemPeakBytes, rep.Budget)
-				}
-			})
-		}
-	}
-}
+func TestMemPressureSoftShedsAndCompletes(t *testing.T) { rows(t, "", "overload", "mem-soft/") }
 
 // TestMemPressureHardFailsStructurallyAndRecovers is the hard-rung
 // acceptance gate: a budget violation must surface as ErrMemoryBudget on
 // every rank (no OOM kill, no deadlock) and a supervised run must recover
 // to the bit-identical answer.
 func TestMemPressureHardFailsStructurallyAndRecovers(t *testing.T) {
-	for _, sc := range Scenarios() {
-		t.Run(sc.Name, func(t *testing.T) {
-			rep, err := MemPressureHard(sc, 4, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.Identical() {
-				t.Errorf("supervised recovery from a hard budget diverged:\nclean:     %v\nrecovered: %v",
-					rep.Clean, rep.Recovered)
-			}
-			if rep.BudgetErr == nil {
-				t.Fatal("no structured budget violation was extracted")
-			}
-			if rep.RecoveryAttempts != 1 {
-				t.Errorf("RecoveryAttempts = %d, want exactly 1", rep.RecoveryAttempts)
-			}
-		})
-	}
+	rows(t, "", "overload", "mem-hard/")
 }
 
 // TestDiskFullDegradesCheckpointing is the storage-degradation acceptance
 // gate: a full checkpoint device mid-run must degrade that rank to
 // in-memory checkpointing — run completes, answer bit-identical,
 // degradation counted and observed, earlier on-disk generations intact.
-func TestDiskFullDegradesCheckpointing(t *testing.T) {
-	for _, sc := range Scenarios() {
-		t.Run(sc.Name, func(t *testing.T) {
-			rep, err := DiskFullDegradation(sc, 4, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.Identical() {
-				t.Errorf("run under a full checkpoint device diverged:\nclean:     %v\nrecovered: %v",
-					rep.Clean, rep.Recovered)
-			}
-			if rep.DegradationsDelta < 1 {
-				t.Errorf("DegradationsDelta = %d, want >= 1", rep.DegradationsDelta)
-			}
-		})
-	}
-}
+func TestDiskFullDegradesCheckpointing(t *testing.T) { rows(t, "", "overload", "disk-full/") }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -12,7 +13,7 @@ import (
 )
 
 // Hot-replacement chaos: the partial-restart recovery loop over real
-// sockets. Where TCPKillRecovery tears the whole gang down and rebuilds it,
+// sockets. Where TCPFullRestart tears the whole gang down and rebuilds it,
 // TCPHotReplace keeps the survivors alive: the victim's process dies
 // mid-fixpoint, the survivors park at the transport's recovery barrier with
 // their in-memory state intact, a replacement process is spawned at the
@@ -37,32 +38,6 @@ const (
 	recoveryReplaceTimeout = 20 * time.Second
 )
 
-// RecoveryReport is the outcome of one timed recovery differential.
-type RecoveryReport struct {
-	Clean     map[string]Fingerprint
-	Recovered map[string]Fingerprint
-	// Repairs counts hot replacements (TCPHotReplace) or supervised full
-	// restarts (TCPFullRestart) — the differential demands exactly one.
-	Repairs int
-	// MTTR is the wall clock from the victim's death to the whole
-	// computation completing — the repair cost the two strategies compete on.
-	MTTR time.Duration
-}
-
-// Identical reports whether the recovered run reproduced the fault-free
-// relation contents exactly.
-func (r *RecoveryReport) Identical() bool {
-	if len(r.Clean) != len(r.Recovered) {
-		return false
-	}
-	for rel, fp := range r.Clean {
-		if r.Recovered[rel] != fp {
-			return false
-		}
-	}
-	return true
-}
-
 // goMember adapts one rank's goroutine to the supervisor's gang Member.
 type goMember struct {
 	done chan error
@@ -76,17 +51,11 @@ func (m *goMember) Kill()       { m.kill() }
 // gang with hot replacement enabled and rank (ranks-1) crashed as it enters
 // iteration crashIter's tuple exchange. The gang must repair itself with
 // exactly one hot replacement — survivors never torn down — and land on the
-// bit-identical answer.
-func TCPHotReplace(sc Scenario, ranks, every, crashIter int) (*RecoveryReport, error) {
-	rep := &RecoveryReport{}
-	clean, err := exec(sc.Prog(), paralagg.Config{Ranks: ranks, Subs: sc.Subs},
-		sc.Load, collect(sc.Rels, &rep.Clean))
+// bit-identical answer; Outcome.MTTR times the repair.
+func TCPHotReplace(sc Scenario, schedule string, ranks, every, crashIter int) (*Outcome, error) {
+	o, _, err := reference(sc, schedule, paralagg.Config{Ranks: ranks}, crashIter)
 	if err != nil {
-		return nil, fmt.Errorf("chaos %s: in-process reference run failed: %w", sc.Name, err)
-	}
-	if clean.Iterations <= crashIter {
-		return nil, fmt.Errorf("chaos %s: fixpoint ran only %d iterations, crash at %d would never fire",
-			sc.Name, clean.Iterations, crashIter)
+		return nil, err
 	}
 
 	victim := ranks - 1
@@ -128,10 +97,9 @@ func TCPHotReplace(sc Scenario, ranks, every, crashIter int) (*RecoveryReport, e
 		// (PeerTimeout) declares the dead rank before a survivor's receive
 		// watchdog expires: a survivor blocked on a rank that is itself
 		// blocked on the victim must still be parked, not timed out. Floor
-		// the adaptive deadline well above PeerTimeout to fix the race.
-		AdaptiveWatchdog: true,
-		WatchdogFloor:    time.Second,
-		WatchdogCeil:     10 * time.Second,
+		// the deadline well above PeerTimeout to fix the race.
+		Watchdog:      10 * time.Second,
+		WatchdogFloor: time.Second,
 	}
 	var (
 		fps     map[string]Fingerprint
@@ -186,7 +154,7 @@ func TCPHotReplace(sc Scenario, ranks, every, crashIter int) (*RecoveryReport, e
 					Crashes: []paralagg.Crash{{Rank: victim, Iter: crashIter, Op: "alltoallv"}},
 				}
 			}
-			_, err := exec(sc.Prog(), cfg, sc.Load, collect(sc.Rels, &fps))
+			_, err := exec(schedule, sc.Prog(), cfg, sc.Load, collect(sc.Rels, &fps))
 			if err != nil {
 				tr.Kill() // the process is gone; so is its endpoint
 				crashed.CompareAndSwap(0, time.Now().UnixNano())
@@ -206,26 +174,34 @@ func TCPHotReplace(sc Scenario, ranks, every, crashIter int) (*RecoveryReport, e
 		return nil, fmt.Errorf("chaos %s: %d hot replacements, want exactly 1 (replaced %v)",
 			sc.Name, grep.Replacements, grep.Replaced)
 	}
-	rep.Repairs = grep.Replacements
-	rep.Recovered = fps
-	rep.MTTR = done.Sub(time.Unix(0, crashed.Load()))
-	return rep, nil
+	o.Recovered = fps
+	return o.timed(sc.Name, done.Sub(time.Unix(0, crashed.Load())),
+		"rank %d killed mid-exchange, 1 replacement, bit-identical", victim)
 }
 
-// TCPFullRestart is the timed control arm: the same crash repaired by the
-// whole-world restart path (every survivor torn down, fresh sockets, every
-// rank re-executing from the shared checkpoints). Its MTTR is the baseline
-// hot replacement must beat.
-func TCPFullRestart(sc Scenario, ranks, every, crashIter int) (*RecoveryReport, error) {
-	rep := &RecoveryReport{}
-	clean, err := exec(sc.Prog(), paralagg.Config{Ranks: ranks, Subs: sc.Subs},
-		sc.Load, collect(sc.Rels, &rep.Clean))
-	if err != nil {
-		return nil, fmt.Errorf("chaos %s: in-process reference run failed: %w", sc.Name, err)
+// timed is verdict for the two timed recovery arms: the repair must have
+// taken measurable time, which the evidence line reports.
+func (o *Outcome) timed(what string, mttr time.Duration, format string, args ...any) (*Outcome, error) {
+	if mttr <= 0 {
+		return nil, fmt.Errorf("chaos %s: MTTR = %v, want > 0", what, mttr)
 	}
-	if clean.Iterations <= crashIter {
-		return nil, fmt.Errorf("chaos %s: fixpoint ran only %d iterations, crash at %d would never fire",
-			sc.Name, clean.Iterations, crashIter)
+	o.MTTR = mttr
+	return o.verdict(what, format+" (MTTR %.1fms)", append(args, float64(mttr.Microseconds())/1e3)...)
+}
+
+// TCPFullRestart is the full robustness loop over real sockets, and the
+// timed control arm of hot replacement: sc runs on a TCP gang with
+// checkpointing on; rank (ranks-1)'s process is killed mid-fixpoint (its
+// rank dies AND its wire goes silent, so the survivors' failure detectors
+// must do the declaring); every survivor observes a structured failure; and
+// the supervisor rebuilds the whole gang — every survivor torn down, fresh
+// sockets, every rank re-executing from the shared checkpoints. Exactly one
+// restart must land on the bit-identical answer; its MTTR is the baseline
+// hot replacement must beat.
+func TCPFullRestart(sc Scenario, schedule string, ranks, every, crashIter int) (*Outcome, error) {
+	o, _, err := reference(sc, schedule, paralagg.Config{Ranks: ranks}, crashIter)
+	if err != nil {
+		return nil, err
 	}
 
 	victim := ranks - 1
@@ -240,11 +216,10 @@ func TCPFullRestart(sc Scenario, ranks, every, crashIter int) (*RecoveryReport, 
 			return err
 		}
 		base := paralagg.Config{
-			Subs:             sc.Subs,
-			CheckpointEvery:  every,
-			Checkpoints:      sink,
-			AdaptiveWatchdog: true,
-			WatchdogCeil:     10 * time.Second,
+			Subs:            sc.Subs,
+			CheckpointEvery: every,
+			Checkpoints:     sink,
+			Watchdog:        10 * time.Second,
 		}
 		if resume {
 			if _, ok, err := sink.LatestValid(); ok && err == nil {
@@ -264,7 +239,7 @@ func TCPFullRestart(sc Scenario, ranks, every, crashIter int) (*RecoveryReport, 
 			go func(i int, tr *tcp.Transport) {
 				cfg := base
 				cfg.Transport = tr
-				_, errs[i] = exec(sc.Prog(), cfg, sc.Load, collect(sc.Rels, &fps))
+				_, errs[i] = exec(schedule, sc.Prog(), cfg, sc.Load, collect(sc.Rels, &fps))
 				if i == victim && errs[i] != nil && attempt == 0 {
 					tr.Kill() // the process is gone; so is its endpoint
 					crashed.CompareAndSwap(0, time.Now().UnixNano())
@@ -280,12 +255,10 @@ func TCPFullRestart(sc Scenario, ranks, every, crashIter int) (*RecoveryReport, 
 				tr.Close()
 			}
 		}
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
+		if err := errors.Join(errs...); err != nil {
+			return err
 		}
-		rep.Recovered = fps
+		o.Recovered = fps
 		return nil
 	})
 	doneAt := time.Now()
@@ -295,7 +268,48 @@ func TCPFullRestart(sc Scenario, ranks, every, crashIter int) (*RecoveryReport, 
 	if srep.RecoveryAttempts != 1 {
 		return nil, fmt.Errorf("chaos %s: %d full restarts, want exactly 1", sc.Name, srep.RecoveryAttempts)
 	}
-	rep.Repairs = srep.RecoveryAttempts
-	rep.MTTR = doneAt.Sub(time.Unix(0, crashed.Load()))
-	return rep, nil
+	return o.timed(sc.Name, doneAt.Sub(time.Unix(0, crashed.Load())),
+		"process killed mid-fixpoint, whole gang restarted from shared checkpoints, bit-identical")
+}
+
+// hotReplaceBeatsFullRestart repairs the same crash both ways and demands
+// the reason hot replacement exists: keeping the survivors alive must cost
+// strictly less wall clock than tearing the whole world down.
+func hotReplaceBeatsFullRestart(sc Scenario, schedule string, ranks, every, crashIter int) (*Outcome, error) {
+	hot, err := TCPHotReplace(sc, schedule, ranks, every, crashIter)
+	if err != nil {
+		return nil, err
+	}
+	full, err := TCPFullRestart(sc, schedule, ranks, every, crashIter)
+	if err != nil {
+		return nil, err
+	}
+	if hot.MTTR >= full.MTTR {
+		return nil, fmt.Errorf("chaos %s: hot replacement (%v) did not beat the full restart (%v)", sc.Name, hot.MTTR, full.MTTR)
+	}
+	hot.Evidence = fmt.Sprintf("hot replacement %v vs full restart %v (%.0fx cheaper)",
+		hot.MTTR, full.MTTR, float64(full.MTTR)/float64(hot.MTTR))
+	return hot, nil
+}
+
+// crossSchedule hot-replaces under the given schedule and compares the
+// recovered answer against an in-process run under the OTHER routing shape
+// (tree for a flat gang, flat for anything else): one bar proving both that
+// recovery works under that routing and that the routing shape never
+// changes the answer.
+func crossSchedule(sc Scenario, schedule string, ranks, every, crashIter int) (*Outcome, error) {
+	other := "flat"
+	if schedule == "" || schedule == "flat" {
+		other = "tree"
+	}
+	o, err := TCPHotReplace(sc, schedule, ranks, every, crashIter)
+	if err != nil {
+		return nil, err
+	}
+	ref, _, err := reference(sc, other, paralagg.Config{Ranks: ranks}, crashIter)
+	if err != nil {
+		return nil, err
+	}
+	o.Clean = ref.Clean
+	return o.verdict(sc.Name, "hot-replaced gang matches the %s-scheduled in-process answer", other)
 }

@@ -1,76 +1,21 @@
 package chaos
 
-import (
-	"testing"
+import "testing"
 
-	"paralagg"
-)
-
+// The hot-replacement differentials at 4 and 8 ranks, on the skewed
+// sub-bucketed scenario, and the whole-world restart control arm.
 func TestTCPHotReplaceBitIdentical4(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hot-replace chaos differential is not short")
-	}
-	sc := Scenarios()[0] // sssp
-	rep, err := TCPHotReplace(sc, 4, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Identical() {
-		t.Fatalf("hot-replaced gang diverged from the fault-free answer:\n got %v\nwant %v",
-			rep.Recovered, rep.Clean)
-	}
-	if rep.MTTR <= 0 {
-		t.Errorf("MTTR = %v, want > 0", rep.MTTR)
-	}
+	rows(t, "", "recovery", "hot-replace/sssp/ranks=4")
 }
-
 func TestTCPHotReplaceBitIdentical8(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hot-replace chaos differential is not short")
-	}
-	sc := Scenarios()[0] // sssp
-	rep, err := TCPHotReplace(sc, 8, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Identical() {
-		t.Fatalf("hot-replaced gang diverged from the fault-free answer:\n got %v\nwant %v",
-			rep.Recovered, rep.Clean)
-	}
+	rows(t, "", "recovery", "hot-replace/sssp/ranks=8")
 }
+func TestTCPHotReplaceSkewSubBuckets(t *testing.T) { rows(t, "", "recovery", "hot-replace/sssp-skew/") }
+func TestTCPFullRestartBitIdentical(t *testing.T)  { rows(t, "", "recovery", "full-restart/") }
 
-func TestTCPHotReplaceSkewSubBuckets(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hot-replace chaos differential is not short")
-	}
-	sc := Scenarios()[3] // sssp-skew, Subs=4: restore must respect sub-bucket placement
-	rep, err := TCPHotReplace(sc, 4, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Identical() {
-		t.Fatalf("hot-replaced skewed gang diverged from the fault-free answer:\n got %v\nwant %v",
-			rep.Recovered, rep.Clean)
-	}
-}
-
-func TestTCPFullRestartBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-restart chaos differential is not short")
-	}
-	sc := Scenarios()[0] // sssp
-	rep, err := TCPFullRestart(sc, 4, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Identical() {
-		t.Fatalf("fully-restarted gang diverged from the fault-free answer:\n got %v\nwant %v",
-			rep.Recovered, rep.Clean)
-	}
-	if rep.MTTR <= 0 {
-		t.Errorf("MTTR = %v, want > 0", rep.MTTR)
-	}
-}
+// TestHotReplaceBeatsFullRestart is the reason the survivors are kept
+// alive: the same crash must be cheaper to repair in place.
+func TestHotReplaceBeatsFullRestart(t *testing.T) { rows(t, "", "recovery", "mttr/") }
 
 // TestTCPHotReplaceTreeSchedule is the schedule-aware recovery differential:
 // the whole gang — victim, survivors, and the replacement — routes its
@@ -80,37 +25,4 @@ func TestTCPFullRestartBitIdentical(t *testing.T) {
 // but also to a flat-scheduled in-process run: one bar proving both that
 // recovery works under multi-hop routing and that the routing shape never
 // changes the answer.
-func TestTCPHotReplaceTreeSchedule(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hot-replace chaos differential is not short")
-	}
-	old := Schedule
-	Schedule = "tree"
-	defer func() { Schedule = old }()
-
-	sc := Scenarios()[0] // sssp
-	rep, err := TCPHotReplace(sc, 4, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Identical() {
-		t.Fatalf("tree-scheduled hot-replaced gang diverged from the tree reference:\n got %v\nwant %v",
-			rep.Recovered, rep.Clean)
-	}
-
-	Schedule = "" // flat reference for the cross-schedule comparison
-	var flat map[string]Fingerprint
-	if _, err := exec(sc.Prog(), paralagg.Config{Ranks: 4, Subs: sc.Subs},
-		sc.Load, collect(sc.Rels, &flat)); err != nil {
-		t.Fatal(err)
-	}
-	for rel, fp := range flat {
-		if rep.Recovered[rel] != fp {
-			t.Fatalf("tree-scheduled recovery diverged from the flat-scheduled answer for %q:\n got %v\nwant %v",
-				rel, rep.Recovered[rel], fp)
-		}
-	}
-	if len(flat) != len(rep.Recovered) {
-		t.Fatalf("relation sets differ: flat %v vs tree %v", flat, rep.Recovered)
-	}
-}
+func TestTCPHotReplaceTreeSchedule(t *testing.T) { rows(t, "tree", "recovery", "cross-schedule/") }

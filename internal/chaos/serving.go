@@ -150,70 +150,6 @@ func cutColumns(g *graph.Graph, cols, a, b int) (*graph.Graph, []graph.Edge) {
 	return cut, bridges
 }
 
-// ServingBatchReport compares one batch's incremental result against the
-// from-scratch control.
-type ServingBatchReport struct {
-	Name string
-	// Engine and Scratch are the fingerprints of the resident and the
-	// recomputed relations; they must be equal.
-	Engine  map[string]Fingerprint
-	Scratch map[string]Fingerprint
-	// ApplyIters is the engine's re-convergence cost, ScratchIters the
-	// from-scratch fixpoint's.
-	ApplyIters   int
-	ScratchIters int
-	// Incremental, InvalidationRounds, Dropped echo the engine's ApplyStats.
-	Incremental        bool
-	InvalidationRounds int
-	Dropped            uint64
-	// InsertOnly marks batches eligible for the strictly-cheaper bar.
-	InsertOnly bool
-}
-
-// Identical reports whether this batch's engine state matched recomputation.
-func (b *ServingBatchReport) Identical() bool {
-	if len(b.Engine) != len(b.Scratch) {
-		return false
-	}
-	for rel, fp := range b.Scratch {
-		if b.Engine[rel] != fp {
-			return false
-		}
-	}
-	return true
-}
-
-// ServingReport is the outcome of one serving differential: the initial
-// load plus every batch.
-type ServingReport struct {
-	Scenario string
-	Ranks    int
-	Batches  []ServingBatchReport
-}
-
-// Identical reports whether every batch (and the initial load) matched.
-func (r *ServingReport) Identical() bool {
-	for i := range r.Batches {
-		if !r.Batches[i].Identical() {
-			return false
-		}
-	}
-	return true
-}
-
-// InsertsStrictlyCheaper reports whether every incremental insert-only batch
-// re-converged in strictly fewer iterations than its from-scratch control —
-// the serving engine's reason to exist.
-func (r *ServingReport) InsertsStrictlyCheaper() bool {
-	for i := range r.Batches {
-		b := &r.Batches[i]
-		if b.InsertOnly && b.Incremental && b.ApplyIters >= b.ScratchIters {
-			return false
-		}
-	}
-	return true
-}
-
 // servingProg returns the program, loader, compared relations, and the
 // per-batch tuple shape for a scenario kind.
 func servingProg(sc ServingScenario) (prog *paralagg.Program, load func(*paralagg.Rank) error, rels []string, err error) {
@@ -249,17 +185,21 @@ func edgeTuples(kind string, edges []graph.Edge) []paralagg.Tuple {
 // ServingDifferential streams sc's batches into one long-lived engine at the
 // given rank count, and after the initial load and every batch compares the
 // engine's resident relations against a from-scratch execution over the same
-// post-batch facts. The engine's world and the control worlds all run under
-// the suite-wide collective Schedule.
-func ServingDifferential(sc ServingScenario, ranks int) (*ServingReport, error) {
+// post-batch facts: they must be bit-identical every time. Every incremental
+// insert-only batch must also re-converge in strictly fewer iterations than
+// its from-scratch control — the serving engine's reason to exist — and a
+// scenario that deletes must actually drive the invalidation path (rounds
+// and drops nonzero) rather than silently degenerating to a no-op. The
+// engine's world and the control worlds all run under schedule.
+func ServingDifferential(sc ServingScenario, schedule string, ranks int) (*Outcome, error) {
 	prog, load, rels, err := servingProg(sc)
 	if err != nil {
 		return nil, err
 	}
-	rep := &ServingReport{Scenario: sc.Name, Ranks: ranks}
+	o := &Outcome{}
 
 	eng, err := paralagg.Open(paralagg.Config{
-		Ranks: ranks, Subs: sc.Subs, CollectiveSchedule: Schedule,
+		Ranks: ranks, Subs: sc.Subs, CollectiveSchedule: schedule,
 	}, prog)
 	if err != nil {
 		return nil, fmt.Errorf("chaos serving %s: Open failed: %w", sc.Name, err)
@@ -279,14 +219,11 @@ func ServingDifferential(sc ServingScenario, ranks int) (*ServingReport, error) 
 		curSet[e] = true
 	}
 
+	batches, rounds, dropped, invalidated := 0, 0, uint64(0), false
 	check := func(name string, st paralagg.ApplyStats, insertOnly bool) error {
-		br := ServingBatchReport{
-			Name: name, ApplyIters: st.Iterations,
-			Incremental: st.Incremental, InvalidationRounds: st.InvalidationRounds,
-			Dropped: st.Dropped, InsertOnly: insertOnly,
-		}
-		if err := eng.Inspect(collect(rels, &br.Engine)); err != nil {
-			return fmt.Errorf("chaos serving %s/%s: engine fingerprint failed: %w", sc.Name, name, err)
+		what := sc.Name + "/" + name
+		if err := eng.Inspect(collect(rels, &o.Recovered)); err != nil {
+			return fmt.Errorf("chaos serving %s: engine fingerprint failed: %w", what, err)
 		}
 		ctrl := &graph.Graph{
 			Name: sc.Base.Name + "-" + name, Nodes: sc.Base.Nodes,
@@ -295,20 +232,31 @@ func ServingDifferential(sc ServingScenario, ranks int) (*ServingReport, error) 
 		ctrlSc := sc
 		ctrlSc.Base = ctrl
 		_, ctrlLoad, _, _ := servingProg(ctrlSc)
-		res, err := exec(prog, paralagg.Config{Ranks: ranks, Subs: sc.Subs},
-			ctrlLoad, collect(rels, &br.Scratch))
+		res, err := exec(schedule, prog, paralagg.Config{Ranks: ranks, Subs: sc.Subs},
+			ctrlLoad, collect(rels, &o.Clean))
 		if err != nil {
-			return fmt.Errorf("chaos serving %s/%s: control run failed: %w", sc.Name, name, err)
+			return fmt.Errorf("chaos serving %s: control run failed: %w", what, err)
 		}
-		br.ScratchIters = res.Iterations
-		rep.Batches = append(rep.Batches, br)
+		if err := identical("serving "+what, o.Clean, o.Recovered); err != nil {
+			return err
+		}
+		if insertOnly && st.Incremental && st.Iterations >= res.Iterations {
+			return fmt.Errorf("chaos serving %s: incremental insert took %d iterations, from-scratch %d — not cheaper",
+				what, st.Iterations, res.Iterations)
+		}
+		batches++
+		rounds += st.InvalidationRounds
+		dropped += st.Dropped
+		invalidated = invalidated || (st.InvalidationRounds > 0 && st.Dropped > 0)
 		return nil
 	}
 	if err := check("initial", stats, false); err != nil {
 		return nil, err
 	}
 
+	deletes := false
 	for _, batch := range sc.Batches {
+		deletes = deletes || len(batch.DeleteEdges) > 0
 		m := paralagg.Mutation{}
 		if len(batch.InsertEdges) > 0 {
 			m.Insert = map[string][]paralagg.Tuple{"edge": edgeTuples(sc.Kind, batch.InsertEdges)}
@@ -350,7 +298,11 @@ func ServingDifferential(sc ServingScenario, ranks int) (*ServingReport, error) 
 			return nil, err
 		}
 	}
-	return rep, nil
+	if deletes && !invalidated {
+		return nil, fmt.Errorf("chaos serving %s: no batch reported invalidation rounds — delete path untested", sc.Name)
+	}
+	o.Evidence = fmt.Sprintf("%d batches bit-identical (invalidation rounds=%d dropped=%d)", batches, rounds, dropped)
+	return o, nil
 }
 
 // mirror expands an edge into the directed tuples the base set stores for a

@@ -6,75 +6,16 @@ import "testing"
 // into a long-lived engine at 1, 2, and 4 ranks and requires the resident
 // relations to be bit-identical to a from-scratch recomputation after the
 // initial load and after every batch — the serving engine's correctness bar.
-func TestServingDifferentials(t *testing.T) {
-	for _, sc := range ServingScenarios() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			for _, ranks := range []int{1, 2, 4} {
-				rep, err := ServingDifferential(sc, ranks)
-				if err != nil {
-					t.Fatalf("ranks=%d: %v", ranks, err)
-				}
-				for i := range rep.Batches {
-					b := &rep.Batches[i]
-					if !b.Identical() {
-						t.Errorf("ranks=%d batch %s: engine state diverged from recomputation\nengine:  %v\nscratch: %v",
-							ranks, b.Name, b.Engine, b.Scratch)
-					}
-				}
-			}
-		})
-	}
-}
+func TestServingDifferentials(t *testing.T) { rows(t, "", "serving", "") }
 
-// TestServingInsertsStrictlyCheaper pins the communication saving: an
-// insert-only batch continues the fixpoint from its seeded Δ, so it must
-// re-converge in strictly fewer iterations than recomputing from zero.
-func TestServingInsertsStrictlyCheaper(t *testing.T) {
-	for _, sc := range ServingScenarios() {
-		sc := sc
-		for _, ranks := range []int{1, 2, 4} {
-			rep, err := ServingDifferential(sc, ranks)
-			if err != nil {
-				t.Fatalf("%s ranks=%d: %v", sc.Name, ranks, err)
-			}
-			for i := range rep.Batches {
-				b := &rep.Batches[i]
-				if b.InsertOnly && b.Incremental && b.ApplyIters >= b.ScratchIters {
-					t.Errorf("%s ranks=%d batch %s: incremental insert took %d iterations, from-scratch %d — not cheaper",
-						sc.Name, ranks, b.Name, b.ApplyIters, b.ScratchIters)
-				}
-			}
-		}
-	}
-}
+// TestServingInsertsStrictlyCheaper pins the communication saving on the
+// insert-only scenario: a batch continues the fixpoint from its seeded Δ, so
+// it must re-converge in strictly fewer iterations than recomputing from
+// zero. (Every serving row asserts it of its insert-only batches.)
+func TestServingInsertsStrictlyCheaper(t *testing.T) { rows(t, "", "serving", "sssp-insert/") }
 
-// TestServingDeletesInvalidate pins that delete batches actually exercise
-// the invalidation path (rounds and drops nonzero) rather than silently
-// degenerating to a no-op.
-func TestServingDeletesInvalidate(t *testing.T) {
-	for _, sc := range ServingScenarios() {
-		rep, err := ServingDifferential(sc, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name, err)
-		}
-		hasDelete := false
-		for _, b := range sc.Batches {
-			if len(b.DeleteEdges) > 0 {
-				hasDelete = true
-			}
-		}
-		if !hasDelete {
-			continue
-		}
-		sawRounds := false
-		for i := range rep.Batches {
-			if rep.Batches[i].InvalidationRounds > 0 && rep.Batches[i].Dropped > 0 {
-				sawRounds = true
-			}
-		}
-		if !sawRounds {
-			t.Errorf("%s: no batch reported invalidation rounds — delete path untested", sc.Name)
-		}
-	}
-}
+// TestServingDeletesInvalidate pins, on the delete-only scenario, that
+// delete batches actually exercise the invalidation path (rounds and drops
+// nonzero) rather than silently degenerating to a no-op. (Every serving row
+// with a delete batch asserts it.)
+func TestServingDeletesInvalidate(t *testing.T) { rows(t, "", "serving", "sssp-delete/") }

@@ -57,7 +57,7 @@ func (c *Comm) collSend(op string, dest, tag int, words []Word) {
 }
 
 // collRecv blocks for an internal collective message, bounded by the
-// watchdog deadline (fixed or adaptive) when one is in force — the per-hop
+// watchdog deadline when one is in force — the per-hop
 // deadline every schedule edge inherits. While it waits the rank publishes
 // who it is blocked on, which is how a hop that hits the deadline finds the
 // rank actually absent from the collective (recvFailed).

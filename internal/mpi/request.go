@@ -64,7 +64,7 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	r := &Request{done: make(chan struct{}), owner: c, op: "irecv"}
 	go func() {
 		defer close(r.done)
-		msg, err := c.world.boxes[c.rank].take(src, tag, c.world.watchdog)
+		msg, err := c.world.boxes[c.rank].take(src, tag, c.world.curWatchdog())
 		if err != nil {
 			r.err = err
 			return

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -222,6 +223,43 @@ cost nodeA nodeB 8
 			t.Fatalf("bad topology %d accepted: %q", i, src)
 		}
 	}
+	// Costs no schedule could route by: strconv.ParseFloat takes NaN and Inf
+	// without error, and a same-host pair can never be looked up. Each is
+	// rejected naming the line it stands on.
+	for _, cost := range []string{"cost a b NaN", "cost a b +Inf", "cost a b -Inf", "cost a b 0", "cost a a 7"} {
+		_, err := ParseTopology(strings.NewReader("host 0 a\nhost 1 b\n"+cost), 2)
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("%q: err = %v, want a rejection naming line 3", cost, err)
+		}
+	}
+}
+
+// FuzzParseTopology feeds arbitrary text to the topology parser. Whatever
+// the bytes: no panic, and a topology that parses describes the world size
+// it was parsed for with link costs a schedule can compare — finite and
+// non-negative between every pair of ranks.
+func FuzzParseTopology(f *testing.F) {
+	f.Add("# two hosts, slow link\nhost 0 nodeA\nhost 1 nodeA\nhost 2 nodeB\ncost nodeA nodeB 8\n")
+	f.Add("host 0 a\nhost 1 b\nhost 2 b\ncost a b NaN")
+	f.Add("host 0 a\nhost 1 b\nhost 2 b\ncost a b +Inf")
+	f.Add("host 0 a\nhost 1 b\nhost 2 b\ncost a a 7")
+	f.Fuzz(func(t *testing.T, src string) {
+		const size = 3
+		topo, err := ParseTopology(strings.NewReader(src), size)
+		if err != nil {
+			return
+		}
+		if err := topo.Validate(size); err != nil {
+			t.Fatalf("parsed topology fails Validate(%d): %v", size, err)
+		}
+		for a := 0; a < size; a++ {
+			for b := 0; b < size; b++ {
+				if c := topo.LinkCost(a, b); !(c >= 0) || math.IsInf(c, 0) {
+					t.Fatalf("LinkCost(%d,%d) = %v from %q", a, b, c, src)
+				}
+			}
+		}
+	})
 }
 
 func TestTopologyFromAddrs(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"strconv"
@@ -150,9 +151,14 @@ func ParseTopology(r io.Reader, size int) (*Topology, error) {
 			if len(fields) != 4 {
 				return nil, fmt.Errorf("topology line %d: want 'cost <hostA> <hostB> <x>', got %q", lineno, line)
 			}
+			// ParseFloat accepts "NaN" and "Inf" without error, and NaN <= 0
+			// is false: demand a cost a schedule can actually compare.
 			x, err := strconv.ParseFloat(fields[3], 64)
-			if err != nil || x <= 0 {
-				return nil, fmt.Errorf("topology line %d: link cost %q must be a positive number", lineno, fields[3])
+			if err != nil || !(x > 0) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("topology line %d: link cost %q must be a positive finite number", lineno, fields[3])
+			}
+			if fields[1] == fields[2] {
+				return nil, fmt.Errorf("topology line %d: cost names host %q twice (a link joins two hosts; same-host cost is always 1)", lineno, fields[1])
 			}
 			costs = append(costs, costLine{a: fields[1], b: fields[2], x: x})
 		default:

@@ -6,16 +6,17 @@ import (
 	"time"
 )
 
-// Adaptive watchdog: instead of one fixed deadline for "a receive stays
-// unmatched" (a collective hop or a user Recv), the world tracks an
-// exponentially weighted moving average of the observed iteration time and
-// derives the deadline from it, clamped to a configurable [Floor, Ceil]
-// band. A workload whose iterations take milliseconds converts a genuinely
-// stuck collective in a few hundred milliseconds; the same binary pointed
-// at a slow network or a straggling rank stretches its patience
-// automatically instead of false-positive-killing the laggard. Chasing
-// Similarity (PAPERS.md) motivates exactly this: non-uniform link costs
-// make any single static timeout either trigger-happy or uselessly slow.
+// The watchdog: the world's one deadline for "a receive stays unmatched" (a
+// collective hop or a user Recv). Instead of a fixed timeout the world
+// tracks an exponentially weighted moving average of the observed iteration
+// time and derives the deadline from it, clamped to a configurable
+// [Floor, Ceil] band. A workload whose iterations take milliseconds converts
+// a genuinely stuck collective in a few hundred milliseconds; the same
+// binary pointed at a slow network or a straggling rank stretches its
+// patience automatically instead of false-positive-killing the laggard.
+// Chasing Similarity (PAPERS.md) motivates exactly this: non-uniform link
+// costs make any single static timeout either trigger-happy or uselessly
+// slow. A fixed deadline is the band with Floor = Ceil (SetWatchdog).
 
 // AdaptiveWatchdog configures the EWMA-of-iteration-time deadline.
 type AdaptiveWatchdog struct {
@@ -89,12 +90,14 @@ func (ad *adaptiveWatchdog) observe(now int64) {
 	ad.deadline.Store(int64(dl))
 }
 
-// SetAdaptiveWatchdog enables stuck-collective and silent-sender detection
-// with an EWMA-derived deadline instead of SetWatchdog's fixed one. The
+// SetAdaptiveWatchdog bounds every receive by an EWMA-derived deadline. A
+// collective hop that waits longer declares the rank absent from the
+// collective failed with ErrRankFailed{Cause: ErrWatchdogTimeout}
+// (in-process; a distributed receiver fails itself with ErrRecvTimeout),
+// and every blocked peer receives the failure instead of deadlocking. The
 // deadline starts at cfg.Ceil (pessimistic until the first sample) and
 // tracks clamp(Mult × EWMA(iteration time), Floor, Ceil) as the fixpoint
-// driver publishes epoch transitions. It must be called before Run and
-// overrides any SetWatchdog value.
+// driver publishes epoch transitions. It must be called before Run.
 func (w *World) SetAdaptiveWatchdog(cfg AdaptiveWatchdog) {
 	if cfg.Ceil <= 0 {
 		panic(fmt.Sprintf("mpi: adaptive watchdog needs a positive ceiling, got %v", cfg.Ceil))
@@ -104,15 +107,25 @@ func (w *World) SetAdaptiveWatchdog(cfg AdaptiveWatchdog) {
 	w.wd = ad
 }
 
-// curWatchdog returns the deadline currently in force: the adaptive one
-// when SetAdaptiveWatchdog was called, the fixed SetWatchdog value (0 = no
-// watchdog) otherwise. Collective hops and user receives both read it, so
-// one knob governs every "is that rank dead?" decision.
-func (w *World) curWatchdog() time.Duration {
-	if w.wd != nil {
-		return time.Duration(w.wd.deadline.Load())
+// SetWatchdog is the Floor = Ceil spelling of SetAdaptiveWatchdog: the clamp
+// pins the deadline at timeout whatever the EWMA says. Zero disables the
+// watchdog (the default). It must be called before Run.
+func (w *World) SetWatchdog(timeout time.Duration) {
+	if timeout <= 0 {
+		w.wd = nil
+		return
 	}
-	return w.watchdog
+	w.SetAdaptiveWatchdog(AdaptiveWatchdog{Floor: timeout, Ceil: timeout})
+}
+
+// curWatchdog returns the deadline currently in force (0 = no watchdog).
+// Collective hops and user receives both read it, so one knob governs every
+// "is that rank dead?" decision.
+func (w *World) curWatchdog() time.Duration {
+	if w.wd == nil {
+		return 0
+	}
+	return time.Duration(w.wd.deadline.Load())
 }
 
 // WatchdogDeadline exposes the deadline currently in force (0 = disabled) —

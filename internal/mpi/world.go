@@ -58,13 +58,11 @@ type World struct {
 	topo    *Topology
 	traffic [][]int64
 
-	// Fault tolerance state. watchdog is the fixed deadline (SetWatchdog);
-	// wd, when non-nil, supersedes it with the EWMA-derived adaptive one.
-	plan     *FaultPlan
-	fstate   *faultState
-	watchdog time.Duration
-	wd       *adaptiveWatchdog
-	epochs   []atomic.Int64
+	// Fault tolerance state. wd is the receive deadline (nil = none).
+	plan   *FaultPlan
+	fstate *faultState
+	wd     *adaptiveWatchdog
+	epochs []atomic.Int64
 
 	// blockedOn[r] is the rank r is waiting for inside a collective receive,
 	// plus one (zero: not waiting). A receive that hits its deadline follows
@@ -139,14 +137,6 @@ func (w *World) SetFaultPlan(plan *FaultPlan) {
 	w.plan = plan
 	w.fstate = newFaultState(plan)
 }
-
-// SetWatchdog bounds every receive by timeout. A collective hop that waits
-// longer declares the rank absent from the collective failed with
-// ErrRankFailed{Cause: ErrWatchdogTimeout} (in-process; a distributed
-// receiver fails itself with ErrRecvTimeout), and every blocked peer
-// receives the failure instead of deadlocking. Zero disables the watchdog
-// (the default). It must be called before Run.
-func (w *World) SetWatchdog(timeout time.Duration) { w.watchdog = timeout }
 
 // SetObserver attaches a live event stream for world-level events (rank
 // failures). It must be called before Run; nil (the default) is free.

@@ -30,7 +30,7 @@ func fakeSilentPeer(t *testing.T, ln net.Listener, stop <-chan struct{}) {
 		conn.Close()
 	}()
 	var scratch []byte
-	hello, err := readFrame(conn, &scratch)
+	hello, err := readFrame(conn, &scratch, maxFrameBytes)
 	if err != nil || hello.typ != ftHello {
 		t.Errorf("fake peer: bad hello: %+v err=%v", hello, err)
 		conn.Close()
@@ -42,7 +42,7 @@ func fakeSilentPeer(t *testing.T, ln net.Listener, stop <-chan struct{}) {
 		return
 	}
 	for {
-		if _, err := readFrame(conn, &scratch); err != nil {
+		if _, err := readFrame(conn, &scratch, maxFrameBytes); err != nil {
 			return
 		}
 	}

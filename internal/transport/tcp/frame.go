@@ -62,8 +62,15 @@ type frame struct {
 const frameHeaderBytes = 1 + 4 + 8 + 8
 
 // maxFrameBytes bounds a frame's declared length so a corrupted or hostile
-// length prefix cannot make the reader allocate unboundedly.
-const maxFrameBytes = 1 << 30
+// length prefix cannot make the reader allocate unboundedly. It is the limit
+// on a handshaken connection; one that has not yet proved it speaks the
+// protocol gets helloFrameBytes — a hello is the header, one epoch word and
+// the CRC — so four stray bytes from anything that can reach the listener
+// cannot cost a gigabyte.
+const (
+	maxFrameBytes   = 1 << 30
+	helloFrameBytes = frameHeaderBytes + 8 + 4
+)
 
 // errCRC marks a frame whose checksum did not match: it was corrupted in
 // flight. The connection is torn down and the frame retransmitted.
@@ -88,15 +95,18 @@ func encodeFrame(buf []byte, f frame) []byte {
 	return buf
 }
 
-// readFrame reads one frame from r. It returns errCRC (wrapped) when the
-// checksum does not match and io errors verbatim.
-func readFrame(r io.Reader, scratch *[]byte) (frame, error) {
+// readFrame reads one frame of at most limit bytes (after the length
+// prefix) from r. It returns errCRC (wrapped) when the checksum does not
+// match and io errors verbatim; a declared length that is out of range or
+// leaves a payload that is not whole words is rejected before anything is
+// sized from it.
+func readFrame(r io.Reader, scratch *[]byte, limit uint32) (frame, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return frame{}, err
 	}
 	total := binary.LittleEndian.Uint32(lenBuf[:])
-	if total < frameHeaderBytes+4 || total > maxFrameBytes {
+	if total < frameHeaderBytes+4 || total > limit || (total-frameHeaderBytes-4)%8 != 0 {
 		return frame{}, fmt.Errorf("tcp: frame length %d out of range", total)
 	}
 	if cap(*scratch) < int(total) {

@@ -190,7 +190,7 @@ func (p *peer) dialOnce() *handshook {
 		return nil
 	}
 	var scratch []byte
-	reply, err := readFrame(conn, &scratch)
+	reply, err := readFrame(conn, &scratch, helloFrameBytes)
 	if err != nil || reply.typ != ftHello || reply.tag != helloMagic || int(reply.src) != p.rank {
 		conn.Close()
 		return nil
@@ -355,7 +355,7 @@ func (p *peer) readLoop(conn net.Conn, gen int) {
 	t := p.t
 	var scratch []byte
 	for {
-		f, err := readFrame(conn, &scratch)
+		f, err := readFrame(conn, &scratch, maxFrameBytes)
 		if err != nil {
 			if err == errCRC {
 				t.ctr.crcErrors.Add(1)

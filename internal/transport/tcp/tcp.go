@@ -483,7 +483,7 @@ func (t *Transport) acceptLoop() {
 func (t *Transport) serveConn(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(t.cfg.ConnectTimeout))
 	var scratch []byte
-	hello, err := readFrame(conn, &scratch)
+	hello, err := readFrame(conn, &scratch, helloFrameBytes)
 	if err != nil || hello.typ != ftHello || hello.tag != helloMagic ||
 		int(hello.src) >= t.size || int(hello.src) == t.self {
 		conn.Close()

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -28,7 +29,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	r := bytes.NewReader(wire)
 	var scratch []byte
 	for i, want := range frames {
-		got, err := readFrame(r, &scratch)
+		got, err := readFrame(r, &scratch, maxFrameBytes)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -53,7 +54,7 @@ func TestFrameCRCDetectsEveryBitFlip(t *testing.T) {
 		bad := append([]byte(nil), wire...)
 		bad[off] ^= 1
 		var scratch []byte
-		if _, err := readFrame(bytes.NewReader(bad), &scratch); !errors.Is(err, errCRC) {
+		if _, err := readFrame(bytes.NewReader(bad), &scratch, maxFrameBytes); !errors.Is(err, errCRC) {
 			t.Fatalf("flip at byte %d: err = %v, want CRC failure", off, err)
 		}
 	}
@@ -62,9 +63,48 @@ func TestFrameCRCDetectsEveryBitFlip(t *testing.T) {
 func TestFrameLengthOutOfRangeRejected(t *testing.T) {
 	wire := []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
 	var scratch []byte
-	if _, err := readFrame(bytes.NewReader(wire), &scratch); err == nil || errors.Is(err, errCRC) {
+	if _, err := readFrame(bytes.NewReader(wire), &scratch, maxFrameBytes); err == nil || errors.Is(err, errCRC) {
 		t.Fatalf("err = %v, want a length-range error before any allocation", err)
 	}
+}
+
+// FuzzReadFrame feeds arbitrary bytes to readFrame under both limits a
+// connection can be read with: the pre-handshake one (what anything that can
+// reach the listener gets) and, standing in for the handshaken gigabyte,
+// the input's own length. Whatever the bytes: no panic, no buffer sized
+// beyond what the limit or the input explains, and a frame that parses
+// re-encodes to exactly the bytes it was read from.
+func FuzzReadFrame(f *testing.F) {
+	for _, fr := range []frame{
+		{typ: ftHello, src: 3, tag: helloMagic, seq: 17, words: []mpi.Word{2}},
+		{typ: ftData, src: 0, tag: -42, seq: 1, words: []mpi.Word{0, 1, ^mpi.Word(0), 0xdeadbeef}},
+		{typ: ftHeartbeat, src: 7, seq: 999},
+		{typ: ftBye, src: 1},
+	} {
+		f.Add(encodeFrame(nil, fr))
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0x3f}) // a 1 GiB claim from a stray connection
+	ragged := encodeFrame(nil, frame{typ: ftData, src: 1, seq: 2, words: []mpi.Word{5}})
+	ragged = append(ragged[:len(ragged)-4], 1, 2, 3) // payload ≡ 3 mod 8 …
+	ragged = binary.LittleEndian.AppendUint32(ragged, mpi.CRC32C(ragged[4:]))
+	binary.LittleEndian.PutUint32(ragged, uint32(len(ragged)-4)) // … under a valid length and CRC
+	f.Add(ragged)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, limit := range []uint32{helloFrameBytes, uint32(min(len(data), maxFrameBytes))} {
+			var scratch []byte
+			fr, err := readFrame(bytes.NewReader(data), &scratch, limit)
+			if uint32(cap(scratch)) > limit {
+				t.Fatalf("limit %d, %d input bytes: reader sized a %d-byte buffer", limit, len(data), cap(scratch))
+			}
+			if err != nil {
+				continue
+			}
+			if wire := encodeFrame(nil, fr); !bytes.HasPrefix(data, wire) {
+				t.Fatalf("frame %+v re-encodes to %x, was read from %x", fr, wire, data)
+			}
+		}
+	})
 }
 
 // --- mesh helpers ---

@@ -64,6 +64,10 @@ func TestConfigValidate(t *testing.T) {
 		{"negative subsfor", Config{SubsFor: map[string]int{"edge": -1}}, `SubsFor["edge"]`},
 		{"negative maxiters", Config{MaxIters: -3}, "MaxIters must be >= 0"},
 		{"negative watchdog", Config{Watchdog: -time.Second}, "Watchdog must be >= 0"},
+		{"negative watchdog floor", Config{Watchdog: time.Second, WatchdogFloor: -time.Second}, "WatchdogFloor must be >= 0"},
+		{"watchdog floor above ceiling", Config{Watchdog: time.Second, WatchdogFloor: 2 * time.Second}, "exceeds Config.Watchdog"},
+		{"watchdog floor without watchdog", Config{WatchdogFloor: time.Second}, "exceeds Config.Watchdog"},
+		{"fixed watchdog", Config{Watchdog: time.Second, WatchdogFloor: time.Second}, ""},
 		{"negative checkpoint-every", Config{CheckpointEvery: -1}, "CheckpointEvery must be >= 0"},
 		{"checkpoint without sink", Config{CheckpointEvery: 4}, "needs Config.Checkpoints"},
 		{"checkpoint with sink", Config{CheckpointEvery: 4, Checkpoints: sink}, ""},

@@ -104,11 +104,10 @@ func runOverloadGang(b *testing.B, g *graph.Graph, budget, phantom int64, obs pa
 		trs[i] = tr
 	}
 	cfg := paralagg.Config{
-		Subs:             2,
-		MemBudget:        budget,
-		Observer:         obs,
-		AdaptiveWatchdog: true,
-		WatchdogCeil:     10 * time.Second,
+		Subs:      2,
+		MemBudget: budget,
+		Observer:  obs,
+		Watchdog:  10 * time.Second,
 	}
 	if phantom > 0 {
 		cfg.Faults = &paralagg.FaultPlan{

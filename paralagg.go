@@ -118,21 +118,18 @@ type Config struct {
 	Faults *FaultPlan
 	// Watchdog, when positive, bounds how long a collective may sit
 	// incomplete before the missing rank is declared failed; without it a
-	// hung rank deadlocks the world until Go's runtime detector fires.
+	// hung rank deadlocks the world until Go's runtime detector fires. It is
+	// the ceiling (and starting value) of a deadline that tracks the run's
+	// own pace: an EWMA of iteration time, multiplied by a safety factor and
+	// clamped to [WatchdogFloor, Watchdog]. A genuinely stuck collective
+	// converts to a failure within the ceiling, while slow-but-progressing
+	// runs never false-positive.
 	Watchdog time.Duration
-	// AdaptiveWatchdog replaces the fixed Watchdog deadline with one that
-	// tracks the run's own pace: an EWMA of iteration time, multiplied by a
-	// safety factor and clamped to [WatchdogFloor, WatchdogCeil]. A genuinely
-	// stuck collective converts to a failure within the ceiling, while slow-
-	// but-progressing runs never false-positive.
-	AdaptiveWatchdog bool
-	// WatchdogFloor is the adaptive deadline's lower clamp (0 = 100ms). Set
-	// it above any expected single-message stall (injected delays, GC
-	// pauses) to keep the tightened deadline honest.
+	// WatchdogFloor is the deadline's lower clamp (0 = 100ms, or Watchdog
+	// when that is smaller). Set it above any expected single-message stall
+	// (injected delays, GC pauses) to keep the tightened deadline honest;
+	// WatchdogFloor = Watchdog is a fixed deadline.
 	WatchdogFloor time.Duration
-	// WatchdogCeil is the adaptive deadline's upper clamp and its starting
-	// value (0 = Watchdog when positive, else 10s).
-	WatchdogCeil time.Duration
 
 	// MemBudget, when positive, is the per-rank accounted-memory budget in
 	// bytes: each rank samples its resident structures (relation arenas,
@@ -227,14 +224,11 @@ func (c Config) Validate() error {
 	if c.Watchdog < 0 {
 		return fmt.Errorf("paralagg: Config.Watchdog must be >= 0, got %v (0 disables the watchdog)", c.Watchdog)
 	}
-	if c.WatchdogFloor < 0 || c.WatchdogCeil < 0 {
-		return fmt.Errorf("paralagg: Config.WatchdogFloor/WatchdogCeil must be >= 0, got %v/%v", c.WatchdogFloor, c.WatchdogCeil)
+	if c.WatchdogFloor < 0 {
+		return fmt.Errorf("paralagg: Config.WatchdogFloor must be >= 0, got %v", c.WatchdogFloor)
 	}
-	if !c.AdaptiveWatchdog && (c.WatchdogFloor != 0 || c.WatchdogCeil != 0) {
-		return fmt.Errorf("paralagg: Config.WatchdogFloor/WatchdogCeil only apply with Config.AdaptiveWatchdog set")
-	}
-	if c.WatchdogCeil != 0 && c.WatchdogFloor > c.WatchdogCeil {
-		return fmt.Errorf("paralagg: Config.WatchdogFloor %v exceeds WatchdogCeil %v", c.WatchdogFloor, c.WatchdogCeil)
+	if c.WatchdogFloor > c.Watchdog {
+		return fmt.Errorf("paralagg: Config.WatchdogFloor %v exceeds Config.Watchdog %v, the deadline's ceiling", c.WatchdogFloor, c.Watchdog)
 	}
 	if c.MemBudget < 0 {
 		return fmt.Errorf("paralagg: Config.MemBudget must be >= 0, got %d (0 disables memory accounting)", c.MemBudget)
