@@ -57,9 +57,12 @@ chaos:
 # allocating beyond the input's size. The two remaining decoders of outside
 # bytes take the same pass: the topology file parser (a parse that succeeds
 # yields finite link costs) and the TCP frame reader (no buffer sized past
-# the connection's limit, a parsed frame re-encodes to its bytes).
+# the connection's limit, a parsed frame re-encodes to its bytes). The
+# allocation pins run a second time without -race: the detector changes what
+# allocates, and the plain build is what the benchmark measures.
 verify: vet
 	$(GO) test -race ./...
+	$(GO) test -count=1 -run 'Allocs|AllocFree' ./internal/...
 	$(GO) test -run '^$$' -fuzz FuzzAgainstSortedSlice -fuzztime 15s -fuzzminimizetime 10x ./internal/btree
 	$(GO) test -run '^$$' -fuzz FuzzRestoreCheckpointFiles -fuzztime 10s -fuzzminimizetime 10x ./internal/ra
 	$(GO) test -run '^$$' -fuzz FuzzParseTopology -fuzztime 10s -fuzzminimizetime 10x ./internal/mpi

@@ -316,12 +316,14 @@ func main() {
 			log.Fatal("program must declare an 'edge' relation to receive the graph")
 		}
 		load = func(rk *paralagg.Rank) error {
+			// One row for every edge: emit copies it (see LoadShare).
+			row := make(paralagg.Tuple, 0, 3)
 			return rk.LoadShare("edge", len(g.Edges), func(i int, emit func(paralagg.Tuple)) {
 				e := g.Edges[i]
 				if d.Arity >= 3 {
-					emit(paralagg.Tuple{e.U, e.V, e.W})
+					emit(append(row, e.U, e.V, e.W))
 				} else {
-					emit(paralagg.Tuple{e.U, e.V})
+					emit(append(row, e.U, e.V))
 				}
 			})
 		}

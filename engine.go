@@ -737,13 +737,13 @@ func (e *Engine) Stats() EngineStats {
 func (e *Engine) finishReport(res *Result) {
 	report := e.mc.BuildReport(e.cfg.cost())
 	res.SimSeconds = report.SimSeconds()
-	res.PhaseSeconds = map[string]float64{}
+	res.PhaseSeconds = make(map[string]float64, len(metrics.PhaseNames))
 	for p := 0; p < len(metrics.PhaseNames); p++ {
 		res.PhaseSeconds[metrics.PhaseNames[p]] = report.PhaseSeconds(metrics.Phase(p))
 	}
 	res.IterPhaseSeconds = make([]map[string]float64, len(report.IterCriticalNS))
 	for i, row := range report.IterCriticalNS {
-		m := map[string]float64{}
+		m := make(map[string]float64, len(row))
 		for p, ns := range row {
 			m[metrics.PhaseNames[p]] = ns / 1e9
 		}

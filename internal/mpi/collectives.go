@@ -22,7 +22,7 @@ func (c *Comm) Barrier() { c.barrierVia(c.sched) }
 // schedule because the wire-mark cut argument depends on its shape.
 func (c *Comm) barrierVia(kind ScheduleKind) {
 	c.enter("barrier")
-	c.world.stats.addCollective(c.rank, "barrier", 0)
+	c.world.stats.addCollective(c.rank, collBarrier, 0)
 	// A barrier is a reduction of nothing: the way up establishes that every
 	// rank arrived, the way down releases them.
 	c.reduceAndFan(kind, "barrier", tagBarrier, nil, OpSum)
@@ -62,7 +62,7 @@ func (op ReduceOp) apply(a, b uint64) uint64 {
 // (Algorithm 1): a single small word per rank, latency-bound.
 func (c *Comm) Allreduce(v uint64, op ReduceOp) uint64 {
 	c.enter("allreduce")
-	c.world.stats.addCollective(c.rank, "allreduce", WordBytes)
+	c.world.stats.addCollective(c.rank, collAllreduce, WordBytes)
 	// The ring's bandwidth advantage is meaningless for one word, so
 	// ScheduleRing reduces scalars over the tree like everything else.
 	c.word[0] = v
@@ -84,7 +84,7 @@ func (c *Comm) AllreduceVec(send, recv []Word, op ReduceOp) []Word {
 		panic(fmt.Sprintf("mpi: allreducevec on rank %d: send %d words, recv %d",
 			c.rank, len(send), len(recv)))
 	}
-	c.world.stats.addCollective(c.rank, "allreducevec", len(send)*WordBytes)
+	c.world.stats.addCollective(c.rank, collAllreduceVec, len(send)*WordBytes)
 	// The observed payload length is the auto schedule's ring signal (see
 	// ScheduleVote).
 	c.lastVecWords = len(send)
@@ -110,36 +110,42 @@ func (c *Comm) reduceAndFan(kind ScheduleKind, name string, tag int, buf []Word,
 			c.collSend(name, 0, tag, buf)
 		} else {
 			for r := 1; r < c.world.size; r++ {
-				reduceInto(buf, c.collRecv(name, r, tag), op)
+				c.fold(buf, c.collRecv(name, r, tag), op)
 			}
 		}
 	} else {
 		t := c.treeFor(0)
 		for _, ch := range t.children {
-			reduceInto(buf, c.collRecv(name, ch, tag), op)
+			c.fold(buf, c.collRecv(name, ch, tag), op)
 		}
 		if t.parent >= 0 {
 			c.collSend(name, t.parent, tag, buf)
 		}
 	}
-	copy(buf, c.fanFrom0(kind, name, tag, buf))
+	// Rank 0 gets buf itself back; everyone else a received copy.
+	if agreed := c.fanFrom0(kind, name, tag, buf); c.rank != 0 {
+		copy(buf, agreed)
+		c.release(agreed)
+	}
 }
 
-// reduceInto folds one received contribution into acc elementwise.
-func reduceInto(acc, w []Word, op ReduceOp) {
+// fold reduces one received contribution into acc elementwise and releases
+// it.
+func (c *Comm) fold(acc, w []Word, op ReduceOp) {
 	if len(w) != len(acc) {
 		panic(fmt.Sprintf("mpi: %d-word contribution to a %d-word reduction", len(w), len(acc)))
 	}
 	for i := range acc {
 		acc[i] = op.apply(acc[i], w[i])
 	}
+	c.release(w)
 }
 
 // Allgather collects one word from each rank and returns the full vector,
 // indexed by rank, to every rank.
 func (c *Comm) Allgather(v uint64) []uint64 {
 	c.enter("allgather")
-	c.world.stats.addCollective(c.rank, "allgather", WordBytes)
+	c.world.stats.addCollective(c.rank, collAllgather, WordBytes)
 	if c.world.size == 1 {
 		return []uint64{v}
 	}
@@ -150,6 +156,7 @@ func (c *Comm) Allgather(v uint64) []uint64 {
 		for r, w := range contribs {
 			vec[r] = w[0]
 		}
+		c.gathered(c.sched, contribs)
 	}
 	// Every non-root rank's copy is private (it crossed the wire); rank 0
 	// built vec itself.
@@ -165,7 +172,7 @@ func (c *Comm) Bcast(root int, words []Word) []Word {
 	if c.rank == root {
 		bytes = len(words) * WordBytes * (c.world.size - 1)
 	}
-	c.world.stats.addCollective(c.rank, "bcast", bytes)
+	c.world.stats.addCollective(c.rank, collBcast, bytes)
 	if c.world.size == 1 {
 		return words
 	}
@@ -188,10 +195,13 @@ func (c *Comm) Bcast(root int, words []Word) []Word {
 // holds the words received from rank i. The diagonal (self) transfer is
 // local and not metered.
 //
-// Ownership: off-diagonal received rows are private copies, but the outer
-// slice (and, as always in MPI, the diagonal row, which is handed off from
-// send) is recycled on this rank's next Alltoallv call — consume the result
-// before calling again, as a real MPI receive buffer would require.
+// Ownership: the result is this rank's receive buffer, valid until its next
+// Alltoallv call — consume it before calling again, as a real MPI receive
+// buffer would require. That call recycles all of it: the outer slice, the
+// diagonal row (handed off from send, so it is whatever the caller does with
+// its send buffer), and the off-diagonal rows, which go back to the rank's
+// mailbox to carry the next messages sent here (mem.go states the whole
+// buffer-lifetime rule). send stays the caller's throughout.
 func (c *Comm) Alltoallv(send [][]Word) [][]Word {
 	c.enter("alltoallv")
 	size := c.world.size
@@ -205,13 +215,21 @@ func (c *Comm) Alltoallv(send [][]Word) [][]Word {
 			bytes += len(s) * WordBytes
 		}
 	}
-	c.world.stats.addCollective(c.rank, "alltoallv", bytes)
+	c.world.stats.addCollective(c.rank, collAlltoallv, bytes)
 	recv := c.recvHeader(size)
 	if &recv[0] == &send[0] {
 		// The caller fed the previous result straight back in. The exchange
-		// reads send while it fills recv, so they must not share a header.
+		// reads send while it fills recv, so they must not share a header —
+		// and the previous rows are this call's payload, not yet free.
 		recv = make([][]Word, size)
 		c.recvRows = recv
+	} else {
+		for i, row := range recv {
+			if i != c.rank {
+				c.release(row)
+				recv[i] = nil
+			}
+		}
 	}
 	recv[c.rank] = send[c.rank] // local hand-off, owner on both ends
 	if c.sched == ScheduleFlat {
@@ -248,7 +266,7 @@ func (c *Comm) Alltoallv(send [][]Word) [][]Word {
 // span the whole world.
 func (c *Comm) AllgatherV(words []Word) [][]Word {
 	c.enter("allgatherv")
-	c.world.stats.addCollective(c.rank, "allgatherv", len(words)*WordBytes*(c.world.size-1))
+	c.world.stats.addCollective(c.rank, collAllgatherv, len(words)*WordBytes*(c.world.size-1))
 	n := c.world.size
 	if n == 1 {
 		return [][]Word{words}
@@ -269,6 +287,7 @@ func (c *Comm) AllgatherV(words []Word) [][]Word {
 		for _, s := range contribs {
 			flat = append(flat, s...)
 		}
+		c.gathered(c.sched, contribs)
 	}
 	shared := c.fanFrom0(c.sched, "allgatherv", tagAllgatherv, flat)
 	out := make([][]Word, n)
@@ -283,6 +302,9 @@ func (c *Comm) AllgatherV(words []Word) [][]Word {
 		}
 		off += l
 	}
+	if contribs == nil {
+		c.release(shared) // a received hop, copied out above; rank 0's is flat
+	}
 	return out
 }
 
@@ -291,7 +313,7 @@ func (c *Comm) AllgatherV(words []Word) [][]Word {
 func (c *Comm) Gather(root int, v uint64) []uint64 {
 	c.enter("gather")
 	c.validRank("gather", root)
-	c.world.stats.addCollective(c.rank, "gather", WordBytes)
+	c.world.stats.addCollective(c.rank, collGather, WordBytes)
 	if c.world.size == 1 {
 		return []uint64{v}
 	}

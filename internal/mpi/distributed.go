@@ -31,7 +31,7 @@ type distState struct {
 func NewDistributedWorld(t Transport) *World {
 	w := NewWorld(t.Size())
 	w.dist = &distState{tr: t, self: t.Self()}
-	w.stats.setNetProbe(t.Net)
+	w.stats.net = t.Net
 	return w
 }
 
@@ -58,6 +58,11 @@ func (h distHandler) Deliver(src, tag int, words []Word) {
 	// keeps Recv's end-to-end verification uniform across transports.
 	h.w.boxes[h.w.dist.self].put(message{src: src, tag: tag, words: words, crc: ChecksumWords(words)})
 }
+
+// LendPayload implements PayloadLender: the transport decodes each arriving
+// payload straight into a buffer from the local mailbox's free list, where
+// the rank returns it once consumed.
+func (h distHandler) LendPayload(n int) []Word { return h.w.boxes[h.w.dist.self].lend(n) }
 
 func (h distHandler) PeerFailed(rank int, cause error) {
 	w := h.w

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"paralagg/internal/freelist"
 )
 
 // message is one point-to-point transfer in flight. crc is the CRC32C the
@@ -29,6 +31,10 @@ type mailbox struct {
 	cond  *sync.Cond
 	q     []message
 
+	// free holds the payload buffers the owner rank is done with, lent back
+	// to whoever sends here next (mem.go states the lifetime rule).
+	free freelist.List[Word]
+
 	// One timer serves every bounded receive on this mailbox: it is armed to
 	// the earliest pending deadline and only ever broadcasts. waiters counts
 	// the bounded receives currently relying on it (normally just the owner
@@ -38,10 +44,37 @@ type mailbox struct {
 	waiters int
 }
 
+// mailboxFreeWords bounds the idle payload capacity a mailbox retains (4 MiB):
+// every row of a steady-state round, not a one-off bulk load.
+const mailboxFreeWords = 1 << 19
+
 func newMailbox(w *World) *mailbox {
 	m := &mailbox{world: w}
 	m.cond = sync.NewCond(&m.mu)
+	m.free.Limit = mailboxFreeWords
 	return m
+}
+
+// lend hands a sender (or the TCP reader) an n-word buffer for a payload
+// addressed to this mailbox.
+func (m *mailbox) lend(n int) []Word {
+	if n == 0 {
+		return nil
+	}
+	m.mu.Lock()
+	buf := m.free.Get(n)
+	m.mu.Unlock()
+	return buf
+}
+
+// recycle takes back a payload the owner rank has finished with.
+func (m *mailbox) recycle(words []Word) {
+	if cap(words) == 0 {
+		return
+	}
+	m.mu.Lock()
+	m.free.Put(words)
+	m.mu.Unlock()
 }
 
 func (m *mailbox) put(msg message) {

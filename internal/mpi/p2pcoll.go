@@ -69,10 +69,16 @@ func (c *Comm) collRecv(op string, src, tag int) []Word {
 	return msg.words
 }
 
+// release returns a payload this rank received and is done with to its
+// mailbox's free list (mem.go: the lifetime rule) — only what no one can
+// still read: a folded hop, an Alltoallv row once the next exchange starts.
+func (c *Comm) release(words []Word) { c.world.boxes[c.rank].recycle(words) }
+
 // --- Flat primitives: the star patterns through rank 0.
 
 // starGather collects every rank's words at rank 0. Rank 0 gets the full
-// vector (its own entry aliased, the rest private); other ranks get nil.
+// vector (its own entry aliased, the rest received hops the caller hands to
+// gathered once it has folded them); other ranks get nil.
 func (c *Comm) starGather(op string, tag int, words []Word) [][]Word {
 	if c.rank != 0 {
 		c.collSend(op, 0, tag, words)
@@ -123,7 +129,9 @@ func (c *Comm) treeGather(op string, tag int, t *rankTree, words []Word) [][]Wor
 	blob = append(blob, Word(c.rank), Word(len(words)))
 	blob = append(blob, words...)
 	for _, ch := range t.children {
-		blob = append(blob, c.collRecv(op, ch, tag)...)
+		sub := c.collRecv(op, ch, tag)
+		blob = append(blob, sub...)
+		c.release(sub)
 	}
 	if t.parent >= 0 {
 		c.collSend(op, t.parent, tag, blob)
@@ -148,6 +156,18 @@ func (c *Comm) gatherTo0(kind ScheduleKind, op string, tag int, words []Word) []
 		return c.starGather(op, tag, words)
 	}
 	return c.treeGather(op, tag, c.treeFor(0), words)
+}
+
+// gathered releases the hops gatherTo0 handed rank 0, after the caller has
+// folded them into its result. Only the star's entries are received buffers;
+// the tree's alias one blob it assembled itself.
+func (c *Comm) gathered(kind ScheduleKind, contribs [][]Word) {
+	if kind != ScheduleFlat || contribs == nil {
+		return
+	}
+	for r := 1; r < len(contribs); r++ {
+		c.release(contribs[r])
+	}
 }
 
 // fanFrom0 hands rank 0's words to every rank over the star or the tree.
@@ -181,13 +201,16 @@ func (c *Comm) ringAllreduceVec(recv []Word, op ReduceOp) []Word {
 		for i := range w {
 			recv[ilo+i] = op.apply(recv[ilo+i], w[i])
 		}
+		c.release(w)
 	}
 	for s := 0; s < size-1; s++ {
 		olo, ohi := block((pos + 1 - s + size) % size)
 		c.collSend("allreducevec", succ, tagAllreduceVec, recv[olo:ohi])
 		ilo := (pos - s + size) % size
 		lo, _ := block(ilo)
-		copy(recv[lo:], c.collRecv("allreducevec", pred, tagAllreduceVec))
+		w := c.collRecv("allreducevec", pred, tagAllreduceVec)
+		copy(recv[lo:], w)
+		c.release(w)
 	}
 	return recv
 }

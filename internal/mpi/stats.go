@@ -1,24 +1,49 @@
 package mpi
 
-import "sync"
+import "sync/atomic"
 
 // Stats meters every transfer in a world. Counters are per sending rank so
 // that imbalance is visible; Totals sums them. The meter distinguishes
 // point-to-point traffic from each collective kind because the cost model
 // charges latency per collective and bandwidth per byte.
+//
+// Every counter is an atomic in its rank's own row: metering a message takes
+// no lock and touches no other rank's cache lines, and a reader sums the rows
+// without stopping the writers (each counter read at some instant, not all
+// at one — all a rank metering its own phase ever needed).
 type Stats struct {
-	mu    sync.Mutex
-	ranks []RankStats
-	// netProbe, when set (distributed worlds), samples the transport's
-	// robustness counters into Snapshot's Net field.
-	netProbe func() NetStats
+	ranks []*rankMeter
+	// net, when set (distributed worlds), reads the transport's robustness
+	// counters. It is fixed before the world runs.
+	net func() NetStats
 }
 
-// setNetProbe wires a transport's counters into snapshots.
-func (s *Stats) setNetProbe(probe func() NetStats) {
-	s.mu.Lock()
-	s.netProbe = probe
-	s.mu.Unlock()
+// collKind indexes the per-kind collective counters.
+type collKind int
+
+const (
+	collBarrier collKind = iota
+	collAllreduce
+	collAllreduceVec
+	collAllgather
+	collBcast
+	collAlltoallv
+	collAllgatherv
+	collGather
+	numCollKinds
+)
+
+// collNames are the RankStats.Collectives keys.
+var collNames = [numCollKinds]string{
+	"barrier", "allreduce", "allreducevec", "allgather", "bcast", "alltoallv", "allgatherv", "gather",
+}
+
+// rankMeter is one rank's row of live counters. Rows are separate
+// allocations so two ranks' hot counters do not share a cache line.
+type rankMeter struct {
+	p2pMessages, p2pBytes atomic.Int64
+	coll                  [numCollKinds]struct{ calls, bytes atomic.Int64 }
+	peerSent, peerRecv    []atomic.Int64
 }
 
 // RankStats is one rank's outbound communication tally.
@@ -44,11 +69,12 @@ type CollectiveStats struct {
 }
 
 func newStats(size int) *Stats {
-	s := &Stats{ranks: make([]RankStats, size)}
+	s := &Stats{ranks: make([]*rankMeter, size)}
 	for i := range s.ranks {
-		s.ranks[i].Collectives = make(map[string]CollectiveStats)
-		s.ranks[i].PeerBytesSent = make([]int64, size)
-		s.ranks[i].PeerBytesRecv = make([]int64, size)
+		s.ranks[i] = &rankMeter{
+			peerSent: make([]atomic.Int64, size),
+			peerRecv: make([]atomic.Int64, size),
+		}
 	}
 	return s
 }
@@ -58,55 +84,48 @@ func newStats(size int) *Stats {
 // collectives are composed of — per-link traffic is exactly what a
 // schedule reshapes, so it is what these counters exist to show.
 func (s *Stats) addPeerSent(src, dest, bytes int) {
-	if src == dest {
-		return
+	if src != dest {
+		s.ranks[src].peerSent[dest].Add(int64(bytes))
 	}
-	s.mu.Lock()
-	s.ranks[src].PeerBytesSent[dest] += int64(bytes)
-	s.mu.Unlock()
 }
 
 func (s *Stats) addPeerRecv(dst, src, bytes int) {
-	if src == dst {
-		return
+	if src != dst {
+		s.ranks[dst].peerRecv[src].Add(int64(bytes))
 	}
-	s.mu.Lock()
-	s.ranks[dst].PeerBytesRecv[src] += int64(bytes)
-	s.mu.Unlock()
 }
 
-// peerMatrix snapshots the sent-bytes matrix (entry [i][j] = bytes rank i
-// sent rank j), the similarity schedule's input shape.
-func (s *Stats) peerMatrix() [][]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([][]int64, len(s.ranks))
-	for i := range s.ranks {
-		out[i] = append([]int64(nil), s.ranks[i].PeerBytesSent...)
+// loadRow copies a row of live counters.
+func loadRow(row []atomic.Int64) []int64 {
+	out := make([]int64, len(row))
+	for i := range row {
+		out[i] = row[i].Load()
 	}
 	return out
 }
 
-// PeerMatrix returns a copy of the per-peer sent-bytes matrix.
-func (s *Stats) PeerMatrix() [][]int64 { return s.peerMatrix() }
+// PeerMatrix returns a copy of the per-peer sent-bytes matrix (entry [i][j]
+// = bytes rank i sent rank j), the similarity schedule's input shape.
+func (s *Stats) PeerMatrix() [][]int64 {
+	out := make([][]int64, len(s.ranks))
+	for i, m := range s.ranks {
+		out[i] = loadRow(m.peerSent)
+	}
+	return out
+}
 
 func (s *Stats) addP2P(src, dest, bytes int) {
 	if src == dest {
 		return // local hand-off, never touches the wire
 	}
-	s.mu.Lock()
-	s.ranks[src].P2PMessages++
-	s.ranks[src].P2PBytes += bytes
-	s.mu.Unlock()
+	s.ranks[src].p2pMessages.Add(1)
+	s.ranks[src].p2pBytes.Add(int64(bytes))
 }
 
-func (s *Stats) addCollective(rank int, kind string, bytes int) {
-	s.mu.Lock()
-	cs := s.ranks[rank].Collectives[kind]
-	cs.Calls++
-	cs.Bytes += bytes
-	s.ranks[rank].Collectives[kind] = cs
-	s.mu.Unlock()
+func (s *Stats) addCollective(rank int, kind collKind, bytes int) {
+	c := &s.ranks[rank].coll[kind]
+	c.calls.Add(1)
+	c.bytes.Add(int64(bytes))
 }
 
 // Totals is a point-in-time aggregate of all ranks' counters.
@@ -115,30 +134,34 @@ type Totals struct {
 	P2PBytes        int
 	CollectiveCalls int
 	CollectiveBytes int
-	// Net carries the transport's robustness counters (retries, reconnects,
-	// retransmits, heartbeat misses, CRC errors); all zero for in-process
-	// worlds.
-	Net NetStats
 }
 
 // Snapshot sums all ranks' counters. Callers diff two snapshots to meter a
-// phase.
+// phase. It reads only the world's own meters — the transport's robustness
+// counters are a separate, colder read (Net).
 func (s *Stats) Snapshot() Totals {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var t Totals
-	for i := range s.ranks {
-		t.P2PMessages += s.ranks[i].P2PMessages
-		t.P2PBytes += s.ranks[i].P2PBytes
-		for _, cs := range s.ranks[i].Collectives {
-			t.CollectiveCalls += cs.Calls
-			t.CollectiveBytes += cs.Bytes
+	for _, m := range s.ranks {
+		t.P2PMessages += int(m.p2pMessages.Load())
+		t.P2PBytes += int(m.p2pBytes.Load())
+		for k := range m.coll {
+			t.CollectiveCalls += int(m.coll[k].calls.Load())
+			t.CollectiveBytes += int(m.coll[k].bytes.Load())
 		}
 	}
-	if s.netProbe != nil {
-		t.Net = s.netProbe()
-	}
 	return t
+}
+
+// Net samples the transport's robustness counters (retries, reconnects,
+// retransmits, heartbeat misses, CRC errors, per-peer bytes); all zero for
+// in-process worlds. Sampling allocates the per-peer rows, so it stays off
+// the per-exchange metering path: the observer's iteration event and
+// end-of-run reports are its readers.
+func (s *Stats) Net() NetStats {
+	if s.net == nil {
+		return NetStats{}
+	}
+	return s.net()
 }
 
 // Sub returns t - u fieldwise.
@@ -148,7 +171,6 @@ func (t Totals) Sub(u Totals) Totals {
 		P2PBytes:        t.P2PBytes - u.P2PBytes,
 		CollectiveCalls: t.CollectiveCalls - u.CollectiveCalls,
 		CollectiveBytes: t.CollectiveBytes - u.CollectiveBytes,
-		Net:             t.Net.Sub(u.Net),
 	}
 }
 
@@ -159,28 +181,28 @@ func (t Totals) Add(u Totals) Totals {
 		P2PBytes:        t.P2PBytes + u.P2PBytes,
 		CollectiveCalls: t.CollectiveCalls + u.CollectiveCalls,
 		CollectiveBytes: t.CollectiveBytes + u.CollectiveBytes,
-		Net:             t.Net.Add(u.Net),
 	}
 }
 
 // Bytes returns the total payload bytes across P2P and collectives.
 func (t Totals) Bytes() int { return t.P2PBytes + t.CollectiveBytes }
 
-// PerRank returns a copy of the per-rank tallies, indexed by rank.
+// PerRank returns a copy of the per-rank tallies, indexed by rank. A kind a
+// rank never called has no Collectives entry.
 func (s *Stats) PerRank() []RankStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]RankStats, len(s.ranks))
-	for i := range s.ranks {
+	for i, m := range s.ranks {
 		out[i] = RankStats{
-			P2PMessages:   s.ranks[i].P2PMessages,
-			P2PBytes:      s.ranks[i].P2PBytes,
-			Collectives:   make(map[string]CollectiveStats, len(s.ranks[i].Collectives)),
-			PeerBytesSent: append([]int64(nil), s.ranks[i].PeerBytesSent...),
-			PeerBytesRecv: append([]int64(nil), s.ranks[i].PeerBytesRecv...),
+			P2PMessages:   int(m.p2pMessages.Load()),
+			P2PBytes:      int(m.p2pBytes.Load()),
+			Collectives:   make(map[string]CollectiveStats, numCollKinds),
+			PeerBytesSent: loadRow(m.peerSent),
+			PeerBytesRecv: loadRow(m.peerRecv),
 		}
-		for k, v := range s.ranks[i].Collectives {
-			out[i].Collectives[k] = v
+		for k := range m.coll {
+			if calls := m.coll[k].calls.Load(); calls > 0 {
+				out[i].Collectives[collNames[k]] = CollectiveStats{Calls: int(calls), Bytes: int(m.coll[k].bytes.Load())}
+			}
 		}
 	}
 	return out

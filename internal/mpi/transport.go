@@ -47,6 +47,17 @@ type Handler interface {
 	PeerFailed(rank int, cause error)
 }
 
+// PayloadLender is an optional Handler extension: a handler that recycles
+// the payloads it is delivered lends the transport's reader the buffer to
+// decode the next one into, and gets that buffer back through Deliver (mem.go
+// states the buffer-lifetime rule). A handler without it is delivered a fresh
+// slice per message, its to keep.
+type PayloadLender interface {
+	// LendPayload returns a buffer of exactly n words (n > 0). It is called
+	// from the transport's reader goroutines.
+	LendPayload(n int) []Word
+}
+
 // RecoveryHandler is an optional Handler extension a transport consults
 // when hot rank replacement is enabled: instead of going straight to
 // PeerFailed, a silent peer first becomes recovering — survivors park

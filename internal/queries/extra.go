@@ -42,14 +42,15 @@ func WidestPathProgram() *paralagg.Program {
 // RunWidestPath executes widest path from the given sources.
 func RunWidestPath(g *graph.Graph, sources []uint64, cfg paralagg.Config) (*paralagg.Result, error) {
 	return paralagg.Exec(WidestPathProgram(), cfg, func(rk *paralagg.Rank) error {
+		row := newRow()
 		if err := rk.LoadShare("edge", len(g.Edges), func(i int, emit func(paralagg.Tuple)) {
 			e := g.Edges[i]
-			emit(paralagg.Tuple{e.U, e.V, e.W})
+			emit(append(row, e.U, e.V, e.W))
 		}); err != nil {
 			return err
 		}
 		return rk.LoadShare("wp", len(sources), func(i int, emit func(paralagg.Tuple)) {
-			emit(paralagg.Tuple{sources[i], sources[i], infCapacity})
+			emit(append(row, sources[i], sources[i], infCapacity))
 		})
 	}, nil)
 }
@@ -116,13 +117,14 @@ func ReachLabelsProgram() *paralagg.Program {
 // carries label bit i (at most 64 sources).
 func RunReachLabels(g *graph.Graph, sources []uint64, cfg paralagg.Config) (*paralagg.Result, error) {
 	return paralagg.Exec(ReachLabelsProgram(), cfg, func(rk *paralagg.Rank) error {
+		row := newRow()
 		if err := rk.LoadShare("edge", len(g.Edges), func(i int, emit func(paralagg.Tuple)) {
-			emit(paralagg.Tuple{g.Edges[i].U, g.Edges[i].V})
+			emit(append(row, g.Edges[i].U, g.Edges[i].V))
 		}); err != nil {
 			return err
 		}
 		return rk.LoadShare("lab", len(sources), func(i int, emit func(paralagg.Tuple)) {
-			emit(paralagg.Tuple{sources[i], 1 << uint(i)})
+			emit(append(row, sources[i], 1<<uint(i)))
 		})
 	}, nil)
 }
@@ -182,8 +184,9 @@ func RunTriangleCount(g *graph.Graph, cfg paralagg.Config) (uint64, error) {
 	var count uint64
 	_, err := paralagg.Exec(TriangleCountProgram(), cfg,
 		func(rk *paralagg.Rank) error {
+			row := newRow()
 			return rk.LoadShare("edge", len(g.Edges), func(i int, emit func(paralagg.Tuple)) {
-				emit(paralagg.Tuple{g.Edges[i].U, g.Edges[i].V})
+				emit(append(row, g.Edges[i].U, g.Edges[i].V))
 			})
 		},
 		func(rk *paralagg.Rank) error {

@@ -33,17 +33,24 @@ func SSSPProgram() *paralagg.Program {
 	return p
 }
 
+// newRow returns the scratch row one rank's loader emits every fact from:
+// LoadShare's emit copies the tuple, so `emit(append(row, u, v, w))` reuses
+// one row where a Tuple literal per fact would escape through emit and cost
+// a heap object each. It is per call — ranks load concurrently.
+func newRow() paralagg.Tuple { return make(paralagg.Tuple, 0, 3) }
+
 // LoadSSSP feeds a weighted graph and the start-node seeds into an
 // instantiated SSSP program.
 func LoadSSSP(rk *paralagg.Rank, g *graph.Graph, sources []uint64) error {
+	row := newRow()
 	if err := rk.LoadShare("edge", len(g.Edges), func(i int, emit func(paralagg.Tuple)) {
 		e := g.Edges[i]
-		emit(paralagg.Tuple{e.U, e.V, e.W})
+		emit(append(row, e.U, e.V, e.W))
 	}); err != nil {
 		return err
 	}
 	return rk.LoadShare("spath", len(sources), func(i int, emit func(paralagg.Tuple)) {
-		emit(paralagg.Tuple{sources[i], sources[i], 0})
+		emit(append(row, sources[i], sources[i], 0))
 	})
 }
 
@@ -74,13 +81,14 @@ func CCProgram() *paralagg.Program {
 // LoadCC feeds the undirected form of the graph plus self-label seeds.
 func LoadCC(rk *paralagg.Rank, g *graph.Graph) error {
 	und := g.Undirected()
+	row := newRow()
 	if err := rk.LoadShare("edge", len(und), func(i int, emit func(paralagg.Tuple)) {
-		emit(paralagg.Tuple{und[i].U, und[i].V})
+		emit(append(row, und[i].U, und[i].V))
 	}); err != nil {
 		return err
 	}
 	return rk.LoadShare("cc", g.Nodes, func(i int, emit func(paralagg.Tuple)) {
-		emit(paralagg.Tuple{uint64(i), uint64(i)})
+		emit(append(row, uint64(i), uint64(i)))
 	})
 }
 
@@ -112,8 +120,9 @@ func TCProgram() *paralagg.Program {
 
 // LoadTC feeds a directed graph.
 func LoadTC(rk *paralagg.Rank, g *graph.Graph) error {
+	row := newRow()
 	return rk.LoadShare("edge", len(g.Edges), func(i int, emit func(paralagg.Tuple)) {
-		emit(paralagg.Tuple{g.Edges[i].U, g.Edges[i].V})
+		emit(append(row, g.Edges[i].U, g.Edges[i].V))
 	})
 }
 
@@ -171,14 +180,15 @@ func PageRankProgram(iters int, nodes int, damping float64) *paralagg.Program {
 // distribution.
 func LoadPageRank(rk *paralagg.Rank, g *graph.Graph) error {
 	deg := g.OutDegrees()
+	row := newRow()
 	if err := rk.LoadShare("edgeinv", len(g.Edges), func(i int, emit func(paralagg.Tuple)) {
 		e := g.Edges[i]
-		emit(paralagg.Tuple{e.U, e.V, math.Float64bits(1 / float64(deg[e.U]))})
+		emit(append(row, e.U, e.V, math.Float64bits(1/float64(deg[e.U]))))
 	}); err != nil {
 		return err
 	}
 	return rk.LoadShare("pr", g.Nodes, func(i int, emit func(paralagg.Tuple)) {
-		emit(paralagg.Tuple{0, uint64(i), math.Float64bits(1 / float64(g.Nodes))})
+		emit(append(row, 0, uint64(i), math.Float64bits(1/float64(g.Nodes))))
 	})
 }
 
@@ -224,14 +234,15 @@ func StratifiedSSSPProgram(lengthCap uint64) *paralagg.Program {
 
 // LoadStratifiedSSSP mirrors LoadSSSP for the stratified program.
 func LoadStratifiedSSSP(rk *paralagg.Rank, g *graph.Graph, sources []uint64) error {
+	row := newRow()
 	if err := rk.LoadShare("edge", len(g.Edges), func(i int, emit func(paralagg.Tuple)) {
 		e := g.Edges[i]
-		emit(paralagg.Tuple{e.U, e.V, e.W})
+		emit(append(row, e.U, e.V, e.W))
 	}); err != nil {
 		return err
 	}
 	return rk.LoadShare("path", len(sources), func(i int, emit func(paralagg.Tuple)) {
-		emit(paralagg.Tuple{sources[i], sources[i], 0})
+		emit(append(row, sources[i], sources[i], 0))
 	})
 }
 

@@ -635,9 +635,10 @@ func (f *Fixpoint) step(opts Options, iter int) uint64 {
 	o := f.MC.Observer()
 	var iterStart int64
 	var pre mpi.Totals
+	var preNet mpi.NetStats
 	if o != nil {
 		iterStart = time.Now().UnixNano()
-		pre = f.Comm.Stats().Snapshot()
+		pre, preNet = f.Comm.Stats().Snapshot(), f.Comm.Stats().Net()
 	}
 	if opts.AdaptiveBalance {
 		f.rebalance(iter, f.allRels, opts)
@@ -663,7 +664,7 @@ func (f *Fixpoint) step(opts Options, iter int) uint64 {
 		opts.AfterIteration(iter, changed)
 	}
 	if o != nil {
-		f.emitIteration(o, opts, iter, changed, iterStart, pre)
+		f.emitIteration(o, opts, iter, changed, iterStart, pre, preNet)
 	}
 	return changed
 }
@@ -674,7 +675,7 @@ func (f *Fixpoint) step(opts Options, iter int) uint64 {
 // count plus the iteration's communication and transport-robustness deltas.
 // The per-rank distribution performs one allgather per head, so observation
 // must be enabled uniformly across ranks (Exec guarantees it in-process).
-func (f *Fixpoint) emitIteration(o obs.Observer, opts Options, iter int, changed uint64, startNS int64, pre mpi.Totals) {
+func (f *Fixpoint) emitIteration(o obs.Observer, opts Options, iter int, changed uint64, startNS int64, pre mpi.Totals, preNet mpi.NetStats) {
 	rank, stratum := f.Comm.Rank(), f.MC.Stratum()
 	for _, h := range f.heads {
 		counts := h.PerRankCounts()
@@ -692,6 +693,7 @@ func (f *Fixpoint) emitIteration(o obs.Observer, opts Options, iter int, changed
 		obs.Emit(o, e)
 	}
 	d := f.Comm.Stats().Snapshot().Sub(pre)
+	net := f.Comm.Stats().Net().Sub(preNet)
 	e := obs.Get()
 	e.Kind = obs.KindIteration
 	e.Rank, e.Stratum, e.Iter = rank, stratum, iter
@@ -700,19 +702,19 @@ func (f *Fixpoint) emitIteration(o obs.Observer, opts Options, iter int, changed
 	e.Bytes = int64(d.Bytes())
 	e.Msgs = int64(d.P2PMessages + d.CollectiveCalls)
 	e.Net = obs.NetStats{
-		FramesSent:      d.Net.FramesSent,
-		FramesRecv:      d.Net.FramesRecv,
-		DialRetries:     d.Net.DialRetries,
-		Reconnects:      d.Net.Reconnects,
-		Retransmits:     d.Net.Retransmits,
-		DupsDropped:     d.Net.DupsDropped,
-		HeartbeatMisses: d.Net.HeartbeatMisses,
-		CRCErrors:       d.Net.CRCErrors,
-		ThrottleStalls:  d.Net.ThrottleStalls,
+		FramesSent:      net.FramesSent,
+		FramesRecv:      net.FramesRecv,
+		DialRetries:     net.DialRetries,
+		Reconnects:      net.Reconnects,
+		Retransmits:     net.Retransmits,
+		DupsDropped:     net.DupsDropped,
+		HeartbeatMisses: net.HeartbeatMisses,
+		CRCErrors:       net.CRCErrors,
+		ThrottleStalls:  net.ThrottleStalls,
 		// The outbox peak is a gauge, not a delta: Sub passes it through.
-		OutboxPeakFrames: d.Net.OutboxPeakFrames,
-		PeerBytesSent:    d.Net.PeerBytesSent,
-		PeerBytesRecv:    d.Net.PeerBytesRecv,
+		OutboxPeakFrames: net.OutboxPeakFrames,
+		PeerBytesSent:    net.PeerBytesSent,
+		PeerBytesRecv:    net.PeerBytesRecv,
 	}
 	obs.Emit(o, e)
 }

@@ -76,44 +76,69 @@ const (
 // flight. The connection is torn down and the frame retransmitted.
 var errCRC = errors.New("tcp: frame failed CRC32C check")
 
-// encodeFrame appends f's wire encoding (including the length prefix) to
-// buf and returns the extended slice.
-func encodeFrame(buf []byte, f frame) []byte {
-	body := frameHeaderBytes + len(f.words)*8
-	total := body + 4 // + trailing CRC
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(total))
-	start := len(buf)
-	buf = append(buf, f.typ)
-	buf = binary.LittleEndian.AppendUint32(buf, f.src)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(f.tag))
-	buf = binary.LittleEndian.AppendUint64(buf, f.seq)
-	for _, w := range f.words {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
+// frameWireBytes is the encoded size of a frame carrying nwords payload words
+// (length prefix, header, payload, CRC); payloadWords is its inverse.
+func frameWireBytes(nwords int) int { return 4 + frameHeaderBytes + nwords*8 + 4 }
+func payloadWords(encLen int) int   { return (encLen - frameWireBytes(0)) / 8 }
+
+// putFrame writes f's wire encoding (including the length prefix) into buf,
+// exactly frameWireBytes(len(f.words)) long: every word stored into place.
+func putFrame(buf []byte, f frame) {
+	le := binary.LittleEndian
+	le.PutUint32(buf, uint32(len(buf)-4))
+	buf[4] = f.typ
+	le.PutUint32(buf[5:], f.src)
+	le.PutUint64(buf[9:], uint64(f.tag))
+	le.PutUint64(buf[17:], f.seq)
+	body := buf[4+frameHeaderBytes : len(buf)-4 : len(buf)-4]
+	for i, w := range f.words {
+		le.PutUint64(body[i*8:], w)
 	}
-	crc := mpi.CRC32C(buf[start:])
-	buf = binary.LittleEndian.AppendUint32(buf, crc)
+	le.PutUint32(buf[len(buf)-4:], mpi.CRC32C(buf[4:len(buf)-4]))
+}
+
+// encodeFrame appends f's wire encoding to buf and returns the extended
+// slice (control frames and tests; the data path encodes in place into an
+// outbox buffer).
+func encodeFrame(buf []byte, f frame) []byte {
+	start, n := len(buf), frameWireBytes(len(f.words))
+	if cap(buf)-start < n {
+		buf = append(make([]byte, 0, start+n), buf...)
+	}
+	buf = buf[:start+n]
+	putFrame(buf[start:], f)
 	return buf
 }
 
-// readFrame reads one frame of at most limit bytes (after the length
-// prefix) from r. It returns errCRC (wrapped) when the checksum does not
-// match and io errors verbatim; a declared length that is out of range or
-// leaves a payload that is not whole words is rejected before anything is
-// sized from it.
-func readFrame(r io.Reader, scratch *[]byte, limit uint32) (frame, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// frameReader reads frames off one byte stream. It owns what a read needs
+// between frames (length prefix, body scratch), so a steady-state read
+// allocates nothing of its own. lend, when non-nil, supplies the buffer a
+// data frame's payload is decoded into (whoever the frame is delivered to
+// recycles it); control payloads and readers without lend get a fresh slice.
+type frameReader struct {
+	r       io.Reader
+	lend    func(n int) []mpi.Word
+	scratch []byte
+	lenBuf  [4]byte
+}
+
+// read reads one frame of at most limit bytes (after the length prefix). It
+// returns errCRC when the checksum does not match and io errors verbatim; a
+// declared length that is out of range or leaves a payload that is not whole
+// words is rejected before anything is sized from it.
+func (fr *frameReader) read(limit uint32) (frame, error) {
+	if _, err := io.ReadFull(fr.r, fr.lenBuf[:]); err != nil {
 		return frame{}, err
 	}
-	total := binary.LittleEndian.Uint32(lenBuf[:])
+	total := binary.LittleEndian.Uint32(fr.lenBuf[:])
 	if total < frameHeaderBytes+4 || total > limit || (total-frameHeaderBytes-4)%8 != 0 {
 		return frame{}, fmt.Errorf("tcp: frame length %d out of range", total)
 	}
-	if cap(*scratch) < int(total) {
-		*scratch = make([]byte, total)
+	if cap(fr.scratch) < int(total) {
+		fr.scratch = make([]byte, total)
 	}
-	buf := (*scratch)[:total]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf := fr.scratch[:total]
+	if _, err := io.ReadFull(fr.r, buf); err != nil {
 		return frame{}, err
 	}
 	body := buf[:total-4]
@@ -129,10 +154,23 @@ func readFrame(r io.Reader, scratch *[]byte, limit uint32) (frame, error) {
 	}
 	nwords := (len(body) - frameHeaderBytes) / 8
 	if nwords > 0 {
-		f.words = make([]mpi.Word, nwords)
+		if fr.lend != nil && f.typ == ftData {
+			f.words = fr.lend(nwords)
+		} else {
+			f.words = make([]mpi.Word, nwords)
+		}
 		for i := range f.words {
 			f.words[i] = binary.LittleEndian.Uint64(body[frameHeaderBytes+i*8:])
 		}
 	}
 	return f, nil
+}
+
+// readFrame reads one frame from r with a throwaway frameReader over the
+// caller's scratch: the handshake's single bare read, and tests.
+func readFrame(r io.Reader, scratch *[]byte, limit uint32) (frame, error) {
+	fr := frameReader{r: r, scratch: *scratch}
+	f, err := fr.read(limit)
+	*scratch = fr.scratch
+	return f, err
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"paralagg/internal/freelist"
 	"paralagg/internal/mpi"
 )
 
@@ -32,9 +33,17 @@ type peer struct {
 	// acked history back to the hold floor (the replay inventory a rejoining
 	// replacement is fed). next indexes the first not-yet-written frame; a
 	// reconnect rewinds next to 0 (after pruning the releasable prefix) so
-	// the undelivered tail is sent again.
-	out  []frame
+	// the undelivered tail is sent again. A frame is held as the bytes Send
+	// encoded: first transmission, retransmission and replay all write those
+	// bytes, and releasing the frame returns them to free.
+	out  []outFrame
 	next int
+	// free recycles released frames' buffers to later Sends. writing is the
+	// seq whose bytes the writer is putting on the wire right now (0: none):
+	// an ack can release a frame while its retransmission is still being
+	// written, and those bytes go to the collector, not to the next Send.
+	free    freelist.List[byte]
+	writing uint64
 	// seq numbers outgoing data frames (1-based); lastRecv is the highest
 	// in-order seq received from the peer — the cumulative ack we advertise
 	// in hellos and heartbeats, and the dedup horizon for retransmits.
@@ -80,6 +89,16 @@ type peer struct {
 	writeMu sync.Mutex
 }
 
+// outFrame is one outbox entry: a data frame's seq and its wire encoding.
+type outFrame struct {
+	seq uint64
+	enc []byte
+}
+
+// outboxFreeBytes bounds the idle frame-buffer capacity a peer retains: a full
+// default window of small frames, or a few bulk ones.
+const outboxFreeBytes = 4 << 20
+
 func newPeer(t *Transport, rank int) *peer {
 	p := &peer{
 		t:         t,
@@ -88,6 +107,7 @@ func newPeer(t *Transport, rank int) *peer {
 		firstConn: make(chan struct{}),
 		lastAlive: time.Now(),
 	}
+	p.free.Limit = outboxFreeBytes
 	// A rejoining replacement resumes the dead incarnation's wire position:
 	// sends continue its exact frame numbering (survivors dedup the replayed
 	// prefix) and the receive horizon rewinds to what the restored state
@@ -301,16 +321,22 @@ func (p *peer) unackedLocked() int {
 }
 
 // dropLocked discards outbox frames at or below limit, releasing their
-// accounted words. Requires p.mu held.
+// accounted words and recycling their buffers. Requires p.mu held.
 func (p *peer) dropLocked(limit uint64) {
 	drop := 0
 	var freed int64
 	for drop < len(p.out) && p.out[drop].seq <= limit {
-		freed += int64(len(p.out[drop].words)) + frameOverheadWords
+		o := p.out[drop]
+		freed += int64(payloadWords(len(o.enc))) + frameOverheadWords
+		if o.seq != p.writing {
+			p.free.Put(o.enc)
+		}
 		drop++
 	}
 	if drop > 0 {
-		p.out = append(p.out[:0:0], p.out[drop:]...)
+		n := copy(p.out, p.out[drop:])
+		clear(p.out[n:]) // the released buffers belong to free (or the collector) now
+		p.out = p.out[:n]
 		p.next -= drop
 		if p.next < 0 {
 			p.next = 0
@@ -353,9 +379,17 @@ func (p *peer) connLost(gen int, _ error) {
 // frame instead of ever delivering corrupt bits.
 func (p *peer) readLoop(conn net.Conn, gen int) {
 	t := p.t
-	var scratch []byte
+	// Straight off conn, length prefix then body: two reads per frame, on
+	// purpose. A buffered reader halves the syscalls and was measured to put
+	// a second OS thread on the critical path of a third of a loopback
+	// gang's round trips (36% against 7%: EXPERIMENTS.md, PR 22), which made
+	// latency-bound reads slower and different from run to run.
+	fr := &frameReader{r: conn}
+	if l, ok := t.handler.(mpi.PayloadLender); ok {
+		fr.lend = l.LendPayload
+	}
 	for {
-		f, err := readFrame(conn, &scratch, maxFrameBytes)
+		f, err := fr.read(maxFrameBytes)
 		if err != nil {
 			if err == errCRC {
 				t.ctr.crcErrors.Add(1)
@@ -446,17 +480,17 @@ func (p *peer) writeLoop(conn net.Conn, gen int) {
 			}
 			continue
 		}
-		f := p.out[p.next]
+		seq, size := p.out[p.next].seq, len(p.out[p.next].enc)
 		p.next++
-		retransmit := f.seq <= p.maxWritten
+		retransmit := seq <= p.maxWritten
 		if !retransmit {
-			p.maxWritten = f.seq
+			p.maxWritten = seq
 		}
 		p.mu.Unlock()
 		if retransmit {
 			t.ctr.retransmits.Add(1)
 		}
-		if err := p.write(conn, f); err != nil {
+		if err := p.writeData(conn, gen, seq, size); err != nil {
 			p.connLost(gen, err)
 			return
 		}
@@ -478,26 +512,71 @@ func (p *peer) beacon(conn net.Conn) error {
 		words: []mpi.Word{t.cfg.Epoch}})
 }
 
-// write puts one frame on the wire, applying the fault plan's verdict for
-// it (drop, delay, bit flip, sever-after). It is the single funnel every
-// outgoing frame passes through.
+// write puts one control frame (heartbeat, bye) on the wire.
 func (p *peer) write(conn net.Conn, f frame) error {
-	t := p.t
-	buf := encodeFrame(nil, f)
-	v := t.fs.onWrite(p.rank, f.typ == ftData, len(buf))
-	if v.delay > 0 {
-		time.Sleep(v.delay)
-	}
+	enc := encodeFrame(nil, f)
+	v := p.verdict(false, len(enc))
 	if v.drop {
-		return nil // the network ate it; heartbeat loss will tell
-	}
-	if v.corruptAt >= 4 && v.corruptAt < len(buf) {
-		buf[v.corruptAt] ^= 0x10 // bit flip inside the CRC-covered region
+		return nil
 	}
 	p.writeMu.Lock()
 	defer p.writeMu.Unlock()
+	return p.put(conn, enc, v)
+}
+
+// writeData puts outbox frame seq (size encoded bytes) on incarnation gen.
+// The bytes are looked up under the write lock and pinned (p.writing) for the
+// write, so an ack releasing the frame meanwhile cannot hand them to another
+// Send; a frame already released, or a retired incarnation, writes nothing.
+func (p *peer) writeData(conn net.Conn, gen int, seq uint64, size int) error {
+	v := p.verdict(true, size)
+	if v.drop {
+		return nil
+	}
+	p.writeMu.Lock()
+	defer p.writeMu.Unlock()
+	p.mu.Lock()
+	var enc []byte
+	if p.gen == gen && len(p.out) > 0 && seq >= p.out[0].seq && seq-p.out[0].seq < uint64(len(p.out)) {
+		enc = p.out[seq-p.out[0].seq].enc
+		p.writing = seq
+	}
+	p.mu.Unlock()
+	if enc == nil {
+		return nil
+	}
+	err := p.put(conn, enc, v)
+	p.mu.Lock()
+	p.writing = 0
+	p.mu.Unlock()
+	return err
+}
+
+// verdict asks the fault plan about one frame write and sleeps out the delay
+// it orders. A dropped frame (v.drop) is simply not written: the network ate
+// it, heartbeat loss will tell.
+func (p *peer) verdict(isData bool, size int) writeVerdict {
+	v := p.t.fs.onWrite(p.rank, isData, size)
+	if v.delay > 0 {
+		time.Sleep(v.delay)
+	}
+	return v
+}
+
+// put is the single funnel every outgoing frame passes through, p.writeMu
+// held. A bit flip the fault plan ordered is on the wire only: enc is
+// restored, so the retransmission after the CRC teardown is clean.
+func (p *peer) put(conn net.Conn, enc []byte, v writeVerdict) error {
+	t := p.t
+	corrupt := v.corruptAt >= 4 && v.corruptAt < len(enc)
+	if corrupt {
+		enc[v.corruptAt] ^= 0x10 // bit flip inside the CRC-covered region
+	}
 	conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
-	_, err := conn.Write(buf)
+	_, err := conn.Write(enc)
+	if corrupt {
+		enc[v.corruptAt] ^= 0x10
+	}
 	if err == nil {
 		t.ctr.framesSent.Add(1)
 	}

@@ -374,9 +374,10 @@ func (t *Transport) Start(h mpi.Handler) error {
 	return nil
 }
 
-// Send implements mpi.Transport: the frame is queued in the destination's
+// Send implements mpi.Transport: the frame is encoded into the destination's
 // outbox (retained until acknowledged, so reconnects can retransmit it)
-// and written asynchronously. The outbox is bounded by the send window —
+// and written asynchronously; words is the caller's again on return. The
+// outbox is bounded by the send window —
 // the smaller of our configured window and the peer's advertised credit —
 // so a Send finding it exhausted blocks until acks free space, bounded by
 // SendStallTimeout (credit-based flow control; a never-acking peer cannot
@@ -390,8 +391,6 @@ func (t *Transport) Send(dest, tag int, words []mpi.Word) error {
 		return errors.New("tcp: transport closed")
 	}
 	p := t.peers[dest]
-	cp := make([]mpi.Word, len(words))
-	copy(cp, words)
 	var wake *time.Timer // allocated only on the stall path
 	var stallBy time.Time
 	p.mu.Lock()
@@ -444,13 +443,17 @@ func (t *Transport) Send(dest, tag int, words []mpi.Word) error {
 		}
 		p.cond.Wait()
 	}
+	// The one encode: from the caller's words into an exactly-sized outbox
+	// buffer, under the lock that orders the outbox anyway.
 	p.seq++
-	p.out = append(p.out, frame{typ: ftData, src: uint32(t.self), tag: int64(tag), seq: p.seq, words: cp})
-	t.peerSent[dest].Add(int64(len(cp)) * mpi.WordBytes)
+	enc := p.free.Get(frameWireBytes(len(words)))
+	putFrame(enc, frame{typ: ftData, src: uint32(t.self), tag: int64(tag), seq: p.seq, words: words})
+	p.out = append(p.out, outFrame{seq: p.seq, enc: enc})
+	t.peerSent[dest].Add(int64(len(words)) * mpi.WordBytes)
 	observeMax(&t.ctr.outboxPeak, int64(p.unackedLocked()))
 	p.mu.Unlock()
 	stopTimer(wake)
-	t.acct().AddOutboxWords(int64(len(cp)) + frameOverheadWords)
+	t.acct().AddOutboxWords(int64(len(words)) + frameOverheadWords)
 	p.cond.Broadcast()
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"paralagg/internal/mpi"
@@ -68,12 +69,32 @@ func TestFrameLengthOutOfRangeRejected(t *testing.T) {
 	}
 }
 
-// FuzzReadFrame feeds arbitrary bytes to readFrame under both limits a
-// connection can be read with: the pre-handshake one (what anything that can
-// reach the listener gets) and, standing in for the handshaken gigabyte,
-// the input's own length. Whatever the bytes: no panic, no buffer sized
-// beyond what the limit or the input explains, and a frame that parses
-// re-encodes to exactly the bytes it was read from.
+// appendFrameReference is the wire format written the slow, obvious way —
+// field by field through append — for the in-place encoder to be checked
+// against.
+func appendFrameReference(buf []byte, f frame) []byte {
+	body := frameHeaderBytes + len(f.words)*8
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(body+4))
+	start := len(buf)
+	buf = append(buf, f.typ)
+	buf = binary.LittleEndian.AppendUint32(buf, f.src)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(f.tag))
+	buf = binary.LittleEndian.AppendUint64(buf, f.seq)
+	for _, w := range f.words {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	return binary.LittleEndian.AppendUint32(buf, mpi.CRC32C(buf[start:]))
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame reader under both limits
+// a connection can be read with — the pre-handshake one (what anything that
+// can reach the listener gets) and, standing in for the handshaken gigabyte,
+// the input's own length — and through both shapes a stream can arrive in:
+// whole, and a byte per read, as a socket is free to hand it out. Whatever
+// the bytes: no panic, no buffer sized beyond what the limit or the input
+// explains, the two streams agree, and a frame that parses re-encodes — in
+// place, and by the reference encoder — to exactly the bytes it was read
+// from.
 func FuzzReadFrame(f *testing.F) {
 	for _, fr := range []frame{
 		{typ: ftHello, src: 3, tag: helloMagic, seq: 17, words: []mpi.Word{2}},
@@ -97,11 +118,27 @@ func FuzzReadFrame(f *testing.F) {
 			if uint32(cap(scratch)) > limit {
 				t.Fatalf("limit %d, %d input bytes: reader sized a %d-byte buffer", limit, len(data), cap(scratch))
 			}
+			short := frameReader{r: iotest.OneByteReader(bytes.NewReader(data))}
+			sfr, serr := short.read(limit)
+			if uint32(cap(short.scratch)) > limit {
+				t.Fatalf("limit %d, %d input bytes: byte-at-a-time reader sized a %d-byte buffer", limit, len(data), cap(short.scratch))
+			}
+			if (err == nil) != (serr == nil) || errors.Is(err, errCRC) != errors.Is(serr, errCRC) {
+				t.Fatalf("whole read: %v, byte-at-a-time read: %v", err, serr)
+			}
 			if err != nil {
 				continue
 			}
-			if wire := encodeFrame(nil, fr); !bytes.HasPrefix(data, wire) {
+			wire := make([]byte, frameWireBytes(len(fr.words)))
+			putFrame(wire, fr)
+			if !bytes.HasPrefix(data, wire) {
 				t.Fatalf("frame %+v re-encodes to %x, was read from %x", fr, wire, data)
+			}
+			if ref := appendFrameReference(nil, fr); !bytes.Equal(wire, ref) {
+				t.Fatalf("frame %+v: in-place encoding %x, reference %x", fr, wire, ref)
+			}
+			if again := encodeFrame(nil, sfr); !bytes.Equal(again, wire) {
+				t.Fatalf("byte-at-a-time read parsed %+v, whole read %+v", sfr, fr)
 			}
 		}
 	})
@@ -363,7 +400,12 @@ func TestConnectionResetRecoversByRetransmission(t *testing.T) {
 func TestCorruptedFrameRejectedAndRecovered(t *testing.T) {
 	const msgs = 5
 	plan := &NetFaultPlan{CorruptFrames: []CorruptFrame{{From: 1, To: 0, AfterSends: 2}}}
-	trs := newMesh(t, 2, func(rank int, cfg *Config) { cfg.Faults = plan })
+	trs := newMesh(t, 2, func(rank int, cfg *Config) {
+		cfg.Faults = plan
+		// Hold-back keeps acked frames in the outbox (no checkpoint ever moves
+		// the floor), so the bytes the retransmission wrote can be read below.
+		cfg.ReplaceTimeout = time.Minute
+	})
 	caps := newCaptures(2)
 	startMesh(t, trs, handlers(caps))
 	defer func() {
@@ -384,6 +426,20 @@ func TestCorruptedFrameRejectedAndRecovered(t *testing.T) {
 	}
 	if c := trs[0].Net().CRCErrors; c == 0 {
 		t.Error("receiver recorded no CRC error despite the injected bit flip")
+	}
+	// The flip was on the wire only: the outbox — what the retransmission
+	// wrote, and would write again — holds every frame's clean encoding.
+	p := trs[1].peers[0]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.out) != msgs {
+		t.Fatalf("outbox holds %d frames, want all %d held back", len(p.out), msgs)
+	}
+	for i, o := range p.out {
+		clean := encodeFrame(nil, frame{typ: ftData, src: 1, tag: int64(i), seq: uint64(i + 1), words: []mpi.Word{mpi.Word(1000 + i)}})
+		if !bytes.Equal(o.enc, clean) {
+			t.Errorf("outbox frame %d: %x, want the clean encoding %x", i, o.enc, clean)
+		}
 	}
 }
 
@@ -676,4 +732,47 @@ func TestWorldOverTCPKilledRankFailsSurvivors(t *testing.T) {
 	}
 	trs[0].Close()
 	trs[1].Close()
+}
+
+// One fixpoint iteration's worth of collectives over loopback TCP — six
+// frames at 2 ranks — in steady state: the sender's encode buffer comes from
+// the peer's free list and goes back on the ack, the receiver's payload from
+// its mailbox's and goes back after the fold or at the next exchange. The
+// mechanism leaves no allocation; acks arrive on their own clock, so a round
+// now and then finds a list empty, and the pin allows one heap object per
+// round (AllocsPerRun floors the mean) — far below one per frame, which is
+// what any per-frame allocation sneaking back in would cost.
+func TestLoopbackRoundAllocs(t *testing.T) {
+	const warm, runs = 2000, 500
+	vec := make([]mpi.Word, 6)
+	agreed := [2][]mpi.Word{make([]mpi.Word, 6), make([]mpi.Word, 6)}
+	lanes := [2][][]mpi.Word{{nil, make([]mpi.Word, 64)}, {make([]mpi.Word, 64), nil}}
+	round := func(c *mpi.Comm) {
+		c.Allreduce(1, mpi.OpSum)
+		c.AllreduceVec(vec, agreed[c.Rank()], mpi.OpSum)
+		c.Alltoallv(lanes[c.Rank()])
+	}
+	var allocs float64
+	_, errs := runWorldOverTCP(t, 2, nil, func(c *mpi.Comm) error {
+		// Warm-up fills the free lists: several ack intervals' worth of frames.
+		for i := 0; i < warm; i++ {
+			round(c)
+		}
+		if c.Rank() == 0 {
+			allocs = testing.AllocsPerRun(runs, func() { round(c) })
+			return nil
+		}
+		for i := 0; i < runs+1; i++ { // AllocsPerRun adds one warm-up call
+			round(c)
+		}
+		return nil
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	if allocs > 1 {
+		t.Errorf("loopback collective round of 6 frames: %v allocs, want <= 1", allocs)
+	}
 }

@@ -2,9 +2,11 @@ package paralagg
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -341,4 +343,48 @@ func sum(xs []int) int {
 		n += x
 	}
 	return n
+}
+
+// soloTransport is a one-rank wire that counts how often its robustness
+// counters are sampled. Every message of a one-rank world is a local
+// hand-off, so Send is never reached.
+type soloTransport struct{ netCalls atomic.Int64 }
+
+func (*soloTransport) Self() int                       { return 0 }
+func (*soloTransport) Size() int                       { return 1 }
+func (*soloTransport) Send(int, int, []mpi.Word) error { return errors.New("solo: nobody to send to") }
+func (*soloTransport) Start(mpi.Handler) error         { return nil }
+func (*soloTransport) Close() error                    { return nil }
+func (s *soloTransport) Net() mpi.NetStats {
+	s.netCalls.Add(1)
+	return mpi.NetStats{}
+}
+
+// Metering an exchange diffs two Stats snapshots around it (the join
+// kernel's intra-bucket exchange, materialize's all-to-alls): that is the
+// per-iteration hot path and must read the world's own meters only. Sampling
+// the transport — which allocates its per-peer rows — belongs to the
+// observer's iteration event, so a whole fixpoint without an observer never
+// calls Net, and one with an observer does.
+func TestSnapshotDoesNotProbeTransport(t *testing.T) {
+	quiet := &soloTransport{}
+	res, err := Exec(ccProgram(t), Config{Transport: quiet}, loadPathGraph(24), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations < 10 || res.CommMsgs == 0 {
+		t.Fatalf("fixpoint ran %d iterations and metered %d messages: the metering sites were not exercised", res.Iterations, res.CommMsgs)
+	}
+	if n := quiet.netCalls.Load(); n != 0 {
+		t.Errorf("observer-less fixpoint sampled the transport's counters %d times, want 0", n)
+	}
+
+	watched := &soloTransport{}
+	cfg := Config{Transport: watched, Observer: ObserverFunc(func(*Event) {})}
+	if _, err := Exec(ccProgram(t), cfg, loadPathGraph(24), nil); err != nil {
+		t.Fatal(err)
+	}
+	if watched.netCalls.Load() == 0 {
+		t.Error("observed fixpoint never sampled the transport's counters: the iteration event lost its net deltas")
+	}
 }

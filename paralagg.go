@@ -329,7 +329,9 @@ func (r *Rank) Load(rel string, facts []Tuple) error {
 
 // LoadShare splits n generated facts deterministically across ranks and
 // loads them. gen must behave identically on every rank; it is called with
-// the fact indices owned by this rank.
+// the fact indices owned by this rank. emit copies the tuple before it
+// returns, so a generator may emit every fact from one reused row — a Tuple
+// literal per fact escapes through emit and costs a heap object each.
 func (r *Rank) LoadShare(rel string, n int, gen func(i int, emit func(Tuple))) error {
 	rl, err := r.relation(rel)
 	if err != nil {
