@@ -54,10 +54,12 @@ chaos:
 # sequences at arities 1-4 against a sorted-slice reference. So does the
 # checkpoint reader: pairs of file images through the envelope decoder and
 # the one restore, which must reject what is malformed without panicking or
-# allocating beyond the input's size. The two remaining decoders of outside
+# allocating beyond the input's size. The three remaining decoders of outside
 # bytes take the same pass: the topology file parser (a parse that succeeds
-# yields finite link costs) and the TCP frame reader (no buffer sized past
-# the connection's limit, a parsed frame re-encodes to its bytes). The
+# yields finite link costs), the TCP frame reader (no buffer sized past the
+# connection's limit, a parsed frame re-encodes to its bytes) and /apply
+# bodies against a real engine (200 or 400, never 500; a rejected batch
+# applies nothing and the engine keeps answering queries). The
 # allocation pins run a second time without -race: the detector changes what
 # allocates, and the plain build is what the benchmark measures.
 verify: vet
@@ -67,6 +69,7 @@ verify: vet
 	$(GO) test -run '^$$' -fuzz FuzzRestoreCheckpointFiles -fuzztime 10s -fuzzminimizetime 10x ./internal/ra
 	$(GO) test -run '^$$' -fuzz FuzzParseTopology -fuzztime 10s -fuzzminimizetime 10x ./internal/mpi
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s -fuzzminimizetime 10x ./internal/transport/tcp
+	$(GO) test -run '^$$' -fuzz FuzzLiveApply -fuzztime 10s -fuzzminimizetime 10x .
 
 # benchmark runs the repository's one committed benchmark (BENCHMARK.json's
 # command): four workloads, a timed and a traced pass each, then the layer

@@ -163,7 +163,7 @@ func main() {
 	}
 	if *serveAddr != "" {
 		if *transport != "sim" {
-			log.Fatal("-serve needs -transport=sim: the serving engine journals base facts per process, so a TCP gang cannot accept mutations")
+			log.Fatal("-serve needs -transport=sim: an /apply request reaches one process, and a TCP gang applies a batch only when every process applies it")
 		}
 		if *supervise {
 			log.Fatal("-serve and -supervise are mutually exclusive: the engine owns the world lifecycle in serving mode")

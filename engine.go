@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"paralagg/internal/btree"
 	"paralagg/internal/core"
 	"paralagg/internal/metrics"
 	"paralagg/internal/mpi"
@@ -66,16 +65,6 @@ type Engine struct {
 	qmu  sync.RWMutex
 	stmu sync.Mutex
 
-	// journal holds the global base-fact set per relation. The deletion
-	// path re-derives from it; the from-scratch fallback replays it
-	// entirely. Facts arrive as flat buffers — what the ranks loaded (kept
-	// on each Rank) and what Apply inserted (inserted) — and are folded into
-	// the ordered sets only when something reads or deletes from them, see
-	// foldLoadsLocked.
-	jmu      sync.Mutex
-	journal  map[string]*journalRel
-	inserted map[string][]*tuple.Buffer
-
 	loaded bool
 	closed bool
 	broken bool
@@ -84,11 +73,6 @@ type Engine struct {
 	applies    int64
 	iterations int64
 	queries    atomic.Int64
-}
-
-type journalRel struct {
-	arity int
-	facts *btree.Tree
 }
 
 // engineCmd is one collective command: every rank body runs fn and reports
@@ -105,11 +89,14 @@ type Mutation struct {
 	Insert map[string][]Tuple
 	// Delete maps relation name → base facts to remove. Deleting a fact
 	// that is not a base fact is a no-op (derived tuples cannot be deleted —
-	// they re-derive from their supports).
+	// they re-derive from their supports). A fact in both Insert and Delete
+	// of one batch ends up deleted.
 	Delete map[string][]Tuple
 	// Load, only valid on the first Apply, runs on every rank to feed the
-	// initial base facts (the same contract as Exec's load callback). Facts
-	// loaded through it are journaled for later delete re-derivation.
+	// initial base facts (the same contract as Exec's load callback). Like
+	// inserted facts, they are kept at their hash owners — a derived or
+	// aggregated relation's in its base shadow — so a later delete
+	// re-derives from them.
 	Load func(*Rank) error
 }
 
@@ -201,9 +188,6 @@ func Open(cfg Config, prog *Program) (*Engine, error) {
 		accts: make([]*resource.Accountant, slots),
 		cmds:  make([]chan engineCmd, slots),
 		done:  make(chan error, 1),
-
-		journal:  map[string]*journalRel{},
-		inserted: map[string][]*tuple.Buffer{},
 	}
 	for i := range e.cmds {
 		e.cmds[i] = make(chan engineCmd)
@@ -385,7 +369,9 @@ func (e *Engine) Close() error {
 // ApplyStats.Incremental): inserts continue the fixpoint from a freshly
 // seeded Δ, deletions run over-approximate invalidation and re-derive from
 // the surviving supports. It is serialized with other mutations and
-// excludes queries while in flight.
+// excludes queries while in flight. On a distributed world every process
+// must Apply the same batch (the SPMD contract Exec's load has): each keeps
+// its stripe of it and routes the facts to their owners.
 func (e *Engine) Apply(ctx context.Context, m Mutation) (ApplyStats, error) {
 	stats, _, err := e.apply(ctx, m, nil)
 	return stats, err
@@ -416,15 +402,9 @@ func (e *Engine) apply(ctx context.Context, m Mutation, inspect func(*Rank) erro
 	if m.Load != nil && !first {
 		return stats, nil, fmt.Errorf("paralagg: Mutation.Load is only valid on the initial Apply")
 	}
-	if !first && e.world.Distributed() && (len(m.Insert) > 0 || len(m.Delete) > 0) {
-		return stats, nil, fmt.Errorf("paralagg: incremental mutations are not supported on a distributed world in this release (each process holds only its own journal shard)")
-	}
 	if err := e.validateMutation(m); err != nil {
 		return stats, nil, err
 	}
-	// The journal reflects the post-batch base-fact set before the ranks
-	// re-derive from it.
-	e.journalMutation(m)
 
 	res := &Result{Ranks: e.size, Counts: map[string]uint64{}}
 	var applyStats core.ApplyStats
@@ -440,62 +420,39 @@ func (e *Engine) apply(ctx context.Context, m Mutation, inspect func(*Rank) erro
 				return err
 			}
 		}
-		if first {
-			var rstats core.RunStats
-			var err error
-			switch {
-			case e.cfg.Rejoin:
-				cp, ok, perr := ra.PeekRejoin(e.cfg.Checkpoints, rk.ID())
-				if perr != nil {
-					return perr
-				}
-				if !ok {
-					return ra.ErrNoCheckpoint
-				}
-				rstats, err = inst.Rejoin(rcfg, cp)
-			case e.cfg.Resume:
-				rstats, err = inst.Resume(rcfg)
-			default:
-				rstats = inst.Run(rcfg)
+		ins, del := e.stripeMut(m.Insert, rk), e.stripeMut(m.Delete, rk)
+		var ast core.ApplyStats
+		var err error
+		switch {
+		case !first:
+			ast, err = inst.ApplyDelta(rcfg, core.ApplyInput{Inserts: ins, Deletes: del})
+		case e.cfg.Rejoin:
+			cp, ok, perr := ra.PeekRejoin(e.cfg.Checkpoints, rk.ID())
+			if perr != nil {
+				return perr
 			}
-			if err != nil {
-				return err
+			if !ok {
+				return ra.ErrNoCheckpoint
 			}
-			if first && len(m.Insert) > 0 {
-				// Initial batch may also carry explicit inserts (serving
-				// without a Load callback): seed and converge them too.
-				ins, serr := e.stripeMut(m.Insert, rk)
-				if serr != nil {
-					return serr
-				}
-				ast, aerr := inst.ApplyDelta(rcfg, core.ApplyInput{Inserts: ins, Reload: e.reloadFor(rk)})
-				if aerr != nil {
-					return aerr
-				}
-				rstats.TotalIters += ast.TotalIters
-				rstats.StratumIters = append(rstats.StratumIters, ast.StratumIters...)
-			}
-			if record(rk) {
-				applyStats = core.ApplyStats{RunStats: rstats}
-			}
-		} else {
-			ins, err := e.stripeMut(m.Insert, rk)
-			if err != nil {
-				return err
-			}
-			del, err := e.stripeMut(m.Delete, rk)
-			if err != nil {
-				return err
-			}
-			ast, err := inst.ApplyDelta(rcfg, core.ApplyInput{
-				Inserts: ins, Deletes: del, Reload: e.reloadFor(rk),
-			})
-			if err != nil {
-				return err
-			}
-			if record(rk) {
-				applyStats = ast
-			}
+			ast.RunStats, err = inst.Rejoin(rcfg, cp)
+		case e.cfg.Resume:
+			ast.RunStats, err = inst.Resume(rcfg)
+		default:
+			ast.RunStats = inst.Run(rcfg)
+		}
+		if err == nil && first && len(ins) > 0 {
+			// Initial batch may also carry explicit inserts (serving without
+			// a Load callback): seed and converge them too.
+			var more core.ApplyStats
+			more, err = inst.ApplyDelta(rcfg, core.ApplyInput{Inserts: ins})
+			ast.TotalIters += more.TotalIters
+			ast.StratumIters = append(ast.StratumIters, more.StratumIters...)
+		}
+		if err != nil {
+			return err
+		}
+		if record(rk) {
+			applyStats = ast
 		}
 		if e.cfg.MemBudget > 0 {
 			// Collective: every rank agrees on the peak, so the schedule
@@ -562,83 +519,18 @@ func (e *Engine) validateMutation(m Mutation) error {
 	return nil
 }
 
-// journalMutation records one batch in the base-fact journal: inserts join
-// the unfolded buffers, deletions fold everything recorded so far and then
-// remove their facts from the ordered sets.
-func (e *Engine) journalMutation(m Mutation) {
-	e.jmu.Lock()
-	defer e.jmu.Unlock()
-	for name, facts := range m.Insert {
-		buf := tuple.NewBuffer(e.prog.Decl(name).Arity, len(facts))
-		for _, f := range facts {
-			buf.Append(tuple.Tuple(f))
-		}
-		e.inserted[name] = append(e.inserted[name], buf)
-	}
-	if len(m.Delete) == 0 {
-		return
-	}
-	e.foldLoadsLocked()
-	for name, facts := range m.Delete {
-		jr := e.journal[name]
-		if jr == nil {
-			continue
-		}
-		for _, f := range facts {
-			jr.facts.Delete(tuple.Tuple(f))
-		}
-	}
-}
-
-// foldLoadsLocked moves the base facts recorded since the last fold — what
-// the ranks loaded and what Apply inserted — into the journal: per relation,
-// one sort of the new facts together with those already journaled, and one
-// bottom-up build of the ordered, deduplicated set. Only a deletion or a
-// journal replay needs that set, so an engine that never does either never
-// builds it, and a one-shot Exec never pays for a journal at all. The caller
-// holds jmu and is ordered after every rank's loads: either the ranks are
-// parked between commands, or (the initial batch's replay) a collective
-// that every rank entered after loading has completed.
-func (e *Engine) foldLoadsLocked() {
-	unfolded := e.inserted
-	for _, rk := range e.ranks {
-		for name, bufs := range rk.loads {
-			unfolded[name] = append(unfolded[name], bufs...)
-		}
-		rk.loads = nil
-	}
-	for name, bufs := range unfolded {
-		jr := e.journal[name]
-		if jr == nil {
-			jr = &journalRel{arity: bufs[0].Arity, facts: btree.New()}
-			e.journal[name] = jr
-		}
-		words := jr.facts.Serialize(jr.arity)
-		for _, b := range bufs {
-			words = append(words, b.Words...)
-		}
-		jr.facts.Reset()
-		jr.facts.Build(jr.arity, tuple.SortedRun(jr.arity, words, nil))
-		delete(unfolded, name)
-	}
-}
-
-// stripeMut deterministically splits a global mutation map into this rank's
-// share: fact i of a relation's batch belongs to rank i mod size. Every
-// relation key survives (possibly with an empty buffer) so the mutated-
-// relation set is uniform across ranks.
-func (e *Engine) stripeMut(src map[string][]Tuple, rk *Rank) (map[string]*tuple.Buffer, error) {
+// stripeMut deterministically splits a validated global mutation map into
+// this rank's share: fact i of a relation's batch belongs to rank i mod size.
+// Every relation key survives (possibly with an empty buffer) so the
+// mutated-relation set is uniform across ranks.
+func (e *Engine) stripeMut(src map[string][]Tuple, rk *Rank) map[string]*tuple.Buffer {
 	if len(src) == 0 {
-		return nil, nil
+		return nil
 	}
 	out := make(map[string]*tuple.Buffer, len(src))
 	id, size := rk.ID(), rk.Size()
 	for name, facts := range src {
-		rl, err := rk.relation(name)
-		if err != nil {
-			return nil, err
-		}
-		buf := tuple.NewBuffer(rl.Arity, len(facts)/size+1)
+		buf := tuple.NewBuffer(e.prog.Decl(name).Arity, len(facts)/size+1)
 		for i, f := range facts {
 			if i%size == id {
 				buf.Append(tuple.Tuple(f))
@@ -646,33 +538,7 @@ func (e *Engine) stripeMut(src map[string][]Tuple, rk *Rank) (map[string]*tuple.
 		}
 		out[name] = buf
 	}
-	return out, nil
-}
-
-// reloadFor returns the per-rank journal reader: rank r gets base fact i of
-// a relation's journal when i mod size == r (the same deterministic stripe
-// LoadShare uses). nil when the relation never received base facts.
-func (e *Engine) reloadFor(rk *Rank) func(string) *tuple.Buffer {
-	id, size := rk.ID(), rk.Size()
-	return func(name string) *tuple.Buffer {
-		e.jmu.Lock()
-		e.foldLoadsLocked()
-		jr := e.journal[name]
-		e.jmu.Unlock()
-		if jr == nil {
-			return nil
-		}
-		buf := tuple.NewBuffer(jr.arity, jr.facts.Len()/size+1)
-		i := 0
-		jr.facts.Ascend(func(t tuple.Tuple) bool {
-			if i%size == id {
-				buf.Append(t)
-			}
-			i++
-			return true
-		})
-		return buf
-	}
+	return out
 }
 
 // Inspect runs fn on every rank (the Exec inspect contract: fn must perform

@@ -65,16 +65,25 @@ func gang(n int, faults *tcp.NetFaultPlan, customize ...func(*tcp.Config)) ([]*t
 // rank 0 records fingerprints through fps; base configures everything
 // except the transport.
 func runGang(sc Scenario, schedule string, trs []*tcp.Transport, base paralagg.Config, fps *map[string]Fingerprint) []error {
-	errs := make([]error, len(trs))
+	return lockstep(len(trs), func(i int) error {
+		cfg := base
+		cfg.Transport = trs[i]
+		_, err := exec(schedule, sc.Prog(), cfg, sc.Load, collect(sc.Rels, fps))
+		return err
+	})
+}
+
+// lockstep makes call i for every gang member i concurrently — SPMD calls
+// block until every member makes its own — and returns each call's error.
+func lockstep(n int, call func(i int) error) []error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, tr := range trs {
+	for i := range n {
 		wg.Add(1)
-		go func(i int, tr *tcp.Transport) {
+		go func() {
 			defer wg.Done()
-			cfg := base
-			cfg.Transport = tr
-			_, errs[i] = exec(schedule, sc.Prog(), cfg, sc.Load, collect(sc.Rels, fps))
-		}(i, tr)
+			errs[i] = call(i)
+		}()
 	}
 	wg.Wait()
 	return errs

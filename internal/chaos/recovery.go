@@ -233,23 +233,16 @@ func TCPFullRestart(sc Scenario, schedule string, ranks, every, crashIter int) (
 			}
 		}
 		var fps map[string]Fingerprint
-		errs := make([]error, ranks)
-		done := make(chan int, ranks)
-		for i, tr := range trs {
-			go func(i int, tr *tcp.Transport) {
-				cfg := base
-				cfg.Transport = tr
-				_, errs[i] = exec(schedule, sc.Prog(), cfg, sc.Load, collect(sc.Rels, &fps))
-				if i == victim && errs[i] != nil && attempt == 0 {
-					tr.Kill() // the process is gone; so is its endpoint
-					crashed.CompareAndSwap(0, time.Now().UnixNano())
-				}
-				done <- i
-			}(i, tr)
-		}
-		for range trs {
-			<-done
-		}
+		errs := lockstep(ranks, func(i int) error {
+			cfg := base
+			cfg.Transport = trs[i]
+			_, err := exec(schedule, sc.Prog(), cfg, sc.Load, collect(sc.Rels, &fps))
+			if i == victim && err != nil && attempt == 0 {
+				trs[i].Kill() // the process is gone; so is its endpoint
+				crashed.CompareAndSwap(0, time.Now().UnixNano())
+			}
+			return err
+		})
 		for i, tr := range trs {
 			if !(i == victim && attempt == 0) {
 				tr.Close()

@@ -10,47 +10,61 @@ package chaos
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 
 	"paralagg"
 	"paralagg/internal/graph"
 	"paralagg/internal/queries"
+	"paralagg/internal/transport/tcp"
 )
 
-// ServingBatch is one streamed mutation: edges added and removed together.
+// ServingBatch is one streamed mutation: edges, and for the spath kinds
+// source seeds spath(s, s, 0), added and removed together.
 type ServingBatch struct {
-	Name        string
-	InsertEdges []graph.Edge
-	DeleteEdges []graph.Edge
+	Name          string
+	InsertEdges   []graph.Edge
+	DeleteEdges   []graph.Edge
+	InsertSources []uint64
+	DeleteSources []uint64
 }
 
 // ServingScenario is one serving workload: a base graph, a query program
 // over it, and a sequence of mutation batches.
 type ServingScenario struct {
 	Name string
-	// Kind selects the program: "sssp" (weighted, 3-ary edge) or "cc"
-	// (undirected, 2-ary edge).
+	// Kind selects the program: "sssp" (weighted, 3-ary edge), "lsp" (SSSP
+	// plus the two-stratum longest shortest path) or "cc" (undirected, 2-ary
+	// edge).
 	Kind string
 	Base *graph.Graph
-	// Sources seeds SSSP (ignored for cc).
+	// Sources seeds SSSP and LSP (ignored for cc).
 	Sources []uint64
 	// Subs is the sub-bucket count (skew scenarios exercise sub-bucket
 	// placement on the incremental path too).
-	Subs    int
-	Batches []ServingBatch
+	Subs int
+	// Fallback marks a program the engine cannot maintain incrementally:
+	// every batch must take the from-scratch fallback. Every other
+	// scenario's batches must all be incremental.
+	Fallback bool
+	Batches  []ServingBatch
 }
 
 // ServingScenarios returns the standard serving workloads: insert-only,
-// delete-only, and mixed batches over SSSP and connected components, plus a
-// hub-skewed SSSP scenario with sub-bucketing on. Delete batches reference
-// real base edges (exact tuples, weights included) sampled from the
-// generated graphs.
+// delete-only, and mixed batches over SSSP and connected components — the
+// mixed SSSP scenario also inserts and then deletes a source seed, a
+// derived relation's base fact — a hub-skewed SSSP scenario with
+// sub-bucketing on, and two-stratum LSP, which only the from-scratch
+// fallback maintains. Delete batches reference real base edges (exact
+// tuples, weights included) sampled from the generated graphs.
 func ServingScenarios() []ServingScenario {
 	ssspIns := graph.Grid("serving-sssp-ins", 4, 4, 8, 21)
 	ssspDel := graph.Grid("serving-sssp-del", 4, 4, 8, 22)
 	ssspMix := graph.Grid("serving-sssp-mix", 4, 4, 8, 23)
 	ccG := graph.Grid("serving-cc", 4, 4, 1, 24)
 	skewG := graph.Social("serving-social", 6, 200, 3, 24, 64, 25)
+	lspG := graph.Grid("serving-lsp", 4, 4, 8, 26)
 
 	// The cc scenarios split the grid between columns 1 and 2: the base
 	// starts disconnected, inserts bridge the halves (component merge), and
@@ -89,6 +103,8 @@ func ServingScenarios() []ServingScenario {
 					InsertEdges: sampleEdges(ssspMix, 1, 7),
 					DeleteEdges: []graph.Edge{{U: 0, V: 13, W: 1}},
 				},
+				{Name: "seed", InsertSources: []uint64{10}},
+				{Name: "unseed", DeleteSources: []uint64{10}},
 			},
 		},
 		{
@@ -110,6 +126,14 @@ func ServingScenarios() []ServingScenario {
 					{U: 1, V: 0, W: 1}, {U: 0, V: 2, W: 2},
 				}},
 				{Name: "hub-out", DeleteEdges: sampleEdges(skewG, 4, 11)},
+			},
+		},
+		{
+			Name: "lsp", Kind: "lsp", Base: lspG, Sources: []uint64{0}, Fallback: true,
+			Batches: []ServingBatch{
+				{Name: "shortcut", InsertEdges: []graph.Edge{{U: 0, V: 15, W: 1}}},
+				{Name: "cut", DeleteEdges: sampleEdges(lspG, 0, 5)},
+				{Name: "reseed", InsertSources: []uint64{5}, DeleteEdges: []graph.Edge{{U: 0, V: 15, W: 1}}},
 			},
 		},
 	}
@@ -153,11 +177,12 @@ func cutColumns(g *graph.Graph, cols, a, b int) (*graph.Graph, []graph.Edge) {
 // servingProg returns the program, loader, compared relations, and the
 // per-batch tuple shape for a scenario kind.
 func servingProg(sc ServingScenario) (prog *paralagg.Program, load func(*paralagg.Rank) error, rels []string, err error) {
+	load = func(rk *paralagg.Rank) error { return queries.LoadSSSP(rk, sc.Base, sc.Sources) }
 	switch sc.Kind {
 	case "sssp":
-		return queries.SSSPProgram(), func(rk *paralagg.Rank) error {
-			return queries.LoadSSSP(rk, sc.Base, sc.Sources)
-		}, []string{"edge", "spath"}, nil
+		return queries.SSSPProgram(), load, []string{"edge", "spath"}, nil
+	case "lsp":
+		return queries.LspProgram(), load, []string{"edge", "spath", "spnorm", "lsp"}, nil
 	case "cc":
 		return queries.CCProgram(), func(rk *paralagg.Rank) error {
 			return queries.LoadCC(rk, sc.Base)
@@ -166,63 +191,123 @@ func servingProg(sc ServingScenario) (prog *paralagg.Program, load func(*paralag
 	return nil, nil, nil, fmt.Errorf("chaos serving: unknown scenario kind %q", sc.Kind)
 }
 
-// edgeTuples converts edges to base-fact tuples: {u,v,w} for sssp, both
-// directions of {u,v} for cc (matching LoadCC's undirected closure).
-func edgeTuples(kind string, edges []graph.Edge) []paralagg.Tuple {
-	var out []paralagg.Tuple
-	for _, e := range edges {
+// facts maps one side of a batch to the base facts it names: edge tuples,
+// {u,v,w} for sssp and lsp, both directions of {u,v} for cc (matching
+// LoadCC's undirected closure), and spath seeds {s,s,0}.
+func facts(kind string, edges []graph.Edge, sources []uint64) map[string][]paralagg.Tuple {
+	m := map[string][]paralagg.Tuple{}
+	for _, e := range mirrored(kind, edges) {
+		t := paralagg.Tuple{e.U, e.V, e.W}
 		if kind == "cc" {
-			out = append(out,
-				paralagg.Tuple{paralagg.Value(e.U), paralagg.Value(e.V)},
-				paralagg.Tuple{paralagg.Value(e.V), paralagg.Value(e.U)})
-		} else {
-			out = append(out, paralagg.Tuple{paralagg.Value(e.U), paralagg.Value(e.V), paralagg.Value(e.W)})
+			t = t[:2]
 		}
+		m["edge"] = append(m["edge"], t)
 	}
-	return out
+	for _, s := range sources {
+		m["spath"] = append(m["spath"], paralagg.Tuple{s, s, 0})
+	}
+	return m
 }
 
-// ServingDifferential streams sc's batches into one long-lived engine at the
-// given rank count, and after the initial load and every batch compares the
-// engine's resident relations against a from-scratch execution over the same
-// post-batch facts: they must be bit-identical every time. Every incremental
-// insert-only batch must also re-converge in strictly fewer iterations than
-// its from-scratch control — the serving engine's reason to exist — and a
-// scenario that deletes must actually drive the invalidation path (rounds
-// and drops nonzero) rather than silently degenerating to a no-op. The
-// engine's world and the control worlds all run under schedule.
-func ServingDifferential(sc ServingScenario, schedule string, ranks int) (*Outcome, error) {
+// servingSide is the engine side of a serving differential: one in-process
+// engine, or one engine per member of a loopback TCP gang. Every call runs
+// on all members in lockstep.
+type servingSide struct {
+	engs []*paralagg.Engine
+	trs  []*tcp.Transport
+}
+
+func openServing(prog *paralagg.Program, cfg paralagg.Config, ranks int, sockets bool) (*servingSide, error) {
+	s := &servingSide{engs: make([]*paralagg.Engine, 1)}
+	if sockets {
+		var err error
+		if s.trs, err = gang(ranks, nil); err != nil {
+			return nil, err
+		}
+		s.engs = make([]*paralagg.Engine, ranks)
+	} else {
+		cfg.Ranks = ranks
+	}
+	if err := s.each(func(i int) (err error) {
+		member := cfg
+		if s.trs != nil {
+			member.Transport = s.trs[i]
+		}
+		s.engs[i], err = paralagg.Open(member, prog)
+		return err
+	}); err != nil {
+		s.close()
+		return nil, err
+	}
+	return s, nil
+}
+
+func (s *servingSide) each(call func(i int) error) error {
+	return errors.Join(lockstep(len(s.engs), call)...)
+}
+
+// apply runs one batch on every member and returns the first member's
+// stats (collective outcomes, identical on every member).
+func (s *servingSide) apply(m paralagg.Mutation) (paralagg.ApplyStats, error) {
+	stats := make([]paralagg.ApplyStats, len(s.engs))
+	err := s.each(func(i int) (err error) {
+		stats[i], err = s.engs[i].Apply(context.Background(), m)
+		return err
+	})
+	return stats[0], err
+}
+
+func (s *servingSide) close() {
+	s.each(func(i int) error {
+		if s.engs[i] != nil {
+			s.engs[i].Close()
+		}
+		return nil
+	})
+	for _, tr := range s.trs {
+		tr.Close()
+	}
+}
+
+// ServingDifferential streams sc's batches into one long-lived engine side
+// at the given rank count — an in-process engine, or with sockets one engine
+// per member of a loopback TCP gang — and after the initial load and every
+// batch compares the resident relations against a from-scratch execution
+// over the same post-batch facts: they must be bit-identical every time.
+// Every batch must take the path the scenario promises (incremental, or the
+// from-scratch fallback); every incremental insert-only batch must also
+// re-converge in strictly fewer iterations than its from-scratch control —
+// the serving engine's reason to exist — and an incremental scenario that
+// deletes must actually drive the invalidation path (rounds and drops
+// nonzero) rather than silently degenerating to a no-op. The engine's world
+// and the control worlds all run under schedule.
+func ServingDifferential(sc ServingScenario, schedule string, ranks int, sockets bool) (*Outcome, error) {
 	prog, load, rels, err := servingProg(sc)
 	if err != nil {
 		return nil, err
 	}
 	o := &Outcome{}
 
-	eng, err := paralagg.Open(paralagg.Config{
-		Ranks: ranks, Subs: sc.Subs, CollectiveSchedule: schedule,
-	}, prog)
+	side, err := openServing(prog, paralagg.Config{Subs: sc.Subs, CollectiveSchedule: schedule}, ranks, sockets)
 	if err != nil {
 		return nil, fmt.Errorf("chaos serving %s: Open failed: %w", sc.Name, err)
 	}
-	defer eng.Close()
+	defer side.close()
 
-	ctx := context.Background()
-	stats, err := eng.Apply(ctx, paralagg.Mutation{Load: load})
+	stats, err := side.apply(paralagg.Mutation{Load: load})
 	if err != nil {
 		return nil, fmt.Errorf("chaos serving %s: initial Apply failed: %w", sc.Name, err)
 	}
 
-	// cur tracks the post-batch base edge set the control runs replay.
-	cur := append([]graph.Edge(nil), sc.Base.Edges...)
-	curSet := make(map[graph.Edge]bool, len(cur))
-	for _, e := range cur {
-		curSet[e] = true
-	}
+	// cur and sources track the post-batch base facts the control runs
+	// replay.
+	cur := slices.Clone(sc.Base.Edges)
+	sources := slices.Clone(sc.Sources)
 
 	batches, rounds, dropped, invalidated := 0, 0, uint64(0), false
 	check := func(name string, st paralagg.ApplyStats, insertOnly bool) error {
 		what := sc.Name + "/" + name
-		if err := eng.Inspect(collect(rels, &o.Recovered)); err != nil {
+		if err := side.each(func(i int) error { return side.engs[i].Inspect(collect(rels, &o.Recovered)) }); err != nil {
 			return fmt.Errorf("chaos serving %s: engine fingerprint failed: %w", what, err)
 		}
 		ctrl := &graph.Graph{
@@ -230,7 +315,7 @@ func ServingDifferential(sc ServingScenario, schedule string, ranks int) (*Outco
 			Edges: cur, MaxWeight: sc.Base.MaxWeight,
 		}
 		ctrlSc := sc
-		ctrlSc.Base = ctrl
+		ctrlSc.Base, ctrlSc.Sources = ctrl, sources
 		_, ctrlLoad, _, _ := servingProg(ctrlSc)
 		res, err := exec(schedule, prog, paralagg.Config{Ranks: ranks, Subs: sc.Subs},
 			ctrlLoad, collect(rels, &o.Clean))
@@ -256,60 +341,53 @@ func ServingDifferential(sc ServingScenario, schedule string, ranks int) (*Outco
 
 	deletes := false
 	for _, batch := range sc.Batches {
-		deletes = deletes || len(batch.DeleteEdges) > 0
-		m := paralagg.Mutation{}
-		if len(batch.InsertEdges) > 0 {
-			m.Insert = map[string][]paralagg.Tuple{"edge": edgeTuples(sc.Kind, batch.InsertEdges)}
+		m := paralagg.Mutation{
+			Insert: facts(sc.Kind, batch.InsertEdges, batch.InsertSources),
+			Delete: facts(sc.Kind, batch.DeleteEdges, batch.DeleteSources),
 		}
-		if len(batch.DeleteEdges) > 0 {
-			m.Delete = map[string][]paralagg.Tuple{"edge": edgeTuples(sc.Kind, batch.DeleteEdges)}
-		}
-		st, err := eng.Apply(ctx, m)
+		deletes = deletes || len(m.Delete) > 0
+		st, err := side.apply(m)
 		if err != nil {
 			return nil, fmt.Errorf("chaos serving %s/%s: Apply failed: %w", sc.Name, batch.Name, err)
 		}
-		// Fold the batch into the tracked edge set. cc edges count both
-		// directions (the control's undirected closure regenerates a deleted
-		// direction from its surviving mirror otherwise).
-		for _, e := range batch.InsertEdges {
-			for _, d := range mirror(sc.Kind, e) {
-				if !curSet[d] {
-					curSet[d] = true
-					cur = append(cur, d)
-				}
-			}
+		if st.Incremental == sc.Fallback {
+			return nil, fmt.Errorf("chaos serving %s/%s: Incremental = %v, want %v", sc.Name, batch.Name, st.Incremental, !sc.Fallback)
 		}
-		for _, e := range batch.DeleteEdges {
-			for _, d := range mirror(sc.Kind, e) {
-				delete(curSet, d)
-			}
-		}
-		if len(batch.DeleteEdges) > 0 {
-			kept := cur[:0:0]
-			for _, e := range cur {
-				if curSet[e] {
-					kept = append(kept, e)
-				}
-			}
-			cur = kept
-		}
-		insertOnly := len(batch.DeleteEdges) == 0 && len(batch.InsertEdges) > 0
-		if err := check(batch.Name, st, insertOnly); err != nil {
+		cur = fold(cur, mirrored(sc.Kind, batch.InsertEdges), mirrored(sc.Kind, batch.DeleteEdges))
+		sources = fold(sources, batch.InsertSources, batch.DeleteSources)
+		if err := check(batch.Name, st, len(m.Delete) == 0 && len(m.Insert) > 0); err != nil {
 			return nil, err
 		}
 	}
-	if deletes && !invalidated {
+	if deletes && !sc.Fallback && !invalidated {
 		return nil, fmt.Errorf("chaos serving %s: no batch reported invalidation rounds — delete path untested", sc.Name)
 	}
 	o.Evidence = fmt.Sprintf("%d batches bit-identical (invalidation rounds=%d dropped=%d)", batches, rounds, dropped)
 	return o, nil
 }
 
-// mirror expands an edge into the directed tuples the base set stores for a
-// scenario kind: itself for sssp, both directions for cc.
-func mirror(kind string, e graph.Edge) []graph.Edge {
-	if kind == "cc" {
-		return []graph.Edge{e, {U: e.V, V: e.U, W: e.W}}
+// mirrored expands edges into the directed tuples the base set stores for a
+// scenario kind: themselves for sssp and lsp, both directions for cc (the
+// control's undirected closure regenerates a deleted direction from its
+// surviving mirror otherwise).
+func mirrored(kind string, edges []graph.Edge) []graph.Edge {
+	if kind != "cc" {
+		return edges
 	}
-	return []graph.Edge{e}
+	var out []graph.Edge
+	for _, e := range edges {
+		out = append(out, e, graph.Edge{U: e.V, V: e.U, W: e.W})
+	}
+	return out
+}
+
+// fold applies one batch to a tracked base-fact list the way the engine
+// does: inserts first, so a fact in both ends up deleted.
+func fold[T comparable](set, ins, del []T) []T {
+	for _, x := range ins {
+		if !slices.Contains(set, x) {
+			set = append(set, x)
+		}
+	}
+	return slices.DeleteFunc(set, func(x T) bool { return slices.Contains(del, x) })
 }

@@ -3,9 +3,11 @@ package chaos
 import "testing"
 
 // TestServingDifferentials streams every serving scenario's mutation batches
-// into a long-lived engine at 1, 2, and 4 ranks and requires the resident
-// relations to be bit-identical to a from-scratch recomputation after the
-// initial load and after every batch — the serving engine's correctness bar.
+// into a long-lived engine at 1, 2, and 4 in-process ranks and into one
+// engine per member of 2- and 4-rank loopback TCP gangs, and requires the
+// resident relations to be bit-identical to a from-scratch recomputation
+// after the initial load and after every batch — the serving engine's
+// correctness bar.
 func TestServingDifferentials(t *testing.T) { rows(t, "", "serving", "") }
 
 // TestServingInsertsStrictlyCheaper pins the communication saving on the

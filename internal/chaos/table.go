@@ -124,7 +124,12 @@ func Table() []Check {
 	for _, sc := range ServingScenarios() {
 		for _, ranks := range []int{1, 2, 4} {
 			add("serving", fmt.Sprintf("%s/ranks=%d", sc.Name, ranks), false, func(s string) (*Outcome, error) {
-				return ServingDifferential(sc, s, ranks)
+				return ServingDifferential(sc, s, ranks, false)
+			})
+		}
+		for _, ranks := range []int{2, 4} {
+			add("serving", fmt.Sprintf("%s/tcp-ranks=%d", sc.Name, ranks), true, func(s string) (*Outcome, error) {
+				return ServingDifferential(sc, s, ranks, true)
 			})
 		}
 	}

@@ -77,7 +77,8 @@ func TestTreeSchedule(t *testing.T) {
 
 // TestTableShape checks the table itself: names unique, no suite empty, and
 // the grids complete — every scenario in every in-process check kind, every
-// serving scenario at 1, 2 and 4 ranks.
+// serving scenario at 1, 2 and 4 in-process ranks and on 2- and 4-rank TCP
+// gangs.
 func TestTableShape(t *testing.T) {
 	table := Table()
 	names := map[string]bool{}
@@ -110,8 +111,8 @@ func TestTableShape(t *testing.T) {
 		}
 	}
 	for _, sc := range ServingScenarios() {
-		for _, ranks := range []int{1, 2, 4} {
-			if name := fmt.Sprintf("serving %s/ranks=%d", sc.Name, ranks); !names[name] {
+		for _, size := range []string{"ranks=1", "ranks=2", "ranks=4", "tcp-ranks=2", "tcp-ranks=4"} {
+			if name := fmt.Sprintf("serving %s/%s", sc.Name, size); !names[name] {
 				t.Errorf("no check %q", name)
 			}
 		}

@@ -50,10 +50,21 @@ type Config struct {
 // Instantiate the identical program with the identical config, then perform
 // the same Load and Run calls.
 type Instance struct {
-	comm   *mpi.Comm
-	mc     *metrics.Collector
-	rels   map[string]*relation.Relation
-	strata []*stratum
+	comm *mpi.Comm
+	mc   *metrics.Collector
+	rels map[string]*relation.Relation
+	// shadows maps every declared relation a rule derives into, and every
+	// aggregated relation, to its base shadow: the set relation
+	// __base.<name> (named like the rewrite's __tmp%d intermediates)
+	// holding exactly that relation's base facts at their hash owners. It is
+	// in no stratum and not reachable through Relation. A base-only set
+	// relation has no shadow: its FULL is its base-fact set.
+	shadows map[string]*relation.Relation
+	// derived lists, in name order, the relations whose FULL is not their
+	// base-fact set — every rule head and every shadowed relation. The
+	// from-scratch fallback clears exactly these.
+	derived []*relation.Relation
+	strata  []*stratum
 }
 
 type stratum struct {
@@ -86,7 +97,12 @@ func (p *Program) Instantiate(comm *mpi.Comm, mc *metrics.Collector, cfg Config)
 	}
 	sort.Strings(names)
 
-	in := &Instance{comm: comm, mc: mc, rels: make(map[string]*relation.Relation, len(names))}
+	heads := map[string]bool{}
+	for _, r := range rules {
+		heads[r.Head.Rel] = true
+	}
+	in := &Instance{comm: comm, mc: mc, rels: make(map[string]*relation.Relation, len(names)),
+		shadows: map[string]*relation.Relation{}}
 	for _, n := range names {
 		d := decls[n]
 		subs := cfg.Subs
@@ -100,6 +116,18 @@ func (p *Program) Instantiate(comm *mpi.Comm, mc *metrics.Collector, cfg Config)
 			return nil, err
 		}
 		in.rels[n] = rel
+		if p.decls[n] != nil && (heads[n] || d.Agg != nil) {
+			sh, err := relation.New(relation.Schema{
+				Name: "__base." + n, Arity: d.Arity, Indep: d.Arity, Key: d.Key,
+			}, comm, mc, relation.Config{Subs: 1, Integrity: cfg.Integrity})
+			if err != nil {
+				return nil, err
+			}
+			in.shadows[n] = sh
+		}
+		if heads[n] || in.shadows[n] != nil {
+			in.derived = append(in.derived, rel)
+		}
 	}
 
 	strata := p.stratify(rules)
@@ -138,12 +166,17 @@ func (p *Program) Instantiate(comm *mpi.Comm, mc *metrics.Collector, cfg Config)
 func (in *Instance) Relation(name string) *relation.Relation { return in.rels[name] }
 
 // Load feeds base facts (canonical column order) into a relation through
-// the collective materialization path. Each rank passes its own share; the
-// union across ranks is loaded.
+// the collective materialization path — a shadowed relation through its
+// shadow and then itself. Each rank passes its own share; the union across
+// ranks is loaded.
 func (in *Instance) Load(name string, facts *tuple.Buffer) error {
 	rel := in.rels[name]
 	if rel == nil {
 		return fmt.Errorf("core: load into undeclared relation %s", name)
+	}
+	if sh := in.shadows[name]; sh != nil {
+		sh.LoadFacts(facts)
+		sh.ClearDelta()
 	}
 	rel.LoadFacts(facts)
 	return nil
@@ -172,19 +205,19 @@ func (in *Instance) options(cfg Config, stratum int) ra.Options {
 	return opts
 }
 
-// snapshotRels returns every relation of the program in name order — the
-// set a checkpoint captures. Snapshotting the whole program (not just the
-// running stratum's relations) lets Resume skip completed strata outright
-// and wipe any partially mutated later state.
+// snapshotRels returns every relation of the program in name order, then
+// every base shadow in the order of the relations they shadow — the set a
+// checkpoint captures. Snapshotting the whole program (not just the running
+// stratum's relations) lets Resume skip completed strata outright and wipe
+// any partially mutated later state; the shadows carry the base facts a
+// later deletion re-derives from.
 func (in *Instance) snapshotRels() []*relation.Relation {
-	names := make([]string, 0, len(in.rels))
-	for n := range in.rels {
-		names = append(names, n)
+	rels := make([]*relation.Relation, 0, len(in.rels)+len(in.shadows))
+	for _, n := range sortedKeys(in.rels) {
+		rels = append(rels, in.rels[n])
 	}
-	sort.Strings(names)
-	rels := make([]*relation.Relation, len(names))
-	for i, n := range names {
-		rels[i] = in.rels[n]
+	for _, n := range sortedKeys(in.shadows) {
+		rels = append(rels, in.shadows[n])
 	}
 	return rels
 }

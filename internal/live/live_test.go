@@ -2,6 +2,8 @@ package live
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -175,11 +177,14 @@ func (f *fakeQuerier) LiveQuery(rel string, key []uint64, limit, orderBy int, de
 	return QueryAnswer{Found: true, Count: 1, Value: []uint64{7}}, nil
 }
 
-type fakeApplier struct{ calls int }
+type fakeApplier struct {
+	calls int
+	err   error
+}
 
 func (f *fakeApplier) LiveApply(insert, del map[string][][]uint64) (int, bool, error) {
 	f.calls++
-	return 3, true, nil
+	return 3, true, f.err
 }
 
 func TestQueryEndpointsUnavailableUntilAttached(t *testing.T) {
@@ -259,6 +264,35 @@ func TestQueryEndpointBadRequests(t *testing.T) {
 	for _, path := range []string{"/query", "/query?rel=x&key=abc", "/topk?rel=x", "/topk?rel=x&k=0"} {
 		if code, _ := get(t, "http://"+s.Addr()+path); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", path, code)
+		}
+	}
+}
+
+// TestApplyStatusNamesWhoseFault pins /apply's status codes: a body that does
+// not decode and a batch the backend rejects (ErrBadBatch) are the client's
+// error, 400; any other backend failure is the server's, 500.
+func TestApplyStatusNamesWhoseFault(t *testing.T) {
+	s := startServer(t)
+	a := &fakeApplier{}
+	s.AttachApplier(a)
+	for _, tc := range []struct {
+		body string
+		err  error
+		want int
+	}{
+		{`{"insert": {"edge": [[1,2,3]]}}`, nil, http.StatusOK},
+		{`{"insert": {"edge": [[1,2]]}}`, fmt.Errorf("%w: arity 3, tuple has 2", ErrBadBatch), http.StatusBadRequest},
+		{`{"insert": {"edge": [[1,2,3]]}}`, errors.New("engine world exited"), http.StatusInternalServerError},
+		{`{"insert": `, nil, http.StatusBadRequest},
+	} {
+		a.err = tc.err
+		resp, err := http.Post("http://"+s.Addr()+"/apply", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("/apply %s with backend error %v: status %d, want %d", tc.body, tc.err, resp.StatusCode, tc.want)
 		}
 	}
 }

@@ -14,6 +14,7 @@ package live
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -35,7 +36,13 @@ type QueryBackend interface {
 	LiveQuery(relation string, key []uint64, limit, orderBy int, desc, countOnly bool) (QueryAnswer, error)
 }
 
-// ApplyBackend applies one mutation batch of base facts.
+// ErrBadBatch marks a mutation batch the backend rejects before applying
+// anything (an undeclared relation, a tuple of the wrong arity): /apply
+// answers it 400, where any other failure is the server's (500).
+var ErrBadBatch = errors.New("live: bad mutation batch")
+
+// ApplyBackend applies one mutation batch of base facts. A batch it rejects
+// as malformed fails with an error wrapping ErrBadBatch.
 type ApplyBackend interface {
 	LiveApply(insert, del map[string][][]uint64) (iterations int, incremental bool, err error)
 }
@@ -171,7 +178,8 @@ type applyResponse struct {
 }
 
 // handleApply serves POST /apply: a JSON mutation batch, answered after the
-// engine re-converges.
+// engine re-converges. A body that does not decode, or a batch the backend
+// rejects (ErrBadBatch), is the client's error.
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	b := s.applyBackend()
 	if b == nil {
@@ -189,7 +197,11 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	}
 	iters, incr, err := b.LiveApply(req.Insert, req.Delete)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		code := http.StatusInternalServerError
+		if errors.Is(err, ErrBadBatch) {
+			code = http.StatusBadRequest
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	writeJSON(w, applyResponse{Iterations: iters, Incremental: incr})

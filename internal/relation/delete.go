@@ -28,8 +28,8 @@ func (r *Relation) ClearDelta() {
 // accumulator, every index's FULL and Δ trees, and the identity arena are
 // dropped. The id counter is preserved so ids handed out after a Clear
 // never collide with ids from before it. Rank-local; call uniformly. The
-// serving engine uses it for the from-scratch fallback before replaying
-// the base-fact journal.
+// serving engine's from-scratch fallback clears every derived relation with
+// it before reloading base facts from the relation's base shadow.
 func (r *Relation) Clear() {
 	if r.Agg != nil {
 		r.acc = wordmap.New(r.Indep, r.Dep())

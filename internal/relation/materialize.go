@@ -153,7 +153,7 @@ func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) uint
 }
 
 // loadSet is materializeSet's deduplication for an empty canonical index —
-// an initial load, or a journal replay after Clear: the batch is sorted once
+// an initial load, or a reload after Clear: the batch is sorted once
 // and FULL and Δ are both built bottom-up from that run instead of taking
 // one descent per tuple each. Ids, fresh and the work units come out as the
 // per-tuple path would have produced them: survivors are the first arrival

@@ -2,6 +2,7 @@ package paralagg
 
 import (
 	"context"
+	"fmt"
 
 	"paralagg/internal/live"
 )
@@ -35,7 +36,9 @@ func (e *Engine) LiveQuery(relation string, key []uint64, limit, orderBy int, de
 }
 
 // LiveApply implements the live server's mutation backend: /apply routes
-// here, blocking until the engine re-converges.
+// here, blocking until the engine re-converges. A batch naming an undeclared
+// relation or holding a tuple of the wrong arity fails before any rank
+// sees it, wrapped in live.ErrBadBatch.
 func (e *Engine) LiveApply(insert, del map[string][][]uint64) (int, bool, error) {
 	m := Mutation{}
 	if len(insert) > 0 {
@@ -49,6 +52,9 @@ func (e *Engine) LiveApply(insert, del map[string][][]uint64) (int, bool, error)
 		for name, rows := range del {
 			m.Delete[name] = wireTuples(rows)
 		}
+	}
+	if err := e.validateMutation(m); err != nil {
+		return 0, false, fmt.Errorf("%w: %v", live.ErrBadBatch, err)
 	}
 	stats, err := e.Apply(context.Background(), m)
 	if err != nil {

@@ -160,7 +160,9 @@ type Config struct {
 	// Resume restarts from the latest checkpoint in Checkpoints instead of
 	// running from scratch: completed strata are skipped and the
 	// checkpointed stratum continues from its saved iteration. The load
-	// callback still runs (relations restore wholesale over loaded facts).
+	// callback still runs, but every relation restores wholesale over what
+	// it loaded — base shadows included, so the base facts a later delete
+	// re-derives from are the snapshot's, inserted batches and all.
 	Resume bool
 	// Rejoin re-enters this process as a hot replacement for a crashed rank
 	// of a gang that is still running: the rank's own checkpoint restores
@@ -276,23 +278,6 @@ func (c Config) cost() metrics.CostModel {
 type Rank struct {
 	comm *mpi.Comm
 	inst *core.Instance
-	// loads keeps every base-fact buffer loaded through this rank, by
-	// relation. The buffers are handed over, not copied: the engine builds
-	// its base-fact journal from them the first time a batch deletes or
-	// replays, and a run that never does pays nothing. A relation loaded with
-	// no facts still gets an entry, so the journal's relation set does not
-	// depend on how the facts were striped.
-	loads map[string][]*tuple.Buffer
-}
-
-// load feeds one buffer of this rank's base facts into a relation and keeps
-// it for the engine's journal.
-func (r *Rank) load(rel string, buf *tuple.Buffer) error {
-	if r.loads == nil {
-		r.loads = map[string][]*tuple.Buffer{}
-	}
-	r.loads[rel] = append(r.loads[rel], buf)
-	return r.inst.Load(rel, buf)
 }
 
 // ID returns this rank's index in [0, Size).
@@ -324,7 +309,7 @@ func (r *Rank) Load(rel string, facts []Tuple) error {
 	for _, f := range facts {
 		buf.Append(tuple.Tuple(f))
 	}
-	return r.load(rel, buf)
+	return r.inst.Load(rel, buf)
 }
 
 // LoadShare splits n generated facts deterministically across ranks and
@@ -343,7 +328,7 @@ func (r *Rank) LoadShare(rel string, n int, gen func(i int, emit func(Tuple))) e
 	for i := rank; i < n; i += size {
 		gen(i, emit)
 	}
-	return r.load(rel, buf)
+	return r.inst.Load(rel, buf)
 }
 
 // Each iterates this rank's locally stored result tuples of a relation in
