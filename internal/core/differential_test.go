@@ -235,7 +235,7 @@ func TestDifferentialAgainstNaive(t *testing.T) {
 				}
 				cfg := configs[int(seed)%len(configs)]
 				ranks := []int{1, 3, 5}[int(seed)%3]
-				got, err := runDistributed(sc.build(), facts, ranks, cfg)
+				got, _, err := runDistributed(sc.build(), facts, ranks, cfg)
 				if err != nil {
 					t.Fatalf("seed %d: distributed: %v", seed, err)
 				}
@@ -257,16 +257,17 @@ func TestDifferentialAgainstNaive(t *testing.T) {
 }
 
 // runDistributed executes the program on a world and gathers every
-// relation's full contents to compare with the naive evaluator.
-func runDistributed(p *Program, facts map[string][]tuple.Tuple, ranks int, cfg Config) (map[string][]tuple.Tuple, error) {
+// relation's full contents to compare with the naive evaluator, plus the
+// run's metrics report.
+func runDistributed(p *Program, facts map[string][]tuple.Tuple, ranks int, cfg Config) (map[string][]tuple.Tuple, *metrics.Report, error) {
 	out := map[string][]tuple.Tuple{}
 	collect := make(chan struct {
 		rel string
 		t   tuple.Tuple
 	}, 4096)
 	w := mpi.NewWorld(ranks)
+	mc := metrics.NewCollector(ranks)
 	err := w.Run(func(c *mpi.Comm) error {
-		mc := metrics.NewCollector(ranks)
 		in, err := p.Instantiate(c, mc, cfg)
 		if err != nil {
 			return err
@@ -306,7 +307,7 @@ func runDistributed(p *Program, facts map[string][]tuple.Tuple, ranks int, cfg C
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	close(collect)
 	for item := range collect {
@@ -323,7 +324,61 @@ func runDistributed(p *Program, facts map[string][]tuple.Tuple, ranks int, cfg C
 			out[name] = nil
 		}
 	}
-	return out, nil
+	return out, mc.BuildReport(metrics.DefaultCostModel), nil
+}
+
+// TestCoPartitionedJoinsMatchNaive sweeps SSSP, CC and TC over ranks
+// {1, 2, 3, 4} × Subs {1, 2, 8} × {Dynamic, StaticLeft, StaticRight}: every
+// configuration must equal the naive from-scratch evaluation. At Subs 1, or
+// on one rank, every join of the three is co-partitioned and runs without an
+// intra-bucket message; with sub-buckets on several ranks each join
+// exchanges — so the sweep covers both paths, and checks which one ran.
+func TestCoPartitionedJoinsMatchNaive(t *testing.T) {
+	for _, name := range []string{"sssp-min", "cc-with-conds", "transitive-closure"} {
+		var sc diffProgram
+		for _, d := range diffSuite {
+			if d.name == name {
+				sc = d
+			}
+		}
+		facts := sc.facts(rand.New(rand.NewSource(7)))
+		want, err := EvalNaive(sc.build(), facts)
+		if err != nil {
+			t.Fatalf("%s: naive: %v", name, err)
+		}
+		for _, ranks := range []int{1, 2, 3, 4} {
+			for _, subs := range []int{1, 2, 8} {
+				for _, plan := range []ra.PlanMode{ra.PlanDynamic, ra.PlanStaticLeft, ra.PlanStaticRight} {
+					got, rep, err := runDistributed(sc.build(), facts, ranks, Config{Subs: subs, Plan: plan})
+					if err != nil {
+						t.Fatalf("%s ranks=%d subs=%d plan=%d: %v", name, ranks, subs, plan, err)
+					}
+					for rel, wt := range want {
+						if !sameTuples(got[rel], wt) {
+							t.Fatalf("%s ranks=%d subs=%d plan=%d: %s = %v, naive %v",
+								name, ranks, subs, plan, rel, got[rel], wt)
+						}
+					}
+					local := ranks == 1 || subs == 1
+					if msgs := rep.Phases[metrics.PhaseIntraBucket].Msgs; local != (msgs == 0) {
+						t.Fatalf("%s ranks=%d subs=%d plan=%d: %d intra-bucket messages", name, ranks, subs, plan, msgs)
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameTuples(a, b []tuple.Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func sortTuples(ts []tuple.Tuple) {

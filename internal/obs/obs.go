@@ -37,7 +37,9 @@ const (
 	KindPhase
 	// KindPlan reports one dynamic join-plan vote (Algorithm 1): VotesFor
 	// is the number of ranks that voted the left side smaller, OuterLeft
-	// the collective outcome, Name the join.
+	// the collective outcome, Name the join. A co-partitioned join holds no
+	// vote: VotesFor is this rank's own (0 or 1) and OuterLeft its local
+	// choice.
 	KindPlan
 	// KindIteration closes one fixpoint iteration: Changed is the global
 	// changed-tuple count, Bytes/Msgs the communication delta of the

@@ -673,12 +673,13 @@ func (f *Fixpoint) step(opts Options, iter int) uint64 {
 // event per head (global size, global Δ, per-rank distribution — Fig. 3's
 // skew signal, live) and one obs.KindIteration event carrying the changed
 // count plus the iteration's communication and transport-robustness deltas.
-// The per-rank distribution performs one allgather per head, so observation
+// The per-rank distribution comes from the heads' replica-exchange lane
+// headers; a head without replicas gathers it (RankCounts), so observation
 // must be enabled uniformly across ranks (Exec guarantees it in-process).
 func (f *Fixpoint) emitIteration(o obs.Observer, opts Options, iter int, changed uint64, startNS int64, pre mpi.Totals, preNet mpi.NetStats) {
 	rank, stratum := f.Comm.Rank(), f.MC.Stratum()
 	for _, h := range f.heads {
-		counts := h.PerRankCounts()
+		counts := h.RankCounts()
 		total := uint64(0)
 		for _, c := range counts {
 			total += uint64(c)

@@ -156,16 +156,21 @@ func crossTraffic(topo *mpi.Topology, self int, send [][]mpi.Word) (bytes, msgs 
 }
 
 // Run executes one variant of the join — versions vl and vr select the
-// semi-naïve sides — and appends head tuples to pending. It is collective.
+// semi-naïve sides — and appends head tuples to pending. It is collective
+// unless the join is co-partitioned, in which case it is rank-local.
 //
 // Phases, as in Fig. 1: dynamic join planning (a one-word vote per rank,
 // Algorithm 1), intra-bucket communication (the outer relation's selected
 // version is serialized and replicated to the inner's sub-bucket homes),
 // and the highly parallel local join (received outer tuples probe the
-// inner B-tree).
+// inner B-tree). A co-partitioned join (relation.CoPartitioned: every
+// join-key bucket on one rank, the same rank on both sides) has nothing to
+// replicate, so it skips the vote and the exchange: each rank picks its
+// outer side from its own sizes and probes with its own tuples.
 func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collector, pending *tuple.Buffer) {
 	comm := j.LeftRel.Comm()
 	rank, size := comm.Rank(), comm.Size()
+	local := relation.CoPartitioned(j.Left, j.Right, j.JK)
 
 	// Dynamic join planning (Algorithm 1): each rank votes with one word;
 	// an Allreduce tallies. If a majority finds the left side smaller, the
@@ -173,7 +178,8 @@ func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collecto
 	// schedule the same word carries a second vote in its high half: each
 	// rank's tree-vs-ring preference from the payload sizes it observed,
 	// applied by every rank against the same tally so next iteration's
-	// collectives agree on their shape without an extra round.
+	// collectives agree on their shape without an extra round. A
+	// co-partitioned join's tally is its own vote.
 	outerIsLeft := false
 	switch mode {
 	case PlanStaticLeft:
@@ -186,19 +192,24 @@ func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collecto
 		if versionLen(j.Left, vl) < versionLen(j.Right, vr) {
 			localOuter = 1
 		}
-		vote := localOuter
-		if comm.ScheduleAuto() {
-			vote |= comm.ScheduleVote() << 32
+		ranksWantLeft := localOuter
+		outerIsLeft = localOuter == 1
+		var voteBytes, voteMsgs int64
+		if !local {
+			vote := localOuter
+			if comm.ScheduleAuto() {
+				vote |= comm.ScheduleVote() << 32
+			}
+			tally := comm.Allreduce(vote, mpi.OpSum)
+			ranksWantLeft = tally & 0xffffffff
+			outerIsLeft = ranksWantLeft >= uint64((size+1)/2)
+			comm.ApplyScheduleVote(int(tally >> 32))
+			voteBytes, voteMsgs = mpi.WordBytes, int64(comm.ScheduleDepth())
 		}
-		tally := comm.Allreduce(vote, mpi.OpSum)
-		ranksWantLeft := tally & 0xffffffff
-		outerIsLeft = ranksWantLeft >= uint64((size+1)/2)
 		if mode == PlanAntiDynamic {
 			outerIsLeft = !outerIsLeft
 		}
-		comm.ApplyScheduleVote(int(tally >> 32))
-		mc.Record(rank, iter, metrics.PhasePlanning,
-			timer.Done(1, mpi.WordBytes, int64(comm.ScheduleDepth())))
+		mc.Record(rank, iter, metrics.PhasePlanning, timer.Done(1, voteBytes, voteMsgs))
 		if o := mc.Observer(); o != nil {
 			e := obs.Get()
 			e.Kind = obs.KindPlan
@@ -219,23 +230,34 @@ func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collecto
 
 	// Intra-bucket communication: serialize the outer version and
 	// replicate each tuple to every rank holding a sub-bucket of the
-	// inner's matching bucket.
+	// inner's matching bucket. Co-partitioned, every tuple's one home is
+	// this rank: the scan is still charged as work, but nothing moves.
 	timer := metrics.StartTimer()
 	send := j.sendBuf(size)
 	scanned := int64(0)
 	scanVersion(outerIx, outerV, func(t tuple.Tuple) bool {
 		scanned++
+		if local {
+			send[rank] = append(send[rank], t...)
+			return true
+		}
 		b := int(t.HashPrefix(j.JK) % uint64(size))
 		for _, dest := range innerIx.HomeRanks(b) {
 			send[dest] = append(send[dest], t...)
 		}
 		return true
 	})
-	pre := comm.Stats().Snapshot()
-	recv := comm.Alltoallv(send)
-	d := comm.Stats().Snapshot().Sub(pre)
-	exch := timer.Done(scanned, int64(d.Bytes()), nonEmptyLanes(send, rank)+1)
-	exch.CrossBytes, exch.CrossMsgs = crossTraffic(comm.Topology(), rank, send)
+	recv := send
+	var exchBytes, exchMsgs int64
+	if !local {
+		pre := comm.Stats().Snapshot()
+		recv = comm.Alltoallv(send)
+		exchBytes, exchMsgs = int64(comm.Stats().Snapshot().Sub(pre).Bytes()), nonEmptyLanes(send, rank)+1
+	}
+	exch := timer.Done(scanned, exchBytes, exchMsgs)
+	if !local {
+		exch.CrossBytes, exch.CrossMsgs = crossTraffic(comm.Topology(), rank, send)
+	}
 	mc.Record(rank, iter, metrics.PhaseIntraBucket, exch)
 
 	// Local join: probe the inner B-tree with each received outer tuple.

@@ -503,76 +503,139 @@ func TestResetDeltaEnablesNextStratum(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBalanceCorrectAndBalancing runs SSSP on a hub-skewed graph
-// with adaptive rebalancing: answers must stay exact, the edge relation's
-// sub-bucket count must grow, and the final distribution must be flatter
-// than the static subs=1 run.
-func TestAdaptiveBalanceCorrectAndBalancing(t *testing.T) {
-	// Star-heavy graph: node 0 fans out to all others plus a random mesh.
+// skewedSSSP builds SSSP from node 0 on a hub-skewed graph (node 0 fans out
+// to every other node, plus a random mesh) with both relations at Subs 1,
+// and returns the fixpoint, the relations, the join, and Dijkstra's
+// distances.
+func skewedSSSP(c *mpi.Comm, mc *metrics.Collector) (*Fixpoint, *relation.Relation, *relation.Relation, *Join, map[uint64]uint64, error) {
 	var es []edge
 	for i := 1; i <= 60; i++ {
 		es = append(es, edge{0, uint64(i), uint64(i%5 + 1)})
 	}
 	es = append(es, randGraph(61, 120, 3, 5)...)
 	want := refSSSP(61, es, 0)
+	edgeRel, err := relation.New(relation.Schema{Name: "edge", Arity: 3, Indep: 3, Key: 1}, c, mc, relation.Config{Subs: 1})
+	if err != nil {
+		return nil, nil, nil, nil, nil, err
+	}
+	sp, err := relation.New(relation.Schema{Name: "spath", Arity: 3, Indep: 2, Key: 2, Agg: lattice.Min{}}, c, mc, relation.Config{Subs: 1})
+	if err != nil {
+		return nil, nil, nil, nil, nil, err
+	}
+	spMid, err := sp.AddIndex([]int{1, 0, 2}, 1)
+	if err != nil {
+		return nil, nil, nil, nil, nil, err
+	}
+	// Dedup edges: randGraph may duplicate a star edge.
+	seen := map[[2]uint64]bool{}
+	var uniq []edge
+	for _, e := range es {
+		if !seen[[2]uint64{e.u, e.v}] {
+			seen[[2]uint64{e.u, e.v}] = true
+			uniq = append(uniq, e)
+		}
+	}
+	edgeRel.LoadShare(len(uniq), func(i int, emit func(tuple.Tuple)) {
+		emit(tuple.Tuple{uniq[i].u, uniq[i].v, uniq[i].w})
+	})
+	seed := tuple.NewBuffer(3, 1)
+	if c.Rank() == 0 {
+		seed.Append(tuple.Tuple{0, 0, 0})
+	}
+	sp.LoadFacts(seed)
+	join := &Join{
+		Left: spMid, LeftRel: sp, Right: edgeRel.Canonical(), RightRel: edgeRel,
+		Head: sp, JK: 1,
+		Emit: func(l, r, out tuple.Tuple) bool {
+			return copy(out, tuple.Tuple{l[1], r[1], l[2] + r[2]}) > 0
+		}}
+	return NewFixpoint(c, mc, join), edgeRel, sp, join, want, nil
+}
 
+// checkDistances compares sp's global contents with Dijkstra's distances.
+// Collective.
+func checkDistances(c *mpi.Comm, sp *relation.Relation, want map[uint64]uint64) error {
+	var wrong, count uint64
+	sp.EachAcc(func(tt tuple.Tuple) {
+		count++
+		if d, ok := want[tt[1]]; !ok || d != tt[2] {
+			wrong++
+		}
+	})
+	if g := c.Allreduce(wrong, mpi.OpSum); g != 0 {
+		return fmt.Errorf("%d wrong distances", g)
+	}
+	if g := c.Allreduce(count, mpi.OpSum); g != uint64(len(want)) {
+		return fmt.Errorf("reached %d, want %d", g, len(want))
+	}
+	return nil
+}
+
+// TestAdaptiveBalanceCorrectAndBalancing runs SSSP on a hub-skewed graph
+// with adaptive rebalancing: answers must stay exact and the edge
+// relation's sub-bucket count must grow.
+func TestAdaptiveBalanceCorrectAndBalancing(t *testing.T) {
 	const ranks = 8
 	w := mpi.NewWorld(ranks)
 	err := w.Run(func(c *mpi.Comm) error {
 		mc := metrics.NewCollector(ranks)
-		edgeRel, err := relation.New(relation.Schema{Name: "edge", Arity: 3, Indep: 3, Key: 1}, c, mc, relation.Config{Subs: 1})
+		fx, edgeRel, sp, _, want, err := skewedSSSP(c, mc)
 		if err != nil {
 			return err
 		}
-		sp, err := relation.New(relation.Schema{Name: "spath", Arity: 3, Indep: 2, Key: 2, Agg: lattice.Min{}}, c, mc, relation.Config{Subs: 1})
-		if err != nil {
-			return err
-		}
-		spMid, err := sp.AddIndex([]int{1, 0, 2}, 1)
-		if err != nil {
-			return err
-		}
-		// Dedup edges: randGraph may duplicate a star edge.
-		seen := map[[2]uint64]bool{}
-		var uniq []edge
-		for _, e := range es {
-			if !seen[[2]uint64{e.u, e.v}] {
-				seen[[2]uint64{e.u, e.v}] = true
-				uniq = append(uniq, e)
-			}
-		}
-		edgeRel.LoadShare(len(uniq), func(i int, emit func(tuple.Tuple)) {
-			emit(tuple.Tuple{uniq[i].u, uniq[i].v, uniq[i].w})
-		})
-		seed := tuple.NewBuffer(3, 1)
-		if c.Rank() == 0 {
-			seed.Append(tuple.Tuple{0, 0, 0})
-		}
-		sp.LoadFacts(seed)
-
-		fx := NewFixpoint(c, mc, &Join{
-			Left: spMid, LeftRel: sp, Right: edgeRel.Canonical(), RightRel: edgeRel,
-			Head: sp, JK: 1,
-			Emit: func(l, r, out tuple.Tuple) bool {
-				return copy(out, tuple.Tuple{l[1], r[1], l[2] + r[2]}) > 0
-			}})
 		fx.Run(Options{Plan: PlanDynamic, AdaptiveBalance: true, BalanceThreshold: 1.5, MaxSubs: 8})
-
 		if edgeRel.Subs() == 1 {
 			return fmt.Errorf("adaptive balancing never split the skewed edge relation")
 		}
-		var wrong, count uint64
-		sp.EachAcc(func(tt tuple.Tuple) {
-			count++
-			if d, ok := want[tt[1]]; !ok || d != tt[2] {
-				wrong++
+		return checkDistances(c, sp, want)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCoPartitionFollowsPlacement checks the predicate that lets a join skip
+// its vote and its intra-bucket exchange: true while both sides sit at
+// Subs 1, false at Subs 2, and false again once adaptive balancing doubles
+// edge's sub-buckets mid-run — after which the join exchanges again, with
+// the answer unchanged. Without the split the join never sends a message.
+func TestCoPartitionFollowsPlacement(t *testing.T) {
+	const ranks = 4
+	for _, adaptive := range []bool{false, true} {
+		mc := metrics.NewCollector(ranks)
+		err := mpi.NewWorld(ranks).Run(func(c *mpi.Comm) error {
+			fx, edgeRel, sp, join, want, err := skewedSSSP(c, mc)
+			if err != nil {
+				return err
 			}
+			if !relation.CoPartitioned(join.Left, join.Right, join.JK) {
+				return fmt.Errorf("not co-partitioned at Subs 1")
+			}
+			fx.Run(Options{Plan: PlanDynamic, AdaptiveBalance: adaptive, BalanceThreshold: 1.5, MaxSubs: 8})
+			if split := edgeRel.Subs() > 1; split != adaptive {
+				return fmt.Errorf("adaptive %v: edge ended at Subs %d", adaptive, edgeRel.Subs())
+			}
+			if got := relation.CoPartitioned(join.Left, join.Right, join.JK); got == adaptive {
+				return fmt.Errorf("adaptive %v: co-partitioned %v after the run at Subs %d", adaptive, got, edgeRel.Subs())
+			}
+			return checkDistances(c, sp, want)
 		})
-		if g := c.Allreduce(wrong, mpi.OpSum); g != 0 {
-			return fmt.Errorf("%d wrong distances under adaptive balancing", g)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if g := c.Allreduce(count, mpi.OpSum); g != uint64(len(want)) {
-			return fmt.Errorf("reached %d, want %d", g, len(want))
+		msgs := mc.BuildReport(metrics.DefaultCostModel).Phases[metrics.PhaseIntraBucket].Msgs
+		if exchanged := msgs > 0; exchanged != adaptive {
+			t.Fatalf("adaptive %v: %d intra-bucket messages", adaptive, msgs)
+		}
+	}
+
+	err := mpi.NewWorld(ranks).Run(func(c *mpi.Comm) error {
+		mc := metrics.NewCollector(ranks)
+		sp, _ := relation.New(relation.Schema{Name: "spath", Arity: 3, Indep: 2, Key: 2, Agg: lattice.Min{}}, c, mc, relation.Config{Subs: 2})
+		spMid, _ := sp.AddIndex([]int{1, 0, 2}, 1)
+		edgeRel, _ := relation.New(relation.Schema{Name: "edge", Arity: 3, Indep: 3, Key: 1}, c, mc, relation.Config{Subs: 2})
+		if relation.CoPartitioned(spMid, edgeRel.Canonical(), 1) {
+			return fmt.Errorf("co-partitioned at Subs 2")
 		}
 		return nil
 	})

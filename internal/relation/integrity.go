@@ -181,11 +181,12 @@ func (r *Relation) integrityLocal(fresh *tuple.Buffer, vec []mpi.Word) int64 {
 	return work
 }
 
-// integrityAllreduce replaces the scalar convergence Allreduce with a
-// 6-word OpSum vector carrying [changed, canonical, ΣFULL, ΣΔ, Σfresh,
-// accDrift], verifies the agreed sums, and returns the global changed
-// count. The fingerprint computation is metered as PhaseIntegrity; the
-// collective itself is the same agreement round the scalar path pays.
+// integrityAllreduce agrees on the changed count through a 6-word OpSum
+// vector carrying [changed, canonical, ΣFULL, ΣΔ, Σfresh, accDrift],
+// verifies the agreed sums, and returns the global changed count. The
+// digests cover the replicas after the replica exchange, so this is a round
+// of its own rather than a ride on that exchange's lane headers. The
+// fingerprint computation is metered as PhaseIntegrity.
 func (r *Relation) integrityAllreduce(iter int, changedLocal uint64, record bool) uint64 {
 	if r.digVec == nil {
 		r.digVec = make([]mpi.Word, 6)

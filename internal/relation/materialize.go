@@ -47,7 +47,9 @@ func (r *Relation) permuteScratch() tuple.Tuple {
 // replica. It returns the global number of changed tuples (identical on all
 // ranks) and must be called collectively, after all rules of the iteration
 // have run, for every relation of the stratum (even with empty pending, so
-// that Δ versions flip).
+// that Δ versions flip). The agreement on that count rides the replica
+// exchange's lane headers (maintainIndexes); only a relation with no replica
+// to maintain, or one checking Integrity, pays an Allreduce for it.
 //
 // When record is true the pass meters PhaseAllToAll (tuple routing),
 // PhaseLocalAgg (merging and tree insertion), and PhaseOther (the extra
@@ -97,20 +99,22 @@ func (r *Relation) Materialize(iter int, pending *tuple.Buffer, record bool) uin
 		r.mc.Record(rank, iter, metrics.PhaseAllToAll, s)
 	}
 
-	changedLocal := uint64(0)
+	var fresh *tuple.Buffer
 	if r.Agg != nil {
-		changedLocal = r.materializeAgg(iter, recv, record)
+		fresh = r.materializeAgg(iter, recv, record)
 	} else {
-		changedLocal = r.materializeSet(iter, recv, record)
+		fresh = r.materializeSet(iter, recv, record)
 	}
-
-	var total uint64
-	if r.integrity {
-		// Ride the state digests on the convergence agreement: same round,
-		// four extra words, and every rank verifies the global invariants
+	changedLocal := uint64(fresh.Len())
+	total, summed := r.maintainIndexes(iter, fresh, record)
+	switch {
+	case r.integrity:
+		// The state digests need the post-exchange replicas, so they take
+		// an agreement round of their own: the changed count plus five
+		// digest words, and every rank verifies the global invariants
 		// before trusting the result.
 		total = r.integrityAllreduce(iter, changedLocal, record)
-	} else {
+	case !summed:
 		total = r.comm.Allreduce(changedLocal, mpi.OpSum)
 	}
 	r.changedLast = total
@@ -118,9 +122,9 @@ func (r *Relation) Materialize(iter int, pending *tuple.Buffer, record bool) uin
 }
 
 // materializeSet deduplicates arrived tuples against the canonical index,
-// inserts survivors into FULL and Δ locally, and routes them to secondary
-// indexes.
-func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) uint64 {
+// inserts survivors into FULL and Δ locally, and returns them (the
+// relation's fresh buffer) for the secondary indexes.
+func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) *tuple.Buffer {
 	rank := r.comm.Rank()
 	timer := metrics.StartTimer()
 	canon := r.indexes[0]
@@ -148,8 +152,7 @@ func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) uint
 	if record {
 		r.mc.Record(rank, iter, metrics.PhaseLocalAgg, timer.Done(work, 0, 0))
 	}
-	r.maintainIndexes(iter, fresh, record)
-	return uint64(fresh.Len())
+	return fresh
 }
 
 // loadSet is materializeSet's deduplication for an empty canonical index —
@@ -203,8 +206,9 @@ func (ix *Index) load(words []tuple.Value, first []bool) {
 // materializeAgg merges arrived tuples into the canonical accumulator. With
 // sub-bucketing it first pre-aggregates at the scatter target and gathers
 // partials to the bucket owner over a second intra-bucket exchange, which is
-// the "Other" overhead the paper observes at high rank counts (Fig. 6).
-func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) uint64 {
+// the "Other" overhead the paper observes at high rank counts (Fig. 6). It
+// returns the keys whose value changed (the relation's fresh buffer).
+func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tuple.Buffer {
 	rank := r.comm.Rank()
 	size := r.comm.Size()
 	timer := metrics.StartTimer()
@@ -297,29 +301,44 @@ func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) uint
 	if record {
 		r.mc.Record(rank, iter, metrics.PhaseLocalAgg, timer.Done(work, 0, 0))
 	}
-	r.maintainIndexes(iter, fresh, record)
-	return uint64(fresh.Len())
+	return fresh
 }
+
+// laneHeader is the number of words in front of every replica-exchange
+// lane: the sender's changed count, then its canonical LocalFullCount.
+const laneHeader = 2
+
+// replicated reports whether Materialize has replicas to maintain, i.e.
+// whether it runs the replica exchange. Indexes are registered identically
+// everywhere, so the answer is the same on every rank.
+func (r *Relation) replicated() bool { return r.Agg != nil || len(r.indexes) > 1 }
 
 // maintainIndexes routes changed tuples (canonical order) to every index
 // home that needs them and applies them: set relations insert, aggregated
 // relations replace the stale entry for the key. For set relations the
 // canonical index was already updated during deduplication and is skipped.
-func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, record bool) {
+//
+// Every lane, empty or not, opens with a laneHeader: this rank's changed
+// count and canonical LocalFullCount. Summing the received changed counts
+// (this rank's own lane included) gives every rank the same global total, so
+// the exchange doubles as the convergence agreement, and the counts are kept
+// for RankCounts. A relation with nothing to replicate exchanges nothing and
+// returns summed false.
+func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, record bool) (total uint64, summed bool) {
+	if !r.replicated() {
+		return 0, false
+	}
 	rank := r.comm.Rank()
 	size := r.comm.Size()
 	start := 0
 	if r.Agg == nil {
 		start = 1
 	}
-	if start >= len(r.indexes) {
-		// No replicas to maintain, but Alltoallv is collective and other
-		// relations... each relation materializes on all ranks in the same
-		// sequence, so skipping uniformly here is safe.
-		return
-	}
 	timer := metrics.StartTimer()
 	send := r.sendBuf(size)
+	for dest := range send {
+		send[dest] = append(send[dest], mpi.Word(fresh.Len()), mpi.Word(r.LocalFullCount()))
+	}
 	stored := r.permuteScratch()
 	for i, nf := 0, fresh.Len(); i < nf; i++ {
 		t := fresh.At(i)
@@ -341,8 +360,13 @@ func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, record bool) {
 	var work int64
 	rec := 1 + r.Arity
 	var loads [][]tuple.Value
-	for _, words := range recv {
-		for off := 0; off+rec <= len(words); off += rec {
+	if len(r.laneCounts) != size {
+		r.laneCounts = make([]int, size)
+	}
+	for src, words := range recv {
+		total += words[0]
+		r.laneCounts[src] = int(words[1])
+		for off := laneHeader; off+rec <= len(words); off += rec {
 			id := int(words[off])
 			arrived := tuple.Tuple(words[off+1 : off+rec])
 			ix := r.indexes[id]
@@ -378,6 +402,7 @@ func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, record bool) {
 		s := timer.Done(work, int64(commDelta.Bytes()), int64(commDelta.CollectiveCalls+commDelta.P2PMessages))
 		r.mc.Record(rank, iter, metrics.PhaseAllToAll, s)
 	}
+	return total, true
 }
 
 // leakyImproves applies the baseline engines' per-rank partial pruning: a

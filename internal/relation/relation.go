@@ -121,6 +121,9 @@ type Relation struct {
 	// Materialize, letting the fixpoint driver skip join variants whose Δ
 	// side is globally empty.
 	changedLast uint64
+	// laneCounts holds every rank's LocalFullCount as its replica-exchange
+	// lane header carried it in the most recent Materialize (RankCounts).
+	laneCounts []int
 
 	// leaky and leakyBest implement the baseline engines' partial
 	// aggregation: leakyBest maps an independent-column key to this rank's
@@ -402,6 +405,25 @@ func (ix *Index) buildHomes() {
 	ix.homes = homes
 }
 
+// CoPartitioned reports whether a join of a and b on their first jk stored
+// columns needs no intra-bucket exchange: both indexes bucket on exactly
+// those columns and place every bucket on one rank, the same rank on both
+// sides, so every outer tuple's only inner home is the rank that holds it.
+// It reads the HomeRanks caches, which every placement change rebuilds, so
+// every rank computes the same answer for the current placement.
+func CoPartitioned(a, b *Index, jk int) bool {
+	if a.JK != jk || b.JK != jk || len(a.homes) != len(b.homes) {
+		return false
+	}
+	for bucket, ha := range a.homes {
+		hb := b.homes[bucket]
+		if len(ha) != 1 || len(hb) != 1 || ha[0] != hb[0] {
+			return false
+		}
+	}
+	return true
+}
+
 // rebuildHomeCaches recomputes every index's HomeRanks cache after a
 // placement input changed (SetSubs, snapshot restore).
 func (r *Relation) rebuildHomeCaches() {
@@ -484,6 +506,19 @@ func (r *Relation) PerRankCounts() []int {
 		out[i] = int(v)
 	}
 	return out
+}
+
+// RankCounts returns every rank's LocalFullCount as of the most recent
+// Materialize. A relation with replicas read them from the lane headers of
+// that pass's replica exchange, so the call is rank-local and the result is
+// shared scratch the caller must not keep; a relation without replicas
+// gathers them (PerRankCounts, collective). Which of the two applies is the
+// same on every rank.
+func (r *Relation) RankCounts() []int {
+	if r.replicated() {
+		return r.laneCounts
+	}
+	return r.PerRankCounts()
 }
 
 // Lookup returns the accumulator value for the given independent key if it

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -201,5 +202,64 @@ func TestSlowConsumerFaultThrottlesButDelivers(t *testing.T) {
 	}
 	if n := trs[1].Net(); n.OutboxPeakFrames > 4 {
 		t.Fatalf("sender outbox peaked at %d frames despite slow-consumer window 4", n.OutboxPeakFrames)
+	}
+}
+
+// TestFrameAckedMidWriteIsRecycled drops a frame while the writer has it
+// pinned on the wire: the bytes must stay off the free list until the write
+// returns, and then land on it instead of going to the collector.
+func TestFrameAckedMidWriteIsRecycled(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastConfig()
+	cfg.Rank, cfg.Peers, cfg.Listener = 1, []string{"127.0.0.1:1", ln.Addr().String()}, ln
+	tr, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	p := tr.peers[0]
+	words := []mpi.Word{1, 2, 3}
+	p.mu.Lock()
+	enc := p.free.Get(frameWireBytes(len(words))) // as Send takes it
+	putFrame(enc, frame{typ: ftData, src: 1, tag: 7, seq: 1, words: words})
+	p.gen, p.out = 1, []outFrame{{seq: 1, enc: enc}}
+	p.mu.Unlock()
+
+	// net.Pipe is unbuffered: the write blocks until the far end reads, so
+	// the frame stays pinned for as long as the test likes.
+	near, far := net.Pipe()
+	defer near.Close()
+	defer far.Close()
+	done := make(chan error, 1)
+	go func() { done <- p.writeData(near, 1, 1, len(enc)) }()
+	for pinned := false; !pinned; {
+		p.mu.Lock()
+		pinned = p.writing == 1
+		p.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	p.mu.Lock()
+	p.ackLocked(1)
+	if len(p.out) != 0 {
+		t.Fatalf("ack left %d frames in the outbox", len(p.out))
+	}
+	if got := p.free.Get(len(enc)); &got[0] == &enc[0] {
+		t.Fatal("a frame still on the wire was handed to the free list")
+	}
+	p.mu.Unlock()
+
+	if _, err := io.ReadFull(far, make([]byte, len(enc))); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if got := p.free.Get(len(enc)); &got[0] != &enc[0] {
+		t.Fatal("the frame acked mid-write never reached the free list")
 	}
 }

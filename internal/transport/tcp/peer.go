@@ -40,18 +40,21 @@ type peer struct {
 	next int
 	// free recycles released frames' buffers to later Sends. writing is the
 	// seq whose bytes the writer is putting on the wire right now (0: none):
-	// an ack can release a frame while its retransmission is still being
-	// written, and those bytes go to the collector, not to the next Send.
-	free    freelist.List[byte]
-	writing uint64
+	// an ack can release a frame while it is still being written, so those
+	// bytes cannot go to the next Send yet; writingFreed marks that, and the
+	// writer puts them on free once the write returns.
+	free         freelist.List[byte]
+	writing      uint64
+	writingFreed bool
 	// seq numbers outgoing data frames (1-based); lastRecv is the highest
 	// in-order seq received from the peer — the cumulative ack we advertise
 	// in hellos and heartbeats, and the dedup horizon for retransmits.
 	seq, lastRecv uint64
 	// ackSent is the cumulative ack last put on the wire for this peer.
-	// Once lastRecv runs a quarter of the advertised window ahead of it the
-	// reader sets ackDue and the writer sends a beacon at once instead of
-	// leaving the sender to wait out the heartbeat interval.
+	// Once lastRecv runs earlyAckFrames (or a quarter of the advertised
+	// window, if smaller) ahead of it the reader sets ackDue and the writer
+	// sends a beacon at once instead of leaving the sender to wait out the
+	// heartbeat interval.
 	ackSent uint64
 	ackDue  bool
 	// acked is the highest cumulative ack the peer ever sent us: the flow
@@ -98,6 +101,13 @@ type outFrame struct {
 // outboxFreeBytes bounds the idle frame-buffer capacity a peer retains: a full
 // default window of small frames, or a few bulk ones.
 const outboxFreeBytes = 4 << 20
+
+// earlyAckFrames caps how many data frames a reader takes in before it asks
+// for an ack beacon. Data frames carry no ack, and a sender keeps a buffer
+// for every unacked frame, so a quarter of a large window would let a
+// short-lived gang allocate an outbox buffer per frame it ever sends;
+// acking every few frames lets it recycle a handful instead.
+const earlyAckFrames = 16
 
 func newPeer(t *Transport, rank int) *peer {
 	p := &peer{
@@ -330,6 +340,8 @@ func (p *peer) dropLocked(limit uint64) {
 		freed += int64(payloadWords(len(o.enc))) + frameOverheadWords
 		if o.seq != p.writing {
 			p.free.Put(o.enc)
+		} else {
+			p.writingFreed = true
 		}
 		drop++
 	}
@@ -428,7 +440,7 @@ func (p *peer) readLoop(conn net.Conn, gen int) {
 			} else {
 				p.lastRecv = f.seq
 				deliver = true
-				if p.lastRecv-p.ackSent >= uint64(max(1, t.advertWindow()/4)) {
+				if p.lastRecv-p.ackSent >= uint64(max(1, min(t.advertWindow()/4, earlyAckFrames))) {
 					p.ackDue, wake = true, true
 				}
 			}
@@ -527,7 +539,8 @@ func (p *peer) write(conn net.Conn, f frame) error {
 // writeData puts outbox frame seq (size encoded bytes) on incarnation gen.
 // The bytes are looked up under the write lock and pinned (p.writing) for the
 // write, so an ack releasing the frame meanwhile cannot hand them to another
-// Send; a frame already released, or a retired incarnation, writes nothing.
+// Send — they go on the free list once the write returns; a frame already
+// released, or a retired incarnation, writes nothing.
 func (p *peer) writeData(conn net.Conn, gen int, seq uint64, size int) error {
 	v := p.verdict(true, size)
 	if v.drop {
@@ -547,7 +560,10 @@ func (p *peer) writeData(conn net.Conn, gen int, seq uint64, size int) error {
 	}
 	err := p.put(conn, enc, v)
 	p.mu.Lock()
-	p.writing = 0
+	if p.writingFreed {
+		p.free.Put(enc)
+	}
+	p.writing, p.writingFreed = 0, false
 	p.mu.Unlock()
 	return err
 }
