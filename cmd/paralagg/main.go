@@ -72,7 +72,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome-trace JSON file of the run (open in chrome://tracing or Perfetto); TCP children write <path>.rankN")
 	metricsAddr := flag.String("metrics-addr", "", "serve live /metrics, /vars and /debug/pprof on this host:port while the run is in flight; TCP children offset the port by their rank")
 	jsonOut := flag.Bool("json", false, "print the result as a JSON document (stable field names) instead of the human summary")
-	collSched := flag.String("collective-schedule", "flat", "collective routing schedule: flat, tree, ring, or auto (auto re-votes per iteration from observed traffic)")
+	collSched := flag.String("collective-schedule", "flat", "collective routing schedule: flat (star through rank 0) or tree (topology-aware binomial tree)")
 	topoFile := flag.String("topology", "", "rank-to-host topology file with per-link costs: 'host <rank> <name>' and 'cost <hostA> <hostB> <x>' lines (default: uniform, or host grouping derived from -peers with -transport=tcp)")
 	flag.Parse()
 

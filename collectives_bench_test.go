@@ -1,13 +1,13 @@
 package paralagg_test
 
-// Collective-schedule benchmarks: the flat-vs-tree-vs-ring comparison
-// (the committed benchmark, benchmark/, runs the flat schedule only):
+// Collective-schedule benchmarks: the flat-vs-tree comparison (the
+// committed benchmark, benchmark/, runs the flat schedule only):
 //
 //	go test -run '^$' -bench 'Collectives' -benchmem -benchtime 20x .
 //
 // TestConvergenceAllreduceRootBytes pins the headline flat-112 B/tree-48 B
-// root traffic rather than recording it. Every world is in-process, so all
-// three schedules run over the identical substrate (the memTransport
+// root traffic rather than recording it. Every world is in-process, so both
+// schedules run over the identical substrate (the memTransport
 // mailboxes, with per-peer byte metering) and the only variable is the
 // routing shape:
 //
@@ -16,10 +16,9 @@ package paralagg_test
 //     aimed at. root-bytes/op is the traffic through rank 0, the flat
 //     star's serialization point: 2·(P−1)·8 bytes flat versus
 //     2·⌈log2 P⌉·8 under the binomial tree.
-//   - CollectivesAllreduceVec: a 4096-word reduction, the regime the ring
-//     schedule's reduce-scatter/allgather exists for — its bandwidth term
-//     is 2·(P−1)/P·n words per rank regardless of P, where the tree moves
-//     whole vectors up every level.
+//   - CollectivesAllreduceVec: a 4096-word reduction, where the payload
+//     rather than the hop count dominates: both schedules move whole
+//     vectors over every edge they use.
 //   - CollectivesAlltoallv:    the per-iteration tuple exchange (64 words
 //     per lane), which stays pairwise under every schedule; the bench pins
 //     down that schedule routing adds nothing to its cost.
@@ -39,7 +38,7 @@ import (
 // collective calls that the per-op metrics measure the collectives.
 const collIters = 64
 
-var benchSchedules = []mpi.ScheduleKind{mpi.ScheduleFlat, mpi.ScheduleTree, mpi.ScheduleRing}
+var benchSchedules = []mpi.ScheduleKind{mpi.ScheduleFlat, mpi.ScheduleTree}
 
 // runColl builds one in-process world on the given schedule, runs body
 // SPMD, and returns the per-rank meters.

@@ -134,10 +134,11 @@ type Transport = mpi.Transport
 type NetStats = mpi.NetStats
 
 // Topology describes where ranks live relative to each other — a host/rack
-// grouping plus optional per-link costs (Config.Topology). The tree and ring
-// collective schedules shape themselves around it, and the cost model's
-// cross-host surcharges price its expensive links. Build one with
-// ParseTopologyFile, TopologyFromHosts, or TopologyFromAddrs.
+// grouping plus optional per-link costs (Config.Topology). The tree
+// collective schedule shapes itself around the grouping. The link costs are
+// parsed and validated as the input of link-cost emulation, which nothing
+// performs yet, so no run prices them. Build one with ParseTopologyFile,
+// TopologyFromHosts, or TopologyFromAddrs.
 type Topology = mpi.Topology
 
 // ParseTopologyFile reads a topology description ("host <rank> <name>" and

@@ -93,7 +93,7 @@ func Scenarios() []Scenario {
 // builds (gang members included: their configs are copied from bases that
 // pass through here too). Every check takes the schedule as an argument so
 // the whole battery — crash/resume, wire faults, integrity, overload, hot
-// replacement — can be replayed under tree or ring routing; the bit-identical
+// replacement — can be replayed under tree routing; the bit-identical
 // bar then proves recovery does not depend on the reduction shape.
 func exec(schedule string, prog *paralagg.Program, cfg paralagg.Config, load, inspect func(*paralagg.Rank) error) (*paralagg.Result, error) {
 	cfg.CollectiveSchedule = schedule

@@ -88,11 +88,6 @@ type Sample struct {
 	Msgs   int64         // messages / collective participations
 	CPU    time.Duration // measured host time in the phase
 	Allocs int64         // heap allocations in the phase (TrackAllocs only)
-	// CrossBytes and CrossMsgs are the subset of Bytes/Msgs that crossed a
-	// host boundary under the run's topology. They are already included in
-	// Bytes/Msgs; the cost model prices them with an additional surcharge.
-	CrossBytes int64
-	CrossMsgs  int64
 }
 
 // Add accumulates s2 into s.
@@ -102,26 +97,18 @@ func (s *Sample) Add(s2 Sample) {
 	s.Msgs += s2.Msgs
 	s.CPU += s2.CPU
 	s.Allocs += s2.Allocs
-	s.CrossBytes += s2.CrossBytes
-	s.CrossMsgs += s2.CrossMsgs
 }
 
 // CostModel converts a Sample to simulated nanoseconds. The defaults model a
 // commodity cluster: 40 ns per work unit (one B-tree descent level or tuple
 // merge is a cache-missy pointer chase, not an ALU op), 0.25 ns per byte
 // (~4 GB/s effective per-rank bandwidth), and 2 µs per message (injection +
-// software latency).
-//
-// CrossByteNS and CrossMsgNS price non-uniform links: they are surcharges
-// added on top of ByteNS/MsgNS for the bytes/messages a Sample reports as
-// crossing a host boundary. The defaults are zero (a uniform fabric), so
-// runs without a topology are costed exactly as before.
+// software latency). Every link is priced alike: the model has no notion of
+// a host boundary.
 type CostModel struct {
-	WorkUnitNS  float64
-	ByteNS      float64
-	MsgNS       float64
-	CrossByteNS float64
-	CrossMsgNS  float64
+	WorkUnitNS float64
+	ByteNS     float64
+	MsgNS      float64
 }
 
 // DefaultCostModel is used by all experiments unless overridden.
@@ -129,8 +116,7 @@ var DefaultCostModel = CostModel{WorkUnitNS: 40, ByteNS: 0.25, MsgNS: 2000}
 
 // Cost returns the simulated nanoseconds s takes under m.
 func (m CostModel) Cost(s Sample) float64 {
-	return m.WorkUnitNS*float64(s.Work) + m.ByteNS*float64(s.Bytes) + m.MsgNS*float64(s.Msgs) +
-		m.CrossByteNS*float64(s.CrossBytes) + m.CrossMsgNS*float64(s.CrossMsgs)
+	return m.WorkUnitNS*float64(s.Work) + m.ByteNS*float64(s.Bytes) + m.MsgNS*float64(s.Msgs)
 }
 
 // Collector accumulates samples for one run. Each rank writes only its own
@@ -259,12 +245,9 @@ type PhaseTotal struct {
 	SumNS float64
 	// CPU is total measured host time across ranks.
 	CPU time.Duration
-	// Bytes and Msgs total the communication in the phase; CrossBytes and
-	// CrossMsgs are the cross-host subset.
-	Bytes      int64
-	Msgs       int64
-	CrossBytes int64
-	CrossMsgs  int64
+	// Bytes and Msgs total the communication in the phase.
+	Bytes int64
+	Msgs  int64
 	// Allocs totals heap allocations attributed to the phase across ranks
 	// (zero unless the run had TrackAllocs set).
 	Allocs int64
@@ -309,8 +292,6 @@ func (c *Collector) BuildReport(m CostModel) *Report {
 				pt.CPU += s.CPU
 				pt.Bytes += s.Bytes
 				pt.Msgs += s.Msgs
-				pt.CrossBytes += s.CrossBytes
-				pt.CrossMsgs += s.CrossMsgs
 				pt.Allocs += s.Allocs
 			}
 			r.Phases[p].CriticalNS += maxCost
@@ -338,9 +319,6 @@ func (r *Report) String() string {
 		}
 		fmt.Fprintf(&b, "  %-12s crit=%9.3fms sum=%9.3fms bytes=%d msgs=%d",
 			pt.Phase, pt.CriticalNS/1e6, pt.SumNS/1e6, pt.Bytes, pt.Msgs)
-		if pt.CrossBytes > 0 || pt.CrossMsgs > 0 {
-			fmt.Fprintf(&b, " cross-bytes=%d cross-msgs=%d", pt.CrossBytes, pt.CrossMsgs)
-		}
 		if pt.Allocs > 0 {
 			fmt.Fprintf(&b, " allocs=%d", pt.Allocs)
 		}

@@ -4,15 +4,14 @@ import "fmt"
 
 // Collectives. On every world a collective is the same three steps: pass the
 // fault gate (enter), meter the operation's logical payload once, then
-// exchange point-to-point messages in the shape the rank's ScheduleKind
-// selects (schedule.go) — the flat star through rank 0, a topology-aware
-// binomial tree, or a ring for large AllreduceVec payloads — over whatever
-// Transport the world runs on: mailboxes between goroutines, sockets between
-// processes. The exchange primitives and the tag discipline are in
-// p2pcoll.go. Collectives are matched by arrival order, exactly as in MPI:
-// every rank must call the same collective in the same sequence. A one-rank
-// world has nobody to exchange with and returns right after metering (the
-// hot-path allocation pins rely on that).
+// exchange point-to-point messages in the shape the world's ScheduleKind
+// selects (schedule.go) — the flat star through rank 0 or a topology-aware
+// binomial tree — over whatever Transport the world runs on: mailboxes
+// between goroutines, sockets between processes. The exchange primitives and
+// the tag discipline are in p2pcoll.go. Collectives are matched by arrival
+// order, exactly as in MPI: every rank must call the same collective in the
+// same sequence. A one-rank world has nobody to exchange with and returns
+// right after metering (the hot-path allocation pins rely on that).
 
 // Barrier blocks until every rank in the world has called it.
 func (c *Comm) Barrier() { c.barrierVia(c.sched) }
@@ -63,8 +62,6 @@ func (op ReduceOp) apply(a, b uint64) uint64 {
 func (c *Comm) Allreduce(v uint64, op ReduceOp) uint64 {
 	c.enter("allreduce")
 	c.world.stats.addCollective(c.rank, collAllreduce, WordBytes)
-	// The ring's bandwidth advantage is meaningless for one word, so
-	// ScheduleRing reduces scalars over the tree like everything else.
 	c.word[0] = v
 	c.reduceAndFan(c.sched, "allreduce", tagAllreduce, c.word[:], op)
 	return c.word[0]
@@ -85,13 +82,7 @@ func (c *Comm) AllreduceVec(send, recv []Word, op ReduceOp) []Word {
 			c.rank, len(send), len(recv)))
 	}
 	c.world.stats.addCollective(c.rank, collAllreduceVec, len(send)*WordBytes)
-	// The observed payload length is the auto schedule's ring signal (see
-	// ScheduleVote).
-	c.lastVecWords = len(send)
 	copy(recv, send)
-	if c.sched == ScheduleRing {
-		return c.ringAllreduceVec(recv, op)
-	}
 	c.reduceAndFan(c.sched, "allreducevec", tagAllreduceVec, recv, op)
 	return recv
 }

@@ -7,14 +7,14 @@ import (
 	"time"
 )
 
-// Satellite coverage: every collective, at 2/4/8/16 ranks, under every
-// collective schedule (flat star, topology-aware tree, ring), with
+// Satellite coverage: every collective, at 2/4/8/16 ranks, under both
+// collective schedules (flat star, topology-aware tree), with
 // point-to-point traffic riding alongside under deterministic delay and drop
 // plans. Delays must be invisible to the results; drops must surface as
 // structured failures, never hangs or wrong answers.
 
 // testSchedules are the concrete schedules every collective test sweeps.
-var testSchedules = []ScheduleKind{ScheduleFlat, ScheduleTree, ScheduleRing}
+var testSchedules = []ScheduleKind{ScheduleFlat, ScheduleTree}
 
 // splitTopology fakes a two-host placement (first half / second half) so the
 // tree tests exercise the two-level topology-aware shape, not just the plain
@@ -264,10 +264,9 @@ func TestAlltoallvRoundTripFuzz(t *testing.T) {
 func TestAllreduceVecFuzz(t *testing.T) {
 	// Property: AllreduceVec over OpSum/OpMax matches the closed form every
 	// rank can compute locally (contributions are hashed from (round, rank,
-	// index), so every rank knows everyone's input). Vector lengths straddle
-	// the ring crossover so the ring schedule's reduce-scatter/allgather path
-	// runs for real, including the ragged final block.
-	lengths := []int{1, 7, ringMinWords, ringMinWords + 13}
+	// index), so every rank knows everyone's input). Vector lengths run from
+	// a scalar to multi-KiB payloads.
+	lengths := []int{1, 7, 1024, 1024 + 13}
 	for _, n := range []int{2, 4, 8, 16} {
 		for _, sched := range testSchedules {
 			t.Run(fmt.Sprintf("ranks=%d/%s", n, sched), func(t *testing.T) {

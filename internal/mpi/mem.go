@@ -16,7 +16,7 @@ package mpi
 //     (PayloadLender), so from Deliver on the two transports are one path.
 //   - The receiving rank returns the buffer to its own mailbox's free list
 //     at exactly two points: a collective's internal hop right after it is
-//     folded into the result (reduceAndFan, the ring steps, the gathers),
+//     folded into the result (reduceAndFan, the gathers),
 //     and an Alltoallv row when the rank next calls Alltoallv. What a user
 //     call hands out — Recv, Bcast, Allgather, AllgatherV — is caller-owned
 //     and never recycled.

@@ -1,15 +1,12 @@
 package mpi
 
-import "fmt"
-
 // The exchange primitives collectives are composed from: point-to-point
 // messages in the reserved tag space above collTagBase, sent through the
 // rank's Transport like any other message. Which shape a collective takes is
-// decided by the rank's ScheduleKind (see schedule.go): the flat star
-// (gather-to-root + broadcast, rank 0 an O(P) serialization point), a
+// decided by the world's ScheduleKind (see schedule.go): the flat star
+// (gather-to-root + broadcast, rank 0 an O(P) serialization point) or a
 // topology-aware binomial tree (O(log P) critical path, root traffic cut to
-// its tree degree), or — for large AllreduceVec payloads — a ring
-// reduce-scatter/allgather with no root at all.
+// its tree degree).
 //
 // Tag discipline under multi-hop schedules: one reserved tag per collective
 // kind is still sufficient. The matching argument is MPI's — every rank
@@ -20,9 +17,7 @@ import "fmt"
 // these tags. A reduce-up message and a fan-down message of the same
 // collective travel opposite directions of an edge (distinct streams), and
 // consecutive same-kind collectives consume a fixed per-stream message
-// count, so multi-hop forwarding never cross-matches generations. The ring
-// leans on the same per-stream FIFO: step s's payload to the successor is
-// consumed before step s+1's arrives.
+// count, so multi-hop forwarding never cross-matches generations.
 //
 // Internal messages deliberately skip the user-level fault gate, the
 // drop/delay injectors, and the P2P meters: faults target the collective
@@ -149,7 +144,7 @@ func (c *Comm) treeGather(op string, tag int, t *rankTree, words []Word) [][]Wor
 
 // --- Schedule dispatch for the gather-then-fan collectives.
 
-// gatherTo0 collects every rank's words at rank 0 over the star or the
+// gatherTo0 collects every rank's words at rank 0 over the world's star or
 // tree: rank 0 gets the per-rank vector, everyone else nil.
 func (c *Comm) gatherTo0(kind ScheduleKind, op string, tag int, words []Word) [][]Word {
 	if kind == ScheduleFlat {
@@ -176,41 +171,4 @@ func (c *Comm) fanFrom0(kind ScheduleKind, op string, tag int, words []Word) []W
 		return c.starFan(op, tag, words)
 	}
 	return c.treeFanDown(op, tag, c.treeFor(0), words)
-}
-
-// ringAllreduceVec is the bandwidth-optimal ring: P-1 reduce-scatter steps
-// leave each position owning one fully reduced block, P-1 allgather steps
-// circulate the reduced blocks. Each rank moves ~2·len/P words per step
-// along one ring edge — no root hotspot, total traffic 2·(P-1)/P of the
-// vector per link. Block b is recv[b·n/P : (b+1)·n/P) (possibly empty when
-// len < P); all arithmetic runs in ring-position space so a topology-aware
-// ring order keeps most hops inside a host.
-func (c *Comm) ringAllreduceVec(recv []Word, op ReduceOp) []Word {
-	size := c.world.size
-	n := len(recv)
-	pos, succ, pred := c.ringNeighbors()
-	block := func(b int) (lo, hi int) { return b * n / size, (b + 1) * n / size }
-	for s := 0; s < size-1; s++ {
-		olo, ohi := block((pos - s + size) % size)
-		c.collSend("allreducevec", succ, tagAllreduceVec, recv[olo:ohi])
-		ilo, ihi := block((pos - s - 1 + size) % size)
-		w := c.collRecv("allreducevec", pred, tagAllreduceVec)
-		if len(w) != ihi-ilo {
-			panic(fmt.Sprintf("mpi: allreducevec length mismatch: %d vs %d words", len(w), ihi-ilo))
-		}
-		for i := range w {
-			recv[ilo+i] = op.apply(recv[ilo+i], w[i])
-		}
-		c.release(w)
-	}
-	for s := 0; s < size-1; s++ {
-		olo, ohi := block((pos + 1 - s + size) % size)
-		c.collSend("allreducevec", succ, tagAllreduceVec, recv[olo:ohi])
-		ilo := (pos - s + size) % size
-		lo, _ := block(ilo)
-		w := c.collRecv("allreducevec", pred, tagAllreduceVec)
-		copy(recv[lo:], w)
-		c.release(w)
-	}
-	return recv
 }

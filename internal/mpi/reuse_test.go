@@ -25,7 +25,7 @@ func TestRecycledRowsSurviveRacingRanks(t *testing.T) {
 		}
 		return row
 	}
-	for _, sched := range []ScheduleKind{ScheduleFlat, ScheduleTree} {
+	for _, sched := range testSchedules {
 		t.Run(sched.String(), func(t *testing.T) {
 			w := NewWorld(ranks)
 			w.SetSchedule(sched)

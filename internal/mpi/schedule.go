@@ -1,20 +1,14 @@
 package mpi
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Collective schedules: the shape a collective's point-to-point messages
 // take. The flat schedule is the original gather-to-root + broadcast star;
 // the tree schedule is a topology-aware binomial tree (binomial across host
 // leaders, binomial within each host, so at most one message per collective
-// crosses each host boundary); the ring schedule adds a bandwidth-optimal
-// ring reduce-scatter/allgather for large AllreduceVec payloads; auto starts
-// on the tree and lets the ranks vote ring in when observed payloads cross
-// the bandwidth/latency crossover (see the schedule vote in the join
-// planner). Every schedule is a pure function of (kind, topology, world
-// size, root), so all ranks materialize the same shape without coordination.
+// crosses each host boundary). A schedule is a pure function of (kind,
+// topology, world size, root), fixed for the world's lifetime, so all ranks
+// materialize the same shape without coordination.
 
 // ScheduleKind selects how collectives route their messages.
 type ScheduleKind uint8
@@ -26,13 +20,6 @@ const (
 	// ScheduleTree routes through a topology-aware binomial tree: O(log P)
 	// critical-path hops, root traffic cut from O(P) to O(log P) messages.
 	ScheduleTree
-	// ScheduleRing runs large AllreduceVec payloads through a ring
-	// reduce-scatter + allgather (2(P-1)/P of the vector per link, no root
-	// hotspot); every other collective falls back to the tree.
-	ScheduleRing
-	// ScheduleAuto starts on the tree and re-votes tree vs ring each
-	// planning round from the payload sizes the ranks observed.
-	ScheduleAuto
 )
 
 // ParseScheduleKind maps the CLI/config spelling to a kind. The empty
@@ -43,12 +30,8 @@ func ParseScheduleKind(s string) (ScheduleKind, error) {
 		return ScheduleFlat, nil
 	case "tree":
 		return ScheduleTree, nil
-	case "ring":
-		return ScheduleRing, nil
-	case "auto":
-		return ScheduleAuto, nil
 	}
-	return 0, fmt.Errorf("unknown collective schedule %q (want flat, tree, ring, or auto)", s)
+	return 0, fmt.Errorf("unknown collective schedule %q (want flat or tree)", s)
 }
 
 func (k ScheduleKind) String() string {
@@ -57,20 +40,9 @@ func (k ScheduleKind) String() string {
 		return "flat"
 	case ScheduleTree:
 		return "tree"
-	case ScheduleRing:
-		return "ring"
-	case ScheduleAuto:
-		return "auto"
 	}
 	return fmt.Sprintf("ScheduleKind(%d)", int(k))
 }
-
-// ringMinWords is the AllreduceVec payload (in words) past which the ring's
-// bandwidth advantage beats the tree's latency advantage: with the default
-// cost model (2000ns/message, 0.25ns/byte) a tree moves depth*n words in
-// depth rounds while the ring moves ~2n/P words per rank over 2(P-1)
-// rounds; around 8 KiB the byte term dominates the round count.
-const ringMinWords = 1024
 
 // rankTree is one rank's view of a reduction tree: who it receives from /
 // forwards to during the reduce-up and fan-down phases, plus the whole
@@ -200,80 +172,15 @@ func topoTree(topo *Topology, size, root int) *fullTree {
 	return ft
 }
 
-// similarityTree builds a reduction tree from an observed traffic matrix:
-// a deterministic maximum-spanning-tree (Prim, ties to the lower rank) over
-// symmetrized per-peer byte counts, so the heaviest-talking pairs become
-// tree edges. The matrix must be installed before Run (World.SetTraffic) —
-// typically the per-peer counters a previous run or iteration exposed
-// through NetStats — never sampled mid-run: rank-local sampling points are
-// not synchronized, so live refreshes would build divergent trees.
-func similarityTree(w [][]int64, size, root int) *fullTree {
-	ft := &fullTree{parent: make([]int, size), children: make([][]int, size)}
-	for r := range ft.parent {
-		ft.parent[r] = -1
-	}
-	weight := func(a, b int) int64 { return w[a][b] + w[b][a] }
-	placed := make([]bool, size)
-	placed[root] = true
-	for n := 1; n < size; n++ {
-		bestRank, bestParent, bestW := -1, -1, int64(-1)
-		for r := 0; r < size; r++ {
-			if placed[r] {
-				continue
-			}
-			for p := 0; p < size; p++ {
-				if !placed[p] {
-					continue
-				}
-				if cw := weight(r, p); cw > bestW ||
-					(cw == bestW && (r < bestRank || (r == bestRank && p < bestParent))) {
-					bestRank, bestParent, bestW = r, p, cw
-				}
-			}
-		}
-		placed[bestRank] = true
-		ft.parent[bestRank] = bestParent
-		ft.children[bestParent] = append(ft.children[bestParent], bestRank)
-	}
-	return ft
-}
-
-// ringOrder is the cycle the ring schedule sends along: ranks grouped by
-// host (so at most NumHosts links cross a host boundary per round), rank
-// order within a host.
-func ringOrder(topo *Topology, size int) []int {
-	order := make([]int, size)
-	for i := range order {
-		order[i] = i
-	}
-	if topo == nil || topo.Ranks() != size {
-		return order
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		hi, hj := topo.Host(order[i]), topo.Host(order[j])
-		if hi != hj {
-			return hi < hj
-		}
-		return order[i] < order[j]
-	})
-	return order
-}
-
-// treeFor returns this rank's cached view of the active reduction tree
-// rooted at root, materializing it on first use. The cache is keyed by root
-// only: the tree's other inputs (kind, topology, world size) are fixed for
-// the comm's lifetime, except a similarity refresh, which clears the cache.
+// treeFor returns this rank's cached view of the topology tree rooted at
+// root, materializing it on first use. The cache is keyed by root only: the
+// tree's other inputs (topology, world size) are fixed for the comm's
+// lifetime.
 func (c *Comm) treeFor(root int) *rankTree {
 	if t, ok := c.trees[root]; ok {
 		return t
 	}
-	size := c.world.size
-	var ft *fullTree
-	if c.simMatrix != nil {
-		ft = similarityTree(c.simMatrix, size, root)
-	} else {
-		ft = topoTree(c.world.topo, size, root)
-	}
+	ft := topoTree(c.world.topo, c.world.size, root)
 	t := &rankTree{
 		root:     root,
 		parent:   ft.parent[c.rank],
@@ -287,73 +194,17 @@ func (c *Comm) treeFor(root int) *rankTree {
 	return t
 }
 
-// ringNeighbors returns this rank's position in the ring order plus its
-// successor and predecessor ranks, cached after first use.
-func (c *Comm) ringNeighbors() (pos, succ, pred int) {
-	if c.ringOrd == nil {
-		c.ringOrd = ringOrder(c.world.topo, c.world.size)
-		for i, r := range c.ringOrd {
-			if r == c.rank {
-				c.ringPos = i
-				break
-			}
-		}
-	}
-	n := len(c.ringOrd)
-	return c.ringPos, c.ringOrd[(c.ringPos+1)%n], c.ringOrd[(c.ringPos+n-1)%n]
-}
-
-// Schedule returns the schedule kind this rank's collectives currently
-// route through (auto resolves to the concrete kind last voted).
-func (c *Comm) Schedule() ScheduleKind { return c.sched }
-
-// Topology returns the world's rank placement, or nil when none was
-// configured (callers treat nil as a uniform single-host topology).
-func (c *Comm) Topology() *Topology { return c.world.topo }
-
-// ScheduleAuto reports whether the world runs the auto schedule, i.e. the
-// planner should piggyback a schedule vote on its planning round.
-func (c *Comm) ScheduleAuto() bool { return c.schedAuto }
-
-// ScheduleVote returns this rank's vote for next round's schedule: 1 for
-// the ring when the payloads it has observed are large enough that
-// bandwidth dominates latency, 0 for the tree. Rank-local observations —
-// agreement comes from summing the votes in the planning Allreduce.
-func (c *Comm) ScheduleVote() uint64 {
-	if c.lastVecWords >= ringMinWords {
-		return 1
-	}
-	return 0
-}
-
-// ApplyScheduleVote switches this rank's schedule to the kind a majority
-// voted for. Every rank must apply the same tally at the same point (after
-// the same Allreduce returned), which keeps the next collective's shape
-// agreed without an extra round.
-func (c *Comm) ApplyScheduleVote(ringVotes int) {
-	if !c.schedAuto {
-		return
-	}
-	next := ScheduleTree
-	if 2*ringVotes > c.world.size {
-		next = ScheduleRing
-	}
-	c.sched = next
-}
-
-// ScheduleDepth is the critical-path hop count of one collective under the
-// active schedule: the serialized O(P) star for flat, the tree height for
-// tree (doubled for the fan-down), P-1 for the ring. The planner charges
-// its voting round this many message latencies.
+// ScheduleDepth is the critical-path hop count of one collective one way
+// under the world's schedule: P-1 for the flat star, the tree's height for
+// tree (the fan-down retraces it). The planner charges its voting round this
+// many message latencies.
 func (c *Comm) ScheduleDepth() int {
 	size := c.world.size
 	if size <= 1 {
 		return 0
 	}
-	switch c.sched {
-	case ScheduleFlat, ScheduleRing:
+	if c.sched == ScheduleFlat {
 		return size - 1
-	default:
-		return c.treeFor(0).depth
 	}
+	return c.treeFor(0).depth
 }

@@ -53,10 +53,10 @@ type RankStats struct {
 	Collectives map[string]CollectiveStats
 	// PeerBytesSent/PeerBytesRecv are this rank's per-peer wire bytes,
 	// indexed by peer rank — every point-to-point transfer plus every hop a
-	// collective schedule routed through this rank. They are the input the
-	// similarity schedule is built from, and how a benchmark sees traffic
-	// concentration (e.g. bytes through the flat star's root). The self
-	// entry stays zero: local hand-offs never touch a wire.
+	// collective schedule routed through this rank. They feed /metrics and
+	// are how a test or benchmark sees traffic concentration (e.g. bytes
+	// through the flat star's root, TestConvergenceAllreduceRootBytes). The
+	// self entry stays zero: local hand-offs never touch a wire.
 	PeerBytesSent []int64
 	PeerBytesRecv []int64
 }
@@ -100,16 +100,6 @@ func loadRow(row []atomic.Int64) []int64 {
 	out := make([]int64, len(row))
 	for i := range row {
 		out[i] = row[i].Load()
-	}
-	return out
-}
-
-// PeerMatrix returns a copy of the per-peer sent-bytes matrix (entry [i][j]
-// = bytes rank i sent rank j), the similarity schedule's input shape.
-func (s *Stats) PeerMatrix() [][]int64 {
-	out := make([][]int64, len(s.ranks))
-	for i, m := range s.ranks {
-		out[i] = loadRow(m.peerSent)
 	}
 	return out
 }

@@ -12,9 +12,11 @@ import (
 )
 
 // Topology describes where ranks live relative to each other: a host (or
-// rack) grouping plus optional per-host-pair link costs. Schedules use the
-// grouping to keep reduction traffic inside a host before crossing the
-// expensive links; the cost model uses the costs to price cross-host bytes.
+// rack) grouping plus optional per-host-pair link costs. The tree schedule
+// uses the grouping to keep reduction traffic inside a host before crossing
+// the expensive links. The link costs (LinkCost) are the input of link-cost
+// emulation — delivering a message after a delay its link prices — which
+// nothing performs yet: no run reads them.
 //
 // A gang launched by -spawn derives its topology from the peer address list
 // (every rank whose peer address resolves to the same host lands in the same
@@ -31,7 +33,8 @@ type Topology struct {
 
 // DefaultCrossHostCost is the relative cost of a cross-host link when the
 // topology names the grouping but no explicit cost line: one cross-host word
-// is priced like this many same-host words.
+// is priced like this many same-host words. Like LinkCost it is input for
+// link-cost emulation only.
 const DefaultCrossHostCost = 4.0
 
 // NewUniformTopology places all size ranks on one host with unit link costs
@@ -76,7 +79,8 @@ func (t *Topology) SameHost(a, b int) bool { return t.hosts[a] == t.hosts[b] }
 
 // LinkCost returns the relative per-word cost of the link between two ranks:
 // 0 for a rank to itself, 1 within a host, and the configured (or default)
-// cross-host cost otherwise.
+// cross-host cost otherwise. It is the input link-cost emulation will read;
+// no schedule or cost model reads it.
 func (t *Topology) LinkCost(a, b int) float64 {
 	if a == b {
 		return 0

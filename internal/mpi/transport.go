@@ -126,9 +126,9 @@ type NetStats struct {
 	OutboxPeakFrames int64
 	// PeerBytesSent/PeerBytesRecv are per-peer payload byte totals, indexed
 	// by rank (the self entry stays zero). They show how a collective
-	// schedule concentrates or spreads wire traffic, and are the
-	// observation the similarity schedule consumes. Nil on transports that
-	// do not track them; Add/Sub treat nil as zeros.
+	// schedule concentrates or spreads wire traffic and feed the /metrics
+	// per-peer gauges. Nil on transports that do not track them; Add/Sub
+	// treat nil as zeros.
 	PeerBytesSent []int64
 	PeerBytesRecv []int64
 }

@@ -50,13 +50,10 @@ type World struct {
 	// Transport. nil means the in-process simulated runtime (memTransport).
 	dist *distState
 
-	// sched is the configured collective schedule (SetSchedule); topo the
-	// optional rank placement shaping tree and ring construction
-	// (SetTopology); traffic the optional observed per-peer byte matrix the
-	// similarity tree is built from (SetTraffic). All fixed before Run.
-	sched   ScheduleKind
-	topo    *Topology
-	traffic [][]int64
+	// sched is the collective schedule (SetSchedule); topo the optional rank
+	// placement shaping the tree (SetTopology). Both fixed before Run.
+	sched ScheduleKind
+	topo  *Topology
 
 	// Fault tolerance state. wd is the receive deadline (nil = none).
 	plan   *FaultPlan
@@ -142,40 +139,23 @@ func (w *World) SetFaultPlan(plan *FaultPlan) {
 // failures). It must be called before Run; nil (the default) is free.
 func (w *World) SetObserver(o obs.Observer) { w.observer = o }
 
-// SetSchedule selects the collective schedule (flat, tree, ring, auto) the
-// world's collectives route through. It must be called before Run; the
-// zero value is the flat star, byte-identical to the pre-schedule runtime.
+// SetSchedule selects the collective schedule (flat or tree) the world's
+// collectives route through. It must be called before Run; the zero value
+// is the flat star, byte-identical to the pre-schedule runtime.
 func (w *World) SetSchedule(k ScheduleKind) { w.sched = k }
 
-// SetTopology installs the rank placement the tree and ring schedules
-// shape themselves around. It must be called before Run; nil (the default)
-// means a uniform single-host topology.
+// SetTopology installs the rank placement the tree schedule shapes itself
+// around. It must be called before Run; nil (the default) means a uniform
+// single-host topology.
 func (w *World) SetTopology(t *Topology) { w.topo = t }
 
-// SetTraffic installs an observed per-peer byte matrix (entry [i][j] is
-// bytes i sent j, as exposed by the per-peer NetStats/RankStats counters of
-// a previous run or iteration window): tree schedules then use the
-// similarity tree — a maximum-spanning tree over pair traffic — instead of
-// the topology tree. It must be called before Run: every rank must build
-// the identical tree, so the matrix has to be agreed input, never a
-// mid-run rank-local sample.
-func (w *World) SetTraffic(m [][]int64) { w.traffic = m }
-
-// newComm builds one rank's communicator, resolving the world's configured
-// schedule into the rank's starting schedule state (auto starts on the
-// tree and lets the planner's schedule vote move it).
+// newComm builds one rank's communicator.
 func (w *World) newComm(rank int) *Comm {
 	c := &Comm{world: w, rank: rank, sendSeq: make([]int, w.size), sched: w.sched}
 	if w.dist != nil {
 		c.tr = w.dist.tr
 	} else {
 		c.tr = memTransport{world: w, rank: rank}
-	}
-	if c.sched == ScheduleAuto {
-		c.sched, c.schedAuto = ScheduleTree, true
-	}
-	if w.traffic != nil {
-		c.simMatrix = w.traffic
 	}
 	return c
 }
@@ -355,19 +335,11 @@ type Comm struct {
 	// are still private per call). See Alltoallv's ownership contract.
 	recvRows [][]Word
 
-	// Collective schedule state (see schedule.go). sched is the schedule in
-	// force (auto resolves to a concrete kind, re-voted by the planner);
-	// trees caches this rank's tree view per root; ringOrd/ringPos cache
-	// the ring order; simMatrix, when set, replaces the topology tree with
-	// the traffic-similarity tree; lastVecWords is the most recent
-	// AllreduceVec payload length, the auto vote's ring signal.
-	sched        ScheduleKind
-	schedAuto    bool
-	trees        map[int]*rankTree
-	ringOrd      []int
-	ringPos      int
-	simMatrix    [][]int64
-	lastVecWords int
+	// sched is the world's collective schedule, fixed for the comm's
+	// lifetime; trees caches this rank's view of the schedule tree per root
+	// (see schedule.go).
+	sched ScheduleKind
+	trees map[int]*rankTree
 }
 
 // recvHeader returns the rank-private outer slice for a vector collective

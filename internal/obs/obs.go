@@ -134,8 +134,7 @@ type NetStats struct {
 	OutboxPeakFrames int64
 	// PeerBytesSent/PeerBytesRecv are the window's per-peer payload byte
 	// deltas, indexed by rank (nil when the transport does not track them).
-	// They feed the /metrics per-peer gauges — the observation a
-	// similarity-aware collective schedule is built from.
+	// They feed the /metrics per-peer gauges.
 	PeerBytesSent []int64
 	PeerBytesRecv []int64
 }

@@ -412,7 +412,7 @@ func Capture(comm *mpi.Comm, rels []*relation.Relation, stratum, iter int, save 
 // sealCut closes a checkpoint cut on a hot-replace world: no rank may start
 // next-iteration sends before every rank captured and saved; only then may
 // retained send history roll forward. The star-shaped CheckpointBarrier
-// keeps the cut consistent under tree and ring schedules (see
+// keeps the cut consistent under the tree schedule too (see
 // mpi.CheckpointBarrier).
 func sealCut(comm *mpi.Comm) {
 	comm.CheckpointBarrier()

@@ -139,22 +139,6 @@ func nonEmptyLanes(send [][]mpi.Word, self int) int64 {
 	return n
 }
 
-// crossTraffic tallies the bytes and messages in send that leave this
-// rank's host under the world's topology (zero when no topology is set —
-// a uniform fabric has no cross-host links to surcharge).
-func crossTraffic(topo *mpi.Topology, self int, send [][]mpi.Word) (bytes, msgs int64) {
-	if topo == nil {
-		return 0, 0
-	}
-	for dest, s := range send {
-		if dest != self && len(s) > 0 && !topo.SameHost(self, dest) {
-			bytes += int64(len(s)) * mpi.WordBytes
-			msgs++
-		}
-	}
-	return bytes, msgs
-}
-
 // Run executes one variant of the join — versions vl and vr select the
 // semi-naïve sides — and appends head tuples to pending. It is collective
 // unless the join is co-partitioned, in which case it is rank-local.
@@ -174,12 +158,8 @@ func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collecto
 
 	// Dynamic join planning (Algorithm 1): each rank votes with one word;
 	// an Allreduce tallies. If a majority finds the left side smaller, the
-	// left relation is serialized (outer). Under the auto collective
-	// schedule the same word carries a second vote in its high half: each
-	// rank's tree-vs-ring preference from the payload sizes it observed,
-	// applied by every rank against the same tally so next iteration's
-	// collectives agree on their shape without an extra round. A
-	// co-partitioned join's tally is its own vote.
+	// left relation is serialized (outer). A co-partitioned join's tally is
+	// its own vote.
 	outerIsLeft := false
 	switch mode {
 	case PlanStaticLeft:
@@ -196,14 +176,8 @@ func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collecto
 		outerIsLeft = localOuter == 1
 		var voteBytes, voteMsgs int64
 		if !local {
-			vote := localOuter
-			if comm.ScheduleAuto() {
-				vote |= comm.ScheduleVote() << 32
-			}
-			tally := comm.Allreduce(vote, mpi.OpSum)
-			ranksWantLeft = tally & 0xffffffff
+			ranksWantLeft = comm.Allreduce(localOuter, mpi.OpSum)
 			outerIsLeft = ranksWantLeft >= uint64((size+1)/2)
-			comm.ApplyScheduleVote(int(tally >> 32))
 			voteBytes, voteMsgs = mpi.WordBytes, int64(comm.ScheduleDepth())
 		}
 		if mode == PlanAntiDynamic {
@@ -254,11 +228,7 @@ func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collecto
 		recv = comm.Alltoallv(send)
 		exchBytes, exchMsgs = int64(comm.Stats().Snapshot().Sub(pre).Bytes()), nonEmptyLanes(send, rank)+1
 	}
-	exch := timer.Done(scanned, exchBytes, exchMsgs)
-	if !local {
-		exch.CrossBytes, exch.CrossMsgs = crossTraffic(comm.Topology(), rank, send)
-	}
-	mc.Record(rank, iter, metrics.PhaseIntraBucket, exch)
+	mc.Record(rank, iter, metrics.PhaseIntraBucket, timer.Done(scanned, exchBytes, exchMsgs))
 
 	// Local join: probe the inner B-tree with each received outer tuple.
 	timer = metrics.StartTimer()

@@ -159,8 +159,7 @@ type Transport struct {
 	handler mpi.Handler
 
 	// peerSent/peerRecv count payload bytes per peer rank (self stays
-	// zero) — the per-peer view NetStats and /metrics expose and the
-	// similarity schedule consumes.
+	// zero) — the per-peer view NetStats and /metrics expose.
 	peerSent []atomic.Int64
 	peerRecv []atomic.Int64
 

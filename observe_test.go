@@ -77,8 +77,8 @@ func TestConfigValidate(t *testing.T) {
 		{"resume with sink", Config{Resume: true, Checkpoints: sink}, ""},
 		{"schedule flat", Config{CollectiveSchedule: "flat"}, ""},
 		{"schedule tree", Config{CollectiveSchedule: "tree"}, ""},
-		{"schedule ring", Config{CollectiveSchedule: "ring"}, ""},
-		{"schedule auto", Config{CollectiveSchedule: "auto"}, ""},
+		{"schedule ring", Config{CollectiveSchedule: "ring"}, "want flat or tree"},
+		{"schedule auto", Config{CollectiveSchedule: "auto"}, "want flat or tree"},
 		{"schedule unknown", Config{CollectiveSchedule: "star"}, "unknown collective schedule"},
 		{"topology matching", Config{Ranks: 2, Topology: TopologyFromHosts([]string{"a", "b"})}, ""},
 		{"topology wrong size", Config{Ranks: 4, Topology: TopologyFromHosts([]string{"a", "b"})}, "Config.Topology"},

@@ -89,19 +89,15 @@ type Config struct {
 	// "flat" (or empty, the default) composes every collective as a
 	// gather-to-root + broadcast star; "tree" routes through a
 	// topology-aware binomial reduction tree (O(log P) critical path, root
-	// traffic cut from O(P) to O(log P) messages); "ring" additionally runs
-	// large vector reductions through a ring reduce-scatter/allgather;
-	// "auto" starts on the tree and lets the ranks re-vote tree-vs-ring
-	// each planning round from the payload sizes they observe. Must be
-	// identical on every rank of a distributed world.
+	// traffic cut from O(P) to O(log P) messages). Any other spelling fails
+	// Validate. Must be identical on every rank of a distributed world.
 	CollectiveSchedule string
 	// Topology describes where ranks live relative to each other (host
 	// grouping plus optional per-link costs). The tree schedule keeps
-	// reduction traffic inside a host before crossing the expensive links,
-	// the ring schedule orders its cycle host-by-host, and the kernel's
-	// exchange phase meters cross-host traffic against the cost model's
-	// surcharges. nil (the default) is a uniform single-host topology. Must
-	// describe exactly the world's rank count.
+	// reduction traffic inside a host before crossing to another; the link
+	// costs are parsed but nothing prices them yet. nil (the default) is a
+	// uniform single-host topology. Must describe exactly the world's rank
+	// count.
 	Topology *Topology
 
 	// Transport runs the execution distributed: this process hosts rank
