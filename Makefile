@@ -61,9 +61,13 @@ chaos:
 # bodies against a real engine (200 or 400, never 500; a rejected batch
 # applies nothing and the engine keeps answering queries). The
 # allocation pins run a second time without -race: the detector changes what
-# allocates, and the plain build is what the benchmark measures.
+# allocates, and the plain build is what the benchmark measures. The
+# racing-ranks test of recycled receive rows runs ten more times under
+# -race, as its doc asks: one pass rarely hits the interleaving it guards,
+# and it is the check on how a mailbox wakes its one taker.
 verify: vet
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run RecycledRows ./internal/mpi
 	$(GO) test -count=1 -run 'Allocs|AllocFree' ./internal/...
 	$(GO) test -run '^$$' -fuzz FuzzAgainstSortedSlice -fuzztime 15s -fuzzminimizetime 10x ./internal/btree
 	$(GO) test -run '^$$' -fuzz FuzzRestoreCheckpointFiles -fuzztime 10s -fuzzminimizetime 10x ./internal/ra

@@ -616,6 +616,6 @@ func (e *Engine) finishReport(res *Result) {
 		res.IterPhaseSeconds[i] = m
 	}
 	tot := e.world.Stats().Snapshot()
-	res.CommBytes = int64(tot.Bytes())
-	res.CommMsgs = int64(tot.P2PMessages + tot.CollectiveCalls)
+	res.CommBytes = int64(tot.Bytes)
+	res.CommMsgs = int64(tot.Calls)
 }

@@ -14,21 +14,20 @@ import (
 // and Config.Resume for how these plug into Exec.
 
 // FaultPlan is a seeded, deterministic schedule of injected faults: rank
-// crashes, stuck collectives, and dropped / delayed / corrupted messages.
-// The same plan against the same program yields the same failure.
+// crashes and stuck collectives at collective entry, corrupted messages on
+// the in-process wire, and the state, checkpoint, memory and disk faults
+// below. The same plan against the same program yields the same failure.
 type FaultPlan = mpi.FaultPlan
 
 // Fault specs for FaultPlan.
 type (
-	// Crash kills a rank when it enters a matching communication op.
+	// Crash kills a rank when it enters a matching collective.
 	Crash = mpi.Crash
-	// Hang makes a rank block forever in a matching op (watchdog fodder).
+	// Hang makes a rank block forever in a matching collective (watchdog
+	// fodder).
 	Hang = mpi.Hang
-	// Drop silently discards a fraction of point-to-point messages.
-	Drop = mpi.Drop
-	// Delay sleeps a fraction of point-to-point messages before delivery.
-	Delay = mpi.Delay
-	// Corrupt flips bits in one word of a matching send's payload.
+	// Corrupt flips bits in one payload word of the After-th message a rank
+	// puts on the in-process wire, collective hops included.
 	Corrupt = mpi.Corrupt
 )
 
@@ -111,8 +110,9 @@ var (
 	ErrInjectedCrash = mpi.ErrInjectedCrash
 	// ErrWatchdogTimeout marks ranks the collective watchdog declared dead.
 	ErrWatchdogTimeout = mpi.ErrWatchdogTimeout
-	// ErrRecvTimeout marks a receive unmatched past the watchdog timeout
-	// (dropped message or vanished sender).
+	// ErrRecvTimeout marks a collective hop unmatched past the watchdog
+	// timeout with no absent rank to blame (a silent peer of a TCP gang, or
+	// in-process ranks waiting on each other).
 	ErrRecvTimeout = mpi.ErrRecvTimeout
 	// ErrPeerUnreachable marks a rank a networked transport's failure
 	// detector declared dead after its heartbeats stopped.

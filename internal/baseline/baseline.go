@@ -165,7 +165,7 @@ func RunSSSP(sys System, g *graph.Graph, sources []uint64, ranks int) (*Result, 
 	}
 	report := mc.BuildReport(metrics.DefaultCostModel)
 	res.SimSeconds = report.SimSeconds()
-	res.CommBytes = int64(world.Stats().Snapshot().Bytes())
+	res.CommBytes = int64(world.Stats().Snapshot().Bytes)
 	return res, nil
 }
 
@@ -236,7 +236,7 @@ func RunCC(sys System, g *graph.Graph, ranks int) (*Result, error) {
 	}
 	report := mc.BuildReport(metrics.DefaultCostModel)
 	res.SimSeconds = report.SimSeconds()
-	res.CommBytes = int64(world.Stats().Snapshot().Bytes())
+	res.CommBytes = int64(world.Stats().Snapshot().Bytes)
 	return res, nil
 }
 
@@ -261,7 +261,7 @@ func finalAggregate(c *mpi.Comm, mc *metrics.Collector, ix *relation.Index, inde
 	recv := c.Alltoallv(send)
 	d := c.Stats().Snapshot().Sub(pre)
 	mc.Record(c.Rank(), iter, metrics.PhaseAllToAll,
-		timer.Done(scanned, int64(d.Bytes()), 1))
+		timer.Done(scanned, int64(d.Bytes), 1))
 
 	timer = metrics.StartTimer()
 	best := map[string][]tuple.Value{}

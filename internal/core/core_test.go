@@ -551,10 +551,10 @@ func TestPageRankMassConservation(t *testing.T) {
 		}
 		// Float bit patterns don't sum through an integer Allreduce; gather
 		// per-rank masses and add as floats.
-		masses := c.AllgatherV([]mpi.Word{math.Float64bits(localMass)})
+		masses := c.Allgather(math.Float64bits(localMass))
 		total := 0.0
 		for _, m := range masses {
-			total += math.Float64frombits(m[0])
+			total += math.Float64frombits(m)
 		}
 		if math.Abs(total-1.0) > 1e-9 {
 			return fmt.Errorf("mass = %v, want 1", total)

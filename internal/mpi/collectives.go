@@ -2,13 +2,14 @@ package mpi
 
 import "fmt"
 
-// Collectives. On every world a collective is the same three steps: pass the
-// fault gate (enter), meter the operation's logical payload once, then
-// exchange point-to-point messages in the shape the world's ScheduleKind
-// selects (schedule.go) — the flat star through rank 0 or a topology-aware
-// binomial tree — over whatever Transport the world runs on: mailboxes
-// between goroutines, sockets between processes. The exchange primitives and
-// the tag discipline are in p2pcoll.go. Collectives are matched by arrival
+// Collectives: the runtime's whole public exchange surface. On every world a
+// collective is the same three steps: pass the fault gate (enter), meter the
+// operation's logical payload once, then exchange point-to-point hops in the
+// shape the world's ScheduleKind selects (schedule.go) — the flat star
+// through rank 0 or a topology-aware binomial tree rooted there — over
+// whatever Transport the world runs on: mailboxes between goroutines,
+// sockets between processes. The exchange primitives and the tag discipline
+// are in p2pcoll.go. Collectives are matched by arrival
 // order, exactly as in MPI: every rank must call the same collective in the
 // same sequence. A one-rank world has nobody to exchange with and returns
 // right after metering (the hot-path allocation pins rely on that).
@@ -105,7 +106,7 @@ func (c *Comm) reduceAndFan(kind ScheduleKind, name string, tag int, buf []Word,
 			}
 		}
 	} else {
-		t := c.treeFor(0)
+		t := c.rootTree()
 		for _, ch := range t.children {
 			c.fold(buf, c.collRecv(name, ch, tag), op)
 		}
@@ -152,33 +153,6 @@ func (c *Comm) Allgather(v uint64) []uint64 {
 	// Every non-root rank's copy is private (it crossed the wire); rank 0
 	// built vec itself.
 	return c.fanFrom0(c.sched, "allgather", tagAllgather, vec)
-}
-
-// Bcast distributes root's words to every rank. Non-root ranks pass nil.
-// Every rank receives a private copy.
-func (c *Comm) Bcast(root int, words []Word) []Word {
-	c.enter("bcast")
-	c.validRank("bcast", root)
-	bytes := 0
-	if c.rank == root {
-		bytes = len(words) * WordBytes * (c.world.size - 1)
-	}
-	c.world.stats.addCollective(c.rank, collBcast, bytes)
-	if c.world.size == 1 {
-		return words
-	}
-	if c.sched != ScheduleFlat {
-		return c.treeFanDown("bcast", tagBcast, c.treeFor(root), words)
-	}
-	if c.rank != root {
-		return c.collRecv("bcast", root, tagBcast)
-	}
-	for r := 0; r < c.world.size; r++ {
-		if r != root {
-			c.collSend("bcast", r, tagBcast, words)
-		}
-	}
-	return words
 }
 
 // Alltoallv performs the personalized all-to-all exchange at the heart of
@@ -249,86 +223,4 @@ func (c *Comm) Alltoallv(send [][]Word) [][]Word {
 		recv[src] = c.collRecv("alltoallv", src, tagAlltoallv)
 	}
 	return recv
-}
-
-// AllgatherV collects a variable-length word vector from each rank and
-// returns all of them, indexed by rank, to every rank. It implements the
-// paper's outer-relation replication within a bucket when sub-bucket groups
-// span the whole world.
-func (c *Comm) AllgatherV(words []Word) [][]Word {
-	c.enter("allgatherv")
-	c.world.stats.addCollective(c.rank, collAllgatherv, len(words)*WordBytes*(c.world.size-1))
-	n := c.world.size
-	if n == 1 {
-		return [][]Word{words}
-	}
-	contribs := c.gatherTo0(c.sched, "allgatherv", tagAllgatherv, words)
-	var flat []Word
-	if contribs != nil {
-		// Self-describing concatenation: per-rank lengths, then payloads.
-		total := 1 + n
-		for _, s := range contribs {
-			total += len(s)
-		}
-		flat = make([]Word, 0, total)
-		flat = append(flat, Word(n))
-		for _, s := range contribs {
-			flat = append(flat, Word(len(s)))
-		}
-		for _, s := range contribs {
-			flat = append(flat, s...)
-		}
-		c.gathered(c.sched, contribs)
-	}
-	shared := c.fanFrom0(c.sched, "allgatherv", tagAllgatherv, flat)
-	out := make([][]Word, n)
-	off := 1 + n
-	for r := 0; r < n; r++ {
-		l := int(shared[1+r])
-		if r == c.rank {
-			out[r] = words
-		} else {
-			out[r] = make([]Word, l)
-			copy(out[r], shared[off:off+l])
-		}
-		off += l
-	}
-	if contribs == nil {
-		c.release(shared) // a received hop, copied out above; rank 0's is flat
-	}
-	return out
-}
-
-// Gather collects one word from each rank at root. Non-root ranks receive
-// nil.
-func (c *Comm) Gather(root int, v uint64) []uint64 {
-	c.enter("gather")
-	c.validRank("gather", root)
-	c.world.stats.addCollective(c.rank, collGather, WordBytes)
-	if c.world.size == 1 {
-		return []uint64{v}
-	}
-	if c.sched != ScheduleFlat {
-		contribs := c.treeGather("gather", tagGather, c.treeFor(root), []Word{v})
-		if contribs == nil {
-			return nil
-		}
-		out := make([]uint64, c.world.size)
-		for r, w := range contribs {
-			out[r] = w[0]
-		}
-		return out
-	}
-	if c.rank != root {
-		c.collSend("gather", root, tagGather, []Word{v})
-		return nil
-	}
-	out := make([]uint64, c.world.size)
-	out[root] = v
-	for r := range out {
-		if r != root {
-			out[r] = c.collRecv("gather", r, tagGather)[0]
-		}
-	}
-	return out
 }

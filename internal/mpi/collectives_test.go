@@ -1,17 +1,13 @@
 package mpi
 
 import (
-	"errors"
 	"fmt"
 	"testing"
-	"time"
 )
 
-// Satellite coverage: every collective, at 2/4/8/16 ranks, under both
-// collective schedules (flat star, topology-aware tree), with
-// point-to-point traffic riding alongside under deterministic delay and drop
-// plans. Delays must be invisible to the results; drops must surface as
-// structured failures, never hangs or wrong answers.
+// Every collective, at 2 to 16 ranks, under both collective schedules (flat
+// star, topology-aware tree), against closed forms and round-trip
+// properties.
 
 // testSchedules are the concrete schedules every collective test sweeps.
 var testSchedules = []ScheduleKind{ScheduleFlat, ScheduleTree}
@@ -31,22 +27,9 @@ func splitTopology(n int) *Topology {
 	return TopologyFromHosts(hosts)
 }
 
-// allPairDelays builds a Delay spec for every ordered rank pair.
-func allPairDelays(n int, frac float64, max time.Duration) []Delay {
-	var ds []Delay
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				ds = append(ds, Delay{From: i, To: j, Frac: frac, Max: max})
-			}
-		}
-	}
-	return ds
-}
-
-// collectiveSuite exercises all seven collectives plus a delayed p2p ring
-// and asserts every result against its closed form.
-func collectiveSuite(t *testing.T, c *Comm) error {
+// collectiveSuite exercises all five collectives and asserts every result
+// against its closed form.
+func collectiveSuite(c *Comm) error {
 	n, r := c.Size(), c.Rank()
 	c.SetEpoch(0)
 
@@ -56,20 +39,15 @@ func collectiveSuite(t *testing.T, c *Comm) error {
 	if got, want := c.Allreduce(uint64(r), OpMax), uint64(n-1); got != want {
 		return fmt.Errorf("rank %d: allreduce max = %d, want %d", r, got, want)
 	}
+	vec := c.AllreduceVec([]Word{Word(r), 1}, make([]Word, 2), OpSum)
+	if want := Word(n * (n - 1) / 2); vec[0] != want || vec[1] != Word(n) {
+		return fmt.Errorf("rank %d: allreducevec sum = %v, want [%d %d]", r, vec, want, n)
+	}
 	ag := c.Allgather(uint64(r * r))
 	for i, v := range ag {
 		if v != uint64(i*i) {
 			return fmt.Errorf("rank %d: allgather[%d] = %d, want %d", r, i, v, i*i)
 		}
-	}
-	root := n / 2
-	var bpay []Word
-	if r == root {
-		bpay = []Word{7, 8, 9}
-	}
-	b := c.Bcast(root, bpay)
-	if len(b) != 3 || b[0] != 7 || b[2] != 9 {
-		return fmt.Errorf("rank %d: bcast got %v", r, b)
 	}
 	send := make([][]Word, n)
 	for j := range send {
@@ -81,41 +59,11 @@ func collectiveSuite(t *testing.T, c *Comm) error {
 			return fmt.Errorf("rank %d: alltoallv from %d got %v", r, i, recv[i])
 		}
 	}
-	mine := make([]Word, r+1) // ragged contribution
-	for i := range mine {
-		mine[i] = Word(r*10 + i)
-	}
-	agv := c.AllgatherV(mine)
-	for i := range agv {
-		if len(agv[i]) != i+1 {
-			return fmt.Errorf("rank %d: allgatherv[%d] has %d words, want %d", r, i, len(agv[i]), i+1)
-		}
-		for k, v := range agv[i] {
-			if v != Word(i*10+k) {
-				return fmt.Errorf("rank %d: allgatherv[%d][%d] = %d", r, i, k, v)
-			}
-		}
-	}
-	g := c.Gather(0, uint64(r+5))
-	if r == 0 {
-		for i, v := range g {
-			if v != uint64(i+5) {
-				return fmt.Errorf("rank 0: gather[%d] = %d, want %d", i, v, i+5)
-			}
-		}
-	}
-	// A p2p ring between collectives, its messages subject to the delays.
-	next, prev := (r+1)%n, (r+n-1)%n
-	c.Send(next, 9, []Word{Word(r)})
-	words, _ := c.Recv(prev, 9)
-	if len(words) != 1 || words[0] != Word(prev) {
-		return fmt.Errorf("rank %d: ring recv got %v, want [%d]", r, words, prev)
-	}
 	c.Barrier()
 	return nil
 }
 
-func TestCollectiveSuiteUnderDelays(t *testing.T) {
+func TestCollectiveSuite(t *testing.T) {
 	// 3 and 6 ride along: non-power-of-two sizes are where tree shapes break.
 	for _, n := range []int{2, 3, 4, 6, 8, 16} {
 		for _, sched := range testSchedules {
@@ -125,59 +73,17 @@ func TestCollectiveSuiteUnderDelays(t *testing.T) {
 				if sched != ScheduleFlat {
 					w.SetTopology(splitTopology(n))
 				}
-				w.SetFaultPlan(&FaultPlan{
-					Seed:   31,
-					Delays: allPairDelays(n, 0.8, 2*time.Millisecond),
-				})
-				if err := w.Run(func(c *Comm) error { return collectiveSuite(t, c) }); err != nil {
+				if err := w.Run(collectiveSuite); err != nil {
 					t.Fatal(err)
 				}
 				// Every schedule, flat included, moves its collectives as
-				// messages: rank 0 must have received more than the suite's
-				// one 8-byte p2p ring word.
+				// messages: rank 0 must have received some.
 				var recvd int64
 				for _, b := range w.Stats().PerRank()[0].PeerBytesRecv {
 					recvd += b
 				}
-				if recvd <= WordBytes {
-					t.Errorf("rank 0 received %d bytes; the collectives did not cross the message path", recvd)
-				}
-			})
-		}
-	}
-}
-
-func TestCollectiveSuiteUnderDropsFailsStructurally(t *testing.T) {
-	// Drops cannot silently skew a result: the blocked receive times out
-	// into an ErrRankFailed every rank observes.
-	for _, n := range []int{2, 4, 8, 16} {
-		for _, sched := range testSchedules {
-			t.Run(fmt.Sprintf("ranks=%d/%s", n, sched), func(t *testing.T) {
-				w := NewWorld(n)
-				w.SetSchedule(sched)
-				w.SetFaultPlan(&FaultPlan{
-					Seed:  32,
-					Drops: []Drop{{From: 0, To: n - 1, Frac: 1}},
-				})
-				w.SetWatchdog(100 * time.Millisecond)
-				err := w.Run(func(c *Comm) error {
-					c.Allreduce(1, OpSum) // collectives around the doomed exchange
-					if c.Rank() == 0 {
-						c.Send(n-1, 4, []Word{1})
-					}
-					if c.Rank() == n-1 {
-						c.Recv(0, 4)
-						t.Error("dropped message was received")
-					}
-					c.Barrier()
-					return nil
-				})
-				rf, ok := AsRankFailure(err)
-				if !ok {
-					t.Fatalf("err = %v, want structured rank failure", err)
-				}
-				if !errors.Is(rf, ErrRecvTimeout) && !errors.Is(rf, ErrWatchdogTimeout) {
-					t.Errorf("failure %v names neither the recv timeout nor the stalled collective", rf)
+				if recvd == 0 {
+					t.Errorf("rank 0 received no bytes; the collectives did not cross the message path")
 				}
 			})
 		}
@@ -199,8 +105,7 @@ func TestAlltoallvRoundTripFuzz(t *testing.T) {
 	// Property: alltoallv is a matrix transpose. Sending the received
 	// matrix back must reproduce the original send matrix exactly — for
 	// ragged, hash-random per-peer payload sizes (empty rows included),
-	// across several rounds, at 2/4/8/16 ranks under every schedule, with
-	// message delays active.
+	// across several rounds, at 2/4/8/16 ranks under every schedule.
 	const rounds = 6
 	for _, n := range []int{2, 4, 8, 16} {
 		for _, sched := range testSchedules {
@@ -210,10 +115,6 @@ func TestAlltoallvRoundTripFuzz(t *testing.T) {
 				if sched != ScheduleFlat {
 					w.SetTopology(splitTopology(n))
 				}
-				w.SetFaultPlan(&FaultPlan{
-					Seed:   33,
-					Delays: allPairDelays(n, 0.5, time.Millisecond),
-				})
 				err := w.Run(func(c *Comm) error {
 					for round := 0; round < rounds; round++ {
 						c.SetEpoch(round)
@@ -275,10 +176,6 @@ func TestAllreduceVecFuzz(t *testing.T) {
 				if sched != ScheduleFlat {
 					w.SetTopology(splitTopology(n))
 				}
-				w.SetFaultPlan(&FaultPlan{
-					Seed:   34,
-					Delays: allPairDelays(n, 0.4, time.Millisecond),
-				})
 				err := w.Run(func(c *Comm) error {
 					for round, words := range lengths {
 						c.SetEpoch(round)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 )
 
 // This file is the runtime's fault story. Real deployments of the paper's
@@ -13,7 +12,8 @@ import (
 // with (1) a structured failure error that every surviving rank observes
 // instead of a Go-runtime deadlock, and (2) a seeded, deterministic fault
 // injector that can kill a rank at a chosen iteration/operation, hang it
-// inside a collective, and drop, delay, or corrupt point-to-point messages.
+// inside a collective, corrupt a message on the in-process wire, and tamper
+// with the state, checkpoints, memory and disk the fixpoint driver uses.
 
 // ErrRankFailed reports that a rank died or was declared dead: it panicked,
 // was crashed by fault injection, or was absent from a collective past the
@@ -43,10 +43,10 @@ var (
 	// ErrWatchdogTimeout marks a rank the collective watchdog declared dead
 	// after it stayed absent from an in-progress collective past the timeout.
 	ErrWatchdogTimeout = errors.New("absent from collective past watchdog timeout")
-	// ErrRecvTimeout marks a receive that stayed unmatched past the watchdog
-	// timeout — the point-to-point arm of the watchdog: the sender's message
-	// was dropped or the sender is gone, and the blocked rank errors out
-	// instead of wedging forever.
+	// ErrRecvTimeout marks a collective hop that stayed unmatched past the
+	// watchdog timeout with no absent rank to blame: a distributed world's
+	// peer went silent, or in-process ranks wait on each other in a cycle.
+	// The blocked rank errors out instead of wedging forever.
 	ErrRecvTimeout = errors.New("no matching message within the watchdog timeout")
 	// ErrPeerUnreachable marks a rank a networked transport declared dead:
 	// its heartbeats stopped and reconnection attempts failed, so the failure
@@ -132,9 +132,8 @@ const AnyIter = -1
 // Crash kills a rank deterministically: the rank panics with an
 // ErrRankFailed the moment it enters the After-th communication operation
 // matching (Iter, Op). Iter is the rank's current epoch (AnyIter matches
-// all); Op is the operation name ("send", "recv", "barrier", "allreduce",
-// "allgather", "allgatherv", "alltoallv", "bcast", "gather"), "" matching
-// all.
+// all); Op is the collective's name ("barrier", "allreduce",
+// "allreducevec", "allgather", "alltoallv"), "" matching all.
 type Crash struct {
 	Rank  int
 	Iter  int
@@ -153,30 +152,15 @@ type Hang struct {
 	Op   string
 }
 
-// Drop discards a fraction of the point-to-point messages from one rank to
-// another. The decision is a deterministic hash of (seed, from, to,
-// message sequence number), so the same plan drops the same messages on
-// every run.
-type Drop struct {
-	From, To int
-	Frac     float64 // fraction of messages dropped, in [0, 1]
-}
-
-// Delay sleeps a deterministic duration in [0, Max) before delivering a
-// fraction of the point-to-point messages from one rank to another.
-type Delay struct {
-	From, To int
-	Frac     float64
-	Max      time.Duration
-}
-
-// Corrupt XORs a deterministic mask into one word of the payload of the
-// After-th matching point-to-point send, modeling a bit flip on the wire.
-// The flip happens after the sender's CRC32C is computed, so the receiver
-// detects it and fails with ErrCorruptMessage attributed to the sender —
-// corruption can no longer produce a silently wrong answer. (In-process
-// transport only; the TCP transport injects wire corruption at the frame
-// layer, where it is caught and repaired by retransmission.)
+// Corrupt XORs a deterministic mask into one payload word of the After-th
+// message (counting from 0) the rank puts on the in-process wire at a
+// matching epoch — collective hops included; empty payloads are not
+// counted — modeling a bit flip on the wire. The flip happens after the
+// sender's CRC32C is computed, so the receiver detects it and fails with
+// ErrCorruptMessage attributed to the sender and the collective — corruption
+// can never produce a silently wrong answer. (In-process transport only; the
+// TCP transport injects wire corruption at the frame layer, where it is
+// caught and repaired by retransmission.)
 type Corrupt struct {
 	Rank  int // sending rank
 	Iter  int
@@ -226,17 +210,17 @@ type DiskFull struct {
 	Iter int
 }
 
-// FaultPlan is a seeded, deterministic fault schedule. Every communication
-// operation of every rank consults the plan; all randomness derives from
-// Seed via counter-based hashing, so a plan replays identically across
-// runs — the property the chaos harness's differential tests rely on.
-// A nil plan injects nothing.
+// FaultPlan is a seeded, deterministic fault schedule. Every collective of
+// every rank consults it at entry (Crashes, Hangs), the in-process wire on
+// every message (Corrupts), and the fixpoint driver at each iteration
+// (StateCorrupts, CkptCorrupts, MemPressures, DiskFulls). All randomness
+// derives from Seed via counter-based hashing, so a plan replays
+// identically across runs — the property the chaos harness's differential
+// tests rely on. A nil plan injects nothing.
 type FaultPlan struct {
 	Seed          int64
 	Crashes       []Crash
 	Hangs         []Hang
-	Drops         []Drop
-	Delays        []Delay
 	Corrupts      []Corrupt
 	StateCorrupts []StateCorrupt
 	CkptCorrupts  []CkptCorrupt
@@ -305,27 +289,6 @@ func (fs *faultState) hangNow(rank, iter int, op string) bool {
 		return true
 	}
 	return false
-}
-
-// dropNow reports whether the seq-th message from src to dest is dropped.
-func (fs *faultState) dropNow(src, dest, seq int) bool {
-	for _, d := range fs.plan.Drops {
-		if d.From == src && d.To == dest && faultFrac(fs.plan.Seed, 0x11, src, dest, seq) < d.Frac {
-			return true
-		}
-	}
-	return false
-}
-
-// delayNow returns the deterministic delivery delay of the seq-th message
-// from src to dest (0 = none).
-func (fs *faultState) delayNow(src, dest, seq int) time.Duration {
-	for _, d := range fs.plan.Delays {
-		if d.From == src && d.To == dest && faultFrac(fs.plan.Seed, 0x22, src, dest, seq) < d.Frac {
-			return time.Duration(faultFrac(fs.plan.Seed, 0x33, src, dest, seq) * float64(d.Max))
-		}
-	}
-	return 0
 }
 
 // corruptNow reports whether rank's current send must be corrupted, and if
@@ -461,9 +424,4 @@ func faultHash(seed int64, stream, a, b, c int) uint64 {
 		h ^= h >> 31
 	}
 	return h
-}
-
-// faultFrac maps a hash to [0, 1).
-func faultFrac(seed int64, stream, a, b, c int) float64 {
-	return float64(faultHash(seed, stream, a, b, c)>>11) / float64(1<<53)
 }

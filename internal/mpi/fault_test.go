@@ -200,136 +200,59 @@ func TestEarlyExitUnderTreeBlamedAtOnce(t *testing.T) {
 	}
 }
 
-func TestDropIsDeterministicAndPartial(t *testing.T) {
-	const msgs = 100
-	run := func() int {
-		w := NewWorld(2)
-		w.SetFaultPlan(&FaultPlan{Seed: 7, Drops: []Drop{{From: 0, To: 1, Frac: 0.5}}})
-		err := w.Run(func(c *Comm) error {
-			if c.Rank() == 0 {
-				for i := 0; i < msgs; i++ {
-					c.Send(1, i, []Word{Word(i)})
+func TestCorruptionFailsCRCWithStructuredError(t *testing.T) {
+	// A corrupted hop must never be accepted: the receiver's CRC32C check
+	// converts the bit flip into an ErrRankFailed naming the sender and the
+	// collective, which every rank observes. Rank 1's first message of an
+	// Allreduce is its contribution on the way up to rank 0 under both
+	// schedules.
+	for _, sched := range testSchedules {
+		t.Run(sched.String(), func(t *testing.T) {
+			w := NewWorld(4)
+			w.SetSchedule(sched)
+			w.SetFaultPlan(&FaultPlan{Seed: 9, Corrupts: []Corrupt{{Rank: 1, Iter: AnyIter, After: 0}}})
+			err := w.Run(func(c *Comm) error {
+				got := c.Allreduce(uint64(c.Rank()+1), OpSum)
+				t.Errorf("rank %d: allreduce over a corrupted hop returned %d", c.Rank(), got)
+				return nil
+			})
+			parts := joinedErrors(t, err)
+			if len(parts) != 4 {
+				t.Fatalf("got %d rank errors, want 4 (every rank must observe the failure): %v", len(parts), err)
+			}
+			for r, e := range parts {
+				rf, ok := AsRankFailure(e)
+				if !ok || rf.Rank != 1 || rf.Op != "allreduce" || !errors.Is(rf, ErrCorruptMessage) {
+					t.Errorf("rank %d: err = %v, want the CRC failure of rank 1's allreduce hop", r, e)
 				}
 			}
-			c.Barrier()
-			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w.Stats().PerRank()[0].P2PMessages
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Errorf("delivered %d then %d messages under the same seed, want identical", a, b)
-	}
-	if a == 0 || a == msgs {
-		t.Errorf("delivered %d of %d messages with Frac 0.5, want a strict subset", a, msgs)
-	}
-}
-
-func TestDelayStillDelivers(t *testing.T) {
-	w := NewWorld(2)
-	w.SetFaultPlan(&FaultPlan{Seed: 3, Delays: []Delay{{From: 0, To: 1, Frac: 1, Max: 2 * time.Millisecond}}})
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 0, []Word{42})
-			return nil
-		}
-		words, _ := c.Recv(0, 0)
-		if words[0] != 42 {
-			t.Errorf("got %v", words)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCorruptionFailsCRCWithStructuredError(t *testing.T) {
-	// A corrupted payload must never be accepted: the receiver's CRC32C
-	// check converts the bit flip into an ErrRankFailed naming the sender,
-	// instead of the silently wrong answer the pre-CRC runtime produced.
-	payload := []Word{1, 2, 3, 4, 5}
-	w := NewWorld(2)
-	w.SetFaultPlan(&FaultPlan{Seed: 9, Corrupts: []Corrupt{{Rank: 0, Iter: AnyIter, After: 0}}})
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 0, payload)
-			return nil
-		}
-		words, _ := c.Recv(0, 0)
-		t.Errorf("corrupted message was accepted: %v", words)
-		return nil
-	})
-	rf, ok := AsRankFailure(err)
-	if !ok {
-		t.Fatalf("err = %v, want ErrRankFailed", err)
-	}
-	if rf.Rank != 0 || rf.Op != "recv" || !errors.Is(rf, ErrCorruptMessage) {
-		t.Errorf("failure = %+v, want CRC failure attributed to sending rank 0", rf)
 	}
 }
 
 func TestRecvTimeoutOnDroppedMessage(t *testing.T) {
-	// With every message from 0 to 1 dropped, rank 1's Recv must error out
-	// after the watchdog timeout instead of wedging the rank forever.
+	// Two ranks each wait for a hop from the other before sending theirs, so
+	// no message ever arrives — to the receivers, exactly a dropped one. The
+	// bounded receive must error out near the watchdog deadline instead of
+	// wedging both ranks forever, and with nobody absent (each waits on the
+	// other) it blames a receiver with ErrRecvTimeout.
 	w := NewWorld(2)
-	w.SetFaultPlan(&FaultPlan{Seed: 5, Drops: []Drop{{From: 0, To: 1, Frac: 1}}})
 	w.SetWatchdog(50 * time.Millisecond)
 	start := time.Now()
 	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 0, []Word{42})
-			return nil
-		}
-		c.Recv(0, 0)
-		t.Error("Recv returned despite the dropped message")
+		c.collRecv("hop", 1-c.Rank(), tagAllreduce)
+		t.Errorf("rank %d: receive returned though no message was sent", c.Rank())
 		return nil
 	})
 	rf, ok := AsRankFailure(err)
 	if !ok {
 		t.Fatalf("err = %v, want ErrRankFailed", err)
 	}
-	if rf.Rank != 1 || rf.Op != "recv" || !errors.Is(rf, ErrRecvTimeout) {
-		t.Errorf("failure = %+v, want recv timeout on rank 1", rf)
+	if rf.Op != "hop" || !errors.Is(rf, ErrRecvTimeout) {
+		t.Errorf("failure = %+v, want a receive timeout in the hop", rf)
 	}
 	if waited := time.Since(start); waited > 5*time.Second {
-		t.Errorf("run took %v, the recv deadline should fire near 50ms", waited)
-	}
-}
-
-func TestPeerArgumentValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		body func(c *Comm) error
-	}{
-		{"send-high", func(c *Comm) error { c.Send(c.Size(), 0, nil); return nil }},
-		{"send-negative", func(c *Comm) error { c.Send(-2, 0, nil); return nil }},
-		{"recv-high", func(c *Comm) error { c.Recv(c.Size()+3, 0); return nil }},
-		{"bcast-root", func(c *Comm) error { c.Bcast(c.Size(), nil); return nil }},
-		{"gather-root", func(c *Comm) error { c.Gather(-1, 0); return nil }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			w := NewWorld(2)
-			err := w.Run(func(c *Comm) error {
-				if c.Rank() == 0 {
-					return tc.body(c)
-				}
-				return nil
-			})
-			if err == nil {
-				t.Fatal("bad peer argument did not error")
-			}
-			if !strings.Contains(err.Error(), "out of range") {
-				t.Errorf("err %q does not describe the range violation", err)
-			}
-			if !strings.Contains(err.Error(), "rank 0") {
-				t.Errorf("err %q does not name the calling rank", err)
-			}
-		})
+		t.Errorf("run took %v, the receive deadline should fire near 50ms", waited)
 	}
 }
 

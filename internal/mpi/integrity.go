@@ -6,7 +6,7 @@ import (
 	"unsafe"
 )
 
-// End-to-end message integrity. Every point-to-point payload is covered by a
+// End-to-end message integrity. Every hop's payload is covered by a
 // CRC32C (Castagnoli) checksum computed at the send side and verified at the
 // receive side, so a bit flip on the (simulated or real) wire surfaces as a
 // structured per-rank error instead of a silently wrong answer. The same

@@ -38,19 +38,23 @@ func TestRunReturnsRankError(t *testing.T) {
 	}
 }
 
+// The hop primitives every collective is built from: collSend and collRecv
+// over the rank's mailbox.
+
 func TestSendRecv(t *testing.T) {
+	// A payload crosses intact, and one (src, dst, tag) stream is FIFO.
 	w := NewWorld(2)
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, 7, []Word{10, 20, 30})
+			c.collSend("hop", 1, tagAllreduce, []Word{10, 20, 30})
+			c.collSend("hop", 1, tagAllreduce, []Word{40})
 			return nil
 		}
-		words, from := c.Recv(0, 7)
-		if from != 0 {
-			t.Errorf("from = %d", from)
+		if words := c.collRecv("hop", 0, tagAllreduce); len(words) != 3 || words[2] != 30 {
+			t.Errorf("first hop = %v, want [10 20 30]", words)
 		}
-		if len(words) != 3 || words[2] != 30 {
-			t.Errorf("words = %v", words)
+		if words := c.collRecv("hop", 0, tagAllreduce); len(words) != 1 || words[0] != 40 {
+			t.Errorf("second hop = %v, want [40]", words)
 		}
 		return nil
 	})
@@ -64,13 +68,13 @@ func TestSendCopiesPayload(t *testing.T) {
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
 			buf := []Word{1}
-			c.Send(1, 0, buf)
+			c.collSend("hop", 1, tagAllreduce, buf)
 			buf[0] = 99 // must not affect the in-flight message
 			c.Barrier()
 			return nil
 		}
 		c.Barrier()
-		words, _ := c.Recv(0, 0)
+		words := c.collRecv("hop", 0, tagAllreduce)
 		if words[0] != 1 {
 			t.Errorf("payload mutated in flight: %v", words)
 		}
@@ -85,58 +89,15 @@ func TestRecvMatchesTag(t *testing.T) {
 	w := NewWorld(2)
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, 1, []Word{111})
-			c.Send(1, 2, []Word{222})
+			c.collSend("hop", 1, tagAllreduce, []Word{111})
+			c.collSend("hop", 1, tagAlltoallv, []Word{222})
 			return nil
 		}
-		// Receive out of send order: tag 2 first.
-		w2, _ := c.Recv(0, 2)
-		w1, _ := c.Recv(0, 1)
+		// Receive out of send order: the second tag first.
+		w2 := c.collRecv("hop", 0, tagAlltoallv)
+		w1 := c.collRecv("hop", 0, tagAllreduce)
 		if w2[0] != 222 || w1[0] != 111 {
 			t.Errorf("tag matching broken: %v %v", w1, w2)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecvAnySource(t *testing.T) {
-	w := NewWorld(3)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() != 0 {
-			c.Send(0, 5, []Word{Word(c.Rank())})
-			return nil
-		}
-		seen := map[int]bool{}
-		for i := 0; i < 2; i++ {
-			words, from := c.Recv(AnySource, 5)
-			if int(words[0]) != from {
-				t.Errorf("payload %v does not match source %d", words, from)
-			}
-			seen[from] = true
-		}
-		if !seen[1] || !seen[2] {
-			t.Errorf("sources seen: %v", seen)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendRecvTuplesFraming(t *testing.T) {
-	w := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.SendTuples(1, 3, 2, []Word{1, 2, 3, 4})
-			return nil
-		}
-		arity, words, from := c.RecvTuples(0, 3)
-		if arity != 2 || from != 0 || len(words) != 4 {
-			t.Errorf("arity=%d from=%d words=%v", arity, from, words)
 		}
 		return nil
 	})
@@ -201,27 +162,6 @@ func TestAllgather(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	w := NewWorld(4)
-	err := w.Run(func(c *Comm) error {
-		var in []Word
-		if c.Rank() == 2 {
-			in = []Word{7, 8, 9}
-		}
-		out := c.Bcast(2, in)
-		if len(out) != 3 || out[0] != 7 || out[2] != 9 {
-			t.Errorf("rank %d: bcast = %v", c.Rank(), out)
-		}
-		// Mutating the received copy must not affect other ranks.
-		out[0] = Word(c.Rank())
-		c.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAlltoallv(t *testing.T) {
 	const n = 4
 	w := NewWorld(n)
@@ -252,53 +192,6 @@ func TestAlltoallv(t *testing.T) {
 	}
 }
 
-func TestAllgatherV(t *testing.T) {
-	w := NewWorld(3)
-	err := w.Run(func(c *Comm) error {
-		mine := make([]Word, c.Rank()+1)
-		for i := range mine {
-			mine[i] = Word(c.Rank())
-		}
-		all := c.AllgatherV(mine)
-		for i, s := range all {
-			if len(s) != i+1 {
-				t.Errorf("rank %d: all[%d] len %d", c.Rank(), i, len(s))
-			}
-			for _, v := range s {
-				if v != Word(i) {
-					t.Errorf("rank %d: all[%d] value %d", c.Rank(), i, v)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGather(t *testing.T) {
-	w := NewWorld(4)
-	err := w.Run(func(c *Comm) error {
-		got := c.Gather(1, uint64(c.Rank()+100))
-		if c.Rank() != 1 {
-			if got != nil {
-				t.Errorf("non-root got %v", got)
-			}
-			return nil
-		}
-		for i, v := range got {
-			if v != uint64(i+100) {
-				t.Errorf("gather[%d] = %d", i, v)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConsecutiveCollectives(t *testing.T) {
 	// Stress generation reuse: many collectives back to back with ranks
 	// racing ahead.
@@ -319,15 +212,11 @@ func TestConsecutiveCollectives(t *testing.T) {
 }
 
 func TestStatsMeterP2PAndCollectives(t *testing.T) {
+	// The collective meters count each call and its logical payload once per
+	// calling rank; the per-peer meters count the point-to-point hops the
+	// schedule moved.
 	w := NewWorld(2)
 	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 0, []Word{1, 2, 3}) // 24 bytes
-			c.Send(0, 0, []Word{9})       // self-send: not metered
-			c.Recv(0, 0)
-		} else {
-			c.Recv(0, 0)
-		}
 		c.Barrier()
 		c.Allreduce(1, OpSum)
 		return nil
@@ -335,37 +224,36 @@ func TestStatsMeterP2PAndCollectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tot := w.Stats().Snapshot()
-	if tot.P2PMessages != 1 || tot.P2PBytes != 24 {
-		t.Errorf("p2p totals = %+v", tot)
-	}
-	// 2 ranks × (1 barrier + 1 allreduce) = 4 collective calls.
-	if tot.CollectiveCalls != 4 {
-		t.Errorf("collective calls = %d", tot.CollectiveCalls)
-	}
-	if tot.CollectiveBytes != 2*WordBytes {
-		t.Errorf("collective bytes = %d", tot.CollectiveBytes)
+	// 2 ranks × (1 barrier + 1 allreduce) = 4 collective calls; only the
+	// allreduces carry a word.
+	if tot := w.Stats().Snapshot(); tot != (Totals{Calls: 4, Bytes: 2 * WordBytes}) {
+		t.Errorf("totals = %+v, want 4 calls, %d bytes", tot, 2*WordBytes)
 	}
 	per := w.Stats().PerRank()
-	if per[1].P2PMessages != 0 {
-		t.Errorf("rank 1 sent nothing but has %d messages", per[1].P2PMessages)
+	for r, rs := range per {
+		if got := rs.Collectives["allreduce"]; got != (CollectiveStats{Calls: 1, Bytes: WordBytes}) {
+			t.Errorf("rank %d: allreduce meter = %+v", r, got)
+		}
+		if got := rs.Collectives["barrier"]; got != (CollectiveStats{Calls: 1}) {
+			t.Errorf("rank %d: barrier meter = %+v", r, got)
+		}
+		if rs.PeerBytesSent[r] != 0 || rs.PeerBytesRecv[r] != 0 {
+			t.Errorf("rank %d: self entries %d/%d, want 0", r, rs.PeerBytesSent[r], rs.PeerBytesRecv[r])
+		}
+	}
+	// The flat star at 2 ranks: the allreduce word goes 1 → 0 and back; the
+	// barrier's hops are empty.
+	if per[1].PeerBytesSent[0] != WordBytes || per[0].PeerBytesRecv[1] != WordBytes ||
+		per[0].PeerBytesSent[1] != WordBytes || per[1].PeerBytesRecv[0] != WordBytes {
+		t.Errorf("per-peer bytes = %+v / %+v, want one word each way", per[0], per[1])
 	}
 }
 
 func TestTotalsArithmetic(t *testing.T) {
-	a := Totals{P2PMessages: 3, P2PBytes: 100, CollectiveCalls: 2, CollectiveBytes: 16}
-	b := Totals{P2PMessages: 1, P2PBytes: 40, CollectiveCalls: 1, CollectiveBytes: 8}
-	d := a.Sub(b)
-	if d.P2PMessages != 2 || d.P2PBytes != 60 || d.CollectiveCalls != 1 || d.CollectiveBytes != 8 {
+	a := Totals{Calls: 3, Bytes: 100}
+	b := Totals{Calls: 1, Bytes: 40}
+	if d := a.Sub(b); d != (Totals{Calls: 2, Bytes: 60}) {
 		t.Errorf("Sub = %+v", d)
-	}
-	s := d.Add(b)
-	if s.P2PMessages != a.P2PMessages || s.P2PBytes != a.P2PBytes ||
-		s.CollectiveCalls != a.CollectiveCalls || s.CollectiveBytes != a.CollectiveBytes {
-		t.Errorf("Add = %+v, want %+v", s, a)
-	}
-	if a.Bytes() != 116 {
-		t.Errorf("Bytes = %d", a.Bytes())
 	}
 }
 
@@ -376,91 +264,4 @@ func TestWorldSizeValidation(t *testing.T) {
 		}
 	}()
 	NewWorld(0)
-}
-
-func TestIsendIrecv(t *testing.T) {
-	w := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			req := c.Isend(1, 4, []Word{42})
-			if !req.Done() {
-				t.Error("Isend not immediately complete")
-			}
-			req.Wait()
-			return nil
-		}
-		req := c.Irecv(0, 4)
-		words, from := req.Wait()
-		if from != 0 || len(words) != 1 || words[0] != 42 {
-			t.Errorf("irecv got %v from %d", words, from)
-		}
-		if !req.Done() {
-			t.Error("request not done after Wait")
-		}
-		// Wait must be re-callable.
-		again, _ := req.Wait()
-		if again[0] != 42 {
-			t.Error("second Wait lost payload")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitAllGathersMultipleReceives(t *testing.T) {
-	const n = 5
-	w := NewWorld(n)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() != 0 {
-			c.Send(0, 9, []Word{Word(c.Rank() * 11)})
-			return nil
-		}
-		reqs := make([]*Request, n-1)
-		for i := 1; i < n; i++ {
-			reqs[i-1] = c.Irecv(i, 9)
-		}
-		WaitAll(reqs...)
-		for i, r := range reqs {
-			words, from := r.Wait()
-			if from != i+1 || words[0] != Word((i+1)*11) {
-				t.Errorf("req %d: %v from %d", i, words, from)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIrecvAnySourceConcurrent(t *testing.T) {
-	// Several outstanding AnySource receives must each claim a distinct
-	// message.
-	const n = 6
-	w := NewWorld(n)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() != 0 {
-			c.Send(0, 2, []Word{Word(c.Rank())})
-			return nil
-		}
-		reqs := make([]*Request, n-1)
-		for i := range reqs {
-			reqs[i] = c.Irecv(AnySource, 2)
-		}
-		WaitAll(reqs...)
-		seen := map[Word]bool{}
-		for _, r := range reqs {
-			words, _ := r.Wait()
-			if seen[words[0]] {
-				t.Errorf("message %v delivered twice", words)
-			}
-			seen[words[0]] = true
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

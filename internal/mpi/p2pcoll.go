@@ -1,12 +1,12 @@
 package mpi
 
 // The exchange primitives collectives are composed from: point-to-point
-// messages in the reserved tag space above collTagBase, sent through the
-// rank's Transport like any other message. Which shape a collective takes is
-// decided by the world's ScheduleKind (see schedule.go): the flat star
+// hops in the reserved tag space above collTagBase, sent through the rank's
+// Transport (collSend, collRecv in p2p.go). Which shape a collective takes
+// is decided by the world's ScheduleKind (see schedule.go): the flat star
 // (gather-to-root + broadcast, rank 0 an O(P) serialization point) or a
-// topology-aware binomial tree (O(log P) critical path, root traffic cut to
-// its tree degree).
+// topology-aware binomial tree rooted at rank 0 (O(log P) critical path,
+// root traffic cut to its tree degree).
 //
 // Tag discipline under multi-hop schedules: one reserved tag per collective
 // kind is still sufficient. The matching argument is MPI's — every rank
@@ -19,50 +19,29 @@ package mpi
 // consecutive same-kind collectives consume a fixed per-stream message
 // count, so multi-hop forwarding never cross-matches generations.
 //
-// Internal messages deliberately skip the user-level fault gate, the
-// drop/delay injectors, and the P2P meters: faults target the collective
-// operation as a whole (crash/hang at entry, wire faults at the transport),
-// and the collective's logical byte count was already metered at entry, so
-// the collective meters do not depend on the schedule. Every hop is
-// individually bounded by the receive watchdog (collRecv), so a depth-d
-// schedule turns a dead interior rank into a structured failure within d
-// deadlines rather than a wedged tree.
+// Faults target the collective operation as a whole (crash/hang at entry,
+// corruption on the wire), and the collective's logical byte count is
+// metered once at entry, so the collective meters do not depend on the
+// schedule. Every hop is individually bounded by the receive watchdog
+// (collRecv), so a depth-d schedule turns a dead interior rank into a
+// structured failure within d deadlines rather than a wedged tree.
+
+// collTagBase offsets the collective tags. The offset and every tag value
+// below are part of the TCP wire format.
+const collTagBase = 1 << 30
 
 // Reserved tags, one per collective kind. Gather/reduce-up and
 // broadcast/fan-down phases of one kind share a tag safely: the two
-// directions of an edge are distinct streams.
+// directions of an edge are distinct streams. The values are part of the
+// TCP wire format; the gaps are tags of deleted collectives, never reused.
 const (
-	tagBarrier = collTagBase + iota
-	tagAllreduce
-	tagAllgather
-	tagAllgatherv
-	tagAlltoallv
-	tagBcast
-	tagGather
-	tagAllreduceVec
-	tagCkptMarks
+	tagBarrier      = collTagBase + 0
+	tagAllreduce    = collTagBase + 1
+	tagAllgather    = collTagBase + 2
+	tagAlltoallv    = collTagBase + 4
+	tagAllreduceVec = collTagBase + 7
+	tagCkptMarks    = collTagBase + 8
 )
-
-// collSend pushes an internal collective message.
-func (c *Comm) collSend(op string, dest, tag int, words []Word) {
-	if dest == c.rank {
-		panic("mpi: internal collective self-send")
-	}
-	c.sendVia(op, dest, tag, words)
-}
-
-// collRecv blocks for an internal collective message, bounded by the
-// watchdog deadline when one is in force — the per-hop
-// deadline every schedule edge inherits. While it waits the rank publishes
-// who it is blocked on, which is how a hop that hits the deadline finds the
-// rank actually absent from the collective (recvFailed).
-func (c *Comm) collRecv(op string, src, tag int) []Word {
-	w := c.world
-	w.blockedOn[c.rank].Store(int32(src) + 1)
-	msg := c.recvVia(op, src, tag, w.curWatchdog())
-	w.blockedOn[c.rank].Store(0)
-	return msg.words
-}
 
 // release returns a payload this rank received and is done with to its
 // mailbox's free list (mem.go: the lifetime rule) — only what no one can
@@ -103,9 +82,10 @@ func (c *Comm) starFan(op string, tag int, words []Word) []Word {
 // --- schedule tree. Children are visited in the tree's fan order both
 // --- ways, keeping the hop sequence deterministic for wire replay.
 
-// treeFanDown pushes words from the tree root to every rank: non-roots
-// receive their (private) copy from the parent, then forward to children.
-func (c *Comm) treeFanDown(op string, tag int, t *rankTree, words []Word) []Word {
+// treeFanDown pushes words from rank 0 to every rank: non-roots receive
+// their (private) copy from the parent, then forward to children.
+func (c *Comm) treeFanDown(op string, tag int, words []Word) []Word {
+	t := c.rootTree()
 	if t.parent >= 0 {
 		words = c.collRecv(op, t.parent, tag)
 	}
@@ -115,11 +95,12 @@ func (c *Comm) treeFanDown(op string, tag int, t *rankTree, words []Word) []Word
 	return words
 }
 
-// treeGather collects every rank's words at the tree root by concatenating
-// self-describing (rank, len, payload) triples up the tree. The root gets
-// the full per-rank vector (entries alias the assembled blob); other ranks
-// get nil.
-func (c *Comm) treeGather(op string, tag int, t *rankTree, words []Word) [][]Word {
+// treeGather collects every rank's words at rank 0 by concatenating
+// self-describing (rank, len, payload) triples up the tree. Rank 0 gets the
+// full per-rank vector (entries alias the assembled blob); other ranks get
+// nil.
+func (c *Comm) treeGather(op string, tag int, words []Word) [][]Word {
+	t := c.rootTree()
 	blob := make([]Word, 0, 2+len(words))
 	blob = append(blob, Word(c.rank), Word(len(words)))
 	blob = append(blob, words...)
@@ -150,7 +131,7 @@ func (c *Comm) gatherTo0(kind ScheduleKind, op string, tag int, words []Word) []
 	if kind == ScheduleFlat {
 		return c.starGather(op, tag, words)
 	}
-	return c.treeGather(op, tag, c.treeFor(0), words)
+	return c.treeGather(op, tag, words)
 }
 
 // gathered releases the hops gatherTo0 handed rank 0, after the caller has
@@ -170,5 +151,5 @@ func (c *Comm) fanFrom0(kind ScheduleKind, op string, tag int, words []Word) []W
 	if kind == ScheduleFlat {
 		return c.starFan(op, tag, words)
 	}
-	return c.treeFanDown(op, tag, c.treeFor(0), words)
+	return c.treeFanDown(op, tag, words)
 }

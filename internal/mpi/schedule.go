@@ -50,7 +50,6 @@ func (k ScheduleKind) String() string {
 // by the receive watchdog, so a depth-d collective is bounded by d
 // deadlines).
 type rankTree struct {
-	root     int
 	parent   int   // -1 when this rank is the tree root
 	children []int // fan order: larger subtrees first
 	depth    int
@@ -172,26 +171,15 @@ func topoTree(topo *Topology, size, root int) *fullTree {
 	return ft
 }
 
-// treeFor returns this rank's cached view of the topology tree rooted at
-// root, materializing it on first use. The cache is keyed by root only: the
-// tree's other inputs (topology, world size) are fixed for the comm's
-// lifetime.
-func (c *Comm) treeFor(root int) *rankTree {
-	if t, ok := c.trees[root]; ok {
-		return t
+// rootTree returns this rank's cached view of the topology tree rooted at
+// rank 0, the root of every collective, materializing it on first use. Its
+// inputs (topology, world size) are fixed for the comm's lifetime.
+func (c *Comm) rootTree() *rankTree {
+	if c.tree == nil {
+		ft := topoTree(c.world.topo, c.world.size, 0)
+		c.tree = &rankTree{parent: ft.parent[c.rank], children: ft.children[c.rank], depth: ft.height()}
 	}
-	ft := topoTree(c.world.topo, c.world.size, root)
-	t := &rankTree{
-		root:     root,
-		parent:   ft.parent[c.rank],
-		children: ft.children[c.rank],
-		depth:    ft.height(),
-	}
-	if c.trees == nil {
-		c.trees = make(map[int]*rankTree)
-	}
-	c.trees[root] = t
-	return t
+	return c.tree
 }
 
 // ScheduleDepth is the critical-path hop count of one collective one way
@@ -206,5 +194,5 @@ func (c *Comm) ScheduleDepth() int {
 	if c.sched == ScheduleFlat {
 		return size - 1
 	}
-	return c.treeFor(0).depth
+	return c.rootTree().depth
 }

@@ -2,10 +2,11 @@ package mpi
 
 import "sync/atomic"
 
-// Stats meters every transfer in a world. Counters are per sending rank so
-// that imbalance is visible; Totals sums them. The meter distinguishes
-// point-to-point traffic from each collective kind because the cost model
-// charges latency per collective and bandwidth per byte.
+// Stats meters every collective in a world. Counters are per calling rank
+// so that imbalance is visible; Totals sums them. The meter keeps each
+// collective kind apart because the cost model charges latency per
+// collective and bandwidth per byte, and it counts wire bytes per peer
+// because a schedule reshapes exactly those.
 //
 // Every counter is an atomic in its rank's own row: metering a message takes
 // no lock and touches no other rank's cache lines, and a reader sums the rows
@@ -26,34 +27,28 @@ const (
 	collAllreduce
 	collAllreduceVec
 	collAllgather
-	collBcast
 	collAlltoallv
-	collAllgatherv
-	collGather
 	numCollKinds
 )
 
 // collNames are the RankStats.Collectives keys.
 var collNames = [numCollKinds]string{
-	"barrier", "allreduce", "allreducevec", "allgather", "bcast", "alltoallv", "allgatherv", "gather",
+	"barrier", "allreduce", "allreducevec", "allgather", "alltoallv",
 }
 
 // rankMeter is one rank's row of live counters. Rows are separate
 // allocations so two ranks' hot counters do not share a cache line.
 type rankMeter struct {
-	p2pMessages, p2pBytes atomic.Int64
-	coll                  [numCollKinds]struct{ calls, bytes atomic.Int64 }
-	peerSent, peerRecv    []atomic.Int64
+	coll               [numCollKinds]struct{ calls, bytes atomic.Int64 }
+	peerSent, peerRecv []atomic.Int64
 }
 
-// RankStats is one rank's outbound communication tally.
+// RankStats is one rank's communication tally.
 type RankStats struct {
-	P2PMessages int
-	P2PBytes    int
 	Collectives map[string]CollectiveStats
 	// PeerBytesSent/PeerBytesRecv are this rank's per-peer wire bytes,
-	// indexed by peer rank — every point-to-point transfer plus every hop a
-	// collective schedule routed through this rank. They feed /metrics and
+	// indexed by peer rank — every hop a collective schedule routed through
+	// this rank. They feed /metrics and
 	// are how a test or benchmark sees traffic concentration (e.g. bytes
 	// through the flat star's root, TestConvergenceAllreduceRootBytes). The
 	// self entry stays zero: local hand-offs never touch a wire.
@@ -79,10 +74,10 @@ func newStats(size int) *Stats {
 	return s
 }
 
-// addPeerSent/addPeerRecv meter one wire transfer's bytes against the
-// (src, dest) pair. Unlike addP2P they also see the internal hops
-// collectives are composed of — per-link traffic is exactly what a
-// schedule reshapes, so it is what these counters exist to show.
+// addPeerSent/addPeerRecv meter one hop's wire bytes against the (src,
+// dest) pair. Unlike the collective meters they see the hops a collective
+// is composed of — per-link traffic is exactly what a schedule reshapes, so
+// it is what these counters exist to show.
 func (s *Stats) addPeerSent(src, dest, bytes int) {
 	if src != dest {
 		s.ranks[src].peerSent[dest].Add(int64(bytes))
@@ -104,26 +99,17 @@ func loadRow(row []atomic.Int64) []int64 {
 	return out
 }
 
-func (s *Stats) addP2P(src, dest, bytes int) {
-	if src == dest {
-		return // local hand-off, never touches the wire
-	}
-	s.ranks[src].p2pMessages.Add(1)
-	s.ranks[src].p2pBytes.Add(int64(bytes))
-}
-
 func (s *Stats) addCollective(rank int, kind collKind, bytes int) {
 	c := &s.ranks[rank].coll[kind]
 	c.calls.Add(1)
 	c.bytes.Add(int64(bytes))
 }
 
-// Totals is a point-in-time aggregate of all ranks' counters.
+// Totals is a point-in-time aggregate of all ranks' collective counters:
+// calls, and the logical payload bytes they moved.
 type Totals struct {
-	P2PMessages     int
-	P2PBytes        int
-	CollectiveCalls int
-	CollectiveBytes int
+	Calls int
+	Bytes int
 }
 
 // Snapshot sums all ranks' counters. Callers diff two snapshots to meter a
@@ -132,11 +118,9 @@ type Totals struct {
 func (s *Stats) Snapshot() Totals {
 	var t Totals
 	for _, m := range s.ranks {
-		t.P2PMessages += int(m.p2pMessages.Load())
-		t.P2PBytes += int(m.p2pBytes.Load())
 		for k := range m.coll {
-			t.CollectiveCalls += int(m.coll[k].calls.Load())
-			t.CollectiveBytes += int(m.coll[k].bytes.Load())
+			t.Calls += int(m.coll[k].calls.Load())
+			t.Bytes += int(m.coll[k].bytes.Load())
 		}
 	}
 	return t
@@ -156,26 +140,8 @@ func (s *Stats) Net() NetStats {
 
 // Sub returns t - u fieldwise.
 func (t Totals) Sub(u Totals) Totals {
-	return Totals{
-		P2PMessages:     t.P2PMessages - u.P2PMessages,
-		P2PBytes:        t.P2PBytes - u.P2PBytes,
-		CollectiveCalls: t.CollectiveCalls - u.CollectiveCalls,
-		CollectiveBytes: t.CollectiveBytes - u.CollectiveBytes,
-	}
+	return Totals{Calls: t.Calls - u.Calls, Bytes: t.Bytes - u.Bytes}
 }
-
-// Add returns t + u fieldwise.
-func (t Totals) Add(u Totals) Totals {
-	return Totals{
-		P2PMessages:     t.P2PMessages + u.P2PMessages,
-		P2PBytes:        t.P2PBytes + u.P2PBytes,
-		CollectiveCalls: t.CollectiveCalls + u.CollectiveCalls,
-		CollectiveBytes: t.CollectiveBytes + u.CollectiveBytes,
-	}
-}
-
-// Bytes returns the total payload bytes across P2P and collectives.
-func (t Totals) Bytes() int { return t.P2PBytes + t.CollectiveBytes }
 
 // PerRank returns a copy of the per-rank tallies, indexed by rank. A kind a
 // rank never called has no Collectives entry.
@@ -183,8 +149,6 @@ func (s *Stats) PerRank() []RankStats {
 	out := make([]RankStats, len(s.ranks))
 	for i, m := range s.ranks {
 		out[i] = RankStats{
-			P2PMessages:   int(m.p2pMessages.Load()),
-			P2PBytes:      int(m.p2pBytes.Load()),
 			Collectives:   make(map[string]CollectiveStats, numCollKinds),
 			PeerBytesSent: loadRow(m.peerSent),
 			PeerBytesRecv: loadRow(m.peerRecv),

@@ -4,8 +4,8 @@ package mpi
 // in-process memTransport (rank goroutines exchanging buffers through
 // mailboxes) and the TCP transport in internal/transport/tcp (one OS process
 // per rank, length-prefixed CRC32C frames over real sockets). The mpi layer
-// above is transport-agnostic: every message — user point-to-point traffic
-// and the hops collectives are composed of — routes through Send, and
+// above is transport-agnostic: every message — each hop a collective is
+// composed of — routes through Send, and
 // incoming messages and peer failures come back through the Handler.
 type Transport interface {
 	// Self is the rank this transport endpoint speaks for.

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// The watchdog: the world's one deadline for "a receive stays unmatched" (a
-// collective hop or a user Recv). Instead of a fixed timeout the world
+// The watchdog: the world's one deadline for "a collective hop's receive
+// stays unmatched". Instead of a fixed timeout the world
 // tracks an exponentially weighted moving average of the observed iteration
 // time and derives the deadline from it, clamped to a configurable
 // [Floor, Ceil] band. A workload whose iterations take milliseconds converts
@@ -119,8 +119,8 @@ func (w *World) SetWatchdog(timeout time.Duration) {
 }
 
 // curWatchdog returns the deadline currently in force (0 = no watchdog).
-// Collective hops and user receives both read it, so one knob governs every
-// "is that rank dead?" decision.
+// Every collective hop reads it, so one knob governs every "is that rank
+// dead?" decision.
 func (w *World) curWatchdog() time.Duration {
 	if w.wd == nil {
 		return 0

@@ -1,9 +1,13 @@
 // Package mpi provides a pure-Go SPMD message-passing runtime that stands in
-// for MPI in this reproduction. Ranks are goroutines spawned by World.Run;
-// they communicate through point-to-point sends/receives and the collectives
-// the paper's algorithms use (Barrier, Allreduce, Alltoallv, Allgather,
-// Bcast, Gather). Every transfer is metered so that higher layers can report
-// communication volume — the quantity the paper's optimizations target.
+// for MPI in this reproduction. Ranks are goroutines spawned by World.Run
+// (or one OS process per rank over a Transport, NewDistributedWorld); they
+// communicate only through the collectives the paper's algorithms use:
+// Barrier, Allreduce (the planner's one-word vote), AllreduceVec, Allgather
+// and Alltoallv (every tuple's move), plus the checkpoint-mark rendezvous.
+// Each collective is built from point-to-point hops over one mailbox per
+// rank, shaped by the world's schedule (flat star or binomial tree). Every
+// collective is metered so that higher layers can report communication
+// volume — the quantity the paper's optimizations target.
 //
 // The runtime is deliberately faithful to MPI's restrictions: only flat
 // word buffers travel between ranks, collectives must be called by every
@@ -13,9 +17,11 @@
 // Unlike raw MPI, the runtime has a fault story: a panicking rank becomes a
 // structured ErrRankFailed delivered to every surviving rank (instead of a
 // Go-runtime deadlock in whatever collective the survivors were blocked in),
-// an optional watchdog deadline on every receive declares the rank a stuck
-// collective is waiting for dead, and a seeded FaultPlan injects crashes,
-// hangs, drops, delays, and corruption deterministically for chaos testing.
+// an optional watchdog deadline on every hop declares the rank a stuck
+// collective is waiting for dead, and a seeded FaultPlan injects crashes and
+// hangs at collective entry, corruption on the in-process wire, and state,
+// checkpoint, memory and disk faults for the fixpoint driver, all
+// deterministically for chaos testing.
 package mpi
 
 import (
@@ -151,7 +157,7 @@ func (w *World) SetTopology(t *Topology) { w.topo = t }
 
 // newComm builds one rank's communicator.
 func (w *World) newComm(rank int) *Comm {
-	c := &Comm{world: w, rank: rank, sendSeq: make([]int, w.size), sched: w.sched}
+	c := &Comm{world: w, rank: rank, sched: w.sched}
 	if w.dist != nil {
 		c.tr = w.dist.tr
 	} else {
@@ -319,13 +325,12 @@ func (w *World) runRank(rank int, body func(c *Comm) error) {
 }
 
 // Comm is one rank's handle on the world: the receiver for all
-// communication operations. A Comm is only valid on the goroutine Run
+// collectives. A Comm is only valid on the goroutine Run
 // created it for.
 type Comm struct {
-	world   *World
-	rank    int
-	tr      Transport // the wire this rank sends through
-	sendSeq []int     // per-destination p2p sequence numbers (fault determinism)
+	world *World
+	rank  int
+	tr    Transport // the wire this rank sends through
 
 	// word stages Allreduce's one-word payload (every send copies it out).
 	word [1]Word
@@ -336,10 +341,10 @@ type Comm struct {
 	recvRows [][]Word
 
 	// sched is the world's collective schedule, fixed for the comm's
-	// lifetime; trees caches this rank's view of the schedule tree per root
+	// lifetime; tree caches this rank's view of the rank-0 schedule tree
 	// (see schedule.go).
 	sched ScheduleKind
-	trees map[int]*rankTree
+	tree  *rankTree
 }
 
 // recvHeader returns the rank-private outer slice for a vector collective
@@ -378,7 +383,7 @@ func (c *Comm) SetEpoch(iter int) {
 // Epoch returns the last value passed to SetEpoch (0 before any call).
 func (c *Comm) Epoch() int { return int(c.world.epochs[c.rank].Load()) }
 
-// enter is the fault gate every communication operation passes through: it
+// enter is the fault gate every collective passes through: it
 // aborts the rank if the world is poisoned, then consults the fault plan
 // for an injected crash or hang at this (rank, epoch, op) point.
 func (c *Comm) enter(op string) {
@@ -400,15 +405,5 @@ func (c *Comm) enter(op string) {
 			panic(rf)
 		}
 		panic(abortPanic{rf})
-	}
-}
-
-// validRank panics with a descriptive ErrRankFailed-convertible message when
-// a peer/root argument is out of range. The panic names the op, the calling
-// rank, and the bad value, and World.Run recovers it into an error.
-func (c *Comm) validRank(op string, v int) {
-	if v < 0 || v >= c.world.size {
-		panic(fmt.Sprintf("mpi: %s on rank %d: peer rank %d out of range [0, %d)",
-			op, c.rank, v, c.world.size))
 	}
 }

@@ -700,8 +700,8 @@ func (f *Fixpoint) emitIteration(o obs.Observer, opts Options, iter int, changed
 	e.Rank, e.Stratum, e.Iter = rank, stratum, iter
 	e.Changed = changed
 	e.Start, e.End = startNS, time.Now().UnixNano()
-	e.Bytes = int64(d.Bytes())
-	e.Msgs = int64(d.P2PMessages + d.CollectiveCalls)
+	e.Bytes = int64(d.Bytes)
+	e.Msgs = int64(d.Calls)
 	e.Net = obs.NetStats{
 		FramesSent:      net.FramesSent,
 		FramesRecv:      net.FramesRecv,

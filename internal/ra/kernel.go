@@ -226,7 +226,7 @@ func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collecto
 	if !local {
 		pre := comm.Stats().Snapshot()
 		recv = comm.Alltoallv(send)
-		exchBytes, exchMsgs = int64(comm.Stats().Snapshot().Sub(pre).Bytes()), nonEmptyLanes(send, rank)+1
+		exchBytes, exchMsgs = int64(comm.Stats().Snapshot().Sub(pre).Bytes), nonEmptyLanes(send, rank)+1
 	}
 	mc.Record(rank, iter, metrics.PhaseIntraBucket, timer.Done(scanned, exchBytes, exchMsgs))
 

@@ -95,7 +95,7 @@ func (r *Relation) Materialize(iter int, pending *tuple.Buffer, record bool) uin
 	recv := r.comm.Alltoallv(send)
 	if record {
 		d := r.comm.Stats().Snapshot().Sub(pre)
-		s := timer.Done(int64(n), int64(d.Bytes()), int64(d.CollectiveCalls+d.P2PMessages))
+		s := timer.Done(int64(n), int64(d.Bytes), int64(d.Calls))
 		r.mc.Record(rank, iter, metrics.PhaseAllToAll, s)
 	}
 
@@ -248,7 +248,7 @@ func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tup
 		recv2 := r.comm.Alltoallv(send)
 		if record {
 			d := r.comm.Stats().Snapshot().Sub(pre)
-			s := gatherTimer.Done(int64(sent), int64(d.Bytes()), int64(d.CollectiveCalls+d.P2PMessages))
+			s := gatherTimer.Done(int64(sent), int64(d.Bytes), int64(d.Calls))
 			r.mc.Record(rank, iter, metrics.PhaseOther, s)
 		}
 		timer = metrics.StartTimer()
@@ -399,7 +399,7 @@ func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, record bool) (
 		}
 	}
 	if record {
-		s := timer.Done(work, int64(commDelta.Bytes()), int64(commDelta.CollectiveCalls+commDelta.P2PMessages))
+		s := timer.Done(work, int64(commDelta.Bytes), int64(commDelta.Calls))
 		r.mc.Record(rank, iter, metrics.PhaseAllToAll, s)
 	}
 	return total, true

@@ -588,21 +588,16 @@ func TestCollectivesOverTCPMatchInProcess(t *testing.T) {
 	const n = 4
 	type result struct {
 		sum    mpi.Word
+		vec    []mpi.Word
 		gather []mpi.Word
-		bcast  mpi.Word
 		a2a    []mpi.Word
-		ragged [][]mpi.Word
-		p2p    mpi.Word
 	}
 	body := func(c *mpi.Comm) (result, error) {
 		var r result
 		r.sum = c.Allreduce(mpi.Word(c.Rank()+1), mpi.OpSum)
+		mine := []mpi.Word{mpi.Word(c.Rank()), mpi.Word(c.Rank() * c.Rank())}
+		r.vec = c.AllreduceVec(mine, make([]mpi.Word, len(mine)), mpi.OpMax)
 		r.gather = c.Allgather(mpi.Word(c.Rank() * 3))
-		seed := mpi.Word(0)
-		if c.Rank() == 2 {
-			seed = 99
-		}
-		r.bcast = c.Bcast(2, []mpi.Word{seed})[0]
 		out := make([][]mpi.Word, c.Size())
 		for d := range out {
 			out[d] = []mpi.Word{mpi.Word(c.Rank()*10 + d)}
@@ -611,17 +606,7 @@ func TestCollectivesOverTCPMatchInProcess(t *testing.T) {
 		for s := range in {
 			r.a2a = append(r.a2a, in[s]...)
 		}
-		mine := make([]mpi.Word, c.Rank()+1) // ragged: rank r contributes r+1 words
-		for i := range mine {
-			mine[i] = mpi.Word(c.Rank()*100 + i)
-		}
-		r.ragged = c.AllgatherV(mine)
 		c.Barrier()
-		// A p2p ring rides alongside the collectives.
-		next, prev := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
-		c.Send(next, 5, []mpi.Word{mpi.Word(c.Rank() * 7)})
-		words, _ := c.Recv(prev, 5)
-		r.p2p = words[0]
 		return r, nil
 	}
 
