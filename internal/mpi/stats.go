@@ -48,10 +48,10 @@ type RankStats struct {
 	Collectives map[string]CollectiveStats
 	// PeerBytesSent/PeerBytesRecv are this rank's per-peer wire bytes,
 	// indexed by peer rank — every hop a collective schedule routed through
-	// this rank. They feed /metrics and
-	// are how a test or benchmark sees traffic concentration (e.g. bytes
-	// through the flat star's root, TestConvergenceAllreduceRootBytes). The
-	// self entry stays zero: local hand-offs never touch a wire.
+	// this rank. They feed /metrics and are how a test or benchmark sees
+	// traffic concentration (e.g. bytes through the flat star's root,
+	// TestConvergenceAllreduceRootBytes). The self entry stays zero: local
+	// hand-offs never touch a wire.
 	PeerBytesSent []int64
 	PeerBytesRecv []int64
 }
