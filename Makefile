@@ -14,9 +14,11 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint runs the static analyzers: go vet always, staticcheck when it is
-# installed (CI installs it; locally `go install honnef.co/go/tools/cmd/staticcheck@latest`).
+# lint runs the static analyzers: go vet and gofmt (any file gofmt would
+# rewrite fails it) always, staticcheck when it is installed (CI installs
+# it; locally `go install honnef.co/go/tools/cmd/staticcheck@latest`).
 lint: vet
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l lists unformatted files:"; gofmt -l .; exit 1; }
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -172,11 +172,20 @@ func main() {
 			log.Fatal("-serve and -explain are mutually exclusive")
 		}
 	}
+	// supervisor.Config.MaxRestarts reads 0 as its default of 3 and a
+	// negative budget as none.
+	restarts := *maxRestarts
+	if restarts == 0 || !*supervise {
+		restarts = -1
+	}
 	if *spawn > 0 {
 		if *transport != "tcp" {
 			log.Fatal("-spawn needs -transport=tcp: it launches one TCP rank process per slot")
 		}
-		os.Exit(spawnGang(*spawn, *supervise, *maxRestarts))
+		if *degrade {
+			log.Fatal("-spawn cannot -degrade: every child of a dead gang exits 3, so the launcher cannot tell which rank was lost")
+		}
+		os.Exit(spawnGang(*spawn, restarts, *backoff))
 	}
 
 	// TCP child mode: this process hosts exactly one rank of the world.
@@ -368,7 +377,7 @@ func main() {
 		var rep *paralagg.SuperviseReport
 		res, rep, err = paralagg.Supervise(prog, paralagg.SuperviseConfig{
 			Config:          cfg,
-			MaxRestarts:     *maxRestarts,
+			MaxRestarts:     restarts,
 			Degrade:         *degrade,
 			RecoveryBackoff: *backoff,
 			Logf: func(f string, a ...any) {
@@ -394,7 +403,7 @@ func main() {
 				_, structured := paralagg.AsRankFailure(err)
 				if structured || errors.Is(err, paralagg.ErrPeerUnreachable) {
 					log.Printf("rank %d: %v", *rank, err)
-					os.Exit(3)
+					os.Exit(exitRankFailed)
 				}
 			}
 			log.Fatal(err)

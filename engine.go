@@ -157,7 +157,7 @@ func Open(cfg Config, prog *Program) (*Engine, error) {
 		world.SetTopology(cfg.Topology)
 	}
 	if cfg.Watchdog > 0 {
-		world.SetAdaptiveWatchdog(mpi.AdaptiveWatchdog{Floor: cfg.WatchdogFloor, Ceil: cfg.Watchdog})
+		world.SetWatchdog(cfg.WatchdogFloor, cfg.Watchdog)
 	}
 	if cfg.Observer != nil {
 		world.SetObserver(cfg.Observer)
@@ -170,7 +170,7 @@ func Open(cfg Config, prog *Program) (*Engine, error) {
 	mc.SetObserver(cfg.Observer)
 
 	runCfg := core.Config{
-		Subs: cfg.Subs, SubsFor: cfg.SubsFor, Plan: cfg.Plan.mode(),
+		Subs: cfg.Subs, Plan: cfg.Plan.mode(),
 		MaxIters: cfg.MaxIters, Adaptive: cfg.Adaptive,
 		CheckpointEvery: cfg.CheckpointEvery, Checkpoints: cfg.Checkpoints,
 		Integrity: cfg.Integrity,

@@ -40,13 +40,12 @@ func gang(n int, faults *tcp.NetFaultPlan, customize ...func(*tcp.Config)) ([]*t
 	for i := range trs {
 		cfg := tcp.Config{
 			Rank: i, Peers: addrs, Listener: lns[i],
-			// Fast detection keeps the suite quick; the window (4×25ms) still
-			// dwarfs loopback latency.
-			HeartbeatEvery:  25 * time.Millisecond,
-			HeartbeatMisses: 4,
-			ConnectTimeout:  10 * time.Second,
-			Seed:            42,
-			Faults:          faults,
+			// Fast detection keeps the suite quick; the 100ms window (four
+			// beacons) still dwarfs loopback latency.
+			HeartbeatEvery: 25 * time.Millisecond,
+			PeerTimeout:    100 * time.Millisecond,
+			Seed:           42,
+			Faults:         faults,
 		}
 		for _, c := range customize {
 			c(&cfg)

@@ -78,8 +78,6 @@ func TCPHotReplace(sc Scenario, schedule string, ranks, every, crashIter int) (*
 		return tcp.New(tcp.Config{
 			Rank: rank, Peers: addrs, Listener: ln,
 			HeartbeatEvery:  recoveryHeartbeat,
-			HeartbeatMisses: 4,
-			ConnectTimeout:  10 * time.Second,
 			Seed:            42,
 			PeerTimeout:     recoveryPeerTimeout,
 			ReplaceTimeout:  recoveryReplaceTimeout,

@@ -16,11 +16,9 @@ import (
 
 // Config tunes an instantiated program.
 type Config struct {
-	// Subs is the default sub-bucket count per relation (spatial load
+	// Subs is the sub-bucket count of every relation (spatial load
 	// balancing); 1 disables it.
 	Subs int
-	// SubsFor overrides Subs for specific relations.
-	SubsFor map[string]int
 	// Plan selects the join-layout strategy.
 	Plan ra.PlanMode
 	// MaxIters bounds each stratum's fixpoint (0 = run to fixpoint).
@@ -105,13 +103,9 @@ func (p *Program) Instantiate(comm *mpi.Comm, mc *metrics.Collector, cfg Config)
 		shadows: map[string]*relation.Relation{}}
 	for _, n := range names {
 		d := decls[n]
-		subs := cfg.Subs
-		if s, ok := cfg.SubsFor[n]; ok {
-			subs = s
-		}
 		rel, err := relation.New(relation.Schema{
 			Name: d.Name, Arity: d.Arity, Indep: d.Indep, Key: d.Key, Agg: d.Agg,
-		}, comm, mc, relation.Config{Subs: subs, Integrity: cfg.Integrity})
+		}, comm, mc, relation.Config{Subs: cfg.Subs, Integrity: cfg.Integrity})
 		if err != nil {
 			return nil, err
 		}

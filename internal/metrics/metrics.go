@@ -14,7 +14,6 @@ package metrics
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -22,15 +21,6 @@ import (
 
 	"paralagg/internal/obs"
 )
-
-// TrackAllocs enables per-phase heap-allocation accounting: when set before
-// a run, every Timer captures runtime.MemStats.Mallocs at start and finish
-// and the delta lands in Sample.Allocs. It is off by default because
-// ReadMemStats briefly stops the world — enable it only for allocation
-// profiling runs, never while timing. The counter is process-wide, so with
-// more than one rank goroutine the per-phase attribution is approximate
-// (totals remain exact).
-var TrackAllocs bool
 
 // Phase identifies one stage of an iteration, in the order the paper's
 // Figure 1 presents them.
@@ -83,11 +73,10 @@ func (p Phase) String() string {
 
 // Sample is one rank's accounting for one phase of one iteration.
 type Sample struct {
-	Work   int64         // abstract work units: probes, comparisons, inserts
-	Bytes  int64         // payload bytes this rank moved in the phase
-	Msgs   int64         // messages / collective participations
-	CPU    time.Duration // measured host time in the phase
-	Allocs int64         // heap allocations in the phase (TrackAllocs only)
+	Work  int64         // abstract work units: probes, comparisons, inserts
+	Bytes int64         // payload bytes this rank moved in the phase
+	Msgs  int64         // messages / collective participations
+	CPU   time.Duration // measured host time in the phase
 }
 
 // Add accumulates s2 into s.
@@ -96,7 +85,6 @@ func (s *Sample) Add(s2 Sample) {
 	s.Bytes += s2.Bytes
 	s.Msgs += s2.Msgs
 	s.CPU += s2.CPU
-	s.Allocs += s2.Allocs
 }
 
 // CostModel converts a Sample to simulated nanoseconds. The defaults model a
@@ -197,41 +185,21 @@ func (c *Collector) Record(rank, iter int, phase Phase, s Sample) {
 		e.End = time.Now().UnixNano()
 		e.Start = e.End - s.CPU.Nanoseconds()
 		e.Work, e.Bytes, e.Msgs = s.Work, s.Bytes, s.Msgs
-		e.CPUNanos, e.Allocs = s.CPU.Nanoseconds(), s.Allocs
+		e.CPUNanos = s.CPU.Nanoseconds()
 		obs.Emit(c.observer, e)
 	}
 }
 
 // Timer helps a rank meter a phase: t := StartTimer(); ... ;
 // c.Record(rank, iter, phase, t.Done(work, bytes, msgs)).
-type Timer struct {
-	start   time.Time
-	mallocs uint64 // MemStats.Mallocs at start (TrackAllocs only)
-}
-
-// mallocCount reads the process-wide cumulative allocation counter.
-func mallocCount() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
-}
+type Timer struct{ start time.Time }
 
 // StartTimer begins timing a phase.
-func StartTimer() Timer {
-	t := Timer{start: time.Now()}
-	if TrackAllocs {
-		t.mallocs = mallocCount()
-	}
-	return t
-}
+func StartTimer() Timer { return Timer{start: time.Now()} }
 
 // Done finishes the timer and packages the counters into a Sample.
 func (t Timer) Done(work, bytes, msgs int64) Sample {
-	s := Sample{Work: work, Bytes: bytes, Msgs: msgs, CPU: time.Since(t.start)}
-	if TrackAllocs {
-		s.Allocs = int64(mallocCount() - t.mallocs)
-	}
-	return s
+	return Sample{Work: work, Bytes: bytes, Msgs: msgs, CPU: time.Since(t.start)}
 }
 
 // PhaseTotal is a phase's aggregate across a run.
@@ -248,9 +216,6 @@ type PhaseTotal struct {
 	// Bytes and Msgs total the communication in the phase.
 	Bytes int64
 	Msgs  int64
-	// Allocs totals heap allocations attributed to the phase across ranks
-	// (zero unless the run had TrackAllocs set).
-	Allocs int64
 }
 
 // Report is the run-level summary derived from a Collector.
@@ -292,7 +257,6 @@ func (c *Collector) BuildReport(m CostModel) *Report {
 				pt.CPU += s.CPU
 				pt.Bytes += s.Bytes
 				pt.Msgs += s.Msgs
-				pt.Allocs += s.Allocs
 			}
 			r.Phases[p].CriticalNS += maxCost
 			r.IterCriticalNS[it][p] = maxCost
@@ -317,12 +281,8 @@ func (r *Report) String() string {
 		if pt.SumNS == 0 && pt.Bytes == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "  %-12s crit=%9.3fms sum=%9.3fms bytes=%d msgs=%d",
+		fmt.Fprintf(&b, "  %-12s crit=%9.3fms sum=%9.3fms bytes=%d msgs=%d\n",
 			pt.Phase, pt.CriticalNS/1e6, pt.SumNS/1e6, pt.Bytes, pt.Msgs)
-		if pt.Allocs > 0 {
-			fmt.Fprintf(&b, " allocs=%d", pt.Allocs)
-		}
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

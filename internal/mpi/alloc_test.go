@@ -12,7 +12,7 @@ func roundAllocs(t *testing.T, watchdog time.Duration, round func(c *Comm)) floa
 	t.Helper()
 	const runs = 200
 	w := NewWorld(2)
-	w.SetWatchdog(watchdog)
+	w.SetWatchdog(watchdog, watchdog)
 	var allocs float64
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {

@@ -102,7 +102,7 @@ func TestWatchdogConvertsStuckCollective(t *testing.T) {
 		Seed:  1,
 		Hangs: []Hang{{Rank: 1, Iter: 2, Op: "alltoallv"}},
 	})
-	w.SetWatchdog(100 * time.Millisecond)
+	w.SetWatchdog(100*time.Millisecond, 100*time.Millisecond)
 	start := time.Now()
 	err := w.Run(func(c *Comm) error {
 		for i := 0; i < 4; i++ {
@@ -130,7 +130,7 @@ func TestWatchdogCatchesEarlyExit(t *testing.T) {
 	// A rank that returns early (never reaching a collective its peers are
 	// blocked in) used to deadlock the world; the watchdog must declare it.
 	w := NewWorld(3)
-	w.SetWatchdog(100 * time.Millisecond)
+	w.SetWatchdog(100*time.Millisecond, 100*time.Millisecond)
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 2 {
 			return nil // skips the barrier
@@ -158,7 +158,7 @@ func TestWatchdogBlamesAbsentRankUnderTree(t *testing.T) {
 		Seed:  1,
 		Hangs: []Hang{{Rank: 2, Iter: 1, Op: "allreduce"}},
 	})
-	w.SetWatchdog(100 * time.Millisecond)
+	w.SetWatchdog(100*time.Millisecond, 100*time.Millisecond)
 	err := w.Run(func(c *Comm) error {
 		for i := 0; i < 3; i++ {
 			c.SetEpoch(i)
@@ -237,7 +237,7 @@ func TestRecvTimeoutOnDroppedMessage(t *testing.T) {
 	// wedging both ranks forever, and with nobody absent (each waits on the
 	// other) it blames a receiver with ErrRecvTimeout.
 	w := NewWorld(2)
-	w.SetWatchdog(50 * time.Millisecond)
+	w.SetWatchdog(50*time.Millisecond, 50*time.Millisecond)
 	start := time.Now()
 	err := w.Run(func(c *Comm) error {
 		c.collRecv("hop", 1-c.Rank(), tagAllreduce)

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -10,56 +9,31 @@ import (
 // stays unmatched". Instead of a fixed timeout the world
 // tracks an exponentially weighted moving average of the observed iteration
 // time and derives the deadline from it, clamped to a configurable
-// [Floor, Ceil] band. A workload whose iterations take milliseconds converts
+// [floor, ceil] band. A workload whose iterations take milliseconds converts
 // a genuinely stuck collective in a few hundred milliseconds; the same
 // binary pointed at a slow network or a straggling rank stretches its
 // patience automatically instead of false-positive-killing the laggard.
 // Chasing Similarity (PAPERS.md) motivates exactly this: non-uniform link
 // costs make any single static timeout either trigger-happy or uselessly
-// slow. A fixed deadline is the band with Floor = Ceil (SetWatchdog).
+// slow. A fixed deadline is the band with floor = ceiling.
 
-// AdaptiveWatchdog configures the EWMA-of-iteration-time deadline.
-type AdaptiveWatchdog struct {
-	// Floor is the lower clamp of the derived deadline (default 100ms). Set
-	// it above any injected or expected per-message delay: one slow link
-	// must not be declared a death.
-	Floor time.Duration
-	// Ceil is the upper clamp and the deadline in force until the first
-	// iteration-time sample exists. Required (> 0) — it bounds how long a
-	// genuinely stuck collective can wedge the world.
-	Ceil time.Duration
-	// Mult scales the EWMA into a deadline: deadline = clamp(Mult × EWMA).
-	// Default 8 — an iteration would have to run 8× slower than the recent
-	// average before the watchdog suspects it.
-	Mult float64
-	// Alpha is the EWMA smoothing factor in (0, 1] (default 0.25).
-	Alpha float64
-}
-
-func (cfg AdaptiveWatchdog) withDefaults() AdaptiveWatchdog {
-	if cfg.Floor <= 0 {
-		cfg.Floor = 100 * time.Millisecond
-	}
-	if cfg.Floor > cfg.Ceil {
-		cfg.Floor = cfg.Ceil
-	}
-	if cfg.Mult <= 0 {
-		cfg.Mult = 8
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = 0.25
-	}
-	return cfg
-}
+// The deadline is clamp(watchdogMult × EWMA(iteration time), floor, ceil):
+// an iteration would have to run 8× slower than the recent average before
+// the watchdog suspects it, and each new sample carries a quarter of the
+// average's weight.
+const (
+	watchdogMult  = 8
+	watchdogAlpha = 0.25
+)
 
 // adaptiveWatchdog is the world's live deadline state. The deadline is read
 // lock-free on every receive; it is written only by the timekeeper rank's
 // SetEpoch transitions.
 type adaptiveWatchdog struct {
-	cfg      AdaptiveWatchdog
-	deadline atomic.Int64 // current deadline, nanoseconds
-	ewma     atomic.Int64 // smoothed iteration time, nanoseconds (0 = no sample)
-	lastMark atomic.Int64 // monotonic-ish mark of the previous epoch transition
+	floor, ceil time.Duration
+	deadline    atomic.Int64 // current deadline, nanoseconds
+	ewma        atomic.Int64 // smoothed iteration time, nanoseconds (0 = no sample)
+	lastMark    atomic.Int64 // monotonic-ish mark of the previous epoch transition
 }
 
 // observe folds one iteration-time sample (the gap between two epoch
@@ -77,45 +51,43 @@ func (ad *adaptiveWatchdog) observe(now int64) {
 	if e == 0 {
 		e = d
 	} else {
-		e = int64(ad.cfg.Alpha*float64(d) + (1-ad.cfg.Alpha)*float64(e))
+		e = int64(watchdogAlpha*float64(d) + (1-watchdogAlpha)*float64(e))
 	}
 	ad.ewma.Store(e)
-	dl := time.Duration(ad.cfg.Mult * float64(e))
-	if dl < ad.cfg.Floor {
-		dl = ad.cfg.Floor
+	dl := time.Duration(watchdogMult * e)
+	if dl < ad.floor {
+		dl = ad.floor
 	}
-	if dl > ad.cfg.Ceil {
-		dl = ad.cfg.Ceil
+	if dl > ad.ceil {
+		dl = ad.ceil
 	}
 	ad.deadline.Store(int64(dl))
 }
 
-// SetAdaptiveWatchdog bounds every receive by an EWMA-derived deadline. A
+// SetWatchdog bounds every receive by an EWMA-derived deadline. A
 // collective hop that waits longer declares the rank absent from the
 // collective failed with ErrRankFailed{Cause: ErrWatchdogTimeout}
 // (in-process; a distributed receiver fails itself with ErrRecvTimeout),
 // and every blocked peer receives the failure instead of deadlocking. The
-// deadline starts at cfg.Ceil (pessimistic until the first sample) and
-// tracks clamp(Mult × EWMA(iteration time), Floor, Ceil) as the fixpoint
-// driver publishes epoch transitions. It must be called before Run.
-func (w *World) SetAdaptiveWatchdog(cfg AdaptiveWatchdog) {
-	if cfg.Ceil <= 0 {
-		panic(fmt.Sprintf("mpi: adaptive watchdog needs a positive ceiling, got %v", cfg.Ceil))
-	}
-	ad := &adaptiveWatchdog{cfg: cfg.withDefaults()}
-	ad.deadline.Store(int64(ad.cfg.Ceil))
-	w.wd = ad
-}
-
-// SetWatchdog is the Floor = Ceil spelling of SetAdaptiveWatchdog: the clamp
-// pins the deadline at timeout whatever the EWMA says. Zero disables the
-// watchdog (the default). It must be called before Run.
-func (w *World) SetWatchdog(timeout time.Duration) {
-	if timeout <= 0 {
+// deadline starts at ceil (pessimistic until the first sample) and tracks
+// clamp(8 × EWMA(iteration time), floor, ceil) as the fixpoint driver
+// publishes epoch transitions; floor = ceil is a fixed deadline. A
+// non-positive floor is 100ms (or ceil when that is smaller). A
+// non-positive ceil disables the watchdog (the default). It must be called
+// before Run.
+func (w *World) SetWatchdog(floor, ceil time.Duration) {
+	if ceil <= 0 {
 		w.wd = nil
 		return
 	}
-	w.SetAdaptiveWatchdog(AdaptiveWatchdog{Floor: timeout, Ceil: timeout})
+	if floor <= 0 {
+		floor = 100 * time.Millisecond
+	}
+	if floor > ceil {
+		floor = ceil
+	}
+	w.wd = &adaptiveWatchdog{floor: floor, ceil: ceil}
+	w.wd.deadline.Store(int64(ceil))
 }
 
 // curWatchdog returns the deadline currently in force (0 = no watchdog).

@@ -9,27 +9,29 @@ import (
 // sample exists, the deadline in force is the ceiling.
 func TestAdaptiveWatchdogStartsAtCeiling(t *testing.T) {
 	w := NewWorld(2)
-	w.SetAdaptiveWatchdog(AdaptiveWatchdog{Ceil: 3 * time.Second})
+	w.SetWatchdog(0, 3*time.Second)
 	if got := w.WatchdogDeadline(); got != 3*time.Second {
 		t.Fatalf("initial deadline = %v, want the ceiling 3s", got)
 	}
 }
 
+// The ceiling is what turns the watchdog on: without one there is no
+// deadline, whatever the floor says.
 func TestAdaptiveWatchdogRequiresCeiling(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetAdaptiveWatchdog with Ceil=0 did not panic")
-		}
-	}()
-	NewWorld(2).SetAdaptiveWatchdog(AdaptiveWatchdog{})
+	w := NewWorld(2)
+	w.SetWatchdog(time.Second, time.Second)
+	w.SetWatchdog(time.Second, 0)
+	if got := w.WatchdogDeadline(); got != 0 {
+		t.Fatalf("deadline with a zero ceiling = %v, want 0 (off)", got)
+	}
 }
 
 // Fast iterations must pull the deadline down from the ceiling toward
-// clamp(Mult × EWMA, Floor, Ceil): epoch transitions microseconds apart with
+// clamp(8 × EWMA, floor, ceil): epoch transitions microseconds apart with
 // a 1ms floor land the deadline on the floor, far below the 10s ceiling.
 func TestAdaptiveWatchdogDeadlineTightens(t *testing.T) {
 	w := NewWorld(2)
-	w.SetAdaptiveWatchdog(AdaptiveWatchdog{Floor: time.Millisecond, Ceil: 10 * time.Second})
+	w.SetWatchdog(time.Millisecond, 10*time.Second)
 	err := w.Run(func(c *Comm) error {
 		for iter := 1; iter <= 6; iter++ {
 			c.SetEpoch(iter)
@@ -53,7 +55,7 @@ func TestAdaptiveWatchdogDeadlineTightens(t *testing.T) {
 // iteration number must not shrink the observed iteration time.
 func TestAdaptiveWatchdogIgnoresRepeatedEpoch(t *testing.T) {
 	w := NewWorld(1)
-	w.SetAdaptiveWatchdog(AdaptiveWatchdog{Floor: time.Nanosecond, Ceil: 10 * time.Second})
+	w.SetWatchdog(time.Nanosecond, 10*time.Second)
 	err := w.Run(func(c *Comm) error {
 		c.SetEpoch(1)
 		time.Sleep(20 * time.Millisecond)
@@ -66,7 +68,7 @@ func TestAdaptiveWatchdogIgnoresRepeatedEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One ~20ms sample with Mult=8 puts the deadline well above 20ms; had
+	// One ~20ms sample with the 8× multiplier puts the deadline well above 20ms; had
 	// the repeated SetEpoch(2) calls fed ~0ns samples, the EWMA would have
 	// collapsed toward the floor.
 	if got := w.WatchdogDeadline(); got < 20*time.Millisecond {
@@ -79,11 +81,11 @@ func TestAdaptiveWatchdogIgnoresRepeatedEpoch(t *testing.T) {
 // iteration times gradually, the EWMA follows the observed pace and the
 // deadline extends instead of firing a spurious ErrRankFailed. The run
 // starts fast — tightening the deadline well below the ceiling — then slows
-// ~2× per iteration, each step inside the Mult=8 headroom of the deadline
+// ~2× per iteration, each step inside the 8× headroom of the deadline
 // the previous pace set.
 func TestAdaptiveWatchdogExtendsUnderBackpressure(t *testing.T) {
 	w := NewWorld(2)
-	w.SetAdaptiveWatchdog(AdaptiveWatchdog{Floor: time.Millisecond, Ceil: 10 * time.Second})
+	w.SetWatchdog(time.Millisecond, 10*time.Second)
 	var tightened, stretched time.Duration
 	err := w.Run(func(c *Comm) error {
 		for iter := 1; iter <= 4; iter++ {
@@ -115,7 +117,7 @@ func TestAdaptiveWatchdogExtendsUnderBackpressure(t *testing.T) {
 	if stretched <= tightened {
 		t.Fatalf("deadline did not extend under backpressure: fast-phase %v, slow-phase %v", tightened, stretched)
 	}
-	// The last observed iteration was ~32ms; with Mult=8 the deadline in
+	// The last observed iteration was ~32ms; with the 8× multiplier the deadline in
 	// force must give at least that much headroom for the next one.
 	if stretched < 32*time.Millisecond {
 		t.Fatalf("slow-phase deadline %v leaves no headroom for the observed ~32ms pace", stretched)
@@ -126,14 +128,15 @@ func TestAdaptiveWatchdogExtendsUnderBackpressure(t *testing.T) {
 // closely enough that each next iteration fits inside the deadline its
 // predecessors set — the no-false-positive property of gradual throttling.
 func TestAdaptiveWatchdogEWMATracksGradualSlowdown(t *testing.T) {
-	ad := &adaptiveWatchdog{cfg: AdaptiveWatchdog{Floor: time.Millisecond, Ceil: time.Hour}.withDefaults()}
-	ad.deadline.Store(int64(ad.cfg.Ceil)) // pessimistic start, as SetAdaptiveWatchdog does
+	w := NewWorld(1)
+	w.SetWatchdog(time.Millisecond, time.Hour)
+	ad := w.wd
 	now := int64(1)
 	ad.observe(now)
 	gap := int64(time.Millisecond)
 	for i := 0; i < 12; i++ {
 		// Before each slower iteration, the deadline set by the past pace
-		// must cover it: gap doubles, Mult=8 covers a 2× step with room.
+		// must cover it: gap doubles, the 8× multiplier covers a 2× step with room.
 		if dl := ad.deadline.Load(); dl < gap {
 			t.Fatalf("step %d: deadline %v cannot cover the next %v iteration", i, time.Duration(dl), time.Duration(gap))
 		}

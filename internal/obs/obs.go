@@ -157,7 +157,6 @@ type Event struct {
 	Bytes    int64
 	Msgs     int64
 	CPUNanos int64
-	Allocs   int64
 
 	Changed uint64 // global changed-tuple count
 	Count   uint64 // global tuple count (KindRelation)

@@ -32,10 +32,6 @@ type GangConfig struct {
 	// Spawn launches rank's member for the given membership epoch (0 = the
 	// initial gang, >0 = a hot replacement). Required.
 	Spawn func(rank, epoch int) (Member, error)
-	// MaxReplacements bounds hot replacements across the gang's lifetime
-	// (default 3). A death beyond the budget fails the gang so the caller's
-	// full-restart path takes over.
-	MaxReplacements int
 	// Notify, when set, receives one call per lifecycle decision: action is
 	// "replace" (member died, replacement spawning) or "replace-failed"
 	// (spawn error or budget exhausted — the gang is being torn down).
@@ -44,15 +40,10 @@ type GangConfig struct {
 	Logf func(format string, args ...any)
 }
 
-func (c GangConfig) maxReplacements() int {
-	if c.MaxReplacements < 0 {
-		return 0
-	}
-	if c.MaxReplacements == 0 {
-		return 3
-	}
-	return c.MaxReplacements
-}
+// maxReplacements bounds hot replacements across a gang's lifetime. A
+// death beyond the budget fails the gang so the caller's full-restart path
+// takes over.
+const maxReplacements = 3
 
 func (c GangConfig) logf(format string, args ...any) {
 	if c.Logf != nil {
@@ -88,7 +79,7 @@ type memberExit struct {
 // RunGang runs one member per rank and supervises them with hot
 // replacement: a member that exits with an error is respawned at the next
 // membership epoch (its peers keep running, parked at the transport's
-// recovery barrier) up to MaxReplacements times. The gang succeeds when
+// recovery barrier) up to maxReplacements times. The gang succeeds when
 // every rank's current member has exited cleanly. A spawn failure or an
 // exhausted budget turns terminal: remaining members are killed (when they
 // support it) and drained, and the error wraps ErrReplaceFailed so the
@@ -128,7 +119,7 @@ func RunGang(cfg GangConfig) (*GangReport, error) {
 			cfg.logf("gang: rank %d (epoch %d) exited cleanly", ex.rank, epochs[ex.rank])
 			continue
 		}
-		if rep.Replacements >= cfg.maxReplacements() {
+		if rep.Replacements >= maxReplacements {
 			cfg.notify("replace-failed", ex.rank, epochs[ex.rank], ex.err)
 			cfg.logf("gang: rank %d died with replacement budget exhausted (%d used): %v",
 				ex.rank, rep.Replacements, ex.err)

@@ -122,8 +122,7 @@ func TestRunGangSpawnFailureKillsSurvivorsAndFallsBack(t *testing.T) {
 func TestRunGangBudgetExhaustionIsTerminal(t *testing.T) {
 	var spawned atomic.Int64
 	_, err := RunGang(GangConfig{
-		Ranks:           2,
-		MaxReplacements: 2,
+		Ranks: 2,
 		Spawn: func(rank, epoch int) (Member, error) {
 			spawned.Add(1)
 			m := newChanMember()
@@ -136,9 +135,9 @@ func TestRunGangBudgetExhaustionIsTerminal(t *testing.T) {
 	if !errors.Is(err, ErrReplaceFailed) {
 		t.Fatalf("err = %v, want ErrReplaceFailed", err)
 	}
-	// Initial gang (2) + two replacements within budget; the third death is
-	// terminal without another spawn.
-	if spawned.Load() != 4 {
-		t.Errorf("%d spawns, want 4 (2 initial + 2 replacements)", spawned.Load())
+	// Initial gang (2) + three replacements within budget; the fourth death
+	// is terminal without another spawn.
+	if spawned.Load() != 5 {
+		t.Errorf("%d spawns, want 5 (2 initial + 3 replacements)", spawned.Load())
 	}
 }

@@ -23,22 +23,17 @@ import (
 // Config tunes a supervised run.
 type Config struct {
 	// MaxRestarts bounds how many times a failed world is rebuilt before the
-	// supervisor gives up (default 3). The first run is not a restart.
+	// supervisor gives up (default 3; negative allows none). The first run
+	// is not a restart.
 	MaxRestarts int
 	// Degrade restarts with the surviving rank count (previous size minus
-	// the ranks lost in the incident) instead of the same size. The restore
-	// remaps the checkpoint through the smaller layout.
+	// the ranks lost in the incident, and never below 1) instead of the same
+	// size. The restore remaps the checkpoint through the smaller layout.
 	Degrade bool
-	// MinRanks floors degradation (default 1). A restart that would drop
-	// below it is clamped.
-	MinRanks int
 	// Backoff is the first restart's delay (default 10ms); each further
-	// restart doubles it, capped at BackoffMax (default 2s), with ±50%
-	// deterministic jitter derived from Seed.
-	Backoff    time.Duration
-	BackoffMax time.Duration
-	// Seed drives the jitter (deterministic, so chaos differentials replay).
-	Seed int64
+	// restart doubles it, capped at 2s, with ±50% jitter from a
+	// fixed seed (deterministic, so chaos differentials replay).
+	Backoff time.Duration
 	// NextRanks, when set, overrides the restart world size entirely: it
 	// receives the restart ordinal (1 = first restart), the failed world's
 	// size, and the lost ranks, and returns the new size. Degrade is ignored
@@ -68,13 +63,6 @@ func (c Config) maxRestarts() int {
 	return c.MaxRestarts
 }
 
-func (c Config) minRanks() int {
-	if c.MinRanks < 1 {
-		return 1
-	}
-	return c.MinRanks
-}
-
 func (c Config) backoff() time.Duration {
 	if c.Backoff <= 0 {
 		return 10 * time.Millisecond
@@ -82,12 +70,8 @@ func (c Config) backoff() time.Duration {
 	return c.Backoff
 }
 
-func (c Config) backoffMax() time.Duration {
-	if c.BackoffMax <= 0 {
-		return 2 * time.Second
-	}
-	return c.BackoffMax
-}
+// backoffMax caps the restart delay before jitter.
+const backoffMax = 2 * time.Second
 
 func (c Config) logf(format string, args ...any) {
 	if c.Logf != nil {
@@ -132,7 +116,7 @@ var ErrGaveUp = errors.New("supervisor: restart budget exhausted")
 // error, if any; the report is never nil.
 func Run(ranks int, cfg Config, body func(attempt, ranks int, resume bool) error) (*Report, error) {
 	rep := &Report{}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(0))
 	sleep := cfg.Sleep
 	if sleep == nil {
 		sleep = time.Sleep
@@ -184,8 +168,8 @@ func Run(ranks int, cfg Config, body func(attempt, ranks int, resume bool) error
 		case cfg.Degrade:
 			next = ranks - len(at.Lost)
 		}
-		if next < cfg.minRanks() {
-			next = cfg.minRanks()
+		if next < 1 {
+			next = 1
 		}
 		if cfg.Notify != nil {
 			action := "restart"
@@ -204,10 +188,10 @@ func Run(ranks int, cfg Config, body func(attempt, ranks int, resume bool) error
 		rep.RecoveryAttempts++
 		cfg.logf("supervisor: restart=%d next_ranks=%d backoff=%v", attempt+1, next, delay)
 		sleep(delay)
-		if backoff < cfg.backoffMax() {
+		if backoff < backoffMax {
 			backoff *= 2
-			if backoff > cfg.backoffMax() {
-				backoff = cfg.backoffMax()
+			if backoff > backoffMax {
+				backoff = backoffMax
 			}
 		}
 		ranks = next

@@ -70,7 +70,7 @@ func TestNeverAckingPeerCannotGrowOutboxPastWindow(t *testing.T) {
 	cfg.SendStallTimeout = 250 * time.Millisecond
 	// Keep the failure detector out of the way: the stall deadline, not
 	// heartbeat loss, must be what unblocks the sender.
-	cfg.HeartbeatMisses = 1000
+	cfg.PeerTimeout = 1000 * cfg.HeartbeatEvery
 	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

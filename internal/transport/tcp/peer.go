@@ -163,16 +163,16 @@ func (p *peer) connectLoop() {
 	}
 }
 
-// backoff computes the delay before dial attempt n: DialBackoff doubled per
-// attempt, capped at DialBackoffMax, jittered to [50%, 150%) by a
+// backoff computes the delay before dial attempt n: dialBackoff doubled per
+// attempt, capped at dialBackoffMax, jittered to [50%, 150%) by a
 // deterministic hash so retry storms desynchronize reproducibly.
 func (p *peer) backoff(attempt int) time.Duration {
-	d := p.t.cfg.DialBackoff
-	for i := 0; i < attempt && d < p.t.cfg.DialBackoffMax; i++ {
+	d := dialBackoff
+	for i := 0; i < attempt && d < dialBackoffMax; i++ {
 		d *= 2
 	}
-	if d > p.t.cfg.DialBackoffMax {
-		d = p.t.cfg.DialBackoffMax
+	if d > dialBackoffMax {
+		d = dialBackoffMax
 	}
 	h := jitterHash(p.t.cfg.Seed, p.t.self, p.rank, attempt)
 	frac := float64(h>>11) / float64(1<<53) // [0, 1)
@@ -205,11 +205,11 @@ type handshook struct {
 // nil means try again.
 func (p *peer) dialOnce() *handshook {
 	t := p.t
-	conn, err := net.DialTimeout("tcp", t.cfg.Peers[p.rank], t.cfg.DialAttemptTimeout)
+	conn, err := net.DialTimeout("tcp", t.cfg.Peers[p.rank], dialAttemptTimeout)
 	if err != nil {
 		return nil
 	}
-	conn.SetDeadline(time.Now().Add(t.cfg.DialAttemptTimeout))
+	conn.SetDeadline(time.Now().Add(dialAttemptTimeout))
 	p.mu.Lock()
 	ack := p.lastRecv
 	p.mu.Unlock()
@@ -588,7 +588,7 @@ func (p *peer) put(conn net.Conn, enc []byte, v writeVerdict) error {
 	if corrupt {
 		enc[v.corruptAt] ^= 0x10 // bit flip inside the CRC-covered region
 	}
-	conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := conn.Write(enc)
 	if corrupt {
 		enc[v.corruptAt] ^= 0x10

@@ -19,6 +19,20 @@ import (
 // not by the heartbeat interval.
 const DefaultSendWindow = 1024
 
+// The wire's fixed timings. A failed connection attempt is retried after
+// dialBackoff, doubling per attempt up to dialBackoffMax with deterministic
+// ±50% jitter seeded by Config.Seed; dialAttemptTimeout bounds one TCP
+// connect. writeTimeout is the per-frame write deadline: an expired write
+// severs the connection and retransmission takes over. flushTimeout bounds
+// how long a graceful Close waits for queued frames to drain.
+const (
+	dialBackoff        = 5 * time.Millisecond
+	dialBackoffMax     = 500 * time.Millisecond
+	dialAttemptTimeout = time.Second
+	writeTimeout       = 10 * time.Second
+	flushTimeout       = 5 * time.Second
+)
+
 // frameOverheadWords approximates the per-frame bookkeeping beyond payload
 // words (header fields, slice headers) for outbox accounting.
 const frameOverheadWords = 8
@@ -35,24 +49,8 @@ type Config struct {
 
 	// HeartbeatEvery is the liveness beacon interval (default 100ms).
 	HeartbeatEvery time.Duration
-	// HeartbeatMisses is how many silent intervals declare a peer dead
-	// (default 5).
-	HeartbeatMisses int
-	// DialBackoff is the first retry delay after a failed connection attempt
-	// (default 5ms), doubling up to DialBackoffMax (default 500ms) with
-	// deterministic ±50% jitter seeded by Seed.
-	DialBackoff    time.Duration
-	DialBackoffMax time.Duration
-	// DialAttemptTimeout bounds one TCP connect (default 1s).
-	DialAttemptTimeout time.Duration
 	// ConnectTimeout bounds full mesh establishment in Start (default 10s).
 	ConnectTimeout time.Duration
-	// WriteTimeout is the per-frame write deadline (default 10s); an expired
-	// write severs the connection and retransmission takes over.
-	WriteTimeout time.Duration
-	// FlushTimeout bounds how long a graceful Close waits for queued frames
-	// to drain (default 5s).
-	FlushTimeout time.Duration
 	// SendWindow bounds the per-peer outbox of unacknowledged frames
 	// (default DefaultSendWindow). A Send finding the window exhausted
 	// blocks until acks free credit — credit-based flow control — instead
@@ -68,8 +66,8 @@ type Config struct {
 	SendStallTimeout time.Duration
 	// PeerTimeout is the failure-detector deadline: a peer silent (no
 	// frames of any kind) for longer is declared dead. It defaults to
-	// HeartbeatEvery × HeartbeatMisses and must be at least 2×HeartbeatEvery
-	// to survive ordinary jitter.
+	// 5 × HeartbeatEvery and must be at least 2 × HeartbeatEvery to survive
+	// ordinary jitter.
 	PeerTimeout time.Duration
 	// Epoch is this endpoint's membership incarnation. The first process to
 	// host a rank runs epoch 0; a hot replacement for a dead rank rejoins
@@ -108,20 +106,12 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	def(&c.HeartbeatEvery, 100*time.Millisecond)
-	if c.HeartbeatMisses <= 0 {
-		c.HeartbeatMisses = 5
-	}
-	def(&c.DialBackoff, 5*time.Millisecond)
-	def(&c.DialBackoffMax, 500*time.Millisecond)
-	def(&c.DialAttemptTimeout, time.Second)
 	def(&c.ConnectTimeout, 10*time.Second)
-	def(&c.WriteTimeout, 10*time.Second)
-	def(&c.FlushTimeout, 5*time.Second)
 	if c.SendWindow <= 0 {
 		c.SendWindow = DefaultSendWindow
 	}
 	def(&c.SendStallTimeout, 10*time.Second)
-	def(&c.PeerTimeout, c.HeartbeatEvery*time.Duration(c.HeartbeatMisses))
+	def(&c.PeerTimeout, 5*c.HeartbeatEvery)
 	return c
 }
 
@@ -630,14 +620,14 @@ func (t *Transport) monitorLoop() {
 }
 
 // Close implements mpi.Transport: drain queued frames (bounded by
-// FlushTimeout), tell every peer this rank departed cleanly, then tear
+// flushTimeout), tell every peer this rank departed cleanly, then tear
 // everything down. Use Kill to model a crash instead.
 func (t *Transport) Close() error {
 	if !t.stopped.CompareAndSwap(false, true) {
 		return nil
 	}
 	// Drain: wait until every live peer's outbox is fully written.
-	deadline := time.Now().Add(t.cfg.FlushTimeout)
+	deadline := time.Now().Add(flushTimeout)
 	for time.Now().Before(deadline) {
 		drained := true
 		for _, p := range t.peers {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"testing/iotest"
@@ -177,10 +178,48 @@ func (c *capture) PeerFailed(rank int, cause error) {
 // fastConfig keeps failure-detection tests quick.
 func fastConfig() Config {
 	return Config{
-		HeartbeatEvery:  20 * time.Millisecond,
-		HeartbeatMisses: 4,
-		ConnectTimeout:  5 * time.Second,
-		Seed:            42,
+		HeartbeatEvery: 20 * time.Millisecond,
+		PeerTimeout:    80 * time.Millisecond,
+		ConnectTimeout: 5 * time.Second,
+		Seed:           42,
+	}
+}
+
+// PeerTimeout is the failure detector's one deadline: it defaults to five
+// beacon intervals, and New refuses one shorter than two, where ordinary
+// jitter on a single beacon would declare a live peer dead.
+func TestPeerTimeoutRule(t *testing.T) {
+	for _, tc := range []struct {
+		hb, timeout, want time.Duration // want 0: New must refuse
+	}{
+		{hb: 20 * time.Millisecond, timeout: 0, want: 100 * time.Millisecond},
+		{hb: 0, timeout: 0, want: 500 * time.Millisecond},
+		{hb: 20 * time.Millisecond, timeout: 40 * time.Millisecond, want: 40 * time.Millisecond},
+		{hb: 20 * time.Millisecond, timeout: 39 * time.Millisecond},
+		{hb: 0, timeout: 150 * time.Millisecond},
+	} {
+		tr, err := New(Config{
+			Peers:          []string{"127.0.0.1:0", "127.0.0.1:0"},
+			HeartbeatEvery: tc.hb,
+			PeerTimeout:    tc.timeout,
+		})
+		if tc.want == 0 {
+			if err == nil {
+				tr.Kill()
+				t.Errorf("heartbeat %v, peer timeout %v: New accepted a deadline under two beacons", tc.hb, tc.timeout)
+			} else if !strings.Contains(err.Error(), "below 2× heartbeat interval") {
+				t.Errorf("heartbeat %v, peer timeout %v: error %q does not say why", tc.hb, tc.timeout, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("heartbeat %v, peer timeout %v: %v", tc.hb, tc.timeout, err)
+			continue
+		}
+		if got := tr.cfg.PeerTimeout; got != tc.want {
+			t.Errorf("heartbeat %v, peer timeout %v: effective peer timeout %v, want %v", tc.hb, tc.timeout, got, tc.want)
+		}
+		tr.Kill()
 	}
 }
 
@@ -536,6 +575,7 @@ func TestSlowLinkDelaysButDelivers(t *testing.T) {
 		cfg.Faults = plan
 		// Keep the detector from tripping on heartbeats sharing the slow link.
 		cfg.HeartbeatEvery = 50 * time.Millisecond
+		cfg.PeerTimeout = 200 * time.Millisecond
 	})
 	caps := newCaptures(2)
 	startMesh(t, trs, handlers(caps))

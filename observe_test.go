@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,7 +64,6 @@ func TestConfigValidate(t *testing.T) {
 		{"transport plus ranks", Config{Transport: fake, Ranks: 4}, "mutually exclusive"},
 		{"transport alone", Config{Transport: fake}, ""},
 		{"negative subs", Config{Subs: -2}, "Subs must be >= 0"},
-		{"negative subsfor", Config{SubsFor: map[string]int{"edge": -1}}, `SubsFor["edge"]`},
 		{"negative maxiters", Config{MaxIters: -3}, "MaxIters must be >= 0"},
 		{"negative watchdog", Config{Watchdog: -time.Second}, "Watchdog must be >= 0"},
 		{"negative watchdog floor", Config{Watchdog: time.Second, WatchdogFloor: -time.Second}, "WatchdogFloor must be >= 0"},
@@ -305,10 +305,10 @@ func TestResultAssembly(t *testing.T) {
 	}
 }
 
-// TestResultJSONRoundTrip pins the wire names and checks the document
-// survives a round trip.
+// TestResultJSONRoundTrip pins the wire names, exactly, and checks the
+// document survives a round trip.
 func TestResultJSONRoundTrip(t *testing.T) {
-	res, err := Exec(ccProgram(t), Config{Ranks: 2}, loadPathGraph(5), nil)
+	res, err := Exec(ccProgram(t), Config{Ranks: 2, MemBudget: 1 << 30}, loadPathGraph(5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,17 +316,37 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc map[string]any
-	if err := json.Unmarshal(data, &doc); err != nil {
+	keys := func(data []byte) []string {
+		var doc map[string]any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		var ks []string
+		for k := range doc {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return ks
+	}
+	want := []string{
+		"comm_bytes", "comm_msgs", "counts", "iter_phase_seconds", "iterations",
+		"mem_peak_bytes", "phase_seconds", "ranks", "sim_seconds", "stratum_iters",
+	}
+	if res.MemPeakBytes == 0 {
+		t.Fatal("a budgeted run reported no memory peak")
+	}
+	if got := keys(data); !reflect.DeepEqual(got, want) {
+		t.Fatalf("JSON keys %v, want exactly %v", got, want)
+	}
+	// Without a budget the peak is zero and its key is omitted.
+	unbudgeted := *res
+	unbudgeted.MemPeakBytes = 0
+	plain, err := json.Marshal(&unbudgeted)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{
-		"ranks", "stratum_iters", "iterations", "counts", "sim_seconds",
-		"phase_seconds", "iter_phase_seconds", "comm_bytes", "comm_msgs",
-	} {
-		if _, ok := doc[field]; !ok {
-			t.Fatalf("JSON document missing field %q: %s", field, data)
-		}
+	if got, want := keys(plain), append(want[:5:5], want[6:]...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("unbudgeted JSON keys %v, want exactly %v", got, want)
 	}
 	var back Result
 	if err := json.Unmarshal(data, &back); err != nil {

@@ -88,11 +88,11 @@ func runOverloadGang(b *testing.B, g *graph.Graph, budget, phantom int64, obs pa
 		tr, err := tcp.New(tcp.Config{
 			Rank: i, Peers: addrs, Listener: lns[i],
 			// A fast beacon keeps failure detection prompt on these
-			// millisecond runs while the miss count keeps the liveness
+			// millisecond runs while the 2s peer timeout keeps the liveness
 			// window scheduler-safe; credit refills do not wait for it
 			// (receivers ack every quarter window).
 			HeartbeatEvery:   5 * time.Millisecond,
-			HeartbeatMisses:  400,
+			PeerTimeout:      2 * time.Second,
 			ConnectTimeout:   10 * time.Second,
 			Seed:             42,
 			SendWindow:       overloadWindow,

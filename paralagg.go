@@ -69,11 +69,9 @@ func (p PlanPolicy) mode() ra.PlanMode {
 type Config struct {
 	// Ranks is the number of simulated MPI ranks (default 4).
 	Ranks int
-	// Subs is the sub-bucket count per relation: the spatial load-balancing
-	// knob (default 1 = off; the paper's balanced runs use 8).
+	// Subs is the sub-bucket count of every relation: the spatial
+	// load-balancing knob (default 1 = off; the paper's balanced runs use 8).
 	Subs int
-	// SubsFor overrides Subs per relation.
-	SubsFor map[string]int
 	// Plan is the join-layout policy.
 	Plan PlanPolicy
 	// MaxIters bounds each stratum's fixpoint (0 = to fixpoint).
@@ -198,11 +196,6 @@ func (c Config) Validate() error {
 	}
 	if c.Subs < 0 {
 		return fmt.Errorf("paralagg: Config.Subs must be >= 0, got %d (0 or 1 disables sub-bucketing)", c.Subs)
-	}
-	for name, s := range c.SubsFor {
-		if s < 0 {
-			return fmt.Errorf("paralagg: Config.SubsFor[%q] must be >= 0, got %d", name, s)
-		}
 	}
 	if c.MaxIters < 0 {
 		return fmt.Errorf("paralagg: Config.MaxIters must be >= 0, got %d (0 runs to fixpoint)", c.MaxIters)
@@ -361,32 +354,33 @@ const (
 	OpMin ReduceOp = ReduceOp(mpi.OpMin)
 )
 
-// Result summarizes an execution.
+// Result summarizes an execution. Its JSON names are the stable
+// machine-readable document cmd/paralagg -json prints: tooling parses them.
 type Result struct {
 	// Ranks is the world size the program ran on.
-	Ranks int
+	Ranks int `json:"ranks"`
 	// StratumIters lists each stratum's iteration count.
-	StratumIters []int
+	StratumIters []int `json:"stratum_iters"`
 	// Iterations sums them.
-	Iterations int
+	Iterations int `json:"iterations"`
 	// Counts holds every declared relation's final global size.
-	Counts map[string]uint64
+	Counts map[string]uint64 `json:"counts"`
 	// SimSeconds is the simulated parallel runtime (critical path over
 	// ranks under the cost model).
-	SimSeconds float64
+	SimSeconds float64 `json:"sim_seconds"`
 	// PhaseSeconds breaks SimSeconds down by phase name (rebalance,
 	// planning, intra-bucket, local-join, all-to-all, local-agg, other).
-	PhaseSeconds map[string]float64
+	PhaseSeconds map[string]float64 `json:"phase_seconds"`
 	// IterPhaseSeconds is the per-iteration breakdown (Figure 7's series):
 	// IterPhaseSeconds[i][phase].
-	IterPhaseSeconds []map[string]float64
+	IterPhaseSeconds []map[string]float64 `json:"iter_phase_seconds"`
 	// CommBytes is the total payload moved between ranks.
-	CommBytes int64
+	CommBytes int64 `json:"comm_bytes"`
 	// CommMsgs is the total message/collective-lane count.
-	CommMsgs int64
+	CommMsgs int64 `json:"comm_msgs"`
 	// MemPeakBytes is the maximum accounted memory any rank reached
 	// (0 when Config.MemBudget is unset).
-	MemPeakBytes int64
+	MemPeakBytes int64 `json:"mem_peak_bytes,omitempty"`
 }
 
 // Exec instantiates prog on a simulated world, loads facts, runs every

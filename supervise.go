@@ -18,19 +18,15 @@ type SuperviseConfig struct {
 	Config
 
 	// MaxRestarts bounds the recoveries before Supervise gives up
-	// (default 3).
+	// (default 3; negative allows none).
 	MaxRestarts int
-	// Degrade restarts with the surviving rank count instead of the same
-	// world size; the checkpoint is remapped through the smaller layout.
+	// Degrade restarts with the surviving rank count (at least 1) instead of
+	// the same world size; the checkpoint is remapped through the smaller
+	// layout.
 	Degrade bool
-	// MinRanks floors degradation (default 1).
-	MinRanks int
 	// RecoveryBackoff is the first restart's delay (default 10ms), doubling
-	// per restart up to RecoveryBackoffMax (default 2s) with deterministic
-	// ±50% jitter seeded by BackoffSeed.
-	RecoveryBackoff    time.Duration
-	RecoveryBackoffMax time.Duration
-	BackoffSeed        int64
+	// per restart up to 2s with deterministic ±50% jitter.
+	RecoveryBackoff time.Duration
 	// Logf receives one line per supervisor lifecycle event (nil = silent).
 	Logf func(format string, args ...any)
 
@@ -102,10 +98,7 @@ func Supervise(prog *Program, cfg SuperviseConfig, load func(*Rank) error, inspe
 	scfg := supervisor.Config{
 		MaxRestarts: cfg.MaxRestarts,
 		Degrade:     cfg.Degrade,
-		MinRanks:    cfg.MinRanks,
 		Backoff:     cfg.RecoveryBackoff,
-		BackoffMax:  cfg.RecoveryBackoffMax,
-		Seed:        cfg.BackoffSeed,
 		NextRanks:   cfg.RanksFor,
 		Notify:      emit,
 		Logf:        cfg.Logf,

@@ -240,7 +240,6 @@ func TestSuperviseFaultsForAndRanksForInteract(t *testing.T) {
 			Checkpoints:     NewMemoryCheckpointSink(),
 		},
 		RecoveryBackoff: time.Millisecond,
-		BackoffSeed:     7,
 		FaultsFor:       func(attempt int) *FaultPlan { return plans[attempt] },
 		RanksFor: func(restart, prev int, lost []int) int {
 			// First restart shrinks to 3, second to 2 — independent of which
