@@ -1,6 +1,7 @@
 package paralagg_test
 
 import (
+	"maps"
 	"net"
 	"sync"
 	"testing"
@@ -11,15 +12,16 @@ import (
 	"paralagg/internal/transport/tcp"
 )
 
-// TestCoPartitionedSSSPTwoCollectivesPerIteration pins the collective budget
-// of a co-partitioned program. SSSP at Subs 1 joins spath and edge on
-// buckets that live on one rank, the same rank on both sides, so an
-// iteration costs each rank exactly two collectives: the materialize route
-// and the replica exchange, whose lane headers carry the convergence count.
-// Two grids of different lengths run different numbers of iterations; the
-// message counts must differ by exactly two per rank per extra iteration,
-// which leaves everything else a per-Exec constant.
-func TestCoPartitionedSSSPTwoCollectivesPerIteration(t *testing.T) {
+// TestCoPartitionedSSSPOneCollectivePerIteration pins the collective budget
+// of a co-partitioned program. SSSP at Subs 1 places spath on its join key,
+// so the accumulator and both of its indexes share one rank per bucket, and
+// joins it with edge on buckets that live on one rank, the same rank on both
+// sides. An iteration then costs each rank exactly one collective: the
+// materialize route, whose lane headers carry the previous iteration's
+// changed count. Two grids of different lengths run different numbers of
+// iterations; the message counts must differ by exactly one per rank per
+// extra iteration, which leaves everything else a per-Exec constant.
+func TestCoPartitionedSSSPOneCollectivePerIteration(t *testing.T) {
 	const ranks = 2
 	for _, wire := range []string{"in-process", "tcp"} {
 		t.Run(wire, func(t *testing.T) {
@@ -27,7 +29,7 @@ func TestCoPartitionedSSSPTwoCollectivesPerIteration(t *testing.T) {
 			var msgs [2]int64
 			for i, cols := range []int{20, 40} {
 				g := graph.Grid("grid", 4, cols, 8, 5)
-				res := execSSSP(t, wire, ranks, g)
+				res := execSSSP(t, wire, paralagg.Config{Ranks: ranks, Subs: 1, Plan: paralagg.Dynamic}, g)
 				iters[i], msgs[i] = res.Iterations, res.CommMsgs
 			}
 			if iters[0] == iters[1] {
@@ -39,20 +41,20 @@ func TestCoPartitionedSSSPTwoCollectivesPerIteration(t *testing.T) {
 			if wire == "tcp" {
 				counted = 1
 			}
-			perExec := [2]int64{msgs[0] - 2*counted*int64(iters[0]), msgs[1] - 2*counted*int64(iters[1])}
+			perExec := [2]int64{msgs[0] - counted*int64(iters[0]), msgs[1] - counted*int64(iters[1])}
 			if perExec[0] != perExec[1] {
-				t.Fatalf("comm_msgs %v over %v iterations: not 2 per rank per iteration plus a constant (residues %v)",
+				t.Fatalf("comm_msgs %v over %v iterations: not 1 per rank per iteration plus a constant (residues %v)",
 					msgs, iters, perExec)
 			}
 		})
 	}
 }
 
-// execSSSP runs SSSP from node 0 at Subs 1 in one in-process world or over a
+// execSSSP runs SSSP from node 0 under cfg in one in-process world or over a
 // loopback TCP gang of one Exec per rank, and returns rank 0's Result.
-func execSSSP(t *testing.T, wire string, ranks int, g *graph.Graph) *paralagg.Result {
+func execSSSP(t *testing.T, wire string, cfg paralagg.Config, g *graph.Graph) *paralagg.Result {
 	t.Helper()
-	cfg := paralagg.Config{Ranks: ranks, Subs: 1, Plan: paralagg.Dynamic}
+	ranks := cfg.Ranks
 	load := func(rk *paralagg.Rank) error { return queries.LoadSSSP(rk, g, []uint64{0}) }
 	if wire == "in-process" {
 		res, err := paralagg.Exec(queries.SSSPProgram(), cfg, load, nil)
@@ -94,4 +96,71 @@ func execSSSP(t *testing.T, wire string, ranks int, g *graph.Graph) *paralagg.Re
 		}
 	}
 	return results[0]
+}
+
+// TestAggregatedPlacementBalances pins that an aggregated relation's entries
+// spread over every rank at every sub-bucket count, which needs rankOf to
+// count the bucket even when the world size divides Subs. It runs SSSP from
+// one source on a grid at 2 and 4 ranks and Subs 1, 2, 3, 4 and 8: every
+// rank must hold between half and one and a half times the mean of spath's
+// entries.
+func TestAggregatedPlacementBalances(t *testing.T) {
+	g := graph.Grid("grid", 20, 30, 8, 5)
+	load := func(rk *paralagg.Rank) error { return queries.LoadSSSP(rk, g, []uint64{0}) }
+	for _, ranks := range []int{2, 4} {
+		for _, subs := range []int{1, 2, 3, 4, 8} {
+			var mu sync.Mutex
+			var per []int
+			inspect := func(rk *paralagg.Rank) error {
+				qr, err := rk.Query(paralagg.QuerySpec{Relation: "spath", CountOnly: true, PerRank: true})
+				mu.Lock()
+				per = qr.PerRank
+				mu.Unlock()
+				return err
+			}
+			if _, err := paralagg.Exec(queries.SSSPProgram(), paralagg.Config{Ranks: ranks, Subs: subs}, load, inspect); err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for _, n := range per {
+				total += n
+			}
+			mean := float64(total) / float64(ranks)
+			for rank, n := range per {
+				if float64(n) < 0.5*mean || float64(n) > 1.5*mean {
+					t.Errorf("ranks %d, subs %d: rank %d holds %d of %d spath entries (per rank %v)", ranks, subs, rank, n, total, per)
+				}
+			}
+		}
+	}
+}
+
+// TestPhaseMetersCountTheirOwnRank pins that a metered phase counts only the
+// bytes of the rank that meters it. Each process of a loopback gang sees its
+// own rank's traffic alone, so the per-rank, per-phase bytes of a 2-rank SSSP
+// run at Subs 2 (routing, gather, vote and intra-bucket phases all move
+// bytes) must come out the same in one process as over the gang.
+func TestPhaseMetersCountTheirOwnRank(t *testing.T) {
+	type key struct {
+		rank  int
+		phase string
+	}
+	g := graph.Grid("grid", 4, 20, 8, 5)
+	var got [2]map[key]int64
+	for i, wire := range []string{"in-process", "tcp"} {
+		var mu sync.Mutex
+		bytes := map[key]int64{}
+		obsv := paralagg.ObserverFunc(func(e *paralagg.Event) {
+			if e.Kind == paralagg.EventPhase {
+				mu.Lock()
+				bytes[key{e.Rank, e.Name}] += e.Bytes
+				mu.Unlock()
+			}
+		})
+		execSSSP(t, wire, paralagg.Config{Ranks: 2, Subs: 2, Plan: paralagg.Dynamic, Observer: obsv}, g)
+		got[i] = bytes
+	}
+	if len(got[0]) == 0 || !maps.Equal(got[0], got[1]) {
+		t.Fatalf("per-rank phase bytes in-process %v, over the gang %v", got[0], got[1])
+	}
 }

@@ -257,9 +257,9 @@ func finalAggregate(c *mpi.Comm, mc *metrics.Collector, ix *relation.Index, inde
 		send[dest] = append(send[dest], t...)
 		return true
 	})
-	pre := c.Stats().Snapshot()
+	pre := c.Meter()
 	recv := c.Alltoallv(send)
-	d := c.Stats().Snapshot().Sub(pre)
+	d := c.Meter().Sub(pre)
 	mc.Record(c.Rank(), iter, metrics.PhaseAllToAll,
 		timer.Done(scanned, int64(d.Bytes), 1))
 

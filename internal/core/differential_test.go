@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -327,27 +328,128 @@ func runDistributed(p *Program, facts map[string][]tuple.Tuple, ranks int, cfg C
 	return out, mc.BuildReport(metrics.DefaultCostModel), nil
 }
 
+// placementSuite holds the programs that pin where an aggregated relation
+// lives: the SSSP and CC shapes, whose every join reads the aggregate on one
+// key, so it is placed on that key and exchanges no replicas, and an
+// aggregate joined on three keys, its canonical one included, which keeps
+// its replica exchange.
+var placementSuite = []struct {
+	diffProgram
+	agg        string
+	replicated bool
+}{
+	{diffProgram{
+		name: "sssp-two-rules-one-key",
+		build: func() *Program {
+			p := NewProgram()
+			p.DeclareSet("e", 3, 1)
+			p.DeclareSet("h", 3, 1)
+			p.DeclareAgg("sp", 2, lattice.Min{})
+			p.Add(
+				R(A("sp", Var("f"), Var("t"), Add(Var("l"), Var("w"))),
+					A("sp", Var("f"), Var("m"), Var("l")), A("e", Var("m"), Var("t"), Var("w"))),
+				R(A("sp", Var("f"), Var("t"), Add(Var("l"), Add(Var("w"), Var("w")))),
+					A("sp", Var("f"), Var("m"), Var("l")), A("h", Var("m"), Var("t"), Var("w"))),
+			)
+			return p
+		},
+		facts: func(rng *rand.Rand) map[string][]tuple.Tuple {
+			return map[string][]tuple.Tuple{
+				"e":  randEdges3(rng, 24, 60, 9),
+				"h":  randEdges3(rng, 24, 20, 3),
+				"sp": {{0, 0, 0}, {5, 5, 0}, {11, 11, 0}},
+			}
+		},
+	}, "sp", false},
+	{diffProgram{
+		name: "cc-label-propagation",
+		build: func() *Program {
+			p := NewProgram()
+			p.DeclareSet("e", 2, 1)
+			p.DeclareAgg("cc", 1, lattice.Min{})
+			p.Add(R(A("cc", Var("y"), Var("z")), A("cc", Var("x"), Var("z")), A("e", Var("x"), Var("y"))))
+			return p
+		},
+		facts: func(rng *rand.Rand) map[string][]tuple.Tuple {
+			seeds := make([]tuple.Tuple, 20)
+			for i := range seeds {
+				seeds[i] = tuple.Tuple{uint64(i), uint64(i)}
+			}
+			return map[string][]tuple.Tuple{"e": randEdges2(rng, 20, 26), "cc": seeds}
+		},
+	}, "cc", false},
+	{diffProgram{
+		name: "sssp-two-keys",
+		build: func() *Program {
+			p := NewProgram()
+			p.DeclareSet("e", 3, 1)
+			p.DeclareSet("c", 2, 2)
+			p.DeclareSet("out", 3, 1)
+			p.DeclareAgg("sp", 2, lattice.Min{})
+			p.Add(
+				R(A("sp", Var("f"), Var("t"), Add(Var("l"), Var("w"))),
+					A("sp", Var("f"), Var("m"), Var("l")), A("e", Var("m"), Var("t"), Var("w"))),
+				R(A("sp", Var("g"), Var("t"), Add(Var("l"), Var("w"))),
+					A("e", Var("g"), Var("f"), Var("w")), A("sp", Var("f"), Var("t"), Var("l"))),
+				// Reads sp through its canonical index, on (f, t).
+				R(A("out", Var("f"), Var("t"), Var("l")),
+					A("sp", Var("f"), Var("t"), Var("l")), A("c", Var("f"), Var("t"))),
+			)
+			return p
+		},
+		facts: func(rng *rand.Rand) map[string][]tuple.Tuple {
+			return map[string][]tuple.Tuple{
+				"e":  randEdges3(rng, 14, 30, 7),
+				"c":  randEdges2(rng, 14, 60),
+				"sp": {{0, 0, 0}, {6, 6, 0}},
+			}
+		},
+	}, "sp", true},
+}
+
 // TestCoPartitionedJoinsMatchNaive sweeps SSSP, CC and TC over ranks
-// {1, 2, 3, 4} × Subs {1, 2, 8} × {Dynamic, StaticLeft, StaticRight}: every
-// configuration must equal the naive from-scratch evaluation. At Subs 1, or
-// on one rank, every join of the three is co-partitioned and runs without an
-// intra-bucket message; with sub-buckets on several ranks each join
-// exchanges — so the sweep covers both paths, and checks which one ran.
+// {1, 2, 3, 4} × Subs {1, 2, 8} × {Dynamic, StaticLeft, StaticRight}, and
+// placementSuite over ranks {2, 3, 4} × Subs {1, 2, 3, 4} with the same
+// plans: every configuration must equal the naive from-scratch evaluation.
+// At Subs 1, or on one rank, every join of these programs is co-partitioned
+// and runs without an intra-bucket message; with sub-buckets on several
+// ranks each join exchanges — so the sweep covers both paths, and checks
+// which one ran, and whether each placementSuite aggregate has replicas.
 func TestCoPartitionedJoinsMatchNaive(t *testing.T) {
+	type sweep struct {
+		sc          diffProgram
+		ranks, subs []int
+	}
+	var sweeps []sweep
 	for _, name := range []string{"sssp-min", "cc-with-conds", "transitive-closure"} {
-		var sc diffProgram
 		for _, d := range diffSuite {
 			if d.name == name {
-				sc = d
+				sweeps = append(sweeps, sweep{d, []int{1, 2, 3, 4}, []int{1, 2, 8}})
 			}
 		}
+	}
+	for _, ps := range placementSuite {
+		err := mpi.NewWorld(1).Run(func(c *mpi.Comm) error {
+			in, err := ps.build().Instantiate(c, metrics.NewCollector(1), Config{Subs: 2})
+			if err == nil && in.Relation(ps.agg).Replicated() != ps.replicated {
+				err = fmt.Errorf("%s replicated = %v, want %v", ps.agg, !ps.replicated, ps.replicated)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", ps.name, err)
+		}
+		sweeps = append(sweeps, sweep{ps.diffProgram, []int{2, 3, 4}, []int{1, 2, 3, 4}})
+	}
+	for _, sw := range sweeps {
+		sc, name := sw.sc, sw.sc.name
 		facts := sc.facts(rand.New(rand.NewSource(7)))
 		want, err := EvalNaive(sc.build(), facts)
 		if err != nil {
 			t.Fatalf("%s: naive: %v", name, err)
 		}
-		for _, ranks := range []int{1, 2, 3, 4} {
-			for _, subs := range []int{1, 2, 8} {
+		for _, ranks := range sw.ranks {
+			for _, subs := range sw.subs {
 				for _, plan := range []ra.PlanMode{ra.PlanDynamic, ra.PlanStaticLeft, ra.PlanStaticRight} {
 					got, rep, err := runDistributed(sc.build(), facts, ranks, Config{Subs: subs, Plan: plan})
 					if err != nil {

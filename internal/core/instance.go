@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -34,8 +35,8 @@ type Config struct {
 	// Checkpoints stores the per-rank snapshots.
 	Checkpoints ra.CheckpointSink
 	// Integrity turns on online divergence detection: every relation
-	// fingerprints its state each iteration and the digests ride on the
-	// convergence agreement. Must be identical on all ranks.
+	// fingerprints its state each iteration and agrees the digests in one
+	// AllreduceVec. Must be identical on all ranks.
 	Integrity bool
 	// Acct is this rank's memory accountant; with a positive budget every
 	// stratum's fixpoint runs the pressure ladder (see ra.Options.Acct).
@@ -124,6 +125,8 @@ func (p *Program) Instantiate(comm *mpi.Comm, mc *metrics.Collector, cfg Config)
 		}
 	}
 
+	// joinIndexes records, per relation, the index of every join reading it.
+	joinIndexes := map[*relation.Relation][]*relation.Index{}
 	strata := p.stratify(rules)
 	for _, ruleSet := range strata {
 		kernels := make([]ra.Rule, 0, len(ruleSet))
@@ -135,6 +138,10 @@ func (p *Program) Instantiate(comm *mpi.Comm, mc *metrics.Collector, cfg Config)
 				return nil, err
 			}
 			kernels = append(kernels, k)
+			if j, ok := k.(*ra.Join); ok {
+				joinIndexes[j.LeftRel] = append(joinIndexes[j.LeftRel], j.Left)
+				joinIndexes[j.RightRel] = append(joinIndexes[j.RightRel], j.Right)
+			}
 			heads[r.Head.Rel] = true
 			for _, a := range r.Body {
 				bodies[a.Rel] = true
@@ -152,6 +159,13 @@ func (p *Program) Instantiate(comm *mpi.Comm, mc *metrics.Collector, cfg Config)
 			st.inputs = append(st.inputs, in.rels[n])
 		}
 		in.strata = append(in.strata, st)
+	}
+	// An aggregated relation every join reads on one key is placed on that
+	// key (§III-A); joined on two keys, it keeps its replica exchange.
+	for rel, ixs := range joinIndexes {
+		if rel.Agg != nil && !slices.ContainsFunc(ixs, func(ix *relation.Index) bool { return ix != ixs[0] }) {
+			rel.PlaceOn(ixs[0])
+		}
 	}
 	return in, nil
 }

@@ -125,10 +125,11 @@ type Collector struct {
 }
 
 type rankSeries struct {
-	iters []iterSamples
+	iters []IterSamples
 }
 
-type iterSamples [numPhases]Sample
+// IterSamples is one rank's samples of one iteration, by phase.
+type IterSamples [numPhases]Sample
 
 // NewCollector returns a collector for a world of the given size.
 func NewCollector(size int) *Collector {
@@ -174,7 +175,7 @@ func (c *Collector) Iterations() int {
 func (c *Collector) Record(rank, iter int, phase Phase, s Sample) {
 	rs := &c.ranks[rank]
 	for len(rs.iters) <= iter {
-		rs.iters = append(rs.iters, iterSamples{})
+		rs.iters = append(rs.iters, IterSamples{})
 	}
 	rs.iters[iter][phase].Add(s)
 	if c.observer != nil {
@@ -187,6 +188,29 @@ func (c *Collector) Record(rank, iter int, phase Phase, s Sample) {
 		e.Work, e.Bytes, e.Msgs = s.Work, s.Bytes, s.Msgs
 		e.CPUNanos = s.CPU.Nanoseconds()
 		obs.Emit(c.observer, e)
+	}
+}
+
+// Row returns a copy of rank's samples for iter (zero when none exist).
+func (c *Collector) Row(rank, iter int) IterSamples {
+	if rs := c.ranks[rank].iters; iter < len(rs) {
+		return rs[iter]
+	}
+	return IterSamples{}
+}
+
+// Fold charges what rank recorded for iter since Row returned before to
+// iter-1 and drops rows left empty at the end: a step that only agreed the
+// previous iteration's changed count is part of that iteration.
+func (c *Collector) Fold(rank, iter int, before IterSamples) {
+	rs := &c.ranks[rank]
+	for p, s := range rs.iters[iter] {
+		b := before[p]
+		rs.iters[iter-1][p].Add(Sample{s.Work - b.Work, s.Bytes - b.Bytes, s.Msgs - b.Msgs, s.CPU - b.CPU})
+	}
+	rs.iters[iter] = before
+	for len(rs.iters) > 0 && rs.iters[len(rs.iters)-1] == (IterSamples{}) {
+		rs.iters = rs.iters[:len(rs.iters)-1]
 	}
 }
 

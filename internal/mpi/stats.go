@@ -126,6 +126,17 @@ func (s *Stats) Snapshot() Totals {
 	return t
 }
 
+// Rank sums one rank's counters: what a rank metering its own phase diffs,
+// where Snapshot would also count the other ranks' traffic in the window.
+func (s *Stats) Rank(r int) Totals {
+	var t Totals
+	for k := range s.ranks[r].coll {
+		t.Calls += int(s.ranks[r].coll[k].calls.Load())
+		t.Bytes += int(s.ranks[r].coll[k].bytes.Load())
+	}
+	return t
+}
+
 // Net samples the transport's robustness counters (retries, reconnects,
 // retransmits, heartbeat misses, CRC errors, per-peer bytes); all zero for
 // in-process worlds. Sampling allocates the per-peer rows, so it stays off

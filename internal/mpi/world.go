@@ -366,6 +366,10 @@ func (c *Comm) Size() int { return c.world.size }
 // Stats returns the shared communication meter.
 func (c *Comm) Stats() *Stats { return c.world.stats }
 
+// Meter returns this rank's own collective counters; a phase meter diffs two
+// readings.
+func (c *Comm) Meter() Totals { return c.world.stats.Rank(c.rank) }
+
 // SetEpoch publishes this rank's current fixpoint iteration to the fault
 // layer: injected faults can target a specific iteration, and failure
 // errors report the iteration the rank had reached. The fixpoint driver

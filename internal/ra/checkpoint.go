@@ -182,10 +182,14 @@ func verifySections(words []mpi.Word, sums []uint64) error {
 // manifest (one digest per section); the payload length and the payload;
 // and a trailing word holding the CRC32C of every byte before it.
 // Version 4 is version 3 with an empty marks block allowed, written for
-// every checkpoint; files of earlier versions are refused, not migrated.
+// every checkpoint. Version 5 has version 4's layout; it marks the placement
+// its relation snapshots were cut by (an aggregated relation placed on its
+// join key, rankOf counting the bucket at every sub-bucket count), which a
+// same-size restore keeps wholesale. Files of earlier versions are refused,
+// not migrated.
 const (
 	ckptMagic       uint64 = 0x70614c43_6b707434 // "paLCkpt4"
-	ckptVersion     uint64 = 4
+	ckptVersion     uint64 = 5
 	ckptHeaderWords        = 7
 )
 

@@ -571,7 +571,7 @@ func TestSinkRefusesOtherEnvelopeVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := decodeCkpt("older", older); err == nil || !strings.Contains(err.Error(), "format version 3, this build reads 4") {
+	if _, err := decodeCkpt("older", older); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("format version %d, this build reads %d", ckptVersion-1, ckptVersion)) {
 		t.Errorf("older envelope: decode error %v, want the version named", err)
 	}
 	if _, ok, err := sink.Latest(0); err != nil || ok {

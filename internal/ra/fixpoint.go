@@ -158,6 +158,10 @@ type Fixpoint struct {
 	bodyOnly []*relation.Relation
 	allRels  []*relation.Relation
 	pending  map[*relation.Relation]*tuple.Buffer
+	// entered holds each head's summed routing headers from the latest
+	// step, in heads order; window is that step's iterWindow.
+	entered []uint64
+	window  iterWindow
 
 	// Pending injected state corruption (chaos): a fault whose target shard
 	// was still empty when it fired is retried each iteration until it
@@ -593,15 +597,18 @@ func (f *Fixpoint) prepare() {
 	f.bodyOnly = f.bodyOnlyRels()
 	f.allRels = append(append([]*relation.Relation(nil), f.heads...), f.bodyOnly...)
 	f.pending = make(map[*relation.Relation]*tuple.Buffer, len(f.heads))
+	f.entered = make([]uint64, len(f.heads))
 	for _, h := range f.heads {
 		f.pending[h] = tuple.NewBuffer(h.Arity, 64)
 	}
 }
 
 // step executes one fixpoint iteration: run every applicable kernel
-// variant, materialize every head, flip Δ of consumed EDBs, and return the
-// global changed count. Collective; prepare must have run.
-func (f *Fixpoint) step(opts Options, iter int) uint64 {
+// variant, materialize every head, and flip Δ of consumed EDBs. It returns
+// the heads' summed routing headers (the previous iteration's changed count),
+// keeping each head's sum in f.entered and the step's iterWindow in f.window.
+// Collective; prepare must have run.
+func (f *Fixpoint) step(opts Options, iter int) (entered uint64) {
 	// Publish the iteration to the fault layer: injected faults target
 	// it and failure reports carry it.
 	f.Comm.SetEpoch(iter)
@@ -626,13 +633,11 @@ func (f *Fixpoint) step(opts Options, iter int) uint64 {
 	// Live observability: snapshot wall time and communication counters so
 	// the iteration event carries the iteration's deltas. The nil path does
 	// no work (the steady-state iteration stays allocation-free).
-	o := f.MC.Observer()
-	var iterStart int64
-	var pre mpi.Totals
-	var preNet mpi.NetStats
-	if o != nil {
-		iterStart = time.Now().UnixNano()
-		pre, preNet = f.Comm.Stats().Snapshot(), f.Comm.Stats().Net()
+	observed := f.MC.Observer() != nil
+	w := iterWindow{iter: iter}
+	if observed {
+		w.start = time.Now().UnixNano()
+		w.comm, w.net = f.Comm.Stats().Snapshot(), f.Comm.Stats().Net()
 	}
 	if opts.AdaptiveBalance {
 		f.rebalance(iter, f.allRels, opts)
@@ -643,9 +648,9 @@ func (f *Fixpoint) step(opts Options, iter int) uint64 {
 	for _, r := range f.Rules {
 		r.RunVariants(iter, opts.Plan, f.MC, f.pending[r.HeadRel()])
 	}
-	changed := uint64(0)
-	for _, h := range f.heads {
-		changed += h.Materialize(iter, f.pending[h], true)
+	for i, h := range f.heads {
+		f.entered[i] = h.Advance(iter, f.pending[h], true)
+		entered += f.entered[i]
 	}
 	// Flip Δ of body-only relations after their facts have been
 	// consumed once.
@@ -654,48 +659,66 @@ func (f *Fixpoint) step(opts Options, iter int) uint64 {
 			b.Materialize(iter, nil, false)
 		}
 	}
-	if opts.AfterIteration != nil {
-		opts.AfterIteration(iter, changed)
+	if observed {
+		w.end = time.Now().UnixNano()
+		w.comm = f.Comm.Stats().Snapshot().Sub(w.comm)
+		w.net = f.Comm.Stats().Net().Sub(w.net)
 	}
-	if o != nil {
-		f.emitIteration(o, opts, iter, changed, iterStart, pre, preNet)
-	}
-	return changed
+	f.window = w
+	return entered
 }
 
-// emitIteration streams the end-of-iteration events: one obs.KindRelation
-// event per head (global size, global Δ, per-rank distribution — Fig. 3's
-// skew signal, live) and one obs.KindIteration event carrying the changed
-// count plus the iteration's communication and transport-robustness deltas.
-// The per-rank distribution comes from the heads' replica-exchange lane
-// headers; a head without replicas gathers it (RankCounts), so observation
-// must be enabled uniformly across ranks (Exec guarantees it in-process).
-func (f *Fixpoint) emitIteration(o obs.Observer, opts Options, iter int, changed uint64, startNS int64, pre mpi.Totals, preNet mpi.NetStats) {
+// iterWindow is one iteration's wall span and communication deltas, kept
+// from the end of its step until its changed count is agreed.
+type iterWindow struct {
+	iter       int
+	start, end int64
+	comm       mpi.Totals
+	net        mpi.NetStats
+}
+
+// report hands an iteration's agreed changed count to AfterIteration and,
+// with an observer, streams one obs.KindRelation event per head (global
+// size, global Δ, per-rank distribution — Fig. 3's skew signal, live) and one
+// obs.KindIteration event with the iteration's communication and transport
+// deltas. Head counts come from the next step's routing headers; settled
+// (agreed by Settle instead) gathers them, so observation must be enabled
+// uniformly across ranks (Exec guarantees it in-process).
+func (f *Fixpoint) report(opts Options, w iterWindow, changed uint64, settled bool) {
+	if opts.AfterIteration != nil {
+		opts.AfterIteration(w.iter, changed)
+	}
+	o := f.MC.Observer()
+	if o == nil {
+		return
+	}
 	rank, stratum := f.Comm.Rank(), f.MC.Stratum()
-	for _, h := range f.heads {
-		counts := h.RankCounts()
+	for i, h := range f.heads {
+		counts, hc := h.EnteredCounts(), f.entered[i]
+		if settled {
+			counts, hc = h.PerRankCounts(), h.ChangedLast()
+		}
 		total := uint64(0)
 		for _, c := range counts {
 			total += uint64(c)
 		}
 		e := obs.Get()
 		e.Kind = obs.KindRelation
-		e.Rank, e.Stratum, e.Iter = rank, stratum, iter
+		e.Rank, e.Stratum, e.Iter = rank, stratum, w.iter
 		e.Name = h.Name
-		e.Count, e.Changed = total, h.ChangedLast()
+		e.Count, e.Changed = total, hc
 		e.PerRank = append(e.PerRank, counts...)
 		e.End = time.Now().UnixNano()
 		obs.Emit(o, e)
 	}
-	d := f.Comm.Stats().Snapshot().Sub(pre)
-	net := f.Comm.Stats().Net().Sub(preNet)
+	net := w.net
 	e := obs.Get()
 	e.Kind = obs.KindIteration
-	e.Rank, e.Stratum, e.Iter = rank, stratum, iter
+	e.Rank, e.Stratum, e.Iter = rank, stratum, w.iter
 	e.Changed = changed
-	e.Start, e.End = startNS, time.Now().UnixNano()
-	e.Bytes = int64(d.Bytes)
-	e.Msgs = int64(d.Calls)
+	e.Start, e.End = w.start, w.end
+	e.Bytes = int64(w.comm.Bytes)
+	e.Msgs = int64(w.comm.Calls)
 	e.Net = obs.NetStats{
 		FramesSent:      net.FramesSent,
 		FramesRecv:      net.FramesRecv,
@@ -716,22 +739,53 @@ func (f *Fixpoint) emitIteration(o obs.Observer, opts Options, iter int, changed
 
 // run is the shared fixpoint loop, entered at startIter (0 for a fresh run,
 // the checkpoint's completed-iteration count for a resume).
+//
+// An iteration's changed count rides the next step's routing lane headers,
+// so that step reports it. A step whose headers sum to zero while no
+// body-only relation had Δ moved nothing. If the heads' counts were still
+// Unsettled, the iteration before was the last and the step only its
+// agreement; otherwise (a fresh start) the step is the last iteration.
 func (f *Fixpoint) run(opts Options, startIter int) int {
 	f.prepare()
-	iter := startIter
-	for {
-		changed := f.step(opts, iter)
-		iter++
-		forceCkpt := f.pressure(opts, iter)
-		if changed == 0 {
+	for iter := startIter; ; iter++ {
+		quiet, held := true, false
+		for _, b := range f.bodyOnly {
+			quiet = quiet && b.ChangedLast() == 0
+		}
+		for _, h := range f.heads {
+			held = held || h.ChangedLast() == relation.Unsettled
+		}
+		prev, row := f.window, f.MC.Row(f.Comm.Rank(), iter)
+		entered := f.step(opts, iter)
+		if held && iter > startIter {
+			f.report(opts, prev, entered, false)
+		}
+		if quiet && entered == 0 {
+			for _, h := range f.heads {
+				h.SetChangedLast(0)
+			}
+			if !held {
+				f.report(opts, f.window, 0, false)
+				return iter + 1
+			}
+			if iter > 0 {
+				f.MC.Fold(f.Comm.Rank(), iter, row)
+			}
 			return iter
 		}
+		forceCkpt := f.pressure(opts, iter+1)
 		if opts.CheckpointEvery > 0 && opts.Sink != nil &&
-			(forceCkpt || iter%opts.CheckpointEvery == 0) {
-			f.checkpoint(opts, iter)
+			(forceCkpt || (iter+1)%opts.CheckpointEvery == 0) {
+			f.checkpoint(opts, iter+1)
 		}
-		if opts.MaxIters > 0 && iter >= opts.MaxIters {
-			return iter
+		if opts.MaxIters > 0 && iter+1 >= opts.MaxIters {
+			changed := uint64(0)
+			for _, h := range f.heads {
+				h.Settle()
+				changed += h.ChangedLast()
+			}
+			f.report(opts, f.window, changed, true)
+			return iter + 1
 		}
 	}
 }

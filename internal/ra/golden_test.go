@@ -35,8 +35,8 @@ const (
 	goldenIter    = 2
 )
 
-// buildGoldenRels constructs the fixture's three relations — aggregated,
-// set, and leaky — identically on every rank.
+// buildGoldenRels constructs the fixture's three relations — aggregated
+// (placed on its join key), set, and leaky — identically on every rank.
 func buildGoldenRels(t *testing.T, c *mpi.Comm, mc *metrics.Collector) []*relation.Relation {
 	t.Helper()
 	sp, err := relation.New(relation.Schema{Name: "g_sp", Arity: 3, Indep: 2, Key: 2, Agg: lattice.Min{}},
@@ -44,9 +44,11 @@ func buildGoldenRels(t *testing.T, c *mpi.Comm, mc *metrics.Collector) []*relati
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sp.AddIndex([]int{1, 0, 2}, 1); err != nil {
+	ix, err := sp.AddIndex([]int{1, 0, 2}, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
+	sp.PlaceOn(ix)
 	edge, err := relation.New(relation.Schema{Name: "g_edge", Arity: 2, Indep: 2, Key: 1},
 		c, mc, relation.Config{Subs: 2})
 	if err != nil {

@@ -224,9 +224,9 @@ func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collecto
 	recv := send
 	var exchBytes, exchMsgs int64
 	if !local {
-		pre := comm.Stats().Snapshot()
+		pre := comm.Meter()
 		recv = comm.Alltoallv(send)
-		exchBytes, exchMsgs = int64(comm.Stats().Snapshot().Sub(pre).Bytes), nonEmptyLanes(send, rank)+1
+		exchBytes, exchMsgs = int64(comm.Meter().Sub(pre).Bytes), nonEmptyLanes(send, rank)+1
 	}
 	mc.Record(rank, iter, metrics.PhaseIntraBucket, timer.Done(scanned, exchBytes, exchMsgs))
 

@@ -644,7 +644,10 @@ func TestCoPartitionFollowsPlacement(t *testing.T) {
 	}
 }
 
-// TestAfterIterationHook counts iterations through the hook.
+// TestAfterIterationHook counts iterations through the hook and checks that
+// each call carries its own iteration's changed count, though the count is
+// agreed one step later: a path relation gains every tuple exactly once, so
+// the counts sum to its size, and the last one is zero.
 func TestAfterIterationHook(t *testing.T) {
 	var es []edge
 	for i := 0; i < 10; i++ {
@@ -659,7 +662,7 @@ func TestAfterIterationHook(t *testing.T) {
 		edgeRel.LoadShare(len(es), func(i int, emit func(tuple.Tuple)) {
 			emit(tuple.Tuple{es[i].u, es[i].v})
 		})
-		hookCalls := 0
+		hookCalls, sum, last := 0, uint64(0), uint64(1)
 		fx := NewFixpoint(c, mc,
 			&Copy{Src: edgeRel.Canonical(), SrcRel: edgeRel, Head: pathRel,
 				Emit: func(s, out tuple.Tuple) bool { return copy(out, s) > 0 }},
@@ -672,9 +675,13 @@ func TestAfterIterationHook(t *testing.T) {
 				t.Errorf("hook iter %d, want %d", iter, hookCalls)
 			}
 			hookCalls++
+			sum, last = sum+changed, changed
 		}})
 		if hookCalls != n {
 			return fmt.Errorf("hook ran %d times for %d iterations", hookCalls, n)
+		}
+		if size := pathRel.GlobalFullCount(); sum != size || last != 0 {
+			return fmt.Errorf("hook counts sum to %d, last %d; path holds %d", sum, last, size)
 		}
 		return nil
 	})

@@ -107,8 +107,9 @@ type Shard struct {
 // base facts is safe); a shard set that fails validation leaves the relation
 // untouched.
 //
-//   - index tuples re-bucket by their join-key/independent columns — each
-//     tuple has exactly one home, so the per-rank shards stay disjoint;
+//   - index tuples re-bucket by their join-key/independent columns, or by
+//     the relation's placement for a local index — each tuple has exactly
+//     one home, so the per-rank shards stay disjoint;
 //   - accumulator entries re-place by independent key and merge through the
 //     lattice ⊔ in shard-then-stored order (order-independence makes the
 //     merge sound even if a key somehow arrives from several old shards);
@@ -122,9 +123,9 @@ type Shard struct {
 //     origin mod size and ⊔-merge: they only gate pruning, so any complete
 //     deterministic placement preserves correctness.
 //
-// The sub-bucket count and cached global changed count are collectively
-// agreed scalars, so every shard holds the same values (a mismatch means a
-// torn checkpoint set and is an error).
+// The sub-bucket count and cached global changed count (Unsettled included)
+// are collectively agreed scalars, so every shard holds the same values (a
+// mismatch means a torn checkpoint set and is an error).
 func (r *Relation) Restore(shards []Shard) error {
 	if len(shards) == 0 {
 		return fmt.Errorf("relation %s: restore from an empty shard set", r.Name)
@@ -170,7 +171,8 @@ func (r *Relation) Restore(shards []Shard) error {
 		if len(w) < 4 {
 			return fail("truncated header")
 		}
-		// The upper bound keeps rankOf's bucket*subs+sub inside an int.
+		// The upper bound keeps a sub-bucket index, and rankOf's
+		// bucket+sub, well inside an int.
 		if w[0] < 1 || w[0] > mpi.Word(math.MaxInt/size) {
 			return fail("sub-bucket count %d out of range", w[0])
 		}

@@ -129,10 +129,9 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 		t := cands.At(i)
 		var dest int
 		if r.Agg != nil {
-			dest = r.accPlacement(t[:r.Indep])
+			dest = r.accPlacement(t)
 		} else {
-			ix := r.indexes[0]
-			dest = r.rankOf(ix.bucketOf(t), ix.subOf(t))
+			dest = r.indexes[0].homeOf(t)
 		}
 		send[dest] = append(send[dest], t...)
 	}
@@ -175,53 +174,16 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 		}
 	}
 
-	// Phase B: purge every index replica of the dropped tuples and seed
-	// their Δ trees, mirroring maintainIndexes' routing.
-	r.purgeReplicas(removed)
+	// Phase B: delete the dropped tuples from every index that stores them
+	// and seed those indexes' Δ trees, exactly as maintainIndexes inserts.
+	r.toIndexes(removed, func(id int, stored tuple.Tuple) {
+		if ix := r.indexes[id]; ix.Full.Delete(stored) {
+			ix.Delta.Insert(stored)
+		}
+	})
 
 	total := r.comm.Allreduce(uint64(removed.Len()), mpi.OpSum)
 	r.changedLast = total
 	r.invalidateDigestBaseline()
 	return total
-}
-
-// purgeReplicas routes dropped tuples (canonical order) to every index home
-// that stores them and deletes them there, inserting each into the home's Δ
-// tree. For set relations the canonical index was already updated at the
-// owner and is skipped — exactly the replica set maintainIndexes routes to.
-func (r *Relation) purgeReplicas(removed *tuple.Buffer) {
-	size := r.comm.Size()
-	start := 0
-	if r.Agg == nil {
-		start = 1
-	}
-	if start >= len(r.indexes) {
-		// No replicas; every rank skips uniformly (same index count
-		// everywhere), so no collective is missed.
-		return
-	}
-	send := r.sendBuf(size)
-	stored := r.permuteScratch()
-	for i, nr := 0, removed.Len(); i < nr; i++ {
-		t := removed.At(i)
-		for id := start; id < len(r.indexes); id++ {
-			ix := r.indexes[id]
-			ix.permuteInto(t, stored)
-			dest := r.rankOf(ix.bucketOf(stored), ix.subOf(stored))
-			send[dest] = append(send[dest], mpi.Word(id))
-			send[dest] = append(send[dest], stored...)
-		}
-	}
-	recv := r.comm.Alltoallv(send)
-	rec := 1 + r.Arity
-	for _, words := range recv {
-		for off := 0; off+rec <= len(words); off += rec {
-			id := int(words[off])
-			arrived := tuple.Tuple(words[off+1 : off+rec])
-			ix := r.indexes[id]
-			if ix.Full.Delete(arrived) {
-				ix.Delta.Insert(arrived)
-			}
-		}
-	}
 }

@@ -9,9 +9,8 @@ import (
 
 // Online divergence detection (Config.Integrity). Each Materialize
 // fingerprints this rank's shard with order-independent 64-bit digests and
-// rides them on the convergence Allreduce — the agreement every iteration
-// already pays for — so detection costs zero extra collective rounds. The
-// digests are sums of per-tuple hashes, which makes them independent of
+// agrees them in one AllreduceVec, a round of its own because the digests
+// cover the indexes after the pass. The digests are sums of per-tuple hashes, which makes them independent of
 // storage order AND of placement: the global sum over ranks is a property
 // of the logical relation, so it survives sub-bucket rebalancing and
 // elastic restarts.
@@ -139,11 +138,11 @@ func digestBuffer(b *tuple.Buffer) uint64 {
 	return sum
 }
 
-// integrityLocal fills vec[1:6] with this rank's digest contributions and
-// returns the number of tuples hashed: [1] the canonical store (acc for
-// aggregated relations, the canonical tree otherwise), [2] Σ over every
-// index FULL tree, [3] Σ over every index Δ tree, [4] this pass's fresh
-// tuples, [5] the accumulator drift (recomputed minus running digest;
+// integrityLocal fills vec with this rank's digest contributions and
+// returns the number of tuples hashed: [0] the canonical store (acc for
+// aggregated relations, the canonical tree otherwise), [1] Σ over every
+// index FULL tree, [2] Σ over every index Δ tree, [3] this pass's fresh
+// tuples, [4] the accumulator drift (recomputed minus running digest;
 // always 0 for set relations).
 func (r *Relation) integrityLocal(fresh *tuple.Buffer, vec []mpi.Word) int64 {
 	var canon, fullSum, deltaSum uint64
@@ -157,7 +156,7 @@ func (r *Relation) integrityLocal(fresh *tuple.Buffer, vec []mpi.Word) int64 {
 			canon = fd
 		}
 	}
-	vec[5] = 0
+	vec[4] = 0
 	if r.Agg != nil {
 		canon = r.digestAcc()
 		work += int64(r.acc.Len())
@@ -167,41 +166,36 @@ func (r *Relation) integrityLocal(fresh *tuple.Buffer, vec []mpi.Word) int64 {
 			r.accDig = canon
 			r.accDigValid = true
 		}
-		vec[5] = canon - r.accDig
+		vec[4] = canon - r.accDig
 	}
-	vec[1] = canon
-	vec[2] = fullSum
-	vec[3] = deltaSum
+	vec[0] = canon
+	vec[1] = fullSum
+	vec[2] = deltaSum
 	if fresh != nil {
-		vec[4] = digestBuffer(fresh)
+		vec[3] = digestBuffer(fresh)
 		work += int64(fresh.Len())
 	} else {
-		vec[4] = 0
+		vec[3] = 0
 	}
 	return work
 }
 
-// integrityAllreduce agrees on the changed count through a 6-word OpSum
-// vector carrying [changed, canonical, ΣFULL, ΣΔ, Σfresh, accDrift],
-// verifies the agreed sums, and returns the global changed count. The
-// digests cover the replicas after the replica exchange, so this is a round
-// of its own rather than a ride on that exchange's lane headers. The
-// fingerprint computation is metered as PhaseIntegrity.
-func (r *Relation) integrityAllreduce(iter int, changedLocal uint64, record bool) uint64 {
+// integrityAllreduce agrees on a 5-word OpSum vector carrying [canonical,
+// ΣFULL, ΣΔ, Σfresh, accDrift] and verifies the agreed sums. The digests
+// cover the indexes after the pass, so this is a round of its own rather
+// than a ride on the next routing exchange's lane headers. The fingerprint
+// computation is metered as PhaseIntegrity.
+func (r *Relation) integrityAllreduce(iter int, record bool) {
 	if r.digVec == nil {
-		r.digVec = make([]mpi.Word, 6)
-		r.digVecOut = make([]mpi.Word, 6)
+		r.digVec = make([]mpi.Word, 5)
+		r.digVecOut = make([]mpi.Word, 5)
 	}
 	timer := metrics.StartTimer()
-	vec := r.digVec
-	vec[0] = changedLocal
-	work := r.integrityLocal(r.freshBuf, vec)
+	work := r.integrityLocal(r.freshBuf, r.digVec)
 	if record {
 		r.mc.Record(r.comm.Rank(), iter, metrics.PhaseIntegrity, timer.Done(work, 0, 0))
 	}
-	g := r.comm.AllreduceVec(vec, r.digVecOut, mpi.OpSum)
-	r.verifyIntegrity(iter, g)
-	return g[0]
+	r.verifyIntegrity(iter, r.comm.AllreduceVec(r.digVec, r.digVecOut, mpi.OpSum))
 }
 
 // verifyIntegrity checks the invariants on the agreed global sums. Every
@@ -212,7 +206,7 @@ func (r *Relation) integrityAllreduce(iter int, changedLocal uint64, record bool
 // intentionally loose.
 func (r *Relation) verifyIntegrity(iter int, g []mpi.Word) {
 	nIdx := uint64(len(r.indexes))
-	canon, fullSum, deltaSum, freshDig := g[1], g[2], g[3], g[4]
+	canon, fullSum, deltaSum, freshDig := g[0], g[1], g[2], g[3]
 	if r.leaky == nil {
 		if fullSum != nIdx*canon {
 			r.diverge(iter, "replica")
@@ -221,7 +215,7 @@ func (r *Relation) verifyIntegrity(iter int, g []mpi.Word) {
 			r.diverge(iter, "delta")
 		}
 	}
-	if g[5] != 0 {
+	if g[4] != 0 {
 		// The accumulator arena changed outside the merge path on some rank
 		// (the per-rank drifts are placement-independent, so legitimate
 		// redistribution cancels in the global sum).

@@ -58,16 +58,20 @@ func (r *Relation) CheckInvariants() error {
 	}
 
 	if r.Agg != nil && localErr == nil {
-		// Canonical index entries must mirror accumulator values when both
-		// live on this rank; otherwise the count check below catches drift.
+		// The canonical index lives with the accumulator, so every entry
+		// must mirror a local accumulator value; the count check below
+		// catches accumulator entries it lacks.
 		canon := r.indexes[0]
 		canon.Full.Ascend(func(t tuple.Tuple) bool {
-			if v := r.acc.Get(t[:r.Indep]); v != nil {
-				for i, d := range v {
-					if t[r.Indep+i] != d {
-						fail("relation %s: canonical index %v disagrees with accumulator %v", r.Name, t, v)
-						return false
-					}
+			v := r.acc.Get(t[:r.Indep])
+			if v == nil {
+				fail("relation %s: canonical index %v has no accumulator entry on rank %d", r.Name, t, r.comm.Rank())
+				return false
+			}
+			for i, d := range v {
+				if t[r.Indep+i] != d {
+					fail("relation %s: canonical index %v disagrees with accumulator %v", r.Name, t, v)
+					return false
 				}
 			}
 			return true

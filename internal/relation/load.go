@@ -115,14 +115,13 @@ func (r *Relation) SetSubs(subs int) int {
 		if r.ids != nil {
 			newIDs = wordmap.NewWithCapacity(r.idKeyWords(), 1, r.ids.Len())
 			r.ids.Each(func(key, iv []tuple.Value) bool {
-				t := tuple.Tuple(key)
-				dest := r.rankOf(canon.bucketOf(t), canon.subOf(t))
+				dest := canon.homeOf(tuple.Tuple(key))
 				if dest == rank {
 					v, _ := newIDs.Upsert(key)
 					v[0] = iv[0]
 					return true
 				}
-				send[dest] = append(send[dest], t...)
+				send[dest] = append(send[dest], key...)
 				send[dest] = append(send[dest], iv[0])
 				shipped += rec * mpi.WordBytes
 				return true
@@ -161,7 +160,7 @@ func (ix *Index) redistribute() int {
 		send := r.sendBuf(size)
 		var words []tuple.Value
 		tree.Ascend(func(t tuple.Tuple) bool {
-			dest := r.rankOf(ix.bucketOf(t), ix.subOf(t))
+			dest := ix.homeOf(t)
 			if dest == r.comm.Rank() {
 				words = append(words, t...)
 			} else {

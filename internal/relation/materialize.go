@@ -39,34 +39,61 @@ func (r *Relation) permuteScratch() tuple.Tuple {
 	return r.permScratch
 }
 
+// routeHeader is the number of words in front of every routing lane: the
+// sender's local Δ size and LocalFullCount as the pass begins.
+const routeHeader = 2
+
+// Unsettled is what ChangedLast reports until the global changed count of
+// the most recent pass is agreed; above zero, it lets every gated variant run.
+const Unsettled = ^uint64(0)
+
 // Materialize is the fused deduplication/aggregation pass (§III-A): it
 // routes this rank's newly generated tuples (canonical column order) to
 // their canonical homes, merges them — set semantics deduplicate, aggregated
 // relations lattice-join into the accumulator — computes the new Δ from the
-// tuples whose merged value actually changed, and maintains every index
-// replica. It returns the global number of changed tuples (identical on all
-// ranks) and must be called collectively, after all rules of the iteration
-// have run, for every relation of the stratum (even with empty pending, so
-// that Δ versions flip). The agreement on that count rides the replica
-// exchange's lane headers (maintainIndexes); only a relation with no replica
-// to maintain, or one checking Integrity, pays an Allreduce for it.
+// tuples whose merged value actually changed, and maintains every index. It
+// returns the global number of changed tuples (identical on all ranks) and
+// must be called collectively (even with empty pending, so that Δ versions
+// flip). The count is agreed by one Allreduce (Settle); the fixpoint driver
+// calls Advance instead and lets the next pass's routing headers carry it.
 //
 // When record is true the pass meters PhaseAllToAll (tuple routing),
 // PhaseLocalAgg (merging and tree insertion), and PhaseOther (the extra
 // intra-bucket gather that balanced aggregation requires, §IV-C).
 func (r *Relation) Materialize(iter int, pending *tuple.Buffer, record bool) uint64 {
+	r.Advance(iter, pending, record)
+	r.Settle()
+	return r.changedLast
+}
+
+// Settle agrees an Unsettled changed count now, with one Allreduce of the
+// local Δ sizes. Collective: whether it communicates is the same everywhere.
+func (r *Relation) Settle() {
+	if r.changedLast == Unsettled {
+		r.changedLast = r.comm.Allreduce(uint64(r.LocalDeltaCount()), mpi.OpSum)
+	}
+}
+
+// Advance is Materialize for the fixpoint driver, without the closing
+// agreement. Every routing lane opens with a routeHeader; Advance returns the
+// summed Δ words, the global Δ size the relation entered the pass with — the
+// previous pass's changed count. ChangedLast then reports Unsettled.
+func (r *Relation) Advance(iter int, pending *tuple.Buffer, record bool) (entered uint64) {
 	rank := r.comm.Rank()
 	size := r.comm.Size()
 
+	// Phase A: route new tuples to their canonical homes behind the header.
 	// Δ versions from the previous iteration have been consumed by now;
-	// reuse their node storage for this iteration's Δ.
+	// their node storage is reused for this iteration's Δ.
+	timer := metrics.StartTimer()
+	send := r.sendBuf(size)
+	delta, full := mpi.Word(r.LocalDeltaCount()), mpi.Word(r.LocalFullCount())
+	for dest := range send {
+		send[dest] = append(send[dest], delta, full)
+	}
 	for _, ix := range r.indexes {
 		ix.Delta.Reset()
 	}
-
-	// Phase A: route new tuples to their canonical homes.
-	timer := metrics.StartTimer()
-	send := r.sendBuf(size)
 	n := 0
 	if pending != nil {
 		n = pending.Len()
@@ -74,29 +101,33 @@ func (r *Relation) Materialize(iter int, pending *tuple.Buffer, record bool) uin
 	for i := 0; i < n; i++ {
 		t := pending.At(i)
 		var dest int
-		if r.Agg != nil {
-			b := int(t.HashPrefix(r.Indep) % uint64(size))
-			if r.subs > 1 {
-				// Scatter across the bucket's sub-buckets by dependent
-				// value to balance merge work; a second intra-bucket hop
-				// gathers partials to the owner below.
-				s := int(tuple.Tuple(t[r.Indep:]).Hash() % uint64(r.subs))
-				dest = r.rankOf(b, s)
-			} else {
-				dest = r.rankOf(b, 0)
-			}
-		} else {
-			ix := r.indexes[0]
-			dest = r.rankOf(ix.bucketOf(t), ix.subOf(t))
+		switch {
+		case r.Agg == nil:
+			dest = r.indexes[0].homeOf(t)
+		case r.subs > 1:
+			// Scatter across the bucket's sub-buckets by dependent value to
+			// balance merge work; a second intra-bucket hop gathers partials
+			// to the owner below.
+			b, _ := r.placeOf(t)
+			dest = r.rankOf(b, int(tuple.Tuple(t[r.Indep:]).Hash()%uint64(r.subs)))
+		default:
+			dest = r.accPlacement(t)
 		}
 		send[dest] = append(send[dest], t...)
 	}
-	pre := r.comm.Stats().Snapshot()
+	pre := r.comm.Meter()
 	recv := r.comm.Alltoallv(send)
 	if record {
-		d := r.comm.Stats().Snapshot().Sub(pre)
+		d := r.comm.Meter().Sub(pre)
 		s := timer.Done(int64(n), int64(d.Bytes), int64(d.Calls))
 		r.mc.Record(rank, iter, metrics.PhaseAllToAll, s)
+	}
+	if len(r.enteredCounts) != size {
+		r.enteredCounts = make([]int, size)
+	}
+	for src, words := range recv {
+		entered += words[0]
+		r.enteredCounts[src] = int(words[1])
 	}
 
 	var fresh *tuple.Buffer
@@ -105,20 +136,12 @@ func (r *Relation) Materialize(iter int, pending *tuple.Buffer, record bool) uin
 	} else {
 		fresh = r.materializeSet(iter, recv, record)
 	}
-	changedLocal := uint64(fresh.Len())
-	total, summed := r.maintainIndexes(iter, fresh, record)
-	switch {
-	case r.integrity:
-		// The state digests need the post-exchange replicas, so they take
-		// an agreement round of their own: the changed count plus five
-		// digest words, and every rank verifies the global invariants
-		// before trusting the result.
-		total = r.integrityAllreduce(iter, changedLocal, record)
-	case !summed:
-		total = r.comm.Allreduce(changedLocal, mpi.OpSum)
+	r.maintainIndexes(iter, fresh, record)
+	if r.integrity {
+		r.integrityAllreduce(iter, record)
 	}
-	r.changedLast = total
-	return total
+	r.changedLast = Unsettled
+	return entered
 }
 
 // materializeSet deduplicates arrived tuples against the canonical index,
@@ -134,7 +157,7 @@ func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) *tup
 		work = r.loadSet(recv, fresh)
 	} else {
 		for _, words := range recv {
-			for off := 0; off+r.Arity <= len(words); off += r.Arity {
+			for off := routeHeader; off+r.Arity <= len(words); off += r.Arity {
 				t := tuple.Tuple(words[off : off+r.Arity])
 				if r.leaky != nil && !r.leakyImproves(t) {
 					work++
@@ -165,7 +188,7 @@ func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) *tup
 func (r *Relation) loadSet(recv [][]mpi.Word, fresh *tuple.Buffer) (work int64) {
 	var cands []tuple.Value
 	for _, words := range recv {
-		for off := 0; off+r.Arity <= len(words); off += r.Arity {
+		for off := routeHeader; off+r.Arity <= len(words); off += r.Arity {
 			t := words[off : off+r.Arity]
 			if r.leaky != nil && !r.leakyImproves(t) {
 				work++
@@ -222,7 +245,7 @@ func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tup
 	partial.Reset()
 	var work int64
 	for _, words := range recv {
-		for off := 0; off+r.Arity <= len(words); off += r.Arity {
+		for off := routeHeader; off+r.Arity <= len(words); off += r.Arity {
 			t := tuple.Tuple(words[off : off+r.Arity])
 			r.mergeDep(r.Agg, partial, t[:r.Indep], t[r.Indep:])
 			work++
@@ -231,7 +254,7 @@ func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tup
 
 	if r.subs > 1 {
 		// Intra-bucket gather: partials travel to the bucket owner
-		// (sub-bucket 0).
+		// (the accumulator's placement).
 		if record {
 			r.mc.Record(rank, iter, metrics.PhaseLocalAgg, timer.Done(work, 0, 0))
 		}
@@ -244,10 +267,10 @@ func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tup
 			send[dest] = append(send[dest], dep...)
 		}
 		sent := partial.Len()
-		pre := r.comm.Stats().Snapshot()
+		pre := r.comm.Meter()
 		recv2 := r.comm.Alltoallv(send)
 		if record {
-			d := r.comm.Stats().Snapshot().Sub(pre)
+			d := r.comm.Meter().Sub(pre)
 			s := gatherTimer.Done(int64(sent), int64(d.Bytes), int64(d.Calls))
 			r.mc.Record(rank, iter, metrics.PhaseOther, s)
 		}
@@ -304,105 +327,122 @@ func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tup
 	return fresh
 }
 
-// laneHeader is the number of words in front of every replica-exchange
-// lane: the sender's changed count, then its canonical LocalFullCount.
-const laneHeader = 2
-
-// replicated reports whether Materialize has replicas to maintain, i.e.
-// whether it runs the replica exchange. Indexes are registered identically
-// everywhere, so the answer is the same on every rank.
-func (r *Relation) replicated() bool { return r.Agg != nil || len(r.indexes) > 1 }
-
-// maintainIndexes routes changed tuples (canonical order) to every index
-// home that needs them and applies them: set relations insert, aggregated
-// relations replace the stale entry for the key. For set relations the
-// canonical index was already updated during deduplication and is skipped.
-//
-// Every lane, empty or not, opens with a laneHeader: this rank's changed
-// count and canonical LocalFullCount. Summing the received changed counts
-// (this rank's own lane included) gives every rank the same global total, so
-// the exchange doubles as the convergence agreement, and the counts are kept
-// for RankCounts. A relation with nothing to replicate exchanges nothing and
-// returns summed false.
-func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, record bool) (total uint64, summed bool) {
-	if !r.replicated() {
-		return 0, false
+// Replicated reports whether Materialize runs the replica exchange: some
+// index besides the canonical one is not local. Indexes and placement are
+// registered identically everywhere, so the answer is the same on every rank.
+func (r *Relation) Replicated() bool {
+	for _, ix := range r.indexes[1:] {
+		if !ix.local {
+			return true
+		}
 	}
-	rank := r.comm.Rank()
-	size := r.comm.Size()
-	start := 0
-	if r.Agg == nil {
-		start = 1
+	return false
+}
+
+// maintainIndexes puts changed tuples (canonical order) into every index
+// that needs them (toIndexes): set relations insert, aggregated relations
+// replace the stale entry for the key.
+func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, record bool) {
+	if r.Agg == nil && len(r.indexes) == 1 {
+		return
 	}
 	timer := metrics.StartTimer()
-	send := r.sendBuf(size)
-	for dest := range send {
-		send[dest] = append(send[dest], mpi.Word(fresh.Len()), mpi.Word(r.LocalFullCount()))
-	}
-	stored := r.permuteScratch()
-	for i, nf := 0, fresh.Len(); i < nf; i++ {
-		t := fresh.At(i)
-		for id := start; id < len(r.indexes); id++ {
-			ix := r.indexes[id]
-			ix.permuteInto(t, stored)
-			dest := r.rankOf(ix.bucketOf(stored), ix.subOf(stored))
-			send[dest] = append(send[dest], mpi.Word(id))
-			send[dest] = append(send[dest], stored...)
-		}
-	}
-	pre := r.comm.Stats().Snapshot()
-	recv := r.comm.Alltoallv(send)
-	commDelta := r.comm.Stats().Snapshot().Sub(pre)
-
 	// An index whose FULL is still empty (an initial load) collects its
-	// whole batch and is built bottom-up below; fresh tuples are distinct,
-	// so every one of them grows the tree it lands in.
+	// whole batch in loads and is built bottom-up below; fresh tuples are
+	// distinct, so every one of them grows the tree it lands in.
 	var work int64
-	rec := 1 + r.Arity
 	var loads [][]tuple.Value
-	if len(r.laneCounts) != size {
-		r.laneCounts = make([]int, size)
-	}
-	for src, words := range recv {
-		total += words[0]
-		r.laneCounts[src] = int(words[1])
-		for off := laneHeader; off+rec <= len(words); off += rec {
-			id := int(words[off])
-			arrived := tuple.Tuple(words[off+1 : off+rec])
-			ix := r.indexes[id]
-			n := ix.Full.Len()
-			switch {
-			case n == 0:
-				if loads == nil {
-					loads = make([][]tuple.Value, len(r.indexes))
-				}
-				work += treeWork(len(loads[id]) / r.Arity)
-				loads[id] = append(loads[id], arrived...)
-				continue
-			case r.Agg == nil:
-				work += treeWork(n)
-				ix.Full.Insert(arrived)
-			case ix.Full.UpsertPrefix(ix.indepLen, arrived):
-				// The independent prefix locates the key's one entry, so the
-				// improved value overwrote the stale one where it stood. The
-				// model still charges what purging and re-inserting it cost.
-				work += 2 * treeWork(n-1)
-			default:
-				work += treeWork(n)
-			}
-			ix.Delta.Insert(arrived)
-		}
-	}
+	comm, replicated := r.toIndexes(fresh, func(id int, stored tuple.Tuple) {
+		work += r.applyFresh(id, stored, &loads)
+	})
 	for id, words := range loads {
 		if len(words) > 0 {
 			r.indexes[id].load(words, nil)
 		}
 	}
 	if record {
-		s := timer.Done(work, int64(commDelta.Bytes), int64(commDelta.Calls))
-		r.mc.Record(rank, iter, metrics.PhaseAllToAll, s)
+		phase := metrics.PhaseLocalAgg
+		if replicated {
+			phase = metrics.PhaseAllToAll
+		}
+		r.mc.Record(r.comm.Rank(), iter, phase, timer.Done(work, int64(comm.Bytes), int64(comm.Calls)))
 	}
-	return total, true
+}
+
+// toIndexes hands every tuple of buf (canonical order) to apply once per
+// index that stores it, in that index's stored order, skipping a set
+// relation's canonical index, which deduplication maintains: on this rank
+// for a local index, at the index's home over one replica exchange for any
+// other. The exchange runs only when some index is not local, which is the
+// same on every rank; toIndexes returns its traffic and whether it ran.
+func (r *Relation) toIndexes(buf *tuple.Buffer, apply func(id int, stored tuple.Tuple)) (comm mpi.Totals, replicated bool) {
+	start := 0
+	if r.Agg == nil {
+		start = 1
+	}
+	replicated = r.Replicated()
+	var send [][]mpi.Word
+	if replicated {
+		send = r.sendBuf(r.comm.Size())
+	}
+	stored := r.permuteScratch()
+	for i, n := 0, buf.Len(); i < n; i++ {
+		t := buf.At(i)
+		for id := start; id < len(r.indexes); id++ {
+			ix := r.indexes[id]
+			ix.permuteInto(t, stored)
+			if ix.local {
+				apply(id, stored)
+				continue
+			}
+			dest := ix.homeOf(stored)
+			send[dest] = append(send[dest], mpi.Word(id))
+			send[dest] = append(send[dest], stored...)
+		}
+	}
+	if !replicated {
+		return comm, false
+	}
+	pre := r.comm.Meter()
+	recv := r.comm.Alltoallv(send)
+	comm = r.comm.Meter().Sub(pre)
+	rec := 1 + r.Arity
+	for _, words := range recv {
+		for off := 0; off+rec <= len(words); off += rec {
+			apply(int(words[off]), words[off+1:off+rec])
+		}
+	}
+	return comm, true
+}
+
+// applyFresh puts one changed tuple, in index id's stored order, into that
+// index and its Δ, or into loads while the index's FULL is empty, and
+// returns the work units the cost model charges for it.
+func (r *Relation) applyFresh(id int, stored tuple.Tuple, loads *[][]tuple.Value) int64 {
+	ix := r.indexes[id]
+	n := ix.Full.Len()
+	var work int64
+	switch {
+	case n == 0:
+		if *loads == nil {
+			*loads = make([][]tuple.Value, len(r.indexes))
+		}
+		work = treeWork(len((*loads)[id]) / r.Arity)
+		(*loads)[id] = append((*loads)[id], stored...)
+		return work
+	case r.Agg == nil:
+		work = treeWork(n)
+		ix.Full.Insert(stored)
+	case ix.Full.UpsertPrefix(ix.indepLen, stored):
+		// The independent prefix locates the key's one entry, so the
+		// improved value overwrote the stale one where it stood. The model
+		// still charges what purging and re-inserting it cost.
+		work = 2 * treeWork(n-1)
+	default:
+		work = treeWork(n)
+	}
+	ix.Delta.Insert(stored)
+	return work
 }
 
 // leakyImproves applies the baseline engines' per-rank partial pruning: a

@@ -10,7 +10,8 @@
 // relations additionally keep a canonical accumulator map from independent
 // columns to the lattice-joined dependent value, placed by hashing the
 // independent columns only — which is what makes local aggregation
-// communication-free (dependent columns never influence placement).
+// communication-free (dependent columns never influence placement). PlaceOn
+// puts the accumulator and indexes on one rank per (bucket, sub-bucket).
 package relation
 
 import (
@@ -75,7 +76,7 @@ type Config struct {
 	Subs int
 	// Integrity enables online divergence detection: every Materialize
 	// computes order-independent 64-bit digests over this rank's shard and
-	// rides them on the convergence Allreduce; a global mismatch raises
+	// agrees them in one AllreduceVec; a global mismatch raises
 	// mpi.ErrStateDiverged on every rank. Must be identical on all ranks.
 	Integrity bool
 	// Leaky puts a set-semantics relation into the "leaky partial
@@ -116,14 +117,19 @@ type Relation struct {
 	// the canonical index (identity permutation); it always exists and is
 	// where set-semantics deduplication happens.
 	indexes []*Index
+	// place is the index whose bucket and sub-bucket place an aggregated
+	// relation's accumulator and local indexes (PlaceOn; nil for set
+	// relations). placeScratch holds one key in place's stored order.
+	place        *Index
+	placeScratch tuple.Tuple
 
 	// changedLast caches the global changed-count from the most recent
 	// Materialize, letting the fixpoint driver skip join variants whose Δ
-	// side is globally empty.
+	// side is globally empty; Unsettled while that count is not agreed yet.
 	changedLast uint64
-	// laneCounts holds every rank's LocalFullCount as its replica-exchange
-	// lane header carried it in the most recent Materialize (RankCounts).
-	laneCounts []int
+	// enteredCounts holds every rank's LocalFullCount as the routing lane
+	// headers of the most recent Materialize carried it (EnteredCounts).
+	enteredCounts []int
 
 	// leaky and leakyBest implement the baseline engines' partial
 	// aggregation: leakyBest maps an independent-column key to this rank's
@@ -183,6 +189,9 @@ type Index struct {
 	// indepLen is the number of leading permuted columns that are
 	// independent source columns (used to locate stale aggregate entries).
 	indepLen int
+	// local marks an index stored with its aggregated relation's accumulator
+	// (PlaceOn): changed tuples update it in place, not by replica exchange.
+	local bool
 
 	// homes caches HomeRanks per bucket; rebuilt whenever the placement
 	// inputs (world size, sub-bucket count) change.
@@ -230,7 +239,23 @@ func New(sch Schema, comm *mpi.Comm, mc *metrics.Collector, cfg Config) (*Relati
 	if _, err := r.AddIndex(perm, sch.Key); err != nil {
 		return nil, err
 	}
+	if sch.Agg != nil {
+		r.placeScratch = make(tuple.Tuple, sch.Indep)
+		r.PlaceOn(r.indexes[0])
+	}
 	return r, nil
+}
+
+// PlaceOn makes ix, the one index every join reads this aggregated relation
+// through, its placement: the accumulator and the canonical index then live
+// where ix buckets on its join key and sub-buckets on the other independent
+// columns, and update in place with it. Any other index stays a replica.
+// Call it identically on every rank, before any facts are loaded.
+func (r *Relation) PlaceOn(ix *Index) {
+	r.place = ix
+	ix.local = true
+	r.indexes[0].local = true
+	r.rebuildHomeCaches()
 }
 
 // Comm returns the communicator the relation was built on.
@@ -246,7 +271,8 @@ func (r *Relation) Canonical() *Index { return r.indexes[0] }
 func (r *Relation) Indexes() []*Index { return r.indexes }
 
 // ChangedLast returns the global changed-tuple count from the most recent
-// Materialize (identical on every rank).
+// Materialize, or Unsettled while it rides to the next routing exchange:
+// identical on every rank, and above zero when Δ may hold tuples somewhere.
 func (r *Relation) ChangedLast() uint64 { return r.changedLast }
 
 // AddIndex registers a storage replica with the given column permutation
@@ -363,10 +389,11 @@ func (ix *Index) subOf(stored tuple.Tuple) int {
 }
 
 // rankOf maps (bucket, sub) to a rank. Sub-buckets of one bucket spread
-// across consecutive ranks so a skewed bucket's load lands on several
-// hosts.
+// across consecutive ranks so a skewed bucket's load lands on several hosts,
+// and the bucket always counts: sub-bucket 0 of bucket b is rank b, and the
+// first min(subs, size) sub-buckets of a bucket name distinct ranks.
 func (r *Relation) rankOf(bucket, sub int) int {
-	return (bucket*r.subs + sub) % r.comm.Size()
+	return (bucket + sub) % r.comm.Size()
 }
 
 // HomeRanks returns every rank holding a sub-bucket of the given bucket in
@@ -435,15 +462,32 @@ func (r *Relation) rebuildHomeCaches() {
 // ownedHere reports whether a stored-order tuple belongs on this rank in
 // this index.
 func (ix *Index) ownedHere(stored tuple.Tuple) bool {
-	return ix.rel.rankOf(ix.bucketOf(stored), ix.subOf(stored)) == ix.rel.comm.Rank()
+	return ix.homeOf(stored) == ix.rel.comm.Rank()
 }
 
-// accPlacement returns the rank owning the canonical accumulator entry for
-// a canonical-order tuple's independent columns.
-func (r *Relation) accPlacement(indepKey tuple.Tuple) int {
-	b := int(indepKey.HashPrefix(len(indepKey)) % uint64(r.comm.Size()))
-	return r.rankOf(b, 0)
+// homeOf returns the rank a stored-order tuple of this index lives on: its
+// own join-key bucket and sub-bucket, except for a canonical index placed
+// by another index's key (PlaceOn), whose stored order is canonical order.
+func (ix *Index) homeOf(stored tuple.Tuple) int {
+	if ix.local && ix != ix.rel.place {
+		return ix.rel.accPlacement(stored)
+	}
+	return ix.rel.rankOf(ix.bucketOf(stored), ix.subOf(stored))
 }
+
+// placeOf returns the (bucket, sub-bucket) of a canonical-order tuple's
+// accumulator entry; only its independent columns are read.
+func (r *Relation) placeOf(t tuple.Tuple) (bucket, sub int) {
+	key := r.placeScratch
+	for i := range key {
+		key[i] = t[r.place.Perm[i]]
+	}
+	return r.place.bucketOf(key), r.place.subOf(key)
+}
+
+// accPlacement returns the rank owning the accumulator entry of a
+// canonical-order tuple.
+func (r *Relation) accPlacement(t tuple.Tuple) int { return r.rankOf(r.placeOf(t)) }
 
 // sendBuf returns the relation's reusable per-peer exchange build buffers,
 // truncated to zero length. The buffers feed Alltoallv, whose diagonal lane
@@ -508,18 +552,10 @@ func (r *Relation) PerRankCounts() []int {
 	return out
 }
 
-// RankCounts returns every rank's LocalFullCount as of the most recent
-// Materialize. A relation with replicas read them from the lane headers of
-// that pass's replica exchange, so the call is rank-local and the result is
-// shared scratch the caller must not keep; a relation without replicas
-// gathers them (PerRankCounts, collective). Which of the two applies is the
-// same on every rank.
-func (r *Relation) RankCounts() []int {
-	if r.replicated() {
-		return r.laneCounts
-	}
-	return r.PerRankCounts()
-}
+// EnteredCounts returns every rank's LocalFullCount as the routing lane
+// headers of the most recent Materialize carried it: the distribution the
+// previous pass left. Rank-local shared scratch the caller must not keep.
+func (r *Relation) EnteredCounts() []int { return r.enteredCounts }
 
 // Lookup returns the accumulator value for the given independent key if it
 // lives on this rank (aggregated relations only). The returned slice
