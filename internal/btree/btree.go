@@ -280,7 +280,8 @@ func (t *Tree) splitChild(n *node, i int) {
 
 // Build fills the tree, which must be empty, from a run of arity-word
 // tuples in strictly ascending order, copying the words. It assembles full
-// nodes bottom-up in O(n) instead of descending once per tuple.
+// nodes bottom-up in O(n) instead of descending once per tuple, and takes
+// the nodes the free list lacks from one slab per kind (reserve).
 func (t *Tree) Build(arity int, run []tuple.Value) {
 	if t.size != 0 {
 		panic("btree: Build into a non-empty tree")
@@ -303,8 +304,53 @@ func (t *Tree) Build(arity int, run []tuple.Value) {
 		height++
 		reach = maxItems + (maxItems+1)*reach
 	}
+	t.reserve(buildNodes(count, height))
 	t.root = t.build(run, count, height)
 	t.size = count
+}
+
+// split returns how many children build gives a subtree of the given height
+// over count tuples (the fewest that hold them) and how many tuples they share.
+func split(count, height int) (kids, below int) {
+	reach := maxItems
+	for h := 1; h < height; h++ {
+		reach = maxItems + (maxItems+1)*reach
+	}
+	kids = (count + 1 + reach) / (reach + 1)
+	return kids, count - (kids - 1)
+}
+
+// buildNodes counts the leaves and interior nodes build makes for a subtree
+// of the given height over count tuples; its children hold one of two sizes.
+func buildNodes(count, height int) (leaves, inner int) {
+	if height == 0 {
+		return 1, 0
+	}
+	kids, below := split(count, height)
+	q, big := below/kids, below%kids
+	l1, i1 := buildNodes(q+1, height-1)
+	l0, i0 := buildNodes(q, height-1)
+	return big*l1 + (kids-big)*l0, big*i1 + (kids-big)*i0 + 1
+}
+
+// reserve stocks the free lists with leaves leaf and inner interior nodes,
+// allocating what they lack of each kind in one slab, not node by node.
+func (t *Tree) reserve(leaves, inner int) {
+	stride := maxItems * t.arity
+	for kind, want := range [2]int{leaves, inner} {
+		for n := t.free[kind]; n != nil && want > 0; n = n.next {
+			want--
+		}
+		nodes, words := make([]node, want), make([]tuple.Value, want*stride)
+		kids := make([]*node, kind*want*(maxItems+1))
+		for i := want - 1; i >= 0; i-- { // released last first, taken in address order
+			nodes[i].words = words[i*stride : (i+1)*stride : (i+1)*stride]
+			if kind == 1 {
+				nodes[i].children = kids[i*(maxItems+1) : i*(maxItems+1) : (i+1)*(maxItems+1)]
+			}
+			t.release(&nodes[i])
+		}
+	}
 }
 
 // build assembles a subtree of the given height over the first count tuples
@@ -319,12 +365,7 @@ func (t *Tree) build(run []tuple.Value, count, height int) *node {
 		n.n = count
 		return n
 	}
-	reach := maxItems
-	for h := 1; h < height; h++ {
-		reach = maxItems + (maxItems+1)*reach
-	}
-	kids := (count + 1 + reach) / (reach + 1)
-	below := count - (kids - 1)
+	kids, below := split(count, height)
 	off := 0
 	for c := 0; c < kids; c++ {
 		size := below / kids

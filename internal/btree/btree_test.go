@@ -363,6 +363,10 @@ func TestBuildMatchesInserts(t *testing.T) {
 		if got.Len() != n {
 			t.Fatalf("Build of %d tuples: Len = %d", n, got.Len())
 		}
+		// reserve takes exactly the nodes build uses: none is left over.
+		if got.free != [2]*node{} {
+			t.Fatalf("Build of %d tuples left unused nodes on the free list", n)
+		}
 		checkShape(t, got)
 		a, b := got.Serialize(2), want.Serialize(2)
 		if len(a) != len(b) {

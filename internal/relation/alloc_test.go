@@ -8,6 +8,7 @@ package relation
 // silently reintroduce per-tuple garbage.
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"paralagg/internal/lattice"
@@ -119,6 +120,43 @@ func TestSetDedupExistingAllocFree(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("existing-tuple set materialization: %v allocs/op, want 0", allocs)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSetLoadAllocsIndependentOfSize pins the bulk path's buffers to their
+// known sizes: a set relation's first LoadFacts sizes its routing lanes, the
+// candidate batch, the sort, the identity map, the fresh buffer and both
+// trees' nodes once from the counts it already has, so loading 64k tuples
+// makes no more allocations than loading 1k. The collector is off while it
+// counts: a cycle the larger batch triggers allocates in the runtime.
+func TestSetLoadAllocsIndependentOfSize(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	w := mpi.NewWorld(1)
+	err := w.Run(func(c *mpi.Comm) error {
+		allocs := map[int]float64{}
+		for _, n := range []int{1 << 10, 1 << 16} {
+			buf := tuple.NewBuffer(2, n)
+			for k := 0; k < n; k++ {
+				buf.Append(tuple.Tuple{tuple.Value(k*7919) % tuple.Value(n), tuple.Value(k)})
+			}
+			allocs[n] = testing.AllocsPerRun(5, func() {
+				r, err := New(Schema{Name: "edge", Arity: 2, Indep: 2, Key: 1}, c, nil, Config{Subs: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := r.LoadFacts(buf); got != uint64(n) {
+					t.Fatalf("loaded %d of %d tuples", got, n)
+				}
+			})
+		}
+		if allocs[1<<16] > allocs[1<<10] {
+			t.Errorf("LoadFacts of 64k tuples made %v allocations, of 1k %v: the bulk path grows with n",
+				allocs[1<<16], allocs[1<<10])
 		}
 		return nil
 	})

@@ -158,7 +158,7 @@ func (ix *Index) redistribute() int {
 			tree = ix.Delta
 		}
 		send := r.sendBuf(size)
-		var words []tuple.Value
+		words := make([]tuple.Value, 0, tree.Len()*r.Arity)
 		tree.Ascend(func(t tuple.Tuple) bool {
 			dest := ix.homeOf(t)
 			if dest == r.comm.Rank() {

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/bits"
+	"slices"
 
 	"paralagg/internal/lattice"
 	"paralagg/internal/metrics"
@@ -84,35 +85,28 @@ func (r *Relation) Advance(iter int, pending *tuple.Buffer, record bool) (entere
 
 	// Phase A: route new tuples to their canonical homes behind the header.
 	// Δ versions from the previous iteration have been consumed by now;
-	// their node storage is reused for this iteration's Δ.
-	timer := metrics.StartTimer()
-	send := r.sendBuf(size)
+	// their node storage is reused for this iteration's Δ. An aggregated
+	// relation ships one ⊔-folded record per independent key (foldPending).
 	delta, full := mpi.Word(r.LocalDeltaCount()), mpi.Word(r.LocalFullCount())
-	for dest := range send {
-		send[dest] = append(send[dest], delta, full)
-	}
 	for _, ix := range r.indexes {
 		ix.Delta.Reset()
 	}
-	n := 0
+	var rows tuple.Buffer
 	if pending != nil {
-		n = pending.Len()
+		rows = *pending
+	}
+	if r.Agg != nil {
+		rows = r.foldPending(iter, rows, record)
+	}
+	n := rows.Len()
+	timer := metrics.StartTimer()
+	send := r.sendBuf(size)
+	for dest := range send { // grown once, to a destination's expected share
+		send[dest] = append(slices.Grow(send[dest], routeHeader+(n/size+1)*r.Arity), delta, full)
 	}
 	for i := 0; i < n; i++ {
-		t := pending.At(i)
-		var dest int
-		switch {
-		case r.Agg == nil:
-			dest = r.indexes[0].homeOf(t)
-		case r.subs > 1:
-			// Scatter across the bucket's sub-buckets by dependent value to
-			// balance merge work; a second intra-bucket hop gathers partials
-			// to the owner below.
-			b, _ := r.placeOf(t)
-			dest = r.rankOf(b, int(tuple.Tuple(t[r.Indep:]).Hash()%uint64(r.subs)))
-		default:
-			dest = r.accPlacement(t)
-		}
+		t := rows.At(i)
+		dest := r.routeOf(t)
 		send[dest] = append(send[dest], t...)
 	}
 	pre := r.comm.Meter()
@@ -142,6 +136,45 @@ func (r *Relation) Advance(iter int, pending *tuple.Buffer, record bool) (entere
 	}
 	r.changedLast = Unsettled
 	return entered
+}
+
+// foldPending is the sender side of the fused aggregation: it folds the
+// candidates through ⊔ into the partial table by independent key and returns
+// the table's rows, one record per key, to route. The owner folds arrivals
+// through ⊔ again, and ⊔ is associative and commutative, so merged values
+// and Δ are those of routing every candidate (an MSum candidate is still
+// added once). Its PhaseLocalAgg sample has Work = candidates folded.
+func (r *Relation) foldPending(iter int, cands tuple.Buffer, record bool) tuple.Buffer {
+	timer := metrics.StartTimer()
+	if r.partial == nil {
+		r.partial = wordmap.New(r.Indep, r.Dep())
+	}
+	r.partial.Reset()
+	for i := 0; i < cands.Len(); i++ {
+		t := cands.At(i)
+		r.mergeDep(r.Agg, r.partial, t[:r.Indep], t[r.Indep:])
+	}
+	if record {
+		r.mc.Record(r.comm.Rank(), iter, metrics.PhaseLocalAgg, timer.Done(int64(cands.Len()), 0, 0))
+	}
+	return tuple.Buffer{Arity: r.Arity, Words: r.partial.Words()}
+}
+
+// routeOf returns the rank a canonical-order tuple is routed to by the
+// materialization exchange.
+func (r *Relation) routeOf(t tuple.Tuple) int {
+	switch {
+	case r.Agg == nil:
+		return r.indexes[0].homeOf(t)
+	case r.subs > 1:
+		// Scatter across the bucket's sub-buckets by dependent value to
+		// balance merge work; a second intra-bucket hop gathers partials to
+		// the owner (materializeAgg).
+		b, _ := r.placeOf(t)
+		return r.rankOf(b, int(tuple.Tuple(t[r.Indep:]).Hash()%uint64(r.subs)))
+	default:
+		return r.accPlacement(t)
+	}
 }
 
 // materializeSet deduplicates arrived tuples against the canonical index,
@@ -186,7 +219,11 @@ func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) *tup
 // of each distinct tuple, taken in arrival order, and every arrival is
 // charged a descent of the tree as large as it would have been by then.
 func (r *Relation) loadSet(recv [][]mpi.Word, fresh *tuple.Buffer) (work int64) {
-	var cands []tuple.Value
+	total := 0
+	for _, words := range recv {
+		total += len(words) - routeHeader
+	}
+	cands := make([]tuple.Value, 0, total)
 	for _, words := range recv {
 		for off := routeHeader; off+r.Arity <= len(words); off += r.Arity {
 			t := words[off : off+r.Arity]
@@ -201,7 +238,12 @@ func (r *Relation) loadSet(recv [][]mpi.Word, fresh *tuple.Buffer) (work int64) 
 		return work
 	}
 	first := make([]bool, len(cands)/r.Arity)
-	r.indexes[0].load(cands, first)
+	canon := r.indexes[0]
+	canon.load(cands, first)
+	if r.ids == nil { // the first load: size the identity map for its keys
+		r.ids = wordmap.NewWithCapacity(r.idKeyWords(), 1, canon.Full.Len())
+	}
+	fresh.Words = slices.Grow(fresh.Words, canon.Full.Len()*r.Arity)
 	size := 0
 	for i, keep := range first {
 		work += treeWork(size)
@@ -236,11 +278,8 @@ func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tup
 	size := r.comm.Size()
 	timer := metrics.StartTimer()
 
-	// Pre-aggregate what arrived here, keyed by independent columns. The
-	// table and its arena persist across iterations; Reset keeps capacity.
-	if r.partial == nil {
-		r.partial = wordmap.New(r.Indep, r.Dep())
-	}
+	// Pre-aggregate what arrived here, keyed by independent columns, in the
+	// table foldPending is done with; Reset keeps its capacity.
 	partial := r.partial
 	partial.Reset()
 	var work int64

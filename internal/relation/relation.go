@@ -153,7 +153,7 @@ type Relation struct {
 	// Reusable scratch for the materialization hot path. All of it is
 	// rank-private and reset at each use; nothing here survives a call
 	// except as capacity.
-	partial     *wordmap.Map  // pre-aggregation table (materializeAgg)
+	partial     *wordmap.Map  // ⊔-fold table (foldPending, materializeAgg)
 	sendScratch [][]mpi.Word  // per-peer exchange build buffers
 	freshBuf    *tuple.Buffer // changed canonical tuples of the pass
 	tupScratch  tuple.Tuple   // one canonical-order tuple
@@ -342,17 +342,8 @@ func (r *Relation) FindIndex(perm []int, jk int) *Index {
 	return nil
 }
 
-// permute returns t rearranged into the index's storage order.
-func (ix *Index) permute(t tuple.Tuple) tuple.Tuple {
-	out := make(tuple.Tuple, len(ix.Perm))
-	for i, c := range ix.Perm {
-		out[i] = t[c]
-	}
-	return out
-}
-
 // permuteInto writes t rearranged into the index's storage order into out,
-// which must have length Arity. The hot-path twin of permute.
+// which must have length Arity.
 func (ix *Index) permuteInto(t, out tuple.Tuple) {
 	for i, c := range ix.Perm {
 		out[i] = t[c]

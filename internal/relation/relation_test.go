@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -352,29 +353,56 @@ func TestAggSubBucketedTwoPhase(t *testing.T) {
 	}
 }
 
+// TestMSumExactlyOnceAccumulation pins exactly-once delivery for the
+// non-idempotent lattices across the sender fold: every rank holds many
+// duplicates of every key, a key's duplicates are spread over all ranks,
+// and a second pass adds more, so a fold that dropped or repeated a
+// candidate anywhere shows up in the sum.
 func TestMSumExactlyOnceAccumulation(t *testing.T) {
-	const ranks = 3
-	runWorld(t, ranks, func(c *mpi.Comm) error {
-		mc := metrics.NewCollector(ranks)
-		r, err := New(aggSchema("cnt", 1, lattice.MCount{}), c, mc, Config{Subs: 2})
-		if err != nil {
-			return err
+	const ranks, keys = 3, 8
+	for _, agg := range []lattice.Aggregator{lattice.MCount{}, lattice.MSum{}} {
+		// one is a candidate's contribution; both sums stay exact.
+		one := tuple.Value(1)
+		if agg.Name() == (lattice.MSum{}).Name() {
+			one = math.Float64bits(0.5)
 		}
-		// Each rank contributes 50 count-1 tuples for key 9.
-		buf := tuple.NewBuffer(2, 50)
-		for i := 0; i < 50; i++ {
-			buf.Append(tuple.Tuple{9, 1})
-		}
-		r.Materialize(0, buf, false)
-		var local uint64
-		if v, ok := r.Lookup(tuple.Tuple{9}); ok {
-			local = uint64(v[0])
-		}
-		if got := c.Allreduce(local, mpi.OpMax); got != 150 {
-			return fmt.Errorf("count = %d, want 150", got)
-		}
-		return nil
-	})
+		runWorld(t, ranks, func(c *mpi.Comm) error {
+			mc := metrics.NewCollector(ranks)
+			r, err := New(aggSchema("cnt", 1, agg), c, mc, Config{Subs: 2})
+			if err != nil {
+				return err
+			}
+			// Each rank contributes (rank+1)·(key+1) candidates per key and
+			// pass, interleaved so a key's duplicates are not adjacent.
+			buf := tuple.NewBuffer(2, 0)
+			for i := 0; i < (c.Rank()+1)*keys; i++ {
+				for key := 0; key < keys; key++ {
+					if i < (c.Rank()+1)*(key+1) {
+						buf.Append(tuple.Tuple{tuple.Value(key), one})
+					}
+				}
+			}
+			for pass := 1; pass <= 2; pass++ {
+				r.Materialize(pass-1, buf, false)
+				for key := 0; key < keys; key++ {
+					var local uint64
+					if v, ok := r.Lookup(tuple.Tuple{tuple.Value(key)}); ok {
+						local = uint64(v[0])
+					}
+					n := pass * (key + 1) * ranks * (ranks + 1) / 2
+					want := uint64(n)
+					if one != 1 {
+						want = math.Float64bits(0.5 * float64(n))
+					}
+					if got := c.Allreduce(local, mpi.OpMax); got != want {
+						return fmt.Errorf("%s pass %d key %d: sum word %#x, want %#x (%d candidates)",
+							agg.Name(), pass, key, got, want, n)
+					}
+				}
+			}
+			return nil
+		})
+	}
 }
 
 func TestSetSubsRedistributionPreservesData(t *testing.T) {

@@ -69,12 +69,6 @@ func slotsFor(n int) int {
 	return c
 }
 
-// KeyWidth returns the number of key words per entry.
-func (m *Map) KeyWidth() int { return m.keyW }
-
-// ValWidth returns the number of value words per entry.
-func (m *Map) ValWidth() int { return m.valW }
-
 // Len returns the number of entries.
 func (m *Map) Len() int { return m.n }
 
@@ -228,6 +222,10 @@ func (m *Map) Row(e int) []tuple.Value {
 	off := e * m.stride
 	return m.arena[off : off+m.stride : off+m.stride]
 }
+
+// Words returns every entry whole, one after another in insertion order: the
+// rows of Row as one view under At's rules.
+func (m *Map) Words() []tuple.Value { return m.arena }
 
 // TamperValueWord XORs mask into one value word of a middle entry — the
 // chaos harness's deterministic in-memory bit flip. It never touches key
