@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"paralagg/internal/lattice"
-	"paralagg/internal/ra"
 	"paralagg/internal/relation"
 	"paralagg/internal/tuple"
 )
@@ -131,7 +130,7 @@ func (in *Instance) ApplyDelta(cfg Config, inp ApplyInput) (ApplyStats, error) {
 	// re-examines every pair with a surviving support.
 	in.reloadShadowed()
 	for _, input := range st.inputs {
-		ra.ResetDelta(input)
+		input.ResetDelta()
 	}
 	stats := in.rerun(cfg)
 	stats.InvalidationRounds, stats.Dropped = rounds, dropped

@@ -129,7 +129,8 @@ func compileRule(r *Rule, decls map[string]*Decl, rels map[string]*relation.Rela
 
 // compileCopy lowers a single-atom rule to a Δ-scan kernel over the source's
 // canonical index (identity permutation, so stored order equals source
-// order).
+// order). It finds or registers that index as a join finds its own, so an
+// aggregated relation holds one only when a rule reads it this way.
 func compileCopy(r *Rule, rels map[string]*relation.Relation) (ra.Rule, error) {
 	src := rels[r.Body[0].Rel]
 	head := rels[r.Head.Rel]
@@ -141,9 +142,17 @@ func compileCopy(r *Rule, rels map[string]*relation.Relation) (ra.Rule, error) {
 	if err != nil {
 		return nil, err
 	}
+	key := make([]int, src.Key)
+	for i := range key {
+		key[i] = i
+	}
+	canon, err := indexFor(src, key)
+	if err != nil {
+		return nil, err
+	}
 	return &ra.Copy{
 		Name:   r.String(),
-		Src:    src.Canonical(),
+		Src:    canon,
 		SrcRel: src,
 		Head:   head,
 		Emit:   func(s, out tuple.Tuple) bool { return em.emit(s, nil, out) },

@@ -303,7 +303,7 @@ func (in *Instance) runFrom(cfg Config, first int, restore func(*ra.Fixpoint, ra
 			}
 		} else {
 			for _, input := range st.inputs {
-				ra.ResetDelta(input)
+				input.ResetDelta()
 			}
 			n = st.fix.Run(in.options(cfg, s))
 		}

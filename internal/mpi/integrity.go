@@ -21,9 +21,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // encoded frame bytes; ChecksumWords uses it over word payloads.
 func CRC32C(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
-// UpdateCRC32C extends an in-progress CRC32C with more bytes.
-func UpdateCRC32C(crc uint32, data []byte) uint32 { return crc32.Update(crc, castagnoli, data) }
-
 // hostLittleEndian reports whether a Word's bytes already sit in memory in
 // wire order, so a payload can be checksummed in place.
 var hostLittleEndian = func() bool {

@@ -71,9 +71,6 @@ func (t *Topology) NumHosts() int { return len(t.names) }
 // Host returns the host index rank runs on.
 func (t *Topology) Host(rank int) int { return t.hosts[rank] }
 
-// HostName returns the name of the host rank runs on.
-func (t *Topology) HostName(rank int) string { return t.names[t.hosts[rank]] }
-
 // SameHost reports whether two ranks share a host.
 func (t *Topology) SameHost(a, b int) bool { return t.hosts[a] == t.hosts[b] }
 

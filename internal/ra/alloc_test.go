@@ -90,7 +90,7 @@ func steadyStateAllocFree(t *testing.T, integrity bool) {
 		}
 		for _, seeded := range []bool{true, false} {
 			if seeded {
-				ResetDelta(sp)
+				sp.ResetDelta()
 			} else {
 				sp.ClearDelta()
 			}

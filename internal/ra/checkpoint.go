@@ -185,11 +185,14 @@ func verifySections(words []mpi.Word, sums []uint64) error {
 // every checkpoint. Version 5 has version 4's layout; it marks the placement
 // its relation snapshots were cut by (an aggregated relation placed on its
 // join key, rankOf counting the bucket at every sub-bucket count), which a
-// same-size restore keeps wholesale. Files of earlier versions are refused,
-// not migrated.
+// same-size restore keeps wholesale. Version 6 keeps the envelope; its
+// relation snapshots carry the local Δ count where the tuple-id counter was,
+// no id section, and only the indexes a relation registers (an aggregated
+// relation has no canonical tree unless a rule reads one). Files of earlier
+// versions are refused, not migrated.
 const (
 	ckptMagic       uint64 = 0x70614c43_6b707434 // "paLCkpt4"
-	ckptVersion     uint64 = 5
+	ckptVersion     uint64 = 6
 	ckptHeaderWords        = 7
 )
 

@@ -191,9 +191,6 @@ func NewFixpoint(comm *mpi.Comm, mc *metrics.Collector, rules ...Rule) *Fixpoint
 	return f
 }
 
-// Heads returns the relations written by the stratum, in first-rule order.
-func (f *Fixpoint) Heads() []*relation.Relation { return f.heads }
-
 // bodyOnlyRels returns the relations read but never written in this
 // stratum (EDBs), in first-appearance order.
 func (f *Fixpoint) bodyOnlyRels() []*relation.Relation {
@@ -817,15 +814,4 @@ func (f *Fixpoint) rebalance(iter int, rels []*relation.Relation, opts Options) 
 		f.MC.Record(rank, iter, metrics.PhaseRebalance,
 			timer.Done(1, int64(shipped), int64(f.Comm.ScheduleDepth())))
 	}
-}
-
-// ResetDelta re-seeds a relation's Δ with its entire FULL contents and
-// refreshes its changed count, so a later stratum's rules see previously
-// computed tuples as fresh. Collective.
-func ResetDelta(r *relation.Relation) {
-	for _, ix := range r.Indexes() {
-		ix.Delta.Reset()
-		ix.Delta.Build(r.Arity, ix.Full.Serialize(r.Arity))
-	}
-	r.SetChangedLast(r.GlobalFullCount())
 }

@@ -1,7 +1,7 @@
 package ra
 
 // Checkpoint snapshot-layout compatibility. The files under
-// testdata/golden-2rank are one checkpoint set, envelope format version 4,
+// testdata/golden-2rank are one checkpoint set, envelope format version 6,
 // written by TestGoldenCheckpointWrite. The tests here restore them through
 // Fixpoint.Resume — into a world of the writing size and into a larger
 // one — and require the restored relations to match a live twin loaded
@@ -66,8 +66,8 @@ func buildGoldenRels(t *testing.T, c *mpi.Comm, mc *metrics.Collector) []*relati
 }
 
 // loadGoldenRels drives two materialization rounds so the snapshot captures
-// a mid-fixpoint state: non-empty Δ, improved accumulator values, stale-free
-// secondary indexes, and assigned tuple ids.
+// a mid-fixpoint state: non-empty Δ, improved accumulator values and
+// stale-free secondary indexes.
 func loadGoldenRels(c *mpi.Comm, rels []*relation.Relation) {
 	sp, edge, leaky := rels[0], rels[1], rels[2]
 	rank, size := c.Rank(), c.Size()
@@ -109,11 +109,11 @@ func loadGoldenRels(c *mpi.Comm, rels []*relation.Relation) {
 }
 
 // relFingerprint digests one relation's global contents order-independently:
-// canonical FULL, canonical Δ, every secondary index, the accumulator view,
-// and the id population.
+// every registered index's FULL and Δ, the accumulator view, the tuple count
+// and the Δ count.
 type relFingerprint struct {
-	Full, Delta, Acc, Sec, IDs uint64
-	Count                      uint64
+	Full, Delta, Acc  uint64
+	Count, DeltaCount uint64
 }
 
 func fpHash(t tuple.Tuple) uint64 {
@@ -128,21 +128,17 @@ func fpHash(t tuple.Tuple) uint64 {
 
 func fingerprint(c *mpi.Comm, r *relation.Relation) relFingerprint {
 	var fp relFingerprint
-	canon := r.Canonical()
-	canon.Full.Ascend(func(t tuple.Tuple) bool { fp.Full += fpHash(t); fp.Count++; return true })
-	canon.Delta.Ascend(func(t tuple.Tuple) bool { fp.Delta += fpHash(t); return true })
-	for _, ix := range r.Indexes()[1:] {
-		ix.Full.Ascend(func(t tuple.Tuple) bool { fp.Sec += fpHash(t); return true })
+	for _, ix := range r.Indexes() {
+		ix.Full.Ascend(func(t tuple.Tuple) bool { fp.Full += fpHash(t); return true })
+		ix.Delta.Ascend(func(t tuple.Tuple) bool { fp.Delta += fpHash(t); return true })
 	}
 	r.EachAcc(func(t tuple.Tuple) { fp.Acc += fpHash(t) })
-	fp.IDs = uint64(r.LocalIDCount())
 	return relFingerprint{
-		Full:  c.Allreduce(fp.Full, mpi.OpSum),
-		Delta: c.Allreduce(fp.Delta, mpi.OpSum),
-		Acc:   c.Allreduce(fp.Acc, mpi.OpSum),
-		Sec:   c.Allreduce(fp.Sec, mpi.OpSum),
-		IDs:   c.Allreduce(fp.IDs, mpi.OpSum),
-		Count: c.Allreduce(fp.Count, mpi.OpSum),
+		Full:       c.Allreduce(fp.Full, mpi.OpSum),
+		Delta:      c.Allreduce(fp.Delta, mpi.OpSum),
+		Acc:        c.Allreduce(fp.Acc, mpi.OpSum),
+		Count:      r.GlobalFullCount(),
+		DeltaCount: c.Allreduce(uint64(r.LocalDeltaCount()), mpi.OpSum),
 	}
 }
 

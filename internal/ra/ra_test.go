@@ -349,6 +349,10 @@ func runCC(t *testing.T, ranks, nodes int, es []edge, subs int, mode PlanMode) {
 		if err != nil {
 			return err
 		}
+		ccByNode, err := cc.AddIndex([]int{0, 1}, 1) // the canonical index the join reads
+		if err != nil {
+			return err
+		}
 		// Undirected: load both directions.
 		edgeRel.LoadShare(len(es), func(i int, emit func(tuple.Tuple)) {
 			emit(tuple.Tuple{es[i].u, es[i].v})
@@ -363,7 +367,7 @@ func runCC(t *testing.T, ranks, nodes int, es []edge, subs int, mode PlanMode) {
 
 		join := &Join{
 			Name: "cc(y,min(z)) <- cc(x,z), edge(x,y)",
-			Left: cc.Canonical(), LeftRel: cc,
+			Left: ccByNode, LeftRel: cc,
 			Right: edgeRel.Canonical(), RightRel: edgeRel,
 			Head: cc, JK: 1,
 			// left (x,z), right (x,y) -> head (y,z).
@@ -455,6 +459,7 @@ func TestResetDeltaEnablesNextStratum(t *testing.T) {
 		edgeRel, _ := relation.New(relation.Schema{Name: "edge", Arity: 3, Indep: 3, Key: 1}, c, mc, relation.Config{})
 		sp, _ := relation.New(relation.Schema{Name: "spath", Arity: 3, Indep: 2, Key: 2, Agg: lattice.Min{}}, c, mc, relation.Config{})
 		spMid, _ := sp.AddIndex([]int{1, 0, 2}, 1)
+		spAll, _ := sp.AddIndex([]int{0, 1, 2}, 2) // the canonical index stratum 2 copies from
 		edgeRel.LoadShare(len(es), func(i int, emit func(tuple.Tuple)) {
 			emit(tuple.Tuple{es[i].u, es[i].v, es[i].w})
 		})
@@ -473,12 +478,12 @@ func TestResetDeltaEnablesNextStratum(t *testing.T) {
 
 		// Stratum 2: lsp(MAX d) over all spath tuples.
 		lsp, _ := relation.New(relation.Schema{Name: "lsp", Arity: 2, Indep: 1, Key: 1, Agg: lattice.Max{}}, c, mc, relation.Config{})
-		ResetDelta(sp)
+		sp.ResetDelta()
 		if sp.ChangedLast() == 0 {
 			return fmt.Errorf("ResetDelta left changed count at zero")
 		}
 		fx2 := NewFixpoint(c, mc, &Copy{
-			Src: sp.Canonical(), SrcRel: sp, Head: lsp,
+			Src: spAll, SrcRel: sp, Head: lsp,
 			Emit: func(s, out tuple.Tuple) bool {
 				return copy(out, tuple.Tuple{0, s[2]}) > 0
 			}})

@@ -153,23 +153,30 @@ func FuzzRestoreCheckpointFiles(f *testing.F) {
 	f.Add(encodeCkpt(marked[0]), encodeCkpt(marked[1]))
 
 	// Counts and lengths the words cannot hold, inside envelopes that
-	// validate. An empty shard of the golden set: g_sp and g_edge have two
-	// indexes and two sub-buckets, g_leaky one of each.
+	// validate. An empty shard of the golden set, each relation's section
+	// behind its length word: subs, changed count, Δ count, index count,
+	// two tree counts per index, the accumulator and leaky counts. g_sp has
+	// one index (its placement) and g_edge two, both at two sub-buckets;
+	// g_leaky has one index and one sub-bucket.
 	empty := func() []mpi.Word {
-		two := []mpi.Word{11, 2, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}
-		one := []mpi.Word{9, 1, 0, 0, 1, 0, 0, 0, 0, 0}
-		return append(append(append([]mpi.Word(nil), two...), two...), one...)
+		return slices.Concat(
+			[]mpi.Word{8, 2, 0, 0, 1, 0, 0, 0, 0},
+			[]mpi.Word{10, 2, 0, 0, 2, 0, 0, 0, 0, 0, 0},
+			[]mpi.Word{8, 1, 0, 0, 1, 0, 0, 0, 0})
 	}
 	seal := func(words []mpi.Word) []byte {
 		return encodeCkpt(Checkpoint{Ranks: goldenRanks, Iter: goldenIter, Words: words, SectionSums: sectionSums(f, words)})
 	}
 	f.Add(seal(empty()), seal(empty()))
-	hugeIDs := empty()
-	hugeIDs[12+1+9] = 1 << 61 // g_edge's id count
-	f.Add(seal(hugeIDs), seal(empty()))
+	hugeLeaky := empty()
+	hugeLeaky[9+10] = 1 << 61 // g_edge's leaky count
+	f.Add(seal(hugeLeaky), seal(empty()))
 	hugeAcc := empty()
-	hugeAcc[1+8] = 1 << 36 // g_sp's accumulator count
+	hugeAcc[7] = 1 << 36 // g_sp's accumulator count
 	f.Add(seal(hugeAcc), seal(empty()))
+	hugeDelta := empty()
+	hugeDelta[9+3] = 1<<64 - 1 // g_edge's local Δ count, which no tree bounds
+	f.Add(seal(hugeDelta), seal(hugeDelta))
 	hugeSection := cps[0]
 	hugeSection.Words = append([]mpi.Word{1<<64 - 1}, hugeSection.Words[1:]...)
 	hugeSection.SectionSums = nil

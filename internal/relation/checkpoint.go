@@ -11,10 +11,10 @@ import (
 )
 
 // Relation snapshots. A snapshot captures one rank's complete shard of a
-// relation — every index's FULL and Δ trees, the aggregate accumulator, the
-// tuple-identity map, the sub-bucket count, and the cached global changed
-// count — as a flat word buffer, the same representation the wire uses.
-// Restoring the snapshot on a fresh (or poisoned-and-rebuilt) world
+// relation — every registered index's FULL and Δ trees, the aggregate
+// accumulator, the sub-bucket count, the local Δ count, and the cached
+// global changed count — as a flat word buffer, the same representation the
+// wire uses. Restoring the snapshot on a fresh (or poisoned-and-rebuilt) world
 // reproduces the rank's state bit for bit, which is what lets the fixpoint
 // driver resume mid-run after a rank failure and still reach the identical
 // fixpoint.
@@ -26,14 +26,13 @@ import (
 
 // SnapshotWords serializes this rank's shard. The layout is
 //
-//	subs, changedLast, idCounter,
+//	subs, changedLast, deltaCount,
 //	nIndexes, { nFull, tuples..., nDelta, tuples... } per index,
 //	nAcc, { indep..., dep... } per accumulator entry,
-//	nIds, { key..., id } per identity entry,
 //	nLeaky, { key..., best... } per leaky partial-best entry.
 func (r *Relation) SnapshotWords() []mpi.Word {
 	out := make([]mpi.Word, 0, 64)
-	out = append(out, mpi.Word(r.subs), r.changedLast, r.idCounter)
+	out = append(out, mpi.Word(r.subs), r.changedLast, mpi.Word(r.deltaCount))
 	out = append(out, mpi.Word(len(r.indexes)))
 	for _, ix := range r.indexes {
 		for _, tree := range []*btree.Tree{ix.Full, ix.Delta} {
@@ -56,14 +55,6 @@ func (r *Relation) SnapshotWords() []mpi.Word {
 			return true
 		})
 	}
-	out = append(out, mpi.Word(r.LocalIDCount()))
-	if r.ids != nil {
-		r.ids.Each(func(key, id []tuple.Value) bool {
-			out = append(out, key...)
-			out = append(out, id[0])
-			return true
-		})
-	}
 	nLeaky := 0
 	if r.leakyBest != nil {
 		nLeaky = r.leakyBest.Len()
@@ -77,15 +68,6 @@ func (r *Relation) SnapshotWords() []mpi.Word {
 		})
 	}
 	return out
-}
-
-// idKeyWords is the word length of a tuple-identity key: the independent
-// columns for aggregated relations, the whole tuple for set relations.
-func (r *Relation) idKeyWords() int {
-	if r.Agg != nil {
-		return r.Indep
-	}
-	return r.Arity
 }
 
 // Shard is one rank's SnapshotWords payload together with the rank that
@@ -113,15 +95,11 @@ type Shard struct {
 //   - accumulator entries re-place by independent key and merge through the
 //     lattice ⊔ in shard-then-stored order (order-independence makes the
 //     merge sound even if a key somehow arrives from several old shards);
-//   - tuple-identity entries follow their key's canonical home, keeping
-//     their original ids. The bump counter resumes from this rank's own old
-//     shard when that is among those read, and in any case clears every id
-//     whose owner bits name this rank — those ids exist somewhere in the new
-//     world regardless of which rank now stores them, and a fresh allocation
-//     colliding with one would break global uniqueness;
 //   - leaky partial-best entries (baseline engines only) go to rank
 //     origin mod size and ⊔-merge: they only gate pruning, so any complete
-//     deterministic placement preserves correctness.
+//     deterministic placement preserves correctness;
+//   - so do the local Δ counts, which are summed: only their global sum is
+//     ever read (the routing lane headers and Settle agree it).
 //
 // The sub-bucket count and cached global changed count (Unsettled included)
 // are collectively agreed scalars, so every shard holds the same values (a
@@ -131,19 +109,17 @@ func (r *Relation) Restore(shards []Shard) error {
 		return fmt.Errorf("relation %s: restore from an empty shard set", r.Name)
 	}
 	rank, size := r.comm.Rank(), r.comm.Size()
-	kw := r.idKeyWords()
 
 	// Split every shard into its count-prefixed runs first. The words come
 	// from storage: each count is bounded by the words that remain before
 	// anything is sliced or sized from it, and nothing of the relation
 	// changes until every shard has parsed to its last word.
 	type runs struct {
-		idCounter       mpi.Word
-		trees           [][]mpi.Word // FULL then Δ, per index
-		acc, ids, leaky []mpi.Word
+		trees      [][]mpi.Word // FULL then Δ, per index
+		acc, leaky []mpi.Word
 	}
 	split := make([]runs, len(shards))
-	var accWords, idWords, leakyWords int
+	var accWords, leakyWords int
 	for i, sh := range shards {
 		w, off := sh.Words, 0
 		fail := func(format string, args ...any) error {
@@ -184,12 +160,11 @@ func (r *Relation) Restore(shards []Shard) error {
 				w[0], w[1], shards[0].Origin, first[0], first[1])
 		}
 		sp := &split[i]
-		sp.idCounter, off = w[2], 4
+		off = 4
 		for range 2 * len(r.indexes) {
 			sp.trees = append(sp.trees, run("tree tuples", r.Arity))
 		}
 		sp.acc = run("accumulator entries", r.Arity)
-		sp.ids = run("id entries", kw+1)
 		sp.leaky = run("leaky entries", r.Arity)
 		switch {
 		case err != nil:
@@ -202,12 +177,17 @@ func (r *Relation) Restore(shards []Shard) error {
 			return fail("%d trailing words", len(w)-off)
 		}
 		accWords += len(sp.acc)
-		idWords += len(sp.ids)
 		leakyWords += len(sp.leaky)
 	}
 
 	r.subs = int(shards[0].Words[0])
 	r.changedLast = shards[0].Words[1]
+	r.deltaCount = 0
+	for _, sh := range shards {
+		if sh.Origin%size == rank {
+			r.deltaCount += int(sh.Words[2])
+		}
+	}
 	r.rebuildHomeCaches()
 	// The restored state belongs to an earlier iteration; the history
 	// baseline the integrity digests were tracking no longer applies.
@@ -243,27 +223,6 @@ func (r *Relation) Restore(shards []Shard) error {
 		}
 	}
 
-	r.ids, r.idCounter = nil, 0
-	for i := range split {
-		if shards[i].Origin == rank {
-			r.idCounter = max(r.idCounter, split[i].idCounter)
-		}
-		for run := split[i].ids; len(run) > 0; run = run[kw+1:] {
-			key, id := run[:kw], run[kw]
-			if IDOwner(id) == rank {
-				r.idCounter = max(r.idCounter, (id&(1<<idRankShift-1))+1)
-			}
-			if !r.ownsIDKey(key) {
-				continue
-			}
-			if r.ids == nil {
-				r.ids = wordmap.NewWithCapacity(kw, 1, idWords/(kw+1)/len(shards))
-			}
-			v, _ := r.ids.Upsert(key)
-			v[0] = id
-		}
-	}
-
 	if r.leaky != nil {
 		li := r.leaky.Indep
 		r.leakyBest = wordmap.NewWithCapacity(li, r.Arity-li, leakyWords/r.Arity/len(shards))
@@ -277,14 +236,4 @@ func (r *Relation) Restore(shards []Shard) error {
 		}
 	}
 	return nil
-}
-
-// ownsIDKey reports whether a tuple-identity key's canonical home is this
-// rank under the current layout: the accumulator placement for aggregated
-// relations, the canonical index placement for set relations.
-func (r *Relation) ownsIDKey(key []tuple.Value) bool {
-	if r.Agg != nil {
-		return r.accPlacement(key) == r.comm.Rank()
-	}
-	return r.indexes[0].ownedHere(tuple.Tuple(key))
 }

@@ -14,22 +14,22 @@ import (
 // so dropped aggregate keys are tracked in a side set (dropSet) during the
 // bracket and compacted out in one pass at EndDelete.
 
-// ClearDelta empties every index's Δ tree and zeroes the cached changed
-// count. It is rank-local but must be called uniformly (the changed count
-// gates collective join variants).
+// ClearDelta empties every index's Δ tree and zeroes the Δ and cached
+// changed counts. It is rank-local but must be called uniformly (the changed
+// count gates collective join variants).
 func (r *Relation) ClearDelta() {
 	for _, ix := range r.indexes {
 		ix.Delta.Reset()
 	}
+	r.deltaCount = 0
 	r.changedLast = 0
 }
 
 // Clear resets the relation to its freshly loaded-nothing state: the
-// accumulator, every index's FULL and Δ trees, and the identity arena are
-// dropped. The id counter is preserved so ids handed out after a Clear
-// never collide with ids from before it. Rank-local; call uniformly. The
-// serving engine's from-scratch fallback clears every derived relation with
-// it before reloading base facts from the relation's base shadow.
+// accumulator and every index's FULL and Δ trees are dropped. Rank-local;
+// call uniformly. The serving engine's from-scratch fallback clears every
+// derived relation with it before reloading base facts from the relation's
+// base shadow.
 func (r *Relation) Clear() {
 	if r.Agg != nil {
 		r.acc = wordmap.New(r.Indep, r.Dep())
@@ -37,14 +37,26 @@ func (r *Relation) Clear() {
 	if r.leakyBest != nil {
 		r.leakyBest = wordmap.New(r.leaky.Indep, r.Arity-r.leaky.Indep)
 	}
-	r.ids = nil
 	r.dropSet = nil
 	for _, ix := range r.indexes {
 		ix.Full.Reset()
 		ix.Delta.Reset()
 	}
+	r.deltaCount = 0
 	r.changedLast = 0
 	r.invalidateDigestBaseline()
+}
+
+// ResetDelta re-seeds Δ with the relation's entire FULL contents and agrees
+// its changed count, so a later stratum's rules see previously computed
+// tuples as fresh. Collective.
+func (r *Relation) ResetDelta() {
+	for _, ix := range r.indexes {
+		ix.Delta.Reset()
+		ix.Delta.Build(r.Arity, ix.Full.Serialize(r.Arity))
+	}
+	r.deltaCount = r.LocalFullCount()
+	r.changedLast = r.GlobalFullCount()
 }
 
 // BeginDelete opens a deletion bracket. Between BeginDelete and EndDelete
@@ -182,6 +194,7 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 		}
 	})
 
+	r.deltaCount = removed.Len()
 	total := r.comm.Allreduce(uint64(removed.Len()), mpi.OpSum)
 	r.changedLast = total
 	r.invalidateDigestBaseline()

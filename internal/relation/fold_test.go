@@ -30,6 +30,11 @@ func TestSenderFoldIsExactAndShipsOneRecordPerKey(t *testing.T) {
 				if err != nil {
 					return err
 				}
+				// A canonical index, local to the accumulator, shows Δ.
+				canon, err := r.AddIndex([]int{0, 1, 2}, 1)
+				if err != nil {
+					return err
+				}
 				// Rank 0 seeds keys 0..3 at seedVal; keys 4 and 5 start absent.
 				seed := tuple.NewBuffer(3, 4)
 				for k := 0; k < 4 && c.Rank() == 0; k++ {
@@ -77,7 +82,7 @@ func TestSenderFoldIsExactAndShipsOneRecordPerKey(t *testing.T) {
 					}
 				}
 				var bad error
-				r.Canonical().Delta.Ascend(func(d tuple.Tuple) bool {
+				canon.Delta.Ascend(func(d tuple.Tuple) bool {
 					if k := int(d[1]); !changed[k] || d[2] != want[k] {
 						bad = fmt.Errorf("Δ holds %v; key %d changed=%v, value %d", d, k, changed[k], want[k])
 					}

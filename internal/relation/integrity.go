@@ -10,16 +10,19 @@ import (
 // Online divergence detection (Config.Integrity). Each Materialize
 // fingerprints this rank's shard with order-independent 64-bit digests and
 // agrees them in one AllreduceVec, a round of its own because the digests
-// cover the indexes after the pass. The digests are sums of per-tuple hashes, which makes them independent of
+// cover the indexes after the pass. They cover the reference store — the
+// accumulator of an aggregated relation, the canonical tree of a set
+// relation — and every registered index. The digests are sums of per-tuple
+// hashes, which makes them independent of
 // storage order AND of placement: the global sum over ranks is a property
 // of the logical relation, so it survives sub-bucket rebalancing and
 // elastic restarts.
 //
 // Three invariants are checked on the agreed global sums each iteration:
 //
-//   replica:  Σ over every index's FULL tree  ==  nIndexes × canonical
+//   replica:  Σ over every index's FULL tree  ==  nIndexes × reference
 //             (every B-tree replica stores the same global relation the
-//             canonical store does; a flipped word in any one copy breaks
+//             reference store does; a flipped word in any one copy breaks
 //             the equality)
 //   delta:    Σ over every index's Δ tree  ==  nIndexes × Σ fresh tuples
 //             (each changed tuple reached every replica exactly once)
@@ -139,36 +142,36 @@ func digestBuffer(b *tuple.Buffer) uint64 {
 }
 
 // integrityLocal fills vec with this rank's digest contributions and
-// returns the number of tuples hashed: [0] the canonical store (acc for
+// returns the number of tuples hashed: [0] the reference store (acc for
 // aggregated relations, the canonical tree otherwise), [1] Σ over every
 // index FULL tree, [2] Σ over every index Δ tree, [3] this pass's fresh
 // tuples, [4] the accumulator drift (recomputed minus running digest;
 // always 0 for set relations).
 func (r *Relation) integrityLocal(fresh *tuple.Buffer, vec []mpi.Word) int64 {
-	var canon, fullSum, deltaSum uint64
+	var ref, fullSum, deltaSum uint64
 	work := int64(0)
 	for i, ix := range r.indexes {
 		fd := ix.digestTree(ix.Full)
 		fullSum += fd
 		deltaSum += ix.digestTree(ix.Delta)
 		work += int64(ix.Full.Len() + ix.Delta.Len())
-		if i == 0 {
-			canon = fd
+		if i == 0 && r.Agg == nil {
+			ref = fd
 		}
 	}
 	vec[4] = 0
 	if r.Agg != nil {
-		canon = r.digestAcc()
+		ref = r.digestAcc()
 		work += int64(r.acc.Len())
 		if !r.accDigValid {
 			// First iteration, or the accumulator was legitimately rebuilt
 			// (restore): adopt the recomputed digest as the running baseline.
-			r.accDig = canon
+			r.accDig = ref
 			r.accDigValid = true
 		}
-		vec[4] = canon - r.accDig
+		vec[4] = ref - r.accDig
 	}
-	vec[0] = canon
+	vec[0] = ref
 	vec[1] = fullSum
 	vec[2] = deltaSum
 	if fresh != nil {
@@ -180,7 +183,7 @@ func (r *Relation) integrityLocal(fresh *tuple.Buffer, vec []mpi.Word) int64 {
 	return work
 }
 
-// integrityAllreduce agrees on a 5-word OpSum vector carrying [canonical,
+// integrityAllreduce agrees on a 5-word OpSum vector carrying [reference,
 // ΣFULL, ΣΔ, Σfresh, accDrift] and verifies the agreed sums. The digests
 // cover the indexes after the pass, so this is a round of its own rather
 // than a ride on the next routing exchange's lane headers. The fingerprint
@@ -206,9 +209,9 @@ func (r *Relation) integrityAllreduce(iter int, record bool) {
 // intentionally loose.
 func (r *Relation) verifyIntegrity(iter int, g []mpi.Word) {
 	nIdx := uint64(len(r.indexes))
-	canon, fullSum, deltaSum, freshDig := g[0], g[1], g[2], g[3]
+	ref, fullSum, deltaSum, freshDig := g[0], g[1], g[2], g[3]
 	if r.leaky == nil {
-		if fullSum != nIdx*canon {
+		if fullSum != nIdx*ref {
 			r.diverge(iter, "replica")
 		}
 		if deltaSum != nIdx*freshDig {
@@ -222,12 +225,12 @@ func (r *Relation) verifyIntegrity(iter int, g []mpi.Word) {
 		r.diverge(iter, "accumulator")
 	}
 	if r.Agg == nil {
-		if r.digPrevValid && canon != r.digPrev+freshDig {
+		if r.digPrevValid && ref != r.digPrev+freshDig {
 			r.diverge(iter, "history")
 		}
 		// Adopt (or re-adopt, after a restore invalidated it) the agreed
 		// digest as the next iteration's baseline.
-		r.digPrev = canon
+		r.digPrev = ref
 		r.digPrevValid = true
 	}
 }
@@ -257,23 +260,27 @@ func (r *Relation) invalidateDigestBaseline() {
 // — the chaos harness's in-memory corruption fault. Aggregated relations
 // flip a dependent-value word of a middle accumulator entry (caught by the
 // drift invariant even when a same-iteration merge overwrites it); when
-// this rank owns no accumulator entries (sub-bucketed layouts concentrate
-// ownership on bucket owners) they flip the leading stored word of a FULL
-// replica tuple instead, which the purge path can never heal (it looks up
-// the original key prefix), so the replica invariant catches it. Set
-// relations flip the last word of the first canonical-tree tuple. Reports
-// false when the shard is empty.
+// this rank owns no accumulator entries they flip the leading stored word
+// of the first tuple of the first registered index that holds one, which
+// the in-place update can never heal (it looks up the original key prefix),
+// so the replica invariant catches it. Set relations flip the last word of
+// the first canonical-tree tuple. Reports false when the shard is empty.
 func (r *Relation) TamperState(mask mpi.Word) bool {
 	if r.Agg != nil {
 		if r.acc.TamperValueWord(mask) {
 			return true
 		}
 		done := false
-		r.indexes[0].Full.Ascend(func(t tuple.Tuple) bool {
-			t[0] ^= mask
-			done = true
-			return false
-		})
+		for _, ix := range r.indexes {
+			ix.Full.Ascend(func(t tuple.Tuple) bool {
+				t[0] ^= mask
+				done = true
+				return false
+			})
+			if done {
+				break
+			}
+		}
 		return done
 	}
 	done := false

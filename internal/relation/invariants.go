@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 
 	"paralagg/internal/mpi"
 	"paralagg/internal/tuple"
@@ -14,11 +15,12 @@ import (
 //   - every tuple stored in every index maps to this rank under the
 //     placement function;
 //   - each index's Δ is a subset of its FULL version;
-//   - every index holds the same global tuple count as the canonical
-//     storage (the accumulator for aggregated relations);
+//   - every index holds the same global tuple count as the reference store
+//     (the accumulator for aggregated relations, the canonical index for
+//     sets);
 //   - for aggregated relations, each index holds at most one tuple per
-//     independent key, and local accumulator entries agree with the
-//     canonical index's stored tuples.
+//     independent key, and mirrors the accumulator: a local index entry by
+//     entry, every index through the global sum of its tuple digests.
 func (r *Relation) CheckInvariants() error {
 	var localErr error
 	fail := func(format string, args ...interface{}) {
@@ -43,50 +45,63 @@ func (r *Relation) CheckInvariants() error {
 			}
 			return true
 		})
-		if r.Agg != nil {
-			// One stored tuple per independent key.
-			var prev tuple.Tuple
-			ix.Full.Ascend(func(t tuple.Tuple) bool {
-				if prev != nil && prev.ComparePrefix(t, ix.indepLen) == 0 {
-					fail("relation %s index %d: duplicate entries for key of %v", r.Name, id, t)
-					return false
-				}
-				prev = t.Clone()
-				return true
-			})
+		if r.Agg == nil {
+			continue
 		}
-	}
-
-	if r.Agg != nil && localErr == nil {
-		// The canonical index lives with the accumulator, so every entry
-		// must mirror a local accumulator value; the count check below
-		// catches accumulator entries it lacks.
-		canon := r.indexes[0]
-		canon.Full.Ascend(func(t tuple.Tuple) bool {
-			v := r.acc.Get(t[:r.Indep])
-			if v == nil {
-				fail("relation %s: canonical index %v has no accumulator entry on rank %d", r.Name, t, r.comm.Rank())
+		// One stored tuple per independent key.
+		var prev tuple.Tuple
+		ix.Full.Ascend(func(t tuple.Tuple) bool {
+			if prev != nil && prev.ComparePrefix(t, ix.indepLen) == 0 {
+				fail("relation %s index %d: duplicate entries for key of %v", r.Name, id, t)
 				return false
 			}
-			for i, d := range v {
-				if t[r.Indep+i] != d {
-					fail("relation %s: canonical index %v disagrees with accumulator %v", r.Name, t, v)
-					return false
-				}
+			prev = t.Clone()
+			return true
+		})
+		if !ix.local || localErr != nil {
+			continue
+		}
+		// A local index lives with the accumulator, so every entry must
+		// mirror a local accumulator value; the count check below catches
+		// accumulator entries it lacks.
+		canon := r.tupleScratch()
+		ix.Full.Ascend(func(t tuple.Tuple) bool {
+			for i, c := range ix.Perm {
+				canon[c] = t[i]
+			}
+			v := r.acc.Get(canon[:r.Indep])
+			if v == nil {
+				fail("relation %s index %d: %v has no accumulator entry on rank %d", r.Name, id, canon, r.comm.Rank())
+				return false
+			}
+			if !slices.Equal(canon[r.Indep:], v) {
+				fail("relation %s index %d: %v disagrees with accumulator %v", r.Name, id, canon, v)
+				return false
 			}
 			return true
 		})
 	}
 
 	// Collective checks: all indexes carry the same global count as the
-	// canonical storage. Every rank must participate even if it already
-	// found a local error.
-	canonCount := r.GlobalFullCount()
+	// reference storage, and an aggregated relation's indexes the same
+	// global digest as its accumulator. Every rank must participate even if
+	// it already found a local error.
+	refCount := r.GlobalFullCount()
+	var refDigest uint64
+	if r.Agg != nil {
+		refDigest = r.comm.Allreduce(r.digestAcc(), mpi.OpSum)
+	}
 	for id, ix := range r.indexes {
 		global := r.comm.Allreduce(uint64(ix.Full.Len()), mpi.OpSum)
-		if r.leaky == nil && global != canonCount && localErr == nil {
-			localErr = fmt.Errorf("relation %s index %d: global count %d, canonical %d",
-				r.Name, id, global, canonCount)
+		if r.leaky == nil && global != refCount && localErr == nil {
+			localErr = fmt.Errorf("relation %s index %d: global count %d, reference %d",
+				r.Name, id, global, refCount)
+		}
+		if r.Agg != nil {
+			digest := r.comm.Allreduce(ix.digestTree(ix.Full), mpi.OpSum)
+			if digest != refDigest && localErr == nil {
+				localErr = fmt.Errorf("relation %s index %d: stored tuples do not mirror the accumulator", r.Name, id)
+			}
 		}
 	}
 

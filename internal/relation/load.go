@@ -48,10 +48,8 @@ func (r *Relation) SetSubs(subs int) int {
 	r.subs = subs
 	r.rebuildHomeCaches()
 
-	// Redistribute accumulator entries (aggregated relations), carrying
-	// each key's materialization id so identity survives rebalancing.
+	// Redistribute accumulator entries (aggregated relations).
 	if r.Agg != nil {
-		rec := r.Arity + 1
 		send := r.sendBuf(size)
 		newAcc := wordmap.NewWithCapacity(r.Indep, r.Dep(), r.acc.Len())
 		r.acc.Each(func(indep, dep []tuple.Value) bool {
@@ -61,83 +59,18 @@ func (r *Relation) SetSubs(subs int) int {
 				copy(v, dep)
 				return true
 			}
-			var id uint64
-			if r.ids != nil {
-				if iv := r.ids.Get(indep); iv != nil {
-					id = iv[0]
-				}
-			}
 			send[dest] = append(send[dest], indep...)
 			send[dest] = append(send[dest], dep...)
-			send[dest] = append(send[dest], id)
-			shipped += rec * mpi.WordBytes
+			shipped += r.Arity * mpi.WordBytes
 			return true
 		})
-		// Keep the ids of every entry that was not shipped away (ids and
-		// accumulator entries are keyed identically).
-		var newIDs *wordmap.Map
-		if r.ids != nil {
-			newIDs = wordmap.NewWithCapacity(r.idKeyWords(), 1, r.ids.Len())
-			r.ids.Each(func(key, iv []tuple.Value) bool {
-				if r.acc.Get(key) != nil && r.accPlacement(key) != rank {
-					return true // travelled with its accumulator entry
-				}
-				v, _ := newIDs.Upsert(key)
-				v[0] = iv[0]
-				return true
-			})
-		}
-		recv := r.comm.Alltoallv(send)
-		for _, words := range recv {
-			for off := 0; off+rec <= len(words); off += rec {
+		for _, words := range r.comm.Alltoallv(send) {
+			for off := 0; off+r.Arity <= len(words); off += r.Arity {
 				t := tuple.Tuple(words[off : off+r.Arity])
-				r.mergeDep(r.Agg, newAcc, t[:r.Indep], t[r.Indep:r.Arity])
-				if newIDs == nil {
-					newIDs = wordmap.New(r.idKeyWords(), 1)
-				}
-				if v, inserted := newIDs.Upsert(t[:r.Indep]); inserted {
-					v[0] = words[off+r.Arity]
-				}
+				r.mergeDep(r.Agg, newAcc, t[:r.Indep], t[r.Indep:])
 			}
 		}
 		r.acc = newAcc
-		r.ids = newIDs
-	}
-
-	// Set relations key their ids by the full canonical tuple; relocate
-	// them to the tuple's new home. (The exchange runs on every rank even
-	// with no local ids — Alltoallv is collective.)
-	if r.Agg == nil {
-		rec := r.Arity + 1
-		canon := r.indexes[0]
-		send := r.sendBuf(size)
-		var newIDs *wordmap.Map
-		if r.ids != nil {
-			newIDs = wordmap.NewWithCapacity(r.idKeyWords(), 1, r.ids.Len())
-			r.ids.Each(func(key, iv []tuple.Value) bool {
-				dest := canon.homeOf(tuple.Tuple(key))
-				if dest == rank {
-					v, _ := newIDs.Upsert(key)
-					v[0] = iv[0]
-					return true
-				}
-				send[dest] = append(send[dest], key...)
-				send[dest] = append(send[dest], iv[0])
-				shipped += rec * mpi.WordBytes
-				return true
-			})
-		}
-		recv := r.comm.Alltoallv(send)
-		for _, words := range recv {
-			for off := 0; off+rec <= len(words); off += rec {
-				if newIDs == nil {
-					newIDs = wordmap.New(r.idKeyWords(), 1)
-				}
-				v, _ := newIDs.Upsert(words[off : off+r.Arity])
-				v[0] = words[off+r.Arity]
-			}
-		}
-		r.ids = newIDs
 	}
 
 	// Redistribute each index's FULL and Δ trees.

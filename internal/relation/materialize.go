@@ -130,6 +130,7 @@ func (r *Relation) Advance(iter int, pending *tuple.Buffer, record bool) (entere
 	} else {
 		fresh = r.materializeSet(iter, recv, record)
 	}
+	r.deltaCount = fresh.Len()
 	r.maintainIndexes(iter, fresh, record)
 	if r.integrity {
 		r.integrityAllreduce(iter, record)
@@ -199,7 +200,6 @@ func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) *tup
 				work += treeWork(canon.Full.Len())
 				if canon.Full.Insert(t) {
 					canon.Delta.Insert(t)
-					r.assignID(t)
 					fresh.Append(t)
 				}
 			}
@@ -214,7 +214,7 @@ func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) *tup
 // loadSet is materializeSet's deduplication for an empty canonical index —
 // an initial load, or a reload after Clear: the batch is sorted once
 // and FULL and Δ are both built bottom-up from that run instead of taking
-// one descent per tuple each. Ids, fresh and the work units come out as the
+// one descent per tuple each. Fresh and the work units come out as the
 // per-tuple path would have produced them: survivors are the first arrival
 // of each distinct tuple, taken in arrival order, and every arrival is
 // charged a descent of the tree as large as it would have been by then.
@@ -240,18 +240,13 @@ func (r *Relation) loadSet(recv [][]mpi.Word, fresh *tuple.Buffer) (work int64) 
 	first := make([]bool, len(cands)/r.Arity)
 	canon := r.indexes[0]
 	canon.load(cands, first)
-	if r.ids == nil { // the first load: size the identity map for its keys
-		r.ids = wordmap.NewWithCapacity(r.idKeyWords(), 1, canon.Full.Len())
-	}
 	fresh.Words = slices.Grow(fresh.Words, canon.Full.Len()*r.Arity)
 	size := 0
 	for i, keep := range first {
 		work += treeWork(size)
 		if keep {
 			size++
-			t := tuple.Tuple(cands[i*r.Arity : (i+1)*r.Arity])
-			r.assignID(t)
-			fresh.Append(t)
+			fresh.Append(cands[i*r.Arity : (i+1)*r.Arity])
 		}
 	}
 	return work
@@ -354,7 +349,6 @@ func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tup
 				r.accDig += digestWords(digestWords(digestSeed, indep), v)
 			}
 		}
-		r.assignID(indep)
 		copy(scratch, indep)
 		copy(scratch[r.Indep:], v)
 		fresh.Append(scratch)
@@ -366,11 +360,21 @@ func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tup
 	return fresh
 }
 
+// maintained returns the first index Materialize maintains through
+// toIndexes: a set relation's canonical index is maintained by
+// deduplication, every index of an aggregated relation by its changed keys.
+func (r *Relation) maintained() int {
+	if r.Agg == nil {
+		return 1
+	}
+	return 0
+}
+
 // Replicated reports whether Materialize runs the replica exchange: some
-// index besides the canonical one is not local. Indexes and placement are
-// registered identically everywhere, so the answer is the same on every rank.
+// index it maintains is not local. Indexes and placement are registered
+// identically everywhere, so the answer is the same on every rank.
 func (r *Relation) Replicated() bool {
-	for _, ix := range r.indexes[1:] {
+	for _, ix := range r.indexes[r.maintained():] {
 		if !ix.local {
 			return true
 		}
@@ -382,7 +386,7 @@ func (r *Relation) Replicated() bool {
 // that needs them (toIndexes): set relations insert, aggregated relations
 // replace the stale entry for the key.
 func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, record bool) {
-	if r.Agg == nil && len(r.indexes) == 1 {
+	if len(r.indexes) == r.maintained() {
 		return
 	}
 	timer := metrics.StartTimer()
@@ -409,16 +413,12 @@ func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, record bool) {
 }
 
 // toIndexes hands every tuple of buf (canonical order) to apply once per
-// index that stores it, in that index's stored order, skipping a set
-// relation's canonical index, which deduplication maintains: on this rank
-// for a local index, at the index's home over one replica exchange for any
-// other. The exchange runs only when some index is not local, which is the
-// same on every rank; toIndexes returns its traffic and whether it ran.
+// index it maintains (maintained), in that index's stored order: on this
+// rank for a local index, at the index's home over one replica exchange for
+// any other. The exchange runs only when some index is not local, which is
+// the same on every rank; toIndexes returns its traffic and whether it ran.
 func (r *Relation) toIndexes(buf *tuple.Buffer, apply func(id int, stored tuple.Tuple)) (comm mpi.Totals, replicated bool) {
-	start := 0
-	if r.Agg == nil {
-		start = 1
-	}
+	start := r.maintained()
 	replicated = r.Replicated()
 	var send [][]mpi.Word
 	if replicated {

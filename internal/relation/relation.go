@@ -6,12 +6,14 @@
 //
 // A relation is an SPMD object: every rank constructs it with identical
 // parameters and holds the shard of tuples the placement function assigns
-// to it. Set-semantics relations store tuples in B-tree indexes; aggregated
-// relations additionally keep a canonical accumulator map from independent
-// columns to the lattice-joined dependent value, placed by hashing the
-// independent columns only — which is what makes local aggregation
-// communication-free (dependent columns never influence placement). PlaceOn
-// puts the accumulator and indexes on one rank per (bucket, sub-bucket).
+// to it. Set-semantics relations store tuples in B-tree indexes, the
+// canonical one first; an aggregated relation holds each key once, in an
+// accumulator map from independent columns to the lattice-joined dependent
+// value, placed by hashing the independent columns only — which is what
+// makes local aggregation communication-free (dependent columns never
+// influence placement) — plus only the B-tree indexes some kernel reads.
+// PlaceOn puts the accumulator and indexes on one rank per (bucket,
+// sub-bucket).
 package relation
 
 import (
@@ -113,15 +115,23 @@ type Relation struct {
 	// this rank are present. Nil for set relations.
 	acc *wordmap.Map
 
-	// indexes hold the B-tree storage replicas used by joins. Index 0 is
-	// the canonical index (identity permutation); it always exists and is
-	// where set-semantics deduplication happens.
+	// indexes hold the B-tree storage replicas that kernels read. A set
+	// relation's index 0 is its canonical index (identity permutation),
+	// where deduplication happens; an aggregated relation registers only
+	// the indexes something reads, its canonical one included.
 	indexes []*Index
-	// place is the index whose bucket and sub-bucket place an aggregated
-	// relation's accumulator and local indexes (PlaceOn; nil for set
-	// relations). placeScratch holds one key in place's stored order.
-	place        *Index
+	// placePerm and placeJK place an aggregated relation's accumulator and
+	// local indexes: a key lives where its independent columns, taken in
+	// placePerm's order, bucket on the first placeJK and sub-bucket on the
+	// rest. They start as the schema's Key in canonical order; PlaceOn moves
+	// them to the index every join reads. placeScratch holds one key in
+	// placePerm's order.
+	placePerm    []int
+	placeJK      int
 	placeScratch tuple.Tuple
+	// deltaCount is the number of tuples (keys, for an aggregated relation)
+	// the last pass changed on this rank: Δ's size whichever indexes exist.
+	deltaCount int
 
 	// changedLast caches the global changed-count from the most recent
 	// Materialize, letting the fixpoint driver skip join variants whose Δ
@@ -136,12 +146,6 @@ type Relation struct {
 	// partial best dependent value. See Config.Leaky.
 	leaky     *LeakySpec
 	leakyBest *wordmap.Map
-
-	// ids materializes BPRA's bump-pointer tuple identity: canonical key →
-	// globally unique id allocated on this rank (1-word values). Created
-	// lazily on the first assignment. See ids.go.
-	ids       *wordmap.Map
-	idCounter uint64
 
 	// dropSet records the independent keys dropped so far inside a
 	// BeginDelete/EndDelete bracket (aggregated relations only): key → the
@@ -190,7 +194,8 @@ type Index struct {
 	// independent source columns (used to locate stale aggregate entries).
 	indepLen int
 	// local marks an index stored with its aggregated relation's accumulator
-	// (PlaceOn): changed tuples update it in place, not by replica exchange.
+	// (the canonical index and PlaceOn's): changed tuples update it in
+	// place, not by replica exchange.
 	local bool
 
 	// homes caches HomeRanks per bucket; rebuilt whenever the placement
@@ -230,31 +235,30 @@ func New(sch Schema, comm *mpi.Comm, mc *metrics.Collector, cfg Config) (*Relati
 		r.leaky = cfg.Leaky
 		r.leakyBest = wordmap.New(cfg.Leaky.Indep, sch.Arity-cfg.Leaky.Indep)
 	}
-	// Canonical index: identity permutation keyed on the schema's Key
-	// columns.
-	perm := make([]int, sch.Arity)
-	for i := range perm {
-		perm[i] = i
-	}
-	if _, err := r.AddIndex(perm, sch.Key); err != nil {
-		return nil, err
+	identity := make([]int, sch.Arity)
+	for i := range identity {
+		identity[i] = i
 	}
 	if sch.Agg != nil {
+		// The accumulator is placed on the schema's Key until PlaceOn; no
+		// tree holds it.
+		r.placePerm, r.placeJK = identity, sch.Key
 		r.placeScratch = make(tuple.Tuple, sch.Indep)
-		r.PlaceOn(r.indexes[0])
+	} else if _, err := r.AddIndex(identity, sch.Key); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
 // PlaceOn makes ix, the one index every join reads this aggregated relation
-// through, its placement: the accumulator and the canonical index then live
-// where ix buckets on its join key and sub-buckets on the other independent
-// columns, and update in place with it. Any other index stays a replica.
-// Call it identically on every rank, before any facts are loaded.
+// through, its placement: the accumulator and the canonical index, if one is
+// registered, then live where ix buckets on its join key and sub-buckets on
+// the other independent columns, and update in place with it. Any other
+// index stays a replica. Call it identically on every rank, before any facts
+// are loaded.
 func (r *Relation) PlaceOn(ix *Index) {
-	r.place = ix
+	r.placePerm, r.placeJK = ix.Perm, ix.JK
 	ix.local = true
-	r.indexes[0].local = true
 	r.rebuildHomeCaches()
 }
 
@@ -264,10 +268,37 @@ func (r *Relation) Comm() *mpi.Comm { return r.comm }
 // Subs returns the relation's sub-bucket count.
 func (r *Relation) Subs() int { return r.subs }
 
-// Canonical returns the canonical (identity-permutation) index.
-func (r *Relation) Canonical() *Index { return r.indexes[0] }
+// Canonical returns the identity-permutation index keyed on the schema's
+// Key: a set relation's index 0, or the one an aggregated relation holds
+// because something reads it in canonical order — nil if nothing does.
+func (r *Relation) Canonical() *Index {
+	if r.Agg == nil {
+		return r.indexes[0]
+	}
+	for _, ix := range r.indexes {
+		if ix.canonical() {
+			return ix
+		}
+	}
+	return nil
+}
 
-// Indexes returns all registered indexes, canonical first.
+// canonical reports whether the index stores canonical order keyed on the
+// schema's Key.
+func (ix *Index) canonical() bool {
+	if ix.JK != ix.rel.Key {
+		return false
+	}
+	for i, c := range ix.Perm {
+		if i != c {
+			return false
+		}
+	}
+	return true
+}
+
+// Indexes returns all registered indexes in registration order (a set
+// relation's canonical index first).
 func (r *Relation) Indexes() []*Index { return r.indexes }
 
 // ChangedLast returns the global changed-tuple count from the most recent
@@ -315,6 +346,8 @@ func (r *Relation) AddIndex(perm []int, jk int) (*Index, error) {
 				"recursive aggregates may not be joined on their aggregated columns", r.Name, jk, r.Indep)
 		}
 	}
+	// An aggregated relation's canonical index lives with its accumulator.
+	idx.local = r.Agg != nil && idx.canonical()
 	idx.buildHomes()
 	r.indexes = append(r.indexes, idx)
 	return r.indexes[len(r.indexes)-1], nil
@@ -362,21 +395,26 @@ func (ix *Index) Unpermute(stored tuple.Tuple) tuple.Tuple {
 // bucketOf returns the bucket for a stored-order tuple: the hash of the
 // index's join-key columns modulo the world size (one logical bucket per
 // rank, as in BPRA).
-func (ix *Index) bucketOf(stored tuple.Tuple) int {
-	return int(stored.HashPrefix(ix.JK) % uint64(ix.rel.comm.Size()))
-}
+func (ix *Index) bucketOf(stored tuple.Tuple) int { return ix.rel.bucketOn(stored, ix.JK) }
 
 // subOf returns the sub-bucket for a stored-order tuple: the hash of the
 // independent non-key columns. Dependent columns never contribute, so an
 // aggregate update stays on one rank. When no independent columns remain
 // beyond the key the index is single-sub (each key holds one tuple for
 // aggregated relations, so there is nothing to balance).
-func (ix *Index) subOf(stored tuple.Tuple) int {
-	if ix.rel.subs == 1 || ix.JK >= ix.indepLen {
+func (ix *Index) subOf(stored tuple.Tuple) int { return ix.rel.subOn(stored, ix.JK, ix.indepLen) }
+
+// bucketOn hashes the first jk words of t onto a bucket.
+func (r *Relation) bucketOn(t tuple.Tuple, jk int) int {
+	return int(t.HashPrefix(jk) % uint64(r.comm.Size()))
+}
+
+// subOn hashes t's words jk..indep onto a sub-bucket.
+func (r *Relation) subOn(t tuple.Tuple, jk, indep int) int {
+	if r.subs == 1 || jk >= indep {
 		return 0
 	}
-	h := tuple.Tuple(stored[ix.JK:ix.indepLen]).Hash()
-	return int(h % uint64(ix.rel.subs))
+	return int(tuple.Tuple(t[jk:indep]).Hash() % uint64(r.subs))
 }
 
 // rankOf maps (bucket, sub) to a rank. Sub-buckets of one bucket spread
@@ -457,10 +495,10 @@ func (ix *Index) ownedHere(stored tuple.Tuple) bool {
 }
 
 // homeOf returns the rank a stored-order tuple of this index lives on: its
-// own join-key bucket and sub-bucket, except for a canonical index placed
-// by another index's key (PlaceOn), whose stored order is canonical order.
+// own join-key bucket and sub-bucket, except for an aggregated relation's
+// canonical index, which lives with the accumulator wherever that is placed.
 func (ix *Index) homeOf(stored tuple.Tuple) int {
-	if ix.local && ix != ix.rel.place {
+	if ix.local && ix.canonical() {
 		return ix.rel.accPlacement(stored)
 	}
 	return ix.rel.rankOf(ix.bucketOf(stored), ix.subOf(stored))
@@ -471,9 +509,9 @@ func (ix *Index) homeOf(stored tuple.Tuple) int {
 func (r *Relation) placeOf(t tuple.Tuple) (bucket, sub int) {
 	key := r.placeScratch
 	for i := range key {
-		key[i] = t[r.place.Perm[i]]
+		key[i] = t[r.placePerm[i]]
 	}
-	return r.place.bucketOf(key), r.place.subOf(key)
+	return r.bucketOn(key, r.placeJK), r.subOn(key, r.placeJK, r.Indep)
 }
 
 // accPlacement returns the rank owning the accumulator entry of a
@@ -523,9 +561,9 @@ func (r *Relation) LocalFullCount() int {
 	return r.indexes[0].Full.Len()
 }
 
-// LocalDeltaCount returns the number of Δ tuples on this rank (canonical
-// index).
-func (r *Relation) LocalDeltaCount() int { return r.indexes[0].Delta.Len() }
+// LocalDeltaCount returns the number of Δ tuples on this rank: the tuples
+// (keys) the last pass changed here.
+func (r *Relation) LocalDeltaCount() int { return r.deltaCount }
 
 // GlobalFullCount sums LocalFullCount across ranks (collective).
 func (r *Relation) GlobalFullCount() uint64 {
@@ -559,15 +597,23 @@ func (r *Relation) Lookup(indepKey tuple.Tuple) ([]tuple.Value, bool) {
 	return v, v != nil
 }
 
+// AccWords returns this rank's accumulator entries as canonical tuples laid
+// end to end, Arity words each, in insertion order (nil for a set
+// relation). The slice aliases the accumulator arena and is valid until the
+// next Materialize.
+func (r *Relation) AccWords() []tuple.Value {
+	if r.Agg == nil {
+		return nil
+	}
+	return r.acc.Words()
+}
+
 // EachAcc iterates this rank's accumulator entries as canonical tuples in
 // insertion order. Each tuple is a view into the accumulator arena, valid
 // only until fn returns; a caller that keeps one clones it.
 func (r *Relation) EachAcc(fn func(tuple.Tuple)) {
-	if r.Agg == nil {
-		return
-	}
-	for e, n := 0, r.acc.Len(); e < n; e++ {
-		fn(r.acc.Row(e))
+	for w := r.AccWords(); len(w) > 0; w = w[r.Arity:] {
+		fn(w[:r.Arity:r.Arity])
 	}
 }
 
@@ -577,13 +623,13 @@ func (r *Relation) EachAcc(fn func(tuple.Tuple)) {
 func (r *Relation) SetChangedLast(n uint64) { r.changedLast = n }
 
 // MemWords reports this rank's accounted storage footprint for the
-// relation, in words: the accumulator and identity arenas, every index's
+// relation, in words: the accumulator arena, every index's
 // FULL and Δ trees, and the reusable exchange scratch. Each term is an O(1)
 // capacity read, so the memory accountant can sample it every iteration
 // without touching the hot path.
 func (r *Relation) MemWords() int64 {
 	var w int64
-	for _, m := range []*wordmap.Map{r.acc, r.leakyBest, r.ids, r.partial} {
+	for _, m := range []*wordmap.Map{r.acc, r.leakyBest, r.partial} {
 		if m != nil {
 			w += m.MemWords()
 		}
@@ -604,7 +650,7 @@ func (r *Relation) MemWords() int64 {
 // ReleaseScratch drops the relation's reusable scratch capacity — the
 // pre-aggregation table, per-peer exchange lanes, and tuple buffers — the
 // soft response of the memory accountant's pressure ladder. Resident state
-// (accumulator, indexes, ids) is untouched, so correctness is unaffected;
+// (accumulator, indexes) is untouched, so correctness is unaffected;
 // the next Materialize simply re-grows its scratch, trading allocations for
 // headroom.
 func (r *Relation) ReleaseScratch() {

@@ -51,6 +51,11 @@ func TestHomeRanksCache(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		for _, perm := range [][]int{{0, 1, 2}, {1, 0, 2}} {
+			if _, err := r.AddIndex(perm, 1); err != nil {
+				return err
+			}
+		}
 		// The cache must agree with a direct recomputation for every bucket,
 		// including after a SetSubs placement change.
 		check := func() error {
@@ -264,8 +269,12 @@ func TestAggIndexStalePurge(t *testing.T) {
 			return err
 		}
 		// Index on the second independent column (like SSSP's index on
-		// "to" for the next join).
+		// "to" for the next join), and the canonical index.
 		rev, err := r.AddIndex([]int{1, 0, 2}, 1)
+		if err != nil {
+			return err
+		}
+		canonIx, err := r.AddIndex([]int{0, 1, 2}, 2)
 		if err != nil {
 			return err
 		}
@@ -293,7 +302,7 @@ func TestAggIndexStalePurge(t *testing.T) {
 		}
 		// The canonical index too.
 		var canon uint64
-		r.Canonical().Full.AscendPrefix(tuple.Tuple{7, 8}, func(tt tuple.Tuple) bool {
+		canonIx.Full.AscendPrefix(tuple.Tuple{7, 8}, func(tt tuple.Tuple) bool {
 			if tt[2] == 42 {
 				canon++
 			}
@@ -531,6 +540,57 @@ func TestCheckInvariantsAfterChurn(t *testing.T) {
 	})
 }
 
+// TestCheckInvariantsCatchesIndexDrift flips a dependent word in a registered
+// index of a placed aggregated relation — the placement index, which lives
+// with the accumulator, and a replica, which does not — and requires the
+// check to report it, though every count still agrees.
+func TestCheckInvariantsCatchesIndexDrift(t *testing.T) {
+	const ranks = 3
+	runWorld(t, ranks, func(c *mpi.Comm) error {
+		r, err := New(Schema{Name: "sp", Arity: 3, Indep: 2, Key: 1, Agg: lattice.Min{}},
+			c, metrics.NewCollector(ranks), Config{Subs: 2})
+		if err != nil {
+			return err
+		}
+		byMid, err := r.AddIndex([]int{1, 0, 2}, 1)
+		if err != nil {
+			return err
+		}
+		r.PlaceOn(byMid)
+		replica, err := r.AddIndex([]int{1, 0, 2}, 2)
+		if err != nil {
+			return err
+		}
+		r.LoadShare(60, func(i int, emit func(tuple.Tuple)) {
+			emit(tuple.Tuple{tuple.Value(i % 5), tuple.Value(i), tuple.Value(100 + i)})
+		})
+		// With Δ consumed, only the mirror of the accumulator can tell.
+		r.ClearDelta()
+		if err := r.CheckInvariants(); err != nil {
+			return fmt.Errorf("before the flip: %v", err)
+		}
+		for _, ix := range []*Index{byMid, replica} {
+			// Every rank flips its first tuple's dependent word; 60 keys over
+			// 3 ranks leave at least one rank with a tuple to flip.
+			flip := func() {
+				ix.Full.Ascend(func(t tuple.Tuple) bool {
+					t[2] ^= 1
+					return false
+				})
+			}
+			flip()
+			if err := r.CheckInvariants(); err == nil {
+				return fmt.Errorf("index %v (jk %d): a flipped dependent word passed the check", ix.Perm, ix.JK)
+			}
+			flip()
+			if err := r.CheckInvariants(); err != nil {
+				return fmt.Errorf("index %v (jk %d) flipped back: %v", ix.Perm, ix.JK, err)
+			}
+		}
+		return nil
+	})
+}
+
 func TestCheckInvariantsSetRelation(t *testing.T) {
 	const ranks = 3
 	runWorld(t, ranks, func(c *mpi.Comm) error {
@@ -545,97 +605,6 @@ func TestCheckInvariantsSetRelation(t *testing.T) {
 		r.LoadShare(400, func(i int, emit func(tuple.Tuple)) {
 			emit(tuple.Tuple{tuple.Value(i % 13), tuple.Value(i)})
 		})
-		return r.CheckInvariants()
-	})
-}
-
-func TestTupleIDsUniqueAndStable(t *testing.T) {
-	const ranks = 4
-	runWorld(t, ranks, func(c *mpi.Comm) error {
-		mc := metrics.NewCollector(ranks)
-		r, err := New(aggSchema("sp", 2, lattice.Min{}), c, mc, Config{})
-		if err != nil {
-			return err
-		}
-		buf := tuple.NewBuffer(3, 8)
-		for i := 0; i < 8; i++ {
-			buf.Append(tuple.Tuple{tuple.Value(i), tuple.Value(i + 1), 50})
-		}
-		r.Materialize(0, buf, false)
-		// Record ids, improve every key, and confirm ids survive.
-		ids := map[[2]uint64]uint64{}
-		r.EachAcc(func(tt tuple.Tuple) {
-			id, ok := r.TupleID(tuple.Tuple{tt[0], tt[1]})
-			if !ok {
-				t.Errorf("no id for %v", tt)
-				return
-			}
-			if IDOwner(id) != c.Rank() {
-				t.Errorf("id %x owned by %d but stored on %d", id, IDOwner(id), c.Rank())
-			}
-			ids[[2]uint64{tt[0], tt[1]}] = id
-		})
-		buf.Reset()
-		for i := 0; i < 8; i++ {
-			buf.Append(tuple.Tuple{tuple.Value(i), tuple.Value(i + 1), 7})
-		}
-		r.Materialize(1, buf, false)
-		r.EachAcc(func(tt tuple.Tuple) {
-			if tt[2] != 7 {
-				t.Errorf("value not improved: %v", tt)
-			}
-			id, _ := r.TupleID(tuple.Tuple{tt[0], tt[1]})
-			if id != ids[[2]uint64{tt[0], tt[1]}] {
-				t.Errorf("id changed on improvement for %v", tt)
-			}
-		})
-		// Global id count equals global key count, and ids are globally
-		// unique by construction (disjoint per-rank ranges).
-		total := c.Allreduce(uint64(r.LocalIDCount()), mpi.OpSum)
-		if total != r.GlobalFullCount() {
-			return fmt.Errorf("ids %d, keys %d", total, r.GlobalFullCount())
-		}
-		return nil
-	})
-}
-
-func TestTupleIDsSurviveRebalance(t *testing.T) {
-	const ranks = 4
-	runWorld(t, ranks, func(c *mpi.Comm) error {
-		mc := metrics.NewCollector(ranks)
-		r, err := New(setSchema("edge", 2, 1), c, mc, Config{Subs: 1})
-		if err != nil {
-			return err
-		}
-		r.LoadShare(200, func(i int, emit func(tuple.Tuple)) {
-			emit(tuple.Tuple{tuple.Value(i % 5), tuple.Value(i)})
-		})
-		// Record all (tuple → id) pairs globally via a canonical scan on
-		// each rank.
-		before := map[[2]uint64]uint64{}
-		r.Canonical().Full.Ascend(func(tt tuple.Tuple) bool {
-			id, ok := r.TupleID(tt)
-			if !ok {
-				t.Errorf("missing id for %v", tt)
-				return false
-			}
-			before[[2]uint64{tt[0], tt[1]}] = id
-			return true
-		})
-		r.SetSubs(8)
-		// After rebalance every local tuple still has its id, and the id
-		// count matches the tuple count globally.
-		r.Canonical().Full.Ascend(func(tt tuple.Tuple) bool {
-			if _, ok := r.TupleID(tt); !ok {
-				t.Errorf("id lost after rebalance for %v", tt)
-				return false
-			}
-			return true
-		})
-		ids := c.Allreduce(uint64(r.LocalIDCount()), mpi.OpSum)
-		if ids != r.GlobalFullCount() {
-			return fmt.Errorf("ids %d, tuples %d after rebalance", ids, r.GlobalFullCount())
-		}
 		return r.CheckInvariants()
 	})
 }

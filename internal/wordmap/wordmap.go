@@ -1,7 +1,7 @@
 // Package wordmap provides an allocation-free hash table keyed on
 // fixed-width sequences of 64-bit words — the storage primitive behind the
-// relation layer's aggregate accumulators, tuple-identity maps, and
-// pre-aggregation scratch tables.
+// relation layer's aggregate accumulators and pre-aggregation scratch
+// tables.
 //
 // The design goal is zero allocator traffic on the hot path: probing an
 // existing key allocates nothing, and inserting amortizes to nothing. The
@@ -216,15 +216,8 @@ func (m *Map) At(e int) (key, val []tuple.Value) {
 		m.arena[off+m.keyW : off+m.stride : off+m.stride]
 }
 
-// Row returns entry e whole — key words, then value words — as one view
-// under At's rules.
-func (m *Map) Row(e int) []tuple.Value {
-	off := e * m.stride
-	return m.arena[off : off+m.stride : off+m.stride]
-}
-
-// Words returns every entry whole, one after another in insertion order: the
-// rows of Row as one view under At's rules.
+// Words returns every entry whole — key words, then value words — one after
+// another in insertion order, as one view under At's rules.
 func (m *Map) Words() []tuple.Value { return m.arena }
 
 // TamperValueWord XORs mask into one value word of a middle entry — the

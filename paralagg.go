@@ -341,9 +341,6 @@ func (r *Rank) Reduce(v uint64, op ReduceOp) uint64 {
 	return r.comm.Allreduce(v, mpi.ReduceOp(op))
 }
 
-// GatherAll collects one word from every rank, indexed by rank. Collective.
-func (r *Rank) GatherAll(v uint64) []uint64 { return r.comm.Allgather(v) }
-
 // ReduceOp mirrors the runtime's reduction operators.
 type ReduceOp int
 

@@ -246,17 +246,22 @@ func lexLess(a, b Tuple) bool {
 }
 
 // eachLocal walks this shard's stored result tuples matching a canonical
-// prefix: the accumulator for aggregated relations, the canonical index for
-// sets. Tuples passed to fn are views into that storage, valid only until fn
-// returns — clone before retaining.
+// prefix of at most Arity words (validateSpec): the accumulator's rows for
+// aggregated relations, in one loop, the canonical index for sets. Tuples
+// passed to fn are views into that storage, valid only until fn returns —
+// clone before retaining.
 func eachLocal(rl *relation.Relation, prefix tuple.Tuple, fn func(tuple.Tuple)) {
 	if rl.Agg != nil {
-		rl.EachAcc(func(t tuple.Tuple) {
-			if len(prefix) > 0 && !hasPrefix(t, prefix) {
-				return
+		arity := rl.Arity
+	rows:
+		for w := rl.AccWords(); len(w) >= arity; w = w[arity:] {
+			for i, v := range prefix {
+				if w[i] != v {
+					continue rows
+				}
 			}
-			fn(t)
-		})
+			fn(w[:arity:arity])
+		}
 		return
 	}
 	full := rl.Canonical().Full
@@ -271,16 +276,4 @@ func eachLocal(rl *relation.Relation, prefix tuple.Tuple, fn func(tuple.Tuple)) 
 		fn(t)
 		return true
 	})
-}
-
-func hasPrefix(t, prefix tuple.Tuple) bool {
-	if len(prefix) > len(t) {
-		return false
-	}
-	for i, v := range prefix {
-		if t[i] != v {
-			return false
-		}
-	}
-	return true
 }

@@ -33,11 +33,11 @@ type snapshotSet struct {
 	fps   []relPrint
 }
 
-// relPrint digests a relation's global contents order-independently:
-// canonical FULL and Δ, the secondary indexes, the accumulator, and every
-// canonical key's tuple id.
+// relPrint digests a relation's global contents order-independently: every
+// registered index's FULL and Δ, the accumulator, the tuple count and the Δ
+// count.
 type relPrint struct {
-	Full, Delta, Sec, Acc, IDs, Count uint64
+	Full, Delta, Acc, Count, DeltaCount uint64
 }
 
 func hashWords(seed uint64, ws ...[]tuple.Value) uint64 {
@@ -53,30 +53,14 @@ func hashWords(seed uint64, ws ...[]tuple.Value) uint64 {
 }
 
 func printOf(rk *paralagg.Rank, r *relation.Relation) relPrint {
-	var p relPrint
-	id := func(key tuple.Tuple) {
-		if v, ok := r.TupleID(key); ok {
-			p.IDs += hashWords(1, key, []tuple.Value{v})
-		}
+	p := relPrint{Count: uint64(r.LocalFullCount()), DeltaCount: uint64(r.LocalDeltaCount())}
+	for i, ix := range r.Indexes() {
+		seed := []tuple.Value{tuple.Value(i)}
+		ix.Full.Ascend(func(t tuple.Tuple) bool { p.Full += hashWords(2, seed, t); return true })
+		ix.Delta.Ascend(func(t tuple.Tuple) bool { p.Delta += hashWords(3, seed, t); return true })
 	}
-	r.Canonical().Full.Ascend(func(t tuple.Tuple) bool {
-		p.Full += hashWords(2, t)
-		p.Count++
-		if r.Agg == nil {
-			id(t)
-		}
-		return true
-	})
-	r.Canonical().Delta.Ascend(func(t tuple.Tuple) bool { p.Delta += hashWords(3, t); return true })
-	for _, ix := range r.Indexes()[1:] {
-		ix.Full.Ascend(func(t tuple.Tuple) bool { p.Sec += hashWords(4, t); return true })
-		ix.Delta.Ascend(func(t tuple.Tuple) bool { p.Sec += hashWords(5, t); return true })
-	}
-	r.EachAcc(func(t tuple.Tuple) {
-		p.Acc += hashWords(6, t)
-		id(t[:r.Indep])
-	})
-	for _, f := range []*uint64{&p.Full, &p.Delta, &p.Sec, &p.Acc, &p.IDs, &p.Count} {
+	r.EachAcc(func(t tuple.Tuple) { p.Acc += hashWords(6, t) })
+	for _, f := range []*uint64{&p.Full, &p.Delta, &p.Acc, &p.Count, &p.DeltaCount} {
 		*f = rk.Reduce(*f, paralagg.OpSum)
 	}
 	return p
