@@ -55,7 +55,9 @@ chaos:
 # a bounded fuzz pass: random Insert/Delete/UpsertPrefix/Reset/Build/scan
 # sequences at arities 1-4 against a sorted-slice reference, and so does the
 # bulk-load sort: byte-coded batches at arities 1-4 through tuple.SortedRun's
-# radix sort against the comparison sort it replaced. So does the
+# radix sort against the comparison sort it replaced, and so does the rule
+# compiler: random head and condition term trees, three deep over every op
+# kind, through the flat op list against a tree walk. So does the
 # checkpoint reader: pairs of file images stored in both sink backends
 # (memory and directory), read back through the one envelope decoder, and
 # handed to the one restore, which must reject what is malformed without
@@ -76,6 +78,7 @@ verify: vet
 	$(GO) test -count=1 -run 'Allocs|AllocFree' ./internal/...
 	$(GO) test -run '^$$' -fuzz FuzzAgainstSortedSlice -fuzztime 15s -fuzzminimizetime 10x ./internal/btree
 	$(GO) test -run '^$$' -fuzz FuzzSortedRun -fuzztime 10s -fuzzminimizetime 10x ./internal/tuple
+	$(GO) test -run '^$$' -fuzz FuzzCompiledTerms -fuzztime 10s -fuzzminimizetime 10x ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRestoreCheckpointFiles -fuzztime 10s -fuzzminimizetime 10x ./internal/ra
 	$(GO) test -run '^$$' -fuzz FuzzParseTopology -fuzztime 10s -fuzzminimizetime 10x ./internal/mpi
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s -fuzzminimizetime 10x ./internal/transport/tcp

@@ -56,7 +56,7 @@ func TestCompiledEmitAllocFree(t *testing.T) {
 			if join.Emit(far, right, out) {
 				kept--
 			}
-			if cp.Emit(right, out) {
+			if cp.Emit(right, nil, out) {
 				kept++
 			}
 		})
@@ -69,7 +69,7 @@ func TestCompiledEmitAllocFree(t *testing.T) {
 		if !join.Emit(left, right, out) || !out.Equal(tuple.Tuple{1, 9, 46}) {
 			t.Errorf("join emitted %v, want (1, 9, 46)", out)
 		}
-		if !cp.Emit(right, out) || !out.Equal(tuple.Tuple{7, 9, 4}) {
+		if !cp.Emit(right, nil, out) || !out.Equal(tuple.Tuple{7, 9, 4}) {
 			t.Errorf("copy emitted %v, want (7, 9, 4)", out)
 		}
 		return nil

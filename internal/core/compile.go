@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"paralagg/internal/ra"
@@ -25,14 +26,6 @@ type check struct {
 	other     binding
 }
 
-// argEval evaluates one resolved term against the matched pair.
-type argEval func(l, r tuple.Tuple) tuple.Value
-
-// compiled is the output of compiling one rule.
-type compiled struct {
-	rule ra.Rule
-}
-
 // atomBindings scans an atom's terms, returning the first-occurrence
 // binding of each variable (in source positions) and the emit-time checks
 // for constants and duplicate variables.
@@ -50,49 +43,6 @@ func atomBindings(a Atom, side int, bound map[Var]binding) (checks []check) {
 		}
 	}
 	return checks
-}
-
-// resolveTerm compiles a head or condition term to an evaluator against
-// stored-order tuples.
-func resolveTerm(t Term, bound map[Var]binding, stored func(binding) binding) (argEval, error) {
-	switch tt := t.(type) {
-	case Const:
-		v := tuple.Value(tt)
-		return func(l, r tuple.Tuple) tuple.Value { return v }, nil
-	case Var:
-		b, ok := bound[tt]
-		if !ok {
-			return nil, fmt.Errorf("core: unbound variable %s", tt)
-		}
-		sb := stored(b)
-		if sb.side == 0 {
-			pos := sb.pos
-			return func(l, r tuple.Tuple) tuple.Value { return l[pos] }, nil
-		}
-		pos := sb.pos
-		return func(l, r tuple.Tuple) tuple.Value { return r[pos] }, nil
-	case Apply:
-		evals := make([]argEval, len(tt.Args))
-		for i, arg := range tt.Args {
-			e, err := resolveTerm(arg, bound, stored)
-			if err != nil {
-				return nil, err
-			}
-			evals[i] = e
-		}
-		fn := tt.Fn
-		// The argument scratch belongs to this compiled term: rules are
-		// compiled per rank and a rank evaluates one match at a time, so
-		// nothing else can be using it.
-		args := make([]tuple.Value, len(evals))
-		return func(l, r tuple.Tuple) tuple.Value {
-			for i, e := range evals {
-				args[i] = e(l, r)
-			}
-			return fn(args)
-		}, nil
-	}
-	return nil, fmt.Errorf("core: unknown term type %T", t)
 }
 
 // indexFor finds or registers the index a join side needs: join-variable
@@ -155,7 +105,7 @@ func compileCopy(r *Rule, rels map[string]*relation.Relation) (ra.Rule, error) {
 		Src:    canon,
 		SrcRel: src,
 		Head:   head,
-		Emit:   func(s, out tuple.Tuple) bool { return em.emit(s, nil, out) },
+		Emit:   em.emit,
 	}, nil
 }
 
@@ -268,57 +218,137 @@ func compileJoin(r *Rule, decls map[string]*Decl, rels map[string]*relation.Rela
 	}, nil
 }
 
-// emitter is a rule's compiled per-match work: the equality checks and
-// conditions that filter a matched pair, and the evaluators of the head's
-// columns.
+// emitter is a rule's compiled per-match work: the equality checks, then
+// one flat op list over the rule's own registers (a rank evaluates one match
+// at a time). Registers 0..arity-1 hold the head tuple.
 type emitter struct {
 	checks []check
-	conds  []condEval
-	heads  []argEval
+	ops    []op
+	regs   []tuple.Value
 }
 
-// emit implements ra.Emitter (and, with r nil, ra.CopyEmitter): it fills the
-// kernel's slot in place, so a derived tuple costs no allocation.
+// opKind is what one op does. opCall is the zero value, so an Apply built
+// by hand calls its Fn.
+type opKind uint8
+
+const (
+	opCall  opKind = iota // regs[dst] = fn(regs[a:b]): Compute
+	opWhere               // filter the match unless pred(regs[a:b]): Where
+	opLeft                // regs[dst] = left[a]
+	opRight               // regs[dst] = right[a] (opLeft + side)
+	opConst               // regs[dst] = val
+	opAdd                 // regs[dst] = regs[a] + regs[a+1]
+	opSub                 // regs[dst] = regs[a] - regs[a+1]
+	opMul                 // regs[dst] = regs[a] * regs[a+1]
+	opFAdd                // the same over Float64bits-encoded values
+	opFMul
+)
+
+// op is one step of a compiled rule.
+type op struct {
+	kind      opKind
+	dst, a, b int
+	val       tuple.Value
+	fn        func([]tuple.Value) tuple.Value
+	pred      func([]tuple.Value) bool
+}
+
+// emit implements ra.Emitter: one loop over the op list fills the kernel's
+// slot in place, so a derived tuple costs no allocation.
 func (em *emitter) emit(l, r, out tuple.Tuple) bool {
-	if !passChecks(em.checks, l, r) || !passConds(em.conds, l, r) {
+	if len(em.checks) > 0 && !passChecks(em.checks, l, r) {
 		return false
 	}
-	for i, e := range em.heads {
-		out[i] = e(l, r)
+	regs := em.regs
+	for i := range em.ops {
+		o := &em.ops[i]
+		switch o.kind {
+		case opLeft:
+			regs[o.dst] = l[o.a]
+		case opRight:
+			regs[o.dst] = r[o.a]
+		case opConst:
+			regs[o.dst] = o.val
+		case opAdd:
+			regs[o.dst] = regs[o.a] + regs[o.a+1]
+		case opSub:
+			regs[o.dst] = regs[o.a] - regs[o.a+1]
+		case opMul:
+			regs[o.dst] = regs[o.a] * regs[o.a+1]
+		case opFAdd:
+			regs[o.dst] = math.Float64bits(math.Float64frombits(regs[o.a]) + math.Float64frombits(regs[o.a+1]))
+		case opFMul:
+			regs[o.dst] = math.Float64bits(math.Float64frombits(regs[o.a]) * math.Float64frombits(regs[o.a+1]))
+		case opCall:
+			regs[o.dst] = o.fn(regs[o.a:o.b])
+		case opWhere:
+			if !o.pred(regs[o.a:o.b]) {
+				return false
+			}
+		}
 	}
+	copy(out, regs)
 	return true
 }
 
-// compileEmit resolves the head terms and conditions of a rule.
+// compileEmit lowers a rule's conditions, then its head terms, onto one op
+// list, resolving variables against stored-order tuples.
 func compileEmit(r *Rule, checks []check, bound map[Var]binding, stored func(binding) binding) (*emitter, error) {
 	em := &emitter{checks: checks}
-	for _, t := range r.Head.Terms {
-		e, err := resolveTerm(t, bound, stored)
-		if err != nil {
-			return nil, fmt.Errorf("core: rule %s: %v", r, err)
+	nregs := len(r.Head.Terms)
+	var term func(t Term, dst int) error
+	// args compiles terms into a fresh block of registers, returning its first.
+	args := func(ts []Term) (int, error) {
+		a := nregs
+		nregs += len(ts)
+		for i, t := range ts {
+			if err := term(t, a+i); err != nil {
+				return 0, err
+			}
 		}
-		em.heads = append(em.heads, e)
+		return a, nil
+	}
+	term = func(t Term, dst int) error {
+		o := op{dst: dst}
+		switch tt := t.(type) {
+		case Const:
+			o.kind, o.val = opConst, tuple.Value(tt)
+		case Var:
+			b, ok := bound[tt]
+			if !ok {
+				return fmt.Errorf("core: unbound variable %s", tt)
+			}
+			sb := stored(b)
+			o.kind, o.a = opLeft+opKind(sb.side), sb.pos
+		case Apply:
+			a, err := args(tt.Args)
+			if err != nil {
+				return err
+			}
+			o.kind, o.a, o.b, o.fn = tt.op, a, a+len(tt.Args), tt.Fn
+			if len(tt.Args) != 2 {
+				o.kind = opCall
+			}
+		default:
+			return fmt.Errorf("core: unknown term type %T", t)
+		}
+		em.ops = append(em.ops, o)
+		return nil
 	}
 	for _, c := range r.Conds {
-		evals := make([]argEval, len(c.Args))
-		for i, arg := range c.Args {
-			e, err := resolveTerm(arg, bound, stored)
-			if err != nil {
-				return nil, fmt.Errorf("core: rule %s: condition %s: %v", r, c.Name, err)
-			}
-			evals[i] = e
+		a, err := args(c.Args)
+		if err != nil {
+			return nil, fmt.Errorf("core: rule %s: condition %s: %v", r, c.Name, err)
 		}
-		em.conds = append(em.conds, condEval{pred: c.Pred, args: evals, scratch: make([]tuple.Value, len(evals))})
+		em.ops = append(em.ops, op{kind: opWhere, a: a, b: a + len(c.Args), pred: c.Pred})
 	}
+	for i, t := range r.Head.Terms {
+		if err := term(t, i); err != nil {
+			return nil, fmt.Errorf("core: rule %s: %v", r, err)
+		}
+	}
+	em.regs = make([]tuple.Value, nregs)
 	return em, nil
-}
-
-// condEval is one compiled condition; scratch holds its evaluated arguments
-// and is private to the rule like an Apply term's.
-type condEval struct {
-	pred    func([]tuple.Value) bool
-	args    []argEval
-	scratch []tuple.Value
 }
 
 func storedCheck(c check, stored func(binding) binding) check {
@@ -344,18 +374,6 @@ func passChecks(checks []check, l, r tuple.Tuple) bool {
 				return false
 			}
 		} else if got != at(c.other.side, c.other.pos) {
-			return false
-		}
-	}
-	return true
-}
-
-func passConds(conds []condEval, l, r tuple.Tuple) bool {
-	for _, c := range conds {
-		for i, e := range c.args {
-			c.scratch[i] = e(l, r)
-		}
-		if !c.pred(c.scratch) {
 			return false
 		}
 	}

@@ -35,35 +35,36 @@ type Apply struct {
 	// Name appears in diagnostics and plan dumps.
 	Name string
 	// Fn receives the evaluated Args in order. The slice is the compiled
-	// term's own scratch, overwritten by the next match: Fn must not keep it.
+	// rule's own scratch, overwritten by the next match: Fn must not keep it.
 	Fn func(args []tuple.Value) tuple.Value
 	// Args are the inputs; each must be a Var bound in the body or a Const.
 	Args []Term
+	op   opKind // the arithmetic constructors' inline op; opCall otherwise
 }
 
 func (Apply) term() {}
 
 // Add returns a head term computing integer a + b.
 func Add(a, b Term) Apply {
-	return Apply{Name: "add", Args: []Term{a, b},
+	return Apply{Name: "add", Args: []Term{a, b}, op: opAdd,
 		Fn: func(v []tuple.Value) tuple.Value { return v[0] + v[1] }}
 }
 
 // Sub returns a head term computing integer a - b.
 func Sub(a, b Term) Apply {
-	return Apply{Name: "sub", Args: []Term{a, b},
+	return Apply{Name: "sub", Args: []Term{a, b}, op: opSub,
 		Fn: func(v []tuple.Value) tuple.Value { return v[0] - v[1] }}
 }
 
 // Mul returns a head term computing integer a * b.
 func Mul(a, b Term) Apply {
-	return Apply{Name: "mul", Args: []Term{a, b},
+	return Apply{Name: "mul", Args: []Term{a, b}, op: opMul,
 		Fn: func(v []tuple.Value) tuple.Value { return v[0] * v[1] }}
 }
 
 // FMul returns a head term multiplying two Float64bits-encoded values.
 func FMul(a, b Term) Apply {
-	return Apply{Name: "fmul", Args: []Term{a, b},
+	return Apply{Name: "fmul", Args: []Term{a, b}, op: opFMul,
 		Fn: func(v []tuple.Value) tuple.Value {
 			return math.Float64bits(math.Float64frombits(v[0]) * math.Float64frombits(v[1]))
 		}}
@@ -71,7 +72,7 @@ func FMul(a, b Term) Apply {
 
 // FAdd returns a head term adding two Float64bits-encoded values.
 func FAdd(a, b Term) Apply {
-	return Apply{Name: "fadd", Args: []Term{a, b},
+	return Apply{Name: "fadd", Args: []Term{a, b}, op: opFAdd,
 		Fn: func(v []tuple.Value) tuple.Value {
 			return math.Float64bits(math.Float64frombits(v[0]) + math.Float64frombits(v[1]))
 		}}

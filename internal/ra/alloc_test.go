@@ -2,10 +2,10 @@ package ra
 
 // Steady-state allocation regression: once a fixpoint has converged, running
 // one more iteration — rule-variant dispatch, head materialization (empty
-// pending still exchanges, flips Δ versions, and agrees on the changed
+// candidates still exchange, flip Δ versions, and agree on the changed
 // count), and the fixpoint decision — must not allocate at all on a
 // single-rank world. This pins the whole reuse chain: the Fixpoint's
-// prepared pending buffers, the relation exchange scratch, the word-map
+// candidate buffers, the relation exchange scratch, the word-map
 // accumulator, and the single-rank collective fast paths.
 
 import (
@@ -15,6 +15,7 @@ import (
 	"paralagg/internal/metrics"
 	"paralagg/internal/mpi"
 	"paralagg/internal/relation"
+	"paralagg/internal/resource"
 	"paralagg/internal/tuple"
 )
 
@@ -80,12 +81,12 @@ func steadyStateAllocFree(t *testing.T, integrity bool) {
 		// The kernel itself, on a Δ that is not empty: re-seed Δ with every
 		// path found and run the Δ⋈FULL variant. Run only reads Δ, so each
 		// call derives the same head tuples again — scan, replicate, probe,
-		// emit into the pending buffer — and once the buffer and the exchange
-		// lanes have their capacity, none of it may allocate, whether a call
-		// matches thousands of pairs or (empty Δ) none.
-		pending := tuple.NewBuffer(3, 0)
+		// emit into a plain candidate buffer — and once the buffer and the
+		// exchange lanes have their capacity, none of it may allocate, whether
+		// a call matches thousands of pairs or (empty Δ) none.
+		pending := relation.NewCandidates(sp)
 		variant := func() {
-			pending.Reset()
+			pending.Begin(false)
 			join.Run(1, VDelta, VFull, PlanDynamic, mc, pending)
 		}
 		for _, seeded := range []bool{true, false} {
@@ -100,6 +101,72 @@ func steadyStateAllocFree(t *testing.T, integrity bool) {
 			}
 			if allocs := testing.AllocsPerRun(20, variant); allocs != 0 {
 				t.Errorf("Join.Run deriving %d tuples: %v allocs/op, want 0", pending.Len(), allocs)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPressureCountsAndShedsCandidateBuffers: the memory accountant's
+// compute sample covers the fixpoint's candidate buffers — a set head's
+// growing buffer and an aggregated head's staging chunk — besides every
+// relation's storage, and soft pressure releases them with the relations'
+// scratch.
+func TestPressureCountsAndShedsCandidateBuffers(t *testing.T) {
+	es := randGraph(60, 400, 23, 5)
+	err := mpi.NewWorld(1).Run(func(c *mpi.Comm) error {
+		mc := metrics.NewCollector(1)
+		edgeRel, _ := relation.New(relation.Schema{Name: "edge", Arity: 3, Indep: 3, Key: 1}, c, mc, relation.Config{})
+		sp, _ := relation.New(relation.Schema{Name: "spath", Arity: 3, Indep: 2, Key: 2, Agg: lattice.Min{}}, c, mc, relation.Config{})
+		spMid, _ := sp.AddIndex([]int{1, 0, 2}, 1)
+		reach, _ := relation.New(relation.Schema{Name: "reach", Arity: 2, Indep: 2, Key: 1}, c, mc, relation.Config{})
+		edgeRel.LoadShare(len(es), func(i int, emit func(tuple.Tuple)) {
+			emit(tuple.Tuple{es[i].u, es[i].v, es[i].w})
+		})
+		seed := tuple.NewBuffer(3, 1)
+		seed.Append(tuple.Tuple{0, 0, 0})
+		sp.LoadFacts(seed)
+		fx := NewFixpoint(c, mc,
+			&Join{Left: spMid, LeftRel: sp, Right: edgeRel.Canonical(), RightRel: edgeRel, Head: sp, JK: 1,
+				Emit: func(l, r, out tuple.Tuple) bool {
+					out[0], out[1], out[2] = l[1], r[1], l[2]+r[2]
+					return true
+				}},
+			&Copy{Src: edgeRel.Canonical(), SrcRel: edgeRel, Head: reach,
+				Emit: func(s, _, out tuple.Tuple) bool {
+					out[0], out[1] = s[0], s[1]
+					return true
+				}})
+		opts := Options{Plan: PlanDynamic, Acct: resource.NewAccountant(1 << 40)}
+		fx.Run(opts)
+
+		var relWords, candWords int64
+		for _, r := range fx.allRels {
+			relWords += r.MemWords()
+		}
+		for _, h := range fx.heads {
+			if int64(cap(fx.cands[h].Words)) == 0 {
+				t.Fatalf("%s's candidate buffer has no capacity after a run", h.Name)
+			}
+			candWords += int64(cap(fx.cands[h].Words))
+		}
+		fx.pressure(opts, 100)
+		if got, want := opts.Acct.UsedBytes(), (relWords+candWords)*resource.WordBytes; got != want {
+			t.Errorf("accounted %d bytes; relations hold %d words and candidate buffers %d, want %d bytes",
+				got, relWords, candWords, want)
+		}
+
+		// A budget the footprint sits at 90% of: soft pressure.
+		opts.Acct = resource.NewAccountant(opts.Acct.UsedBytes() * 10 / 9)
+		if !fx.pressure(opts, 101) {
+			t.Fatal("soft pressure did not fire")
+		}
+		for _, h := range fx.heads {
+			if n := int64(cap(fx.cands[h].Words)); n != 0 {
+				t.Errorf("soft pressure left %s's candidate buffer at %d words", h.Name, n)
 			}
 		}
 		return nil

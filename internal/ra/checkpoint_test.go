@@ -26,7 +26,7 @@ func chainTC(c *mpi.Comm, mc *metrics.Collector) (*Fixpoint, *relation.Relation)
 	})
 	fx := NewFixpoint(c, mc,
 		&Copy{Src: edgeRel.Canonical(), SrcRel: edgeRel, Head: pathRel,
-			Emit: func(s, out tuple.Tuple) bool { return copy(out, s) > 0 }},
+			Emit: func(s, _, out tuple.Tuple) bool { return copy(out, s) > 0 }},
 		&Join{Left: pathRev, LeftRel: pathRel, Right: edgeRel.Canonical(), RightRel: edgeRel,
 			Head: pathRel, JK: 1,
 			Emit: func(l, r, out tuple.Tuple) bool { return copy(out, tuple.Tuple{l[1], r[1]}) > 0 }},
@@ -97,7 +97,7 @@ func TestZeroValueOptionsBehaveAsDocumentedDefaults(t *testing.T) {
 			})
 			fx := NewFixpoint(c, mc,
 				&Copy{Src: edgeRel.Canonical(), SrcRel: edgeRel, Head: pathRel,
-					Emit: func(s, out tuple.Tuple) bool { return copy(out, s) > 0 }},
+					Emit: func(s, _, out tuple.Tuple) bool { return copy(out, s) > 0 }},
 				&Join{Left: pathRev, LeftRel: pathRel, Right: edgeRel.Canonical(), RightRel: edgeRel,
 					Head: pathRel, JK: 1,
 					Emit: func(l, r, out tuple.Tuple) bool { return copy(out, tuple.Tuple{l[1], r[1]}) > 0 }},

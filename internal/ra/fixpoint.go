@@ -9,7 +9,6 @@ import (
 	"paralagg/internal/obs"
 	"paralagg/internal/relation"
 	"paralagg/internal/resource"
-	"paralagg/internal/tuple"
 )
 
 // Rule is one compiled kernel in a stratum. Joins contribute up to two
@@ -20,8 +19,8 @@ type Rule interface {
 	// Bodies returns the relations the rule reads.
 	BodyRels() []*relation.Relation
 	// RunVariants executes every semi-naïve variant whose Δ side changed
-	// in the previous iteration, appending head tuples to pending.
-	RunVariants(iter int, mode PlanMode, mc *metrics.Collector, pending *tuple.Buffer)
+	// in the previous iteration, writing head tuples into out.
+	RunVariants(iter int, mode PlanMode, mc *metrics.Collector, out *relation.Candidates)
 }
 
 // HeadRel implements Rule.
@@ -37,12 +36,12 @@ func (j *Join) BodyRels() []*relation.Relation {
 // the new pairs exactly — every (left, right) pair involving at least one Δ
 // tuple is produced exactly once — so even non-idempotent aggregates
 // (MSum, MCount) accumulate correctly.
-func (j *Join) RunVariants(iter int, mode PlanMode, mc *metrics.Collector, pending *tuple.Buffer) {
+func (j *Join) RunVariants(iter int, mode PlanMode, mc *metrics.Collector, out *relation.Candidates) {
 	if j.LeftRel.ChangedLast() > 0 {
-		j.Run(iter, VDelta, VFull, mode, mc, pending)
+		j.Run(iter, VDelta, VFull, mode, mc, out)
 	}
 	if j.RightRel.ChangedLast() > 0 {
-		j.Run(iter, VFullMinusDelta, VDelta, mode, mc, pending)
+		j.Run(iter, VFullMinusDelta, VDelta, mode, mc, out)
 	}
 }
 
@@ -56,9 +55,9 @@ func (cp *Copy) BodyRels() []*relation.Relation {
 
 // RunVariants implements Rule: copies scan Δ of their source when it
 // changed.
-func (cp *Copy) RunVariants(iter int, mode PlanMode, mc *metrics.Collector, pending *tuple.Buffer) {
+func (cp *Copy) RunVariants(iter int, mode PlanMode, mc *metrics.Collector, out *relation.Candidates) {
 	if cp.SrcRel.ChangedLast() > 0 {
-		cp.Run(iter, mc, pending)
+		cp.Run(iter, mc, out)
 	}
 }
 
@@ -149,15 +148,14 @@ type Fixpoint struct {
 
 	heads []*relation.Relation
 
-	// Iteration scratch, built lazily by prepare() and reused across every
+	// Iteration scratch, built by NewFixpoint and reused across every
 	// iteration and every Run/Resume call: the body-only (EDB) relation
-	// list, the full relation list rebalancing scans, and one pending
-	// tuple buffer per head. Hoisting these out of the loop keeps the
-	// steady-state iteration allocation-free.
-	prepared bool
+	// list, the full relation list rebalancing scans, and one Candidates per
+	// head. Hoisting these out of the loop keeps the steady-state iteration
+	// allocation-free.
 	bodyOnly []*relation.Relation
 	allRels  []*relation.Relation
-	pending  map[*relation.Relation]*tuple.Buffer
+	cands    map[*relation.Relation]*relation.Candidates
 	// entered holds each head's summed routing headers from the latest
 	// step, in heads order; window is that step's iterWindow.
 	entered []uint64
@@ -182,33 +180,27 @@ func NewFixpoint(comm *mpi.Comm, mc *metrics.Collector, rules ...Rule) *Fixpoint
 	f := &Fixpoint{Comm: comm, MC: mc, Rules: rules}
 	seen := map[*relation.Relation]bool{}
 	for _, r := range rules {
-		h := r.HeadRel()
-		if !seen[h] {
+		if h := r.HeadRel(); !seen[h] {
 			seen[h] = true
 			f.heads = append(f.heads, h)
 		}
 	}
-	return f
-}
-
-// bodyOnlyRels returns the relations read but never written in this
-// stratum (EDBs), in first-appearance order.
-func (f *Fixpoint) bodyOnlyRels() []*relation.Relation {
-	headSet := map[*relation.Relation]bool{}
-	for _, h := range f.heads {
-		headSet[h] = true
-	}
-	var bodyOnly []*relation.Relation
-	seenBody := map[*relation.Relation]bool{}
-	for _, r := range f.Rules {
+	// Body-only relations (EDBs), in first-appearance order.
+	for _, r := range rules {
 		for _, b := range r.BodyRels() {
-			if !headSet[b] && !seenBody[b] {
-				seenBody[b] = true
-				bodyOnly = append(bodyOnly, b)
+			if !seen[b] {
+				seen[b] = true
+				f.bodyOnly = append(f.bodyOnly, b)
 			}
 		}
 	}
-	return bodyOnly
+	f.allRels = append(append([]*relation.Relation(nil), f.heads...), f.bodyOnly...)
+	f.cands = make(map[*relation.Relation]*relation.Candidates, len(f.heads))
+	f.entered = make([]uint64, len(f.heads))
+	for _, h := range f.heads {
+		f.cands[h] = relation.NewCandidates(h)
+	}
+	return f
 }
 
 // snapshotSet returns the relations a checkpoint captures.
@@ -216,7 +208,7 @@ func (f *Fixpoint) snapshotSet(opts Options) []*relation.Relation {
 	if opts.SnapshotRels != nil {
 		return opts.SnapshotRels
 	}
-	return append(append([]*relation.Relation(nil), f.heads...), f.bodyOnlyRels()...)
+	return f.allRels
 }
 
 // Run iterates the stratum until no relation changes (or opts.MaxIters is
@@ -503,6 +495,9 @@ func (f *Fixpoint) pressure(opts Options, iter int) (forceCkpt bool) {
 	for _, r := range f.allRels {
 		words += r.MemWords()
 	}
+	for _, h := range f.heads {
+		words += int64(cap(f.cands[h].Words))
+	}
 	acct.SetComputeWords(words)
 	if b, ok := f.Comm.MemPressureNow(iter); ok {
 		// Injected pressure fault: synthetic usage, real ladder response.
@@ -522,11 +517,14 @@ func (f *Fixpoint) pressure(opts Options, iter int) (forceCkpt bool) {
 	worstUsed := int64(agreed & levelPackMask)
 	switch lvl {
 	case resource.LevelSoft:
-		// Shed what is reclaimable (scratch pools, lazily rebuilt on
-		// demand) and bring the next checkpoint forward so a later hard
-		// failure loses little work.
+		// Shed what is reclaimable (scratch pools and candidate buffers,
+		// lazily rebuilt on demand) and bring the next checkpoint forward
+		// so a later hard failure loses little work.
 		for _, r := range f.allRels {
 			r.ReleaseScratch()
+		}
+		for _, h := range f.heads {
+			f.cands[h].Words = nil
 		}
 		acct.CountPressure(lvl)
 		f.emitMemPressure(opts, iter, lvl, acct)
@@ -583,28 +581,11 @@ func (f *Fixpoint) emitCkptDegraded(opts Options, iter int, cause error) {
 	obs.Emit(o, e)
 }
 
-// prepare builds the loop-invariant iteration scratch once per Fixpoint.
-// It is lazy (not folded into NewFixpoint) because tests and tools build
-// Fixpoint values directly with struct literals.
-func (f *Fixpoint) prepare() {
-	if f.prepared {
-		return
-	}
-	f.prepared = true
-	f.bodyOnly = f.bodyOnlyRels()
-	f.allRels = append(append([]*relation.Relation(nil), f.heads...), f.bodyOnly...)
-	f.pending = make(map[*relation.Relation]*tuple.Buffer, len(f.heads))
-	f.entered = make([]uint64, len(f.heads))
-	for _, h := range f.heads {
-		f.pending[h] = tuple.NewBuffer(h.Arity, 64)
-	}
-}
-
 // step executes one fixpoint iteration: run every applicable kernel
 // variant, materialize every head, and flip Δ of consumed EDBs. It returns
 // the heads' summed routing headers (the previous iteration's changed count),
 // keeping each head's sum in f.entered and the step's iterWindow in f.window.
-// Collective; prepare must have run.
+// Collective.
 func (f *Fixpoint) step(opts Options, iter int) (entered uint64) {
 	// Publish the iteration to the fault layer: injected faults target
 	// it and failure reports carry it.
@@ -640,13 +621,13 @@ func (f *Fixpoint) step(opts Options, iter int) (entered uint64) {
 		f.rebalance(iter, f.allRels, opts)
 	}
 	for _, h := range f.heads {
-		f.pending[h].Reset()
+		f.cands[h].Begin(true) // an aggregated head folds chunk by chunk
 	}
 	for _, r := range f.Rules {
-		r.RunVariants(iter, opts.Plan, f.MC, f.pending[r.HeadRel()])
+		r.RunVariants(iter, opts.Plan, f.MC, f.cands[r.HeadRel()])
 	}
 	for i, h := range f.heads {
-		f.entered[i] = h.Advance(iter, f.pending[h], true)
+		f.entered[i] = h.Advance(iter, &f.cands[h].Buffer, true)
 		entered += f.entered[i]
 	}
 	// Flip Δ of body-only relations after their facts have been
@@ -743,7 +724,6 @@ func (f *Fixpoint) report(opts Options, w iterWindow, changed uint64, settled bo
 // Unsettled, the iteration before was the last and the step only its
 // agreement; otherwise (a fresh start) the step is the last iteration.
 func (f *Fixpoint) run(opts Options, startIter int) int {
-	f.prepare()
 	for iter := startIter; ; iter++ {
 		quiet, held := true, false
 		for _, b := range f.bodyOnly {

@@ -130,7 +130,7 @@ func fingerprint(c *mpi.Comm, r *relation.Relation) relFingerprint {
 	var fp relFingerprint
 	for _, ix := range r.Indexes() {
 		ix.Full.Ascend(func(t tuple.Tuple) bool { fp.Full += fpHash(t); return true })
-		ix.Delta.Ascend(func(t tuple.Tuple) bool { fp.Delta += fpHash(t); return true })
+		ix.Delta().Ascend(func(t tuple.Tuple) bool { fp.Delta += fpHash(t); return true })
 	}
 	r.EachAcc(func(t tuple.Tuple) { fp.Acc += fpHash(t) })
 	return relFingerprint{
@@ -158,7 +158,7 @@ func TestGoldenCheckpointWrite(t *testing.T) {
 	err := w.Run(func(c *mpi.Comm) error {
 		rels := buildGoldenRels(t, c, mc)
 		loadGoldenRels(c, rels)
-		f := &Fixpoint{Comm: c, MC: mc}
+		f := NewFixpoint(c, mc)
 		f.checkpoint(Options{Sink: sink, Stratum: goldenStratum, SnapshotRels: rels}, goldenIter)
 		return nil
 	})
@@ -186,7 +186,7 @@ func resumeGolden(t *testing.T, ranks int, check func(c *mpi.Comm, pos Position,
 	fps := make([]relFingerprint, 3)
 	err := w.Run(func(c *mpi.Comm) error {
 		restored := buildGoldenRels(t, c, mc)
-		f := &Fixpoint{Comm: c, MC: mc}
+		f := NewFixpoint(c, mc)
 		pos, ok, err := AgreedPosition(c, sink)
 		if err != nil {
 			return err

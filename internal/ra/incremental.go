@@ -2,7 +2,7 @@ package ra
 
 import (
 	"paralagg/internal/metrics"
-	"paralagg/internal/tuple"
+	"paralagg/internal/relation"
 )
 
 // This file implements the deletion half of incremental maintenance: the
@@ -20,7 +20,7 @@ import (
 // invalidationRule is implemented by kernels that can enumerate the head
 // candidates derivable from dropped body tuples.
 type invalidationRule interface {
-	runInvalidation(iter int, mode PlanMode, mc *metrics.Collector, pending *tuple.Buffer)
+	runInvalidation(iter int, mode PlanMode, mc *metrics.Collector, out *relation.Candidates)
 }
 
 // runInvalidation derives every head candidate with at least one dropped
@@ -30,25 +30,25 @@ type invalidationRule interface {
 // supports fell in the same round (the standard two variants would miss
 // them because neither side is in FULL any more). Duplicate candidates
 // across variants are harmless — DeleteBatch deduplicates at the owner.
-func (j *Join) runInvalidation(iter int, mode PlanMode, mc *metrics.Collector, pending *tuple.Buffer) {
+func (j *Join) runInvalidation(iter int, mode PlanMode, mc *metrics.Collector, out *relation.Candidates) {
 	lc := j.LeftRel.ChangedLast() > 0
 	rc := j.RightRel.ChangedLast() > 0
 	if lc {
-		j.Run(iter, VDelta, VFull, mode, mc, pending)
+		j.Run(iter, VDelta, VFull, mode, mc, out)
 	}
 	if rc {
-		j.Run(iter, VFull, VDelta, mode, mc, pending)
+		j.Run(iter, VFull, VDelta, mode, mc, out)
 	}
 	if lc && rc {
-		j.Run(iter, VDelta, VDelta, mode, mc, pending)
+		j.Run(iter, VDelta, VDelta, mode, mc, out)
 	}
 }
 
 // runInvalidation for copies: a dropped source tuple invalidates its
 // projection in the head.
-func (cp *Copy) runInvalidation(iter int, mode PlanMode, mc *metrics.Collector, pending *tuple.Buffer) {
+func (cp *Copy) runInvalidation(iter int, mode PlanMode, mc *metrics.Collector, out *relation.Candidates) {
 	if cp.SrcRel.ChangedLast() > 0 {
-		cp.Run(iter, mc, pending)
+		cp.Run(iter, mc, out)
 	}
 }
 
@@ -62,21 +62,20 @@ func (cp *Copy) runInvalidation(iter int, mode PlanMode, mc *metrics.Collector, 
 // relation's Δ is empty and its changed count is zero, ready for the
 // caller's re-seeding.
 func (f *Fixpoint) Invalidate(opts Options) (rounds int, dropped uint64) {
-	f.prepare()
 	iter := 0
 	for {
 		f.Comm.SetEpoch(iter)
 		for _, h := range f.heads {
-			f.pending[h].Reset()
+			f.cands[h].Begin(false) // DeleteBatch reads every candidate
 		}
 		for _, r := range f.Rules {
 			if inv, ok := r.(invalidationRule); ok {
-				inv.runInvalidation(iter, opts.Plan, f.MC, f.pending[r.HeadRel()])
+				inv.runInvalidation(iter, opts.Plan, f.MC, f.cands[r.HeadRel()])
 			}
 		}
 		n := uint64(0)
 		for _, h := range f.heads {
-			n += h.DeleteBatch(f.pending[h])
+			n += h.DeleteBatch(&f.cands[h].Buffer)
 		}
 		// The seed Δ on body-only relations has been consumed once; clear it
 		// so the next round only chases this round's head drops.

@@ -8,6 +8,7 @@ import (
 	"math/bits"
 	"time"
 
+	"paralagg/internal/btree"
 	"paralagg/internal/metrics"
 	"paralagg/internal/mpi"
 	"paralagg/internal/obs"
@@ -33,9 +34,9 @@ const (
 func versionLen(ix *relation.Index, v Version) int {
 	switch v {
 	case VDelta:
-		return ix.Delta.Len()
+		return ix.Delta().Len()
 	case VFullMinusDelta:
-		n := ix.Full.Len() - ix.Delta.Len()
+		n := ix.Full.Len() - ix.Delta().Len()
 		if n < 0 {
 			n = 0
 		}
@@ -48,14 +49,11 @@ func versionLen(ix *relation.Index, v Version) int {
 func scanVersion(ix *relation.Index, v Version, fn func(tuple.Tuple) bool) {
 	switch v {
 	case VDelta:
-		ix.Delta.Ascend(fn)
+		ix.Delta().Ascend(fn)
 	case VFullMinusDelta:
-		ix.Full.Ascend(func(t tuple.Tuple) bool {
-			if ix.Delta.Len() > 0 && ix.Delta.Has(t) {
-				return true
-			}
-			return fn(t)
-		})
+		if delta := ix.Delta(); delta != ix.Full { // else Δ is FULL: FULL−Δ is empty
+			ix.Full.Ascend(notIn(delta, fn))
+		}
 	default:
 		ix.Full.Ascend(fn)
 	}
@@ -65,16 +63,20 @@ func scanVersion(ix *relation.Index, v Version, fn func(tuple.Tuple) bool) {
 func probeVersion(ix *relation.Index, v Version, prefix tuple.Tuple, fn func(tuple.Tuple) bool) {
 	switch v {
 	case VDelta:
-		ix.Delta.AscendPrefix(prefix, fn)
+		ix.Delta().AscendPrefix(prefix, fn)
 	case VFullMinusDelta:
-		ix.Full.AscendPrefix(prefix, func(t tuple.Tuple) bool {
-			if ix.Delta.Len() > 0 && ix.Delta.Has(t) {
-				return true
-			}
-			return fn(t)
-		})
+		if delta := ix.Delta(); delta != ix.Full {
+			ix.Full.AscendPrefix(prefix, notIn(delta, fn))
+		}
 	default:
 		ix.Full.AscendPrefix(prefix, fn)
+	}
+}
+
+// notIn wraps fn to skip the tuples delta holds.
+func notIn(delta *btree.Tree, fn func(tuple.Tuple) bool) func(tuple.Tuple) bool {
+	return func(t tuple.Tuple) bool {
+		return delta.Len() > 0 && delta.Has(t) || fn(t)
 	}
 }
 
@@ -92,11 +94,11 @@ const (
 )
 
 // Emitter derives the head tuple of a matched pair of stored-order body
-// tuples. The kernel supplies out — the next slot of its pending buffer, at
-// the head relation's arity, contents unspecified — and the emitter writes
+// tuples. The kernel supplies out — the next slot of its head's Candidates,
+// at the head relation's arity, contents unspecified — and the emitter writes
 // every column of it in the head's canonical order and reports true, or
-// reports false to filter the pair (σ). All three tuples are views that
-// die with the call.
+// reports false to filter the pair (σ). A Copy passes its source tuple as
+// left and nil as right. All tuples are views that die with the call.
 type Emitter func(left, right, out tuple.Tuple) bool
 
 // Join is a compiled binary-join kernel: Left ⋈ Right on their shared JK
@@ -140,7 +142,7 @@ func nonEmptyLanes(send [][]mpi.Word, self int) int64 {
 }
 
 // Run executes one variant of the join — versions vl and vr select the
-// semi-naïve sides — and appends head tuples to pending. It is collective
+// semi-naïve sides — and writes head tuples into out. It is collective
 // unless the join is co-partitioned, in which case it is rank-local.
 //
 // Phases, as in Fig. 1: dynamic join planning (a one-word vote per rank,
@@ -151,7 +153,7 @@ func nonEmptyLanes(send [][]mpi.Word, self int) int64 {
 // join-key bucket on one rank, the same rank on both sides) has nothing to
 // replicate, so it skips the vote and the exchange: each rank picks its
 // outer side from its own sizes and probes with its own tuples.
-func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collector, pending *tuple.Buffer) {
+func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collector, out *relation.Candidates) {
 	comm := j.LeftRel.Comm()
 	rank, size := comm.Rank(), comm.Size()
 	local := relation.CoPartitioned(j.Left, j.Right, j.JK)
@@ -245,8 +247,8 @@ func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collecto
 				if !outerIsLeft {
 					l, r = match, t
 				}
-				if !j.Emit(l, r, pending.Extend()) {
-					pending.DropLast()
+				if !j.Emit(l, r, out.Slot()) {
+					out.DropLast()
 				}
 				return true
 			})
@@ -254,9 +256,6 @@ func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collecto
 	}
 	mc.Record(rank, iter, metrics.PhaseLocalJoin, timer.Done(work, 0, 0))
 }
-
-// CopyEmitter is Emitter for a single stored-order source tuple.
-type CopyEmitter func(src, out tuple.Tuple) bool
 
 // Copy is a compiled single-atom rule (projection/selection/arithmetic): it
 // scans the source index's Δ and emits head tuples. It is rank-local — the
@@ -266,18 +265,18 @@ type Copy struct {
 	Src    *relation.Index
 	SrcRel *relation.Relation
 	Head   *relation.Relation
-	Emit   CopyEmitter
+	Emit   Emitter
 }
 
-// Run scans Δ of the source and appends head tuples to pending.
-func (cp *Copy) Run(iter int, mc *metrics.Collector, pending *tuple.Buffer) {
+// Run scans Δ of the source and writes head tuples into out.
+func (cp *Copy) Run(iter int, mc *metrics.Collector, out *relation.Candidates) {
 	comm := cp.SrcRel.Comm()
 	timer := metrics.StartTimer()
 	var work int64
-	cp.Src.Delta.Ascend(func(t tuple.Tuple) bool {
+	cp.Src.Delta().Ascend(func(t tuple.Tuple) bool {
 		work++
-		if !cp.Emit(t, pending.Extend()) {
-			pending.DropLast()
+		if !cp.Emit(t, nil, out.Slot()) {
+			out.DropLast()
 		}
 		return true
 	})

@@ -163,7 +163,7 @@ func runTC(t *testing.T, ranks, nodes int, es []edge, subs int, mode PlanMode) {
 
 		copyRule := &Copy{
 			Name: "path(x,y) <- edge(x,y)", Src: edgeRel.Canonical(), SrcRel: edgeRel, Head: pathRel,
-			Emit: func(src, out tuple.Tuple) bool {
+			Emit: func(src, _, out tuple.Tuple) bool {
 				return copy(out, tuple.Tuple{src[0], src[1]}) > 0
 			},
 		}
@@ -433,7 +433,7 @@ func TestFixpointMaxIters(t *testing.T) {
 		})
 		fx := NewFixpoint(c, mc,
 			&Copy{Src: edgeRel.Canonical(), SrcRel: edgeRel, Head: pathRel,
-				Emit: func(s, out tuple.Tuple) bool { return copy(out, s) > 0 }},
+				Emit: func(s, _, out tuple.Tuple) bool { return copy(out, s) > 0 }},
 			&Join{Left: pathRev, LeftRel: pathRel, Right: edgeRel.Canonical(), RightRel: edgeRel,
 				Head: pathRel, JK: 1,
 				Emit: func(l, r, out tuple.Tuple) bool { return copy(out, tuple.Tuple{l[1], r[1]}) > 0 }},
@@ -484,7 +484,7 @@ func TestResetDeltaEnablesNextStratum(t *testing.T) {
 		}
 		fx2 := NewFixpoint(c, mc, &Copy{
 			Src: spAll, SrcRel: sp, Head: lsp,
-			Emit: func(s, out tuple.Tuple) bool {
+			Emit: func(s, _, out tuple.Tuple) bool {
 				return copy(out, tuple.Tuple{0, s[2]}) > 0
 			}})
 		fx2.Run(Options{Plan: PlanDynamic})
@@ -500,6 +500,124 @@ func TestResetDeltaEnablesNextStratum(t *testing.T) {
 		lsp.EachAcc(func(tt tuple.Tuple) { local = uint64(tt[1]) })
 		if g := c.Allreduce(local, mpi.OpMax); g != want {
 			return fmt.Errorf("lsp = %d, want %d", g, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBulkLoadDeltaIsAViewOfFull: after LoadFacts, and again after
+// ResetDelta, Δ of every index is FULL itself — VDelta reads exactly what
+// VFull reads and FULL−Δ reads nothing, on every rank, one of which holds
+// an empty shard of "lonely" — and the snapshot still lists Δ's tuples word
+// for word as a copy of FULL would. The next pass gives Δ a tree of its own
+// that holds only what that pass changed.
+func TestBulkLoadDeltaIsAViewOfFull(t *testing.T) {
+	const ranks = 2
+	err := mpi.NewWorld(ranks).Run(func(c *mpi.Comm) error {
+		mc := metrics.NewCollector(ranks)
+		edgeRel, _ := relation.New(relation.Schema{Name: "edge", Arity: 3, Indep: 3, Key: 1}, c, mc, relation.Config{Subs: 2})
+		edgeRel.AddIndex([]int{1, 0, 2}, 1)
+		sp, _ := relation.New(relation.Schema{Name: "spath", Arity: 3, Indep: 2, Key: 1, Agg: lattice.Min{}}, c, mc, relation.Config{})
+		sp.AddIndex([]int{0, 1, 2}, 1)
+		lonely, _ := relation.New(relation.Schema{Name: "lonely", Arity: 2, Indep: 2, Key: 1}, c, mc, relation.Config{})
+		rels := []*relation.Relation{edgeRel, sp, lonely}
+
+		es := randGraph(40, 120, 5, 9)
+		edgeRel.LoadShare(len(es), func(i int, emit func(tuple.Tuple)) { emit(tuple.Tuple{es[i].u, es[i].v, es[i].w}) })
+		sp.LoadShare(len(es), func(i int, emit func(tuple.Tuple)) { emit(tuple.Tuple{es[i].u, es[i].v, es[i].w}) })
+		homes := lonely.Canonical().HomeRanks
+		lonely.LoadShare(200, func(i int, emit func(tuple.Tuple)) {
+			t := tuple.Tuple{tuple.Value(i), 1}
+			if h := homes(int(t.HashPrefix(1) % ranks)); len(h) == 1 && h[0] == 0 {
+				emit(t)
+			}
+		})
+		if n := lonely.Canonical().Full.Len(); (n == 0) != (c.Rank() == 1) {
+			return fmt.Errorf("rank %d holds %d lonely tuples; want them all on rank 0", c.Rank(), n)
+		}
+
+		scan := func(ix *relation.Index, v Version) []tuple.Tuple {
+			var out []tuple.Tuple
+			scanVersion(ix, v, func(t tuple.Tuple) bool { out = append(out, t.Clone()); return true })
+			return out
+		}
+		probe := func(ix *relation.Index, v Version, key tuple.Tuple) int {
+			n := 0
+			probeVersion(ix, v, key, func(tuple.Tuple) bool { n++; return true })
+			return n
+		}
+		viewOfFull := func(stage string) error {
+			for _, r := range rels {
+				for x, ix := range r.Indexes() {
+					where := fmt.Sprintf("%s: rank %d %s index %d", stage, c.Rank(), r.Name, x)
+					full, delta := scan(ix, VFull), scan(ix, VDelta)
+					if fmt.Sprint(full) != fmt.Sprint(delta) || versionLen(ix, VDelta) != versionLen(ix, VFull) {
+						return fmt.Errorf("%s: VDelta reads %d tuples, VFull %d", where, len(delta), len(full))
+					}
+					if n := len(scan(ix, VFullMinusDelta)); n != 0 || versionLen(ix, VFullMinusDelta) != 0 {
+						return fmt.Errorf("%s: FULL−Δ reads %d tuples, length %d", where, n, versionLen(ix, VFullMinusDelta))
+					}
+					for _, tup := range full {
+						key := tup[:ix.JK]
+						if probe(ix, VDelta, key) != probe(ix, VFull, key) || probe(ix, VFullMinusDelta, key) != 0 {
+							return fmt.Errorf("%s: probe of %v disagrees across versions", where, key)
+						}
+					}
+				}
+				// The layout: subs, changedLast, deltaCount, nIndexes, then
+				// per index FULL's run and Δ's run, each behind its count.
+				words := r.SnapshotWords()
+				off := 4
+				for x := 0; x < int(words[3]); x++ {
+					n := int(words[off]) * r.Arity
+					fullRun := words[off+1 : off+1+n]
+					off += 1 + n
+					m := int(words[off]) * r.Arity
+					if fmt.Sprint(words[off+1:off+1+m]) != fmt.Sprint(fullRun) {
+						return fmt.Errorf("%s: rank %d %s index %d snapshots a Δ run that is not FULL's", stage, c.Rank(), r.Name, x)
+					}
+					off += 1 + m
+				}
+			}
+			return nil
+		}
+		if err := viewOfFull("after LoadFacts"); err != nil {
+			return err
+		}
+		for _, r := range rels {
+			r.Materialize(1, nil, false) // Δ consumed: empty, a tree of its own
+			r.ResetDelta()
+		}
+		if err := viewOfFull("after ResetDelta"); err != nil {
+			return err
+		}
+
+		fresh := tuple.NewBuffer(3, 1)
+		if c.Rank() == 0 {
+			fresh.Append(tuple.Tuple{1000, 1001, 7})
+		}
+		for _, r := range rels {
+			buf := fresh
+			if r == lonely {
+				buf = nil
+			}
+			r.Materialize(2, buf, false)
+			for x, ix := range r.Indexes() {
+				if ix.Delta() == ix.Full {
+					return fmt.Errorf("after the next pass: rank %d %s index %d: Δ is still FULL", c.Rank(), r.Name, x)
+				}
+				for _, d := range scan(ix, VDelta) {
+					if r == lonely || !ix.Unpermute(d).Equal(tuple.Tuple{1000, 1001, 7}) {
+						return fmt.Errorf("after the next pass: rank %d %s index %d: Δ holds %v", c.Rank(), r.Name, x, d)
+					}
+				}
+			}
+			if got := c.Allreduce(uint64(r.LocalDeltaCount()), mpi.OpSum); (got == 1) != (r != lonely) {
+				return fmt.Errorf("after the next pass: %s Δ holds %d tuples globally", r.Name, got)
+			}
 		}
 		return nil
 	})
@@ -670,7 +788,7 @@ func TestAfterIterationHook(t *testing.T) {
 		hookCalls, sum, last := 0, uint64(0), uint64(1)
 		fx := NewFixpoint(c, mc,
 			&Copy{Src: edgeRel.Canonical(), SrcRel: edgeRel, Head: pathRel,
-				Emit: func(s, out tuple.Tuple) bool { return copy(out, s) > 0 }},
+				Emit: func(s, _, out tuple.Tuple) bool { return copy(out, s) > 0 }},
 			&Join{Left: pathRev, LeftRel: pathRel, Right: edgeRel.Canonical(), RightRel: edgeRel,
 				Head: pathRel, JK: 1,
 				Emit: func(l, r, out tuple.Tuple) bool { return copy(out, tuple.Tuple{l[1], r[1]}) > 0 }},

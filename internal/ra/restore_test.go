@@ -212,7 +212,7 @@ func FuzzRestoreCheckpointFiles(f *testing.F) {
 		if err := mpi.NewWorld(1).Run(func(c *mpi.Comm) error {
 			mc := metrics.NewCollector(1)
 			rels := buildGoldenRels(t, c, mc)
-			fx := &Fixpoint{Comm: c, MC: mc}
+			fx := NewFixpoint(c, mc)
 			if _, err := fx.restore(Options{SnapshotRels: rels}, shards); err != nil || !vouched {
 				return nil
 			}

@@ -91,9 +91,9 @@ func TestAggImprovingTwoIndexesAllocFree(t *testing.T) {
 				allocs, accBenchKeys)
 		}
 		for _, ix := range r.Indexes() {
-			if ix.Full.Len() != accBenchKeys || ix.Delta.Len() != accBenchKeys {
+			if ix.Full.Len() != accBenchKeys || ix.Delta().Len() != accBenchKeys {
 				t.Errorf("index %v holds %d FULL / %d Δ tuples, want %d each",
-					ix.Perm, ix.Full.Len(), ix.Delta.Len(), accBenchKeys)
+					ix.Perm, ix.Full.Len(), ix.Delta().Len(), accBenchKeys)
 			}
 		}
 		return r.CheckInvariants()

@@ -35,7 +35,7 @@ func (r *Relation) SnapshotWords() []mpi.Word {
 	out = append(out, mpi.Word(r.subs), r.changedLast, mpi.Word(r.deltaCount))
 	out = append(out, mpi.Word(len(r.indexes)))
 	for _, ix := range r.indexes {
-		for _, tree := range []*btree.Tree{ix.Full, ix.Delta} {
+		for _, tree := range []*btree.Tree{ix.Full, ix.Delta()} {
 			out = append(out, mpi.Word(tree.Len()))
 			tree.Ascend(func(t tuple.Tuple) bool {
 				out = append(out, t...)
@@ -199,7 +199,8 @@ func (r *Relation) Restore(shards []Shard) error {
 	// the one shard read is exactly what is kept.
 	var keep []mpi.Word
 	for x, ix := range r.indexes {
-		for which, tree := range [2]*btree.Tree{ix.Full, ix.Delta} {
+		ix.deltaIsFull = false
+		for which, tree := range [2]*btree.Tree{ix.Full, ix.delta} {
 			keep = keep[:0]
 			for i := range split {
 				for run := split[i].trees[2*x+which]; len(run) > 0; run = run[r.Arity:] {

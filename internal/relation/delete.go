@@ -19,7 +19,7 @@ import (
 // count gates collective join variants).
 func (r *Relation) ClearDelta() {
 	for _, ix := range r.indexes {
-		ix.Delta.Reset()
+		ix.resetDelta()
 	}
 	r.deltaCount = 0
 	r.changedLast = 0
@@ -40,20 +40,20 @@ func (r *Relation) Clear() {
 	r.dropSet = nil
 	for _, ix := range r.indexes {
 		ix.Full.Reset()
-		ix.Delta.Reset()
+		ix.resetDelta()
 	}
 	r.deltaCount = 0
 	r.changedLast = 0
 	r.invalidateDigestBaseline()
 }
 
-// ResetDelta re-seeds Δ with the relation's entire FULL contents and agrees
-// its changed count, so a later stratum's rules see previously computed
-// tuples as fresh. Collective.
+// ResetDelta re-seeds Δ with the relation's entire FULL contents, as a view
+// (Index.Delta), and agrees its changed count, so a later stratum's rules
+// see previously computed tuples as fresh. Collective.
 func (r *Relation) ResetDelta() {
 	for _, ix := range r.indexes {
-		ix.Delta.Reset()
-		ix.Delta.Build(r.Arity, ix.Full.Serialize(r.Arity))
+		ix.resetDelta()
+		ix.deltaIsFull = true
 	}
 	r.deltaCount = r.LocalFullCount()
 	r.changedLast = r.GlobalFullCount()
@@ -124,7 +124,7 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 	// Δ from the previous round has been consumed; this round's Δ holds
 	// exactly what this call drops.
 	for _, ix := range r.indexes {
-		ix.Delta.Reset()
+		ix.resetDelta()
 	}
 	if r.Agg != nil && r.dropSet == nil {
 		r.BeginDelete()
@@ -179,7 +179,7 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 			for off := 0; off+r.Arity <= len(words); off += r.Arity {
 				t := tuple.Tuple(words[off : off+r.Arity])
 				if canon.Full.Delete(t) {
-					canon.Delta.Insert(t)
+					canon.delta.Insert(t)
 					removed.Append(t)
 				}
 			}
@@ -190,7 +190,7 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 	// and seed those indexes' Δ trees, exactly as maintainIndexes inserts.
 	r.toIndexes(removed, func(id int, stored tuple.Tuple) {
 		if ix := r.indexes[id]; ix.Full.Delete(stored) {
-			ix.Delta.Insert(stored)
+			ix.delta.Insert(stored)
 		}
 	})
 

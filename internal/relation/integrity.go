@@ -153,8 +153,8 @@ func (r *Relation) integrityLocal(fresh *tuple.Buffer, vec []mpi.Word) int64 {
 	for i, ix := range r.indexes {
 		fd := ix.digestTree(ix.Full)
 		fullSum += fd
-		deltaSum += ix.digestTree(ix.Delta)
-		work += int64(ix.Full.Len() + ix.Delta.Len())
+		deltaSum += ix.digestTree(ix.Delta())
+		work += int64(ix.Full.Len() + ix.Delta().Len())
 		if i == 0 && r.Agg == nil {
 			ref = fd
 		}

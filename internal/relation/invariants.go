@@ -38,7 +38,7 @@ func (r *Relation) CheckInvariants() error {
 			}
 			return true
 		})
-		ix.Delta.Ascend(func(t tuple.Tuple) bool {
+		ix.Delta().Ascend(func(t tuple.Tuple) bool {
 			if !ix.Full.Has(t) {
 				fail("relation %s index %d: Δ tuple %v missing from FULL", r.Name, id, t)
 				return false

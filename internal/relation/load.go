@@ -80,33 +80,37 @@ func (r *Relation) SetSubs(subs int) int {
 	return shipped
 }
 
-// redistribute reshuffles one index's storage after a placement change.
+// redistribute reshuffles one index's storage after a placement change: Δ
+// first, into a tree of its own, as a view of FULL must move before FULL is
+// rebuilt. Both exchanges run whatever the rank-local view flag says.
 func (ix *Index) redistribute() int {
+	delta := ix.Delta()
+	ix.deltaIsFull = false
+	return ix.reshuffle(delta, ix.delta) + ix.reshuffle(ix.Full, ix.Full)
+}
+
+// reshuffle sends src's tuples to their homes under the current placement
+// and rebuilds dst from what this rank keeps and receives. It returns the
+// bytes shipped.
+func (ix *Index) reshuffle(src, dst *btree.Tree) int {
 	r := ix.rel
-	size := r.comm.Size()
 	shipped := 0
-	for _, which := range []int{0, 1} {
-		tree := ix.Full
-		if which == 1 {
-			tree = ix.Delta
+	send := r.sendBuf(r.comm.Size())
+	words := make([]tuple.Value, 0, src.Len()*r.Arity)
+	src.Ascend(func(t tuple.Tuple) bool {
+		dest := ix.homeOf(t)
+		if dest == r.comm.Rank() {
+			words = append(words, t...)
+		} else {
+			send[dest] = append(send[dest], t...)
+			shipped += len(t) * mpi.WordBytes
 		}
-		send := r.sendBuf(size)
-		words := make([]tuple.Value, 0, tree.Len()*r.Arity)
-		tree.Ascend(func(t tuple.Tuple) bool {
-			dest := ix.homeOf(t)
-			if dest == r.comm.Rank() {
-				words = append(words, t...)
-			} else {
-				send[dest] = append(send[dest], t...)
-				shipped += len(t) * mpi.WordBytes
-			}
-			return true
-		})
-		for _, lane := range r.comm.Alltoallv(send) {
-			words = append(words, lane...)
-		}
-		r.rebuild(tree, words)
+		return true
+	})
+	for _, lane := range r.comm.Alltoallv(send) {
+		words = append(words, lane...)
 	}
+	r.rebuild(dst, words)
 	return shipped
 }
 

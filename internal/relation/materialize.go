@@ -86,17 +86,23 @@ func (r *Relation) Advance(iter int, pending *tuple.Buffer, record bool) (entere
 	// Phase A: route new tuples to their canonical homes behind the header.
 	// Δ versions from the previous iteration have been consumed by now;
 	// their node storage is reused for this iteration's Δ. An aggregated
-	// relation ships one ⊔-folded record per independent key (foldPending).
+	// relation ships one ⊔-folded record per independent key (fold).
 	delta, full := mpi.Word(r.LocalDeltaCount()), mpi.Word(r.LocalFullCount())
 	for _, ix := range r.indexes {
-		ix.Delta.Reset()
+		ix.resetDelta()
 	}
 	var rows tuple.Buffer
 	if pending != nil {
 		rows = *pending
 	}
 	if r.Agg != nil {
-		rows = r.foldPending(iter, rows, record)
+		timer := metrics.StartTimer()
+		r.fold(rows.Words)
+		if record {
+			r.mc.Record(rank, iter, metrics.PhaseLocalAgg, timer.Done(r.folded, 0, 0))
+		}
+		r.folded = 0
+		rows = tuple.Buffer{Arity: r.Arity, Words: r.partial.Words()}
 	}
 	n := rows.Len()
 	timer := metrics.StartTimer()
@@ -139,26 +145,58 @@ func (r *Relation) Advance(iter int, pending *tuple.Buffer, record bool) (entere
 	return entered
 }
 
-// foldPending is the sender side of the fused aggregation: it folds the
-// candidates through ⊔ into the partial table by independent key and returns
-// the table's rows, one record per key, to route. The owner folds arrivals
-// through ⊔ again, and ⊔ is associative and commutative, so merged values
-// and Δ are those of routing every candidate (an MSum candidate is still
-// added once). Its PhaseLocalAgg sample has Work = candidates folded.
-func (r *Relation) foldPending(iter int, cands tuple.Buffer, record bool) tuple.Buffer {
-	timer := metrics.StartTimer()
+// fold is the sender side of the fused aggregation: it ⊔-folds candidates
+// into the fold table by independent key, on every full staged chunk and
+// then on the rest (Advance), whose rows — one per key — are routed. The
+// owner folds arrivals through ⊔ again, and ⊔ is associative and
+// commutative, so merged values and Δ are those of routing every candidate
+// (an MSum candidate is still added once). folded counts the candidates.
+func (r *Relation) fold(cands []tuple.Value) {
 	if r.partial == nil {
 		r.partial = wordmap.New(r.Indep, r.Dep())
 	}
-	r.partial.Reset()
-	for i := 0; i < cands.Len(); i++ {
-		t := cands.At(i)
-		r.mergeDep(r.Agg, r.partial, t[:r.Indep], t[r.Indep:])
+	r.folded += int64(len(cands) / r.Arity)
+	for ; len(cands) >= r.Arity; cands = cands[r.Arity:] {
+		r.mergeDep(r.Agg, r.partial, cands[:r.Indep], cands[r.Indep:r.Arity])
 	}
-	if record {
-		r.mc.Record(r.comm.Rank(), iter, metrics.PhaseLocalAgg, timer.Done(int64(cands.Len()), 0, 0))
+}
+
+// stageChunk is the number of tuples a staged Candidates folds at once:
+// 1,024 SSSP candidates (24 KB) stay in L1 from write to fold. On sssp-skew
+// 256–4,096 are equally fast, and larger chunks only cost bytes.
+const stageChunk = 1024
+
+// Candidates is where rule kernels write one pass's head tuples (canonical
+// order): Slot hands out a slot, DropLast takes back one a condition
+// rejected. Plain, it keeps every candidate. Staged (an aggregated head),
+// it is a chunk that Slot folds and empties whenever it is full.
+type Candidates struct {
+	tuple.Buffer
+	rel    *Relation
+	staged bool
+}
+
+// NewCandidates returns an empty, plain candidate buffer for r.
+func NewCandidates(r *Relation) *Candidates {
+	return &Candidates{Buffer: tuple.Buffer{Arity: r.Arity}, rel: r}
+}
+
+// Begin empties the buffer for a pass: staged if stage and r is aggregated.
+func (c *Candidates) Begin(stage bool) {
+	c.Reset()
+	c.staged = stage && c.rel.Agg != nil
+	if c.staged && cap(c.Words) < stageChunk*c.Arity {
+		c.Words = make([]tuple.Value, 0, stageChunk*c.Arity)
 	}
-	return tuple.Buffer{Arity: r.Arity, Words: r.partial.Words()}
+}
+
+// Slot returns the next candidate's slot, folding a full staged chunk first.
+func (c *Candidates) Slot() tuple.Tuple {
+	if c.staged && len(c.Words) == stageChunk*c.Arity {
+		c.rel.fold(c.Words)
+		c.Reset()
+	}
+	return c.Extend()
 }
 
 // routeOf returns the rank a canonical-order tuple is routed to by the
@@ -199,7 +237,7 @@ func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) *tup
 				}
 				work += treeWork(canon.Full.Len())
 				if canon.Full.Insert(t) {
-					canon.Delta.Insert(t)
+					canon.delta.Insert(t)
 					fresh.Append(t)
 				}
 			}
@@ -253,14 +291,14 @@ func (r *Relation) loadSet(recv [][]mpi.Word, fresh *tuple.Buffer) (work int64) 
 }
 
 // load fills an index whose FULL and Δ are both empty from one batch of
-// stored-order tuples: one sort, and both trees built bottom-up from the
-// same run. first, when non-nil, receives tuple.SortedRun's first-arrival
+// stored-order tuples: one sort and FULL built bottom-up from the run. Δ is
+// then exactly FULL, so it becomes a view of it (Index.Delta) instead of a
+// second tree. first, when non-nil, receives tuple.SortedRun's first-arrival
 // flags.
 func (ix *Index) load(words []tuple.Value, first []bool) {
 	arity := len(ix.Perm)
-	run := tuple.SortedRun(arity, words, first)
-	ix.Full.Build(arity, run)
-	ix.Delta.Build(arity, run)
+	ix.Full.Build(arity, tuple.SortedRun(arity, words, first))
+	ix.deltaIsFull = true
 }
 
 // materializeAgg merges arrived tuples into the canonical accumulator. With
@@ -274,7 +312,7 @@ func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tup
 	timer := metrics.StartTimer()
 
 	// Pre-aggregate what arrived here, keyed by independent columns, in the
-	// table foldPending is done with; Reset keeps its capacity.
+	// table the sender fold is done with; Reset keeps its capacity.
 	partial := r.partial
 	partial.Reset()
 	var work int64
@@ -354,6 +392,7 @@ func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tup
 		fresh.Append(scratch)
 		work += 2
 	}
+	partial.Reset() // empty for the next pass's fold
 	if record {
 		r.mc.Record(rank, iter, metrics.PhaseLocalAgg, timer.Done(work, 0, 0))
 	}
@@ -480,7 +519,7 @@ func (r *Relation) applyFresh(id int, stored tuple.Tuple, loads *[][]tuple.Value
 	default:
 		work = treeWork(n)
 	}
-	ix.Delta.Insert(stored)
+	ix.delta.Insert(stored)
 	return work
 }
 

@@ -157,7 +157,8 @@ type Relation struct {
 	// Reusable scratch for the materialization hot path. All of it is
 	// rank-private and reset at each use; nothing here survives a call
 	// except as capacity.
-	partial     *wordmap.Map  // ⊔-fold table (foldPending, materializeAgg)
+	partial     *wordmap.Map  // ⊔-fold table (fold, materializeAgg)
+	folded      int64         // candidates fold took this pass
 	sendScratch [][]mpi.Word  // per-peer exchange build buffers
 	freshBuf    *tuple.Buffer // changed canonical tuples of the pass
 	tupScratch  tuple.Tuple   // one canonical-order tuple
@@ -207,8 +208,25 @@ type Index struct {
 	digInv     []int
 	digInvDone bool
 
-	Full  *btree.Tree
-	Delta *btree.Tree
+	Full        *btree.Tree
+	delta       *btree.Tree // Δ, read through Delta
+	deltaIsFull bool        // Δ is FULL itself (Delta)
+}
+
+// Delta returns the index's Δ: FULL itself from a bulk load or ResetDelta
+// to the next reset of Δ (FULL−Δ is then empty), Δ's own tree otherwise.
+// The view is rank-local, so no collective may branch on it.
+func (ix *Index) Delta() *btree.Tree {
+	if ix.deltaIsFull {
+		return ix.Full
+	}
+	return ix.delta
+}
+
+// resetDelta empties Δ and ends a view of FULL.
+func (ix *Index) resetDelta() {
+	ix.delta.Reset()
+	ix.deltaIsFull = false
 }
 
 // New constructs a rank's shard of a relation. Every rank of the world must
@@ -331,7 +349,7 @@ func (r *Relation) AddIndex(perm []int, jk int) (*Index, error) {
 		JK:       jk,
 		indepLen: r.Indep,
 		Full:     btree.New(),
-		Delta:    btree.New(),
+		delta:    btree.New(),
 	}
 	if r.Agg != nil {
 		// Independent columns must be a prefix of the permutation.
@@ -635,7 +653,7 @@ func (r *Relation) MemWords() int64 {
 		}
 	}
 	for _, ix := range r.indexes {
-		w += ix.Full.MemWords() + ix.Delta.MemWords()
+		w += ix.Full.MemWords() + ix.delta.MemWords()
 	}
 	w += int64(cap(r.tupScratch)) + int64(cap(r.permScratch))
 	for _, lane := range r.sendScratch {
