@@ -1,6 +1,7 @@
 package paralagg_test
 
 import (
+	"fmt"
 	"maps"
 	"net"
 	"sync"
@@ -13,38 +14,46 @@ import (
 )
 
 // TestCoPartitionedSSSPOneCollectivePerIteration pins the collective budget
-// of a co-partitioned program. SSSP at Subs 1 places spath on its join key,
-// so the accumulator and both of its indexes share one rank per bucket, and
-// joins it with edge on buckets that live on one rank, the same rank on both
+// of an SSSP iteration. At Subs 1 SSSP places spath on its join key, so the
+// accumulator and both of its indexes share one rank per bucket, and joins
+// it with edge on buckets that live on one rank, the same rank on both
 // sides. An iteration then costs each rank exactly one collective: the
 // materialize route, whose lane headers carry the previous iteration's
-// changed count. Two grids of different lengths run different numbers of
-// iterations; the message counts must differ by exactly one per rank per
-// extra iteration, which leaves everything else a per-Exec constant.
+// changed count. At Subs 2 and 4 edge's buckets split, so the join adds its
+// vote and its intra-bucket exchange, and nothing else: every aggregated
+// record still travels straight to its key's owner, so the route stays one
+// exchange. Two grids of different lengths run different numbers of
+// iterations; the message counts must differ by exactly the budget per rank
+// per extra iteration, which leaves everything else a per-Exec constant.
 func TestCoPartitionedSSSPOneCollectivePerIteration(t *testing.T) {
 	const ranks = 2
 	for _, wire := range []string{"in-process", "tcp"} {
 		t.Run(wire, func(t *testing.T) {
-			var iters [2]int
-			var msgs [2]int64
-			for i, cols := range []int{20, 40} {
-				g := graph.Grid("grid", 4, cols, 8, 5)
-				res := execSSSP(t, wire, paralagg.Config{Ranks: ranks, Subs: 1, Plan: paralagg.Dynamic}, g)
-				iters[i], msgs[i] = res.Iterations, res.CommMsgs
-			}
-			if iters[0] == iters[1] {
-				t.Fatalf("both grids ran %d iterations: the difference proves nothing", iters[0])
-			}
-			// In-process the counters cover every rank; over TCP each process
-			// counts its own rank only.
-			counted := int64(ranks)
-			if wire == "tcp" {
-				counted = 1
-			}
-			perExec := [2]int64{msgs[0] - counted*int64(iters[0]), msgs[1] - counted*int64(iters[1])}
-			if perExec[0] != perExec[1] {
-				t.Fatalf("comm_msgs %v over %v iterations: not 1 per rank per iteration plus a constant (residues %v)",
-					msgs, iters, perExec)
+			for _, row := range []struct{ subs, perIter int }{{1, 1}, {2, 3}, {4, 3}} {
+				t.Run(fmt.Sprintf("subs=%d", row.subs), func(t *testing.T) {
+					var iters [2]int
+					var msgs [2]int64
+					for i, cols := range []int{20, 40} {
+						g := graph.Grid("grid", 4, cols, 8, 5)
+						res := execSSSP(t, wire, paralagg.Config{Ranks: ranks, Subs: row.subs, Plan: paralagg.Dynamic}, g)
+						iters[i], msgs[i] = res.Iterations, res.CommMsgs
+					}
+					if iters[0] == iters[1] {
+						t.Fatalf("both grids ran %d iterations: the difference proves nothing", iters[0])
+					}
+					// In-process the counters cover every rank; over TCP each
+					// process counts its own rank only.
+					counted := int64(ranks)
+					if wire == "tcp" {
+						counted = 1
+					}
+					per := counted * int64(row.perIter)
+					perExec := [2]int64{msgs[0] - per*int64(iters[0]), msgs[1] - per*int64(iters[1])}
+					if perExec[0] != perExec[1] {
+						t.Fatalf("comm_msgs %v over %v iterations: not %d per rank per iteration plus a constant (residues %v)",
+							msgs, iters, row.perIter, perExec)
+					}
+				})
 			}
 		})
 	}
@@ -138,8 +147,7 @@ func TestAggregatedPlacementBalances(t *testing.T) {
 // TestPhaseMetersCountTheirOwnRank pins that a metered phase counts only the
 // bytes of the rank that meters it. Each process of a loopback gang sees its
 // own rank's traffic alone, so the per-rank, per-phase bytes of a 2-rank SSSP
-// run at Subs 2 (routing, gather, vote and intra-bucket phases all move
-// bytes) must come out the same in one process as over the gang.
+// run at Subs 2 (routing, vote and intra-bucket phases all move bytes) must come out the same in one process as over the gang.
 func TestPhaseMetersCountTheirOwnRank(t *testing.T) {
 	type key struct {
 		rank  int

@@ -170,8 +170,7 @@ func Open(cfg Config, prog *Program) (*Engine, error) {
 	mc.SetObserver(cfg.Observer)
 
 	runCfg := core.Config{
-		Subs: cfg.Subs, Plan: cfg.Plan.mode(),
-		MaxIters: cfg.MaxIters, Adaptive: cfg.Adaptive,
+		Subs: cfg.Subs, Plan: cfg.Plan.mode(), MaxIters: cfg.MaxIters,
 		CheckpointEvery: cfg.CheckpointEvery, Checkpoints: cfg.Checkpoints,
 		Integrity: cfg.Integrity,
 	}

@@ -169,8 +169,9 @@ func fig5(w io.Writer, opts Options) error {
 	})
 }
 
-// fig6 reproduces Figure 6: CC strong scaling; at the top of the range the
-// "other" phase (sub-bucket gather traffic) eats the gains.
+// fig6 reproduces Figure 6: CC strong scaling. The paper's "other" phase
+// (sub-bucket traffic) eats the gains at the top of its range; here it is
+// 0, because an aggregated record travels straight to its key's owner.
 func fig6(w io.Writer, opts Options) error {
 	return scalingFigure(w, opts, "CC", func(g *graph.Graph, _ []uint64, cfg paralagg.Config) (*paralagg.Result, error) {
 		return queries.RunCC(g, cfg)

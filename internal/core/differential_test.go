@@ -223,7 +223,7 @@ func TestDifferentialAgainstNaive(t *testing.T) {
 		{Plan: ra.PlanDynamic},
 		{Plan: ra.PlanStaticRight, Subs: 4},
 		{Plan: ra.PlanAntiDynamic, Subs: 2},
-		{Plan: ra.PlanDynamic, Adaptive: true},
+		{Plan: ra.PlanDynamic, Subs: 8},
 	}
 	for _, sc := range diffSuite {
 		sc := sc

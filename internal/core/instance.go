@@ -17,17 +17,13 @@ import (
 
 // Config tunes an instantiated program.
 type Config struct {
-	// Subs is the sub-bucket count of every relation (spatial load
-	// balancing); 1 disables it.
+	// Subs is the sub-bucket count of every relation: the split width of
+	// a join's inner buckets, fixed for the run; 1 disables it.
 	Subs int
 	// Plan selects the join-layout strategy.
 	Plan ra.PlanMode
 	// MaxIters bounds each stratum's fixpoint (0 = run to fixpoint).
 	MaxIters int
-	// Adaptive enables per-iteration spatial rebalancing (Fig. 1's
-	// balancing phase): skewed relations double their sub-bucket count on
-	// the fly instead of relying on a static Subs setting.
-	Adaptive bool
 	// CheckpointEvery, with Checkpoints set, snapshots every relation of
 	// the program every CheckpointEvery fixpoint iterations so a crashed
 	// run can Resume. 0 disables checkpointing.
@@ -201,7 +197,7 @@ type RunStats struct {
 // options builds the fixpoint options for one stratum, wiring checkpoint
 // settings through when configured.
 func (in *Instance) options(cfg Config, stratum int) ra.Options {
-	opts := ra.Options{Plan: cfg.Plan, MaxIters: cfg.MaxIters, AdaptiveBalance: cfg.Adaptive, Stratum: stratum, Acct: cfg.Acct}
+	opts := ra.Options{Plan: cfg.Plan, MaxIters: cfg.MaxIters, Stratum: stratum, Acct: cfg.Acct}
 	if cfg.Checkpoints != nil {
 		// CheckpointEvery only gates periodic saves; a sink alone still
 		// supports Resume (restore without further checkpointing).

@@ -26,17 +26,17 @@ import (
 // Figure 1 presents them.
 type Phase int
 
-// The iteration phases. Other covers fixpoint bookkeeping such as the
-// changed-count reduction and, at high rank counts, the sub-bucket
-// rebalancing traffic the paper's Figure 6 attributes to "Other".
+// The iteration phases. Other is what the baseline engines charge for
+// their per-stage scheduling overhead. PARALAGG records nothing there: an
+// aggregated record travels straight to its key's owner, so there is no
+// sub-bucket gather for the paper's Figure 6 "Other" column to count.
 // Checkpoint, Recovery, and Remap meter the fault-tolerance overheads:
 // periodic relation snapshots during the fixpoint, same-size snapshot reload
 // on restart, and the re-hash/re-merge pass that restores a checkpoint into
 // a world of a different size. Integrity meters the per-iteration state
 // fingerprinting behind online divergence detection.
 const (
-	PhaseRebalance Phase = iota
-	PhasePlanning
+	PhasePlanning Phase = iota
 	PhaseIntraBucket
 	PhaseLocalJoin
 	PhaseAllToAll
@@ -51,7 +51,6 @@ const (
 
 // PhaseNames lists the display names in Phase order.
 var PhaseNames = [...]string{
-	PhaseRebalance:   "rebalance",
 	PhasePlanning:    "planning",
 	PhaseIntraBucket: "intra-bucket",
 	PhaseLocalJoin:   "local-join",

@@ -192,13 +192,6 @@ func LoadPageRank(rk *paralagg.Rank, g *graph.Graph) error {
 	})
 }
 
-// RunPageRank executes PageRank for the given iteration count.
-func RunPageRank(g *graph.Graph, iters int, damping float64, cfg paralagg.Config) (*paralagg.Result, error) {
-	return paralagg.Exec(PageRankProgram(iters, g.Nodes, damping), cfg, func(rk *paralagg.Rank) error {
-		return LoadPageRank(rk, g)
-	}, nil)
-}
-
 // StratifiedSSSPProgram builds the *stratified-aggregation* SSSP of §II-B —
 // the formulation whose "poor asymptotic performance" motivates recursive
 // aggregates: a full Path enumeration to fixpoint, then a MIN in a second

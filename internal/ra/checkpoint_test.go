@@ -53,78 +53,6 @@ func resumeLatest(fx *Fixpoint, opts Options) (int, error) {
 	return fx.Resume(opts, pos)
 }
 
-func TestEffectiveOptionDefaults(t *testing.T) {
-	zero := Options{}
-	if got := zero.effectiveBalanceThreshold(); got != DefaultBalanceThreshold {
-		t.Errorf("zero-value threshold = %v, want DefaultBalanceThreshold", got)
-	}
-	if got := zero.effectiveMaxSubs(); got != DefaultMaxSubs {
-		t.Errorf("zero-value max subs = %v, want DefaultMaxSubs", got)
-	}
-	set := Options{BalanceThreshold: 3.5, MaxSubs: 4}
-	if got := set.effectiveBalanceThreshold(); got != 3.5 {
-		t.Errorf("explicit threshold overridden to %v", got)
-	}
-	if got := set.effectiveMaxSubs(); got != 4 {
-		t.Errorf("explicit max subs overridden to %v", got)
-	}
-	// Sub-threshold values fall back too (a threshold at or below 1 would
-	// rebalance constantly).
-	if got := (Options{BalanceThreshold: 0.5}).effectiveBalanceThreshold(); got != DefaultBalanceThreshold {
-		t.Errorf("threshold 0.5 accepted as %v", got)
-	}
-}
-
-// TestZeroValueOptionsBehaveAsDocumentedDefaults runs the same skewed
-// adaptive-balance workload with zero-value knobs and with the documented
-// defaults spelled out: the runs must make identical rebalancing decisions
-// and identical answers.
-func TestZeroValueOptionsBehaveAsDocumentedDefaults(t *testing.T) {
-	var es []edge
-	for i := 1; i <= 60; i++ {
-		es = append(es, edge{0, uint64(i), 1})
-	}
-	run := func(opts Options) (subs int, paths uint64) {
-		const ranks = 4
-		w := mpi.NewWorld(ranks)
-		err := w.Run(func(c *mpi.Comm) error {
-			mc := metrics.NewCollector(ranks)
-			edgeRel, _ := relation.New(relation.Schema{Name: "edge", Arity: 2, Indep: 2, Key: 1}, c, mc, relation.Config{})
-			pathRel, _ := relation.New(relation.Schema{Name: "path", Arity: 2, Indep: 2, Key: 1}, c, mc, relation.Config{})
-			pathRev, _ := pathRel.AddIndex([]int{1, 0}, 1)
-			edgeRel.LoadShare(len(es), func(i int, emit func(tuple.Tuple)) {
-				emit(tuple.Tuple{es[i].u, es[i].v})
-			})
-			fx := NewFixpoint(c, mc,
-				&Copy{Src: edgeRel.Canonical(), SrcRel: edgeRel, Head: pathRel,
-					Emit: func(s, _, out tuple.Tuple) bool { return copy(out, s) > 0 }},
-				&Join{Left: pathRev, LeftRel: pathRel, Right: edgeRel.Canonical(), RightRel: edgeRel,
-					Head: pathRel, JK: 1,
-					Emit: func(l, r, out tuple.Tuple) bool { return copy(out, tuple.Tuple{l[1], r[1]}) > 0 }},
-			)
-			fx.Run(opts)
-			if c.Rank() == 0 {
-				subs = edgeRel.Subs()
-				paths = pathRel.GlobalFullCount()
-			} else {
-				pathRel.GlobalFullCount()
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return subs, paths
-	}
-	zeroSubs, zeroPaths := run(Options{Plan: PlanDynamic, AdaptiveBalance: true})
-	defSubs, defPaths := run(Options{Plan: PlanDynamic, AdaptiveBalance: true,
-		BalanceThreshold: DefaultBalanceThreshold, MaxSubs: DefaultMaxSubs})
-	if zeroSubs != defSubs || zeroPaths != defPaths {
-		t.Errorf("zero-value Options diverged from documented defaults: subs %d vs %d, paths %d vs %d",
-			zeroSubs, defSubs, zeroPaths, defPaths)
-	}
-}
-
 // TestMaxItersTruncationThenContinue confirms a truncated Run leaves the
 // relations in a state a second Run continues from, reaching the same
 // fixpoint as an unbounded run.

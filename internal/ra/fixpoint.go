@@ -61,35 +61,12 @@ func (cp *Copy) RunVariants(iter int, mode PlanMode, mc *metrics.Collector, out 
 	}
 }
 
-// Documented Options defaults. The zero-value Options behaves identically
-// to Options{BalanceThreshold: DefaultBalanceThreshold, MaxSubs:
-// DefaultMaxSubs}; the effective* accessors are the single place the
-// fallback logic lives.
-const (
-	// DefaultBalanceThreshold is the skew trigger used when
-	// Options.BalanceThreshold is unset (<= 1): a relation rebalances when
-	// its largest per-rank tuple count exceeds twice the mean.
-	DefaultBalanceThreshold = 2.0
-	// DefaultMaxSubs caps adaptive sub-bucket doubling when Options.MaxSubs
-	// is unset (< 1).
-	DefaultMaxSubs = 16
-)
-
 // Options tunes a fixpoint run.
 type Options struct {
 	// Plan selects the join-layout strategy (§IV-D).
 	Plan PlanMode
 	// MaxIters bounds the number of iterations (0 = until fixpoint).
 	MaxIters int
-	// AdaptiveBalance turns on the per-iteration balancing phase of
-	// Fig. 1: when a relation's per-rank tuple counts exceed
-	// BalanceThreshold × mean, its sub-bucket count doubles (up to
-	// MaxSubs) and storage redistributes. The check costs one allgather
-	// per relation per iteration; redistribution traffic is metered as
-	// PhaseRebalance.
-	AdaptiveBalance  bool
-	BalanceThreshold float64 // <= 1 means DefaultBalanceThreshold
-	MaxSubs          int     // < 1 means DefaultMaxSubs
 	// AfterIteration, if set, runs on every rank at the end of each
 	// iteration (after materialization, before the fixpoint decision). The
 	// baseline engines use it to model per-iteration runtime overheads of
@@ -124,22 +101,6 @@ type Options struct {
 	Acct *resource.Accountant
 }
 
-// effectiveBalanceThreshold applies the documented default.
-func (o Options) effectiveBalanceThreshold() float64 {
-	if o.BalanceThreshold <= 1 {
-		return DefaultBalanceThreshold
-	}
-	return o.BalanceThreshold
-}
-
-// effectiveMaxSubs applies the documented default.
-func (o Options) effectiveMaxSubs() int {
-	if o.MaxSubs < 1 {
-		return DefaultMaxSubs
-	}
-	return o.MaxSubs
-}
-
 // Fixpoint runs a stratum's rules to fixpoint with semi-naïve evaluation.
 type Fixpoint struct {
 	Comm  *mpi.Comm
@@ -150,9 +111,9 @@ type Fixpoint struct {
 
 	// Iteration scratch, built by NewFixpoint and reused across every
 	// iteration and every Run/Resume call: the body-only (EDB) relation
-	// list, the full relation list rebalancing scans, and one Candidates per
-	// head. Hoisting these out of the loop keeps the steady-state iteration
-	// allocation-free.
+	// list, the full relation list that snapshots and the memory sampler
+	// scan, and one Candidates per head. Hoisting these out of the loop
+	// keeps the steady-state iteration allocation-free.
 	bodyOnly []*relation.Relation
 	allRels  []*relation.Relation
 	cands    map[*relation.Relation]*relation.Candidates
@@ -617,9 +578,6 @@ func (f *Fixpoint) step(opts Options, iter int) (entered uint64) {
 		w.start = time.Now().UnixNano()
 		w.comm, w.net = f.Comm.Stats().Snapshot(), f.Comm.Stats().Net()
 	}
-	if opts.AdaptiveBalance {
-		f.rebalance(iter, f.allRels, opts)
-	}
 	for _, h := range f.heads {
 		f.cands[h].Begin(true) // an aggregated head folds chunk by chunk
 	}
@@ -764,34 +722,5 @@ func (f *Fixpoint) run(opts Options, startIter int) int {
 			f.report(opts, f.window, changed, true)
 			return iter + 1
 		}
-	}
-}
-
-// rebalance is the spatial load-balancing phase of Fig. 1: for every
-// relation of the stratum, gather per-rank tuple counts and, when the
-// maximum exceeds the threshold times the mean, double the relation's
-// sub-bucket count and redistribute its storage. Decisions derive from
-// collectively identical data, so every rank acts uniformly.
-func (f *Fixpoint) rebalance(iter int, rels []*relation.Relation, opts Options) {
-	threshold := opts.effectiveBalanceThreshold()
-	maxSubs := opts.effectiveMaxSubs()
-	rank := f.Comm.Rank()
-	for _, rel := range rels {
-		timer := metrics.StartTimer()
-		counts := rel.PerRankCounts()
-		total, max := 0, 0
-		for _, c := range counts {
-			total += c
-			if c > max {
-				max = c
-			}
-		}
-		mean := float64(total) / float64(len(counts))
-		shipped := 0
-		if mean > 0 && float64(max) > threshold*mean && rel.Subs()*2 <= maxSubs {
-			shipped = rel.SetSubs(rel.Subs() * 2)
-		}
-		f.MC.Record(rank, iter, metrics.PhaseRebalance,
-			timer.Done(1, int64(shipped), int64(f.Comm.ScheduleDepth())))
 	}
 }

@@ -628,9 +628,8 @@ func TestBulkLoadDeltaIsAViewOfFull(t *testing.T) {
 
 // skewedSSSP builds SSSP from node 0 on a hub-skewed graph (node 0 fans out
 // to every other node, plus a random mesh) with both relations at Subs 1,
-// and returns the fixpoint, the relations, the join, and Dijkstra's
-// distances.
-func skewedSSSP(c *mpi.Comm, mc *metrics.Collector) (*Fixpoint, *relation.Relation, *relation.Relation, *Join, map[uint64]uint64, error) {
+// and returns the fixpoint, spath, the join, and Dijkstra's distances.
+func skewedSSSP(c *mpi.Comm, mc *metrics.Collector) (*Fixpoint, *relation.Relation, *Join, map[uint64]uint64, error) {
 	var es []edge
 	for i := 1; i <= 60; i++ {
 		es = append(es, edge{0, uint64(i), uint64(i%5 + 1)})
@@ -639,15 +638,15 @@ func skewedSSSP(c *mpi.Comm, mc *metrics.Collector) (*Fixpoint, *relation.Relati
 	want := refSSSP(61, es, 0)
 	edgeRel, err := relation.New(relation.Schema{Name: "edge", Arity: 3, Indep: 3, Key: 1}, c, mc, relation.Config{Subs: 1})
 	if err != nil {
-		return nil, nil, nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	sp, err := relation.New(relation.Schema{Name: "spath", Arity: 3, Indep: 2, Key: 2, Agg: lattice.Min{}}, c, mc, relation.Config{Subs: 1})
 	if err != nil {
-		return nil, nil, nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	spMid, err := sp.AddIndex([]int{1, 0, 2}, 1)
 	if err != nil {
-		return nil, nil, nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	// Dedup edges: randGraph may duplicate a star edge.
 	seen := map[[2]uint64]bool{}
@@ -672,7 +671,7 @@ func skewedSSSP(c *mpi.Comm, mc *metrics.Collector) (*Fixpoint, *relation.Relati
 		Emit: func(l, r, out tuple.Tuple) bool {
 			return copy(out, tuple.Tuple{l[1], r[1], l[2] + r[2]}) > 0
 		}}
-	return NewFixpoint(c, mc, join), edgeRel, sp, join, want, nil
+	return NewFixpoint(c, mc, join), sp, join, want, nil
 }
 
 // checkDistances compares sp's global contents with Dijkstra's distances.
@@ -694,65 +693,35 @@ func checkDistances(c *mpi.Comm, sp *relation.Relation, want map[uint64]uint64) 
 	return nil
 }
 
-// TestAdaptiveBalanceCorrectAndBalancing runs SSSP on a hub-skewed graph
-// with adaptive rebalancing: answers must stay exact and the edge
-// relation's sub-bucket count must grow.
-func TestAdaptiveBalanceCorrectAndBalancing(t *testing.T) {
-	const ranks = 8
-	w := mpi.NewWorld(ranks)
-	err := w.Run(func(c *mpi.Comm) error {
-		mc := metrics.NewCollector(ranks)
-		fx, edgeRel, sp, _, want, err := skewedSSSP(c, mc)
+// TestCoPartitionFollowsPlacement checks the predicate that lets a join skip
+// its vote and its intra-bucket exchange: true while both sides sit at
+// Subs 1, before the run and after it, and false at Subs 2. Co-partitioned,
+// the join never sends a message, and the answer is exact.
+func TestCoPartitionFollowsPlacement(t *testing.T) {
+	const ranks = 4
+	mc := metrics.NewCollector(ranks)
+	err := mpi.NewWorld(ranks).Run(func(c *mpi.Comm) error {
+		fx, sp, join, want, err := skewedSSSP(c, mc)
 		if err != nil {
 			return err
 		}
-		fx.Run(Options{Plan: PlanDynamic, AdaptiveBalance: true, BalanceThreshold: 1.5, MaxSubs: 8})
-		if edgeRel.Subs() == 1 {
-			return fmt.Errorf("adaptive balancing never split the skewed edge relation")
+		if !relation.CoPartitioned(join.Left, join.Right, join.JK) {
+			return fmt.Errorf("not co-partitioned at Subs 1")
+		}
+		fx.Run(Options{Plan: PlanDynamic})
+		if !relation.CoPartitioned(join.Left, join.Right, join.JK) {
+			return fmt.Errorf("not co-partitioned after the run at Subs 1")
 		}
 		return checkDistances(c, sp, want)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestCoPartitionFollowsPlacement checks the predicate that lets a join skip
-// its vote and its intra-bucket exchange: true while both sides sit at
-// Subs 1, false at Subs 2, and false again once adaptive balancing doubles
-// edge's sub-buckets mid-run — after which the join exchanges again, with
-// the answer unchanged. Without the split the join never sends a message.
-func TestCoPartitionFollowsPlacement(t *testing.T) {
-	const ranks = 4
-	for _, adaptive := range []bool{false, true} {
-		mc := metrics.NewCollector(ranks)
-		err := mpi.NewWorld(ranks).Run(func(c *mpi.Comm) error {
-			fx, edgeRel, sp, join, want, err := skewedSSSP(c, mc)
-			if err != nil {
-				return err
-			}
-			if !relation.CoPartitioned(join.Left, join.Right, join.JK) {
-				return fmt.Errorf("not co-partitioned at Subs 1")
-			}
-			fx.Run(Options{Plan: PlanDynamic, AdaptiveBalance: adaptive, BalanceThreshold: 1.5, MaxSubs: 8})
-			if split := edgeRel.Subs() > 1; split != adaptive {
-				return fmt.Errorf("adaptive %v: edge ended at Subs %d", adaptive, edgeRel.Subs())
-			}
-			if got := relation.CoPartitioned(join.Left, join.Right, join.JK); got == adaptive {
-				return fmt.Errorf("adaptive %v: co-partitioned %v after the run at Subs %d", adaptive, got, edgeRel.Subs())
-			}
-			return checkDistances(c, sp, want)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		msgs := mc.BuildReport(metrics.DefaultCostModel).Phases[metrics.PhaseIntraBucket].Msgs
-		if exchanged := msgs > 0; exchanged != adaptive {
-			t.Fatalf("adaptive %v: %d intra-bucket messages", adaptive, msgs)
-		}
+	if msgs := mc.BuildReport(metrics.DefaultCostModel).Phases[metrics.PhaseIntraBucket].Msgs; msgs > 0 {
+		t.Fatalf("co-partitioned join sent %d intra-bucket messages", msgs)
 	}
 
-	err := mpi.NewWorld(ranks).Run(func(c *mpi.Comm) error {
+	err = mpi.NewWorld(ranks).Run(func(c *mpi.Comm) error {
 		mc := metrics.NewCollector(ranks)
 		sp, _ := relation.New(relation.Schema{Name: "spath", Arity: 3, Indep: 2, Key: 2, Agg: lattice.Min{}}, c, mc, relation.Config{Subs: 2})
 		spMid, _ := sp.AddIndex([]int{1, 0, 2}, 1)

@@ -8,6 +8,7 @@ package relation
 // silently reintroduce per-tuple garbage.
 
 import (
+	"fmt"
 	"runtime/debug"
 	"testing"
 
@@ -17,34 +18,43 @@ import (
 	"paralagg/internal/tuple"
 )
 
+// allocSubs are the sub-bucket counts the aggregated allocation pins run at:
+// without sub-buckets and with them, where every record still takes the one
+// route to its key's owner.
+var allocSubs = []int{1, 4}
+
 // TestAccInsertExistingAllocFree materializes batches whose every key is
 // already resident with a better value: the pure probe/merge path must not
 // allocate at all.
 func TestAccInsertExistingAllocFree(t *testing.T) {
-	w := mpi.NewWorld(1)
-	err := w.Run(func(c *mpi.Comm) error {
-		mc := metrics.NewCollector(1)
-		r, err := New(Schema{Name: "sp", Arity: 3, Indep: 2, Key: 2, Agg: lattice.Min{}},
-			c, mc, Config{Subs: 1})
-		if err != nil {
-			return err
-		}
-		seed := accBenchBuffer(false)
-		r.Materialize(0, seed, false)
-		probe := accBenchBuffer(true)
-		// Warm the reusable scratch (send lanes, partial table, tuple
-		// buffers) once before measuring.
-		r.Materialize(1, probe, false)
-		allocs := testing.AllocsPerRun(100, func() {
-			r.Materialize(2, probe, false)
+	for _, subs := range allocSubs {
+		t.Run(fmt.Sprintf("subs=%d", subs), func(t *testing.T) {
+			w := mpi.NewWorld(1)
+			err := w.Run(func(c *mpi.Comm) error {
+				mc := metrics.NewCollector(1)
+				r, err := New(Schema{Name: "sp", Arity: 3, Indep: 2, Key: 2, Agg: lattice.Min{}},
+					c, mc, Config{Subs: subs})
+				if err != nil {
+					return err
+				}
+				seed := accBenchBuffer(false)
+				r.Materialize(0, seed, false)
+				probe := accBenchBuffer(true)
+				// Warm the reusable scratch (send lanes, partial table, tuple
+				// buffers) once before measuring.
+				r.Materialize(1, probe, false)
+				allocs := testing.AllocsPerRun(100, func() {
+					r.Materialize(2, probe, false)
+				})
+				if allocs != 0 {
+					t.Errorf("existing-key accumulator materialization: %v allocs/op, want 0", allocs)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 		})
-		if allocs != 0 {
-			t.Errorf("existing-key accumulator materialization: %v allocs/op, want 0", allocs)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -56,50 +66,54 @@ func TestAccInsertExistingAllocFree(t *testing.T) {
 // node free lists and the in-place overwrite make that path allocate
 // nothing per changed tuple.
 func TestAggImprovingTwoIndexesAllocFree(t *testing.T) {
-	w := mpi.NewWorld(1)
-	err := w.Run(func(c *mpi.Comm) error {
-		mc := metrics.NewCollector(1)
-		r, err := New(Schema{Name: "sp", Arity: 3, Indep: 2, Key: 1, Agg: lattice.Min{}},
-			c, mc, Config{Subs: 1})
-		if err != nil {
-			return err
-		}
-		// A replica keyed on the destination and the canonical index, which
-		// lives with the accumulator.
-		if _, err := r.AddIndex([]int{1, 0, 2}, 1); err != nil {
-			return err
-		}
-		if _, err := r.AddIndex([]int{0, 1, 2}, 1); err != nil {
-			return err
-		}
-		best := tuple.Value(1 << 20)
-		buf := accBenchBuffer(false)
-		improve := func() {
-			best--
-			for k := 0; k < accBenchKeys; k++ {
-				buf.At(k)[2] = best
+	for _, subs := range allocSubs {
+		t.Run(fmt.Sprintf("subs=%d", subs), func(t *testing.T) {
+			w := mpi.NewWorld(1)
+			err := w.Run(func(c *mpi.Comm) error {
+				mc := metrics.NewCollector(1)
+				r, err := New(Schema{Name: "sp", Arity: 3, Indep: 2, Key: 1, Agg: lattice.Min{}},
+					c, mc, Config{Subs: subs})
+				if err != nil {
+					return err
+				}
+				// A replica keyed on the destination and the canonical index,
+				// which lives with the accumulator.
+				if _, err := r.AddIndex([]int{1, 0, 2}, 1); err != nil {
+					return err
+				}
+				if _, err := r.AddIndex([]int{0, 1, 2}, 1); err != nil {
+					return err
+				}
+				best := tuple.Value(1 << 20)
+				buf := accBenchBuffer(false)
+				improve := func() {
+					best--
+					for k := 0; k < accBenchKeys; k++ {
+						buf.At(k)[2] = best
+					}
+					if changed := r.Materialize(1, buf, true); changed != accBenchKeys {
+						t.Fatalf("improving batch changed %d keys, want %d", changed, accBenchKeys)
+					}
+				}
+				// Two passes warm the scratch and stock the Δ trees' free lists.
+				improve()
+				improve()
+				if allocs := testing.AllocsPerRun(100, improve); allocs != 0 {
+					t.Errorf("improving materialization over two indexes: %v allocs per %d changed tuples, want 0",
+						allocs, accBenchKeys)
+				}
+				for _, ix := range r.Indexes() {
+					if ix.Full.Len() != accBenchKeys || ix.Delta().Len() != accBenchKeys {
+						t.Errorf("index %v holds %d FULL / %d Δ tuples, want %d each",
+							ix.Perm, ix.Full.Len(), ix.Delta().Len(), accBenchKeys)
+					}
+				}
+				return r.CheckInvariants()
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if changed := r.Materialize(1, buf, true); changed != accBenchKeys {
-				t.Fatalf("improving batch changed %d keys, want %d", changed, accBenchKeys)
-			}
-		}
-		// Two passes warm the scratch and stock the Δ trees' free lists.
-		improve()
-		improve()
-		if allocs := testing.AllocsPerRun(100, improve); allocs != 0 {
-			t.Errorf("improving materialization over two indexes: %v allocs per %d changed tuples, want 0",
-				allocs, accBenchKeys)
-		}
-		for _, ix := range r.Indexes() {
-			if ix.Full.Len() != accBenchKeys || ix.Delta().Len() != accBenchKeys {
-				t.Errorf("index %v holds %d FULL / %d Δ tuples, want %d each",
-					ix.Perm, ix.Full.Len(), ix.Delta().Len(), accBenchKeys)
-			}
-		}
-		return r.CheckInvariants()
-	})
-	if err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 

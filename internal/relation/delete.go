@@ -130,8 +130,8 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 		r.BeginDelete()
 	}
 
-	// Phase A: route candidates to their owners — the accumulator home for
-	// aggregated relations, the canonical index home for sets.
+	// Phase A: route candidates to their owners (routeOf), as Materialize
+	// routes insertions.
 	send := r.sendBuf(size)
 	n := 0
 	if cands != nil {
@@ -139,12 +139,7 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 	}
 	for i := 0; i < n; i++ {
 		t := cands.At(i)
-		var dest int
-		if r.Agg != nil {
-			dest = r.accPlacement(t)
-		} else {
-			dest = r.indexes[0].homeOf(t)
-		}
+		dest := r.routeOf(t)
 		send[dest] = append(send[dest], t...)
 	}
 	recv := r.comm.Alltoallv(send)

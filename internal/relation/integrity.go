@@ -15,8 +15,7 @@ import (
 // relation — and every registered index. The digests are sums of per-tuple
 // hashes, which makes them independent of
 // storage order AND of placement: the global sum over ranks is a property
-// of the logical relation, so it survives sub-bucket rebalancing and
-// elastic restarts.
+// of the logical relation, so it survives elastic restarts.
 //
 // Three invariants are checked on the agreed global sums each iteration:
 //

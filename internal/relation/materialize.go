@@ -58,9 +58,10 @@ const Unsettled = ^uint64(0)
 // flip). The count is agreed by one Allreduce (Settle); the fixpoint driver
 // calls Advance instead and lets the next pass's routing headers carry it.
 //
-// When record is true the pass meters PhaseAllToAll (tuple routing),
-// PhaseLocalAgg (merging and tree insertion), and PhaseOther (the extra
-// intra-bucket gather that balanced aggregation requires, §IV-C).
+// When record is true the pass meters PhaseAllToAll (tuple routing) and
+// PhaseLocalAgg (folding, merging and tree insertion). An aggregated
+// relation's records travel straight to their key's owner, whatever the
+// sub-bucket count, so the pass has one tuple exchange.
 func (r *Relation) Materialize(iter int, pending *tuple.Buffer, record bool) uint64 {
 	r.Advance(iter, pending, record)
 	r.Settle()
@@ -200,20 +201,14 @@ func (c *Candidates) Slot() tuple.Tuple {
 }
 
 // routeOf returns the rank a canonical-order tuple is routed to by the
-// materialization exchange.
+// materialization exchange and by DeleteBatch: its owner, the canonical
+// index's home for a set relation and the accumulator's for an aggregated
+// one.
 func (r *Relation) routeOf(t tuple.Tuple) int {
-	switch {
-	case r.Agg == nil:
+	if r.Agg == nil {
 		return r.indexes[0].homeOf(t)
-	case r.subs > 1:
-		// Scatter across the bucket's sub-buckets by dependent value to
-		// balance merge work; a second intra-bucket hop gathers partials to
-		// the owner (materializeAgg).
-		b, _ := r.placeOf(t)
-		return r.rankOf(b, int(tuple.Tuple(t[r.Indep:]).Hash()%uint64(r.subs)))
-	default:
-		return r.accPlacement(t)
 	}
+	return r.accPlacement(t)
 }
 
 // materializeSet deduplicates arrived tuples against the canonical index,
@@ -301,14 +296,11 @@ func (ix *Index) load(words []tuple.Value, first []bool) {
 	ix.deltaIsFull = true
 }
 
-// materializeAgg merges arrived tuples into the canonical accumulator. With
-// sub-bucketing it first pre-aggregates at the scatter target and gathers
-// partials to the bucket owner over a second intra-bucket exchange, which is
-// the "Other" overhead the paper observes at high rank counts (Fig. 6). It
-// returns the keys whose value changed (the relation's fresh buffer).
+// materializeAgg merges arrived tuples into the canonical accumulator: every
+// record of a key arrives at the key's owner, so the ⊔ is rank-local and
+// needs no second exchange. It returns the keys whose value changed (the
+// relation's fresh buffer).
 func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tuple.Buffer {
-	rank := r.comm.Rank()
-	size := r.comm.Size()
 	timer := metrics.StartTimer()
 
 	// Pre-aggregate what arrived here, keyed by independent columns, in the
@@ -321,40 +313,6 @@ func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tup
 			t := tuple.Tuple(words[off : off+r.Arity])
 			r.mergeDep(r.Agg, partial, t[:r.Indep], t[r.Indep:])
 			work++
-		}
-	}
-
-	if r.subs > 1 {
-		// Intra-bucket gather: partials travel to the bucket owner
-		// (the accumulator's placement).
-		if record {
-			r.mc.Record(rank, iter, metrics.PhaseLocalAgg, timer.Done(work, 0, 0))
-		}
-		gatherTimer := metrics.StartTimer()
-		send := r.sendBuf(size)
-		for e := 0; e < partial.Len(); e++ {
-			indep, dep := partial.At(e)
-			dest := r.accPlacement(indep)
-			send[dest] = append(send[dest], indep...)
-			send[dest] = append(send[dest], dep...)
-		}
-		sent := partial.Len()
-		pre := r.comm.Meter()
-		recv2 := r.comm.Alltoallv(send)
-		if record {
-			d := r.comm.Meter().Sub(pre)
-			s := gatherTimer.Done(int64(sent), int64(d.Bytes), int64(d.Calls))
-			r.mc.Record(rank, iter, metrics.PhaseOther, s)
-		}
-		timer = metrics.StartTimer()
-		work = 0
-		partial.Reset()
-		for _, words := range recv2 {
-			for off := 0; off+r.Arity <= len(words); off += r.Arity {
-				t := tuple.Tuple(words[off : off+r.Arity])
-				r.mergeDep(r.Agg, partial, t[:r.Indep], t[r.Indep:])
-				work++
-			}
 		}
 	}
 
@@ -394,7 +352,7 @@ func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tup
 	}
 	partial.Reset() // empty for the next pass's fold
 	if record {
-		r.mc.Record(rank, iter, metrics.PhaseLocalAgg, timer.Done(work, 0, 0))
+		r.mc.Record(r.comm.Rank(), iter, metrics.PhaseLocalAgg, timer.Done(work, 0, 0))
 	}
 	return fresh
 }

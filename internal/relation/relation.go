@@ -74,7 +74,9 @@ func (s Schema) Validate() error {
 // Config tunes a relation's distribution.
 type Config struct {
 	// Subs is the number of sub-buckets per bucket (spatial load balancing,
-	// §IV-C). 1 disables balancing; the paper's default is 8.
+	// §IV-C): the split width of a join's inner buckets, fixed for the run
+	// (only Restore sets it afterwards). 1 disables balancing; the paper's
+	// default is 8.
 	Subs int
 	// Integrity enables online divergence detection: every Materialize
 	// computes order-independent 64-bit digests over this rank's shard and
@@ -200,7 +202,7 @@ type Index struct {
 	local bool
 
 	// homes caches HomeRanks per bucket; rebuilt whenever the placement
-	// inputs (world size, sub-bucket count) change.
+	// inputs (world size, sub-bucket count, PlaceOn) change.
 	homes [][]int
 
 	// digInv is the inverse storage permutation the integrity digests walk
@@ -282,9 +284,6 @@ func (r *Relation) PlaceOn(ix *Index) {
 
 // Comm returns the communicator the relation was built on.
 func (r *Relation) Comm() *mpi.Comm { return r.comm }
-
-// Subs returns the relation's sub-bucket count.
-func (r *Relation) Subs() int { return r.subs }
 
 // Canonical returns the identity-permutation index keyed on the schema's
 // Key: a set relation's index 0, or the one an aggregated relation holds
@@ -499,7 +498,7 @@ func CoPartitioned(a, b *Index, jk int) bool {
 }
 
 // rebuildHomeCaches recomputes every index's HomeRanks cache after a
-// placement input changed (SetSubs, snapshot restore).
+// placement input changed (PlaceOn, snapshot restore).
 func (r *Relation) rebuildHomeCaches() {
 	for _, ix := range r.indexes {
 		ix.buildHomes()
@@ -522,19 +521,16 @@ func (ix *Index) homeOf(stored tuple.Tuple) int {
 	return ix.rel.rankOf(ix.bucketOf(stored), ix.subOf(stored))
 }
 
-// placeOf returns the (bucket, sub-bucket) of a canonical-order tuple's
-// accumulator entry; only its independent columns are read.
-func (r *Relation) placeOf(t tuple.Tuple) (bucket, sub int) {
+// accPlacement returns the rank owning the accumulator entry of a
+// canonical-order tuple: its bucket and sub-bucket under the placement, of
+// which only the independent columns are read.
+func (r *Relation) accPlacement(t tuple.Tuple) int {
 	key := r.placeScratch
 	for i := range key {
 		key[i] = t[r.placePerm[i]]
 	}
-	return r.bucketOn(key, r.placeJK), r.subOn(key, r.placeJK, r.Indep)
+	return r.rankOf(r.bucketOn(key, r.placeJK), r.subOn(key, r.placeJK, r.Indep))
 }
-
-// accPlacement returns the rank owning the accumulator entry of a
-// canonical-order tuple.
-func (r *Relation) accPlacement(t tuple.Tuple) int { return r.rankOf(r.placeOf(t)) }
 
 // sendBuf returns the relation's reusable per-peer exchange build buffers,
 // truncated to zero length. The buffers feed Alltoallv, whose diagonal lane

@@ -43,51 +43,89 @@ func TestSchemaValidate(t *testing.T) {
 }
 
 func TestHomeRanksCache(t *testing.T) {
-	const ranks = 4
-	runWorld(t, ranks, func(c *mpi.Comm) error {
-		mc := metrics.NewCollector(ranks)
+	build := func(c *mpi.Comm, subs int) (*Relation, error) {
 		r, err := New(Schema{Name: "hr", Arity: 3, Indep: 2, Key: 1, Agg: lattice.Min{}},
-			c, mc, Config{Subs: 3})
+			c, metrics.NewCollector(c.Size()), Config{Subs: subs})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, perm := range [][]int{{0, 1, 2}, {1, 0, 2}} {
 			if _, err := r.AddIndex(perm, 1); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		// The cache must agree with a direct recomputation for every bucket,
-		// including after a SetSubs placement change.
-		check := func() error {
-			for _, ix := range r.Indexes() {
-				for b := 0; b < c.Size(); b++ {
-					got := ix.HomeRanks(b)
-					want := map[int]bool{}
-					if r.Subs() == 1 || ix.JK >= r.Indep {
-						want[r.rankOf(b, 0)] = true
-					} else {
-						for s := 0; s < r.Subs(); s++ {
-							want[r.rankOf(b, s)] = true
-						}
+		return r, nil
+	}
+	// The cache must agree with a direct recomputation for every bucket,
+	// including after the placement change a Restore makes: a 3-rank shard
+	// set at Subs 3 read into a 4-rank world built at Subs 2.
+	check := func(r *Relation) error {
+		for _, ix := range r.Indexes() {
+			for b := 0; b < r.comm.Size(); b++ {
+				got := ix.HomeRanks(b)
+				want := map[int]bool{}
+				if r.subs == 1 || ix.JK >= r.Indep {
+					want[r.rankOf(b, 0)] = true
+				} else {
+					for s := 0; s < r.subs; s++ {
+						want[r.rankOf(b, s)] = true
 					}
-					if len(got) != len(want) {
-						return fmt.Errorf("bucket %d: HomeRanks %v, want set %v", b, got, want)
-					}
-					for _, rk := range got {
-						if !want[rk] {
-							return fmt.Errorf("bucket %d: HomeRanks %v includes %d", b, got, rk)
-						}
+				}
+				if len(got) != len(want) {
+					return fmt.Errorf("bucket %d: HomeRanks %v, want set %v", b, got, want)
+				}
+				for _, rk := range got {
+					if !want[rk] {
+						return fmt.Errorf("bucket %d: HomeRanks %v includes %d", b, got, rk)
 					}
 				}
 			}
-			return nil
 		}
-		if err := check(); err != nil {
+		return nil
+	}
+	shards := shardSet(t, 3, func(c *mpi.Comm) (*Relation, error) {
+		r, err := build(c, 3)
+		if err != nil {
+			return nil, err
+		}
+		r.LoadShare(40, func(i int, emit func(tuple.Tuple)) {
+			emit(tuple.Tuple{tuple.Value(i % 7), tuple.Value(i), tuple.Value(100 + i)})
+		})
+		return r, check(r)
+	})
+	runWorld(t, 4, func(c *mpi.Comm) error {
+		r, err := build(c, 2)
+		if err != nil {
 			return err
 		}
-		r.SetSubs(2)
-		return check()
+		if err := check(r); err != nil {
+			return err
+		}
+		if err := r.Restore(shards); err != nil {
+			return err
+		}
+		if r.subs != 3 {
+			return fmt.Errorf("restored Subs %d, want the shard set's 3", r.subs)
+		}
+		return check(r)
 	})
+}
+
+// shardSet runs body on a world of n ranks and returns the snapshot of the
+// relation it builds on every rank: the complete shard set a restore into a
+// world of any size reads.
+func shardSet(t *testing.T, n int, body func(c *mpi.Comm) (*Relation, error)) []Shard {
+	t.Helper()
+	shards := make([]Shard, n)
+	runWorld(t, n, func(c *mpi.Comm) error {
+		r, err := body(c)
+		if err != nil {
+			return err
+		}
+		shards[c.Rank()] = Shard{Origin: c.Rank(), Words: r.SnapshotWords()}
+		return nil
+	})
+	return shards
 }
 
 // runWorld is a test helper running an SPMD body over n ranks.
@@ -207,7 +245,7 @@ func TestSecondaryIndexConsistency(t *testing.T) {
 				have = 1
 			}
 			holders := c.Allreduce(have, mpi.OpSum)
-			if holders > 1 && r.Subs() == 1 {
+			if holders > 1 && r.subs == 1 {
 				return fmt.Errorf("key %d spread across %d ranks with 1 sub-bucket", v, holders)
 			}
 			if holders == 0 {
@@ -316,8 +354,8 @@ func TestAggIndexStalePurge(t *testing.T) {
 }
 
 func TestAggSubBucketedTwoPhase(t *testing.T) {
-	// With Subs > 1 the aggregation runs scatter → pre-agg → gather; the
-	// result must equal the Subs == 1 answer.
+	// With Subs > 1 every record still travels straight to its key's
+	// owner; the result must equal the Subs == 1 answer.
 	const ranks = 4
 	for _, subs := range []int{1, 4} {
 		subs := subs
@@ -414,49 +452,6 @@ func TestMSumExactlyOnceAccumulation(t *testing.T) {
 	}
 }
 
-func TestSetSubsRedistributionPreservesData(t *testing.T) {
-	const ranks = 4
-	runWorld(t, ranks, func(c *mpi.Comm) error {
-		mc := metrics.NewCollector(ranks)
-		r, err := New(setSchema("edge", 2, 1), c, mc, Config{Subs: 1})
-		if err != nil {
-			return err
-		}
-		// Skewed: 90% of tuples share key 0.
-		r.LoadShare(1000, func(i int, emit func(tuple.Tuple)) {
-			k := tuple.Value(0)
-			if i%10 == 9 {
-				k = tuple.Value(i)
-			}
-			emit(tuple.Tuple{k, tuple.Value(i)})
-		})
-		before := r.GlobalFullCount()
-		ratioBefore := metrics.ImbalanceRatio(r.PerRankCounts())
-		r.SetSubs(8)
-		after := r.GlobalFullCount()
-		if before != after {
-			return fmt.Errorf("rebalance lost tuples: %d -> %d", before, after)
-		}
-		ratioAfter := metrics.ImbalanceRatio(r.PerRankCounts())
-		if ratioAfter > ratioBefore {
-			return fmt.Errorf("rebalance worsened imbalance: %.1f -> %.1f", ratioBefore, ratioAfter)
-		}
-		// All tuples must sit on their new homes.
-		bad := 0
-		ix := r.Canonical()
-		ix.Full.Ascend(func(tt tuple.Tuple) bool {
-			if !ix.ownedHere(tt) {
-				bad++
-			}
-			return true
-		})
-		if bad != 0 {
-			return fmt.Errorf("%d misplaced tuples after rebalance", bad)
-		}
-		return nil
-	})
-}
-
 func TestAddIndexValidation(t *testing.T) {
 	runWorld(t, 1, func(c *mpi.Comm) error {
 		mc := metrics.NewCollector(1)
@@ -512,15 +507,18 @@ func TestEachAccRebuildsCanonicalTuples(t *testing.T) {
 }
 
 func TestCheckInvariantsAfterChurn(t *testing.T) {
-	const ranks = 4
-	runWorld(t, ranks, func(c *mpi.Comm) error {
-		mc := metrics.NewCollector(ranks)
-		r, err := New(aggSchema("sp", 2, lattice.Min{}), c, mc, Config{Subs: 2})
+	build := func(c *mpi.Comm) (*Relation, error) {
+		r, err := New(aggSchema("sp", 2, lattice.Min{}), c, metrics.NewCollector(c.Size()), Config{Subs: 2})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if _, err := r.AddIndex([]int{1, 0, 2}, 1); err != nil {
-			return err
+		_, err = r.AddIndex([]int{1, 0, 2}, 1)
+		return r, err
+	}
+	shards := shardSet(t, 3, func(c *mpi.Comm) (*Relation, error) {
+		r, err := build(c)
+		if err != nil {
+			return nil, err
 		}
 		// Churn: repeated improvements across many keys.
 		for round := 0; round < 5; round++ {
@@ -531,11 +529,24 @@ func TestCheckInvariantsAfterChurn(t *testing.T) {
 			}
 			r.Materialize(round, buf, false)
 			if err := r.CheckInvariants(); err != nil {
-				return fmt.Errorf("round %d: %v", round, err)
+				return nil, fmt.Errorf("round %d: %v", round, err)
 			}
 		}
-		// Rebalance and re-check.
-		r.SetSubs(8)
+		return r, nil
+	})
+	// Change placement (a 4-rank world restores the 3-rank shard set) and
+	// re-check.
+	runWorld(t, 4, func(c *mpi.Comm) error {
+		r, err := build(c)
+		if err != nil {
+			return err
+		}
+		if err := r.Restore(shards); err != nil {
+			return err
+		}
+		if got := r.GlobalFullCount(); got != 16 {
+			return fmt.Errorf("restored %d keys, want 16", got)
+		}
 		return r.CheckInvariants()
 	})
 }
@@ -629,7 +640,7 @@ func TestQuickPlacementDeterministicAndInRange(t *testing.T) {
 			if bkt != ix.bucketOf(t1) || sub != ix.subOf(t1) {
 				return false // nondeterministic
 			}
-			if bkt < 0 || bkt >= c.Size() || sub < 0 || sub >= r.Subs() {
+			if bkt < 0 || bkt >= c.Size() || sub < 0 || sub >= r.subs {
 				return false
 			}
 			// Bucket depends only on the key prefix.

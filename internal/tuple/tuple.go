@@ -131,22 +131,6 @@ func (t Tuple) HashPrefix(k int) uint64 {
 	return mix(h)
 }
 
-// HashSuffix hashes the columns of t from position k onward. It is used for
-// sub-bucket placement, which spreads tuples sharing join columns across
-// ranks when spatial load balancing is enabled.
-func (t Tuple) HashSuffix(k int) uint64 {
-	var h uint64 = fnvOffset
-	for i := k; i < len(t); i++ {
-		v := uint64(t[i])
-		for b := 0; b < 8; b++ {
-			h ^= v & 0xff
-			h *= fnvPrime
-			v >>= 8
-		}
-	}
-	return mix(h)
-}
-
 // Hash hashes the entire tuple.
 func (t Tuple) Hash() uint64 { return t.HashPrefix(len(t)) }
 

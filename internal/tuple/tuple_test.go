@@ -134,14 +134,6 @@ func TestHashPrefixConsistency(t *testing.T) {
 	}
 }
 
-func TestHashSuffixIgnoresPrefix(t *testing.T) {
-	a := Tuple{1, 2, 42}
-	b := Tuple{9, 9, 42}
-	if a.HashSuffix(2) != b.HashSuffix(2) {
-		t.Errorf("suffix hash must ignore the first k columns")
-	}
-}
-
 func TestHashSpreads(t *testing.T) {
 	// Sequential keys should not all land in the same few buckets.
 	const buckets = 16

@@ -69,17 +69,14 @@ func (p PlanPolicy) mode() ra.PlanMode {
 type Config struct {
 	// Ranks is the number of simulated MPI ranks (default 4).
 	Ranks int
-	// Subs is the sub-bucket count of every relation: the spatial
-	// load-balancing knob (default 1 = off; the paper's balanced runs use 8).
+	// Subs is the sub-bucket count of every relation: the split width of a
+	// join's inner buckets, the spatial load-balancing knob, fixed for the
+	// run (default 1 = off; the paper's balanced runs use 8).
 	Subs int
 	// Plan is the join-layout policy.
 	Plan PlanPolicy
 	// MaxIters bounds each stratum's fixpoint (0 = to fixpoint).
 	MaxIters int
-	// Adaptive enables per-iteration spatial rebalancing: relations whose
-	// per-rank tuple counts become skewed double their sub-bucket count on
-	// the fly (the "balancing" phase of the paper's Fig. 1).
-	Adaptive bool
 	// Cost overrides the simulated-time cost model (zero value = default).
 	Cost metrics.CostModel
 
@@ -365,8 +362,9 @@ type Result struct {
 	// SimSeconds is the simulated parallel runtime (critical path over
 	// ranks under the cost model).
 	SimSeconds float64 `json:"sim_seconds"`
-	// PhaseSeconds breaks SimSeconds down by phase name (rebalance,
-	// planning, intra-bucket, local-join, all-to-all, local-agg, other).
+	// PhaseSeconds breaks SimSeconds down by phase name (planning,
+	// intra-bucket, local-join, all-to-all, local-agg, other, and the
+	// checkpoint, recovery, remap and integrity overheads).
 	PhaseSeconds map[string]float64 `json:"phase_seconds"`
 	// IterPhaseSeconds is the per-iteration breakdown (Figure 7's series):
 	// IterPhaseSeconds[i][phase].

@@ -198,53 +198,6 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestExecAdaptiveBalancing verifies the Fig. 1 balancing phase through the
-// public API: results stay exact on a skewed graph and the rebalance phase
-// shows up in the report.
-func TestExecAdaptiveBalancing(t *testing.T) {
-	p := NewProgram()
-	p.DeclareSet("edge", 2, 1)
-	p.DeclareAgg("cc", 1, MinAgg)
-	p.Add(R(A("cc", Var("y"), Var("z")), A("cc", Var("x"), Var("z")), A("edge", Var("x"), Var("y"))))
-	load := func(rk *Rank) error {
-		// Star: maximum skew on edge's key column.
-		if err := rk.LoadShare("edge", 60, func(i int, emit func(Tuple)) {
-			emit(Tuple{0, uint64(i + 1)})
-			emit(Tuple{uint64(i + 1), 0})
-		}); err != nil {
-			return err
-		}
-		var seeds []Tuple
-		for n := uint64(rk.ID()); n < 61; n += uint64(rk.Size()) {
-			seeds = append(seeds, Tuple{n, n})
-		}
-		return rk.Load("cc", seeds)
-	}
-	res, err := Exec(p, Config{Ranks: 6, Subs: 1, Adaptive: true}, load, func(rk *Rank) error {
-		var bad uint64
-		if err := rk.Each("cc", func(tt Tuple) {
-			if tt[1] != 0 {
-				bad++
-			}
-		}); err != nil {
-			return err
-		}
-		if g := rk.Reduce(bad, OpSum); g != 0 {
-			return fmt.Errorf("%d mislabeled nodes under adaptive balancing", g)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counts["cc"] != 61 {
-		t.Fatalf("cc = %d", res.Counts["cc"])
-	}
-	if res.PhaseSeconds["rebalance"] <= 0 {
-		t.Fatalf("rebalance phase not recorded: %v", res.PhaseSeconds)
-	}
-}
-
 // TestParseProgramThroughExec runs a parsed text program through the full
 // public pipeline.
 func TestParseProgramThroughExec(t *testing.T) {
