@@ -57,7 +57,10 @@ chaos:
 # bulk-load sort: byte-coded batches at arities 1-4 through tuple.SortedRun's
 # radix sort against the comparison sort it replaced, and so does the rule
 # compiler: random head and condition term trees, three deep over every op
-# kind, through the flat op list against a tree walk. So does the
+# kind, through the flat op list against a tree walk, and so does
+# incremental maintenance: generated insert/delete histories over seven
+# programs (bounded and unbounded retraction, a non-linear rule) at 1-3
+# ranks, every batch bit-identical to the naive evaluator. So does the
 # checkpoint reader: pairs of file images stored in both sink backends
 # (memory and directory), read back through the one envelope decoder, and
 # handed to the one restore, which must reject what is malformed without
@@ -79,6 +82,7 @@ verify: vet
 	$(GO) test -run '^$$' -fuzz FuzzAgainstSortedSlice -fuzztime 15s -fuzzminimizetime 10x ./internal/btree
 	$(GO) test -run '^$$' -fuzz FuzzSortedRun -fuzztime 10s -fuzzminimizetime 10x ./internal/tuple
 	$(GO) test -run '^$$' -fuzz FuzzCompiledTerms -fuzztime 10s -fuzzminimizetime 10x ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzDeletionHistories -fuzztime 10s -fuzzminimizetime 10x ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRestoreCheckpointFiles -fuzztime 10s -fuzzminimizetime 10x ./internal/ra
 	$(GO) test -run '^$$' -fuzz FuzzParseTopology -fuzztime 10s -fuzzminimizetime 10x ./internal/mpi
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s -fuzzminimizetime 10x ./internal/transport/tcp

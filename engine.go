@@ -106,8 +106,9 @@ type ApplyStats struct {
 	StratumIters []int
 	// Iterations sums them.
 	Iterations int
-	// InvalidationRounds counts the over-approximate invalidation rounds a
-	// deletion batch ran (0 for insert-only batches).
+	// InvalidationRounds counts the invalidation rounds a deletion batch
+	// ran (0 for insert-only batches): rounds of chasing retracted
+	// derivations, bounded by the lattice where the program allows it.
 	InvalidationRounds int
 	// Dropped is the global number of tuples invalidated by deletions.
 	Dropped uint64
@@ -366,8 +367,9 @@ func (e *Engine) Close() error {
 // or Insert) and the full from-zero fixpoint; subsequent batches are
 // maintained incrementally when the program allows it (see
 // ApplyStats.Incremental): inserts continue the fixpoint from a freshly
-// seeded Δ, deletions run over-approximate invalidation and re-derive from
-// the surviving supports. It is serialized with other mutations and
+// seeded Δ, deletions invalidate what the retracted facts supported — for
+// a selective lattice, only what they attained — and re-derive the dropped
+// keys from their surviving supports. It is serialized with other mutations and
 // excludes queries while in flight. On a distributed world every process
 // must Apply the same batch (the SPMD contract Exec's load has): each keeps
 // its stripe of it and routes the facts to their owners.

@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"paralagg/internal/lattice"
+	"paralagg/internal/mpi"
 	"paralagg/internal/relation"
 	"paralagg/internal/tuple"
+	"paralagg/internal/wordmap"
 )
 
 // ApplyInput carries one mutation batch into an instantiated program. The
@@ -24,8 +27,9 @@ type ApplyInput struct {
 // ApplyStats reports what one mutation batch cost.
 type ApplyStats struct {
 	RunStats
-	// InvalidationRounds counts the over-approximate invalidation rounds a
-	// deletion batch ran (0 for insert-only batches).
+	// InvalidationRounds counts the invalidation rounds a deletion batch
+	// ran (0 for insert-only batches): rounds of chasing retracted
+	// derivations, bounded by the lattice where the program allows it.
 	InvalidationRounds int
 	// Dropped is the global number of tuples invalidated (base-fact seeds
 	// plus cascaded head drops).
@@ -63,13 +67,16 @@ func (in *Instance) Incrementalizable() bool {
 // Δ — no reset, so re-convergence costs only the iterations the new facts
 // actually cause. A batch that deletes changes the base facts exactly —
 // inserts first, so a fact in both is deleted — in the shadows and the
-// base-only relations, drops the deleted facts over-approximately from the
-// shadowed relations, runs over-approximate invalidation (see
-// ra.Invalidate) and re-derives from the surviving supports: each shadowed
-// relation reloads its shadow's rank-local facts and the EDB Δ is re-seeded
-// from FULL. Programs that are not Incrementalizable instead clear every
-// derived relation, reload it from its shadow and re-run every stratum;
-// base-only relations keep FULL and the run re-seeds their Δ.
+// base-only relations, drops the deleted facts from the shadowed relations,
+// runs invalidation (see ra.Invalidate) and re-derives the dropped keys
+// from their surviving supports: each shadowed relation reloads its
+// shadow's rank-local facts and reseed puts into Δ the FULL tuples that can
+// derive a dropped key, derived relations included. Where the stratum's
+// rules bound it (boundsRetraction), a key is dropped only by a retracted
+// derivation that attains its value. Programs that are not
+// Incrementalizable instead clear every derived relation, reload it from
+// its shadow and re-run every stratum; base-only relations keep FULL and
+// the run re-seeds their Δ.
 func (in *Instance) ApplyDelta(cfg Config, inp ApplyInput) (ApplyStats, error) {
 	for _, names := range [][]string{sortedKeys(inp.Inserts), sortedKeys(inp.Deletes)} {
 		for _, n := range names {
@@ -102,12 +109,15 @@ func (in *Instance) ApplyDelta(cfg Config, inp ApplyInput) (ApplyStats, error) {
 	}
 	dropped, rounds := uint64(0), 0
 	for _, n := range sortedKeys(inp.Deletes) {
-		rel := in.rels[n]
+		rel, facts := in.rels[n], inp.Deletes[n]
 		if b := in.base(n); b != rel {
-			b.DeleteBatch(inp.Deletes[n])
+			// Only what the shadow held was a base fact; a derived tuple
+			// named here stays, as Mutation.Delete promises.
+			b.DeleteBatch(facts)
 			b.ClearDelta()
+			facts = &tuple.Buffer{Arity: b.Arity, Words: b.Dropped()}
 		}
-		dropped += rel.DeleteBatch(inp.Deletes[n])
+		dropped += rel.DeleteBatch(facts)
 	}
 	if !incremental {
 		for _, rel := range in.derived {
@@ -126,15 +136,121 @@ func (in *Instance) ApplyDelta(cfg Config, inp ApplyInput) (ApplyStats, error) {
 		rel.EndDelete()
 	}
 	// Re-derive: reload the shadowed relations from their post-batch base
-	// facts and re-seed the EDB Δ from FULL so the first iteration
-	// re-examines every pair with a surviving support.
+	// facts, then seed Δ with the surviving supports of the dropped keys.
 	in.reloadShadowed()
-	for _, input := range st.inputs {
-		input.ResetDelta()
-	}
+	in.reseed(st, inp.Inserts)
 	stats := in.rerun(cfg)
 	stats.InvalidationRounds, stats.Dropped = rounds, dropped
 	return stats, nil
+}
+
+// reseed seeds the re-derivation after a delete's invalidation: Δ of every
+// relation the stratum reads gains the FULL tuples that can derive a key
+// some head dropped, on top of what the reload left there. One
+// AllgatherWords hands every rank every dropped head key. A rule whose head
+// dropped keys seeds the body atom that feeds one of its head key columns —
+// of those columns, the one with the most distinct dropped values — with
+// the tuples holding one of those values there. A rule with no such column
+// seeds its first atom's whole FULL, and so does a base-only input that
+// took inserts in the batch: they sit in FULL with Δ cleared. Collective.
+func (in *Instance) reseed(st *stratum, inserts map[string]*tuple.Buffer) {
+	p := in.planReseed(st)
+	mine := p.mine[:0]
+	for _, h := range p.heads {
+		words := h.Dropped()
+		mine = append(mine, mpi.Word(len(words)/h.Arity))
+		for ; len(words) > 0; words = words[h.Arity:] {
+			mine = append(mine, words[:h.Indep]...)
+		}
+	}
+	p.mine = mine
+	for _, vs := range p.dropped {
+		for _, v := range vs {
+			v.Reset()
+		}
+	}
+	for all := in.comm.AllgatherWords(mine); len(all) > 0; { // one rank's section at a time
+		for i, h := range p.heads {
+			n := int(all[0])
+			for all = all[1:]; n > 0; n, all = n-1, all[h.Indep:] {
+				for j, vs := range p.dropped[i] {
+					vs.Upsert(all[j : j+1])
+				}
+			}
+		}
+	}
+	full := map[*relation.Relation]bool{}
+	filters := map[*relation.Relation][]relation.Filter{}
+	for _, r := range p.rules {
+		vs := p.dropped[r.head]
+		if vs[0].Len() == 0 {
+			continue // the head dropped nothing
+		}
+		best := -1
+		for j, f := range r.feeds {
+			if f.atom >= 0 && (best < 0 || vs[j].Len() > vs[best].Len()) {
+				best = j
+			}
+		}
+		if best < 0 {
+			full[r.bodies[0]] = true
+			continue
+		}
+		f := r.feeds[best]
+		filters[r.bodies[f.atom]] = append(filters[r.bodies[f.atom]], relation.Filter{Col: f.col, Values: vs[best]})
+	}
+	for _, rel := range st.inputs {
+		if _, ok := inserts[rel.Name]; ok {
+			full[rel] = true
+		}
+	}
+	for _, rel := range p.reads {
+		switch {
+		case full[rel]:
+			rel.ResetDelta()
+		case filters[rel] != nil:
+			rel.SeedDelta(filters[rel])
+		}
+	}
+}
+
+// planReseed returns the stratum's seedPlan, planning it from the rules on
+// the first call: the heads in rule order, each rule's body relations and
+// key feeds (keyFeeds), every relation the rules read, and the scratch.
+// Planning on the first delete keeps it off every program that never
+// deletes. Rank-local.
+func (in *Instance) planReseed(st *stratum) *seedPlan {
+	if st.plan != nil {
+		return st.plan
+	}
+	p := &seedPlan{}
+	bodies := map[string]bool{}
+	for _, r := range st.rules {
+		head := in.rels[r.Head.Rel]
+		h := slices.Index(p.heads, head)
+		if h < 0 {
+			h = len(p.heads)
+			p.heads = append(p.heads, head)
+		}
+		sr := seedRule{head: h, feeds: keyFeeds(r, head.Indep)}
+		for _, a := range r.Body {
+			bodies[a.Rel] = true
+			sr.bodies = append(sr.bodies, in.rels[a.Rel])
+		}
+		p.rules = append(p.rules, sr)
+	}
+	for _, n := range sortedKeys(bodies) {
+		p.reads = append(p.reads, in.rels[n])
+	}
+	p.dropped = make([][]*wordmap.Map, len(p.heads))
+	for i, h := range p.heads {
+		p.dropped[i] = make([]*wordmap.Map, h.Indep)
+		for j := range p.dropped[i] {
+			p.dropped[i][j] = wordmap.New(1, 0)
+		}
+	}
+	st.plan = p
+	return p
 }
 
 // rerun continues the single stratum's fixpoint from the relations' current

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
+	"paralagg/internal/lattice"
 	"paralagg/internal/ra"
 	"paralagg/internal/relation"
 	"paralagg/internal/tuple"
@@ -63,6 +65,73 @@ func indexFor(rel *relation.Relation, joinPos []int) (*relation.Index, error) {
 		return ix, nil
 	}
 	return rel.AddIndex(perm, len(joinPos))
+}
+
+// feed names the body atom and canonical column a rule copies into one head
+// key column; atom is -1 when the head term there is not a body variable.
+type feed struct{ atom, col int }
+
+// keyFeeds returns, for each of a rule's first indep head columns, where
+// the rule reads the value it copies there: every derivation of a head key
+// k holds k[j] in column feeds[j].col of atom feeds[j].atom.
+func keyFeeds(r *Rule, indep int) []feed {
+	feeds := make([]feed, indep)
+	for j := range feeds {
+		feeds[j] = feed{atom: -1}
+		v, ok := r.Head.Terms[j].(Var)
+		for a := 0; ok && a < len(r.Body); a++ {
+			if c := slices.Index(r.Body[a].Terms, Term(v)); c >= 0 {
+				feeds[j], ok = feed{atom: a, col: c}, false
+			}
+		}
+	}
+	return feeds
+}
+
+// boundsRetraction reports whether a delete may keep a key of an
+// aggregated head whose value is strictly better than a retracted
+// derivation's (relation.BoundRetraction): it holds when no rule can derive
+// a value better than that of a tuple it reads from the stratum's heads, so
+// every value a key holds is founded on derivations of values at least as
+// good. heads names the stratum's heads; a body atom of one of them must be
+// aggregated over the head's selective lattice, and each dependent column
+// of the head must be no better than that atom's (noBetter).
+func boundsRetraction(rules []*Rule, decls map[string]*Decl, heads map[string]bool) bool {
+	for _, r := range rules {
+		hd := decls[r.Head.Rel]
+		for _, a := range r.Body {
+			if !heads[a.Rel] {
+				continue
+			}
+			bd := decls[a.Rel]
+			if hd.Agg == nil || bd.Agg == nil || !lattice.Selective(hd.Agg) || !lattice.Selective(bd.Agg) || hd.Agg != bd.Agg {
+				return false
+			}
+			for i := 0; i < hd.Agg.Width(); i++ {
+				b, ok := a.Terms[bd.Indep+i].(Var)
+				if !ok || !noBetter(hd.Agg, r.Head.Terms[hd.Indep+i], b) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// noBetter reports whether head term h can never be better under agg than
+// the body value bound to b: b itself or, where smaller integers are better
+// (Min, LexMin2, column by column), b plus anything — integer addition that
+// does not wrap.
+func noBetter(agg lattice.Aggregator, h Term, b Var) bool {
+	if v, ok := h.(Var); ok {
+		return v == b
+	}
+	ap, ok := h.(Apply)
+	switch agg.(type) {
+	case lattice.Min, lattice.LexMin2:
+		return ok && ap.op == opAdd && (ap.Args[0] == Term(b) || ap.Args[1] == Term(b))
+	}
+	return false
 }
 
 // compileRule lowers a validated 1- or 2-atom rule onto a kernel. rels maps

@@ -13,6 +13,7 @@ import (
 	"paralagg/internal/relation"
 	"paralagg/internal/resource"
 	"paralagg/internal/tuple"
+	"paralagg/internal/wordmap"
 )
 
 // Config tunes an instantiated program.
@@ -67,6 +68,31 @@ type stratum struct {
 	// inputs are the relations read but not written by this stratum, in
 	// name order; their Δ is re-seeded before the stratum runs.
 	inputs []*relation.Relation
+	// rules are the stratum's rules after rewriting, which the first
+	// delete's reseed plans from.
+	rules []*Rule
+	plan  *seedPlan
+}
+
+// seedPlan is what reseed needs of a stratum, planned on its first delete.
+type seedPlan struct {
+	// reads are all the relations the stratum's rules read, in name order;
+	// heads are the relations they write, in rule order.
+	reads, heads []*relation.Relation
+	rules        []seedRule
+	// Scratch kept across deletes: this rank's dropped head keys and, per
+	// head and key column, the distinct values dropped there.
+	mine    []mpi.Word
+	dropped [][]*wordmap.Map
+}
+
+// seedRule is what reseed needs of one rule: its head (an index into
+// seedPlan.heads), its body relations in atom order and where it reads
+// each head key column.
+type seedRule struct {
+	head   int
+	bodies []*relation.Relation
+	feeds  []feed
 }
 
 // Instantiate validates, rewrites, stratifies, and compiles the program for
@@ -143,7 +169,12 @@ func (p *Program) Instantiate(comm *mpi.Comm, mc *metrics.Collector, cfg Config)
 				bodies[a.Rel] = true
 			}
 		}
-		st := &stratum{fix: ra.NewFixpoint(comm, mc, kernels...)}
+		if boundsRetraction(ruleSet, decls, heads) {
+			for h := range heads {
+				in.rels[h].BoundRetraction()
+			}
+		}
+		st := &stratum{fix: ra.NewFixpoint(comm, mc, kernels...), rules: ruleSet}
 		var inputNames []string
 		for b := range bodies {
 			if !heads[b] {

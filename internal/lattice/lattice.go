@@ -62,11 +62,24 @@ type Aggregator interface {
 	Compare(a, b []tuple.Value) Order
 }
 
-// Idempotent reports whether agg's Join is idempotent (a true semilattice).
-// The runtime uses this to decide whether re-delivered tuples are harmless.
+// Idempotent reports whether agg's Join is idempotent (a true semilattice):
+// Min, Max, FMin, BitOr and LexMin2 are, MSum and MCount are not. The
+// runtime uses this to decide whether re-delivered tuples are harmless.
 func Idempotent(agg Aggregator) bool {
 	_, monotoneStream := agg.(interface{ monotoneStream() })
 	return !monotoneStream
+}
+
+// Selective reports whether agg's Join always returns one of its arguments
+// (a ⊔ b ∈ {a, b}), so its order is total and a key's value is the value
+// of at least one derivation: Min, Max, FMin and LexMin2 are selective;
+// BitOr (a union), MSum, MCount and every aggregator defined outside this
+// package are not. Retraction relies on it: a derivation whose value is
+// strictly below a key's stored value does not attain it, so deleting it
+// leaves the key as it is.
+func Selective(agg Aggregator) bool {
+	_, ok := agg.(interface{ selective() })
+	return ok
 }
 
 // equal1 compares single-word dependent values.
@@ -86,6 +99,8 @@ func cmp1(a, b tuple.Value) Order {
 // reports a value with a *smaller* payload as Greater (higher in the
 // lattice), because it carries more information about the final answer.
 type Min struct{}
+
+func (Min) selective() {}
 
 // Name implements Aggregator.
 func (Min) Name() string { return "$MIN" }
@@ -107,6 +122,8 @@ func (Min) Compare(a, b []tuple.Value) Order { return cmp1(b[0], a[0]) }
 
 // Max is the $MAX aggregate: Join returns the numeric maximum.
 type Max struct{}
+
+func (Max) selective() {}
 
 // Name implements Aggregator.
 func (Max) Name() string { return "$MAX" }
@@ -159,6 +176,8 @@ func (BitOr) Compare(a, b []tuple.Value) Order {
 // (math.Float64bits). Only finite, non-NaN values are meaningful.
 type FMin struct{}
 
+func (FMin) selective() {}
+
 // Name implements Aggregator.
 func (FMin) Name() string { return "$FMIN" }
 
@@ -190,6 +209,8 @@ func (FMin) Compare(a, b []tuple.Value) Order {
 // dependent values (dep_val_t as a vector in the paper's API). The pair
 // (a0, a1) is better than (b0, b1) when it is lexicographically smaller.
 type LexMin2 struct{}
+
+func (LexMin2) selective() {}
 
 // Name implements Aggregator.
 func (LexMin2) Name() string { return "$LEXMIN2" }

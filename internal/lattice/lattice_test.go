@@ -3,6 +3,7 @@ package lattice
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -246,3 +247,41 @@ func TestOrderString(t *testing.T) {
 		t.Error("unknown order string")
 	}
 }
+
+// TestSelectiveClassification pins which aggregates retraction may bound by
+// the stored value: exactly those whose Join returns one of its arguments,
+// checked on every pair of a small value grid, two-word pairs for LexMin2.
+func TestSelectiveClassification(t *testing.T) {
+	vals := []tuple.Value{0, 1, 2, 3, 5, 8, 1 << 40}
+	for _, agg := range []Aggregator{Min{}, Max{}, FMin{}, LexMin2{}} {
+		if !Selective(agg) {
+			t.Errorf("%s not classified selective", agg.Name())
+		}
+		for _, a := range vals {
+			for _, b := range vals {
+				x, y := []tuple.Value{a, b}[:agg.Width()], []tuple.Value{b, a}[:agg.Width()]
+				j := agg.Join(x, y)
+				if !slices.Equal(j, x) && !slices.Equal(j, y) {
+					t.Errorf("%s: %v ⊔ %v = %v, neither argument", agg.Name(), x, y, j)
+				}
+				if o := agg.Compare(x, y); o == Incomparable {
+					t.Errorf("%s: %v and %v incomparable", agg.Name(), x, y)
+				}
+			}
+		}
+	}
+	for _, agg := range []Aggregator{BitOr{}, MSum{}, MCount{}, userMin{}} {
+		if Selective(agg) {
+			t.Errorf("%s classified selective", agg.Name())
+		}
+	}
+}
+
+// userMin is Min as an aggregator defined elsewhere would write it: without
+// the package's marker it keeps the conservative retraction.
+type userMin struct{}
+
+func (userMin) Name() string                          { return "user-min" }
+func (userMin) Width() int                            { return 1 }
+func (userMin) Join(a, b []tuple.Value) []tuple.Value { return Min{}.Join(a, b) }
+func (userMin) Compare(a, b []tuple.Value) Order      { return Min{}.Compare(a, b) }

@@ -1,6 +1,9 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Collectives: the runtime's whole public exchange surface. On every world a
 // collective is the same three steps: pass the fault gate (enter), meter the
@@ -135,24 +138,25 @@ func (c *Comm) fold(acc, w []Word, op ReduceOp) {
 
 // Allgather collects one word from each rank and returns the full vector,
 // indexed by rank, to every rank.
-func (c *Comm) Allgather(v uint64) []uint64 {
+func (c *Comm) Allgather(v uint64) []uint64 { return c.AllgatherWords([]Word{v}) }
+
+// AllgatherWords concatenates every rank's words, which may differ in
+// length, in rank order and returns the concatenation to every rank. A
+// non-root rank's copy crossed the wire and rank 0 built its own, so the
+// result is the caller's — except on a one-rank world, where it is words.
+func (c *Comm) AllgatherWords(words []Word) []Word {
 	c.enter("allgather")
-	c.world.stats.addCollective(c.rank, collAllgather, WordBytes)
+	c.world.stats.addCollective(c.rank, collAllgather, len(words)*WordBytes)
 	if c.world.size == 1 {
-		return []uint64{v}
+		return words
 	}
-	contribs := c.gatherTo0(c.sched, "allgather", tagAllgather, []Word{v})
-	var vec []Word
+	contribs := c.gatherTo0(c.sched, "allgather", tagAllgather, words)
+	var all []Word
 	if contribs != nil {
-		vec = make([]Word, c.world.size)
-		for r, w := range contribs {
-			vec[r] = w[0]
-		}
+		all = slices.Concat(contribs...)
 		c.gathered(c.sched, contribs)
 	}
-	// Every non-root rank's copy is private (it crossed the wire); rank 0
-	// built vec itself.
-	return c.fanFrom0(c.sched, "allgather", tagAllgather, vec)
+	return c.fanFrom0(c.sched, "allgather", tagAllgather, all)
 }
 
 // Alltoallv performs the personalized all-to-all exchange at the heart of

@@ -27,7 +27,7 @@ func splitTopology(n int) *Topology {
 	return TopologyFromHosts(hosts)
 }
 
-// collectiveSuite exercises all five collectives and asserts every result
+// collectiveSuite exercises every collective and asserts every result
 // against its closed form.
 func collectiveSuite(c *Comm) error {
 	n, r := c.Size(), c.Rank()
@@ -48,6 +48,24 @@ func collectiveSuite(c *Comm) error {
 		if v != uint64(i*i) {
 			return fmt.Errorf("rank %d: allgather[%d] = %d, want %d", r, i, v, i*i)
 		}
+	}
+	// Rank i contributes i words, each i: ranks 0..n-1 concatenate to
+	// 1, 2, 2, 3, 3, 3, ...
+	mine := make([]Word, r)
+	for i := range mine {
+		mine[i] = Word(r)
+	}
+	all, at := c.AllgatherWords(mine), 0
+	for i := 0; i < n; i++ {
+		for k := 0; k < i; k++ {
+			if at >= len(all) || all[at] != Word(i) {
+				return fmt.Errorf("rank %d: allgatherwords = %v, want rank %d's %d words at %d", r, all, i, i, at)
+			}
+			at++
+		}
+	}
+	if at != len(all) {
+		return fmt.Errorf("rank %d: allgatherwords = %d words, want %d", r, len(all), at)
 	}
 	send := make([][]Word, n)
 	for j := range send {

@@ -6,16 +6,21 @@ import (
 )
 
 // This file implements the deletion half of incremental maintenance: the
-// over-approximate invalidation pass. Base-fact deletions are seeded into
-// the affected relations' Δ (relation.DeleteBatch leaves exactly the
-// dropped tuples there); Invalidate then chases dependents through the
-// stratum's rules, dropping every head tuple that *might* have been derived
-// from a dropped support, until no rule produces a new candidate. The pass
-// over-approximates — a dropped tuple may still be derivable from surviving
-// supports — which is sound because the caller re-runs the fixpoint
-// afterwards with the EDB Δ re-seeded from FULL, re-deriving everything the
-// survivors still justify. Monotone convergence of the re-fixpoint then
-// lands on exactly the least model of the post-deletion database.
+// invalidation pass (DRed's over-deletion, Gupta, Mumick and Subrahmanian,
+// SIGMOD 1993). Base-fact deletions are seeded into the affected relations'
+// Δ (relation.DeleteBatch leaves exactly the dropped tuples there);
+// Invalidate then chases dependents through the stratum's rules, handing
+// every head candidate derived from a dropped support to DeleteBatch, until
+// no head drops a tuple. A set head drops every candidate it holds. An
+// aggregated head whose retraction is bounded (relation.BoundRetraction)
+// drops a key only when the candidate attains its stored value — a
+// strictly better value has support the retraction did not touch; any
+// other aggregated head drops every key a candidate reaches. Either way a
+// dropped tuple may still be derivable from surviving supports, which is
+// sound because the caller re-runs the fixpoint afterwards with Δ seeded
+// from the surviving supports of every dropped key, re-deriving everything
+// the survivors still justify. Monotone convergence of the re-fixpoint
+// then lands on exactly the least model of the post-deletion database.
 
 // invalidationRule is implemented by kernels that can enumerate the head
 // candidates derivable from dropped body tuples.
@@ -57,8 +62,9 @@ func (cp *Copy) runInvalidation(iter int, mode PlanMode, mc *metrics.Collector, 
 // the caller already counted its base-fact seed drops). Collective. On
 // entry the deleted base facts must have been seeded via DeleteBatch (their
 // relations' Δ holds the drops and ChangedLast gates the variants); every
-// aggregated relation of the stratum must be inside a BeginDelete/EndDelete
-// bracket spanning the seed, this call, and the compaction. On exit every
+// relation of the stratum must be inside a BeginDelete/EndDelete bracket
+// spanning the seed, this call, and the compaction, which records what it
+// drops (relation.Dropped) and compacts an accumulator. On exit every
 // relation's Δ is empty and its changed count is zero, ready for the
 // caller's re-seeding.
 func (f *Fixpoint) Invalidate(opts Options) (rounds int, dropped uint64) {

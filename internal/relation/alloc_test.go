@@ -182,3 +182,46 @@ func TestSetLoadAllocsIndependentOfSize(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEndDeleteAllocFree pins the accumulator's in-place compaction: a warm
+// cycle that drops half the keys (DeleteBatch inside a bracket, EndDelete)
+// and loads them back allocates nothing, so EndDelete does not either.
+func TestEndDeleteAllocFree(t *testing.T) {
+	for _, subs := range allocSubs {
+		t.Run(fmt.Sprintf("subs=%d", subs), func(t *testing.T) {
+			err := mpi.NewWorld(1).Run(func(c *mpi.Comm) error {
+				r, err := New(Schema{Name: "sp", Arity: 3, Indep: 2, Key: 2, Agg: lattice.Min{}},
+					c, metrics.NewCollector(1), Config{Subs: subs})
+				if err != nil {
+					return err
+				}
+				all := accBenchBuffer(false)
+				half := tuple.NewBuffer(3, accBenchKeys/2)
+				for k := 0; k < accBenchKeys; k += 2 {
+					half.Append(all.At(k))
+				}
+				r.Materialize(0, all, false)
+				cycle := func() {
+					r.BeginDelete()
+					if got := r.DeleteBatch(half); got != uint64(half.Len()) {
+						t.Fatalf("dropped %d keys, want %d", got, half.Len())
+					}
+					r.EndDelete()
+					if r.LocalFullCount() != accBenchKeys-half.Len() {
+						t.Fatalf("%d keys after EndDelete, want %d", r.LocalFullCount(), accBenchKeys-half.Len())
+					}
+					r.Materialize(1, half, false)
+				}
+				cycle()
+				cycle()
+				if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+					t.Errorf("delete-and-reload cycle: %v allocs/op, want 0", allocs)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

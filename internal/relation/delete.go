@@ -1,18 +1,25 @@
 package relation
 
 import (
+	"slices"
+
+	"paralagg/internal/lattice"
 	"paralagg/internal/mpi"
 	"paralagg/internal/tuple"
 	"paralagg/internal/wordmap"
 )
 
-// This file implements the deletion side of incremental maintenance: the
-// serving engine's over-approximate invalidation drops candidate tuples
-// batch by batch, leaving exactly the dropped tuples in Δ so the next
-// invalidation round can chase their dependents, and finally rebuilds the
-// accumulator without the dropped keys. The wordmap arena is append-only,
-// so dropped aggregate keys are tracked in a side set (dropSet) during the
-// bracket and compacted out in one pass at EndDelete.
+// This file implements the deletion side of incremental maintenance. The
+// serving engine's invalidation drops candidate tuples batch by batch,
+// leaving exactly the dropped tuples in Δ so the next invalidation round can
+// chase their dependents. An aggregated key whose retraction is bounded
+// (BoundRetraction) is dropped only by a candidate that attains its stored
+// value; any other key a candidate reaches is dropped whatever it holds.
+// EndDelete then compacts the accumulator without the dropped keys, and
+// SeedDelta seeds the re-derivation. The wordmap arena only grows between
+// compactions, so the bracket tracks what it dropped in a side set
+// (dropSet), which EndDelete filters the accumulator by in place and
+// Dropped reports.
 
 // ClearDelta empties every index's Δ tree and zeroes the Δ and cached
 // changed counts. It is rank-local but must be called uniformly (the changed
@@ -37,7 +44,7 @@ func (r *Relation) Clear() {
 	if r.leakyBest != nil {
 		r.leakyBest = wordmap.New(r.leaky.Indep, r.Arity-r.leaky.Indep)
 	}
-	r.dropSet = nil
+	r.dropSet, r.deleting = nil, false
 	for _, ix := range r.indexes {
 		ix.Full.Reset()
 		ix.resetDelta()
@@ -59,65 +66,110 @@ func (r *Relation) ResetDelta() {
 	r.changedLast = r.GlobalFullCount()
 }
 
-// BeginDelete opens a deletion bracket. Between BeginDelete and EndDelete
-// any number of DeleteBatch calls may run (the invalidation loop issues one
-// per relation per round); the bracket-wide dropSet deduplicates candidates
-// across rounds and defers the accumulator compaction to EndDelete. Set
-// relations need no bracket state (their canonical tree deletes in place),
-// but calling it uniformly on every relation is harmless and keeps the
-// driver simple.
-func (r *Relation) BeginDelete() {
-	if r.Agg == nil {
-		return
-	}
-	if r.dropSet == nil {
-		r.dropSet = wordmap.New(r.Indep, r.Dep())
-		return
-	}
-	r.dropSet.Reset()
+// Filter selects the tuples whose value in canonical column Col is a key
+// of Values, a set of one-word keys.
+type Filter struct {
+	Col    int
+	Values *wordmap.Map
 }
 
-// EndDelete closes a deletion bracket: for aggregated relations the
-// accumulator is rebuilt without the dropped keys (the arena is
-// append-only, so compaction is a copy of the survivors) and the digest
-// baselines are invalidated so the next Materialize re-adopts them.
+// SeedDelta adds to every index's Δ, on this rank, the FULL tuples some
+// filter selects: the supports a re-derivation after a delete must join
+// again. Δ keeps what it held, so a reload's changed tuples stay, and an
+// index whose Δ is a view of FULL already holds them all. It communicates
+// nothing: the changed count becomes Unsettled, which lets every gated
+// variant run until the next pass agrees it. Call it uniformly.
+func (r *Relation) SeedDelta(filters []Filter) {
+	pos := make([]int, len(filters))
+	for id, ix := range r.indexes {
+		if ix.deltaIsFull {
+			continue
+		}
+		for i, f := range filters {
+			pos[i] = slices.Index(ix.Perm, f.Col)
+		}
+		ix.Full.Ascend(func(t tuple.Tuple) bool {
+			for i, f := range filters {
+				if f.Values.Get(t[pos[i]:pos[i]+1]) != nil {
+					if ix.delta.Insert(t) && id == 0 {
+						r.deltaCount++ // Δ's size is counted on one index
+					}
+					break
+				}
+			}
+			return true
+		})
+	}
+	r.changedLast = Unsettled
+}
+
+// BeginDelete opens a deletion bracket. Between BeginDelete and EndDelete
+// any number of DeleteBatch calls may run (the invalidation loop issues one
+// per relation per round); the bracket-wide dropSet records every tuple
+// they drop, deduplicates an aggregated relation's candidates across rounds
+// and defers its accumulator compaction to EndDelete.
+func (r *Relation) BeginDelete() {
+	if r.dropSet == nil {
+		r.dropSet = wordmap.New(r.Indep, r.Dep())
+	} else {
+		r.dropSet.Reset()
+	}
+	r.deleting = true
+}
+
+// EndDelete closes a deletion bracket: an aggregated relation's accumulator
+// drops the bracket's keys in place, and the digest baselines are
+// invalidated so the next Materialize re-adopts them. Warm, it allocates
+// nothing. Dropped still reports the bracket until the next BeginDelete.
 func (r *Relation) EndDelete() {
-	if r.Agg == nil {
+	r.deleting = false
+	if r.Agg == nil || r.dropSet == nil || r.dropSet.Len() == 0 {
 		return
 	}
 	ds := r.dropSet
-	r.dropSet = nil
-	if ds == nil || ds.Len() == 0 {
-		return
-	}
-	fresh := wordmap.NewWithCapacity(r.Indep, r.Dep(), r.acc.Len())
-	r.acc.Each(func(indep, dep []tuple.Value) bool {
-		if ds.Get(indep) == nil {
-			v, _ := fresh.Upsert(indep)
-			copy(v, dep)
-		}
-		return true
-	})
-	r.acc = fresh
+	r.acc.Filter(func(key, _ []tuple.Value) bool { return ds.Get(key) == nil })
 	r.invalidateDigestBaseline()
+}
+
+// Dropped returns the tuples the last deletion bracket dropped on this rank,
+// in canonical column order, Arity words each and laid end to end; an
+// aggregated key carries the value it held. The words alias the bracket's
+// drop set and stay valid until the next BeginDelete or Clear.
+func (r *Relation) Dropped() []tuple.Value {
+	if r.dropSet == nil {
+		return nil
+	}
+	return r.dropSet.Words()
+}
+
+// BoundRetraction lets DeleteBatch keep an aggregated key whose stored value
+// is strictly better than a candidate's: that derivation did not attain it.
+// It is a no-op unless the lattice is selective (lattice.Selective), and
+// sound only if, besides, no rule derives a value of the relation better
+// than the value of a derived tuple it reads; otherwise a key could keep a
+// value whose only support is a cycle through the key itself. core decides
+// that per stratum. Call it uniformly, before any delete.
+func (r *Relation) BoundRetraction() {
+	r.bounded = r.Agg != nil && lattice.Selective(r.Agg)
 }
 
 // DeleteBatch removes a batch of candidate tuples from the relation and
 // seeds Δ with exactly the tuples actually dropped, so invalidation rounds
 // can chase their dependents through the stratum's rules. It is collective
 // and must be called on every rank (candidates may differ per rank; they
-// are routed to their owners first). Candidates are canonical-order tuples;
-// for aggregated relations only the independent prefix matters — the key is
-// dropped whatever dependent value it currently holds (over-approximate
-// invalidation). Candidates already dropped in this bracket, or not present
-// at all, are skipped. Returns the global number of tuples dropped this
-// call (identical on every rank) and caches it as the relation's changed
-// count.
+// are routed to their owners first). Candidates are canonical-order tuples.
+// A set relation drops the candidates it holds. An aggregated relation
+// drops a candidate's key whatever it holds, unless its retraction is
+// bounded (BoundRetraction) and the stored value is strictly better than
+// the candidate's, which then did not attain it. Candidates already
+// dropped in this bracket, or not present at all, are skipped. Returns the
+// global number of tuples dropped this call (identical on every rank) and
+// caches it as the relation's changed count.
 //
-// Aggregated relations must be inside a BeginDelete/EndDelete bracket: the
-// accumulator still holds dropped keys until EndDelete compacts it, so
-// reads between batches must consult Δ/FULL (which this call maintains),
-// not Lookup.
+// Aggregated relations must be inside a BeginDelete/EndDelete bracket (one
+// opens if none is): the accumulator still holds dropped keys until
+// EndDelete compacts it, so reads between batches must consult Δ/FULL
+// (which this call maintains), not Lookup.
 func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 	size := r.comm.Size()
 
@@ -126,7 +178,7 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 	for _, ix := range r.indexes {
 		ix.resetDelta()
 	}
-	if r.Agg != nil && r.dropSet == nil {
+	if r.Agg != nil && !r.deleting {
 		r.BeginDelete()
 	}
 
@@ -159,7 +211,10 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 				}
 				v := r.acc.Get(key)
 				if v == nil {
-					continue // over-approximation reached a key never derived
+					continue // invalidation reached a key never derived
+				}
+				if r.bounded && r.Agg.Compare(v, t[r.Indep:]) == lattice.Greater {
+					continue // strictly better support: the candidate does not attain v
 				}
 				dv, _ := r.dropSet.Upsert(key)
 				copy(dv, v)
@@ -176,6 +231,9 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 				if canon.Full.Delete(t) {
 					canon.delta.Insert(t)
 					removed.Append(t)
+					if r.deleting {
+						r.dropSet.Upsert(t)
+					}
 				}
 			}
 		}

@@ -133,6 +133,8 @@ type Relation struct {
 	placeScratch tuple.Tuple
 	// deltaCount is the number of tuples (keys, for an aggregated relation)
 	// the last pass changed on this rank: Δ's size whichever indexes exist.
+	// SeedDelta adds what it puts into index 0's Δ, so only the sum over
+	// ranks, which is all anything reads, stays exact.
 	deltaCount int
 
 	// changedLast caches the global changed-count from the most recent
@@ -149,12 +151,17 @@ type Relation struct {
 	leaky     *LeakySpec
 	leakyBest *wordmap.Map
 
-	// dropSet records the independent keys dropped so far inside a
-	// BeginDelete/EndDelete bracket (aggregated relations only): key → the
-	// dependent value the key held when it was dropped. It deduplicates
-	// repeated invalidation candidates and drives the accumulator rebuild in
-	// EndDelete. See delete.go.
-	dropSet *wordmap.Map
+	// dropSet records what the current or last BeginDelete/EndDelete
+	// bracket dropped: independent key → the dependent value it held (a set
+	// relation's whole tuples, no value). It deduplicates repeated
+	// invalidation candidates, drives the accumulator compaction in
+	// EndDelete and is what Dropped reports; deleting is set inside the
+	// bracket. See delete.go.
+	dropSet  *wordmap.Map
+	deleting bool
+	// bounded lets DeleteBatch keep a key whose value is strictly better
+	// than a candidate's (BoundRetraction).
+	bounded bool
 
 	// Reusable scratch for the materialization hot path. All of it is
 	// rank-private and reset at each use; nothing here survives a call
@@ -637,13 +644,13 @@ func (r *Relation) EachAcc(fn func(tuple.Tuple)) {
 func (r *Relation) SetChangedLast(n uint64) { r.changedLast = n }
 
 // MemWords reports this rank's accounted storage footprint for the
-// relation, in words: the accumulator arena, every index's
-// FULL and Δ trees, and the reusable exchange scratch. Each term is an O(1)
-// capacity read, so the memory accountant can sample it every iteration
-// without touching the hot path.
+// relation, in words: the accumulator arena, every index's FULL and Δ
+// trees, the last delete's drop set and the reusable exchange scratch.
+// Each term is an O(1) capacity read, so the memory accountant can sample
+// it every iteration without touching the hot path.
 func (r *Relation) MemWords() int64 {
 	var w int64
-	for _, m := range []*wordmap.Map{r.acc, r.leakyBest, r.partial} {
+	for _, m := range []*wordmap.Map{r.acc, r.leakyBest, r.partial, r.dropSet} {
 		if m != nil {
 			w += m.MemWords()
 		}

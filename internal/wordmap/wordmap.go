@@ -8,9 +8,10 @@
 // table is open-addressing with linear probing over a power-of-two slot
 // array; keys and values live contiguously in a single flat arena
 // ([]tuple.Value), so there are no per-entry slice headers, no string
-// conversions, and no boxed values. Entries are never deleted (the relation
-// layer rebuilds tables wholesale on the cold redistribution path), which
-// keeps growth tombstone-free: a rehash just re-seats live entries.
+// conversions, and no boxed values. Entries are never deleted one at a
+// time: Filter drops a batch by compacting the arena and re-seating every
+// slot, which keeps probing tombstone-free, as a rehash just re-seats live
+// entries.
 //
 // Entry references returned by Get/Upsert/Each alias the arena and stay
 // valid only until the next Upsert (which may grow the arena) or Reset.
@@ -185,6 +186,11 @@ func (m *Map) grow() {
 func (m *Map) rehash(capacity int) {
 	m.slots = make([]uint32, capacity)
 	m.mask = uint64(capacity - 1)
+	m.reseat()
+}
+
+// reseat points the (empty) slot array at every live entry.
+func (m *Map) reseat() {
 	for e := 0; e < m.n; e++ {
 		off := e * m.stride
 		i := hashWords(m.arena[off:off+m.keyW]) & m.mask
@@ -193,6 +199,28 @@ func (m *Map) rehash(capacity int) {
 		}
 		m.slots[i] = uint32(e + 1)
 	}
+}
+
+// Filter keeps the entries keep accepts and drops the rest, in place: the
+// survivors slide down the arena in insertion order and the slot array, at
+// its current size, is re-seated over them. It allocates nothing. Both
+// slices alias the arena; keep must not Upsert into or Reset the map.
+func (m *Map) Filter(keep func(key, val []tuple.Value) bool) {
+	n := 0
+	for e := 0; e < m.n; e++ {
+		off := e * m.stride
+		if !keep(m.arena[off:off+m.keyW:off+m.keyW], m.arena[off+m.keyW:off+m.stride:off+m.stride]) {
+			continue
+		}
+		if n != e {
+			copy(m.arena[n*m.stride:], m.arena[off:off+m.stride])
+		}
+		n++
+	}
+	m.n = n
+	m.arena = m.arena[:n*m.stride]
+	clear(m.slots)
+	m.reseat()
 }
 
 // Each calls fn for every entry in insertion order until fn returns false.

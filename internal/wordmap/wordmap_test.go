@@ -267,3 +267,70 @@ func TestUpsertExistingAllocFree(t *testing.T) {
 		t.Fatalf("Upsert/Get of existing keys: %v allocs/run, want 0", allocs)
 	}
 }
+
+// TestFilterCompactsInPlace drops random subsets from a map grown past
+// several rehashes and checks it against a Go map: survivors keep their
+// values and insertion order, dropped keys are gone, later Upserts insert
+// and find as usual, and the map keeps its backing storage.
+func TestFilterCompactsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := New(2, 1)
+	ref := map[[2]tuple.Value]tuple.Value{}
+	var order [][2]tuple.Value
+	for round := 0; round < 20; round++ {
+		for i := 0; i < 200; i++ {
+			k := [2]tuple.Value{tuple.Value(rng.Intn(500)), tuple.Value(rng.Intn(3))}
+			v, ins := m.Upsert(k[:])
+			if ins {
+				order = append(order, k)
+			}
+			v[0] = tuple.Value(rng.Int63())
+			ref[k] = v[0]
+		}
+		words, slots := cap(m.arena), len(m.slots)
+		drop := tuple.Value(rng.Intn(5))
+		m.Filter(func(key, val []tuple.Value) bool { return (key[0]+val[0])%5 != drop })
+		kept := order[:0]
+		for _, k := range order {
+			if (k[0]+ref[k])%5 != drop {
+				kept = append(kept, k)
+			} else {
+				delete(ref, k)
+			}
+		}
+		order = kept
+		if m.Len() != len(ref) || cap(m.arena) != words || len(m.slots) != slots {
+			t.Fatalf("round %d: len %d (want %d), arena cap %d→%d, slots %d→%d",
+				round, m.Len(), len(ref), words, cap(m.arena), slots, len(m.slots))
+		}
+		for e, k := range order {
+			key, val := m.At(e)
+			if key[0] != k[0] || key[1] != k[1] || val[0] != ref[k] {
+				t.Fatalf("round %d: entry %d = %v→%v, want %v→%d", round, e, key, val, k, ref[k])
+			}
+			if got := m.Get(k[:]); got == nil || got[0] != ref[k] {
+				t.Fatalf("round %d: Get(%v) = %v, want %d", round, k, got, ref[k])
+			}
+		}
+	}
+}
+
+// TestFilterAllocFree pins the in-place compaction: dropping half the keys
+// of a warmed map and re-inserting them allocates nothing.
+func TestFilterAllocFree(t *testing.T) {
+	m := NewWithCapacity(1, 1, 1024)
+	for i := 0; i < 1024; i++ {
+		m.Upsert([]tuple.Value{tuple.Value(i)})
+	}
+	key := make([]tuple.Value, 1)
+	allocs := testing.AllocsPerRun(50, func() {
+		m.Filter(func(k, _ []tuple.Value) bool { return k[0]%2 == 0 })
+		for i := 1; i < 1024; i += 2 {
+			key[0] = tuple.Value(i)
+			m.Upsert(key)
+		}
+	})
+	if allocs != 0 || m.Len() != 1024 {
+		t.Fatalf("Filter and refill: %v allocs/run, %d entries; want 0 and 1024", allocs, m.Len())
+	}
+}
