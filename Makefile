@@ -54,7 +54,9 @@ chaos:
 # so they are exactly where races would hide. The storage B-tree then takes
 # a bounded fuzz pass: random Insert/Delete/UpsertPrefix/Reset/Build/scan
 # sequences at arities 1-4 against a sorted-slice reference, and so does the
-# bulk-load sort: byte-coded batches at arities 1-4 through tuple.SortedRun's
+# sorted run an index's Δ lives in: random batches at arities 1-4, refilled
+# into one run, read back (Len, Ascend, AscendPrefix with an early stop, Has)
+# against a tree of the same batch, and so does the bulk-load sort: byte-coded batches at arities 1-4 through tuple.SortedRun's
 # radix sort against the comparison sort it replaced, and so does the rule
 # compiler: random head and condition term trees, three deep over every op
 # kind, through the flat op list against a tree walk, and so does
@@ -80,6 +82,7 @@ verify: vet
 	$(GO) test -race -count=10 -run RecycledRows ./internal/mpi
 	$(GO) test -count=1 -run 'Allocs|AllocFree' ./internal/...
 	$(GO) test -run '^$$' -fuzz FuzzAgainstSortedSlice -fuzztime 15s -fuzzminimizetime 10x ./internal/btree
+	$(GO) test -run '^$$' -fuzz FuzzRunAgainstTree -fuzztime 10s -fuzzminimizetime 10x ./internal/btree
 	$(GO) test -run '^$$' -fuzz FuzzSortedRun -fuzztime 10s -fuzzminimizetime 10x ./internal/tuple
 	$(GO) test -run '^$$' -fuzz FuzzCompiledTerms -fuzztime 10s -fuzzminimizetime 10x ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDeletionHistories -fuzztime 10s -fuzzminimizetime 10x ./internal/core

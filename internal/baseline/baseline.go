@@ -251,7 +251,7 @@ func finalAggregate(c *mpi.Comm, mc *metrics.Collector, ix *relation.Index, inde
 	send := make([][]mpi.Word, size)
 	arity := len(ix.Perm)
 	scanned := int64(0)
-	ix.Full.Ascend(func(t tuple.Tuple) bool {
+	ix.Full().Ascend(func(t tuple.Tuple) bool {
 		scanned++
 		dest := int(t.HashPrefix(indep) % uint64(size))
 		send[dest] = append(send[dest], t...)

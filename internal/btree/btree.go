@@ -2,7 +2,9 @@
 // storage, mirroring the nested-BTree indexes of the paper's C++ runtime.
 // Tuples are ordered lexicographically; the index columns of a relation form
 // a key prefix, so a join probe is a prefix range scan with O(log n) seek —
-// the access pattern the paper's inner relation benefits from.
+// the access pattern the paper's inner relation benefits from. A version
+// that is written once per pass and then only read, an index's Δ, is a Run
+// instead: the same order and readers over one flat sorted slice.
 //
 // Storage is flat: a node holds its tuples' words inline, one after another
 // at a fixed stride, so a compare reads the node's own memory and an insert
@@ -14,7 +16,7 @@
 // Tuples handed to Ascend/AscendPrefix callbacks are views into node
 // storage: valid only until the callback returns, and never to be retained
 // or used as an argument to a mutating call on the same tree. Readers (Has,
-// Len, Ascend, AscendPrefix, Count, Serialize) touch no tree-owned scratch,
+// Len, Ascend, AscendPrefix, Serialize) touch no tree-owned scratch,
 // so any number of them may run concurrently with each other.
 package btree
 
@@ -294,10 +296,8 @@ func (t *Tree) Build(arity int, run []tuple.Value) {
 		panic(fmt.Sprintf("btree: Build of %d words at arity %d", len(run), arity))
 	}
 	count := len(run) / arity
-	for i := 1; i < count; i++ {
-		if cmpWords(run[(i-1)*arity:i*arity], run[i*arity:(i+1)*arity]) >= 0 {
-			panic("btree: Build run not strictly ascending")
-		}
+	if !ascending(arity, run) {
+		panic("btree: Build run not strictly ascending")
 	}
 	height, reach := 0, maxItems
 	for reach < count {
@@ -434,13 +434,6 @@ func (t *Tree) ascendPrefix(n *node, prefix tuple.Tuple, fn func(tuple.Tuple) bo
 			return false
 		}
 	}
-}
-
-// Count returns the number of tuples matching the prefix.
-func (t *Tree) Count(prefix tuple.Tuple) int {
-	n := 0
-	t.AscendPrefix(prefix, func(tuple.Tuple) bool { n++; return true })
-	return n
 }
 
 // Serialize appends every tuple, in order, to a flat word buffer of the

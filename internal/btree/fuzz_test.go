@@ -205,3 +205,100 @@ func checkShape(t *testing.T, tr *Tree) {
 	}
 	walk(tr.root, 0)
 }
+
+// FuzzRunAgainstTree fills one Run and a fresh Tree with the same
+// byte-coded batch, several times over the one run, and checks the run's
+// readers against the tree's: Len, Ascend, AscendPrefix at every prefix
+// length with an early stop, and Has on every tuple of the batch and of the
+// next one.
+//
+// Byte 0 picks the arity (1–4) and byte 1 the early stop: a prefix scan
+// stops after 1 + byte 1 % 8 matches. The rest is batches, each a count
+// byte and then that many tuples of one byte per column, column 0 taken
+// whole and the others mod 4, so batches repeat tuples and share prefixes.
+func FuzzRunAgainstTree(f *testing.F) {
+	for _, seed := range []int64{1, 42, 99} {
+		rng := rand.New(rand.NewSource(seed))
+		for arity := byte(0); arity < 4; arity++ {
+			data := make([]byte, 2+6*(1+255*(1+int(arity))))
+			rng.Read(data)
+			data[0] = arity
+			f.Add(data)
+		}
+	}
+	f.Add([]byte{2, 0, 3, 1, 1, 0, 0, 1, 1, 0, 2, 1, 1})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		arity, stop := 1+int(data[0]%4), 1+int(data[1]%8)
+		var batches [][]tuple.Tuple
+		for data = data[2:]; len(data) > 0; {
+			n := int(data[0])
+			data = data[1:]
+			var batch []tuple.Tuple
+			for ; n > 0 && len(data) >= arity; n-- {
+				k := make(tuple.Tuple, arity)
+				k[0] = tuple.Value(data[0])
+				for c := 1; c < arity; c++ {
+					k[c] = tuple.Value(data[c] % 4)
+				}
+				batch = append(batch, k)
+				data = data[arity:]
+			}
+			batches = append(batches, batch)
+		}
+
+		var run Run
+		var s tuple.Sorter
+		for b, batch := range batches {
+			run.Reset(arity)
+			tr := New()
+			for _, k := range batch {
+				run.Append(k)
+				tr.Insert(k)
+			}
+			run.Sort(&s)
+			if run.Len() != tr.Len() {
+				t.Fatalf("batch %d: run Len = %d, tree Len = %d", b, run.Len(), tr.Len())
+			}
+			var want []tuple.Tuple
+			tr.Ascend(func(e tuple.Tuple) bool { want = append(want, e.Clone()); return true })
+			i := 0
+			run.Ascend(func(e tuple.Tuple) bool {
+				if i >= len(want) || !e.Equal(want[i]) {
+					t.Fatalf("batch %d: run Ascend item %d = %v, tree holds %v", b, i, e, want)
+				}
+				i++
+				return true
+			})
+			if i != len(want) {
+				t.Fatalf("batch %d: run Ascend visited %d of %d", b, i, len(want))
+			}
+			probes := batch
+			if b+1 < len(batches) {
+				probes = append(probes[:len(probes):len(probes)], batches[b+1]...)
+			}
+			for _, k := range probes {
+				if run.Has(k) != tr.Has(k) {
+					t.Fatalf("batch %d: run Has(%v) = %v, tree %v", b, k, run.Has(k), tr.Has(k))
+				}
+				for q := 0; q <= arity; q++ {
+					var got, ref []tuple.Tuple
+					collect := func(into *[]tuple.Tuple) func(tuple.Tuple) bool {
+						return func(e tuple.Tuple) bool {
+							*into = append(*into, e.Clone())
+							return len(*into) < stop
+						}
+					}
+					run.AscendPrefix(k[:q], collect(&got))
+					tr.AscendPrefix(k[:q], collect(&ref))
+					if !slices.EqualFunc(got, ref, tuple.Tuple.Equal) {
+						t.Fatalf("batch %d: AscendPrefix(%v) stopping at %d: run %v, tree %v", b, k[:q], stop, got, ref)
+					}
+				}
+			}
+		}
+	})
+}

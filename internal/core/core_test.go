@@ -414,7 +414,7 @@ func TestThreeAtomBodyChaining(t *testing.T) {
 			return fmt.Errorf("hop3 count = %d, want 10", got)
 		}
 		var wrong uint64
-		h.Canonical().Full.Ascend(func(tt tuple.Tuple) bool {
+		h.Canonical().Full().Ascend(func(tt tuple.Tuple) bool {
 			if tt[1] != (tt[0]+3)%10 {
 				wrong++
 			}

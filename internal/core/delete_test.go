@@ -291,7 +291,7 @@ func runHistory(p *Program, init map[string][]tuple.Tuple, batches []historyBatc
 					rel.EachAcc(func(t tuple.Tuple) { got[b][name] = append(got[b][name], t.Clone()) })
 					continue
 				}
-				rel.Canonical().Full.Ascend(func(t tuple.Tuple) bool {
+				rel.Canonical().Full().Ascend(func(t tuple.Tuple) bool {
 					got[b][name] = append(got[b][name], t.Clone())
 					return true
 				})

@@ -297,7 +297,7 @@ func runDistributed(p *Program, facts map[string][]tuple.Tuple, ranks int, cfg C
 				})
 				continue
 			}
-			rel.Canonical().Full.Ascend(func(t tuple.Tuple) bool {
+			rel.Canonical().Full().Ascend(func(t tuple.Tuple) bool {
 				collect <- struct {
 					rel string
 					t   tuple.Tuple

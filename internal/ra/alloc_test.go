@@ -9,6 +9,7 @@ package ra
 // accumulator, and the single-rank collective fast paths.
 
 import (
+	"fmt"
 	"testing"
 
 	"paralagg/internal/lattice"
@@ -113,8 +114,9 @@ func steadyStateAllocFree(t *testing.T, integrity bool) {
 // TestPressureCountsAndShedsCandidateBuffers: the memory accountant's
 // compute sample covers the fixpoint's candidate buffers — a set head's
 // growing buffer and an aggregated head's staging chunk — besides every
-// relation's storage, and soft pressure releases them with the relations'
-// scratch.
+// relation's storage, its Δ runs and the scratch a FULL catch-up leaves, and
+// soft pressure releases the buffers with the relations' scratch, the
+// catch-up's included, while the Δ runs stay.
 func TestPressureCountsAndShedsCandidateBuffers(t *testing.T) {
 	es := randGraph(60, 400, 23, 5)
 	err := mpi.NewWorld(1).Run(func(c *mpi.Comm) error {
@@ -122,6 +124,7 @@ func TestPressureCountsAndShedsCandidateBuffers(t *testing.T) {
 		edgeRel, _ := relation.New(relation.Schema{Name: "edge", Arity: 3, Indep: 3, Key: 1}, c, mc, relation.Config{})
 		sp, _ := relation.New(relation.Schema{Name: "spath", Arity: 3, Indep: 2, Key: 2, Agg: lattice.Min{}}, c, mc, relation.Config{})
 		spMid, _ := sp.AddIndex([]int{1, 0, 2}, 1)
+		sp.PlaceOn(spMid)
 		reach, _ := relation.New(relation.Schema{Name: "reach", Arity: 2, Indep: 2, Key: 1}, c, mc, relation.Config{})
 		edgeRel.LoadShare(len(es), func(i int, emit func(tuple.Tuple)) {
 			emit(tuple.Tuple{es[i].u, es[i].v, es[i].w})
@@ -142,6 +145,21 @@ func TestPressureCountsAndShedsCandidateBuffers(t *testing.T) {
 				}})
 		opts := Options{Plan: PlanDynamic, Acct: resource.NewAccountant(1 << 40)}
 		fx.Run(opts)
+		// The run changed spath after the seed's load built its FULL, one
+		// tuple; reading FULL now rebuilds it from the accumulator, and the
+		// permuted rows stay behind as scratch. Everything else spath
+		// accounts once its own scratch is shed is resident, its Δ runs
+		// included.
+		sp.ReleaseScratch()
+		resident := sp.MemWords()
+		if !spMid.CatchUp() {
+			return fmt.Errorf("spath's placement index was current after the run")
+		}
+		rows := int64(sp.LocalFullCount() * sp.Arity)
+		grown := spMid.Full().MemWords() - int64(sp.Arity) - 4 // the tree, less its one seed tuple
+		if got := sp.MemWords() - resident; got < grown+rows {
+			t.Errorf("a catch-up of %d rows grew the tree by %d words and the relation by %d", rows/int64(sp.Arity), grown, got)
+		}
 
 		var relWords, candWords int64
 		for _, r := range fx.allRels {
@@ -168,6 +186,10 @@ func TestPressureCountsAndShedsCandidateBuffers(t *testing.T) {
 			if n := int64(cap(fx.cands[h].Words)); n != 0 {
 				t.Errorf("soft pressure left %s's candidate buffer at %d words", h.Name, n)
 			}
+		}
+		if got, want := sp.MemWords(), resident+grown; got != want {
+			t.Errorf("after soft pressure spath accounts %d words, want %d: its resident ones and the caught-up tree's %d",
+				got, want, grown)
 		}
 		return nil
 	})

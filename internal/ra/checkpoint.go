@@ -19,7 +19,7 @@ import (
 )
 
 // Checkpoint/restart for the fixpoint. Every K iterations each rank
-// snapshots the stratum's relations (FULL and Δ trees, accumulator,
+// snapshots the stratum's relations (every index's FULL and Δ, accumulator,
 // sub-bucket map, changed counts) through a sink; after a rank failure a
 // fresh world reloads the latest agreed snapshot and re-runs to the
 // identical fixpoint. The snapshot is rank-local (shards never cross the

@@ -129,7 +129,7 @@ func fpHash(t tuple.Tuple) uint64 {
 func fingerprint(c *mpi.Comm, r *relation.Relation) relFingerprint {
 	var fp relFingerprint
 	for _, ix := range r.Indexes() {
-		ix.Full.Ascend(func(t tuple.Tuple) bool { fp.Full += fpHash(t); return true })
+		ix.Full().Ascend(func(t tuple.Tuple) bool { fp.Full += fpHash(t); return true })
 		ix.Delta().Ascend(func(t tuple.Tuple) bool { fp.Delta += fpHash(t); return true })
 	}
 	r.EachAcc(func(t tuple.Tuple) { fp.Acc += fpHash(t) })

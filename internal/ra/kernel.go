@@ -8,7 +8,6 @@ import (
 	"math/bits"
 	"time"
 
-	"paralagg/internal/btree"
 	"paralagg/internal/metrics"
 	"paralagg/internal/mpi"
 	"paralagg/internal/obs"
@@ -36,45 +35,47 @@ func versionLen(ix *relation.Index, v Version) int {
 	case VDelta:
 		return ix.Delta().Len()
 	case VFullMinusDelta:
-		n := ix.Full.Len() - ix.Delta().Len()
+		n := ix.Full().Len() - ix.Delta().Len()
 		if n < 0 {
 			n = 0
 		}
 		return n
 	}
-	return ix.Full.Len()
+	return ix.Full().Len()
 }
 
-// scanVersion iterates the version's tuples in order.
+// scanVersion iterates the version's tuples in order: Δ's sorted run, or
+// FULL's tree.
 func scanVersion(ix *relation.Index, v Version, fn func(tuple.Tuple) bool) {
 	switch v {
 	case VDelta:
 		ix.Delta().Ascend(fn)
 	case VFullMinusDelta:
-		if delta := ix.Delta(); delta != ix.Full { // else Δ is FULL: FULL−Δ is empty
-			ix.Full.Ascend(notIn(delta, fn))
+		if delta := ix.Delta(); !delta.IsFull() { // else FULL−Δ is empty
+			ix.Full().Ascend(notIn(delta, fn))
 		}
 	default:
-		ix.Full.Ascend(fn)
+		ix.Full().Ascend(fn)
 	}
 }
 
-// probeVersion scans the version's tuples matching the join-key prefix.
+// probeVersion scans the version's tuples matching the join-key prefix: a
+// binary search of Δ's run, or a descent of FULL's tree.
 func probeVersion(ix *relation.Index, v Version, prefix tuple.Tuple, fn func(tuple.Tuple) bool) {
 	switch v {
 	case VDelta:
 		ix.Delta().AscendPrefix(prefix, fn)
 	case VFullMinusDelta:
-		if delta := ix.Delta(); delta != ix.Full {
-			ix.Full.AscendPrefix(prefix, notIn(delta, fn))
+		if delta := ix.Delta(); !delta.IsFull() {
+			ix.Full().AscendPrefix(prefix, notIn(delta, fn))
 		}
 	default:
-		ix.Full.AscendPrefix(prefix, fn)
+		ix.Full().AscendPrefix(prefix, fn)
 	}
 }
 
-// notIn wraps fn to skip the tuples delta holds.
-func notIn(delta *btree.Tree, fn func(tuple.Tuple) bool) func(tuple.Tuple) bool {
+// notIn wraps fn to skip the tuples delta holds, found by binary search.
+func notIn(delta relation.View, fn func(tuple.Tuple) bool) func(tuple.Tuple) bool {
 	return func(t tuple.Tuple) bool {
 		return delta.Len() > 0 && delta.Has(t) || fn(t)
 	}
@@ -145,6 +146,9 @@ func nonEmptyLanes(send [][]mpi.Word, self int) int64 {
 // semi-naïve sides — and writes head tuples into out. It is collective
 // unless the join is co-partitioned, in which case it is rank-local.
 //
+// A side read as FULL catches up first (relation.Index.CatchUp); the
+// rebuild is rank-local index upkeep, metered as PhaseLocalAgg.
+//
 // Phases, as in Fig. 1: dynamic join planning (a one-word vote per rank,
 // Algorithm 1), intra-bucket communication (the outer relation's selected
 // version is serialized and replicated to the inner's sub-bucket homes),
@@ -157,6 +161,13 @@ func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collecto
 	comm := j.LeftRel.Comm()
 	rank, size := comm.Rank(), comm.Size()
 	local := relation.CoPartitioned(j.Left, j.Right, j.JK)
+
+	upkeep := metrics.StartTimer()
+	caughtUp := vl != VDelta && j.Left.CatchUp()
+	caughtUp = vr != VDelta && j.Right.CatchUp() || caughtUp
+	if caughtUp {
+		mc.Record(rank, iter, metrics.PhaseLocalAgg, upkeep.Done(0, 0, 0))
+	}
 
 	// Dynamic join planning (Algorithm 1): each rank votes with one word;
 	// an Allreduce tallies. If a majority finds the left side smaller, the

@@ -16,6 +16,15 @@ import (
 
 type edge struct{ u, v, w uint64 }
 
+// unpermute maps a stored tuple of ix back to canonical column order.
+func unpermute(ix *relation.Index, stored tuple.Tuple) tuple.Tuple {
+	out := make(tuple.Tuple, len(ix.Perm))
+	for i, c := range ix.Perm {
+		out[c] = stored[i]
+	}
+	return out
+}
+
 func randGraph(nodes, edges int, seed int64, maxW uint64) []edge {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]edge, 0, edges)
@@ -182,7 +191,7 @@ func runTC(t *testing.T, ranks, nodes int, es []edge, subs int, mode PlanMode) {
 
 		// Validate: count matches and every local tuple is in the reference.
 		var local, wrong uint64
-		pathRel.Canonical().Full.Ascend(func(tt tuple.Tuple) bool {
+		pathRel.Canonical().Full().Ascend(func(tt tuple.Tuple) bool {
 			local++
 			if !want[[2]uint64{tt[0], tt[1]}] {
 				wrong++
@@ -512,7 +521,7 @@ func TestResetDeltaEnablesNextStratum(t *testing.T) {
 // ResetDelta, Δ of every index is FULL itself — VDelta reads exactly what
 // VFull reads and FULL−Δ reads nothing, on every rank, one of which holds
 // an empty shard of "lonely" — and the snapshot still lists Δ's tuples word
-// for word as a copy of FULL would. The next pass gives Δ a tree of its own
+// for word as a copy of FULL would. The next pass gives Δ a run of its own
 // that holds only what that pass changed.
 func TestBulkLoadDeltaIsAViewOfFull(t *testing.T) {
 	const ranks = 2
@@ -535,7 +544,7 @@ func TestBulkLoadDeltaIsAViewOfFull(t *testing.T) {
 				emit(t)
 			}
 		})
-		if n := lonely.Canonical().Full.Len(); (n == 0) != (c.Rank() == 1) {
+		if n := lonely.Canonical().Full().Len(); (n == 0) != (c.Rank() == 1) {
 			return fmt.Errorf("rank %d holds %d lonely tuples; want them all on rank 0", c.Rank(), n)
 		}
 
@@ -606,11 +615,11 @@ func TestBulkLoadDeltaIsAViewOfFull(t *testing.T) {
 			}
 			r.Materialize(2, buf, false)
 			for x, ix := range r.Indexes() {
-				if ix.Delta() == ix.Full {
+				if ix.Delta().IsFull() {
 					return fmt.Errorf("after the next pass: rank %d %s index %d: Δ is still FULL", c.Rank(), r.Name, x)
 				}
 				for _, d := range scan(ix, VDelta) {
-					if r == lonely || !ix.Unpermute(d).Equal(tuple.Tuple{1000, 1001, 7}) {
+					if r == lonely || !unpermute(ix, d).Equal(tuple.Tuple{1000, 1001, 7}) {
 						return fmt.Errorf("after the next pass: rank %d %s index %d: Δ holds %v", c.Rank(), r.Name, x, d)
 					}
 				}

@@ -12,6 +12,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"paralagg/internal/btree"
 	"paralagg/internal/lattice"
 	"paralagg/internal/metrics"
 	"paralagg/internal/mpi"
@@ -60,11 +61,11 @@ func TestAccInsertExistingAllocFree(t *testing.T) {
 
 // TestAggImprovingTwoIndexesAllocFree is the changed-tuple twin: every key
 // of the batch strictly improves, so every tuple of it goes the whole way —
-// accumulator merge, fresh buffer, routing to both index replicas, the
-// one-descent replace in each FULL tree and an insert into each Δ tree that
-// was emptied at the top of the pass. Inline node storage, the Δ trees'
-// node free lists and the in-place overwrite make that path allocate
-// nothing per changed tuple.
+// accumulator merge, fresh buffer, routing to both indexes, the one-descent
+// replace in the replica's FULL tree, the local index's FULL marked stale,
+// and each index's Δ run refilled and sorted in the capacity the previous
+// pass left. Inline node storage, the in-place overwrite and the reused runs
+// and sort scratch make that path allocate nothing per changed tuple.
 func TestAggImprovingTwoIndexesAllocFree(t *testing.T) {
 	for _, subs := range allocSubs {
 		t.Run(fmt.Sprintf("subs=%d", subs), func(t *testing.T) {
@@ -95,7 +96,7 @@ func TestAggImprovingTwoIndexesAllocFree(t *testing.T) {
 						t.Fatalf("improving batch changed %d keys, want %d", changed, accBenchKeys)
 					}
 				}
-				// Two passes warm the scratch and stock the Δ trees' free lists.
+				// Two passes warm the scratch and grow the Δ runs.
 				improve()
 				improve()
 				if allocs := testing.AllocsPerRun(100, improve); allocs != 0 {
@@ -103,9 +104,12 @@ func TestAggImprovingTwoIndexesAllocFree(t *testing.T) {
 						allocs, accBenchKeys)
 				}
 				for _, ix := range r.Indexes() {
-					if ix.Full.Len() != accBenchKeys || ix.Delta().Len() != accBenchKeys {
-						t.Errorf("index %v holds %d FULL / %d Δ tuples, want %d each",
-							ix.Perm, ix.Full.Len(), ix.Delta().Len(), accBenchKeys)
+					if d := ix.Delta(); d.IsFull() || d.Len() != accBenchKeys {
+						t.Errorf("index %v: Δ is a view of FULL %v, holds %d tuples, want a run of %d",
+							ix.Perm, d.IsFull(), d.Len(), accBenchKeys)
+					}
+					if ix.Full().Len() != accBenchKeys {
+						t.Errorf("index %v holds %d FULL tuples, want %d", ix.Perm, ix.Full().Len(), accBenchKeys)
 					}
 				}
 				return r.CheckInvariants()
@@ -118,7 +122,10 @@ func TestAggImprovingTwoIndexesAllocFree(t *testing.T) {
 }
 
 // TestSetDedupExistingAllocFree is the set-semantics twin: re-materializing
-// already-stored tuples is pure dedup probing and must not allocate.
+// already-stored tuples is pure dedup probing and must not allocate. Nor
+// does a warm cycle that changes tuples: a DeleteBatch of half of them and a
+// Materialize that puts them back each sort their Δ run (the removals, then
+// the survivors of dedup) in capacity and scratch the relation keeps.
 func TestSetDedupExistingAllocFree(t *testing.T) {
 	w := mpi.NewWorld(1)
 	err := w.Run(func(c *mpi.Comm) error {
@@ -127,9 +134,16 @@ func TestSetDedupExistingAllocFree(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		if _, err := r.AddIndex([]int{1, 0}, 1); err != nil {
+			return err
+		}
 		buf := tuple.NewBuffer(2, accBenchKeys)
+		half := tuple.NewBuffer(2, accBenchKeys/2)
 		for k := 0; k < accBenchKeys; k++ {
 			buf.Append(tuple.Tuple{tuple.Value(k % 37), tuple.Value(k)})
+			if k%2 == 1 {
+				half.Append(buf.At(k))
+			}
 		}
 		r.Materialize(0, buf, false)
 		r.Materialize(1, buf, false)
@@ -139,10 +153,104 @@ func TestSetDedupExistingAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("existing-tuple set materialization: %v allocs/op, want 0", allocs)
 		}
-		return nil
+		cycle := func() {
+			if got := r.DeleteBatch(half); got != uint64(half.Len()) {
+				t.Errorf("dropped %d tuples, want %d", got, half.Len())
+			}
+			if got := r.Materialize(3, buf, false); got != uint64(half.Len()) {
+				t.Errorf("re-materialized %d tuples, want %d", got, half.Len())
+			}
+		}
+		cycle()
+		cycle()
+		if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+			t.Errorf("delete-and-reinsert set cycle: %v allocs/op, want 0", allocs)
+		}
+		for _, ix := range r.Indexes() {
+			if d := ix.Delta(); d.IsFull() || d.Len() != half.Len() {
+				t.Errorf("index %v: Δ is a view of FULL %v, holds %d tuples, want a run of %d",
+					ix.Perm, d.IsFull(), d.Len(), half.Len())
+			}
+		}
+		return r.CheckInvariants()
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCatchUpAllocFree pins the rebuild of a local index's FULL from the
+// accumulator: once warm, a pass that improves every key (which leaves FULL
+// stale) and the FULL read that catches it up allocate nothing, because
+// the permuted rows, the sort and the tree's nodes all reuse what the
+// previous catch-up left.
+func TestCatchUpAllocFree(t *testing.T) {
+	for _, subs := range allocSubs {
+		t.Run(fmt.Sprintf("subs=%d", subs), func(t *testing.T) {
+			w := mpi.NewWorld(1)
+			err := w.Run(func(c *mpi.Comm) error {
+				r, err := New(Schema{Name: "sp", Arity: 3, Indep: 2, Key: 1, Agg: lattice.Min{}},
+					c, metrics.NewCollector(1), Config{Subs: subs})
+				if err != nil {
+					return err
+				}
+				ix, err := r.AddIndex([]int{1, 0, 2}, 1)
+				if err != nil {
+					return err
+				}
+				r.PlaceOn(ix)
+				best := tuple.Value(1 << 20)
+				buf := accBenchBuffer(false)
+				for k := 0; k < accBenchKeys; k++ {
+					buf.At(k)[2] = best
+				}
+				r.Materialize(0, buf, false) // a load builds FULL itself
+				cycle := func() {
+					best--
+					for k := 0; k < accBenchKeys; k++ {
+						buf.At(k)[2] = best
+					}
+					r.Materialize(1, buf, true)
+					if !ix.stale {
+						t.Error("an improving pass left the local index's FULL current")
+					}
+					if n := ix.Full().Len(); n != accBenchKeys {
+						t.Errorf("caught-up FULL holds %d tuples, want %d", n, accBenchKeys)
+					}
+				}
+				cycle()
+				cycle()
+				before := ix.catchUps
+				if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+					t.Errorf("improving pass and catch-up: %v allocs/op, want 0", allocs)
+				}
+				if ix.catchUps == before {
+					t.Error("the FULL reads caught nothing up")
+				}
+				// The Δ run is resident and counted by capacity; the catch-up
+				// rows and the sort scratch are counted and shed with the
+				// rest of the scratch.
+				counted := r.MemWords()
+				run := ix.delta
+				ix.delta = btree.Run{}
+				if got := counted - r.MemWords(); got != run.MemWords() || got == 0 {
+					t.Errorf("MemWords counts %d words of a Δ run holding %d", got, run.MemWords())
+				}
+				ix.delta = run
+				scratch := r.caughtUp.MemWords() + r.sorter.MemWords()
+				r.ReleaseScratch()
+				if r.caughtUp.MemWords() != 0 || r.sorter.MemWords() != 0 || ix.delta.MemWords() != run.MemWords() {
+					t.Error("ReleaseScratch kept the catch-up or sort scratch, or dropped Δ")
+				}
+				if shed := counted - r.MemWords(); shed < scratch || scratch == 0 {
+					t.Errorf("ReleaseScratch shed %d words, the catch-up and sort scratch alone held %d", shed, scratch)
+				}
+				return r.CheckInvariants()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

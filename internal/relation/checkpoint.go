@@ -4,16 +4,15 @@ import (
 	"fmt"
 	"math"
 
-	"paralagg/internal/btree"
 	"paralagg/internal/mpi"
 	"paralagg/internal/tuple"
 	"paralagg/internal/wordmap"
 )
 
 // Relation snapshots. A snapshot captures one rank's complete shard of a
-// relation — every registered index's FULL and Δ trees, the aggregate
-// accumulator, the sub-bucket count, the local Δ count, and the cached
-// global changed count — as a flat word buffer, the same representation the
+// relation — every registered index's FULL and Δ in ascending order, the
+// aggregate accumulator, the sub-bucket count, the local Δ count, and the
+// cached global changed count — as a flat word buffer, the same representation the
 // wire uses. Restoring the snapshot on a fresh (or poisoned-and-rebuilt) world
 // reproduces the rank's state bit for bit, which is what lets the fixpoint
 // driver resume mid-run after a rank failure and still reach the identical
@@ -35,9 +34,9 @@ func (r *Relation) SnapshotWords() []mpi.Word {
 	out = append(out, mpi.Word(r.subs), r.changedLast, mpi.Word(r.deltaCount))
 	out = append(out, mpi.Word(len(r.indexes)))
 	for _, ix := range r.indexes {
-		for _, tree := range []*btree.Tree{ix.Full, ix.Delta()} {
-			out = append(out, mpi.Word(tree.Len()))
-			tree.Ascend(func(t tuple.Tuple) bool {
+		for _, v := range [2]View{{tree: ix.Full()}, ix.Delta()} {
+			out = append(out, mpi.Word(v.Len()))
+			v.Ascend(func(t tuple.Tuple) bool {
 				out = append(out, t...)
 				return true
 			})
@@ -199,8 +198,7 @@ func (r *Relation) Restore(shards []Shard) error {
 	// the one shard read is exactly what is kept.
 	var keep []mpi.Word
 	for x, ix := range r.indexes {
-		ix.deltaIsFull = false
-		for which, tree := range [2]*btree.Tree{ix.Full, ix.delta} {
+		kept := func(which int) []mpi.Word { // FULL's tuples, then Δ's
 			keep = keep[:0]
 			for i := range split {
 				for run := split[i].trees[2*x+which]; len(run) > 0; run = run[r.Arity:] {
@@ -209,8 +207,14 @@ func (r *Relation) Restore(shards []Shard) error {
 					}
 				}
 			}
-			r.rebuild(tree, keep)
+			return keep
 		}
+		ix.full.Reset()
+		ix.full.Build(r.Arity, tuple.SortedRun(r.Arity, kept(0), nil))
+		ix.stale = false
+		ix.resetDelta()
+		ix.delta.Append(kept(1))
+		ix.delta.Sort(&r.sorter)
 	}
 
 	if r.Agg != nil {

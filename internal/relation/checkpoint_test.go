@@ -16,7 +16,7 @@ import (
 func dumpFull(r *Relation) []tuple.Tuple {
 	var out []tuple.Tuple
 	for _, ix := range r.Indexes() {
-		ix.Full.Ascend(func(t tuple.Tuple) bool {
+		ix.Full().Ascend(func(t tuple.Tuple) bool {
 			out = append(out, t.Clone())
 			return true
 		})

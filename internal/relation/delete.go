@@ -21,7 +21,7 @@ import (
 // (dropSet), which EndDelete filters the accumulator by in place and
 // Dropped reports.
 
-// ClearDelta empties every index's Δ tree and zeroes the Δ and cached
+// ClearDelta empties every index's Δ run and zeroes the Δ and cached
 // changed counts. It is rank-local but must be called uniformly (the changed
 // count gates collective join variants).
 func (r *Relation) ClearDelta() {
@@ -33,7 +33,7 @@ func (r *Relation) ClearDelta() {
 }
 
 // Clear resets the relation to its freshly loaded-nothing state: the
-// accumulator and every index's FULL and Δ trees are dropped. Rank-local;
+// accumulator and every index's FULL and Δ are dropped. Rank-local;
 // call uniformly. The serving engine's from-scratch fallback clears every
 // derived relation with it before reloading base facts from the relation's
 // base shadow.
@@ -46,8 +46,9 @@ func (r *Relation) Clear() {
 	}
 	r.dropSet, r.deleting = nil, false
 	for _, ix := range r.indexes {
-		ix.Full.Reset()
+		ix.full.Reset()
 		ix.resetDelta()
+		ix.stale = false
 	}
 	r.deltaCount = 0
 	r.changedLast = 0
@@ -55,8 +56,9 @@ func (r *Relation) Clear() {
 }
 
 // ResetDelta re-seeds Δ with the relation's entire FULL contents, as a view
-// (Index.Delta), and agrees its changed count, so a later stratum's rules
-// see previously computed tuples as fresh. Collective.
+// (Index.Delta, which catches a stale FULL up when read), and agrees its
+// changed count, so a later stratum's rules see previously computed tuples
+// as fresh. Collective.
 func (r *Relation) ResetDelta() {
 	for _, ix := range r.indexes {
 		ix.resetDelta()
@@ -88,17 +90,20 @@ func (r *Relation) SeedDelta(filters []Filter) {
 		for i, f := range filters {
 			pos[i] = slices.Index(ix.Perm, f.Col)
 		}
-		ix.Full.Ascend(func(t tuple.Tuple) bool {
+		held := ix.delta.Len()
+		ix.Full().Ascend(func(t tuple.Tuple) bool {
 			for i, f := range filters {
 				if f.Values.Get(t[pos[i]:pos[i]+1]) != nil {
-					if ix.delta.Insert(t) && id == 0 {
-						r.deltaCount++ // Δ's size is counted on one index
-					}
+					ix.delta.Append(t)
 					break
 				}
 			}
 			return true
 		})
+		ix.delta.Sort(&r.sorter)
+		if id == 0 {
+			r.deltaCount += ix.delta.Len() - held // Δ's size is counted on one index
+		}
 	}
 	r.changedLast = Unsettled
 }
@@ -174,12 +179,14 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 	size := r.comm.Size()
 
 	// Δ from the previous round has been consumed; this round's Δ holds
-	// exactly what this call drops.
-	for _, ix := range r.indexes {
-		ix.resetDelta()
-	}
+	// exactly what this call drops. A stale FULL catches up first: the drops
+	// below delete from it tuple by tuple.
 	if r.Agg != nil && !r.deleting {
 		r.BeginDelete()
+	}
+	for _, ix := range r.indexes {
+		ix.CatchUp()
+		ix.resetDelta()
 	}
 
 	// Phase A: route candidates to their owners (routeOf), as Materialize
@@ -228,8 +235,8 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 		for _, words := range recv {
 			for off := 0; off+r.Arity <= len(words); off += r.Arity {
 				t := tuple.Tuple(words[off : off+r.Arity])
-				if canon.Full.Delete(t) {
-					canon.delta.Insert(t)
+				if canon.full.Delete(t) {
+					canon.delta.Append(t)
 					removed.Append(t)
 					if r.deleting {
 						r.dropSet.Upsert(t)
@@ -240,12 +247,15 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 	}
 
 	// Phase B: delete the dropped tuples from every index that stores them
-	// and seed those indexes' Δ trees, exactly as maintainIndexes inserts.
+	// and seed those indexes' Δ runs, exactly as maintainIndexes inserts.
 	r.toIndexes(removed, func(id int, stored tuple.Tuple) {
-		if ix := r.indexes[id]; ix.Full.Delete(stored) {
-			ix.delta.Insert(stored)
+		if ix := r.indexes[id]; ix.full.Delete(stored) {
+			ix.delta.Append(stored)
 		}
 	})
+	for _, ix := range r.indexes {
+		ix.delta.Sort(&r.sorter)
+	}
 
 	r.deltaCount = removed.Len()
 	total := r.comm.Allreduce(uint64(removed.Len()), mpi.OpSum)

@@ -123,7 +123,7 @@ func TestSeedDeltaAddsSelectedFullTuples(t *testing.T) {
 		for _, ix := range r.Indexes() {
 			var mine []tuple.Value
 			ix.Delta().Ascend(func(st tuple.Tuple) bool {
-				mine = append(mine, ix.Unpermute(st)...)
+				mine = append(mine, unpermute(ix, st)...)
 				return true
 			})
 			var got []tuple.Tuple

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"paralagg/internal/btree"
 	"paralagg/internal/metrics"
 	"paralagg/internal/mpi"
 	"paralagg/internal/tuple"
@@ -22,9 +21,12 @@ import (
 //   replica:  Σ over every index's FULL tree  ==  nIndexes × reference
 //             (every B-tree replica stores the same global relation the
 //             reference store does; a flipped word in any one copy breaks
-//             the equality)
-//   delta:    Σ over every index's Δ tree  ==  nIndexes × Σ fresh tuples
-//             (each changed tuple reached every replica exactly once)
+//             the equality). A local index's stale FULL is no state — its
+//             next read rebuilds it from the accumulator — so it counts as
+//             the accumulator, and the drift check below covers it.
+//   delta:    Σ over every index's Δ run   ==  nIndexes × Σ fresh tuples
+//             (each changed tuple reached every replica exactly once; a Δ
+//             that is a view of FULL after a bulk load counts as FULL)
 //   history:  full_t == full_{t-1} + Δ_t for set-semantics relations
 //             (FULL only ever grows by exactly the deduplicated fresh
 //             tuples — this is what catches corruption of the canonical
@@ -93,23 +95,23 @@ func (ix *Index) digestInv() []int {
 	return ix.digInv
 }
 
-// digestTree sums per-tuple digests of tr's stored tuples mapped back to
+// digest sums per-tuple digests of v's stored tuples mapped back to
 // canonical column order through the inverse index permutation — no
 // intermediate copy — so every replica of the same logical tuple contributes
 // the same value regardless of its storage permutation. This walk is the
 // integrity layer's hot loop: it re-reads every stored word each iteration,
 // which is exactly what makes at-rest rot detectable.
-func (ix *Index) digestTree(tr *btree.Tree) uint64 {
+func (ix *Index) digest(v View) uint64 {
 	var sum uint64
 	inv := ix.digestInv()
 	if inv == nil {
-		tr.Ascend(func(stored tuple.Tuple) bool {
+		v.Ascend(func(stored tuple.Tuple) bool {
 			sum += digestTuple(stored)
 			return true
 		})
 		return sum
 	}
-	tr.Ascend(func(stored tuple.Tuple) bool {
+	v.Ascend(func(stored tuple.Tuple) bool {
 		h := uint64(digestSeed)
 		for _, p := range inv {
 			h = digestWord(h, uint64(stored[p]))
@@ -143,25 +145,34 @@ func digestBuffer(b *tuple.Buffer) uint64 {
 // integrityLocal fills vec with this rank's digest contributions and
 // returns the number of tuples hashed: [0] the reference store (acc for
 // aggregated relations, the canonical tree otherwise), [1] Σ over every
-// index FULL tree, [2] Σ over every index Δ tree, [3] this pass's fresh
-// tuples, [4] the accumulator drift (recomputed minus running digest;
-// always 0 for set relations).
+// index FULL tree, the accumulator standing in for a stale one, [2] Σ over
+// every index Δ, [3] this pass's fresh tuples, [4] the accumulator drift
+// (recomputed minus running digest; always 0 for set relations).
 func (r *Relation) integrityLocal(fresh *tuple.Buffer, vec []mpi.Word) int64 {
 	var ref, fullSum, deltaSum uint64
 	work := int64(0)
+	if r.Agg != nil {
+		ref = r.digestAcc()
+		work += int64(r.acc.Len())
+	}
 	for i, ix := range r.indexes {
-		fd := ix.digestTree(ix.Full)
+		fd := ref
+		if ix.stale {
+			work += int64(r.acc.Len())
+		} else {
+			fd = ix.digest(View{tree: ix.full})
+			work += int64(ix.full.Len())
+		}
 		fullSum += fd
-		deltaSum += ix.digestTree(ix.Delta())
-		work += int64(ix.Full.Len() + ix.Delta().Len())
+		delta := ix.Delta()
+		deltaSum += ix.digest(delta)
+		work += int64(delta.Len())
 		if i == 0 && r.Agg == nil {
 			ref = fd
 		}
 	}
 	vec[4] = 0
 	if r.Agg != nil {
-		ref = r.digestAcc()
-		work += int64(r.acc.Len())
 		if !r.accDigValid {
 			// First iteration, or the accumulator was legitimately rebuilt
 			// (restore): adopt the recomputed digest as the running baseline.
@@ -271,7 +282,7 @@ func (r *Relation) TamperState(mask mpi.Word) bool {
 		}
 		done := false
 		for _, ix := range r.indexes {
-			ix.Full.Ascend(func(t tuple.Tuple) bool {
+			ix.Full().Ascend(func(t tuple.Tuple) bool {
 				t[0] ^= mask
 				done = true
 				return false
@@ -283,7 +294,7 @@ func (r *Relation) TamperState(mask mpi.Word) bool {
 		return done
 	}
 	done := false
-	r.indexes[0].Full.Ascend(func(t tuple.Tuple) bool {
+	r.indexes[0].Full().Ascend(func(t tuple.Tuple) bool {
 		t[len(t)-1] ^= mask
 		done = true
 		return false

@@ -14,13 +14,15 @@ import (
 //
 //   - every tuple stored in every index maps to this rank under the
 //     placement function;
-//   - each index's Δ is a subset of its FULL version;
+//   - each index's Δ run is strictly ascending, and Δ is a subset of its
+//     FULL version;
 //   - every index holds the same global tuple count as the reference store
 //     (the accumulator for aggregated relations, the canonical index for
 //     sets);
 //   - for aggregated relations, each index holds at most one tuple per
-//     independent key, and mirrors the accumulator: a local index entry by
-//     entry, every index through the global sum of its tuple digests.
+//     independent key, and mirrors the accumulator: a local index, caught
+//     up first, entry by entry, every index through the global sum of its
+//     tuple digests.
 func (r *Relation) CheckInvariants() error {
 	var localErr error
 	fail := func(format string, args ...interface{}) {
@@ -30,7 +32,7 @@ func (r *Relation) CheckInvariants() error {
 	}
 
 	for id, ix := range r.indexes {
-		ix.Full.Ascend(func(t tuple.Tuple) bool {
+		ix.Full().Ascend(func(t tuple.Tuple) bool {
 			if !ix.ownedHere(t) {
 				fail("relation %s index %d: tuple %v stored on rank %d but placed elsewhere",
 					r.Name, id, t, r.comm.Rank())
@@ -38,8 +40,14 @@ func (r *Relation) CheckInvariants() error {
 			}
 			return true
 		})
+		var last tuple.Tuple
 		ix.Delta().Ascend(func(t tuple.Tuple) bool {
-			if !ix.Full.Has(t) {
+			if last != nil && last.Compare(t) >= 0 {
+				fail("relation %s index %d: Δ tuple %v does not ascend from %v", r.Name, id, t, last)
+				return false
+			}
+			last = append(last[:0], t...)
+			if !ix.full.Has(t) {
 				fail("relation %s index %d: Δ tuple %v missing from FULL", r.Name, id, t)
 				return false
 			}
@@ -50,7 +58,7 @@ func (r *Relation) CheckInvariants() error {
 		}
 		// One stored tuple per independent key.
 		var prev tuple.Tuple
-		ix.Full.Ascend(func(t tuple.Tuple) bool {
+		ix.full.Ascend(func(t tuple.Tuple) bool {
 			if prev != nil && prev.ComparePrefix(t, ix.indepLen) == 0 {
 				fail("relation %s index %d: duplicate entries for key of %v", r.Name, id, t)
 				return false
@@ -65,7 +73,7 @@ func (r *Relation) CheckInvariants() error {
 		// mirror a local accumulator value; the count check below catches
 		// accumulator entries it lacks.
 		canon := r.tupleScratch()
-		ix.Full.Ascend(func(t tuple.Tuple) bool {
+		ix.full.Ascend(func(t tuple.Tuple) bool {
 			for i, c := range ix.Perm {
 				canon[c] = t[i]
 			}
@@ -92,13 +100,13 @@ func (r *Relation) CheckInvariants() error {
 		refDigest = r.comm.Allreduce(r.digestAcc(), mpi.OpSum)
 	}
 	for id, ix := range r.indexes {
-		global := r.comm.Allreduce(uint64(ix.Full.Len()), mpi.OpSum)
+		global := r.comm.Allreduce(uint64(ix.full.Len()), mpi.OpSum)
 		if r.leaky == nil && global != refCount && localErr == nil {
 			localErr = fmt.Errorf("relation %s index %d: global count %d, reference %d",
 				r.Name, id, global, refCount)
 		}
 		if r.Agg != nil {
-			digest := r.comm.Allreduce(ix.digestTree(ix.Full), mpi.OpSum)
+			digest := r.comm.Allreduce(ix.digest(View{tree: ix.full}), mpi.OpSum)
 			if digest != refDigest && localErr == nil {
 				localErr = fmt.Errorf("relation %s index %d: stored tuples do not mirror the accumulator", r.Name, id)
 			}

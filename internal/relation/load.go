@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"paralagg/internal/btree"
-	"paralagg/internal/tuple"
-)
+import "paralagg/internal/tuple"
 
 // LoadFacts bulk-loads base facts through the normal materialization path:
 // each rank contributes the slice of facts it "read" (canonical column
@@ -26,12 +23,4 @@ func (r *Relation) LoadShare(n int, gen func(i int, emit func(tuple.Tuple))) uin
 		gen(i, func(t tuple.Tuple) { buf.Append(t) })
 	}
 	return r.LoadFacts(buf)
-}
-
-// rebuild replaces a tree's contents with the distinct tuples of words: one
-// sort (skipped when the words already ascend, as a snapshot's do) and one
-// bottom-up build, reusing the tree's nodes.
-func (r *Relation) rebuild(tree *btree.Tree, words []tuple.Value) {
-	tree.Reset()
-	tree.Build(r.Arity, tuple.SortedRun(r.Arity, words, nil))
 }

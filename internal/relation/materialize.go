@@ -52,14 +52,16 @@ const Unsettled = ^uint64(0)
 // routes this rank's newly generated tuples (canonical column order) to
 // their canonical homes, merges them — set semantics deduplicate, aggregated
 // relations lattice-join into the accumulator — computes the new Δ from the
-// tuples whose merged value actually changed, and maintains every index. It
-// returns the global number of changed tuples (identical on all ranks) and
+// tuples whose merged value actually changed, and maintains every index
+// (maintainIndexes: Δ becomes a sorted run of the changed tuples, and a
+// local index of an aggregated relation lets FULL go stale). It returns the
+// global number of changed tuples (identical on all ranks) and
 // must be called collectively (even with empty pending, so that Δ versions
 // flip). The count is agreed by one Allreduce (Settle); the fixpoint driver
 // calls Advance instead and lets the next pass's routing headers carry it.
 //
 // When record is true the pass meters PhaseAllToAll (tuple routing) and
-// PhaseLocalAgg (folding, merging and tree insertion). An aggregated
+// PhaseLocalAgg (folding, merging, tree insertion and sorting Δ). An aggregated
 // relation's records travel straight to their key's owner, whatever the
 // sub-bucket count, so the pass has one tuple exchange.
 func (r *Relation) Materialize(iter int, pending *tuple.Buffer, record bool) uint64 {
@@ -86,7 +88,7 @@ func (r *Relation) Advance(iter int, pending *tuple.Buffer, record bool) (entere
 
 	// Phase A: route new tuples to their canonical homes behind the header.
 	// Δ versions from the previous iteration have been consumed by now;
-	// their node storage is reused for this iteration's Δ. An aggregated
+	// their runs' storage is reused for this iteration's Δ. An aggregated
 	// relation ships one ⊔-folded record per independent key (fold).
 	delta, full := mpi.Word(r.LocalDeltaCount()), mpi.Word(r.LocalFullCount())
 	for _, ix := range r.indexes {
@@ -132,13 +134,14 @@ func (r *Relation) Advance(iter int, pending *tuple.Buffer, record bool) (entere
 	}
 
 	var fresh *tuple.Buffer
+	var upkeep int64
 	if r.Agg != nil {
-		fresh = r.materializeAgg(iter, recv, record)
+		fresh, upkeep = r.materializeAgg(iter, recv, record)
 	} else {
 		fresh = r.materializeSet(iter, recv, record)
 	}
 	r.deltaCount = fresh.Len()
-	r.maintainIndexes(iter, fresh, record)
+	r.maintainIndexes(iter, fresh, upkeep, record)
 	if r.integrity {
 		r.integrityAllreduce(iter, record)
 	}
@@ -212,7 +215,7 @@ func (r *Relation) routeOf(t tuple.Tuple) int {
 }
 
 // materializeSet deduplicates arrived tuples against the canonical index,
-// inserts survivors into FULL and Δ locally, and returns them (the
+// inserts survivors into FULL and Δ's run locally, and returns them (the
 // relation's fresh buffer) for the secondary indexes.
 func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) *tuple.Buffer {
 	rank := r.comm.Rank()
@@ -220,7 +223,7 @@ func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) *tup
 	canon := r.indexes[0]
 	var work int64
 	fresh := r.freshTuples()
-	if canon.Full.Len() == 0 {
+	if canon.full.Len() == 0 {
 		work = r.loadSet(recv, fresh)
 	} else {
 		for _, words := range recv {
@@ -230,13 +233,14 @@ func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) *tup
 					work++
 					continue
 				}
-				work += treeWork(canon.Full.Len())
-				if canon.Full.Insert(t) {
-					canon.delta.Insert(t)
+				work += treeWork(canon.full.Len())
+				if canon.full.Insert(t) {
+					canon.delta.Append(t)
 					fresh.Append(t)
 				}
 			}
 		}
+		canon.delta.Sort(&r.sorter)
 	}
 	if record {
 		r.mc.Record(rank, iter, metrics.PhaseLocalAgg, timer.Done(work, 0, 0))
@@ -272,8 +276,8 @@ func (r *Relation) loadSet(recv [][]mpi.Word, fresh *tuple.Buffer) (work int64) 
 	}
 	first := make([]bool, len(cands)/r.Arity)
 	canon := r.indexes[0]
-	canon.load(cands, first)
-	fresh.Words = slices.Grow(fresh.Words, canon.Full.Len()*r.Arity)
+	canon.load(tuple.SortedRun(r.Arity, cands, first))
+	fresh.Words = slices.Grow(fresh.Words, canon.full.Len()*r.Arity)
 	size := 0
 	for i, keep := range first {
 		work += treeWork(size)
@@ -285,22 +289,22 @@ func (r *Relation) loadSet(recv [][]mpi.Word, fresh *tuple.Buffer) (work int64) 
 	return work
 }
 
-// load fills an index whose FULL and Δ are both empty from one batch of
-// stored-order tuples: one sort and FULL built bottom-up from the run. Δ is
-// then exactly FULL, so it becomes a view of it (Index.Delta) instead of a
-// second tree. first, when non-nil, receives tuple.SortedRun's first-arrival
-// flags.
-func (ix *Index) load(words []tuple.Value, first []bool) {
-	arity := len(ix.Perm)
-	ix.Full.Build(arity, tuple.SortedRun(arity, words, first))
+// load fills an index whose FULL is empty from a strictly ascending run of
+// stored-order tuples, one whole batch, built bottom-up. Δ is then exactly
+// FULL, so it becomes a view of it (Index.Delta) instead of a copy.
+func (ix *Index) load(run []tuple.Value) {
+	ix.full.Build(len(ix.Perm), run)
+	ix.delta.Reset(len(ix.Perm))
 	ix.deltaIsFull = true
 }
 
 // materializeAgg merges arrived tuples into the canonical accumulator: every
 // record of a key arrives at the key's owner, so the ⊔ is rank-local and
 // needs no second exchange. It returns the keys whose value changed (the
-// relation's fresh buffer).
-func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tuple.Buffer {
+// relation's fresh buffer) and the work units the cost model charges one
+// local index for them: what a tree kept in step with the accumulator would
+// have cost, though the FULL tree is only rebuilt when read (CatchUp).
+func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) (*tuple.Buffer, int64) {
 	timer := metrics.StartTimer()
 
 	// Pre-aggregate what arrived here, keyed by independent columns, in the
@@ -321,8 +325,11 @@ func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tup
 	// merged value is written into the accumulator arena in place.
 	fresh := r.freshTuples()
 	scratch := r.tupleScratch()
+	var upkeep int64
+	loading := r.acc.Len() == 0
 	for e := 0; e < partial.Len(); e++ {
 		indep, dep := partial.At(e)
+		n := r.acc.Len()
 		v, inserted := r.acc.Upsert(indep)
 		if inserted {
 			copy(v, dep)
@@ -345,6 +352,17 @@ func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tup
 				r.accDig += digestWords(digestWords(digestSeed, indep), v)
 			}
 		}
+		// A bulk load builds the tree bottom-up; otherwise a new key takes
+		// one descent, and the model charges an improved one what purging
+		// and re-inserting its stale entry cost.
+		switch {
+		case loading:
+			upkeep += treeWork(fresh.Len())
+		case inserted:
+			upkeep += treeWork(n)
+		default:
+			upkeep += 2 * treeWork(n-1)
+		}
 		copy(scratch, indep)
 		copy(scratch[r.Indep:], v)
 		fresh.Append(scratch)
@@ -354,7 +372,7 @@ func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) *tup
 	if record {
 		r.mc.Record(r.comm.Rank(), iter, metrics.PhaseLocalAgg, timer.Done(work, 0, 0))
 	}
-	return fresh
+	return fresh, upkeep
 }
 
 // maintained returns the first index Materialize maintains through
@@ -380,24 +398,40 @@ func (r *Relation) Replicated() bool {
 }
 
 // maintainIndexes puts changed tuples (canonical order) into every index
-// that needs them (toIndexes): set relations insert, aggregated relations
-// replace the stale entry for the key.
-func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, record bool) {
+// that needs them (toIndexes) and sorts each one's Δ run. A set relation's
+// index inserts them into FULL, an aggregated relation's replica replaces
+// the stale entry for the key, and a local index's FULL goes stale. An index
+// whose FULL is empty and current (an initial load) is built bottom-up from
+// its Δ run instead, which then becomes a view of FULL; fresh tuples are
+// distinct, so every one of them grows the tree. upkeep is the work units
+// charged per local index (materializeAgg).
+func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, upkeep int64, record bool) {
 	if len(r.indexes) == r.maintained() {
 		return
 	}
 	timer := metrics.StartTimer()
-	// An index whose FULL is still empty (an initial load) collects its
-	// whole batch in loads and is built bottom-up below; fresh tuples are
-	// distinct, so every one of them grows the tree it lands in.
+	for _, ix := range r.indexes {
+		if ix.local {
+			ix.delta.Grow(fresh.Len()) // every changed key reaches it
+		}
+	}
 	var work int64
-	var loads [][]tuple.Value
 	comm, replicated := r.toIndexes(fresh, func(id int, stored tuple.Tuple) {
-		work += r.applyFresh(id, stored, &loads)
+		work += r.applyFresh(id, stored)
 	})
-	for id, words := range loads {
-		if len(words) > 0 {
-			r.indexes[id].load(words, nil)
+	for _, ix := range r.indexes[r.maintained():] {
+		if ix.local {
+			work += upkeep
+		}
+		if ix.delta.Len() == 0 {
+			continue
+		}
+		ix.delta.Sort(&r.sorter)
+		switch {
+		case ix.full.Len() == 0 && !ix.stale:
+			ix.load(ix.delta.Words())
+		case ix.local:
+			ix.stale = true
 		}
 	}
 	if record {
@@ -451,34 +485,30 @@ func (r *Relation) toIndexes(buf *tuple.Buffer, apply func(id int, stored tuple.
 	return comm, true
 }
 
-// applyFresh puts one changed tuple, in index id's stored order, into that
-// index and its Δ, or into loads while the index's FULL is empty, and
-// returns the work units the cost model charges for it.
-func (r *Relation) applyFresh(id int, stored tuple.Tuple, loads *[][]tuple.Value) int64 {
+// applyFresh appends one changed tuple, in index id's stored order, to that
+// index's Δ run and puts it into FULL — unless FULL is a local index's
+// cache of the accumulator, or still empty and to be built from the run
+// (maintainIndexes) — and returns the work units the cost model charges for
+// it; materializeAgg counts a local index's.
+func (r *Relation) applyFresh(id int, stored tuple.Tuple) int64 {
 	ix := r.indexes[id]
-	n := ix.Full.Len()
-	var work int64
+	ix.delta.Append(stored)
+	n := ix.full.Len()
 	switch {
+	case ix.local:
+		return 0
 	case n == 0:
-		if *loads == nil {
-			*loads = make([][]tuple.Value, len(r.indexes))
-		}
-		work = treeWork(len((*loads)[id]) / r.Arity)
-		(*loads)[id] = append((*loads)[id], stored...)
-		return work
+		return treeWork(ix.delta.Len() - 1)
 	case r.Agg == nil:
-		work = treeWork(n)
-		ix.Full.Insert(stored)
-	case ix.Full.UpsertPrefix(ix.indepLen, stored):
+		ix.full.Insert(stored)
+		return treeWork(n)
+	case ix.full.UpsertPrefix(ix.indepLen, stored):
 		// The independent prefix locates the key's one entry, so the
 		// improved value overwrote the stale one where it stood. The model
 		// still charges what purging and re-inserting it cost.
-		work = 2 * treeWork(n-1)
-	default:
-		work = treeWork(n)
+		return 2 * treeWork(n-1)
 	}
-	ix.delta.Insert(stored)
-	return work
+	return treeWork(n)
 }
 
 // leakyImproves applies the baseline engines' per-rank partial pruning: a

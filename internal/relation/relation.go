@@ -14,6 +14,14 @@
 // influence placement) — plus only the B-tree indexes some kernel reads.
 // PlaceOn puts the accumulator and indexes on one rank per (bucket,
 // sub-bucket).
+//
+// Every index keeps only the storage something reads. Its Δ is a sorted run
+// (btree.Run) of the tuples the last pass changed, written once and then
+// only scanned and binary-searched — or, after a bulk load or ResetDelta,
+// FULL itself. The FULL tree of an aggregated relation's local index (the
+// canonical or PlaceOn index, which lives with the accumulator) is a cache of
+// the accumulator: a pass only marks it stale, and its first reader rebuilds
+// it in one sort and one bottom-up build (Index.CatchUp).
 package relation
 
 import (
@@ -163,6 +171,13 @@ type Relation struct {
 	// than a candidate's (BoundRetraction).
 	bounded bool
 
+	// sorter orders every Δ run and the catch-up; caughtUp holds the
+	// permuted accumulator rows a catch-up builds FULL from (CatchUp). Both
+	// are scratch that keeps its capacity, so a warm catch-up allocates
+	// nothing.
+	sorter   tuple.Sorter
+	caughtUp btree.Run
+
 	// Reusable scratch for the materialization hot path. All of it is
 	// rank-private and reset at each use; nothing here survives a call
 	// except as capacity.
@@ -204,8 +219,8 @@ type Index struct {
 	// independent source columns (used to locate stale aggregate entries).
 	indepLen int
 	// local marks an index stored with its aggregated relation's accumulator
-	// (the canonical index and PlaceOn's): changed tuples update it in
-	// place, not by replica exchange.
+	// (the canonical index and PlaceOn's): changed tuples reach it without a
+	// replica exchange, and its FULL is a cache of the accumulator (stale).
 	local bool
 
 	// homes caches HomeRanks per bucket; rebuilt whenever the placement
@@ -217,24 +232,107 @@ type Index struct {
 	digInv     []int
 	digInvDone bool
 
-	Full        *btree.Tree
-	delta       *btree.Tree // Δ, read through Delta
+	full        *btree.Tree // FULL, read through Full
+	delta       btree.Run   // Δ, read through Delta
 	deltaIsFull bool        // Δ is FULL itself (Delta)
+	// stale marks a local index whose FULL lags the accumulator: a pass
+	// changed keys since the last CatchUp. catchUps counts the rebuilds.
+	stale    bool
+	catchUps int
+}
+
+// Full returns the index's FULL tree, caught up first (CatchUp).
+func (ix *Index) Full() *btree.Tree {
+	if ix.stale {
+		ix.CatchUp()
+	}
+	return ix.full
+}
+
+// CatchUp brings a stale FULL up to date and reports whether it had to. A
+// local index's FULL is rebuilt from the accumulator in one pass: its rows
+// permuted into stored order, sorted and built bottom-up, in scratch and
+// nodes the relation keeps, so a warm catch-up allocates nothing. No pass
+// runs inside a deletion bracket, whose first DeleteBatch catches FULL up
+// and then deletes from it, so FULL is never stale while the accumulator
+// still holds dropped keys. Rank-local: it communicates nothing.
+func (ix *Index) CatchUp() bool {
+	if !ix.stale {
+		return false
+	}
+	r := ix.rel
+	rows := &r.caughtUp
+	rows.Reset(r.Arity)
+	rows.Grow(r.acc.Len())
+	for w := r.acc.Words(); len(w) >= r.Arity; w = w[r.Arity:] {
+		ix.permuteInto(w[:r.Arity], rows.Extend())
+	}
+	rows.Sort(&r.sorter)
+	ix.full.Reset()
+	ix.full.Build(r.Arity, rows.Words())
+	ix.stale = false
+	ix.catchUps++
+	return true
+}
+
+// View reads one version of an index in stored order: a FULL tree, or the
+// sorted run that holds a pass's Δ. Its tuples are views under btree's rules.
+type View struct {
+	tree *btree.Tree
+	run  *btree.Run
 }
 
 // Delta returns the index's Δ: FULL itself from a bulk load or ResetDelta
-// to the next reset of Δ (FULL−Δ is then empty), Δ's own tree otherwise.
-// The view is rank-local, so no collective may branch on it.
-func (ix *Index) Delta() *btree.Tree {
+// to the next reset of Δ (FULL−Δ is then empty), the pass's sorted run
+// otherwise. The view is rank-local, so no collective may branch on it.
+func (ix *Index) Delta() View {
 	if ix.deltaIsFull {
-		return ix.Full
+		return View{tree: ix.Full()}
 	}
-	return ix.delta
+	return View{run: &ix.delta}
+}
+
+// IsFull reports whether the view reads a FULL tree.
+func (v View) IsFull() bool { return v.tree != nil }
+
+// Len returns the number of tuples in the view.
+func (v View) Len() int {
+	if v.tree != nil {
+		return v.tree.Len()
+	}
+	return v.run.Len()
+}
+
+// Has reports whether the exact tuple t is in the view.
+func (v View) Has(t tuple.Tuple) bool {
+	if v.tree != nil {
+		return v.tree.Has(t)
+	}
+	return v.run.Has(t)
+}
+
+// Ascend calls fn for every tuple in order until fn returns false.
+func (v View) Ascend(fn func(tuple.Tuple) bool) {
+	if v.tree != nil {
+		v.tree.Ascend(fn)
+	} else {
+		v.run.Ascend(fn)
+	}
+}
+
+// AscendPrefix calls fn, in order, for every tuple whose leading columns
+// equal prefix, until fn returns false.
+func (v View) AscendPrefix(prefix tuple.Tuple, fn func(tuple.Tuple) bool) {
+	if v.tree != nil {
+		v.tree.AscendPrefix(prefix, fn)
+	} else {
+		v.run.AscendPrefix(prefix, fn)
+	}
 }
 
 // resetDelta empties Δ and ends a view of FULL.
 func (ix *Index) resetDelta() {
-	ix.delta.Reset()
+	ix.delta.Reset(len(ix.Perm))
 	ix.deltaIsFull = false
 }
 
@@ -354,9 +452,9 @@ func (r *Relation) AddIndex(perm []int, jk int) (*Index, error) {
 		Perm:     append([]int(nil), perm...),
 		JK:       jk,
 		indepLen: r.Indep,
-		Full:     btree.New(),
-		delta:    btree.New(),
+		full:     btree.New(),
 	}
+	idx.delta.Reset(r.Arity)
 	if r.Agg != nil {
 		// Independent columns must be a prefix of the permutation.
 		for i := 0; i < r.Indep; i++ {
@@ -405,15 +503,6 @@ func (ix *Index) permuteInto(t, out tuple.Tuple) {
 	for i, c := range ix.Perm {
 		out[i] = t[c]
 	}
-}
-
-// Unpermute maps a stored tuple back to canonical column order.
-func (ix *Index) Unpermute(stored tuple.Tuple) tuple.Tuple {
-	out := make(tuple.Tuple, len(ix.Perm))
-	for i, c := range ix.Perm {
-		out[c] = stored[i]
-	}
-	return out
 }
 
 // bucketOf returns the bucket for a stored-order tuple: the hash of the
@@ -579,7 +668,7 @@ func (r *Relation) LocalFullCount() int {
 	if r.Agg != nil {
 		return r.acc.Len()
 	}
-	return r.indexes[0].Full.Len()
+	return r.indexes[0].full.Len()
 }
 
 // LocalDeltaCount returns the number of Δ tuples on this rank: the tuples
@@ -644,8 +733,9 @@ func (r *Relation) EachAcc(fn func(tuple.Tuple)) {
 func (r *Relation) SetChangedLast(n uint64) { r.changedLast = n }
 
 // MemWords reports this rank's accounted storage footprint for the
-// relation, in words: the accumulator arena, every index's FULL and Δ
-// trees, the last delete's drop set and the reusable exchange scratch.
+// relation, in words: the accumulator arena, every index's FULL tree and Δ
+// run, the last delete's drop set, and the reusable exchange, sort and
+// catch-up scratch, all by capacity.
 // Each term is an O(1) capacity read, so the memory accountant can sample
 // it every iteration without touching the hot path.
 func (r *Relation) MemWords() int64 {
@@ -656,8 +746,9 @@ func (r *Relation) MemWords() int64 {
 		}
 	}
 	for _, ix := range r.indexes {
-		w += ix.Full.MemWords() + ix.delta.MemWords()
+		w += ix.full.MemWords() + ix.delta.MemWords()
 	}
+	w += r.sorter.MemWords() + r.caughtUp.MemWords()
 	w += int64(cap(r.tupScratch)) + int64(cap(r.permScratch))
 	for _, lane := range r.sendScratch {
 		w += int64(cap(lane))
@@ -669,7 +760,8 @@ func (r *Relation) MemWords() int64 {
 }
 
 // ReleaseScratch drops the relation's reusable scratch capacity — the
-// pre-aggregation table, per-peer exchange lanes, and tuple buffers — the
+// pre-aggregation table, per-peer exchange lanes, tuple buffers, and the sort
+// and catch-up scratch — the
 // soft response of the memory accountant's pressure ladder. Resident state
 // (accumulator, indexes) is untouched, so correctness is unaffected;
 // the next Materialize simply re-grows its scratch, trading allocations for
@@ -678,4 +770,6 @@ func (r *Relation) ReleaseScratch() {
 	r.partial = nil
 	r.sendScratch = nil
 	r.freshBuf = nil
+	r.sorter = tuple.Sorter{}
+	r.caughtUp = btree.Run{}
 }

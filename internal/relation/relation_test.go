@@ -20,6 +20,15 @@ func aggSchema(name string, indep int, agg lattice.Aggregator) Schema {
 	return Schema{Name: name, Arity: indep + agg.Width(), Indep: indep, Key: indep, Agg: agg}
 }
 
+// unpermute maps a stored tuple of ix back to canonical column order.
+func unpermute(ix *Index, stored tuple.Tuple) tuple.Tuple {
+	out := make(tuple.Tuple, len(ix.Perm))
+	for i, c := range ix.Perm {
+		out[c] = stored[i]
+	}
+	return out
+}
+
 func TestSchemaValidate(t *testing.T) {
 	cases := []struct {
 		s  Schema
@@ -186,7 +195,7 @@ func TestSetRelationPlacementInvariant(t *testing.T) {
 		// placement function.
 		bad := 0
 		ix := r.Canonical()
-		ix.Full.Ascend(func(tt tuple.Tuple) bool {
+		ix.Full().Ascend(func(tt tuple.Tuple) bool {
 			if !ix.ownedHere(tt) {
 				bad++
 			}
@@ -218,13 +227,13 @@ func TestSecondaryIndexConsistency(t *testing.T) {
 			emit(tuple.Tuple{tuple.Value(i), tuple.Value(i * 3 % 50)})
 		})
 		// The reversed index must globally hold the same 300 tuples.
-		if got := c.Allreduce(uint64(rev.Full.Len()), mpi.OpSum); got != 300 {
+		if got := c.Allreduce(uint64(rev.Full().Len()), mpi.OpSum); got != 300 {
 			return fmt.Errorf("reversed index global = %d", got)
 		}
 		// And each stored tuple unpermutes to an original fact.
 		bad := 0
-		rev.Full.Ascend(func(stored tuple.Tuple) bool {
-			orig := rev.Unpermute(stored)
+		rev.Full().Ascend(func(stored tuple.Tuple) bool {
+			orig := unpermute(rev, stored)
 			if orig[1] != orig[0]*3%50 {
 				bad++
 			}
@@ -239,7 +248,8 @@ func TestSecondaryIndexConsistency(t *testing.T) {
 		// still be unique). Iterate the deterministic key domain so every
 		// rank performs the same collectives.
 		for v := 0; v < 50; v++ {
-			n := rev.Full.Count(tuple.Tuple{tuple.Value(v)})
+			n := 0
+			rev.Full().AscendPrefix(tuple.Tuple{tuple.Value(v)}, func(tuple.Tuple) bool { n++; return true })
 			have := uint64(0)
 			if n > 0 {
 				have = 1
@@ -325,7 +335,7 @@ func TestAggIndexStalePurge(t *testing.T) {
 		// Globally the reversed index must hold exactly one tuple for key
 		// (8,7), with value 42 — the stale 100 purged.
 		var local, staleCount uint64
-		rev.Full.AscendPrefix(tuple.Tuple{8, 7}, func(tt tuple.Tuple) bool {
+		rev.Full().AscendPrefix(tuple.Tuple{8, 7}, func(tt tuple.Tuple) bool {
 			local++
 			if tt[2] != 42 {
 				staleCount++
@@ -340,7 +350,7 @@ func TestAggIndexStalePurge(t *testing.T) {
 		}
 		// The canonical index too.
 		var canon uint64
-		canonIx.Full.AscendPrefix(tuple.Tuple{7, 8}, func(tt tuple.Tuple) bool {
+		canonIx.Full().AscendPrefix(tuple.Tuple{7, 8}, func(tt tuple.Tuple) bool {
 			if tt[2] == 42 {
 				canon++
 			}
@@ -584,7 +594,7 @@ func TestCheckInvariantsCatchesIndexDrift(t *testing.T) {
 			// Every rank flips its first tuple's dependent word; 60 keys over
 			// 3 ranks leave at least one rank with a tuple to flip.
 			flip := func() {
-				ix.Full.Ascend(func(t tuple.Tuple) bool {
+				ix.Full().Ascend(func(t tuple.Tuple) bool {
 					t[2] ^= 1
 					return false
 				})

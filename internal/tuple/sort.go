@@ -1,9 +1,6 @@
 package tuple
 
-import (
-	"cmp"
-	"slices"
-)
+import "slices"
 
 // radixMin is the batch size below which SortedRun sorts by comparison,
 // which a radix pass's 256-entry histogram does not beat.
@@ -28,20 +25,8 @@ func SortedRun(arity int, words []Value, first []bool) []Value {
 		}
 		return words
 	}
-	perm := make([]uint32, n)
-	for i := range perm {
-		perm[i] = uint32(i)
-	}
-	if n < radixMin {
-		slices.SortFunc(perm, func(x, y uint32) int {
-			if c := at(x).ComparePrefix(at(y), arity); c != 0 {
-				return c
-			}
-			return cmp.Compare(x, y)
-		})
-	} else {
-		perm = radixSort(arity, words, perm)
-	}
+	var s Sorter
+	perm := s.Order(arity, words)
 	run := make([]Value, 0, len(words))
 	for k, i := range perm {
 		if k > 0 && at(i).ComparePrefix(at(perm[k-1]), arity) == 0 {
@@ -55,15 +40,66 @@ func SortedRun(arity int, words []Value, first []bool) []Value {
 	return run
 }
 
+// Sorter orders batches of tuples with SortedRun's sort in scratch it keeps
+// between calls, so a warm Order over a batch no larger than an earlier one
+// allocates nothing. The zero value is ready to use.
+type Sorter struct {
+	perm, permTmp []uint32
+	key, keyTmp   []Value
+}
+
+// Order returns the permutation that lists the arity-word tuples of words in
+// ascending order, equal tuples in input order. It aliases the sorter's
+// scratch and is valid until the next Order.
+func (s *Sorter) Order(arity int, words []Value) []uint32 {
+	n := len(words) / arity
+	s.perm = slices.Grow(s.perm[:0], n)[:n]
+	perm := s.perm
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	if n >= radixMin {
+		return s.radixSort(arity, words, perm)
+	}
+	// A binary insertion sort: n log n compares, inline, and each insertion
+	// shifts fewer than radixMin indexes in one short copy. Inserting after
+	// the equal tuples keeps it stable.
+	for i := 1; i < n; i++ {
+		p := perm[i]
+		t := Tuple(words[int(p)*arity : (int(p)+1)*arity])
+		lo, hi := 0, i
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			q := int(perm[mid]) * arity
+			if Tuple(words[q:q+arity]).ComparePrefix(t, arity) <= 0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		copy(perm[lo+1:i+1], perm[lo:i])
+		perm[lo] = p
+	}
+	return perm
+}
+
+// MemWords reports the sorter's scratch capacity in words.
+func (s *Sorter) MemWords() int64 {
+	return int64(cap(s.key)+cap(s.keyTmp)) + int64(cap(s.perm)+cap(s.permTmp)+1)/2
+}
+
 // radixSort orders perm, a permutation of the tuples of words, by an LSD
 // radix sort: the last column first, each column least significant byte
 // first, one counting pass per byte that varies across the batch. Every pass
 // is stable, so equal tuples keep perm's order: an identity perm comes out
 // as a comparison sort that breaks ties by position leaves it. It returns
-// the sorted permutation, perm or a buffer of the same length.
-func radixSort(arity int, words []Value, perm []uint32) []uint32 {
+// the sorted permutation, perm or a scratch buffer of the same length.
+func (s *Sorter) radixSort(arity int, words []Value, perm []uint32) []uint32 {
 	n := len(perm)
-	key, keyTmp, permTmp := make([]Value, n), make([]Value, n), make([]uint32, n)
+	s.key = slices.Grow(s.key[:0], n)[:n]
+	s.keyTmp = slices.Grow(s.keyTmp[:0], n)[:n]
+	s.permTmp = slices.Grow(s.permTmp[:0], n)[:n]
+	key, keyTmp, permTmp := s.key, s.keyTmp, s.permTmp
 	var count [256]int
 	for c := arity - 1; c >= 0; c-- {
 		or, and := Value(0), ^Value(0)

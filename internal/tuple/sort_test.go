@@ -112,7 +112,7 @@ func checkSortedRun(t *testing.T, arity int, words []Value) {
 	for i := range perm {
 		perm[i] = uint32(i)
 	}
-	if got, want := radixSort(arity, words, perm), referenceOrder(arity, words); !slices.Equal(got, want) {
+	if got, want := new(Sorter).radixSort(arity, words, perm), referenceOrder(arity, words); !slices.Equal(got, want) {
 		t.Fatalf("arity %d, %d tuples: radix order %v, comparison order %v", arity, n, got, want)
 	}
 }

@@ -264,7 +264,7 @@ func eachLocal(rl *relation.Relation, prefix tuple.Tuple, fn func(tuple.Tuple)) 
 		}
 		return
 	}
-	full := rl.Canonical().Full
+	full := rl.Canonical().Full()
 	if len(prefix) == 0 {
 		full.Ascend(func(t tuple.Tuple) bool {
 			fn(t)

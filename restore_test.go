@@ -56,7 +56,7 @@ func printOf(rk *paralagg.Rank, r *relation.Relation) relPrint {
 	p := relPrint{Count: uint64(r.LocalFullCount()), DeltaCount: uint64(r.LocalDeltaCount())}
 	for i, ix := range r.Indexes() {
 		seed := []tuple.Value{tuple.Value(i)}
-		ix.Full.Ascend(func(t tuple.Tuple) bool { p.Full += hashWords(2, seed, t); return true })
+		ix.Full().Ascend(func(t tuple.Tuple) bool { p.Full += hashWords(2, seed, t); return true })
 		ix.Delta().Ascend(func(t tuple.Tuple) bool { p.Delta += hashWords(3, seed, t); return true })
 	}
 	r.EachAcc(func(t tuple.Tuple) { p.Acc += hashWords(6, t) })
