@@ -56,12 +56,17 @@ chaos:
 # sequences at arities 1-4 against a sorted-slice reference, and so does the
 # sorted run an index's Δ lives in: random batches at arities 1-4, refilled
 # into one run, read back (Len, Ascend, AscendPrefix with an early stop, Has)
-# against a tree of the same batch, and so does the bulk-load sort: byte-coded batches at arities 1-4 through tuple.SortedRun's
+# against a tree of the same batch, and so does a base relation's frozen
+# FULL: random Load/Merge/Filter batches at arities 1-4 and every join-key
+# width, read back (what each batch left, Len, Ascend, Has, AscendPrefix at
+# every prefix width, the directory's among them) against a sorted slice,
+# and so does the bulk-load sort: byte-coded batches at arities 1-4 through tuple.SortedRun's
 # radix sort against the comparison sort it replaced, and so does the rule
 # compiler: random head and condition term trees, three deep over every op
 # kind, through the flat op list against a tree walk, and so does
-# incremental maintenance: generated insert/delete histories over seven
-# programs (bounded and unbounded retraction, a non-linear rule) at 1-3
+# incremental maintenance: generated insert/delete histories over eight
+# programs (bounded and unbounded retraction, a non-linear rule, a base
+# relation read through a second index) at 1-3
 # ranks, every batch bit-identical to the naive evaluator. So does the
 # checkpoint reader: pairs of file images stored in both sink backends
 # (memory and directory), read back through the one envelope decoder, and
@@ -83,6 +88,7 @@ verify: vet
 	$(GO) test -count=1 -run 'Allocs|AllocFree' ./internal/...
 	$(GO) test -run '^$$' -fuzz FuzzAgainstSortedSlice -fuzztime 15s -fuzzminimizetime 10x ./internal/btree
 	$(GO) test -run '^$$' -fuzz FuzzRunAgainstTree -fuzztime 10s -fuzzminimizetime 10x ./internal/btree
+	$(GO) test -run '^$$' -fuzz FuzzFrozenAgainstSortedSlice -fuzztime 10s -fuzzminimizetime 10x ./internal/btree
 	$(GO) test -run '^$$' -fuzz FuzzSortedRun -fuzztime 10s -fuzzminimizetime 10x ./internal/tuple
 	$(GO) test -run '^$$' -fuzz FuzzCompiledTerms -fuzztime 10s -fuzzminimizetime 10x ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDeletionHistories -fuzztime 10s -fuzzminimizetime 10x ./internal/core

@@ -4,7 +4,9 @@
 // a key prefix, so a join probe is a prefix range scan with O(log n) seek —
 // the access pattern the paper's inner relation benefits from. A version
 // that is written once per pass and then only read, an index's Δ, is a Run
-// instead: the same order and readers over one flat sorted slice.
+// instead: the same order and readers over one flat sorted slice. FULL of a
+// relation no rule derives is a Frozen run: a Run rewritten whole by each
+// batch, with a directory from join key to its range of the run.
 //
 // Storage is flat: a node holds its tuples' words inline, one after another
 // at a fixed stride, so a compare reads the node's own memory and an insert
@@ -16,7 +18,7 @@
 // Tuples handed to Ascend/AscendPrefix callbacks are views into node
 // storage: valid only until the callback returns, and never to be retained
 // or used as an argument to a mutating call on the same tree. Readers (Has,
-// Len, Ascend, AscendPrefix, Serialize) touch no tree-owned scratch,
+// Len, Ascend, AscendPrefix) touch no tree-owned scratch,
 // so any number of them may run concurrently with each other.
 package btree
 
@@ -434,20 +436,4 @@ func (t *Tree) ascendPrefix(n *node, prefix tuple.Tuple, fn func(tuple.Tuple) bo
 			return false
 		}
 	}
-}
-
-// Serialize appends every tuple, in order, to a flat word buffer of the
-// given arity. This is the "outer relation" path: the tree is scanned in its
-// entirety and flattened for transmission. It panics if the tree stores
-// tuples of a different arity, which indicates a relation bookkeeping bug.
-func (t *Tree) Serialize(arity int) []tuple.Value {
-	if t.size > 0 && arity != t.arity {
-		panic("btree: serialize arity mismatch")
-	}
-	out := make([]tuple.Value, 0, t.size*arity)
-	t.Ascend(func(tt tuple.Tuple) bool {
-		out = append(out, tt...)
-		return true
-	})
-	return out
 }

@@ -162,23 +162,6 @@ func TestCount(t *testing.T) {
 	}
 }
 
-func TestSerializeRoundTrip(t *testing.T) {
-	tr := New()
-	tr.Insert(tuple.Tuple{2, 1})
-	tr.Insert(tuple.Tuple{1, 9})
-	words := tr.Serialize(2)
-	if len(words) != 4 {
-		t.Fatalf("serialized %d words", len(words))
-	}
-	// Lexicographic order: (1,9) before (2,1).
-	want := []tuple.Value{1, 9, 2, 1}
-	for i, w := range want {
-		if words[i] != w {
-			t.Fatalf("words = %v, want %v", words, want)
-		}
-	}
-}
-
 // TestAgainstReference drives the tree with random operations and checks
 // every observable against a map+sort reference model.
 func TestAgainstReference(t *testing.T) {
@@ -353,6 +336,16 @@ func TestResetRefillAllocFree(t *testing.T) {
 	}
 }
 
+// words returns the tree's tuples laid end to end, in order.
+func words(tr *Tree) []tuple.Value {
+	var out []tuple.Value
+	tr.Ascend(func(t tuple.Tuple) bool {
+		out = append(out, t...)
+		return true
+	})
+	return out
+}
+
 // TestBuildMatchesInserts checks the bottom-up build against per-tuple
 // inserts at every size around the node and level boundaries.
 func TestBuildMatchesInserts(t *testing.T) {
@@ -375,7 +368,7 @@ func TestBuildMatchesInserts(t *testing.T) {
 			t.Fatalf("Build of %d tuples left unused nodes on the free list", n)
 		}
 		checkShape(t, got)
-		a, b := got.Serialize(2), want.Serialize(2)
+		a, b := words(got), words(want)
 		if len(a) != len(b) {
 			t.Fatalf("Build of %d tuples serializes %d words, inserts %d", n, len(a), len(b))
 		}

@@ -98,12 +98,15 @@ func (r *Run) MemWords() int64 { return int64(cap(r.words) + cap(r.tmp)) }
 
 // search returns the index of the first tuple whose leading len(key) words
 // are not below key.
-func (r *Run) search(key []tuple.Value) int {
-	a, k := r.arity, len(key)
-	lo, hi := 0, r.Len()
+func (r *Run) search(key []tuple.Value) int { return searchRange(r.words, r.arity, 0, r.Len(), key) }
+
+// searchRange returns the index of the first of words' arity-word tuples
+// lo..hi-1 whose leading len(key) words are not below key, or hi.
+func searchRange(words []tuple.Value, a, lo, hi int, key []tuple.Value) int {
+	k := len(key)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if cmpWords(r.words[mid*a:mid*a+k], key) < 0 {
+		if cmpWords(words[mid*a:mid*a+k], key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid

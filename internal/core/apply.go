@@ -275,7 +275,7 @@ func (in *Instance) base(name string) *relation.Relation {
 func (in *Instance) reloadShadowed() {
 	for _, n := range sortedKeys(in.shadows) {
 		sh := in.shadows[n]
-		in.rels[n].LoadFacts(&tuple.Buffer{Arity: sh.Arity, Words: sh.Canonical().Full().Serialize(sh.Arity)})
+		in.rels[n].LoadFacts(&tuple.Buffer{Arity: sh.Arity, Words: sh.Canonical().Full().Words()})
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 // selective lattices with strict and non-strict rules and ties (SSSP with
 // zero weights, widest path, CC, LexMin2), a union lattice that must keep
 // over-deleting (ReachLabels' $BOR), and a non-linear set rule whose
-// re-derivation joins two surviving derived tuples.
+// re-derivation joins two surviving derived tuples. One program reads its
+// base relation through a second index, on the destination column.
 
 // historyProgram is one program of the deletion differential: its rules,
 // its initial base facts and a generator of one fresh base fact to insert.
@@ -187,6 +188,24 @@ var historySuite = []historyProgram{
 		fresh: func(rng *rand.Rand) (string, tuple.Tuple) {
 			return "edge", tuple.Tuple{uint64(rng.Intn(10)), uint64(rng.Intn(10))}
 		},
+	},
+	{
+		name: "sssp-reverse-edge-index",
+		build: func() *Program {
+			// to(t,f, MIN(d+w)): the distance from f to t, grown backwards
+			// through e's destination column, so the base relation e is read
+			// through a second, frozen index (and a sub-bucketed one at Subs 4).
+			p := NewProgram()
+			p.DeclareSet("e", 3, 1)
+			p.DeclareAgg("to", 2, lattice.Min{})
+			p.Add(R(A("to", Var("t"), Var("f"), Add(Var("d"), Var("w"))),
+				A("to", Var("t"), Var("m"), Var("d")), A("e", Var("f"), Var("m"), Var("w"))))
+			return p
+		},
+		facts: func(rng *rand.Rand) map[string][]tuple.Tuple {
+			return map[string][]tuple.Tuple{"e": wedges(rng, 12, 34, 3), "to": {{0, 0, 0}, {7, 7, 0}}}
+		},
+		fresh: func(rng *rand.Rand) (string, tuple.Tuple) { return "e", wedge(rng, 12, 3) },
 	},
 }
 
@@ -397,6 +416,7 @@ func TestBoundsRetraction(t *testing.T) {
 		"lexmin2-shortest-path-tree": false,
 		"reach-labels-bor":           false,
 		"tc-non-linear":              false, // set relations have no value to bound by
+		"sssp-reverse-edge-index":    true,
 	}
 	for _, hp := range historySuite {
 		p := hp.build()

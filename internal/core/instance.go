@@ -124,11 +124,13 @@ func (p *Program) Instantiate(comm *mpi.Comm, mc *metrics.Collector, cfg Config)
 	}
 	in := &Instance{comm: comm, mc: mc, rels: make(map[string]*relation.Relation, len(names)),
 		shadows: map[string]*relation.Relation{}}
+	// A set relation no rule derives, and every shadow, changes only by
+	// whole batches: its indexes keep FULL frozen (relation.Config.Base).
 	for _, n := range names {
 		d := decls[n]
 		rel, err := relation.New(relation.Schema{
 			Name: d.Name, Arity: d.Arity, Indep: d.Indep, Key: d.Key, Agg: d.Agg,
-		}, comm, mc, relation.Config{Subs: cfg.Subs, Integrity: cfg.Integrity})
+		}, comm, mc, relation.Config{Subs: cfg.Subs, Integrity: cfg.Integrity, Base: !heads[n] && d.Agg == nil})
 		if err != nil {
 			return nil, err
 		}
@@ -136,7 +138,7 @@ func (p *Program) Instantiate(comm *mpi.Comm, mc *metrics.Collector, cfg Config)
 		if p.decls[n] != nil && (heads[n] || d.Agg != nil) {
 			sh, err := relation.New(relation.Schema{
 				Name: "__base." + n, Arity: d.Arity, Indep: d.Arity, Key: d.Key,
-			}, comm, mc, relation.Config{Subs: 1, Integrity: cfg.Integrity})
+			}, comm, mc, relation.Config{Subs: 1, Integrity: cfg.Integrity, Base: true})
 			if err != nil {
 				return nil, err
 			}

@@ -156,7 +156,7 @@ func TestPressureCountsAndShedsCandidateBuffers(t *testing.T) {
 			return fmt.Errorf("spath's placement index was current after the run")
 		}
 		rows := int64(sp.LocalFullCount() * sp.Arity)
-		grown := spMid.Full().MemWords() - int64(sp.Arity) - 4 // the tree, less its one seed tuple
+		grown := int64(spMid.Full().Len()-1) * (int64(sp.Arity) + 4) // the tree (btree.MemWords), less its one seed tuple
 		if got := sp.MemWords() - resident; got < grown+rows {
 			t.Errorf("a catch-up of %d rows grew the tree by %d words and the relation by %d", rows/int64(sp.Arity), grown, got)
 		}

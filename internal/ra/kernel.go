@@ -6,6 +6,7 @@ package ra
 
 import (
 	"math/bits"
+	"slices"
 	"time"
 
 	"paralagg/internal/metrics"
@@ -45,7 +46,7 @@ func versionLen(ix *relation.Index, v Version) int {
 }
 
 // scanVersion iterates the version's tuples in order: Δ's sorted run, or
-// FULL's tree.
+// FULL (a tree, or a base relation's frozen run).
 func scanVersion(ix *relation.Index, v Version, fn func(tuple.Tuple) bool) {
 	switch v {
 	case VDelta:
@@ -60,7 +61,7 @@ func scanVersion(ix *relation.Index, v Version, fn func(tuple.Tuple) bool) {
 }
 
 // probeVersion scans the version's tuples matching the join-key prefix: a
-// binary search of Δ's run, or a descent of FULL's tree.
+// binary search of Δ's run, or FULL's tree descent or directory lookup.
 func probeVersion(ix *relation.Index, v Version, prefix tuple.Tuple, fn func(tuple.Tuple) bool) {
 	switch v {
 	case VDelta:
@@ -153,7 +154,7 @@ func nonEmptyLanes(send [][]mpi.Word, self int) int64 {
 // Algorithm 1), intra-bucket communication (the outer relation's selected
 // version is serialized and replicated to the inner's sub-bucket homes),
 // and the highly parallel local join (received outer tuples probe the
-// inner B-tree). A co-partitioned join (relation.CoPartitioned: every
+// inner index). A co-partitioned join (relation.CoPartitioned: every
 // join-key bucket on one rank, the same rank on both sides) has nothing to
 // replicate, so it skips the vote and the exchange: each rank picks its
 // outer side from its own sizes and probes with its own tuples.
@@ -221,6 +222,16 @@ func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collecto
 	// this rank: the scan is still charged as work, but nothing moves.
 	timer := metrics.StartTimer()
 	send := j.sendBuf(size)
+	arity := len(outerIx.Perm)
+	// Grow each lane once, to its expected share of the outer version; a
+	// co-partitioned join's one lane takes all of it.
+	n := versionLen(outerIx, outerV)
+	if local {
+		send[rank] = slices.Grow(send[rank], n*arity)
+	}
+	for dest := 0; dest < size && !local; dest++ {
+		send[dest] = slices.Grow(send[dest], (n*len(innerIx.HomeRanks(0))/size+1)*arity)
+	}
 	scanned := int64(0)
 	scanVersion(outerIx, outerV, func(t tuple.Tuple) bool {
 		scanned++
@@ -243,10 +254,9 @@ func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collecto
 	}
 	mc.Record(rank, iter, metrics.PhaseIntraBucket, timer.Done(scanned, exchBytes, exchMsgs))
 
-	// Local join: probe the inner B-tree with each received outer tuple.
+	// Local join: probe the inner index with each received outer tuple.
 	timer = metrics.StartTimer()
 	var work int64
-	arity := len(outerIx.Perm)
 	innerLen := versionLen(innerIx, innerV)
 	for _, words := range recv {
 		for off := 0; off+arity <= len(words); off += arity {

@@ -333,3 +333,115 @@ func TestEndDeleteAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestBaseInsertDeleteAllocFree pins a base relation's batches (Config.Base)
+// over its canonical index and a second one: once warm, an insert — sorted
+// into Δ's run, merged into FULL's spare buffer, the directory refilled in
+// place — and a delete of the same tuples, filtered the same way, allocate
+// nothing. MemWords counts each frozen FULL whole, spare buffer and
+// directory included, and ReleaseScratch sheds the spare buffers.
+func TestBaseInsertDeleteAllocFree(t *testing.T) {
+	for _, subs := range allocSubs {
+		t.Run(fmt.Sprintf("subs=%d", subs), func(t *testing.T) {
+			err := mpi.NewWorld(1).Run(func(c *mpi.Comm) error {
+				r, err := New(Schema{Name: "edge", Arity: 3, Indep: 3, Key: 1}, c, metrics.NewCollector(1),
+					Config{Subs: subs, Base: true})
+				if err != nil {
+					return err
+				}
+				if _, err := r.AddIndex([]int{1, 0, 2}, 1); err != nil {
+					return err
+				}
+				base := tuple.NewBuffer(3, accBenchKeys)
+				batch := tuple.NewBuffer(3, 64)
+				for k := 0; k < accBenchKeys; k++ {
+					base.Append(tuple.Tuple{tuple.Value(k % 61), tuple.Value(k % 37), tuple.Value(k)})
+					if k%8 == 0 {
+						batch.Append(tuple.Tuple{tuple.Value(k % 61), tuple.Value(k % 37), tuple.Value(k + accBenchKeys)})
+					}
+				}
+				r.LoadFacts(base)
+				cycle := func() {
+					if got := r.LoadFacts(batch); got != uint64(batch.Len()) {
+						t.Fatalf("inserted %d tuples, want %d", got, batch.Len())
+					}
+					if got := r.DeleteBatch(batch); got != uint64(batch.Len()) {
+						t.Fatalf("deleted %d tuples, want %d", got, batch.Len())
+					}
+				}
+				cycle()
+				cycle()
+				if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+					t.Errorf("warm base insert and delete: %v allocs/op, want 0", allocs)
+				}
+				for _, ix := range r.Indexes() {
+					if ix.frozen == nil || ix.full != nil {
+						t.Fatalf("index %v of a base relation is not frozen", ix.Perm)
+					}
+					if n, d := ix.Full().Len(), ix.Delta(); n != accBenchKeys || d.IsFull() || d.Len() != batch.Len() {
+						t.Errorf("index %v: FULL %d tuples, Δ a view %v of %d, want %d and a run of %d",
+							ix.Perm, n, d.IsFull(), d.Len(), accBenchKeys, batch.Len())
+					}
+				}
+				for _, ix := range r.Indexes() {
+					counted, fz := r.MemWords(), ix.frozen
+					ix.frozen = &btree.Frozen{}
+					if got := counted - r.MemWords(); got != fz.MemWords() {
+						t.Errorf("index %v: MemWords counts %d words of a frozen FULL holding %d", ix.Perm, got, fz.MemWords())
+					}
+					ix.frozen = fz
+				}
+				counted := r.MemWords()
+				r.ReleaseScratch()
+				for _, ix := range r.Indexes() {
+					if ix.Full().Len() != accBenchKeys {
+						t.Errorf("ReleaseScratch dropped FULL tuples of index %v", ix.Perm)
+					}
+				}
+				if shed, spares := counted-r.MemWords(), int64(2*accBenchKeys*r.Arity); shed < spares {
+					t.Errorf("ReleaseScratch shed %d words, the two spare buffers alone held %d", shed, spares)
+				}
+				cycle()
+				r.ClearDelta() // Δ holds the deleted tuples, which FULL no longer does
+				return r.CheckInvariants()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestBaseLoadAllocsIndependentOfSize is TestSetLoadAllocsIndependentOfSize
+// for a base relation: the load copies the batch once into FULL's run,
+// sorts it in place and sizes the directory from the count of its keys, so
+// loading 64k tuples makes no more allocations than loading 1k.
+func TestBaseLoadAllocsIndependentOfSize(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	err := mpi.NewWorld(1).Run(func(c *mpi.Comm) error {
+		allocs := map[int]float64{}
+		for _, n := range []int{1 << 10, 1 << 16} {
+			buf := tuple.NewBuffer(2, n)
+			for k := 0; k < n; k++ {
+				buf.Append(tuple.Tuple{tuple.Value(k*7919) % tuple.Value(n/4), tuple.Value(k)})
+			}
+			allocs[n] = testing.AllocsPerRun(5, func() {
+				r, err := New(Schema{Name: "edge", Arity: 2, Indep: 2, Key: 1}, c, nil, Config{Subs: 1, Base: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := r.LoadFacts(buf); got != uint64(n) {
+					t.Fatalf("loaded %d of %d tuples", got, n)
+				}
+			})
+		}
+		if allocs[1<<16] > allocs[1<<10] {
+			t.Errorf("a base LoadFacts of 64k tuples made %v allocations, of 1k %v: the load grows with n",
+				allocs[1<<16], allocs[1<<10])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -34,7 +34,7 @@ func (r *Relation) SnapshotWords() []mpi.Word {
 	out = append(out, mpi.Word(r.subs), r.changedLast, mpi.Word(r.deltaCount))
 	out = append(out, mpi.Word(len(r.indexes)))
 	for _, ix := range r.indexes {
-		for _, v := range [2]View{{tree: ix.Full()}, ix.Delta()} {
+		for _, v := range [2]View{ix.Full(), ix.Delta()} {
 			out = append(out, mpi.Word(v.Len()))
 			v.Ascend(func(t tuple.Tuple) bool {
 				out = append(out, t...)
@@ -209,8 +209,14 @@ func (r *Relation) Restore(shards []Shard) error {
 			}
 			return keep
 		}
-		ix.full.Reset()
-		ix.full.Build(r.Arity, tuple.SortedRun(r.Arity, kept(0), nil))
+		if ix.frozen != nil {
+			ix.frozen.Reset(r.Arity, ix.JK)
+			ix.frozen.Append(kept(0))
+			ix.frozen.Load(&r.sorter)
+		} else {
+			ix.full.Reset()
+			ix.full.Build(r.Arity, tuple.SortedRun(r.Arity, kept(0), nil))
+		}
 		ix.stale = false
 		ix.resetDelta()
 		ix.delta.Append(kept(1))

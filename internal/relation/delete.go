@@ -46,7 +46,11 @@ func (r *Relation) Clear() {
 	}
 	r.dropSet, r.deleting = nil, false
 	for _, ix := range r.indexes {
-		ix.full.Reset()
+		if ix.frozen != nil {
+			ix.frozen.Reset(r.Arity, ix.JK)
+		} else {
+			ix.full.Reset()
+		}
 		ix.resetDelta()
 		ix.stale = false
 	}
@@ -230,8 +234,20 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 				removed.Append(scratch)
 			}
 		}
+	} else if canon := r.indexes[0]; canon.frozen != nil {
+		// A base relation filters FULL by the sorted candidates in one
+		// pass, which leaves Δ holding exactly what it dropped.
+		for _, words := range recv {
+			canon.delta.Append(words)
+		}
+		canon.delta.Sort(&r.sorter)
+		canon.frozen.Filter(&canon.delta)
+		r.baseFresh = tuple.Buffer{Arity: r.Arity, Words: canon.delta.Words()}
+		removed = &r.baseFresh
+		for i := 0; r.deleting && i < removed.Len(); i++ {
+			r.dropSet.Upsert(removed.At(i))
+		}
 	} else {
-		canon := r.indexes[0]
 		for _, words := range recv {
 			for off := 0; off+r.Arity <= len(words); off += r.Arity {
 				t := tuple.Tuple(words[off : off+r.Arity])
@@ -247,14 +263,17 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 	}
 
 	// Phase B: delete the dropped tuples from every index that stores them
-	// and seed those indexes' Δ runs, exactly as maintainIndexes inserts.
+	// and seed those indexes' Δ runs; a frozen one past index 0 drops its run.
 	r.toIndexes(removed, func(id int, stored tuple.Tuple) {
-		if ix := r.indexes[id]; ix.full.Delete(stored) {
+		if ix := r.indexes[id]; ix.frozen != nil || ix.full.Delete(stored) {
 			ix.delta.Append(stored)
 		}
 	})
-	for _, ix := range r.indexes {
+	for id, ix := range r.indexes {
 		ix.delta.Sort(&r.sorter)
+		if id > 0 && ix.frozen != nil {
+			ix.frozen.Filter(&ix.delta)
+		}
 	}
 
 	r.deltaCount = removed.Len()

@@ -160,8 +160,8 @@ func (r *Relation) integrityLocal(fresh *tuple.Buffer, vec []mpi.Word) int64 {
 		if ix.stale {
 			work += int64(r.acc.Len())
 		} else {
-			fd = ix.digest(View{tree: ix.full})
-			work += int64(ix.full.Len())
+			fd = ix.digest(ix.fullView())
+			work += int64(ix.fullView().Len())
 		}
 		fullSum += fd
 		delta := ix.Delta()
@@ -198,13 +198,13 @@ func (r *Relation) integrityLocal(fresh *tuple.Buffer, vec []mpi.Word) int64 {
 // cover the indexes after the pass, so this is a round of its own rather
 // than a ride on the next routing exchange's lane headers. The fingerprint
 // computation is metered as PhaseIntegrity.
-func (r *Relation) integrityAllreduce(iter int, record bool) {
+func (r *Relation) integrityAllreduce(iter int, fresh *tuple.Buffer, record bool) {
 	if r.digVec == nil {
 		r.digVec = make([]mpi.Word, 5)
 		r.digVecOut = make([]mpi.Word, 5)
 	}
 	timer := metrics.StartTimer()
-	work := r.integrityLocal(r.freshBuf, r.digVec)
+	work := r.integrityLocal(fresh, r.digVec)
 	if record {
 		r.mc.Record(r.comm.Rank(), iter, metrics.PhaseIntegrity, timer.Done(work, 0, 0))
 	}

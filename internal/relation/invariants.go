@@ -47,7 +47,7 @@ func (r *Relation) CheckInvariants() error {
 				return false
 			}
 			last = append(last[:0], t...)
-			if !ix.full.Has(t) {
+			if !ix.fullView().Has(t) {
 				fail("relation %s index %d: Δ tuple %v missing from FULL", r.Name, id, t)
 				return false
 			}
@@ -58,7 +58,7 @@ func (r *Relation) CheckInvariants() error {
 		}
 		// One stored tuple per independent key.
 		var prev tuple.Tuple
-		ix.full.Ascend(func(t tuple.Tuple) bool {
+		ix.fullView().Ascend(func(t tuple.Tuple) bool {
 			if prev != nil && prev.ComparePrefix(t, ix.indepLen) == 0 {
 				fail("relation %s index %d: duplicate entries for key of %v", r.Name, id, t)
 				return false
@@ -73,7 +73,7 @@ func (r *Relation) CheckInvariants() error {
 		// mirror a local accumulator value; the count check below catches
 		// accumulator entries it lacks.
 		canon := r.tupleScratch()
-		ix.full.Ascend(func(t tuple.Tuple) bool {
+		ix.fullView().Ascend(func(t tuple.Tuple) bool {
 			for i, c := range ix.Perm {
 				canon[c] = t[i]
 			}
@@ -100,13 +100,13 @@ func (r *Relation) CheckInvariants() error {
 		refDigest = r.comm.Allreduce(r.digestAcc(), mpi.OpSum)
 	}
 	for id, ix := range r.indexes {
-		global := r.comm.Allreduce(uint64(ix.full.Len()), mpi.OpSum)
+		global := r.comm.Allreduce(uint64(ix.fullView().Len()), mpi.OpSum)
 		if r.leaky == nil && global != refCount && localErr == nil {
 			localErr = fmt.Errorf("relation %s index %d: global count %d, reference %d",
 				r.Name, id, global, refCount)
 		}
 		if r.Agg != nil {
-			digest := r.comm.Allreduce(ix.digest(View{tree: ix.full}), mpi.OpSum)
+			digest := r.comm.Allreduce(ix.digest(ix.fullView()), mpi.OpSum)
 			if digest != refDigest && localErr == nil {
 				localErr = fmt.Errorf("relation %s index %d: stored tuples do not mirror the accumulator", r.Name, id)
 			}

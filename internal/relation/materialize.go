@@ -143,7 +143,7 @@ func (r *Relation) Advance(iter int, pending *tuple.Buffer, record bool) (entere
 	r.deltaCount = fresh.Len()
 	r.maintainIndexes(iter, fresh, upkeep, record)
 	if r.integrity {
-		r.integrityAllreduce(iter, record)
+		r.integrityAllreduce(iter, fresh, record)
 	}
 	r.changedLast = Unsettled
 	return entered
@@ -222,8 +222,10 @@ func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) *tup
 	timer := metrics.StartTimer()
 	canon := r.indexes[0]
 	var work int64
-	fresh := r.freshTuples()
-	if canon.full.Len() == 0 {
+	fresh := &r.baseFresh
+	if r.base {
+		work = r.mergeBase(recv)
+	} else if fresh = r.freshTuples(); canon.full.Len() == 0 {
 		work = r.loadSet(recv, fresh)
 	} else {
 		for _, words := range recv {
@@ -296,6 +298,40 @@ func (ix *Index) load(run []tuple.Value) {
 	ix.full.Build(len(ix.Perm), run)
 	ix.delta.Reset(len(ix.Perm))
 	ix.deltaIsFull = true
+}
+
+// mergeBase is materializeSet for a base relation: the arrivals are copied
+// once, into an empty FULL's run, sorted in place (Δ a view of it), or else
+// into Δ's run, which Merge leaves holding what FULL lacked (baseFresh).
+// Work units are the tree's, exactly when the arrivals are distinct.
+func (r *Relation) mergeBase(recv [][]mpi.Word) (work int64) {
+	canon := r.indexes[0]
+	full, into := canon.frozen, &canon.delta
+	held := full.Len()
+	if held == 0 {
+		into = &full.Run
+	}
+	total := 0
+	for _, words := range recv {
+		total += len(words) - routeHeader
+	}
+	into.Grow(total / r.Arity)
+	for _, words := range recv {
+		into.Append(words[routeHeader:])
+	}
+	if held == 0 {
+		full.Load(&r.sorter)
+		canon.deltaIsFull = true
+	} else {
+		canon.delta.Sort(&r.sorter)
+		full.Merge(&canon.delta)
+	}
+	r.baseFresh = tuple.Buffer{Arity: r.Arity, Words: into.Words()}
+	added := full.Len() - held
+	for k := 0; k < added; k++ {
+		work += treeWork(held + k)
+	}
+	return work + int64(total/r.Arity-added)*treeWork(full.Len())
 }
 
 // materializeAgg merges arrived tuples into the canonical accumulator: every
@@ -428,6 +464,8 @@ func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, upkeep int64, 
 		}
 		ix.delta.Sort(&r.sorter)
 		switch {
+		case ix.frozen != nil:
+			ix.frozen.Merge(&ix.delta)
 		case ix.full.Len() == 0 && !ix.stale:
 			ix.load(ix.delta.Words())
 		case ix.local:
@@ -487,18 +525,18 @@ func (r *Relation) toIndexes(buf *tuple.Buffer, apply func(id int, stored tuple.
 
 // applyFresh appends one changed tuple, in index id's stored order, to that
 // index's Δ run and puts it into FULL — unless FULL is a local index's
-// cache of the accumulator, or still empty and to be built from the run
-// (maintainIndexes) — and returns the work units the cost model charges for
-// it; materializeAgg counts a local index's.
+// cache of the accumulator, frozen, or still empty (maintainIndexes then
+// builds or merges it from the run) — and returns the work units the cost
+// model charges for it; materializeAgg counts a local index's.
 func (r *Relation) applyFresh(id int, stored tuple.Tuple) int64 {
 	ix := r.indexes[id]
 	ix.delta.Append(stored)
-	n := ix.full.Len()
+	n := ix.fullView().Len()
 	switch {
 	case ix.local:
 		return 0
-	case n == 0:
-		return treeWork(ix.delta.Len() - 1)
+	case n == 0 || ix.frozen != nil:
+		return treeWork(n + ix.delta.Len() - 1)
 	case r.Agg == nil:
 		ix.full.Insert(stored)
 		return treeWork(n)

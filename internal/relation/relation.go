@@ -21,7 +21,8 @@
 // FULL itself. The FULL tree of an aggregated relation's local index (the
 // canonical or PlaceOn index, which lives with the accumulator) is a cache of
 // the accumulator: a pass only marks it stale, and its first reader rebuilds
-// it in one sort and one bottom-up build (Index.CatchUp).
+// it in one sort and one bottom-up build (Index.CatchUp). A base relation
+// (Config.Base) keeps FULL as a btree.Frozen run, rewritten by each batch.
 package relation
 
 import (
@@ -100,6 +101,9 @@ type Config struct {
 	// true aggregate; a final gather computes exact answers. PARALAGG
 	// relations never set this — it exists for the baseline engines.
 	Leaky *LeakySpec
+	// Base marks a set relation no rule derives, which changes only by whole
+	// batches: every index keeps FULL as a btree.Frozen run, not a B-tree.
+	Base bool
 }
 
 // LeakySpec configures leaky-mode pruning: candidates whose dependent value
@@ -171,6 +175,10 @@ type Relation struct {
 	// than a candidate's (BoundRetraction).
 	bounded bool
 
+	// base is Config.Base; baseFresh views a base pass's changed tuples.
+	base      bool
+	baseFresh tuple.Buffer
+
 	// sorter orders every Δ run and the catch-up; caughtUp holds the
 	// permuted accumulator rows a catch-up builds FULL from (CatchUp). Both
 	// are scratch that keeps its capacity, so a warm catch-up allocates
@@ -232,21 +240,30 @@ type Index struct {
 	digInv     []int
 	digInvDone bool
 
-	full        *btree.Tree // FULL, read through Full
-	delta       btree.Run   // Δ, read through Delta
-	deltaIsFull bool        // Δ is FULL itself (Delta)
+	full        *btree.Tree   // FULL, read through Full; nil when frozen
+	frozen      *btree.Frozen // a base relation's FULL instead of full
+	delta       btree.Run     // Δ, read through Delta
+	deltaIsFull bool          // Δ is FULL itself (Delta)
 	// stale marks a local index whose FULL lags the accumulator: a pass
 	// changed keys since the last CatchUp. catchUps counts the rebuilds.
 	stale    bool
 	catchUps int
 }
 
-// Full returns the index's FULL tree, caught up first (CatchUp).
-func (ix *Index) Full() *btree.Tree {
+// Full returns the index's FULL, caught up first (CatchUp).
+func (ix *Index) Full() View {
 	if ix.stale {
 		ix.CatchUp()
 	}
-	return ix.full
+	return ix.fullView()
+}
+
+// fullView returns FULL as it stands, stale or not.
+func (ix *Index) fullView() View {
+	if ix.frozen != nil {
+		return View{run: &ix.frozen.Run, frozen: ix.frozen}
+	}
+	return View{tree: ix.full}
 }
 
 // CatchUp brings a stale FULL up to date and reports whether it had to. A
@@ -275,11 +292,12 @@ func (ix *Index) CatchUp() bool {
 	return true
 }
 
-// View reads one version of an index in stored order: a FULL tree, or the
-// sorted run that holds a pass's Δ. Its tuples are views under btree's rules.
+// View reads one version of an index in stored order: a FULL tree, a frozen
+// FULL, or a pass's Δ run. Its tuples are views under btree's rules.
 type View struct {
-	tree *btree.Tree
-	run  *btree.Run
+	tree   *btree.Tree
+	run    *btree.Run    // a Δ run, or frozen's run
+	frozen *btree.Frozen // probed through its directory
 }
 
 // Delta returns the index's Δ: FULL itself from a bulk load or ResetDelta
@@ -287,13 +305,22 @@ type View struct {
 // otherwise. The view is rank-local, so no collective may branch on it.
 func (ix *Index) Delta() View {
 	if ix.deltaIsFull {
-		return View{tree: ix.Full()}
+		return ix.Full()
 	}
 	return View{run: &ix.delta}
 }
 
-// IsFull reports whether the view reads a FULL tree.
-func (v View) IsFull() bool { return v.tree != nil }
+// IsFull reports whether the view reads FULL.
+func (v View) IsFull() bool { return v.tree != nil || v.frozen != nil }
+
+// Words returns the view's tuples laid end to end when it reads a run (a Δ
+// run or a frozen FULL), valid until the index next changes; nil for a tree.
+func (v View) Words() []tuple.Value {
+	if v.run == nil {
+		return nil
+	}
+	return v.run.Words()
+}
 
 // Len returns the number of tuples in the view.
 func (v View) Len() int {
@@ -323,9 +350,12 @@ func (v View) Ascend(fn func(tuple.Tuple) bool) {
 // AscendPrefix calls fn, in order, for every tuple whose leading columns
 // equal prefix, until fn returns false.
 func (v View) AscendPrefix(prefix tuple.Tuple, fn func(tuple.Tuple) bool) {
-	if v.tree != nil {
+	switch {
+	case v.tree != nil:
 		v.tree.AscendPrefix(prefix, fn)
-	} else {
+	case v.frozen != nil:
+		v.frozen.AscendPrefix(prefix, fn)
+	default:
 		v.run.AscendPrefix(prefix, fn)
 	}
 }
@@ -346,7 +376,10 @@ func New(sch Schema, comm *mpi.Comm, mc *metrics.Collector, cfg Config) (*Relati
 	if subs < 1 {
 		subs = 1
 	}
-	r := &Relation{Schema: sch, comm: comm, mc: mc, subs: subs, integrity: cfg.Integrity}
+	if cfg.Base && (sch.Agg != nil || cfg.Leaky != nil) {
+		return nil, fmt.Errorf("relation %s: only a plain set relation can be a base relation", sch.Name)
+	}
+	r := &Relation{Schema: sch, comm: comm, mc: mc, subs: subs, integrity: cfg.Integrity, base: cfg.Base}
 	if sch.Agg != nil {
 		r.acc = wordmap.New(sch.Indep, sch.Dep())
 	}
@@ -452,7 +485,12 @@ func (r *Relation) AddIndex(perm []int, jk int) (*Index, error) {
 		Perm:     append([]int(nil), perm...),
 		JK:       jk,
 		indepLen: r.Indep,
-		full:     btree.New(),
+	}
+	if r.base {
+		idx.frozen = &btree.Frozen{}
+		idx.frozen.Reset(r.Arity, jk)
+	} else {
+		idx.full = btree.New()
 	}
 	idx.delta.Reset(r.Arity)
 	if r.Agg != nil {
@@ -668,7 +706,7 @@ func (r *Relation) LocalFullCount() int {
 	if r.Agg != nil {
 		return r.acc.Len()
 	}
-	return r.indexes[0].full.Len()
+	return r.indexes[0].fullView().Len()
 }
 
 // LocalDeltaCount returns the number of Δ tuples on this rank: the tuples
@@ -733,9 +771,10 @@ func (r *Relation) EachAcc(fn func(tuple.Tuple)) {
 func (r *Relation) SetChangedLast(n uint64) { r.changedLast = n }
 
 // MemWords reports this rank's accounted storage footprint for the
-// relation, in words: the accumulator arena, every index's FULL tree and Δ
-// run, the last delete's drop set, and the reusable exchange, sort and
-// catch-up scratch, all by capacity.
+// relation, in words: the accumulator arena, every index's FULL (a frozen
+// FULL's spare buffer and directory included) and Δ run, the last delete's
+// drop set, and the reusable exchange, sort and catch-up scratch, all by
+// capacity.
 // Each term is an O(1) capacity read, so the memory accountant can sample
 // it every iteration without touching the hot path.
 func (r *Relation) MemWords() int64 {
@@ -746,7 +785,11 @@ func (r *Relation) MemWords() int64 {
 		}
 	}
 	for _, ix := range r.indexes {
-		w += ix.full.MemWords() + ix.delta.MemWords()
+		if w += ix.delta.MemWords(); ix.frozen != nil {
+			w += ix.frozen.MemWords()
+		} else {
+			w += ix.full.MemWords()
+		}
 	}
 	w += r.sorter.MemWords() + r.caughtUp.MemWords()
 	w += int64(cap(r.tupScratch)) + int64(cap(r.permScratch))
@@ -760,8 +803,8 @@ func (r *Relation) MemWords() int64 {
 }
 
 // ReleaseScratch drops the relation's reusable scratch capacity — the
-// pre-aggregation table, per-peer exchange lanes, tuple buffers, and the sort
-// and catch-up scratch — the
+// pre-aggregation table, per-peer exchange lanes, tuple buffers, the sort
+// and catch-up scratch and a frozen FULL's spare buffer — the
 // soft response of the memory accountant's pressure ladder. Resident state
 // (accumulator, indexes) is untouched, so correctness is unaffected;
 // the next Materialize simply re-grows its scratch, trading allocations for
@@ -772,4 +815,9 @@ func (r *Relation) ReleaseScratch() {
 	r.freshBuf = nil
 	r.sorter = tuple.Sorter{}
 	r.caughtUp = btree.Run{}
+	for _, ix := range r.indexes {
+		if ix.frozen != nil {
+			ix.frozen.ReleaseSpare()
+		}
+	}
 }
