@@ -56,17 +56,19 @@ chaos:
 # sequences at arities 1-4 against a sorted-slice reference, and so does the
 # sorted run an index's Δ lives in: random batches at arities 1-4, refilled
 # into one run, read back (Len, Ascend, AscendPrefix with an early stop, Has)
-# against a tree of the same batch, and so does a base relation's frozen
-# FULL: random Load/Merge/Filter batches at arities 1-4 and every join-key
-# width, read back (what each batch left, Len, Ascend, Has, AscendPrefix at
-# every prefix width, the directory's among them) against a sorted slice,
+# against a tree of the same batch, and so does the frozen run a base
+# relation's FULL and an accumulator cache live in: random Load/Merge/Filter
+# batches at arities 1-4 and every join-key width, 0 (no directory)
+# included, read back (what each batch left, Len, Ascend, Has, AscendPrefix
+# at every prefix width, the directory's among them) against a sorted slice,
 # and so does the bulk-load sort: byte-coded batches at arities 1-4 through tuple.SortedRun's
 # radix sort against the comparison sort it replaced, and so does the rule
 # compiler: random head and condition term trees, three deep over every op
 # kind, through the flat op list against a tree walk, and so does
-# incremental maintenance: generated insert/delete histories over eight
+# incremental maintenance: generated insert/delete histories over nine
 # programs (bounded and unbounded retraction, a non-linear rule, a base
-# relation read through a second index) at 1-3
+# relation read through a second index, an aggregated one through a
+# replica) at 1-3
 # ranks, every batch bit-identical to the naive evaluator. So does the
 # checkpoint reader: pairs of file images stored in both sink backends
 # (memory and directory), read back through the one envelope decoder, and
@@ -81,11 +83,12 @@ chaos:
 # allocates, and the plain build is what the benchmark measures. The
 # racing-ranks test of recycled receive rows runs ten more times under
 # -race, as its doc asks: one pass rarely hits the interleaving it guards,
-# and it is the check on how a mailbox wakes its one taker.
+# and it is the check on how a mailbox wakes its one taker. The plain
+# allocation pass covers every package, the root's query pins included.
 verify: vet
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run RecycledRows ./internal/mpi
-	$(GO) test -count=1 -run 'Allocs|AllocFree' ./internal/...
+	$(GO) test -count=1 -run 'Allocs|AllocFree' ./...
 	$(GO) test -run '^$$' -fuzz FuzzAgainstSortedSlice -fuzztime 15s -fuzzminimizetime 10x ./internal/btree
 	$(GO) test -run '^$$' -fuzz FuzzRunAgainstTree -fuzztime 10s -fuzzminimizetime 10x ./internal/btree
 	$(GO) test -run '^$$' -fuzz FuzzFrozenAgainstSortedSlice -fuzztime 10s -fuzzminimizetime 10x ./internal/btree

@@ -1,12 +1,12 @@
-// Package btree implements the in-memory B-tree that backs local relation
-// storage, mirroring the nested-BTree indexes of the paper's C++ runtime.
-// Tuples are ordered lexicographically; the index columns of a relation form
-// a key prefix, so a join probe is a prefix range scan with O(log n) seek —
-// the access pattern the paper's inner relation benefits from. A version
-// that is written once per pass and then only read, an index's Δ, is a Run
-// instead: the same order and readers over one flat sorted slice. FULL of a
-// relation no rule derives is a Frozen run: a Run rewritten whole by each
-// batch, with a directory from join key to its range of the run.
+// Package btree implements local relation storage in three shapes with one
+// order and one set of readers. Tuples are ordered lexicographically; the
+// index columns of a relation form a key prefix, so a join probe is a prefix
+// range scan with an O(log n) seek — the access pattern the paper's inner
+// relation benefits from. An index's Δ, written once per pass and then only
+// read, is a Run: one flat sorted slice. A FULL that changes only by whole
+// batches or rebuilds is a Frozen run, with an optional join-key directory.
+// The B-tree, after the nested-BTree indexes of the paper's C++ runtime, is
+// for a FULL that takes tuples one at a time.
 //
 // Storage is flat: a node holds its tuples' words inline, one after another
 // at a fixed stride, so a compare reads the node's own memory and an insert
@@ -39,7 +39,7 @@ const (
 )
 
 // Tree is a B-tree of same-arity tuples in lexicographic order. The zero
-// value is not usable; call New.
+// value is an empty tree.
 type Tree struct {
 	root  *node
 	size  int

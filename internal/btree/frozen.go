@@ -7,12 +7,12 @@ import (
 	"paralagg/internal/wordmap"
 )
 
-// Frozen is a Run that changes only by whole batches: the FULL version of an
-// index no rule writes. A directory maps every distinct jk-word prefix to the
-// [lo, hi) words of its tuples, so AscendPrefix at width jk is one hash
-// lookup and a scan with no compares. Fill it with Reset, Grow and Append,
-// then Load. Merge and Filter rewrite the run into a spare buffer and swap
-// the two (ping-pong), so warm batches allocate nothing. Every change
+// Frozen is a Run that changes only by whole batches or rebuilds. Given a
+// join-key width jk above 0 (Reset), a directory maps every distinct jk-word
+// prefix to the [lo, hi) words of its tuples, so AscendPrefix at width jk is
+// one hash lookup and a scan with no compares; the zero value has none. Fill
+// it with Load. Merge and Filter rewrite the run into a spare buffer and
+// swap the two (ping-pong), so warm batches allocate nothing. Every change
 // refills the directory in place.
 type Frozen struct {
 	Run
@@ -22,7 +22,7 @@ type Frozen struct {
 }
 
 // Reset empties the run and directory, keeping their capacity, and sets the
-// tuples' arity and the directory's key width.
+// tuples' arity and the directory's key width (0: no directory).
 func (f *Frozen) Reset(arity, jk int) {
 	f.Run.Reset(arity)
 	f.jk = jk
@@ -31,8 +31,12 @@ func (f *Frozen) Reset(arity, jk int) {
 	}
 }
 
-// Load sorts and deduplicates the appended tuples in place and indexes them.
-func (f *Frozen) Load(s *tuple.Sorter) {
+// Load sorts run in place and makes it the frozen run, indexed; a run other
+// than f's own Run trades buffers with it and is left empty.
+func (f *Frozen) Load(run *Run, s *tuple.Sorter) {
+	if run != &f.Run {
+		f.arity, f.words, run.words = run.arity, run.words, f.words[:0]
+	}
 	f.Run.Sort(s)
 	f.index()
 }
@@ -86,6 +90,9 @@ func (f *Frozen) rewrite(batch *Run, add bool) {
 // index refills the directory, sized up front to the distinct prefixes.
 func (f *Frozen) index() {
 	a, k, w := f.arity, f.jk, f.words
+	if k == 0 {
+		return
+	}
 	distinct := 0
 	for off := 0; off < len(w); off += a {
 		if off == 0 || cmpWords(w[off-a:off-a+k], w[off:off+k]) != 0 {
@@ -108,7 +115,7 @@ func (f *Frozen) index() {
 
 // AscendPrefix is Run's, through the directory at width jk.
 func (f *Frozen) AscendPrefix(prefix tuple.Tuple, fn func(tuple.Tuple) bool) {
-	if len(prefix) != f.jk || f.dir == nil {
+	if len(prefix) != f.jk || f.jk == 0 || f.dir == nil {
 		f.Run.AscendPrefix(prefix, fn)
 		return
 	}

@@ -10,17 +10,19 @@ import (
 
 // FuzzFrozenAgainstSortedSlice drives one Frozen run with byte-coded
 // batches — Load, Merge, Filter — and checks it after every batch against a
-// sorted slice of distinct tuples: what Merge and Filter leave in their
+// sorted slice of distinct tuples: what Load, Merge and Filter leave in their
 // batch, Len, Ascend, Has on every tuple of the batch and of the next one,
 // and AscendPrefix with an early stop at every prefix width, the directory's
 // join-key width among them.
 //
-// Byte 0 picks the arity (1–4), byte 1 the join-key width (1 + byte 1 %
-// arity), byte 2 the early stop (1 + byte 2 % 8 matches). The rest is
-// batches, each an opcode byte (Load, Merge, Filter, or Merge after
-// ReleaseSpare), a count byte and that many tuples of one byte per column,
-// column 0 taken mod 64 and the others mod 4, so batches repeat tuples and
-// share prefixes.
+// Byte 0 picks the arity (1–4), byte 1 the join-key width (byte 1 %
+// (arity+1), 0 for no directory), byte 2 the early stop (1 + byte 2 % 8
+// matches). The rest is batches, each an opcode byte (Load, Merge, Filter,
+// or Merge after ReleaseSpare), a count byte and that many tuples of one
+// byte per column, column 0 taken mod 64 and the others mod 4, so batches
+// repeat tuples and share prefixes. Batch i loads from the frozen run's own
+// Run when i is even and from a separate run, whose buffer it takes, when i
+// is odd.
 func FuzzFrozenAgainstSortedSlice(f *testing.F) {
 	for _, seed := range []int64{1, 42, 99} {
 		rng := rand.New(rand.NewSource(seed))
@@ -39,7 +41,7 @@ func FuzzFrozenAgainstSortedSlice(f *testing.F) {
 			return
 		}
 		arity := 1 + int(data[0]%4)
-		jk, stop := 1+int(data[1])%arity, 1+int(data[2]%8)
+		jk, stop := int(data[1])%(arity+1), 1+int(data[2]%8)
 		type batch struct {
 			op     byte
 			tuples []tuple.Tuple
@@ -74,10 +76,18 @@ func FuzzFrozenAgainstSortedSlice(f *testing.F) {
 			switch bt.op {
 			case 0:
 				fz.Reset(arity, jk)
-				for _, k := range bt.tuples {
-					fz.Append(k)
+				src := &fz.Run
+				if b%2 == 1 {
+					src = &run
+					run.Reset(arity)
 				}
-				fz.Load(&s)
+				for _, k := range bt.tuples {
+					src.Append(k)
+				}
+				fz.Load(src, &s)
+				if src == &run && run.Len() != 0 {
+					t.Fatalf("batch %d: Load left %d tuples in the run it took", b, run.Len())
+				}
 				ref = distinct
 			default:
 				run.Reset(arity)
@@ -169,7 +179,7 @@ func TestFrozenBatchesAllocFree(t *testing.T) {
 	for k := 0; k < 4096; k++ {
 		fz.Append(tuple.Tuple{tuple.Value(k % 97), tuple.Value(k), 1})
 	}
-	fz.Load(&s)
+	fz.Load(&fz.Run, &s)
 	var run Run
 	fill := func() {
 		run.Reset(3)
@@ -195,7 +205,7 @@ func TestFrozenBatchesAllocFree(t *testing.T) {
 		t.Errorf("warm Merge and Filter: %v allocs/op, want 0", allocs)
 	}
 	spare := int64(cap(fz.spare))
-	if want := int64(cap(fz.words)+cap(fz.tmp)) + spare + fz.dir.MemWords(); fz.MemWords() != want || spare == 0 {
+	if want := int64(cap(fz.words)) + spare + fz.dir.MemWords(); fz.MemWords() != want || spare == 0 {
 		t.Errorf("MemWords = %d, want the run, the spare (%d words) and the directory: %d", fz.MemWords(), spare, want)
 	}
 	before := fz.MemWords()

@@ -16,7 +16,6 @@ import (
 type Run struct {
 	arity int
 	words []tuple.Value
-	tmp   []tuple.Value // one tuple: Sort's cycle-following hole
 }
 
 // Reset empties the run and sets the arity of the tuples it takes next.
@@ -39,14 +38,14 @@ func (r *Run) Extend() tuple.Tuple {
 
 // Sort puts the appended tuples in ascending order and drops duplicates, in
 // place: s orders the tuples, and the run follows the permutation's cycles
-// through one spare tuple. A run that already ascends is left as is.
+// through one tuple of s's scratch. A run that already ascends is left as is.
 func (r *Run) Sort(s *tuple.Sorter) {
 	a := r.arity
 	if ascending(a, r.words) {
 		return
 	}
 	perm := s.Order(a, r.words)
-	r.tmp = slices.Grow(r.tmp[:0], a)[:a]
+	tmp := s.Scratch(a)
 	at := func(i int) []tuple.Value { return r.words[i*a : (i+1)*a] }
 	for start, p := range perm {
 		if int(p) == start {
@@ -54,13 +53,13 @@ func (r *Run) Sort(s *tuple.Sorter) {
 		}
 		// Position j takes tuple perm[j]; each visited position is marked
 		// done by pointing perm at itself.
-		copy(r.tmp, at(start))
+		copy(tmp, at(start))
 		j := start
 		for {
 			k := int(perm[j])
 			perm[j] = uint32(j)
 			if k == start {
-				copy(at(j), r.tmp)
+				copy(at(j), tmp)
 				break
 			}
 			copy(at(j), at(k))
@@ -94,7 +93,7 @@ func (r *Run) Len() int {
 }
 
 // MemWords reports the run's capacity in words.
-func (r *Run) MemWords() int64 { return int64(cap(r.words) + cap(r.tmp)) }
+func (r *Run) MemWords() int64 { return int64(cap(r.words)) }
 
 // search returns the index of the first tuple whose leading len(key) words
 // are not below key.

@@ -21,7 +21,8 @@ import (
 // zero weights, widest path, CC, LexMin2), a union lattice that must keep
 // over-deleting (ReachLabels' $BOR), and a non-linear set rule whose
 // re-derivation joins two surviving derived tuples. One program reads its
-// base relation through a second index, on the destination column.
+// base relation through a second index, on the destination column, and one
+// reads its aggregated relation through a replica.
 
 // historyProgram is one program of the deletion differential: its rules,
 // its initial base facts and a generator of one fresh base fact to insert.
@@ -204,6 +205,29 @@ var historySuite = []historyProgram{
 		},
 		facts: func(rng *rand.Rand) map[string][]tuple.Tuple {
 			return map[string][]tuple.Tuple{"e": wedges(rng, 12, 34, 3), "to": {{0, 0, 0}, {7, 7, 0}}}
+		},
+		fresh: func(rng *rand.Rand) (string, tuple.Tuple) { return "e", wedge(rng, 12, 3) },
+	},
+	{
+		name: "sssp-two-sided",
+		build: func() *Program {
+			// sp(f,t, MIN(d+w)) grown at both ends: forward through e's
+			// source column and backward through its destination. sp is
+			// joined on its source, keyed there so that index is its local
+			// one, and on its destination, a replica kept in a B-tree.
+			p := NewProgram()
+			p.DeclareSet("e", 3, 1)
+			p.declare(&Decl{Name: "sp", Arity: 3, Indep: 2, Key: 1, Agg: lattice.Min{}})
+			p.Add(
+				R(A("sp", Var("f"), Var("t"), Add(Var("d"), Var("w"))),
+					A("sp", Var("f"), Var("m"), Var("d")), A("e", Var("m"), Var("t"), Var("w"))),
+				R(A("sp", Var("f"), Var("t"), Add(Var("d"), Var("w"))),
+					A("e", Var("f"), Var("m"), Var("w")), A("sp", Var("m"), Var("t"), Var("d"))),
+			)
+			return p
+		},
+		facts: func(rng *rand.Rand) map[string][]tuple.Tuple {
+			return map[string][]tuple.Tuple{"e": wedges(rng, 12, 30, 3), "sp": {{0, 0, 0}, {6, 6, 0}}}
 		},
 		fresh: func(rng *rand.Rand) (string, tuple.Tuple) { return "e", wedge(rng, 12, 3) },
 	},
@@ -417,6 +441,7 @@ func TestBoundsRetraction(t *testing.T) {
 		"reach-labels-bor":           false,
 		"tc-non-linear":              false, // set relations have no value to bound by
 		"sssp-reverse-edge-index":    true,
+		"sssp-two-sided":             true,
 	}
 	for _, hp := range historySuite {
 		p := hp.build()
@@ -472,5 +497,26 @@ func TestDeletingADerivedFactIsANoOp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestTwoSidedSSSPHasAReplica pins that historySuite reaches the B-tree a
+// deletion still uses: sssp-two-sided's sp is joined on two keys, so it is
+// not placed on one, and Materialize runs its replica exchange.
+func TestTwoSidedSSSPHasAReplica(t *testing.T) {
+	hp := historySuite[slices.IndexFunc(historySuite, func(h historyProgram) bool { return h.name == "sssp-two-sided" })]
+	err := mpi.NewWorld(2).Run(func(c *mpi.Comm) error {
+		in, err := hp.build().Instantiate(c, metrics.NewCollector(2), Config{Subs: 1})
+		if err != nil {
+			return err
+		}
+		if sp := in.Relation("sp"); len(sp.Indexes()) != 2 || !sp.Replicated() {
+			return fmt.Errorf("sp has %d indexes, replicated %v: want a local index and a replica",
+				len(sp.Indexes()), sp.Replicated())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -114,9 +114,10 @@ func steadyStateAllocFree(t *testing.T, integrity bool) {
 // TestPressureCountsAndShedsCandidateBuffers: the memory accountant's
 // compute sample covers the fixpoint's candidate buffers — a set head's
 // growing buffer and an aggregated head's staging chunk — besides every
-// relation's storage, its Δ runs and the scratch a FULL catch-up leaves, and
-// soft pressure releases the buffers with the relations' scratch, the
-// catch-up's included, while the Δ runs stay.
+// relation's storage, its Δ runs, a caught-up FULL cache and the sort
+// scratch the catch-up leaves, and soft pressure releases the buffers with
+// the relations' scratch, the sort's included, while the Δ runs and the
+// cache stay.
 func TestPressureCountsAndShedsCandidateBuffers(t *testing.T) {
 	es := randGraph(60, 400, 23, 5)
 	err := mpi.NewWorld(1).Run(func(c *mpi.Comm) error {
@@ -132,6 +133,7 @@ func TestPressureCountsAndShedsCandidateBuffers(t *testing.T) {
 		seed := tuple.NewBuffer(3, 1)
 		seed.Append(tuple.Tuple{0, 0, 0})
 		sp.LoadFacts(seed)
+		seedWords := int64(cap(spMid.Full().Words())) // the cache's run, as the seed's load left it
 		fx := NewFixpoint(c, mc,
 			&Join{Left: spMid, LeftRel: sp, Right: edgeRel.Canonical(), RightRel: edgeRel, Head: sp, JK: 1,
 				Emit: func(l, r, out tuple.Tuple) bool {
@@ -145,20 +147,23 @@ func TestPressureCountsAndShedsCandidateBuffers(t *testing.T) {
 				}})
 		opts := Options{Plan: PlanDynamic, Acct: resource.NewAccountant(1 << 40)}
 		fx.Run(opts)
-		// The run changed spath after the seed's load built its FULL, one
-		// tuple; reading FULL now rebuilds it from the accumulator, and the
-		// permuted rows stay behind as scratch. Everything else spath
-		// accounts once its own scratch is shed is resident, its Δ runs
-		// included.
+		// The run changed spath after the seed's load filled its FULL, one
+		// tuple, and read that FULL only in its first iteration, before any
+		// change; reading FULL now rebuilds the cache from the accumulator,
+		// its rows permuted into the cache's own run and sorted there, and
+		// the sort's scratch stays behind. Everything else spath accounts
+		// once its own scratch is shed is resident, its Δ runs included.
 		sp.ReleaseScratch()
 		resident := sp.MemWords()
 		if !spMid.CatchUp() {
 			return fmt.Errorf("spath's placement index was current after the run")
 		}
-		rows := int64(sp.LocalFullCount() * sp.Arity)
-		grown := int64(spMid.Full().Len()-1) * (int64(sp.Arity) + 4) // the tree (btree.MemWords), less its one seed tuple
-		if got := sp.MemWords() - resident; got < grown+rows {
-			t.Errorf("a catch-up of %d rows grew the tree by %d words and the relation by %d", rows/int64(sp.Arity), grown, got)
+		n := int64(sp.LocalFullCount())
+		cache := int64(cap(spMid.Full().Words()))
+		grown := cache - seedWords // the cache's run, counted by capacity
+		if got := sp.MemWords() - resident; cache < n*int64(sp.Arity) || got < grown+n/2 {
+			t.Errorf("a catch-up of %d rows grew the cache's run by %d words to %d and the relation by %d, "+
+				"want the run's growth and a sort permutation of %d words", n, grown, cache, got, n/2)
 		}
 
 		var relWords, candWords int64
@@ -188,7 +193,7 @@ func TestPressureCountsAndShedsCandidateBuffers(t *testing.T) {
 			}
 		}
 		if got, want := sp.MemWords(), resident+grown; got != want {
-			t.Errorf("after soft pressure spath accounts %d words, want %d: its resident ones and the caught-up tree's %d",
+			t.Errorf("after soft pressure spath accounts %d words, want %d: its resident ones and the caught-up cache's %d",
 				got, want, grown)
 		}
 		return nil

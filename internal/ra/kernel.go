@@ -46,7 +46,7 @@ func versionLen(ix *relation.Index, v Version) int {
 }
 
 // scanVersion iterates the version's tuples in order: Δ's sorted run, or
-// FULL (a tree, or a base relation's frozen run).
+// FULL (a tree or a frozen run).
 func scanVersion(ix *relation.Index, v Version, fn func(tuple.Tuple) bool) {
 	switch v {
 	case VDelta:
@@ -61,7 +61,7 @@ func scanVersion(ix *relation.Index, v Version, fn func(tuple.Tuple) bool) {
 }
 
 // probeVersion scans the version's tuples matching the join-key prefix: a
-// binary search of Δ's run, or FULL's tree descent or directory lookup.
+// binary search of Δ's run, or FULL's tree descent, directory or search.
 func probeVersion(ix *relation.Index, v Version, prefix tuple.Tuple, fn func(tuple.Tuple) bool) {
 	switch v {
 	case VDelta:

@@ -182,8 +182,10 @@ func TestSetDedupExistingAllocFree(t *testing.T) {
 // TestCatchUpAllocFree pins the rebuild of a local index's FULL from the
 // accumulator: once warm, a pass that improves every key (which leaves FULL
 // stale) and the FULL read that catches it up allocate nothing, because
-// the permuted rows, the sort and the tree's nodes all reuse what the
-// previous catch-up left.
+// the permuted rows go straight into the capacity of FULL's own frozen run
+// and the sort reuses what the previous catch-up left. The cache is resident
+// FULL: MemWords counts its run by capacity, and ReleaseScratch sheds the
+// sort scratch and keeps the cache, current.
 func TestCatchUpAllocFree(t *testing.T) {
 	for _, subs := range allocSubs {
 		t.Run(fmt.Sprintf("subs=%d", subs), func(t *testing.T) {
@@ -199,10 +201,11 @@ func TestCatchUpAllocFree(t *testing.T) {
 					return err
 				}
 				r.PlaceOn(ix)
+				// The keys arrive in descending order, so every catch-up sorts.
 				best := tuple.Value(1 << 20)
-				buf := accBenchBuffer(false)
-				for k := 0; k < accBenchKeys; k++ {
-					buf.At(k)[2] = best
+				buf := tuple.NewBuffer(3, accBenchKeys)
+				for k := accBenchKeys - 1; k >= 0; k-- {
+					buf.Append(tuple.Tuple{tuple.Value(k), tuple.Value(k + 1), best})
 				}
 				r.Materialize(0, buf, false) // a load builds FULL itself
 				cycle := func() {
@@ -227,8 +230,8 @@ func TestCatchUpAllocFree(t *testing.T) {
 				if ix.catchUps == before {
 					t.Error("the FULL reads caught nothing up")
 				}
-				// The Δ run is resident and counted by capacity; the catch-up
-				// rows and the sort scratch are counted and shed with the
+				// The Δ run and the cache are resident and counted by
+				// capacity; the sort scratch is counted and shed with the
 				// rest of the scratch.
 				counted := r.MemWords()
 				run := ix.delta
@@ -237,13 +240,24 @@ func TestCatchUpAllocFree(t *testing.T) {
 					t.Errorf("MemWords counts %d words of a Δ run holding %d", got, run.MemWords())
 				}
 				ix.delta = run
-				scratch := r.caughtUp.MemWords() + r.sorter.MemWords()
+				cache := ix.frozen
+				ix.frozen = btree.Frozen{}
+				held := int64(cap(cache.Words()))
+				if got := counted - r.MemWords(); got != held || held < int64(accBenchKeys*r.Arity) {
+					t.Errorf("MemWords counts %d words of a cache whose run holds %d by capacity, %d keys of %d words",
+						got, held, accBenchKeys, r.Arity)
+				}
+				ix.frozen = cache
+				scratch, before := r.sorter.MemWords(), ix.catchUps
 				r.ReleaseScratch()
-				if r.caughtUp.MemWords() != 0 || r.sorter.MemWords() != 0 || ix.delta.MemWords() != run.MemWords() {
-					t.Error("ReleaseScratch kept the catch-up or sort scratch, or dropped Δ")
+				if r.sorter.MemWords() != 0 || ix.delta.MemWords() != run.MemWords() || ix.frozen.MemWords() != held {
+					t.Error("ReleaseScratch kept the sort scratch, or dropped Δ or the cache")
 				}
 				if shed := counted - r.MemWords(); shed < scratch || scratch == 0 {
-					t.Errorf("ReleaseScratch shed %d words, the catch-up and sort scratch alone held %d", shed, scratch)
+					t.Errorf("ReleaseScratch shed %d words, the sort scratch alone held %d", shed, scratch)
+				}
+				if ix.stale || ix.Full().Len() != accBenchKeys || ix.catchUps != before {
+					t.Error("the cache was not current after ReleaseScratch")
 				}
 				return r.CheckInvariants()
 			})
@@ -375,7 +389,7 @@ func TestBaseInsertDeleteAllocFree(t *testing.T) {
 					t.Errorf("warm base insert and delete: %v allocs/op, want 0", allocs)
 				}
 				for _, ix := range r.Indexes() {
-					if ix.frozen == nil || ix.full != nil {
+					if !ix.frozenFull {
 						t.Fatalf("index %v of a base relation is not frozen", ix.Perm)
 					}
 					if n, d := ix.Full().Len(), ix.Delta(); n != accBenchKeys || d.IsFull() || d.Len() != batch.Len() {
@@ -385,7 +399,7 @@ func TestBaseInsertDeleteAllocFree(t *testing.T) {
 				}
 				for _, ix := range r.Indexes() {
 					counted, fz := r.MemWords(), ix.frozen
-					ix.frozen = &btree.Frozen{}
+					ix.frozen = btree.Frozen{}
 					if got := counted - r.MemWords(); got != fz.MemWords() {
 						t.Errorf("index %v: MemWords counts %d words of a frozen FULL holding %d", ix.Perm, got, fz.MemWords())
 					}

@@ -131,3 +131,111 @@ func TestServingInsertCatchesUpOncePerApply(t *testing.T) {
 		})
 	}
 }
+
+// TestDeleteLeavesLocalFullStale pins the delete side of the cache: inside
+// a deletion bracket, DeleteBatch rebuilds no local FULL, even a stale one,
+// but only marks it stale; a FULL read there lacks the bracket's drops,
+// while Lookup still finds them until EndDelete. A serving delete then
+// catches spath's index up twice on each rank: where invalidation reads
+// FULL inside the bracket, and where the re-derivation seeds Δ from it.
+func TestDeleteLeavesLocalFullStale(t *testing.T) {
+	g := graph.Grid("grid", 6, 40, 8, 3)
+	// Catch-ups of spath's one index, summed over both ranks and the four
+	// serving deletes, as measured: 2.0 per rank and delete.
+	wantServing := map[int]int{1: 16, 4: 16}
+	for _, subs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("subs=%d", subs), func(t *testing.T) {
+			err := mpi.NewWorld(2).Run(func(c *mpi.Comm) error {
+				cfg := core.Config{Subs: subs}
+				in, err := loadSSSP(c, g, cfg)
+				if err != nil {
+					return err
+				}
+				in.Run(cfg)
+				sp := in.Relation("spath")
+				ix := sp.Indexes()[0]
+				sum := func(n int) int { return int(c.Allreduce(uint64(n), mpi.OpSum)) }
+
+				// New keys on every rank leave the cache stale somewhere.
+				fresh := tuple.NewBuffer(3, 8)
+				for k := 0; k < 8; k++ {
+					fresh.Append(tuple.Tuple{tuple.Value(1000 + 8*c.Rank() + k), 0, 5})
+				}
+				sp.LoadFacts(fresh)
+				stale := 0
+				if relation.Stale(ix) {
+					stale = 1
+				}
+				if sum(stale) == 0 {
+					return fmt.Errorf("no rank's cache went stale")
+				}
+				drop := tuple.Buffer{Arity: 3}
+				sp.EachAcc(func(tp tuple.Tuple) {
+					if tp[1]%5 == 1 {
+						drop.Append(tp)
+					}
+				})
+
+				sp.BeginDelete()
+				before := relation.CatchUps(ix)
+				dropped := sp.DeleteBatch(&drop)
+				if n := sum(relation.CatchUps(ix) - before); n != 0 {
+					return fmt.Errorf("DeleteBatch rebuilt the local FULL %d times", n)
+				}
+				if dropped == 0 || !relation.Stale(ix) && len(sp.Dropped()) > 0 {
+					return fmt.Errorf("rank %d: %d keys dropped, cache stale %v", c.Rank(), dropped, relation.Stale(ix))
+				}
+				held := map[[2]tuple.Value]bool{}
+				ix.Full().Ascend(func(st tuple.Tuple) bool {
+					held[[2]tuple.Value{st[1], st[0]}] = true // stored on T, F
+					return true
+				})
+				if got, want := sum(len(held)), sp.GlobalFullCount()-dropped; uint64(got) != want {
+					return fmt.Errorf("FULL holds %d keys inside the bracket, want %d", got, want)
+				}
+				for w := sp.Dropped(); len(w) > 0; w = w[3:] {
+					if held[[2]tuple.Value{w[0], w[1]}] {
+						return fmt.Errorf("rank %d: FULL read inside the bracket holds dropped key %v", c.Rank(), w[:2])
+					}
+					if _, ok := sp.Lookup(w[:2]); !ok {
+						return fmt.Errorf("rank %d: Lookup lost dropped key %v before EndDelete", c.Rank(), w[:2])
+					}
+				}
+				sp.EndDelete()
+				for w := sp.Dropped(); len(w) > 0; w = w[3:] {
+					if _, ok := sp.Lookup(w[:2]); ok {
+						return fmt.Errorf("rank %d: Lookup still finds dropped key %v after EndDelete", c.Rank(), w[:2])
+					}
+				}
+				sp.ClearDelta() // Δ holds the drops, which FULL no longer does
+				if err := sp.CheckInvariants(); err != nil {
+					return err
+				}
+
+				caughtUp := 0
+				for batch := 0; batch < 4; batch++ {
+					shortcut := tuple.NewBuffer(3, 1)
+					if c.Rank() == batch%c.Size() {
+						shortcut.Append(tuple.Tuple{0, tuple.Value(g.Nodes - 1 - batch), 1})
+					}
+					edges := map[string]*tuple.Buffer{"edge": shortcut}
+					if _, err := in.ApplyDelta(cfg, core.ApplyInput{Inserts: edges}); err != nil {
+						return err
+					}
+					before := relation.CatchUps(ix)
+					if _, err := in.ApplyDelta(cfg, core.ApplyInput{Deletes: edges}); err != nil {
+						return err
+					}
+					caughtUp += relation.CatchUps(ix) - before
+				}
+				if got := sum(caughtUp); got != wantServing[subs] {
+					return fmt.Errorf("four serving deletes caught spath up %d times, want %d", got, wantServing[subs])
+				}
+				return sp.CheckInvariants()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -196,30 +196,20 @@ func (r *Relation) Restore(shards []Shard) error {
 	// order; only what this rank keeps is copied. Each table is sized for the
 	// mean shard read: the writing world was hash balanced, and at its size
 	// the one shard read is exactly what is kept.
-	var keep []mpi.Word
 	for x, ix := range r.indexes {
-		kept := func(which int) []mpi.Word { // FULL's tuples, then Δ's
-			keep = keep[:0]
+		keep := func(which int) { // FULL's tuples, then Δ's, into Δ's run
+			ix.resetDelta()
 			for i := range split {
 				for run := split[i].trees[2*x+which]; len(run) > 0; run = run[r.Arity:] {
 					if t := tuple.Tuple(run[:r.Arity]); ix.ownedHere(t) {
-						keep = append(keep, t...)
+						ix.delta.Append(t)
 					}
 				}
 			}
-			return keep
 		}
-		if ix.frozen != nil {
-			ix.frozen.Reset(r.Arity, ix.JK)
-			ix.frozen.Append(kept(0))
-			ix.frozen.Load(&r.sorter)
-		} else {
-			ix.full.Reset()
-			ix.full.Build(r.Arity, tuple.SortedRun(r.Arity, kept(0), nil))
-		}
-		ix.stale = false
-		ix.resetDelta()
-		ix.delta.Append(kept(1))
+		keep(0)
+		ix.fill(&ix.delta)
+		keep(1)
 		ix.delta.Sort(&r.sorter)
 	}
 

@@ -18,8 +18,8 @@ import (
 // EndDelete then compacts the accumulator without the dropped keys, and
 // SeedDelta seeds the re-derivation. The wordmap arena only grows between
 // compactions, so the bracket tracks what it dropped in a side set
-// (dropSet), which EndDelete filters the accumulator by in place and
-// Dropped reports.
+// (dropSet), which EndDelete filters the accumulator by in place, a
+// catch-up inside the bracket leaves out, and Dropped reports.
 
 // ClearDelta empties every index's Δ run and zeroes the Δ and cached
 // changed counts. It is rank-local but must be called uniformly (the changed
@@ -46,13 +46,8 @@ func (r *Relation) Clear() {
 	}
 	r.dropSet, r.deleting = nil, false
 	for _, ix := range r.indexes {
-		if ix.frozen != nil {
-			ix.frozen.Reset(r.Arity, ix.JK)
-		} else {
-			ix.full.Reset()
-		}
 		ix.resetDelta()
-		ix.stale = false
+		ix.fill(&ix.delta) // FULL empty, Δ a view of it
 	}
 	r.deltaCount = 0
 	r.changedLast = 0
@@ -177,19 +172,17 @@ func (r *Relation) BoundRetraction() {
 //
 // Aggregated relations must be inside a BeginDelete/EndDelete bracket (one
 // opens if none is): the accumulator still holds dropped keys until
-// EndDelete compacts it, so reads between batches must consult Δ/FULL
-// (which this call maintains), not Lookup.
+// EndDelete compacts it, so reads between batches must consult Δ or FULL —
+// a local index's drops mark it stale, and its catch-up leaves them out.
 func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 	size := r.comm.Size()
 
 	// Δ from the previous round has been consumed; this round's Δ holds
-	// exactly what this call drops. A stale FULL catches up first: the drops
-	// below delete from it tuple by tuple.
+	// exactly what this call drops.
 	if r.Agg != nil && !r.deleting {
 		r.BeginDelete()
 	}
 	for _, ix := range r.indexes {
-		ix.CatchUp()
 		ix.resetDelta()
 	}
 
@@ -234,7 +227,7 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 				removed.Append(scratch)
 			}
 		}
-	} else if canon := r.indexes[0]; canon.frozen != nil {
+	} else if canon := r.indexes[0]; r.base {
 		// A base relation filters FULL by the sorted candidates in one
 		// pass, which leaves Δ holding exactly what it dropped.
 		for _, words := range recv {
@@ -262,16 +255,19 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 		}
 	}
 
-	// Phase B: delete the dropped tuples from every index that stores them
-	// and seed those indexes' Δ runs; a frozen one past index 0 drops its run.
+	// Phase B: seed every index's Δ run with the drops; a tree deletes them,
+	// a base relation's frozen FULL filters them out, a cache goes stale.
 	r.toIndexes(removed, func(id int, stored tuple.Tuple) {
-		if ix := r.indexes[id]; ix.frozen != nil || ix.full.Delete(stored) {
+		if ix := r.indexes[id]; ix.frozenFull || ix.full.Delete(stored) {
 			ix.delta.Append(stored)
 		}
 	})
 	for id, ix := range r.indexes {
 		ix.delta.Sort(&r.sorter)
-		if id > 0 && ix.frozen != nil {
+		switch {
+		case ix.local:
+			ix.stale = ix.stale || ix.delta.Len() > 0
+		case id > 0 && r.base:
 			ix.frozen.Filter(&ix.delta)
 		}
 	}

@@ -18,8 +18,8 @@ import (
 //
 // Three invariants are checked on the agreed global sums each iteration:
 //
-//   replica:  Σ over every index's FULL tree  ==  nIndexes × reference
-//             (every B-tree replica stores the same global relation the
+//   replica:  Σ over every index's FULL  ==  nIndexes × reference
+//             (every index's FULL stores the same global relation the
 //             reference store does; a flipped word in any one copy breaks
 //             the equality). A local index's stale FULL is no state — its
 //             next read rebuilds it from the accumulator — so it counts as

@@ -251,12 +251,12 @@ func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) *tup
 }
 
 // loadSet is materializeSet's deduplication for an empty canonical index —
-// an initial load, or a reload after Clear: the batch is sorted once
-// and FULL and Δ are both built bottom-up from that run instead of taking
-// one descent per tuple each. Fresh and the work units come out as the
-// per-tuple path would have produced them: survivors are the first arrival
-// of each distinct tuple, taken in arrival order, and every arrival is
-// charged a descent of the tree as large as it would have been by then.
+// an initial load, or a reload after Clear: the batch is sorted once and
+// fills FULL (Index.fill), Δ a view of it, instead of taking one descent per
+// tuple. Fresh and the work units come out as the per-tuple path would have
+// produced them: survivors are the first arrival of each distinct tuple,
+// taken in arrival order, and every arrival is charged a descent of the tree
+// as large as it would have been by then.
 func (r *Relation) loadSet(recv [][]mpi.Word, fresh *tuple.Buffer) (work int64) {
 	total := 0
 	for _, words := range recv {
@@ -278,7 +278,8 @@ func (r *Relation) loadSet(recv [][]mpi.Word, fresh *tuple.Buffer) (work int64) 
 	}
 	first := make([]bool, len(cands)/r.Arity)
 	canon := r.indexes[0]
-	canon.load(tuple.SortedRun(r.Arity, cands, first))
+	canon.delta.Append(tuple.SortedRun(r.Arity, cands, first))
+	canon.fill(&canon.delta)
 	fresh.Words = slices.Grow(fresh.Words, canon.full.Len()*r.Arity)
 	size := 0
 	for i, keep := range first {
@@ -291,42 +292,29 @@ func (r *Relation) loadSet(recv [][]mpi.Word, fresh *tuple.Buffer) (work int64) 
 	return work
 }
 
-// load fills an index whose FULL is empty from a strictly ascending run of
-// stored-order tuples, one whole batch, built bottom-up. Δ is then exactly
-// FULL, so it becomes a view of it (Index.Delta) instead of a copy.
-func (ix *Index) load(run []tuple.Value) {
-	ix.full.Build(len(ix.Perm), run)
-	ix.delta.Reset(len(ix.Perm))
-	ix.deltaIsFull = true
-}
-
 // mergeBase is materializeSet for a base relation: the arrivals are copied
-// once, into an empty FULL's run, sorted in place (Δ a view of it), or else
-// into Δ's run, which Merge leaves holding what FULL lacked (baseFresh).
-// Work units are the tree's, exactly when the arrivals are distinct.
+// once, into Δ's run, which fills an empty FULL (Δ a view of it) or else is
+// sorted and merged, left holding what FULL lacked (baseFresh). Work units
+// are the tree's, exactly when the arrivals are distinct.
 func (r *Relation) mergeBase(recv [][]mpi.Word) (work int64) {
 	canon := r.indexes[0]
-	full, into := canon.frozen, &canon.delta
+	full := &canon.frozen
 	held := full.Len()
-	if held == 0 {
-		into = &full.Run
-	}
 	total := 0
 	for _, words := range recv {
 		total += len(words) - routeHeader
 	}
-	into.Grow(total / r.Arity)
+	canon.delta.Grow(total / r.Arity)
 	for _, words := range recv {
-		into.Append(words[routeHeader:])
+		canon.delta.Append(words[routeHeader:])
 	}
 	if held == 0 {
-		full.Load(&r.sorter)
-		canon.deltaIsFull = true
+		canon.fill(&canon.delta)
 	} else {
 		canon.delta.Sort(&r.sorter)
 		full.Merge(&canon.delta)
 	}
-	r.baseFresh = tuple.Buffer{Arity: r.Arity, Words: into.Words()}
+	r.baseFresh = tuple.Buffer{Arity: r.Arity, Words: canon.Delta().Words()}
 	added := full.Len() - held
 	for k := 0; k < added; k++ {
 		work += treeWork(held + k)
@@ -339,7 +327,7 @@ func (r *Relation) mergeBase(recv [][]mpi.Word) (work int64) {
 // needs no second exchange. It returns the keys whose value changed (the
 // relation's fresh buffer) and the work units the cost model charges one
 // local index for them: what a tree kept in step with the accumulator would
-// have cost, though the FULL tree is only rebuilt when read (CatchUp).
+// have cost, though the cache is only rebuilt when read (CatchUp).
 func (r *Relation) materializeAgg(iter int, recv [][]mpi.Word, record bool) (*tuple.Buffer, int64) {
 	timer := metrics.StartTimer()
 
@@ -435,12 +423,12 @@ func (r *Relation) Replicated() bool {
 
 // maintainIndexes puts changed tuples (canonical order) into every index
 // that needs them (toIndexes) and sorts each one's Δ run. A set relation's
-// index inserts them into FULL, an aggregated relation's replica replaces
-// the stale entry for the key, and a local index's FULL goes stale. An index
-// whose FULL is empty and current (an initial load) is built bottom-up from
-// its Δ run instead, which then becomes a view of FULL; fresh tuples are
-// distinct, so every one of them grows the tree. upkeep is the work units
-// charged per local index (materializeAgg).
+// tree inserts them, an aggregated relation's replica replaces the stale
+// entry for the key, a base relation's frozen FULL merges the run, and a
+// local index's FULL goes stale. An empty, current FULL (an initial load) is
+// filled from the Δ run, which becomes a view of it; fresh tuples are
+// distinct, so each grows FULL. upkeep is the work units charged per local
+// index (materializeAgg).
 func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, upkeep int64, record bool) {
 	if len(r.indexes) == r.maintained() {
 		return
@@ -464,12 +452,12 @@ func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, upkeep int64, 
 		}
 		ix.delta.Sort(&r.sorter)
 		switch {
-		case ix.frozen != nil:
-			ix.frozen.Merge(&ix.delta)
-		case ix.full.Len() == 0 && !ix.stale:
-			ix.load(ix.delta.Words())
+		case ix.fullView().Len() == 0 && !ix.stale:
+			ix.fill(&ix.delta)
 		case ix.local:
 			ix.stale = true
+		case ix.frozenFull:
+			ix.frozen.Merge(&ix.delta)
 		}
 	}
 	if record {
@@ -526,7 +514,7 @@ func (r *Relation) toIndexes(buf *tuple.Buffer, apply func(id int, stored tuple.
 // applyFresh appends one changed tuple, in index id's stored order, to that
 // index's Δ run and puts it into FULL — unless FULL is a local index's
 // cache of the accumulator, frozen, or still empty (maintainIndexes then
-// builds or merges it from the run) — and returns the work units the cost
+// fills or merges it from the run) — and returns the work units the cost
 // model charges for it; materializeAgg counts a local index's.
 func (r *Relation) applyFresh(id int, stored tuple.Tuple) int64 {
 	ix := r.indexes[id]
@@ -535,7 +523,7 @@ func (r *Relation) applyFresh(id int, stored tuple.Tuple) int64 {
 	switch {
 	case ix.local:
 		return 0
-	case n == 0 || ix.frozen != nil:
+	case n == 0 || ix.frozenFull:
 		return treeWork(n + ix.delta.Len() - 1)
 	case r.Agg == nil:
 		ix.full.Insert(stored)

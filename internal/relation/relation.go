@@ -6,23 +6,22 @@
 //
 // A relation is an SPMD object: every rank constructs it with identical
 // parameters and holds the shard of tuples the placement function assigns
-// to it. Set-semantics relations store tuples in B-tree indexes, the
-// canonical one first; an aggregated relation holds each key once, in an
-// accumulator map from independent columns to the lattice-joined dependent
-// value, placed by hashing the independent columns only — which is what
-// makes local aggregation communication-free (dependent columns never
-// influence placement) — plus only the B-tree indexes some kernel reads.
-// PlaceOn puts the accumulator and indexes on one rank per (bucket,
-// sub-bucket).
+// to it. Set-semantics relations store tuples in indexes, the canonical one
+// first; an aggregated relation holds each key once, in an accumulator map
+// from independent columns to the lattice-joined dependent value, placed by
+// hashing the independent columns only — which is what makes local
+// aggregation communication-free (dependent columns never influence
+// placement) — plus only the indexes some kernel reads. PlaceOn puts the
+// accumulator and indexes on one rank per (bucket, sub-bucket).
 //
 // Every index keeps only the storage something reads. Its Δ is a sorted run
 // (btree.Run) of the tuples the last pass changed, written once and then
 // only scanned and binary-searched — or, after a bulk load or ResetDelta,
-// FULL itself. The FULL tree of an aggregated relation's local index (the
-// canonical or PlaceOn index, which lives with the accumulator) is a cache of
-// the accumulator: a pass only marks it stale, and its first reader rebuilds
-// it in one sort and one bottom-up build (Index.CatchUp). A base relation
-// (Config.Base) keeps FULL as a btree.Frozen run, rewritten by each batch.
+// FULL itself. FULL is a btree.Frozen run where it changes only by whole
+// batches or rebuilds, else a B-tree (Index.pickStore). An aggregated
+// relation's local index (the canonical or PlaceOn index, which lives with
+// the accumulator) caches the accumulator in FULL: a pass or a delete only
+// marks it stale, and its first reader rebuilds it in one sort (CatchUp).
 package relation
 
 import (
@@ -179,12 +178,7 @@ type Relation struct {
 	base      bool
 	baseFresh tuple.Buffer
 
-	// sorter orders every Δ run and the catch-up; caughtUp holds the
-	// permuted accumulator rows a catch-up builds FULL from (CatchUp). Both
-	// are scratch that keeps its capacity, so a warm catch-up allocates
-	// nothing.
-	sorter   tuple.Sorter
-	caughtUp btree.Run
+	sorter tuple.Sorter // orders every Δ run and fill of FULL, in capacity it keeps
 
 	// Reusable scratch for the materialization hot path. All of it is
 	// rank-private and reset at each use; nothing here survives a call
@@ -240,12 +234,13 @@ type Index struct {
 	digInv     []int
 	digInvDone bool
 
-	full        *btree.Tree   // FULL, read through Full; nil when frozen
-	frozen      *btree.Frozen // a base relation's FULL instead of full
-	delta       btree.Run     // Δ, read through Delta
-	deltaIsFull bool          // Δ is FULL itself (Delta)
-	// stale marks a local index whose FULL lags the accumulator: a pass
-	// changed keys since the last CatchUp. catchUps counts the rebuilds.
+	full        btree.Tree   // FULL unless frozenFull (pickStore), read through Full
+	frozen      btree.Frozen // FULL if frozenFull; the other store stays empty
+	frozenFull  bool
+	delta       btree.Run // Δ, read through Delta
+	deltaIsFull bool      // Δ is FULL itself (Delta)
+	// stale marks a local index whose FULL lags the accumulator since a pass
+	// or a delete; catchUps counts the rebuilds (CatchUp).
 	stale    bool
 	catchUps int
 }
@@ -260,36 +255,64 @@ func (ix *Index) Full() View {
 
 // fullView returns FULL as it stands, stale or not.
 func (ix *Index) fullView() View {
-	if ix.frozen != nil {
-		return View{run: &ix.frozen.Run, frozen: ix.frozen}
+	if ix.frozenFull {
+		return View{run: &ix.frozen.Run, frozen: &ix.frozen}
 	}
-	return View{tree: ix.full}
+	return View{tree: &ix.full}
 }
 
-// CatchUp brings a stale FULL up to date and reports whether it had to. A
-// local index's FULL is rebuilt from the accumulator in one pass: its rows
-// permuted into stored order, sorted and built bottom-up, in scratch and
-// nodes the relation keeps, so a warm catch-up allocates nothing. No pass
-// runs inside a deletion bracket, whose first DeleteBatch catches FULL up
-// and then deletes from it, so FULL is never stale while the accumulator
-// still holds dropped keys. Rank-local: it communicates nothing.
+// CatchUp brings a stale FULL up to date and reports whether it had to: a
+// local index's frozen run takes the accumulator's rows, permuted straight
+// into its capacity and sorted in place, so a warm catch-up allocates
+// nothing. Inside a deletion bracket it leaves out the bracket's drops, which
+// Lookup finds until EndDelete. Rank-local: it communicates nothing.
 func (ix *Index) CatchUp() bool {
 	if !ix.stale {
 		return false
 	}
 	r := ix.rel
-	rows := &r.caughtUp
+	rows := &ix.frozen.Run
 	rows.Reset(r.Arity)
 	rows.Grow(r.acc.Len())
 	for w := r.acc.Words(); len(w) >= r.Arity; w = w[r.Arity:] {
-		ix.permuteInto(w[:r.Arity], rows.Extend())
+		if !r.deleting || r.dropSet.Get(w[:r.Indep]) == nil {
+			ix.permuteInto(w[:r.Arity], rows.Extend())
+		}
 	}
-	rows.Sort(&r.sorter)
-	ix.full.Reset()
-	ix.full.Build(r.Arity, rows.Words())
-	ix.stale = false
+	ix.fill(rows)
 	ix.catchUps++
 	return true
+}
+
+// fill replaces FULL with run, one whole batch of stored-order tuples,
+// sorted: a frozen FULL takes run's buffer (Frozen.Load), a tree is built
+// from it. Filled from Δ's run, Δ becomes a view of FULL. Every fill of FULL
+// comes here: a first pass or load, Restore, Clear and a catch-up.
+func (ix *Index) fill(run *btree.Run) {
+	r := ix.rel
+	if ix.frozenFull {
+		ix.frozen.Load(run, &r.sorter)
+	} else {
+		run.Sort(&r.sorter)
+		ix.full.Reset()
+		ix.full.Build(r.Arity, run.Words())
+	}
+	ix.stale = false
+	if run == &ix.delta {
+		ix.resetDelta()
+		ix.deltaIsFull = true
+	}
+}
+
+// pickStore decides the shape of the index's FULL: a frozen run where FULL
+// changes only by whole batches or rebuilds — a base relation's, with a
+// join-key directory, and a local index's cache, without, as each rebuild
+// would refill it — else a B-tree, which takes tuples one at a time.
+func (ix *Index) pickStore() {
+	ix.frozenFull = ix.rel.base || ix.local
+	if ix.rel.base {
+		ix.frozen.Reset(ix.rel.Arity, ix.JK)
+	}
 }
 
 // View reads one version of an index in stored order: a FULL tree, a frozen
@@ -417,6 +440,7 @@ func New(sch Schema, comm *mpi.Comm, mc *metrics.Collector, cfg Config) (*Relati
 func (r *Relation) PlaceOn(ix *Index) {
 	r.placePerm, r.placeJK = ix.Perm, ix.JK
 	ix.local = true
+	ix.pickStore()
 	r.rebuildHomeCaches()
 }
 
@@ -486,12 +510,6 @@ func (r *Relation) AddIndex(perm []int, jk int) (*Index, error) {
 		JK:       jk,
 		indepLen: r.Indep,
 	}
-	if r.base {
-		idx.frozen = &btree.Frozen{}
-		idx.frozen.Reset(r.Arity, jk)
-	} else {
-		idx.full = btree.New()
-	}
 	idx.delta.Reset(r.Arity)
 	if r.Agg != nil {
 		// Independent columns must be a prefix of the permutation.
@@ -508,6 +526,7 @@ func (r *Relation) AddIndex(perm []int, jk int) (*Index, error) {
 	}
 	// An aggregated relation's canonical index lives with its accumulator.
 	idx.local = r.Agg != nil && idx.canonical()
+	idx.pickStore()
 	idx.buildHomes()
 	r.indexes = append(r.indexes, idx)
 	return r.indexes[len(r.indexes)-1], nil
@@ -773,8 +792,7 @@ func (r *Relation) SetChangedLast(n uint64) { r.changedLast = n }
 // MemWords reports this rank's accounted storage footprint for the
 // relation, in words: the accumulator arena, every index's FULL (a frozen
 // FULL's spare buffer and directory included) and Δ run, the last delete's
-// drop set, and the reusable exchange, sort and catch-up scratch, all by
-// capacity.
+// drop set, and the reusable exchange and sort scratch, all by capacity.
 // Each term is an O(1) capacity read, so the memory accountant can sample
 // it every iteration without touching the hot path.
 func (r *Relation) MemWords() int64 {
@@ -785,13 +803,9 @@ func (r *Relation) MemWords() int64 {
 		}
 	}
 	for _, ix := range r.indexes {
-		if w += ix.delta.MemWords(); ix.frozen != nil {
-			w += ix.frozen.MemWords()
-		} else {
-			w += ix.full.MemWords()
-		}
+		w += ix.full.MemWords() + ix.frozen.MemWords() + ix.delta.MemWords()
 	}
-	w += r.sorter.MemWords() + r.caughtUp.MemWords()
+	w += r.sorter.MemWords()
 	w += int64(cap(r.tupScratch)) + int64(cap(r.permScratch))
 	for _, lane := range r.sendScratch {
 		w += int64(cap(lane))
@@ -804,9 +818,9 @@ func (r *Relation) MemWords() int64 {
 
 // ReleaseScratch drops the relation's reusable scratch capacity — the
 // pre-aggregation table, per-peer exchange lanes, tuple buffers, the sort
-// and catch-up scratch and a frozen FULL's spare buffer — the
-// soft response of the memory accountant's pressure ladder. Resident state
-// (accumulator, indexes) is untouched, so correctness is unaffected;
+// scratch and a frozen FULL's spare buffer — the soft response of the
+// memory accountant's pressure ladder. Resident state (accumulator, indexes,
+// a caught-up cache among them) is untouched, so correctness is unaffected;
 // the next Materialize simply re-grows its scratch, trading allocations for
 // headroom.
 func (r *Relation) ReleaseScratch() {
@@ -814,10 +828,7 @@ func (r *Relation) ReleaseScratch() {
 	r.sendScratch = nil
 	r.freshBuf = nil
 	r.sorter = tuple.Sorter{}
-	r.caughtUp = btree.Run{}
 	for _, ix := range r.indexes {
-		if ix.frozen != nil {
-			ix.frozen.ReleaseSpare()
-		}
+		ix.frozen.ReleaseSpare()
 	}
 }

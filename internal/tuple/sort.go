@@ -83,6 +83,13 @@ func (s *Sorter) Order(arity int, words []Value) []uint32 {
 	return perm
 }
 
+// Scratch returns n words of the sorter's scratch, valid until its next
+// Order or Scratch: room for a caller that moves tuples along Order's result.
+func (s *Sorter) Scratch(n int) []Value {
+	s.key = slices.Grow(s.key[:0], n)[:n]
+	return s.key
+}
+
 // MemWords reports the sorter's scratch capacity in words.
 func (s *Sorter) MemWords() int64 {
 	return int64(cap(s.key)+cap(s.keyTmp)) + int64(cap(s.perm)+cap(s.permTmp)+1)/2
