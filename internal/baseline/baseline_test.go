@@ -89,3 +89,29 @@ func TestSystemString(t *testing.T) {
 		t.Fatal("system names")
 	}
 }
+
+// TestLeakyCountsPinned pins how much the leaky engines materialize and how
+// many iterations they take at 2 ranks. Both depend on each rank pruning its
+// arrivals against its partial bests in arrival order, so a change to how a
+// leaky relation merges a pass must leave them exactly as they are.
+func TestLeakyCountsPinned(t *testing.T) {
+	g := graph.Uniform("t", 120, 700, 6, 3)
+	sources := g.Sources(3, 9)
+	gc := graph.Uniform("t", 200, 260, 1, 5)
+	for _, sys := range []System{RaSQLSim, SociaLiteSim} {
+		s, err := RunSSSP(sys, g, sources, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Materialized != 855 || s.Iterations != 8 {
+			t.Errorf("%v SSSP: materialized %d in %d iterations, want 855 in 8", sys, s.Materialized, s.Iterations)
+		}
+		c, err := RunCC(sys, gc, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Materialized != 1033 || c.Iterations != 11 {
+			t.Errorf("%v CC: materialized %d in %d iterations, want 1033 in 11", sys, c.Materialized, c.Iterations)
+		}
+	}
+}

@@ -3,15 +3,17 @@
 // index columns of a relation form a key prefix, so a join probe is a prefix
 // range scan with an O(log n) seek — the access pattern the paper's inner
 // relation benefits from. An index's Δ, written once per pass and then only
-// read, is a Run: one flat sorted slice. A FULL that changes only by whole
-// batches or rebuilds is a Frozen run, with an optional join-key directory.
-// The B-tree, after the nested-BTree indexes of the paper's C++ runtime, is
-// for a FULL that takes tuples one at a time.
+// read, is a Run: one flat sorted slice. A FULL is a Frozen run, with an
+// optional join-key directory, or a B-tree, after the nested-BTree indexes of
+// the paper's C++ runtime. Both change by the same sorted batches: Merge and
+// Filter leave in their batch only the tuples that changed the store, a
+// Frozen run rewriting itself once per batch and a tree descending once per
+// tuple.
 //
 // Storage is flat: a node holds its tuples' words inline, one after another
 // at a fixed stride, so a compare reads the node's own memory and an insert
 // copies words instead of allocating a tuple. The stride (the tree's arity)
-// is fixed by the first Insert or Build and holds for the tree's lifetime.
+// is fixed by the first tuple stored and holds for the tree's lifetime.
 // Emptied nodes go to a free list the tree refills from, so a tree that is
 // Reset and refilled every iteration allocates nothing in steady state.
 //
@@ -43,7 +45,7 @@ const (
 type Tree struct {
 	root  *node
 	size  int
-	arity int // words per tuple; 0 until the first Insert or Build
+	arity int // words per tuple; 0 until the first tuple is stored
 	// free holds recycled nodes, linked through node.next: leaves in
 	// free[0], interior nodes (which keep their child slice) in free[1].
 	free [2]*node
@@ -209,19 +211,45 @@ func (t *Tree) Insert(k tuple.Tuple) bool {
 	return !existed
 }
 
-// UpsertPrefix stores k as the tree's one tuple with k's leading p words:
-// if a tuple with that prefix exists its remaining words are overwritten in
-// place (reported as true), otherwise k is inserted. One descent either
-// way. It is only meaningful on a tree whose tuples all have distinct
-// p-word prefixes — an aggregated relation's index, where the independent
-// columns lead every stored permutation — because only then do the old and
-// the new tuple occupy the same position in the order.
-func (t *Tree) UpsertPrefix(p int, k tuple.Tuple) bool {
-	slot, existed := t.put(k, p)
-	if existed {
-		copy(slot[p:], k[p:])
+// Merge adds batch's tuples, ascending and distinct, to the tree and leaves
+// in batch only those the tree did not hold: Frozen's Merge, at one descent
+// per tuple.
+func (t *Tree) Merge(batch *Run) { t.MergePrefix(batch.arity, batch) }
+
+// MergePrefix stores each of batch's tuples, ascending with distinct p-word
+// prefixes, as the tree's one tuple with its leading p words: where a tuple
+// with that prefix exists its remaining words are overwritten in place,
+// otherwise the tuple is inserted. It leaves in batch only the tuples that
+// changed the tree. It is only meaningful on a tree whose tuples all have
+// distinct p-word prefixes — an aggregated relation's index, where the
+// independent columns lead every stored permutation — because only then do
+// the old and the new tuple occupy the same position in the order. At p the
+// arity it is Merge.
+func (t *Tree) MergePrefix(p int, batch *Run) {
+	a, in, kept := batch.arity, batch.words, 0
+	for off := 0; off < len(in); off += a {
+		k := in[off : off+a]
+		if slot, existed := t.put(k, p); existed {
+			if cmpWords(slot[p:], k[p:]) == 0 {
+				continue
+			}
+			copy(slot[p:], k[p:])
+		}
+		kept += copy(in[kept:], k)
 	}
-	return existed
+	batch.words = in[:kept]
+}
+
+// Filter removes batch's tuples, ascending and distinct, from the tree and
+// leaves in batch only those the tree held.
+func (t *Tree) Filter(batch *Run) {
+	a, in, kept := batch.arity, batch.words, 0
+	for off := 0; off < len(in); off += a {
+		if k := in[off : off+a]; t.Delete(k) {
+			kept += copy(in[kept:], k)
+		}
+	}
+	batch.words = in[:kept]
 }
 
 // put descends once for the tuple whose leading p words equal k's. It

@@ -399,28 +399,46 @@ func TestBuildRejectsUnsortedRun(t *testing.T) {
 	New().Build(1, []tuple.Value{1, 3, 3})
 }
 
-// TestUpsertPrefixReplacesInPlace covers the aggregated-index discipline at
+// TestMergePrefixReplacesInPlace covers the aggregated-index discipline at
 // the hand-written level: one tuple per prefix, the dependent words
-// overwritten where they stand.
-func TestUpsertPrefixReplacesInPlace(t *testing.T) {
+// overwritten where they stand, and only the tuples that changed the tree
+// left in the batch.
+func TestMergePrefixReplacesInPlace(t *testing.T) {
 	tr := New()
-	for i := 0; i < 2000; i++ {
-		if tr.UpsertPrefix(2, tuple.Tuple{uint64(i % 50), uint64(i / 50), 1000}) {
-			t.Fatalf("first upsert of key %d reported a replacement", i)
+	var batch Run
+	merge := func(step int, value func(i int) uint64) {
+		batch.Reset(3)
+		for i := 0; i < 2000; i += step {
+			batch.Append(tuple.Tuple{uint64(i / 50), uint64(i % 50), value(i)})
 		}
+		tr.MergePrefix(2, &batch)
 	}
-	for i := 0; i < 2000; i += 3 {
-		if !tr.UpsertPrefix(2, tuple.Tuple{uint64(i % 50), uint64(i / 50), uint64(i)}) {
-			t.Fatalf("second upsert of key %d reported an insertion", i)
+	merge(1, func(int) uint64 { return 1000 })
+	if tr.Len() != 2000 || batch.Len() != 2000 {
+		t.Fatalf("first merge: tree holds %d, batch %d, want 2000 each", tr.Len(), batch.Len())
+	}
+	// Every third key again: the odd ones change, the even ones rewrite the
+	// value they hold and stay out of the batch.
+	odd := func(i int) uint64 {
+		if i%2 == 1 {
+			return uint64(i)
 		}
+		return 1000
 	}
-	if tr.Len() != 2000 {
-		t.Fatalf("Len = %d, want 2000", tr.Len())
+	merge(3, odd)
+	if tr.Len() != 2000 || batch.Len() != 333 {
+		t.Fatalf("second merge: tree holds %d, batch %d, want 2000 and 333", tr.Len(), batch.Len())
 	}
+	batch.Ascend(func(tt tuple.Tuple) bool {
+		if i := tt[0]*50 + tt[1]; i%6 != 3 || tt[2] != i {
+			t.Fatalf("batch kept (%d,%d,%d), which did not change the tree", tt[0], tt[1], tt[2])
+		}
+		return true
+	})
 	tr.Ascend(func(tt tuple.Tuple) bool {
-		i := tt[1]*50 + tt[0]
+		i := tt[0]*50 + tt[1]
 		want := uint64(1000)
-		if i%3 == 0 {
+		if i%6 == 3 {
 			want = i
 		}
 		if tt[2] != want {

@@ -3,8 +3,8 @@ package btree
 import "paralagg/internal/tuple"
 
 // Delete removes the exact tuple k from the tree, reporting whether it was
-// present. k must not be a view into this tree. Set relations use it to
-// retract invalidated tuples; emptied nodes return to the free list.
+// present. k must not be a view into this tree. Emptied nodes return to the
+// free list.
 func (t *Tree) Delete(k tuple.Tuple) bool {
 	if t.root == nil || len(k) != t.arity {
 		return false

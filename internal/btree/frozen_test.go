@@ -8,9 +8,10 @@ import (
 	"paralagg/internal/tuple"
 )
 
-// FuzzFrozenAgainstSortedSlice drives one Frozen run with byte-coded
-// batches — Load, Merge, Filter — and checks it after every batch against a
-// sorted slice of distinct tuples: what Load, Merge and Filter leave in their
+// FuzzFrozenAgainstSortedSlice drives one Frozen run and one Tree with the
+// same byte-coded batches — Load (for the tree, Build from the sorted run),
+// Merge, Filter — and checks both after every batch against a sorted slice
+// of distinct tuples: what Merge and Filter leave in each store's copy of the
 // batch, Len, Ascend, Has on every tuple of the batch and of the next one,
 // and AscendPrefix with an early stop at every prefix width, the directory's
 // join-key width among them.
@@ -64,9 +65,10 @@ func FuzzFrozenAgainstSortedSlice(f *testing.F) {
 
 		var fz Frozen
 		fz.Reset(arity, jk)
+		tr := New()
 		var ref []tuple.Tuple // ascending, distinct
 		var s tuple.Sorter
-		var run Run
+		var run, tbatch Run
 		cmp := func(a, b tuple.Tuple) int { return a.Compare(b) }
 		for b, bt := range batches {
 			distinct := slices.Clone(bt.tuples)
@@ -81,10 +83,15 @@ func FuzzFrozenAgainstSortedSlice(f *testing.F) {
 					src = &run
 					run.Reset(arity)
 				}
+				tbatch.Reset(arity)
 				for _, k := range bt.tuples {
 					src.Append(k)
+					tbatch.Append(k)
 				}
 				fz.Load(src, &s)
+				tbatch.Sort(&s)
+				tr.Reset()
+				tr.Build(arity, tbatch.Words())
 				if src == &run && run.Len() != 0 {
 					t.Fatalf("batch %d: Load left %d tuples in the run it took", b, run.Len())
 				}
@@ -95,9 +102,12 @@ func FuzzFrozenAgainstSortedSlice(f *testing.F) {
 					run.Append(k)
 				}
 				run.Sort(&s)
+				tbatch.Reset(arity)
+				tbatch.Append(run.Words())
 				held := func(k tuple.Tuple) bool { _, ok := slices.BinarySearchFunc(ref, k, cmp); return ok }
 				if bt.op == 2 {
 					fz.Filter(&run)
+					tr.Filter(&tbatch)
 					for _, k := range distinct {
 						if held(k) {
 							changed = append(changed, k)
@@ -112,6 +122,7 @@ func FuzzFrozenAgainstSortedSlice(f *testing.F) {
 						fz.ReleaseSpare()
 					}
 					fz.Merge(&run)
+					tr.Merge(&tbatch)
 					for _, k := range distinct {
 						if !held(k) {
 							changed = append(changed, k)
@@ -120,52 +131,64 @@ func FuzzFrozenAgainstSortedSlice(f *testing.F) {
 					ref = append(ref, changed...)
 					slices.SortFunc(ref, cmp)
 				}
-				var left []tuple.Tuple
-				run.Ascend(func(e tuple.Tuple) bool { left = append(left, e.Clone()); return true })
-				if !slices.EqualFunc(left, changed, tuple.Tuple.Equal) {
-					t.Fatalf("batch %d (op %d): the batch holds %v after, want %v", b, bt.op, left, changed)
+				for name, left := range map[string]*Run{"frozen": &run, "tree": &tbatch} {
+					var got []tuple.Tuple
+					left.Ascend(func(e tuple.Tuple) bool { got = append(got, e.Clone()); return true })
+					if !slices.EqualFunc(got, changed, tuple.Tuple.Equal) {
+						t.Fatalf("batch %d (op %d): the %s's batch holds %v after, want %v", b, bt.op, name, got, changed)
+					}
 				}
 			}
 
-			if fz.Len() != len(ref) {
-				t.Fatalf("batch %d (op %d): Len = %d, want %d", b, bt.op, fz.Len(), len(ref))
-			}
-			i := 0
-			fz.Ascend(func(e tuple.Tuple) bool {
-				if i >= len(ref) || !e.Equal(ref[i]) {
-					t.Fatalf("batch %d (op %d): Ascend item %d = %v, want %v", b, bt.op, i, e, ref)
-				}
-				i++
-				return true
-			})
 			probes := bt.tuples
 			if b+1 < len(batches) {
 				probes = append(probes[:len(probes):len(probes)], batches[b+1].tuples...)
 			}
-			for _, k := range probes {
-				_, want := slices.BinarySearchFunc(ref, k, cmp)
-				if fz.Has(k) != want {
-					t.Fatalf("batch %d (op %d): Has(%v) = %v, want %v", b, bt.op, k, !want, want)
+			for name, st := range map[string]store{"frozen": &fz, "tree": tr} {
+				if st.Len() != len(ref) {
+					t.Fatalf("batch %d (op %d): %s Len = %d, want %d", b, bt.op, name, st.Len(), len(ref))
 				}
-				for q := 0; q <= arity; q++ {
-					var got, exp []tuple.Tuple
-					fz.AscendPrefix(k[:q], func(e tuple.Tuple) bool {
-						got = append(got, e.Clone())
-						return len(got) < stop
-					})
-					for _, e := range ref {
-						if len(exp) < stop && e.ComparePrefix(k, q) == 0 {
-							exp = append(exp, e)
-						}
+				i := 0
+				st.Ascend(func(e tuple.Tuple) bool {
+					if i >= len(ref) || !e.Equal(ref[i]) {
+						t.Fatalf("batch %d (op %d): %s Ascend item %d = %v, want %v", b, bt.op, name, i, e, ref)
 					}
-					if !slices.EqualFunc(got, exp, tuple.Tuple.Equal) {
-						t.Fatalf("batch %d (op %d): AscendPrefix(%v) at jk %d stopping at %d = %v, want %v",
-							b, bt.op, k[:q], jk, stop, got, exp)
+					i++
+					return true
+				})
+				for _, k := range probes {
+					_, want := slices.BinarySearchFunc(ref, k, cmp)
+					if st.Has(k) != want {
+						t.Fatalf("batch %d (op %d): %s Has(%v) = %v, want %v", b, bt.op, name, k, !want, want)
+					}
+					for q := 0; q <= arity; q++ {
+						var got, exp []tuple.Tuple
+						st.AscendPrefix(k[:q], func(e tuple.Tuple) bool {
+							got = append(got, e.Clone())
+							return len(got) < stop
+						})
+						for _, e := range ref {
+							if len(exp) < stop && e.ComparePrefix(k, q) == 0 {
+								exp = append(exp, e)
+							}
+						}
+						if !slices.EqualFunc(got, exp, tuple.Tuple.Equal) {
+							t.Fatalf("batch %d (op %d): %s AscendPrefix(%v) at jk %d stopping at %d = %v, want %v",
+								b, bt.op, name, k[:q], jk, stop, got, exp)
+						}
 					}
 				}
 			}
 		}
 	})
+}
+
+// store is what FuzzFrozenAgainstSortedSlice reads of both FULL shapes.
+type store interface {
+	Len() int
+	Has(tuple.Tuple) bool
+	Ascend(func(tuple.Tuple) bool)
+	AscendPrefix(tuple.Tuple, func(tuple.Tuple) bool)
 }
 
 // TestFrozenBatchesAllocFree pins the ping-pong: once the run and its spare

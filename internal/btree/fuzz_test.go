@@ -9,12 +9,12 @@ import (
 )
 
 // FuzzAgainstSortedSlice drives one tree with a byte-coded sequence of
-// Insert / Delete / UpsertPrefix / Reset / Build / scan operations and
+// Insert / Delete / MergePrefix / Reset / Build / scan operations and
 // checks it, after every operation, against a sorted slice of tuples.
 //
 // Byte 0 picks the arity (1–4). Byte 1 picks the discipline: a set tree
 // takes Insert, or — at arity 2 and up — an aggregated tree keeps one tuple
-// per p-word prefix and takes UpsertPrefix instead. Every further operation
+// per p-word prefix and takes a one-tuple MergePrefix batch instead. Every further operation
 // is one opcode byte plus one tuple: two bytes for column 0 (so trees reach
 // three levels), one for each other column (so prefixes collide).
 func FuzzAgainstSortedSlice(f *testing.F) {
@@ -58,6 +58,7 @@ func FuzzAgainstSortedSlice(f *testing.F) {
 		ops = ops[2:]
 
 		tr := New()
+		var batch Run
 		var ref []tuple.Tuple // ascending, distinct p-word prefixes
 		find := func(k tuple.Tuple) (int, bool) {
 			return slices.BinarySearchFunc(ref, k, func(e, k tuple.Tuple) int { return e.ComparePrefix(k, p) })
@@ -78,8 +79,15 @@ func FuzzAgainstSortedSlice(f *testing.F) {
 					if got := tr.Insert(k); got == have {
 						t.Fatalf("step %d: Insert(%v) = %v with the tuple present = %v", step, k, got, have)
 					}
-				} else if got := tr.UpsertPrefix(p, k); got != have {
-					t.Fatalf("step %d: UpsertPrefix(%d, %v) = %v with the prefix present = %v", step, p, k, got, have)
+				} else {
+					n := tr.Len()
+					batch.Reset(arity)
+					batch.Append(k)
+					tr.MergePrefix(p, &batch)
+					if grew, changed := tr.Len() > n, !have || !ref[at].Equal(k); grew == have || (batch.Len() == 1) != changed {
+						t.Fatalf("step %d: MergePrefix(%d, %v) grew the tree %v, left %d in the batch, with the prefix present = %v",
+							step, p, k, grew, batch.Len(), have)
+					}
 				}
 				if have {
 					ref[at] = k

@@ -203,8 +203,9 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 	// Owner-side drop. The removed buffer collects the dropped tuples in
 	// canonical order, carrying the dependent value each key held — the
 	// next round's rules derive dependents from the dropped values.
-	removed := r.freshTuples()
+	var removed *tuple.Buffer
 	if r.Agg != nil {
+		removed = r.freshTuples()
 		scratch := r.tupleScratch()
 		for _, words := range recv {
 			for off := 0; off+r.Arity <= len(words); off += r.Arity {
@@ -227,49 +228,25 @@ func (r *Relation) DeleteBatch(cands *tuple.Buffer) uint64 {
 				removed.Append(scratch)
 			}
 		}
-	} else if canon := r.indexes[0]; r.base {
-		// A base relation filters FULL by the sorted candidates in one
-		// pass, which leaves Δ holding exactly what it dropped.
+	} else {
+		// A set relation filters FULL by the sorted candidates, which leaves
+		// Δ holding exactly what it dropped.
+		canon := r.indexes[0]
 		for _, words := range recv {
 			canon.delta.Append(words)
 		}
-		canon.delta.Sort(&r.sorter)
-		canon.frozen.Filter(&canon.delta)
-		r.baseFresh = tuple.Buffer{Arity: r.Arity, Words: canon.delta.Words()}
-		removed = &r.baseFresh
+		r.setFresh = tuple.Buffer{Arity: r.Arity, Words: canon.apply(false)}
+		removed = &r.setFresh
 		for i := 0; r.deleting && i < removed.Len(); i++ {
 			r.dropSet.Upsert(removed.At(i))
 		}
-	} else {
-		for _, words := range recv {
-			for off := 0; off+r.Arity <= len(words); off += r.Arity {
-				t := tuple.Tuple(words[off : off+r.Arity])
-				if canon.full.Delete(t) {
-					canon.delta.Append(t)
-					removed.Append(t)
-					if r.deleting {
-						r.dropSet.Upsert(t)
-					}
-				}
-			}
-		}
 	}
 
-	// Phase B: seed every index's Δ run with the drops; a tree deletes them,
-	// a base relation's frozen FULL filters them out, a cache goes stale.
-	r.toIndexes(removed, func(id int, stored tuple.Tuple) {
-		if ix := r.indexes[id]; ix.frozenFull || ix.full.Delete(stored) {
-			ix.delta.Append(stored)
-		}
-	})
-	for id, ix := range r.indexes {
-		ix.delta.Sort(&r.sorter)
-		switch {
-		case ix.local:
-			ix.stale = ix.stale || ix.delta.Len() > 0
-		case id > 0 && r.base:
-			ix.frozen.Filter(&ix.delta)
-		}
+	// Phase B: every other index filters the drops out of FULL the same way,
+	// and a local cache goes stale.
+	r.toIndexes(removed)
+	for _, ix := range r.indexes[r.maintained():] {
+		ix.apply(false)
 	}
 
 	r.deltaCount = removed.Len()

@@ -214,112 +214,51 @@ func (r *Relation) routeOf(t tuple.Tuple) int {
 	return r.accPlacement(t)
 }
 
-// materializeSet deduplicates arrived tuples against the canonical index,
-// inserts survivors into FULL and Δ's run locally, and returns them (the
-// relation's fresh buffer) for the secondary indexes.
+// materializeSet deduplicates arrived tuples against the canonical index:
+// the arrivals are copied once, in arrival order, into Δ's run — a leaky
+// relation prunes each against its partial bests on the way — and FULL takes
+// the run (Index.apply), which leaves in Δ what FULL lacked: the pass's fresh
+// tuples (setFresh), for the secondary indexes. Work units are the tree's
+// (addWork), a duplicate charged a descent of FULL as it ends the pass.
 func (r *Relation) materializeSet(iter int, recv [][]mpi.Word, record bool) *tuple.Buffer {
-	rank := r.comm.Rank()
 	timer := metrics.StartTimer()
 	canon := r.indexes[0]
-	var work int64
-	fresh := &r.baseFresh
-	if r.base {
-		work = r.mergeBase(recv)
-	} else if fresh = r.freshTuples(); canon.full.Len() == 0 {
-		work = r.loadSet(recv, fresh)
-	} else {
-		for _, words := range recv {
-			for off := routeHeader; off+r.Arity <= len(words); off += r.Arity {
-				t := tuple.Tuple(words[off : off+r.Arity])
-				if r.leaky != nil && !r.leakyImproves(t) {
-					work++
-					continue
-				}
-				work += treeWork(canon.full.Len())
-				if canon.full.Insert(t) {
-					canon.delta.Append(t)
-					fresh.Append(t)
-				}
-			}
-		}
-		canon.delta.Sort(&r.sorter)
-	}
-	if record {
-		r.mc.Record(rank, iter, metrics.PhaseLocalAgg, timer.Done(work, 0, 0))
-	}
-	return fresh
-}
-
-// loadSet is materializeSet's deduplication for an empty canonical index —
-// an initial load, or a reload after Clear: the batch is sorted once and
-// fills FULL (Index.fill), Δ a view of it, instead of taking one descent per
-// tuple. Fresh and the work units come out as the per-tuple path would have
-// produced them: survivors are the first arrival of each distinct tuple,
-// taken in arrival order, and every arrival is charged a descent of the tree
-// as large as it would have been by then.
-func (r *Relation) loadSet(recv [][]mpi.Word, fresh *tuple.Buffer) (work int64) {
-	total := 0
-	for _, words := range recv {
-		total += len(words) - routeHeader
-	}
-	cands := make([]tuple.Value, 0, total)
-	for _, words := range recv {
-		for off := routeHeader; off+r.Arity <= len(words); off += r.Arity {
-			t := words[off : off+r.Arity]
-			if r.leaky != nil && !r.leakyImproves(t) {
-				work++
-				continue
-			}
-			cands = append(cands, t...)
-		}
-	}
-	if len(cands) == 0 {
-		return work
-	}
-	first := make([]bool, len(cands)/r.Arity)
-	canon := r.indexes[0]
-	canon.delta.Append(tuple.SortedRun(r.Arity, cands, first))
-	canon.fill(&canon.delta)
-	fresh.Words = slices.Grow(fresh.Words, canon.full.Len()*r.Arity)
-	size := 0
-	for i, keep := range first {
-		work += treeWork(size)
-		if keep {
-			size++
-			fresh.Append(cands[i*r.Arity : (i+1)*r.Arity])
-		}
-	}
-	return work
-}
-
-// mergeBase is materializeSet for a base relation: the arrivals are copied
-// once, into Δ's run, which fills an empty FULL (Δ a view of it) or else is
-// sorted and merged, left holding what FULL lacked (baseFresh). Work units
-// are the tree's, exactly when the arrivals are distinct.
-func (r *Relation) mergeBase(recv [][]mpi.Word) (work int64) {
-	canon := r.indexes[0]
-	full := &canon.frozen
-	held := full.Len()
-	total := 0
+	held, total := canon.fullView().Len(), 0
 	for _, words := range recv {
 		total += len(words) - routeHeader
 	}
 	canon.delta.Grow(total / r.Arity)
+	var work int64
 	for _, words := range recv {
-		canon.delta.Append(words[routeHeader:])
+		if r.leaky == nil {
+			canon.delta.Append(words[routeHeader:])
+			continue
+		}
+		for off := routeHeader; off+r.Arity <= len(words); off += r.Arity {
+			if t := tuple.Tuple(words[off : off+r.Arity]); r.leakyImproves(t) {
+				canon.delta.Append(t)
+			} else {
+				work++
+			}
+		}
 	}
-	if held == 0 {
-		canon.fill(&canon.delta)
-	} else {
-		canon.delta.Sort(&r.sorter)
-		full.Merge(&canon.delta)
+	arrived := canon.delta.Len()
+	r.setFresh = tuple.Buffer{Arity: r.Arity, Words: canon.apply(true)}
+	added := r.setFresh.Len()
+	work += addWork(held, added) + int64(arrived-added)*treeWork(held+added)
+	if record {
+		r.mc.Record(r.comm.Rank(), iter, metrics.PhaseLocalAgg, timer.Done(work, 0, 0))
 	}
-	r.baseFresh = tuple.Buffer{Arity: r.Arity, Words: canon.Delta().Words()}
-	added := full.Len() - held
-	for k := 0; k < added; k++ {
+	return &r.setFresh
+}
+
+// addWork is the work units of adding n tuples one at a time to a FULL of
+// held: the k-th takes a descent of a tree of held+k.
+func addWork(held, n int) (work int64) {
+	for k := 0; k < n; k++ {
 		work += treeWork(held + k)
 	}
-	return work + int64(total/r.Arity-added)*treeWork(full.Len())
+	return work
 }
 
 // materializeAgg merges arrived tuples into the canonical accumulator: every
@@ -422,13 +361,12 @@ func (r *Relation) Replicated() bool {
 }
 
 // maintainIndexes puts changed tuples (canonical order) into every index
-// that needs them (toIndexes) and sorts each one's Δ run. A set relation's
-// tree inserts them, an aggregated relation's replica replaces the stale
-// entry for the key, a base relation's frozen FULL merges the run, and a
-// local index's FULL goes stale. An empty, current FULL (an initial load) is
-// filled from the Δ run, which becomes a view of it; fresh tuples are
-// distinct, so each grows FULL. upkeep is the work units charged per local
-// index (materializeAgg).
+// that needs them (toIndexes) and has each take them as one batch
+// (Index.apply): a local index's FULL goes stale, an empty FULL is filled,
+// any other merges them — an aggregated relation's replica replacing the
+// stale entry of each key. Work units are the tree's (addWork); a replica's
+// replaced entry is charged what purging and re-inserting it cost, and each
+// local index upkeep (materializeAgg).
 func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, upkeep int64, record bool) {
 	if len(r.indexes) == r.maintained() {
 		return
@@ -439,26 +377,17 @@ func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, upkeep int64, 
 			ix.delta.Grow(fresh.Len()) // every changed key reaches it
 		}
 	}
+	comm, replicated := r.toIndexes(fresh)
 	var work int64
-	comm, replicated := r.toIndexes(fresh, func(id int, stored tuple.Tuple) {
-		work += r.applyFresh(id, stored)
-	})
 	for _, ix := range r.indexes[r.maintained():] {
+		held, arrived := ix.fullView().Len(), ix.delta.Len()
+		ix.apply(true)
 		if ix.local {
 			work += upkeep
-		}
-		if ix.delta.Len() == 0 {
 			continue
 		}
-		ix.delta.Sort(&r.sorter)
-		switch {
-		case ix.fullView().Len() == 0 && !ix.stale:
-			ix.fill(&ix.delta)
-		case ix.local:
-			ix.stale = true
-		case ix.frozenFull:
-			ix.frozen.Merge(&ix.delta)
-		}
+		added := ix.fullView().Len() - held
+		work += addWork(held, added) + int64(arrived-added)*2*treeWork(held+added-1)
 	}
 	if record {
 		phase := metrics.PhaseLocalAgg
@@ -469,12 +398,13 @@ func (r *Relation) maintainIndexes(iter int, fresh *tuple.Buffer, upkeep int64, 
 	}
 }
 
-// toIndexes hands every tuple of buf (canonical order) to apply once per
-// index it maintains (maintained), in that index's stored order: on this
-// rank for a local index, at the index's home over one replica exchange for
-// any other. The exchange runs only when some index is not local, which is
-// the same on every rank; toIndexes returns its traffic and whether it ran.
-func (r *Relation) toIndexes(buf *tuple.Buffer, apply func(id int, stored tuple.Tuple)) (comm mpi.Totals, replicated bool) {
+// toIndexes appends every tuple of buf (canonical order) to the Δ run of
+// each index it maintains (maintained), in that index's stored order: on
+// this rank for a local index, at the index's home over one replica exchange
+// for any other. The exchange runs only when some index is not local, which
+// is the same on every rank; toIndexes returns its traffic and whether it
+// ran.
+func (r *Relation) toIndexes(buf *tuple.Buffer) (comm mpi.Totals, replicated bool) {
 	start := r.maintained()
 	replicated = r.Replicated()
 	var send [][]mpi.Word
@@ -488,7 +418,7 @@ func (r *Relation) toIndexes(buf *tuple.Buffer, apply func(id int, stored tuple.
 			ix := r.indexes[id]
 			ix.permuteInto(t, stored)
 			if ix.local {
-				apply(id, stored)
+				ix.delta.Append(stored)
 				continue
 			}
 			dest := ix.homeOf(stored)
@@ -505,36 +435,10 @@ func (r *Relation) toIndexes(buf *tuple.Buffer, apply func(id int, stored tuple.
 	rec := 1 + r.Arity
 	for _, words := range recv {
 		for off := 0; off+rec <= len(words); off += rec {
-			apply(int(words[off]), words[off+1:off+rec])
+			r.indexes[words[off]].delta.Append(words[off+1 : off+rec])
 		}
 	}
 	return comm, true
-}
-
-// applyFresh appends one changed tuple, in index id's stored order, to that
-// index's Δ run and puts it into FULL — unless FULL is a local index's
-// cache of the accumulator, frozen, or still empty (maintainIndexes then
-// fills or merges it from the run) — and returns the work units the cost
-// model charges for it; materializeAgg counts a local index's.
-func (r *Relation) applyFresh(id int, stored tuple.Tuple) int64 {
-	ix := r.indexes[id]
-	ix.delta.Append(stored)
-	n := ix.fullView().Len()
-	switch {
-	case ix.local:
-		return 0
-	case n == 0 || ix.frozenFull:
-		return treeWork(n + ix.delta.Len() - 1)
-	case r.Agg == nil:
-		ix.full.Insert(stored)
-		return treeWork(n)
-	case ix.full.UpsertPrefix(ix.indepLen, stored):
-		// The independent prefix locates the key's one entry, so the
-		// improved value overwrote the stale one where it stood. The model
-		// still charges what purging and re-inserting it cost.
-		return 2 * treeWork(n-1)
-	}
-	return treeWork(n)
 }
 
 // leakyImproves applies the baseline engines' per-rank partial pruning: a

@@ -17,11 +17,15 @@
 // Every index keeps only the storage something reads. Its Δ is a sorted run
 // (btree.Run) of the tuples the last pass changed, written once and then
 // only scanned and binary-searched — or, after a bulk load or ResetDelta,
-// FULL itself. FULL is a btree.Frozen run where it changes only by whole
-// batches or rebuilds, else a B-tree (Index.pickStore). An aggregated
-// relation's local index (the canonical or PlaceOn index, which lives with
-// the accumulator) caches the accumulator in FULL: a pass or a delete only
-// marks it stale, and its first reader rebuilds it in one sort (CatchUp).
+// FULL itself. A pass or a delete reaches every index the same way
+// (Index.apply): the tuples are copied into Δ's run and sorted once, and FULL
+// takes the run whole — filled from it when empty, else merging it in or
+// filtering it out, which leaves in Δ only what changed FULL. FULL is a
+// btree.Frozen run or a B-tree (Index.pickStore); both take the same batches.
+// An aggregated relation's local index (the canonical or PlaceOn index,
+// which lives with the accumulator) caches the accumulator in FULL: a pass
+// or a delete only marks it stale, and its first reader rebuilds it in one
+// sort (CatchUp).
 package relation
 
 import (
@@ -100,8 +104,9 @@ type Config struct {
 	// true aggregate; a final gather computes exact answers. PARALAGG
 	// relations never set this — it exists for the baseline engines.
 	Leaky *LeakySpec
-	// Base marks a set relation no rule derives, which changes only by whole
-	// batches: every index keeps FULL as a btree.Frozen run, not a B-tree.
+	// Base marks a set relation no rule derives, which changes only by its
+	// load and rare applies: every index keeps FULL as a btree.Frozen run,
+	// which each batch rewrites whole, not a B-tree.
 	Base bool
 }
 
@@ -174,9 +179,11 @@ type Relation struct {
 	// than a candidate's (BoundRetraction).
 	bounded bool
 
-	// base is Config.Base; baseFresh views a base pass's changed tuples.
-	base      bool
-	baseFresh tuple.Buffer
+	// base is Config.Base, read only by Index.pickStore. setFresh views a set
+	// relation's last pass or delete: the tuples its canonical FULL gained or
+	// lost (Index.apply).
+	base     bool
+	setFresh tuple.Buffer
 
 	sorter tuple.Sorter // orders every Δ run and fill of FULL, in capacity it keeps
 
@@ -304,10 +311,42 @@ func (ix *Index) fill(run *btree.Run) {
 	}
 }
 
-// pickStore decides the shape of the index's FULL: a frozen run where FULL
-// changes only by whole batches or rebuilds — a base relation's, with a
-// join-key directory, and a local index's cache, without, as each rebuild
-// would refill it — else a B-tree, which takes tuples one at a time.
+// apply has FULL take Δ's run, one batch of stored-order tuples that a pass
+// adds (add) or a delete removes, sorted first: a local index's cache goes
+// stale, an empty FULL is filled from the run (Δ a view of it), and any other
+// FULL merges the batch in or filters it out, which leaves in Δ only the
+// tuples that changed it. It returns the tuples that changed FULL, ascending,
+// valid until Δ is next written.
+func (ix *Index) apply(add bool) []tuple.Value {
+	ix.delta.Sort(&ix.rel.sorter)
+	run := ix.delta.Words()
+	switch {
+	case len(run) == 0:
+	case add && !ix.stale && ix.fullView().Len() == 0:
+		ix.fill(&ix.delta)
+		return run
+	case ix.local:
+		ix.stale = true
+	case ix.frozenFull && add:
+		ix.frozen.Merge(&ix.delta)
+	case ix.frozenFull:
+		ix.frozen.Filter(&ix.delta)
+	case add:
+		// A set relation's indepLen is its arity: this is Merge.
+		ix.full.MergePrefix(ix.indepLen, &ix.delta)
+	default:
+		ix.full.Filter(&ix.delta)
+	}
+	return ix.delta.Words()
+}
+
+// pickStore decides the shape of the index's FULL. Both shapes take whole
+// batches (apply); they differ in what one costs. A frozen run, rewritten
+// whole per batch, holds a FULL that changes rarely or is rebuilt whole: a
+// base relation's, with a join-key directory, and a local index's cache,
+// without, as each rebuild would refill it. A B-tree, a descent per tuple,
+// holds one that changes every pass: a derived set relation's and an
+// aggregated relation's replica.
 func (ix *Index) pickStore() {
 	ix.frozenFull = ix.rel.base || ix.local
 	if ix.rel.base {

@@ -1,4 +1,4 @@
-package tuple
+package tuple_test
 
 import (
 	"cmp"
@@ -7,63 +7,15 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"paralagg/internal/btree"
+	"paralagg/internal/tuple"
 )
 
-func TestSortedRunDedupsAndFlagsFirstArrivals(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, arity := range []int{1, 2, 3} {
-		var words []Value
-		for i := 0; i < 3000; i++ {
-			for c := 0; c < arity; c++ {
-				words = append(words, Value(rng.Intn(12)))
-			}
-		}
-		n := len(words) / arity
-		first := make([]bool, n)
-		run := SortedRun(arity, words, first)
-
-		// Reference: distinct tuples, sorted; first arrival of each flagged.
-		seen := map[[3]Value]bool{}
-		var want []Tuple
-		for i := 0; i < n; i++ {
-			var k [3]Value
-			copy(k[:], words[i*arity:(i+1)*arity])
-			if first[i] == seen[k] {
-				t.Fatalf("arity %d: tuple %d flagged first=%v but seen before=%v", arity, i, first[i], seen[k])
-			}
-			if !seen[k] {
-				seen[k] = true
-				want = append(want, Tuple(words[i*arity:(i+1)*arity]))
-			}
-		}
-		slices.SortFunc(want, func(a, b Tuple) int { return a.Compare(b) })
-		if len(run) != len(want)*arity {
-			t.Fatalf("arity %d: run holds %d tuples, want %d", arity, len(run)/arity, len(want))
-		}
-		for i, w := range want {
-			if !w.Equal(Tuple(run[i*arity : (i+1)*arity])) {
-				t.Fatalf("arity %d: run tuple %d = %v, want %v", arity, i, run[i*arity:(i+1)*arity], w)
-			}
-		}
-
-		// A run is already ascending: it comes back as is, every tuple first.
-		again := make([]bool, len(want))
-		if got := SortedRun(arity, run, again); &got[0] != &run[0] || len(got) != len(run) {
-			t.Fatalf("arity %d: an ascending input was copied", arity)
-		}
-		if slices.Contains(again, false) {
-			t.Fatalf("arity %d: ascending input not flagged all-first", arity)
-		}
-	}
-	if got := SortedRun(2, nil, nil); len(got) != 0 {
-		t.Fatalf("empty input produced %v", got)
-	}
-}
-
-// referenceOrder is the comparison sort SortedRun used before its radix
-// sort: the tuple positions of words ordered by tuple, ties by position.
-func referenceOrder(arity int, words []Value) []uint32 {
-	at := func(i uint32) Tuple { return Tuple(words[int(i)*arity : (int(i)+1)*arity]) }
+// referenceOrder is the comparison sort the radix sort replaced: the tuple
+// positions of words ordered by tuple, ties by position.
+func referenceOrder(arity int, words []tuple.Value) []uint32 {
+	at := func(i uint32) tuple.Tuple { return tuple.Tuple(words[int(i)*arity : (int(i)+1)*arity]) }
 	perm := make([]uint32, len(words)/arity)
 	for i := range perm {
 		perm[i] = uint32(i)
@@ -77,43 +29,35 @@ func referenceOrder(arity int, words []Value) []uint32 {
 	return perm
 }
 
-// referenceSortedRun is SortedRun as it was before the radix sort, the
-// output the radix path must reproduce word for word.
-func referenceSortedRun(arity int, words []Value) ([]Value, []bool) {
-	at := func(i uint32) Tuple { return Tuple(words[int(i)*arity : (int(i)+1)*arity]) }
-	perm := referenceOrder(arity, words)
-	first := make([]bool, len(perm))
-	run := []Value{}
-	for k, i := range perm {
-		if k > 0 && at(i).ComparePrefix(at(perm[k-1]), arity) == 0 {
-			continue
-		}
-		first[i] = true
-		run = append(run, at(i)...)
-	}
-	return run, first
-}
-
-// checkSortedRun compares SortedRun, and the radix sort on its own, with
-// the comparison-sort reference on one batch.
-func checkSortedRun(t *testing.T, arity int, words []Value) {
+// checkSortedRun compares the sort every Δ run and every fill of FULL goes
+// through with the comparison sort on one batch: Sorter.Order must be the
+// stable ascending permutation, and btree.Run.Sort, which moves the tuples
+// along it, must leave the distinct tuples in ascending order — and leave an
+// ascending run as it is.
+func checkSortedRun(t *testing.T, arity int, words []tuple.Value) {
 	t.Helper()
 	n := len(words) / arity
-	wantRun, wantFirst := referenceSortedRun(arity, words)
-	first := make([]bool, n)
-	run := SortedRun(arity, words, first)
-	if !slices.Equal(run, wantRun) {
-		t.Fatalf("arity %d, %d tuples: run differs from the comparison sort's\n got %v\nwant %v", arity, n, run, wantRun)
+	order := referenceOrder(arity, words)
+	var s tuple.Sorter
+	if got := s.Order(arity, words); !slices.Equal(got, order) {
+		t.Fatalf("arity %d, %d tuples: order %v, comparison order %v", arity, n, got, order)
 	}
-	if !slices.Equal(first, wantFirst) {
-		t.Fatalf("arity %d, %d tuples: first flags differ from the comparison sort's\n got %v\nwant %v", arity, n, first, wantFirst)
+	var want []tuple.Value
+	for k, i := range order {
+		tup := words[int(i)*arity : (int(i)+1)*arity]
+		if k == 0 || !slices.Equal(tup, want[len(want)-arity:]) {
+			want = append(want, tup...)
+		}
 	}
-	perm := make([]uint32, n)
-	for i := range perm {
-		perm[i] = uint32(i)
-	}
-	if got, want := new(Sorter).radixSort(arity, words, perm), referenceOrder(arity, words); !slices.Equal(got, want) {
-		t.Fatalf("arity %d, %d tuples: radix order %v, comparison order %v", arity, n, got, want)
+	var run btree.Run
+	run.Reset(arity)
+	run.Append(words)
+	for pass := 1; pass <= 2; pass++ {
+		run.Sort(&s)
+		if !slices.Equal(run.Words(), want) {
+			t.Fatalf("arity %d, %d tuples, sort %d: run differs from the comparison sort's\n got %v\nwant %v",
+				arity, n, pass, run.Words(), want)
+		}
 	}
 }
 
@@ -125,19 +69,19 @@ func TestSortedRunMatchesComparisonSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	shapes := []struct {
 		name string
-		gen  func(i int) Value
+		gen  func(i int) tuple.Value
 	}{
-		{"dup", func(i int) Value { return Value(rng.Intn(4)) }},
-		{"top-byte", func(i int) Value { return Value(rng.Intn(256))<<56 | Value(rng.Intn(3)) }},
-		{"one-byte", func(i int) Value { return 0x0707070707070707&^(0xff<<24) | Value(rng.Intn(256))<<24 }},
-		{"ascending", func(i int) Value { return Value(i) }},
-		{"descending", func(i int) Value { return Value(1<<40 - i) }},
-		{"wide", func(i int) Value { return Value(rng.Uint64()) }},
+		{"dup", func(i int) tuple.Value { return tuple.Value(rng.Intn(4)) }},
+		{"top-byte", func(i int) tuple.Value { return tuple.Value(rng.Intn(256))<<56 | tuple.Value(rng.Intn(3)) }},
+		{"one-byte", func(i int) tuple.Value { return 0x0707070707070707&^(0xff<<24) | tuple.Value(rng.Intn(256))<<24 }},
+		{"ascending", func(i int) tuple.Value { return tuple.Value(i) }},
+		{"descending", func(i int) tuple.Value { return tuple.Value(1<<40 - i) }},
+		{"wide", func(i int) tuple.Value { return tuple.Value(rng.Uint64()) }},
 	}
 	for _, sh := range shapes {
 		for arity := 1; arity <= 4; arity++ {
-			for _, n := range []int{0, 1, 2, radixMin - 1, radixMin, radixMin + 1, 5000} {
-				words := make([]Value, 0, n*arity)
+			for _, n := range []int{0, 1, 2, tuple.RadixMin - 1, tuple.RadixMin, tuple.RadixMin + 1, 5000} {
+				words := make([]tuple.Value, 0, n*arity)
 				for i := 0; i < n; i++ {
 					for c := 0; c < arity; c++ {
 						words = append(words, sh.gen(i))
@@ -149,8 +93,8 @@ func TestSortedRunMatchesComparisonSort(t *testing.T) {
 	}
 }
 
-// FuzzSortedRun checks SortedRun and the radix sort against the comparison
-// sort on byte-coded batches. Byte 0 picks the arity (1–4). Byte 1 picks the
+// FuzzSortedRun checks Sorter.Order and the sorted run btree.Run.Sort makes
+// against the comparison sort on byte-coded batches. Byte 0 picks the arity (1–4). Byte 1 picks the
 // value coding: its low three bits name the one byte position a value
 // varies in (every other byte holds a fixed non-zero pattern), and bit 3
 // reads whole 8-byte little-endian values from the input instead, which
@@ -178,15 +122,15 @@ func FuzzSortedRun(f *testing.F) {
 		arity := 1 + int(data[0]%4)
 		shift := 8 * uint(data[1]%8)
 		wide := data[1]&8 != 0
-		fill := Value(0x0101010101010101) &^ (0xff << shift)
-		var words []Value
+		fill := tuple.Value(0x0101010101010101) &^ (0xff << shift)
+		var words []tuple.Value
 		for data = data[2:]; len(data) > 0; {
 			if wide && len(data) >= 8 {
 				words = append(words, binary.LittleEndian.Uint64(data))
 				data = data[8:]
 				continue
 			}
-			words = append(words, fill|Value(data[0])<<shift)
+			words = append(words, fill|tuple.Value(data[0])<<shift)
 			data = data[1:]
 		}
 		checkSortedRun(t, arity, words[:len(words)/arity*arity])
