@@ -52,7 +52,7 @@ chaos:
 # here, not style). The -race pass includes the integrity differentials in
 # internal/chaos: divergence detection panics cross every rank's goroutine,
 # so they are exactly where races would hide. The storage B-tree then takes
-# a bounded fuzz pass: random Insert/Delete/UpsertPrefix/Reset/Build/scan
+# a bounded fuzz pass: random Insert/Delete/MergePrefix/Reset/Build/scan
 # sequences at arities 1-4 against a sorted-slice reference, and so does the
 # sorted run an index's Δ lives in: random batches at arities 1-4, refilled
 # into one run, read back (Len, Ascend, AscendPrefix with an early stop, Has)
@@ -61,8 +61,10 @@ chaos:
 # batches at arities 1-4 and every join-key width, 0 (no directory)
 # included, read back (what each batch left, Len, Ascend, Has, AscendPrefix
 # at every prefix width, the directory's among them) against a sorted slice,
-# and so does the bulk-load sort: byte-coded batches at arities 1-4 through tuple.SortedRun's
-# radix sort against the comparison sort it replaced, and so does the rule
+# and so does the sort every Δ run and fill of FULL goes through: byte-coded
+# batches at arities 1-4 through tuple.Sorter.Order against the stable
+# comparison sort, and btree.Run.Sort's deduplicated run against the
+# comparison sort's distinct tuples, and so does the rule
 # compiler: random head and condition term trees, three deep over every op
 # kind, through the flat op list against a tree walk, and so does
 # incremental maintenance: generated insert/delete histories over nine
@@ -81,13 +83,15 @@ chaos:
 # applies nothing and the engine keeps answering queries). The
 # allocation pins run a second time without -race: the detector changes what
 # allocates, and the plain build is what the benchmark measures. The
-# racing-ranks test of recycled receive rows runs ten more times under
-# -race, as its doc asks: one pass rarely hits the interleaving it guards,
-# and it is the check on how a mailbox wakes its one taker. The plain
+# racing-ranks test of recycled receive rows and the spinning-take tests run
+# ten more times under -race, as their docs ask: one pass rarely hits the
+# interleaving they guard, and they are the check on how a mailbox's one
+# taker waits, both the spin that re-polls the queue and the park that a
+# put, an abort or the deadline wakes. The plain
 # allocation pass covers every package, the root's query pins included.
 verify: vet
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run RecycledRows ./internal/mpi
+	$(GO) test -race -count=10 -run 'RecycledRows|SpinningTake' ./internal/mpi
 	$(GO) test -count=1 -run 'Allocs|AllocFree' ./...
 	$(GO) test -run '^$$' -fuzz FuzzAgainstSortedSlice -fuzztime 15s -fuzzminimizetime 10x ./internal/btree
 	$(GO) test -run '^$$' -fuzz FuzzRunAgainstTree -fuzztime 10s -fuzzminimizetime 10x ./internal/btree

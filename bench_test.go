@@ -7,6 +7,7 @@ package paralagg_test
 // behind each figure live in cmd/experiments.
 
 import (
+	"syscall"
 	"testing"
 	"time"
 
@@ -217,6 +218,37 @@ func BenchmarkFig5SSSPRanks128(b *testing.B) { benchScaling(b, "sssp", 128) }
 func BenchmarkFig6CCRanks16(b *testing.B)    { benchScaling(b, "cc", 16) }
 func BenchmarkFig6CCRanks64(b *testing.B)    { benchScaling(b, "cc", 64) }
 func BenchmarkFig6CCRanks128(b *testing.B)   { benchScaling(b, "cc", 128) }
+
+// --- Fixed cost of an iteration ---
+
+// BenchmarkSSSPChain is the sssp-chain workload's shape: SSSP from one
+// corner of a 4×600 grid on 2 ranks, ~700 near-empty iterations, so the
+// fixed cost of an iteration (a wait on the mailbox among it) is the whole
+// run. Beside ns/op it reports cpu-ms/op, the process's user plus system
+// time per op: a rank that spins on its mailbox trades CPU for latency,
+// and this is the CPU side of that trade.
+func BenchmarkSSSPChain(b *testing.B) {
+	g := graph.Grid("chain", 4, 600, 8, 11)
+	cfg := paralagg.Config{Ranks: 2, Subs: 1}
+	cpu0 := cpuTime(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := queries.RunSSSP(g, []uint64{0}, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(cpuTime(b)-cpu0)/float64(time.Millisecond)/float64(b.N), "cpu-ms/op")
+}
+
+// cpuTime is the process's user plus system time so far.
+func cpuTime(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
 
 // --- Figure 7: per-iteration profile ---
 

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -22,10 +23,12 @@ type message struct {
 // mailbox is a rank's unbounded incoming message queue. It has any number
 // of senders and exactly one taker, the rank it belongs to. Sends append and
 // never block (matching buffered MPI_Isend); the taker scans for the first
-// message matching (src, tag) and blocks until one arrives — or until the
-// receive deadline passes, the source can no longer send, or the world
-// aborts, in which case it unwinds with an error instead of wedging on a
-// dead or silent sender.
+// message matching (src, tag) and, when none is queued, waits for one:
+// first by re-polling for up to takeSpin on a world whose ranks each have a
+// core of their own (World.spin), then parked on cond. The wait ends when
+// the message arrives — or when the receive deadline passes, the source can
+// no longer send, or the world aborts, in which case the taker unwinds with
+// an error instead of wedging on a dead or silent sender.
 type mailbox struct {
 	world *World
 	mu    sync.Mutex
@@ -41,6 +44,13 @@ type mailbox struct {
 	timer *time.Timer
 	armed time.Time // when timer fires; zero when it is not pending
 }
+
+// takeSpin bounds how long a take re-polls its mailbox before it parks on
+// cond. Waking a parked OS thread costs 20–50 µs on a shared 2-core VM,
+// against ~70 µs for a whole near-empty fixpoint iteration; a sweep of 10,
+// 20, 50, 100 and 200 µs on sssp-chain and serve-mixed found 10–20 µs
+// recover little and 50 µs as much as the longer bounds (EXPERIMENTS.md).
+const takeSpin = 50 * time.Microsecond
 
 // mailboxFreeWords bounds the idle payload capacity a mailbox retains (4 MiB):
 // every row of a steady-state round, not a one-off bulk load.
@@ -119,8 +129,14 @@ type recvError struct {
 	abort   *ErrRankFailed // set when the world aborted under us
 }
 
-// take removes and returns the first queued message from src with tag. A
-// positive timeout bounds the wait: when it expires with no matching
+// take removes and returns the first queued message from src with tag. When
+// none is queued it waits: on a world that spins (World.spin) it first drops
+// mu, yields and polls again for up to that long, so a message a peer on
+// another core sends within the spin is taken without a thread wake-up;
+// then it parks on cond until put, wake or the timer signals. Every spin
+// pass runs the same poll as a wake-up, abort and "source gone" included. A
+// positive timeout bounds the whole wait, counted from the first failed
+// poll, so the spin does not lengthen it: when it expires with no matching
 // message the take fails with a timeout recvError, so a receive waiting on
 // a hung or silent sender errors out instead of blocking its rank forever.
 // A receive from an in-process source also fails as soon as that source's
@@ -136,7 +152,8 @@ type recvError struct {
 // cascades in dependency order. Distributed worlds (whose transport orders
 // death after delivery itself) give up at once.
 func (m *mailbox) take(src, tag int, timeout time.Duration) (msg message, re *recvError) {
-	var deadline time.Time // set once the take has blocked with a timeout
+	var deadline, spinEnd time.Time // set at the take's first failed poll
+	spin := m.world.spin > 0        // cleared once the spin is over
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -144,19 +161,28 @@ func (m *mailbox) take(src, tag int, timeout time.Duration) (msg message, re *re
 		if msg, re, done = m.poll(src, tag); done {
 			break
 		}
-		if timeout > 0 {
+		if timeout > 0 || spin {
 			now := time.Now()
-			if deadline.IsZero() {
-				deadline = now.Add(timeout)
-			} else if !now.Before(deadline) {
+			if spinEnd.IsZero() {
+				deadline, spinEnd = now.Add(timeout), now.Add(m.world.spin)
+			}
+			if timeout > 0 && !now.Before(deadline) {
 				re = &recvError{timeout: true}
 				break
 			}
+			if spin = now.Before(spinEnd); spin {
+				m.mu.Unlock()
+				runtime.Gosched()
+				m.mu.Lock()
+				continue
+			}
+		}
+		if timeout > 0 {
 			m.arm(deadline)
 		}
 		m.cond.Wait()
 	}
-	if !deadline.IsZero() {
+	if !m.armed.IsZero() {
 		m.timer.Stop()
 		m.armed = time.Time{}
 	}
