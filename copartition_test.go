@@ -14,27 +14,35 @@ import (
 )
 
 // TestCoPartitionedSSSPOneCollectivePerIteration pins the collective budget
-// of an SSSP iteration. At Subs 1 SSSP places spath on its join key, so the
+// of an SSSP iteration. SSSP places spath on its join key, so the
 // accumulator and both of its indexes share one rank per bucket, and joins
 // it with edge on buckets that live on one rank, the same rank on both
-// sides. An iteration then costs each rank exactly one collective: the
-// materialize route, whose lane headers carry the previous iteration's
-// changed count. At Subs 2 and 4 edge's buckets split, so the join adds its
-// vote and its intra-bucket exchange, and nothing else: every aggregated
-// record still travels straight to its key's owner, so the route stays one
-// exchange. Two grids of different lengths run different numbers of
-// iterations; the message counts must differ by exactly the budget per rank
-// per extra iteration, which leaves everything else a per-Exec constant.
+// sides, at every Subs while edge holds no heavy key: on a grid. An
+// iteration then costs each rank exactly one collective: the materialize
+// route, whose lane headers carry the previous iteration's changed count.
+// A hub of 400 out-edges on the same grid is a heavy key at Subs 2 and 4:
+// its bucket splits, so the join adds its vote and its intra-bucket
+// exchange, and nothing else: every aggregated record still travels
+// straight to its key's owner, so the route stays one exchange. Two grids
+// of different lengths run different numbers of iterations; the message
+// counts must differ by exactly the budget per rank per extra iteration,
+// which leaves everything else a per-Exec constant.
 func TestCoPartitionedSSSPOneCollectivePerIteration(t *testing.T) {
 	const ranks = 2
 	for _, wire := range []string{"in-process", "tcp"} {
 		t.Run(wire, func(t *testing.T) {
-			for _, row := range []struct{ subs, perIter int }{{1, 1}, {2, 3}, {4, 3}} {
-				t.Run(fmt.Sprintf("subs=%d", row.subs), func(t *testing.T) {
+			for _, row := range []struct {
+				subs, hub, perIter int
+			}{{1, 0, 1}, {2, 0, 1}, {4, 0, 1}, {1, 400, 1}, {2, 400, 3}, {4, 400, 3}} {
+				name := fmt.Sprintf("subs=%d", row.subs)
+				if row.hub > 0 {
+					name = "hub-" + name
+				}
+				t.Run(name, func(t *testing.T) {
 					var iters [2]int
 					var msgs [2]int64
 					for i, cols := range []int{20, 40} {
-						g := graph.Grid("grid", 4, cols, 8, 5)
+						g := hubGrid(cols, row.hub)
 						res := execSSSP(t, wire, paralagg.Config{Ranks: ranks, Subs: row.subs, Plan: paralagg.Dynamic}, g)
 						iters[i], msgs[i] = res.Iterations, res.CommMsgs
 					}
@@ -57,6 +65,17 @@ func TestCoPartitionedSSSPOneCollectivePerIteration(t *testing.T) {
 			}
 		})
 	}
+}
+
+// hubGrid is a 4×cols grid whose node 0 also has an edge to each of hub
+// new leaves: hub is that node's out-degree beside the grid's.
+func hubGrid(cols, hub int) *graph.Graph {
+	g := graph.Grid("grid", 4, cols, 8, 5)
+	for i := range hub {
+		g.Edges = append(g.Edges, graph.Edge{U: 0, V: uint64(g.Nodes + i), W: 1})
+	}
+	g.Nodes += hub
+	return g
 }
 
 // execSSSP runs SSSP from node 0 under cfg in one in-process world or over a
@@ -147,13 +166,15 @@ func TestAggregatedPlacementBalances(t *testing.T) {
 // TestPhaseMetersCountTheirOwnRank pins that a metered phase counts only the
 // bytes of the rank that meters it. Each process of a loopback gang sees its
 // own rank's traffic alone, so the per-rank, per-phase bytes of a 2-rank SSSP
-// run at Subs 2 (routing, vote and intra-bucket phases all move bytes) must come out the same in one process as over the gang.
+// run at Subs 2 on a grid with a heavy hub (routing, vote and intra-bucket
+// phases all move bytes) must come out the same in one process as over the
+// gang.
 func TestPhaseMetersCountTheirOwnRank(t *testing.T) {
 	type key struct {
 		rank  int
 		phase string
 	}
-	g := graph.Grid("grid", 4, 20, 8, 5)
+	g := hubGrid(20, 400)
 	var got [2]map[key]int64
 	for i, wire := range []string{"in-process", "tcp"} {
 		var mu sync.Mutex
@@ -170,5 +191,10 @@ func TestPhaseMetersCountTheirOwnRank(t *testing.T) {
 	}
 	if len(got[0]) == 0 || !maps.Equal(got[0], got[1]) {
 		t.Fatalf("per-rank phase bytes in-process %v, over the gang %v", got[0], got[1])
+	}
+	for _, phase := range []string{"planning", "intra-bucket"} {
+		if got[0][key{0, phase}]+got[0][key{1, phase}] == 0 {
+			t.Errorf("the %s phase moved no bytes: %v", phase, got[0])
+		}
 	}
 }

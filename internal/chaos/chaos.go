@@ -59,6 +59,7 @@ func Scenarios() []Scenario {
 		}
 		skewG.Edges = append(skewG.Edges, graph.Edge{U: u, V: uint64(tail + i), W: 3})
 	}
+	withHeavyHub(skewG)
 	return []Scenario{
 		{
 			Name: "sssp",
@@ -86,6 +87,18 @@ func Scenarios() []Scenario {
 			Subs: 4,
 		},
 	}
+}
+
+// withHeavyHub gives node 0 of g an edge to each of 300 new leaves. No key
+// of a social graph this small is heavy enough to split (sub-buckets spread
+// only a heavy join key), so without it a skew scenario at Subs > 1 would
+// place every key like Subs 1; node 0, the scenarios' source, splits.
+func withHeavyHub(g *graph.Graph) {
+	const leaves = 300
+	for i := range leaves {
+		g.Edges = append(g.Edges, graph.Edge{U: 0, V: uint64(g.Nodes + i), W: uint64(i%7 + 1)})
+	}
+	g.Nodes += leaves
 }
 
 // exec and supervise wrap the runtime entry points, stamping the collective

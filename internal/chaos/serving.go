@@ -64,6 +64,7 @@ func ServingScenarios() []ServingScenario {
 	ssspMix := graph.Grid("serving-sssp-mix", 4, 4, 8, 23)
 	ccG := graph.Grid("serving-cc", 4, 4, 1, 24)
 	skewG := graph.Social("serving-social", 6, 200, 3, 24, 64, 25)
+	withHeavyHub(skewG)
 	lspG := graph.Grid("serving-lsp", 4, 4, 8, 26)
 
 	// The cc scenarios split the grid between columns 1 and 2: the base

@@ -22,7 +22,8 @@ import (
 // over-deleting (ReachLabels' $BOR), and a non-linear set rule whose
 // re-derivation joins two surviving derived tuples. One program reads its
 // base relation through a second index, on the destination column, and one
-// reads its aggregated relation through a replica.
+// reads its aggregated relation through a replica. One has a hub: its edge
+// relation holds a heavy join key, split over sub-buckets at Subs > 1.
 
 // historyProgram is one program of the deletion differential: its rules,
 // its initial base facts and a generator of one fresh base fact to insert.
@@ -230,6 +231,33 @@ var historySuite = []historyProgram{
 			return map[string][]tuple.Tuple{"e": wedges(rng, 12, 30, 3), "sp": {{0, 0, 0}, {6, 6, 0}}}
 		},
 		fresh: func(rng *rand.Rand) (string, tuple.Tuple) { return "e", wedge(rng, 12, 3) },
+	},
+	{
+		name: "sssp-hub",
+		build: func() *Program {
+			// SSSP where node 0 has an edge to each of 300 leaves: node 0 is
+			// a heavy join key of e, so at Subs > 1 its edges live in
+			// several sub-buckets, and most inserts and deletes land there.
+			p := NewProgram()
+			p.DeclareSet("e", 3, 1)
+			p.DeclareAgg("sp", 2, lattice.Min{})
+			p.Add(R(A("sp", Var("f"), Var("t"), Add(Var("l"), Var("w"))),
+				A("sp", Var("f"), Var("m"), Var("l")), A("e", Var("m"), Var("t"), Var("w"))))
+			return p
+		},
+		facts: func(rng *rand.Rand) map[string][]tuple.Tuple {
+			e := wedges(rng, 12, 30, 3)
+			for leaf := uint64(100); leaf < 400; leaf++ {
+				e = append(e, tuple.Tuple{0, leaf, uint64(rng.Intn(4))})
+			}
+			return map[string][]tuple.Tuple{"e": e, "sp": {{0, 0, 0}}}
+		},
+		fresh: func(rng *rand.Rand) (string, tuple.Tuple) {
+			if rng.Intn(2) == 0 {
+				return "e", tuple.Tuple{0, uint64(100 + rng.Intn(400)), uint64(rng.Intn(4))}
+			}
+			return "e", wedge(rng, 12, 3)
+		},
 	},
 }
 
@@ -442,6 +470,7 @@ func TestBoundsRetraction(t *testing.T) {
 		"tc-non-linear":              false, // set relations have no value to bound by
 		"sssp-reverse-edge-index":    true,
 		"sssp-two-sided":             true,
+		"sssp-hub":                   true,
 	}
 	for _, hp := range historySuite {
 		p := hp.build()

@@ -407,26 +407,86 @@ var placementSuite = []struct {
 	}, "sp", true},
 }
 
-// TestCoPartitionedJoinsMatchNaive sweeps SSSP, CC and TC over ranks
-// {1, 2, 3, 4} × Subs {1, 2, 8} × {Dynamic, StaticLeft, StaticRight}, and
-// placementSuite over ranks {2, 3, 4} × Subs {1, 2, 3, 4} with the same
-// plans: every configuration must equal the naive from-scratch evaluation.
-// At Subs 1, or on one rank, every join of these programs is co-partitioned
-// and runs without an intra-bucket message; with sub-buckets on several
-// ranks each join exchanges — so the sweep covers both paths, and checks
+// hubSuite holds programs whose edge relation has one heavy join key: node
+// 0 has an edge to each of 300 leaves, 100..399, beside a sparse random
+// graph, so at Subs > 1 on several ranks edge's index on its source splits
+// that key's bucket while every other key keeps one home. mcount-two-hops
+// counts every (e(x, y), e(y, z)) pair, so a pair met twice or never under
+// the partial replication of the heavy key shows.
+var hubSuite = []diffProgram{
+	{
+		name:  "sssp-hub",
+		build: diffProgramNamed("sssp-min").build,
+		facts: func(rng *rand.Rand) map[string][]tuple.Tuple {
+			e := randEdges3(rng, 16, 50, 8)
+			for _, h := range hubEdges(300) {
+				e = append(e, tuple.Tuple{h[0], h[1], uint64(rng.Intn(8)) + 1})
+			}
+			return map[string][]tuple.Tuple{"e": e, "sp": {{0, 0, 0}, {3, 3, 0}}}
+		},
+	},
+	{
+		name:  "transitive-closure-hub",
+		build: diffProgramNamed("transitive-closure").build,
+		facts: func(rng *rand.Rand) map[string][]tuple.Tuple {
+			return map[string][]tuple.Tuple{"e": append(randEdges2(rng, 14, 30), hubEdges(300)...)}
+		},
+	},
+	{
+		name: "mcount-two-hops",
+		build: func() *Program {
+			p := NewProgram()
+			p.DeclareSet("e", 2, 1)
+			p.DeclareAgg("hops", 1, lattice.MCount{})
+			p.Add(R(A("hops", Var("x"), Const(1)), A("e", Var("x"), Var("y")), A("e", Var("y"), Var("z"))))
+			return p
+		},
+		facts: func(rng *rand.Rand) map[string][]tuple.Tuple {
+			return map[string][]tuple.Tuple{"e": append(randEdges2(rng, 14, 30), hubEdges(300)...)}
+		},
+	},
+}
+
+// hubEdges returns node 0's edges to n leaves, numbered from 100.
+func hubEdges(n int) []tuple.Tuple {
+	out := make([]tuple.Tuple, n)
+	for i := range out {
+		out[i] = tuple.Tuple{0, uint64(100 + i)}
+	}
+	return out
+}
+
+// diffProgramNamed returns diffSuite's program of the given name.
+func diffProgramNamed(name string) diffProgram {
+	for _, d := range diffSuite {
+		if d.name == name {
+			return d
+		}
+	}
+	panic("no diffSuite program " + name)
+}
+
+// TestCoPartitionedJoinsMatchNaive sweeps SSSP, CC and TC, and hubSuite,
+// over ranks {1, 2, 3, 4} × Subs {1, 2, 8} × {Dynamic, StaticLeft,
+// StaticRight}, and placementSuite over ranks {2, 3, 4} × Subs {1, 2, 3, 4}
+// with the same plans: every configuration must equal the naive
+// from-scratch evaluation. A join none of whose sides holds a heavy key is
+// co-partitioned and runs without an intra-bucket message: at Subs 1, on
+// one rank, and on every input without a hub. hubSuite's joins, at Subs > 1
+// on several ranks, exchange — so the sweep covers both paths, and checks
 // which one ran, and whether each placementSuite aggregate has replicas.
 func TestCoPartitionedJoinsMatchNaive(t *testing.T) {
 	type sweep struct {
 		sc          diffProgram
 		ranks, subs []int
+		hub         bool
 	}
 	var sweeps []sweep
 	for _, name := range []string{"sssp-min", "cc-with-conds", "transitive-closure"} {
-		for _, d := range diffSuite {
-			if d.name == name {
-				sweeps = append(sweeps, sweep{d, []int{1, 2, 3, 4}, []int{1, 2, 8}})
-			}
-		}
+		sweeps = append(sweeps, sweep{diffProgramNamed(name), []int{1, 2, 3, 4}, []int{1, 2, 8}, false})
+	}
+	for _, d := range hubSuite {
+		sweeps = append(sweeps, sweep{d, []int{1, 2, 3, 4}, []int{1, 2, 8}, true})
 	}
 	for _, ps := range placementSuite {
 		err := mpi.NewWorld(1).Run(func(c *mpi.Comm) error {
@@ -439,7 +499,7 @@ func TestCoPartitionedJoinsMatchNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ps.name, err)
 		}
-		sweeps = append(sweeps, sweep{ps.diffProgram, []int{2, 3, 4}, []int{1, 2, 3, 4}})
+		sweeps = append(sweeps, sweep{ps.diffProgram, []int{2, 3, 4}, []int{1, 2, 3, 4}, false})
 	}
 	for _, sw := range sweeps {
 		sc, name := sw.sc, sw.sc.name
@@ -461,7 +521,7 @@ func TestCoPartitionedJoinsMatchNaive(t *testing.T) {
 								name, ranks, subs, plan, rel, got[rel], wt)
 						}
 					}
-					local := ranks == 1 || subs == 1
+					local := ranks == 1 || subs == 1 || !sw.hub
 					if msgs := rep.Phases[metrics.PhaseIntraBucket].Msgs; local != (msgs == 0) {
 						t.Fatalf("%s ranks=%d subs=%d plan=%d: %d intra-bucket messages", name, ranks, subs, plan, msgs)
 					}

@@ -19,7 +19,8 @@ import (
 // Config tunes an instantiated program.
 type Config struct {
 	// Subs is the sub-bucket count of every relation: the split width of
-	// a join's inner buckets, fixed for the run; 1 disables it.
+	// a heavy join key, which each relation decides from its first bulk
+	// load (relation.Config.Subs), fixed for the run; 1 disables it.
 	Subs int
 	// Plan selects the join-layout strategy.
 	Plan ra.PlanMode

@@ -188,11 +188,13 @@ func verifySections(words []mpi.Word, sums []uint64) error {
 // same-size restore keeps wholesale. Version 6 keeps the envelope; its
 // relation snapshots carry the local Δ count where the tuple-id counter was,
 // no id section, and only the indexes a relation registers (an aggregated
-// relation has no canonical tree unless a rule reads one). Files of earlier
-// versions are refused, not migrated.
+// relation has no canonical tree unless a rule reads one). Version 7 keeps
+// the envelope; its relation snapshots end with the heavy join keys a load
+// decided, which place every tuple at Subs > 1. Files of earlier versions
+// are refused, not migrated.
 const (
 	ckptMagic       uint64 = 0x70614c43_6b707434 // "paLCkpt4"
-	ckptVersion     uint64 = 6
+	ckptVersion     uint64 = 7
 	ckptHeaderWords        = 7
 )
 

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"paralagg/internal/lattice"
 	"paralagg/internal/metrics"
 	"paralagg/internal/mpi"
 	"paralagg/internal/relation"
@@ -156,10 +158,56 @@ func TestFixpointCheckpointResume(t *testing.T) {
 	}
 }
 
+// hubSSSP builds SSSP from node 0 at the given Subs over a star of 300
+// leaves, which makes node 0 a heavy join key of edge, and a 20-edge chain
+// off leaf 300 that keeps the fixpoint going past its checkpoints.
+func hubSSSP(c *mpi.Comm, mc *metrics.Collector, subs int) (*Fixpoint, []*relation.Relation) {
+	edgeRel, _ := relation.New(relation.Schema{Name: "edge", Arity: 3, Indep: 3, Key: 1}, c, mc, relation.Config{Subs: subs})
+	sp, _ := relation.New(relation.Schema{Name: "spath", Arity: 3, Indep: 2, Key: 2, Agg: lattice.Min{}}, c, mc, relation.Config{Subs: subs})
+	spMid, _ := sp.AddIndex([]int{1, 0, 2}, 1)
+	sp.PlaceOn(spMid)
+	edgeRel.LoadShare(320, func(i int, emit func(tuple.Tuple)) {
+		if i < 300 {
+			emit(tuple.Tuple{0, tuple.Value(i + 1), tuple.Value(i%5 + 1)})
+		} else {
+			emit(tuple.Tuple{tuple.Value(i), tuple.Value(i + 1), 1})
+		}
+	})
+	seed := tuple.NewBuffer(3, 1)
+	if c.Rank() == 0 {
+		seed.Append(tuple.Tuple{0, 0, 0})
+	}
+	sp.LoadFacts(seed)
+	fx := NewFixpoint(c, mc, &Join{
+		Left: spMid, LeftRel: sp, Right: edgeRel.Canonical(), RightRel: edgeRel, Head: sp, JK: 1,
+		Emit: func(l, r, out tuple.Tuple) bool { return copy(out, tuple.Tuple{l[1], r[1], l[2] + r[2]}) > 0 },
+	})
+	return fx, []*relation.Relation{edgeRel, sp}
+}
+
+// rankDigests returns, for every rank, the order-independent digest of
+// each relation's FULL tuples and Δ on that rank, index by index: two runs
+// with equal digests hold the same tuples in the same places.
+func rankDigests(c *mpi.Comm, rels []*relation.Relation) []uint64 {
+	var out []uint64
+	for _, r := range rels {
+		for _, ix := range r.Indexes() {
+			var full, delta uint64
+			ix.Full().Ascend(func(t tuple.Tuple) bool { full += fpHash(t); return true })
+			ix.Delta().Ascend(func(t tuple.Tuple) bool { delta += fpHash(t); return true })
+			out = append(out, c.Allgather(full)...)
+			out = append(out, c.Allgather(delta)...)
+		}
+	}
+	return out
+}
+
 // TestElasticResumeAcrossWorldSizes is the heart of the elastic-recovery
 // contract: a checkpoint taken by an N-rank world must restore into a world
 // of M ≠ N ranks — shrunk or grown — re-hashing every tuple through the new
-// layout, and still reach the identical fixpoint.
+// layout, and still reach the identical fixpoint. On an input with a heavy
+// key (hubSSSP at Subs 3) the resumed run must end with every tuple exactly
+// where a from-scratch run at M ranks puts it.
 func TestElasticResumeAcrossWorldSizes(t *testing.T) {
 	const oldRanks = 3
 	sink := NewMemorySink(0)
@@ -207,6 +255,43 @@ func TestElasticResumeAcrossWorldSizes(t *testing.T) {
 			}
 			if rep := mc.BuildReport(metrics.DefaultCostModel); rep.PhaseSeconds(metrics.PhaseRemap) <= 0 {
 				t.Error("remapped resume metered no PhaseRemap time")
+			}
+		})
+	}
+
+	hubSink := NewMemorySink(0)
+	if err := mpi.NewWorld(oldRanks).Run(func(c *mpi.Comm) error {
+		fx, _ := hubSSSP(c, metrics.NewCollector(oldRanks), 3)
+		fx.Run(Options{Plan: PlanDynamic, CheckpointEvery: 2, Sink: hubSink, MaxIters: 5})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, newRanks := range []int{1, 2, 5} {
+		t.Run(fmt.Sprintf("hub-into-%d-ranks", newRanks), func(t *testing.T) {
+			var scratch, resumed []uint64
+			if err := mpi.NewWorld(newRanks).Run(func(c *mpi.Comm) error {
+				fx, rels := hubSSSP(c, metrics.NewCollector(newRanks), 3)
+				if edge := rels[0].Canonical(); newRanks > 1 && relation.CoPartitioned(edge, edge, 1) {
+					return fmt.Errorf("node 0 is not a heavy key of edge")
+				}
+				fx.Run(Options{Plan: PlanDynamic})
+				if d := rankDigests(c, rels); c.Rank() == 0 {
+					scratch = d
+				}
+				fx, rels = hubSSSP(c, metrics.NewCollector(newRanks), 3)
+				if _, err := resumeLatest(fx, Options{Plan: PlanDynamic, Sink: hubSink}); err != nil {
+					return err
+				}
+				if d := rankDigests(c, rels); c.Rank() == 0 {
+					resumed = d
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(scratch, resumed) {
+				t.Fatalf("per-rank digests after the resume %v, from scratch %v", resumed, scratch)
 			}
 		})
 	}

@@ -1,7 +1,7 @@
 package ra
 
 // Checkpoint snapshot-layout compatibility. The files under
-// testdata/golden-2rank are one checkpoint set, envelope format version 6,
+// testdata/golden-2rank are one checkpoint set, envelope format version 7,
 // written by TestGoldenCheckpointWrite. The tests here restore them through
 // Fixpoint.Resume — into a world of the writing size and into a larger
 // one — and require the restored relations to match a live twin loaded
@@ -67,7 +67,8 @@ func buildGoldenRels(t *testing.T, c *mpi.Comm, mc *metrics.Collector) []*relati
 
 // loadGoldenRels drives two materialization rounds so the snapshot captures
 // a mid-fixpoint state: non-empty Δ, improved accumulator values and
-// stale-free secondary indexes.
+// stale-free secondary indexes. g_edge's first round is a bulk load in which
+// key 0 is heavy, so its canonical index splits that key's bucket.
 func loadGoldenRels(c *mpi.Comm, rels []*relation.Relation) {
 	sp, edge, leaky := rels[0], rels[1], rels[2]
 	rank, size := c.Rank(), c.Size()
@@ -89,7 +90,10 @@ func loadGoldenRels(c *mpi.Comm, rels []*relation.Relation) {
 	for i := rank; i < 90; i += size {
 		ebuf.Append(tuple.Tuple{tuple.Value(i % 13), tuple.Value(i)})
 	}
-	edge.Materialize(0, ebuf, false)
+	for i := rank; i < 300; i += size {
+		ebuf.Append(tuple.Tuple{0, tuple.Value(500 + i)})
+	}
+	edge.LoadFacts(ebuf)
 	ebuf.Reset()
 	for i := rank; i < 30; i += size {
 		ebuf.Append(tuple.Tuple{tuple.Value(i % 13), tuple.Value(1000 + i)})
@@ -250,6 +254,9 @@ func TestGoldenCheckpointSameSizeRestore(t *testing.T) {
 		}
 		if !slices.Equal(again, cp.Words) {
 			t.Errorf("rank %d: restored set re-serializes to %d words that differ from the file's %d", c.Rank(), len(again), len(cp.Words))
+		}
+		if edge := restored[1].Canonical(); relation.CoPartitioned(edge, edge, 1) {
+			t.Errorf("rank %d: g_edge restored without its heavy key", c.Rank())
 		}
 		matchLiveTwin(t, c, restored)
 		return nil

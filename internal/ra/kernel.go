@@ -152,12 +152,13 @@ func nonEmptyLanes(send [][]mpi.Word, self int) int64 {
 //
 // Phases, as in Fig. 1: dynamic join planning (a one-word vote per rank,
 // Algorithm 1), intra-bucket communication (the outer relation's selected
-// version is serialized and replicated to the inner's sub-bucket homes),
-// and the highly parallel local join (received outer tuples probe the
-// inner index). A co-partitioned join (relation.CoPartitioned: every
-// join-key bucket on one rank, the same rank on both sides) has nothing to
-// replicate, so it skips the vote and the exchange: each rank picks its
-// outer side from its own sizes and probes with its own tuples.
+// version is serialized and sent to the inner's homes of each key: a heavy
+// key's tuples are replicated to its sub-bucket homes), and the highly
+// parallel local join (received outer tuples probe the inner index). A
+// co-partitioned join (relation.CoPartitioned: neither side holds a heavy
+// key, so every key lives on one rank, the same rank on both sides) has
+// nothing to send, so it skips the vote and the exchange: each rank picks
+// its outer side from its own sizes and probes with its own tuples.
 func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collector, out *relation.Candidates) {
 	comm := j.LeftRel.Comm()
 	rank, size := comm.Rank(), comm.Size()
@@ -216,22 +217,22 @@ func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collecto
 		outerV, innerV = vr, vl
 	}
 
-	// Intra-bucket communication: serialize the outer version and
-	// replicate each tuple to every rank holding a sub-bucket of the
-	// inner's matching bucket. Co-partitioned, every tuple's one home is
-	// this rank: the scan is still charged as work, but nothing moves.
+	// Intra-bucket communication: serialize the outer version and send
+	// each tuple to every inner home of its key (HomeRanks): a heavy key's
+	// sub-bucket ranks, a light key's one rank, which is this one unless
+	// the outer side splits the key. Co-partitioned, every tuple's one home
+	// is this rank: the scan is still charged as work, but nothing moves.
 	timer := metrics.StartTimer()
 	send := j.sendBuf(size)
 	arity := len(outerIx.Perm)
-	// Grow each lane once, to its expected share of the outer version; a
-	// co-partitioned join's one lane takes all of it.
+	// Grow each lane once: this rank's own to the whole outer version, as
+	// a light key's tuples stay here and a co-partitioned join's one lane
+	// takes all of them, and any other to its share of it.
 	n := versionLen(outerIx, outerV)
-	if local {
-		send[rank] = slices.Grow(send[rank], n*arity)
-	}
 	for dest := 0; dest < size && !local; dest++ {
-		send[dest] = slices.Grow(send[dest], (n*len(innerIx.HomeRanks(0))/size+1)*arity)
+		send[dest] = slices.Grow(send[dest], (n/size+1)*arity)
 	}
+	send[rank] = slices.Grow(send[rank], n*arity)
 	scanned := int64(0)
 	scanVersion(outerIx, outerV, func(t tuple.Tuple) bool {
 		scanned++
@@ -239,8 +240,7 @@ func (j *Join) Run(iter int, vl, vr Version, mode PlanMode, mc *metrics.Collecto
 			send[rank] = append(send[rank], t...)
 			return true
 		}
-		b := int(t.HashPrefix(j.JK) % uint64(size))
-		for _, dest := range innerIx.HomeRanks(b) {
+		for _, dest := range innerIx.HomeRanks(t.HashPrefix(j.JK)) {
 			send[dest] = append(send[dest], t...)
 		}
 		return true

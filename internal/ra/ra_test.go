@@ -540,7 +540,7 @@ func TestBulkLoadDeltaIsAViewOfFull(t *testing.T) {
 		homes := lonely.Canonical().HomeRanks
 		lonely.LoadShare(200, func(i int, emit func(tuple.Tuple)) {
 			t := tuple.Tuple{tuple.Value(i), 1}
-			if h := homes(int(t.HashPrefix(1) % ranks)); len(h) == 1 && h[0] == 0 {
+			if h := homes(t.HashPrefix(1)); len(h) == 1 && h[0] == 0 {
 				emit(t)
 			}
 		})
@@ -704,8 +704,9 @@ func checkDistances(c *mpi.Comm, sp *relation.Relation, want map[uint64]uint64) 
 
 // TestCoPartitionFollowsPlacement checks the predicate that lets a join skip
 // its vote and its intra-bucket exchange: true while both sides sit at
-// Subs 1, before the run and after it, and false at Subs 2. Co-partitioned,
-// the join never sends a message, and the answer is exact.
+// Subs 1, before the run and after it, and at Subs 2 while neither side
+// holds a heavy key; false once a load makes one of edge's keys heavy.
+// Co-partitioned, the join never sends a message, and the answer is exact.
 func TestCoPartitionFollowsPlacement(t *testing.T) {
 	const ranks = 4
 	mc := metrics.NewCollector(ranks)
@@ -735,8 +736,14 @@ func TestCoPartitionFollowsPlacement(t *testing.T) {
 		sp, _ := relation.New(relation.Schema{Name: "spath", Arity: 3, Indep: 2, Key: 2, Agg: lattice.Min{}}, c, mc, relation.Config{Subs: 2})
 		spMid, _ := sp.AddIndex([]int{1, 0, 2}, 1)
 		edgeRel, _ := relation.New(relation.Schema{Name: "edge", Arity: 3, Indep: 3, Key: 1}, c, mc, relation.Config{Subs: 2})
+		if !relation.CoPartitioned(spMid, edgeRel.Canonical(), 1) {
+			return fmt.Errorf("not co-partitioned at Subs 2 with no heavy key")
+		}
+		edgeRel.LoadShare(1000, func(i int, emit func(tuple.Tuple)) { // key 0 holds half the edges
+			emit(tuple.Tuple{tuple.Value(max(0, i-500)), tuple.Value(i), 1})
+		})
 		if relation.CoPartitioned(spMid, edgeRel.Canonical(), 1) {
-			return fmt.Errorf("co-partitioned at Subs 2")
+			return fmt.Errorf("co-partitioned at Subs 2 with a heavy key")
 		}
 		return nil
 	})

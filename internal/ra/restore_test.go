@@ -155,28 +155,37 @@ func FuzzRestoreCheckpointFiles(f *testing.F) {
 	// Counts and lengths the words cannot hold, inside envelopes that
 	// validate. An empty shard of the golden set, each relation's section
 	// behind its length word: subs, changed count, Δ count, index count,
-	// two tree counts per index, the accumulator and leaky counts. g_sp has
-	// one index (its placement) and g_edge two, both at two sub-buckets;
-	// g_leaky has one index and one sub-bucket.
+	// two tree counts per index, the accumulator and leaky counts, then the
+	// heavy set count and each set's slot count, one set per index and one
+	// for the placement. g_sp has one index (its placement) and g_edge two,
+	// both at two sub-buckets; g_leaky has one index and one sub-bucket.
 	empty := func() []mpi.Word {
 		return slices.Concat(
-			[]mpi.Word{8, 2, 0, 0, 1, 0, 0, 0, 0},
-			[]mpi.Word{10, 2, 0, 0, 2, 0, 0, 0, 0, 0, 0},
-			[]mpi.Word{8, 1, 0, 0, 1, 0, 0, 0, 0})
+			[]mpi.Word{11, 2, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0},
+			[]mpi.Word{14, 2, 0, 0, 2, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0},
+			[]mpi.Word{11, 1, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0})
 	}
 	seal := func(words []mpi.Word) []byte {
 		return encodeCkpt(Checkpoint{Ranks: goldenRanks, Iter: goldenIter, Words: words, SectionSums: sectionSums(f, words)})
 	}
 	f.Add(seal(empty()), seal(empty()))
 	hugeLeaky := empty()
-	hugeLeaky[9+10] = 1 << 61 // g_edge's leaky count
+	hugeLeaky[12+10] = 1 << 61 // g_edge's leaky count
 	f.Add(seal(hugeLeaky), seal(empty()))
 	hugeAcc := empty()
 	hugeAcc[7] = 1 << 36 // g_sp's accumulator count
 	f.Add(seal(hugeAcc), seal(empty()))
 	hugeDelta := empty()
-	hugeDelta[9+3] = 1<<64 - 1 // g_edge's local Δ count, which no tree bounds
+	hugeDelta[12+3] = 1<<64 - 1 // g_edge's local Δ count, which no tree bounds
 	f.Add(seal(hugeDelta), seal(hugeDelta))
+	// The heavy sets: a slot count the words cannot hold, a set both shards
+	// agree on, and one only one shard holds (a torn set).
+	hugeSlots := empty()
+	hugeSlots[12+12] = 1 << 62 // g_edge's canonical index's heavy slot count
+	f.Add(seal(hugeSlots), seal(empty()))
+	withHeavy := slices.Concat(empty()[:12], []mpi.Word{16, 2, 0, 0, 2, 0, 0, 0, 0, 0, 0, 3, 2, 1, 7, 0, 0}, empty()[27:])
+	f.Add(seal(withHeavy), seal(withHeavy))
+	f.Add(seal(withHeavy), seal(empty()))
 	hugeSection := cps[0]
 	hugeSection.Words = append([]mpi.Word{1<<64 - 1}, hugeSection.Words[1:]...)
 	hugeSection.SectionSums = nil

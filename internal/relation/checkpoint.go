@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"paralagg/internal/mpi"
 	"paralagg/internal/tuple"
@@ -11,12 +12,12 @@ import (
 
 // Relation snapshots. A snapshot captures one rank's complete shard of a
 // relation — every registered index's FULL and Δ in ascending order, the
-// aggregate accumulator, the sub-bucket count, the local Δ count, and the
-// cached global changed count — as a flat word buffer, the same representation the
-// wire uses. Restoring the snapshot on a fresh (or poisoned-and-rebuilt) world
-// reproduces the rank's state bit for bit, which is what lets the fixpoint
-// driver resume mid-run after a rank failure and still reach the identical
-// fixpoint.
+// aggregate accumulator, the sub-bucket count, the heavy join keys, the
+// local Δ count, and the cached global changed count — as a flat word
+// buffer, the same representation the wire uses. Restoring the snapshot on
+// a fresh (or poisoned-and-rebuilt) world reproduces the rank's state bit
+// for bit, which is what lets the fixpoint driver resume mid-run after a
+// rank failure and still reach the identical fixpoint.
 //
 // Snapshots are written rank-locally: each rank saves its own shard, and the
 // fixpoint layer coordinates that all ranks act on the same iteration's
@@ -28,7 +29,9 @@ import (
 //	subs, changedLast, deltaCount,
 //	nIndexes, { nFull, tuples..., nDelta, tuples... } per index,
 //	nAcc, { indep..., dep... } per accumulator entry,
-//	nLeaky, { key..., best... } per leaky partial-best entry.
+//	nLeaky, { key..., best... } per leaky partial-best entry,
+//	nHeavy, { nSlots, slot... } per index and then for the placement
+//	(heavySets), slots ascending.
 func (r *Relation) SnapshotWords() []mpi.Word {
 	out := make([]mpi.Word, 0, 64)
 	out = append(out, mpi.Word(r.subs), r.changedLast, mpi.Word(r.deltaCount))
@@ -66,6 +69,11 @@ func (r *Relation) SnapshotWords() []mpi.Word {
 			return true
 		})
 	}
+	out = append(out, mpi.Word(r.heavySets()))
+	for i := range r.heavySets() {
+		s, _ := r.heavyOf(i)
+		out = appendHeavy(out, s)
+	}
 	return out
 }
 
@@ -80,13 +88,13 @@ type Shard struct {
 // to it out of a set of snapshot shards, each produced by SnapshotWords on a
 // relation of the identical schema and index registry — on a world of any
 // size. Placement is a pure function of a tuple's key columns, the
-// sub-bucket count and the world size, so ranks that each read a complete
-// shard set keep disjoint shares whose union is the union that was saved;
-// on a world of the writing size a rank's own shard passes every filter
-// below, so restoring from it alone reproduces the saved state word for
-// word. Existing contents are discarded wholesale (restoring over reloaded
-// base facts is safe); a shard set that fails validation leaves the relation
-// untouched.
+// sub-bucket count, the heavy sets and the world size, so ranks that each
+// read a complete shard set keep disjoint shares whose union is the union
+// that was saved; on a world of the writing size a rank's own shard passes
+// every filter below, so restoring from it alone reproduces the saved state
+// word for word. Existing contents are discarded wholesale (restoring over
+// reloaded base facts is safe); a shard set that fails validation leaves
+// the relation untouched.
 //
 //   - index tuples re-bucket by their join-key/independent columns, or by
 //     the relation's placement for a local index — each tuple has exactly
@@ -100,9 +108,10 @@ type Shard struct {
 //   - so do the local Δ counts, which are summed: only their global sum is
 //     ever read (the routing lane headers and Settle agree it).
 //
-// The sub-bucket count and cached global changed count (Unsettled included)
-// are collectively agreed scalars, so every shard holds the same values (a
-// mismatch means a torn checkpoint set and is an error).
+// The sub-bucket count, the heavy sets and the cached global changed count
+// (Unsettled included) are collectively agreed, so every shard holds the
+// same values (a mismatch means a torn checkpoint set and is an error). The
+// restored heavy sets replace whatever a load decided and stay fixed.
 func (r *Relation) Restore(shards []Shard) error {
 	if len(shards) == 0 {
 		return fmt.Errorf("relation %s: restore from an empty shard set", r.Name)
@@ -116,6 +125,7 @@ func (r *Relation) Restore(shards []Shard) error {
 	type runs struct {
 		trees      [][]mpi.Word // FULL then Δ, per index
 		acc, leaky []mpi.Word
+		heavy      []mpi.Word // the heavy sets' section, whole
 	}
 	split := make([]runs, len(shards))
 	var accWords, leakyWords int
@@ -165,9 +175,27 @@ func (r *Relation) Restore(shards []Shard) error {
 		}
 		sp.acc = run("accumulator entries", r.Arity)
 		sp.leaky = run("leaky entries", r.Arity)
+		heavyAt := off
+		switch {
+		case err != nil:
+		case off == len(w) || w[off] != mpi.Word(r.heavySets()):
+			err = fail("heavy set count missing or not %d", r.heavySets())
+		default:
+			off++
+			for range r.heavySets() {
+				at := off
+				if slots := run("heavy slots", 1); err == nil && !validSlots(slots) {
+					off = at
+					err = fail("heavy slots %v not ascending below %d", slots, heavySlots)
+				}
+			}
+		}
+		sp.heavy = w[heavyAt:off]
 		switch {
 		case err != nil:
 			return err
+		case !slices.Equal(sp.heavy, split[0].heavy):
+			return fail("heavy sets differ from rank %d's shard: torn checkpoint set", shards[0].Origin)
 		case len(sp.acc) > 0 && r.Agg == nil:
 			return fail("accumulator entries in a set-relation snapshot")
 		case len(sp.leaky) > 0 && r.leaky == nil:
@@ -181,6 +209,12 @@ func (r *Relation) Restore(shards []Shard) error {
 
 	r.subs = int(shards[0].Words[0])
 	r.changedLast = shards[0].Words[1]
+	heavy := split[0].heavy[1:]
+	for i := range r.heavySets() {
+		r.setHeavy(i, readHeavy(heavy[1:1+heavy[0]]))
+		heavy = heavy[1+heavy[0]:]
+	}
+	r.placed = true
 	r.deltaCount = 0
 	for _, sh := range shards {
 		if sh.Origin%size == rank {

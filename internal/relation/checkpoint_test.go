@@ -184,7 +184,7 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		if err := reject("truncated header", snap[:2], 0, 0); err != nil {
 			return err
 		}
-		// The FULL tree's 20 tuples no longer fit once the last word is gone.
+		// The last heavy set's slot count is gone with the last word.
 		if err := reject("truncated payload", snap[:len(snap)-1], 3, len(snap)-1); err != nil {
 			return err
 		}
@@ -193,14 +193,20 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		}
 		// Counts come from storage: one that the remaining words cannot hold
 		// is refused before anything is sized from it.
-		empty := []mpi.Word{1, 0, 0, 1, 0, 0, 0, 0}
-		for at, what := range map[int]string{4: "FULL tree", 5: "Δ tree", 6: "accumulator", 7: "leaky"} {
+		empty := []mpi.Word{1, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0}
+		for at, what := range map[int]string{4: "FULL tree", 5: "Δ tree", 6: "accumulator", 7: "leaky", 8: "heavy set", 9: "heavy slot"} {
 			for _, n := range []mpi.Word{1 << 36, 1 << 61, 1<<64 - 1} {
 				words := append([]mpi.Word(nil), empty...)
 				words[at] = n
 				if err := reject(fmt.Sprintf("%s count %d over no entries", what, n), words, 0, at); err != nil {
 					return err
 				}
+			}
+		}
+		for _, slots := range [][]mpi.Word{{heavySlots}, {3, 3}, {5, 2}} {
+			words := append(append(append(empty[:9:9], mpi.Word(len(slots))), slots...), 0)
+			if err := reject(fmt.Sprintf("heavy slots %v", slots), words, 0, 9); err != nil {
+				return err
 			}
 		}
 		for _, subs := range []mpi.Word{0, 1 << 63, 1<<64 - 1} {
@@ -219,18 +225,22 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 }
 
 // TestRestoreRejectsTornShardSets pins the torn-set check: the sub-bucket
-// count and the cached changed count are collectively agreed, so shards that
-// disagree on either cannot belong to one checkpoint.
+// count, the cached changed count and the heavy sets are collectively
+// agreed, so shards that disagree on any cannot belong to one checkpoint.
 func TestRestoreRejectsTornShardSets(t *testing.T) {
 	runWorld(t, 1, func(c *mpi.Comm) error {
 		r, err := New(setSchema("edge", 2, 1), c, metrics.NewCollector(1), Config{})
 		if err != nil {
 			return err
 		}
-		for at, what := range []string{"subs", "changed count"} {
-			a := []mpi.Word{1, 7, 0, 1, 0, 0, 0, 0}
+		for at, what := range []string{"subs", "changed count", "heavy sets"} {
+			a := []mpi.Word{1, 7, 0, 1, 0, 0, 0, 0, 2, 0, 0}
 			b := append([]mpi.Word(nil), a...)
-			b[at]++
+			if at < 2 {
+				b[at]++
+			} else {
+				b = append(b[:9], 1, 5, 0)
+			}
 			err := r.Restore([]Shard{{Origin: 0, Words: a}, {Origin: 1, Words: b}})
 			if err == nil || !strings.Contains(err.Error(), "torn checkpoint set") || !strings.Contains(err.Error(), "from rank 1") {
 				return fmt.Errorf("shards disagreeing on %s: err = %v", what, err)

@@ -7,8 +7,12 @@ import "paralagg/internal/tuple"
 // order) and the pass routes, deduplicates/aggregates, and populates FULL
 // and Δ so the first iteration sees the facts as freshly discovered.
 // Loading is collective and unmetered (the paper's timings exclude input
-// loading).
+// loading). A relation's first pass, if it is a load, decides its heavy join
+// keys from the facts first (decideHeavy).
 func (r *Relation) LoadFacts(facts *tuple.Buffer) uint64 {
+	if facts != nil {
+		r.decideHeavy(facts)
+	}
 	return r.Materialize(0, facts, false)
 }
 

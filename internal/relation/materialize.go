@@ -90,6 +90,7 @@ func (r *Relation) Advance(iter int, pending *tuple.Buffer, record bool) (entere
 	// Δ versions from the previous iteration have been consumed by now;
 	// their runs' storage is reused for this iteration's Δ. An aggregated
 	// relation ships one ⊔-folded record per independent key (fold).
+	r.placed = true
 	delta, full := mpi.Word(r.LocalDeltaCount()), mpi.Word(r.LocalFullCount())
 	for _, ix := range r.indexes {
 		ix.resetDelta()
@@ -110,8 +111,11 @@ func (r *Relation) Advance(iter int, pending *tuple.Buffer, record bool) (entere
 	n := rows.Len()
 	timer := metrics.StartTimer()
 	send := r.sendBuf(size)
-	for dest := range send { // grown once, to a destination's expected share
-		send[dest] = append(slices.Grow(send[dest], routeHeader+(n/size+1)*r.Arity), delta, full)
+	// Each lane is grown once, to a destination's expected share and an
+	// eighth more: keys hash unevenly over destinations, and a lane that
+	// outgrows its capacity is copied whole.
+	for dest := range send {
+		send[dest] = append(slices.Grow(send[dest], routeHeader+(n/size+n/size/8+1)*r.Arity), delta, full)
 	}
 	for i := 0; i < n; i++ {
 		t := rows.At(i)

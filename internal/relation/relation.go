@@ -12,7 +12,9 @@
 // hashing the independent columns only — which is what makes local
 // aggregation communication-free (dependent columns never influence
 // placement) — plus only the indexes some kernel reads. PlaceOn puts the
-// accumulator and indexes on one rank per (bucket, sub-bucket).
+// accumulator and indexes on one rank per (bucket, sub-bucket). Only a heavy
+// join key spreads over a bucket's sub-buckets; every other key lives at
+// sub-bucket 0 (heavy.go).
 //
 // Every index keeps only the storage something reads. Its Δ is a sorted run
 // (btree.Run) of the tuples the last pass changed, written once and then
@@ -85,10 +87,10 @@ func (s Schema) Validate() error {
 
 // Config tunes a relation's distribution.
 type Config struct {
-	// Subs is the number of sub-buckets per bucket (spatial load balancing,
-	// §IV-C): the split width of a join's inner buckets, fixed for the run
-	// (only Restore sets it afterwards). 1 disables balancing; the paper's
-	// default is 8.
+	// Subs is the number of sub-buckets a heavy join key's bucket splits
+	// into (spatial load balancing, §IV-C), fixed for the run (only Restore
+	// sets it afterwards); a light key keeps sub-bucket 0 (heavy.go). 1
+	// disables balancing; the paper's default is 8.
 	Subs int
 	// Integrity enables online divergence detection: every Materialize
 	// computes order-independent 64-bit digests over this rank's shard and
@@ -138,15 +140,19 @@ type Relation struct {
 	// where deduplication happens; an aggregated relation registers only
 	// the indexes something reads, its canonical one included.
 	indexes []*Index
-	// placePerm and placeJK place an aggregated relation's accumulator and
-	// local indexes: a key lives where its independent columns, taken in
-	// placePerm's order, bucket on the first placeJK and sub-bucket on the
-	// rest. They start as the schema's Key in canonical order; PlaceOn moves
-	// them to the index every join reads. placeScratch holds one key in
-	// placePerm's order.
+	// placePerm, placeJK and placeHeavy place an aggregated relation's
+	// accumulator and local indexes: a key lives where its independent
+	// columns, taken in placePerm's order, bucket on the first placeJK and,
+	// if those are heavy, sub-bucket on the rest (place). They start as the
+	// schema's Key in canonical order; PlaceOn moves them to the index every
+	// join reads. placeScratch holds one key in placePerm's order.
 	placePerm    []int
 	placeJK      int
+	placeHeavy   *heavySet
 	placeScratch tuple.Tuple
+	// placed is set by the relation's first pass, which fixes every heavy
+	// set (decideHeavy).
+	placed bool
 	// deltaCount is the number of tuples (keys, for an aggregated relation)
 	// the last pass changed on this rank: Δ's size whichever indexes exist.
 	// SeedDelta adds what it puts into index 0's Δ, so only the sum over
@@ -232,8 +238,11 @@ type Index struct {
 	// replica exchange, and its FULL is a cache of the accumulator (stale).
 	local bool
 
-	// homes caches HomeRanks per bucket; rebuilt whenever the placement
-	// inputs (world size, sub-bucket count, PlaceOn) change.
+	// heavy is the heavy set of the index's join key (nil: none). homes
+	// caches a heavy key's HomeRanks per bucket, whose first is a light
+	// key's; rebuilt whenever the placement inputs (world size, sub-bucket
+	// count, PlaceOn) change.
+	heavy *heavySet
 	homes [][]int
 
 	// digInv is the inverse storage permutation the integrity digests walk
@@ -477,7 +486,7 @@ func New(sch Schema, comm *mpi.Comm, mc *metrics.Collector, cfg Config) (*Relati
 // index stays a replica. Call it identically on every rank, before any facts
 // are loaded.
 func (r *Relation) PlaceOn(ix *Index) {
-	r.placePerm, r.placeJK = ix.Perm, ix.JK
+	r.placePerm, r.placeJK, r.placeHeavy = ix.Perm, ix.JK, ix.heavy
 	ix.local = true
 	ix.pickStore()
 	r.rebuildHomeCaches()
@@ -601,29 +610,21 @@ func (ix *Index) permuteInto(t, out tuple.Tuple) {
 	}
 }
 
-// bucketOf returns the bucket for a stored-order tuple: the hash of the
-// index's join-key columns modulo the world size (one logical bucket per
-// rank, as in BPRA).
-func (ix *Index) bucketOf(stored tuple.Tuple) int { return ix.rel.bucketOn(stored, ix.JK) }
-
-// subOf returns the sub-bucket for a stored-order tuple: the hash of the
-// independent non-key columns. Dependent columns never contribute, so an
-// aggregate update stays on one rank. When no independent columns remain
-// beyond the key the index is single-sub (each key holds one tuple for
-// aggregated relations, so there is nothing to balance).
-func (ix *Index) subOf(stored tuple.Tuple) int { return ix.rel.subOn(stored, ix.JK, ix.indepLen) }
-
-// bucketOn hashes the first jk words of t onto a bucket.
-func (r *Relation) bucketOn(t tuple.Tuple, jk int) int {
-	return int(t.HashPrefix(jk) % uint64(r.comm.Size()))
-}
-
-// subOn hashes t's words jk..indep onto a sub-bucket.
-func (r *Relation) subOn(t tuple.Tuple, jk, indep int) int {
-	if r.subs == 1 || jk >= indep {
-		return 0
+// place returns the rank of a tuple whose first jk words are its join key
+// and words jk..Indep its other independent columns: bucket b is the join
+// key's hash modulo the world size (one logical bucket per rank, as in
+// BPRA); a light key lives at sub-bucket 0 of it, and a heavy key (heavy
+// holds its slot) at the sub-bucket its other independent columns hash to.
+// Dependent columns never contribute, so an aggregate update stays on one
+// rank; with no independent columns beyond the key every key is single-sub
+// (each holds one tuple of an aggregated relation: nothing to balance).
+func (r *Relation) place(t tuple.Tuple, jk int, heavy *heavySet) int {
+	h := t.HashPrefix(jk)
+	b := int(h % uint64(r.comm.Size()))
+	if r.subs == 1 || jk >= r.Indep || !heavy.has(h) {
+		return b
 	}
-	return int(tuple.Tuple(t[jk:indep]).Hash() % uint64(r.subs))
+	return r.rankOf(b, int(tuple.Tuple(t[jk:r.Indep]).Hash()%uint64(r.subs)))
 }
 
 // rankOf maps (bucket, sub) to a rank. Sub-buckets of one bucket spread
@@ -634,18 +635,23 @@ func (r *Relation) rankOf(bucket, sub int) int {
 	return (bucket + sub) % r.comm.Size()
 }
 
-// HomeRanks returns every rank holding a sub-bucket of the given bucket in
-// this index, deduplicated. Outer-relation tuples of the bucket are
-// replicated to exactly these ranks during intra-bucket communication. The
-// returned slice is a cached precomputation shared across calls; callers
-// must not mutate it.
-func (ix *Index) HomeRanks(bucket int) []int {
-	return ix.homes[bucket]
+// HomeRanks returns every rank holding a tuple of this index whose join key
+// hashes to h (tuple.HashPrefix over the index's JK words), deduplicated:
+// rankOf(bucket, 0) alone for a light key, every sub-bucket's rank for a
+// heavy one. A join sends an outer tuple to exactly these ranks of the
+// inner index. The returned slice is a cached precomputation shared across
+// calls; callers must not mutate it.
+func (ix *Index) HomeRanks(h uint64) []int {
+	homes := ix.homes[h%uint64(len(ix.homes))]
+	if !ix.heavy.has(h) {
+		return homes[:1:1]
+	}
+	return homes
 }
 
-// buildHomes precomputes HomeRanks for every bucket under the current world
-// size and sub-bucket count, so the join inner loop never rebuilds the
-// dedup set per probe.
+// buildHomes precomputes a heavy key's HomeRanks for every bucket under the
+// current world size and sub-bucket count, so the join inner loop never
+// rebuilds the dedup set per probe.
 func (ix *Index) buildHomes() {
 	r := ix.rel
 	size := r.comm.Size()
@@ -670,23 +676,19 @@ func (ix *Index) buildHomes() {
 	ix.homes = homes
 }
 
+// holdsHeavy reports whether some key of the index lives on more than one
+// rank: the heavy set is not empty and a bucket has several homes.
+func (ix *Index) holdsHeavy() bool { return ix.heavy != nil && len(ix.homes[0]) > 1 }
+
 // CoPartitioned reports whether a join of a and b on their first jk stored
 // columns needs no intra-bucket exchange: both indexes bucket on exactly
-// those columns and place every bucket on one rank, the same rank on both
-// sides, so every outer tuple's only inner home is the rank that holds it.
-// It reads the HomeRanks caches, which every placement change rebuilds, so
-// every rank computes the same answer for the current placement.
+// those columns and neither holds a heavy key, so every key of either lives
+// at sub-bucket 0 of its bucket, the same rank on both sides, and every
+// outer tuple's only inner home is the rank that holds it. The heavy sets
+// and sub-bucket count are agreed on every rank, so every rank computes the
+// same answer for the current placement.
 func CoPartitioned(a, b *Index, jk int) bool {
-	if a.JK != jk || b.JK != jk || len(a.homes) != len(b.homes) {
-		return false
-	}
-	for bucket, ha := range a.homes {
-		hb := b.homes[bucket]
-		if len(ha) != 1 || len(hb) != 1 || ha[0] != hb[0] {
-			return false
-		}
-	}
-	return true
+	return a.JK == jk && b.JK == jk && !a.holdsHeavy() && !b.holdsHeavy()
 }
 
 // rebuildHomeCaches recomputes every index's HomeRanks cache after a
@@ -704,13 +706,14 @@ func (ix *Index) ownedHere(stored tuple.Tuple) bool {
 }
 
 // homeOf returns the rank a stored-order tuple of this index lives on: its
-// own join-key bucket and sub-bucket, except for an aggregated relation's
-// canonical index, which lives with the accumulator wherever that is placed.
+// own join key's bucket and sub-bucket (place), except for an aggregated
+// relation's canonical index, which lives with the accumulator wherever
+// that is placed.
 func (ix *Index) homeOf(stored tuple.Tuple) int {
 	if ix.local && ix.canonical() {
 		return ix.rel.accPlacement(stored)
 	}
-	return ix.rel.rankOf(ix.bucketOf(stored), ix.subOf(stored))
+	return ix.rel.place(stored, ix.JK, ix.heavy)
 }
 
 // accPlacement returns the rank owning the accumulator entry of a
@@ -721,7 +724,7 @@ func (r *Relation) accPlacement(t tuple.Tuple) int {
 	for i := range key {
 		key[i] = t[r.placePerm[i]]
 	}
-	return r.rankOf(r.bucketOn(key, r.placeJK), r.subOn(key, r.placeJK, r.Indep))
+	return r.place(key, r.placeJK, r.placeHeavy)
 }
 
 // sendBuf returns the relation's reusable per-peer exchange build buffers,

@@ -69,9 +69,11 @@ func (p PlanPolicy) mode() ra.PlanMode {
 type Config struct {
 	// Ranks is the number of simulated MPI ranks (default 4).
 	Ranks int
-	// Subs is the sub-bucket count of every relation: the split width of a
-	// join's inner buckets, the spatial load-balancing knob, fixed for the
-	// run (default 1 = off; the paper's balanced runs use 8).
+	// Subs is the sub-bucket count of every relation: how many ranks the
+	// tuples of a heavy join key spread over, the spatial load-balancing
+	// knob, fixed for the run (default 1 = off; the paper's balanced runs
+	// use 8). A key is heavy when a relation's first bulk load holds it many
+	// times more often than the mean key; every other key keeps one rank.
 	Subs int
 	// Plan is the join-layout policy.
 	Plan PlanPolicy
